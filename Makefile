@@ -4,9 +4,9 @@
 #   make             # build + vet + full tests (tier-1)
 #   make test-short  # seconds-fast subset (heavy corpus reproductions skipped)
 #   make race        # concurrency suite under the race detector
-#   make bench       # all benchmarks, including the MineAll speedup pair
-#   make bench-json  # query + mine benchmarks as JSON into $(BENCH_JSON)
+#   make bench       # all go-test benchmarks
 #   make bench-smoke # one-iteration benchmark pass (CI: does the harness run?)
+#   make bench-check # vet + test the bench/ module (the BENCHMARK.json harness)
 #   make verify      # tier-1 + race: what CI should run
 #   make snapshot    # stgen a corpus (if missing) and stmine it into $(SNAPSHOT)
 #   make bundle      # stmine all three kinds into $(BUNDLE)
@@ -23,7 +23,6 @@ CORPUS ?= corpus.jsonl
 SNAPSHOT ?= snapshot.stb
 BUNDLE ?= corpus.bundle
 ADDR ?= :8080
-BENCH_JSON ?= BENCH_PR9.json
 LOAD_ADDR ?= 127.0.0.1:8093
 LOAD_ARGS ?= -duration 10s -concurrency 8 -write-fraction 0.1
 WAL_ADDR ?= 127.0.0.1:8094
@@ -35,12 +34,6 @@ ALERT_SINK ?= 127.0.0.1:8100
 ALERT_TMP ?= alertsmoke.tmp
 CONN_ADDR ?= 127.0.0.1:8101
 CONN_TMP ?= connsmoke.tmp
-BENCH_TIME ?= 1s
-# The serving-path benchmarks: retrieval (plain, filtered, store-routed,
-# KindAny fan-out), mining (per-kind batch, one-pass MineStore), the
-# live write path (incremental ingest vs the full re-mine it replaces),
-# and the post-ingest alert matcher as the registry grows 100x.
-BENCH_PATTERN ?= BenchmarkQuery|BenchmarkStoreQuery|BenchmarkMineAll|BenchmarkMineStore|BenchmarkIngest|BenchmarkAlertMatch
 # The smoke subset skips the corpus-wide mining benchmarks (tens of
 # seconds per iteration); the ingest pair stays in — its per-iteration
 # setup mines a small dedicated corpus, cheap enough for CI, and keeps
@@ -51,7 +44,7 @@ BENCH_SMOKE_PATTERN ?= BenchmarkQuery|BenchmarkStoreQuery|BenchmarkIngest
 # runs treat as up to date.
 .DELETE_ON_ERROR:
 
-.PHONY: all build vet test test-short race bench bench-json bench-smoke verify snapshot bundle serve load loadtest wal-smoke cluster-smoke alert-smoke connector-smoke
+.PHONY: all build vet test test-short race bench bench-smoke bench-check verify snapshot bundle serve load loadtest wal-smoke cluster-smoke alert-smoke connector-smoke
 
 all: build test
 
@@ -75,16 +68,17 @@ race: build
 bench: build
 	$(GO) test -bench=. -benchmem -run '^$$' .
 
-# Machine-readable perf trajectory: the query and mine benchmarks as
-# go-test JSON events, one artifact per PR for release-over-release
-# comparison.
-bench-json: build
-	$(GO) test -bench '$(BENCH_PATTERN)' -benchtime $(BENCH_TIME) -benchmem -run '^$$' -json . > $(BENCH_JSON)
-
 # One iteration of the query-side benchmarks: cheap enough for CI, and
 # fails the build if the benchmark harness can no longer run at all.
 bench-smoke: build
 	$(GO) test -bench '$(BENCH_SMOKE_PATTERN)' -benchtime 1x -run '^$$' .
+
+# bench/ is a module of its own (it imports stburst/internal/*), so
+# neither `go build ./...` nor `go test ./...` at the root compiles it:
+# this target is what catches a changed signature the benchmark pins
+# before the benchmark pipeline does.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 verify: test race
 

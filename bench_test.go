@@ -16,7 +16,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"stburst/internal/core"
 	"stburst/internal/exp"
@@ -47,32 +46,19 @@ func sharedLab(b *testing.B) *exp.Lab {
 
 // BenchmarkMineAllRegional measures the corpus-wide STLocal batch miner
 // at worker counts 1 (the sequential loop) and GOMAXPROCS, on the shared
-// multi-term synthetic corpus. The parent benchmark logs the measured
-// sequential-vs-parallel speedup; output is bit-identical at every count.
+// multi-term synthetic corpus; output is bit-identical at every count.
 func BenchmarkMineAllRegional(b *testing.B) {
 	col := sharedLab(b).Col()
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				search.MineWindowsPar(col, core.STLocalOptions{}, workers)
+				if _, err := search.MineWindowsParCtx(context.Background(), col, core.STLocalOptions{}, workers); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
-	b.Run("speedup", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			t0 := time.Now()
-			search.MineWindowsPar(col, core.STLocalOptions{}, 1)
-			seq := time.Since(t0)
-			t1 := time.Now()
-			search.MineWindowsPar(col, core.STLocalOptions{}, 0)
-			par := time.Since(t1)
-			b.ReportMetric(seq.Seconds()/par.Seconds(), "speedup")
-			b.Logf("STLocal MineAll: sequential %v, %d workers %v (speedup %.2fx, %d terms)",
-				seq.Round(time.Millisecond), runtime.GOMAXPROCS(0), par.Round(time.Millisecond),
-				seq.Seconds()/par.Seconds(), len(col.Terms()))
-		}
-	})
 }
 
 // BenchmarkMineAllCombinatorial is the STComb counterpart of
@@ -83,24 +69,12 @@ func BenchmarkMineAllCombinatorial(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				search.MineCombPatternsPar(col, core.STCombOptions{}, workers)
+				if _, err := search.MineCombPatternsParCtx(context.Background(), col, core.STCombOptions{}, workers); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
-	b.Run("speedup", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			t0 := time.Now()
-			search.MineCombPatternsPar(col, core.STCombOptions{}, 1)
-			seq := time.Since(t0)
-			t1 := time.Now()
-			search.MineCombPatternsPar(col, core.STCombOptions{}, 0)
-			par := time.Since(t1)
-			b.ReportMetric(seq.Seconds()/par.Seconds(), "speedup")
-			b.Logf("STComb MineAll: sequential %v, %d workers %v (speedup %.2fx)",
-				seq.Round(time.Millisecond), runtime.GOMAXPROCS(0), par.Round(time.Millisecond),
-				seq.Seconds()/par.Seconds())
-		}
-	})
 }
 
 // queryBenchSetup builds one pattern-set-backed STLocal engine over the

@@ -48,7 +48,6 @@ import (
 	"strings"
 	"time"
 
-	"stburst/internal/core"
 	"stburst/internal/corpusio"
 	"stburst/internal/index"
 	"stburst/internal/search"
@@ -92,53 +91,13 @@ func main() {
 		os.Exit(1)
 	}
 	if *all {
-		var mineErr error
-		if *method == "all" {
-			mineErr = mineAllKinds(os.Stdout, os.Stderr, col, *k, *parallel, *out, *shards)
-		} else {
-			mineErr = mineAll(os.Stdout, os.Stderr, col, *method, *k, *parallel, *out)
-		}
-		if mineErr != nil {
-			fmt.Fprintln(os.Stderr, "stmine:", mineErr)
-			os.Exit(exitCode(mineErr))
-		}
-		return
+		err = mineAll(os.Stdout, os.Stderr, col, *method, *k, *parallel, *out, *shards)
+	} else {
+		err = mineTerm(os.Stdout, col, *term, *method, *k)
 	}
-	id, ok := col.Dict().Lookup(*term)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "stmine: term %q not in corpus\n", *term)
-		os.Exit(1)
-	}
-	surface := col.Surface(id)
-	switch *method {
-	case "stlocal":
-		ws, err := core.MineLocal(surface, col.Points(), core.STLocalOptions{})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "stmine:", err)
-			os.Exit(1)
-		}
-		if len(ws) > *k {
-			ws = ws[:*k]
-		}
-		for i, w := range ws {
-			fmt.Printf("#%d  w-score %.3f  weeks [%d,%d]  region %v  %d streams: %s\n",
-				i+1, w.Score, w.Start, w.End, w.Rect, len(w.Streams), names(col, w.Streams, 6))
-		}
-	case "stcomb":
-		ps := core.STComb(surface, core.STCombOptions{MaxPatterns: *k})
-		for i, p := range ps {
-			fmt.Printf("#%d  score %.3f  weeks [%d,%d]  %d streams: %s\n",
-				i+1, p.Score, p.Start, p.End, len(p.Streams), names(col, p.Streams, 6))
-		}
-	case "temporal", "tb":
-		fmt.Fprintln(os.Stderr, "stmine: -method temporal requires -all (it mines the merged stream corpus-wide)")
-		os.Exit(2)
-	case "all":
-		fmt.Fprintln(os.Stderr, "stmine: -method all requires -all (it mines every kind corpus-wide)")
-		os.Exit(2)
-	default:
-		fmt.Fprintf(os.Stderr, "stmine: unknown method %q\n", *method)
-		os.Exit(2)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "stmine:", err)
+		os.Exit(exitCode(err))
 	}
 }
 
@@ -147,14 +106,36 @@ type usageError string
 
 func (e usageError) Error() string { return string(e) }
 
+// methodKinds resolves -method to the kinds it mines: one kind by its
+// pattern or paper name, or every kind for "all".
+func methodKinds(method string) ([]*index.Kind, error) {
+	if method == "all" {
+		return index.Kinds(), nil
+	}
+	kind, ok := index.ParseKind(method)
+	if !ok {
+		return nil, usageError(fmt.Sprintf("unknown method %q", method))
+	}
+	return []*index.Kind{kind.Desc()}, nil
+}
+
 // validateFlags rejects impossible flag combinations before any corpus
 // is read. Splitting into shards needs the one mode that produces whole-
 // vocabulary bundles: -all -method all with an -o path to derive the
 // per-shard file names from (-shards exceeding the vocabulary size is
-// caught after the corpus loads, in mineAllKinds).
+// caught after the corpus loads, in mineAll).
 func validateFlags(term string, all bool, method, out string, shards int) error {
 	if term == "" && !all {
 		return usageError("-term is required (or pass -all)")
+	}
+	if _, err := methodKinds(method); err != nil {
+		return err
+	}
+	if !all && method == "all" {
+		return usageError("-method all requires -all (it mines every kind corpus-wide)")
+	}
+	if !all && (method == "temporal" || method == "tb") {
+		return usageError("-method temporal requires -all (it mines the merged stream corpus-wide)")
 	}
 	if out != "" && !all {
 		return usageError("-o requires -all (snapshots hold the whole vocabulary)")
@@ -188,149 +169,113 @@ func exitCode(err error) int {
 	return 1
 }
 
-// scored locates one pattern for the cross-term top-k listing.
-type scored struct {
-	term  int
-	idx   int // position within the term's pattern slice
-	score float64
+// mine runs the kinds' miners over the given terms on one shared worker
+// pool and returns one pattern set per kind.
+func mine(col *stream.Collection, kinds []*index.Kind, terms []int, parallel int) ([]*index.PatternSet, error) {
+	empty := make([]*index.PatternSet, len(kinds))
+	for i, k := range kinds {
+		empty[i] = index.EmptySet(k.ID)
+	}
+	return search.MineSets(context.Background(), col, terms, empty, &index.MineOptions{}, parallel)
 }
 
-// printTop sorts the scored patterns by descending score with
-// deterministic tie-breaks and prints the k best through format.
-func printTop(w io.Writer, col *stream.Collection, top []scored, k int, format func(s scored) string) {
-	sort.Slice(top, func(i, j int) bool {
-		if top[i].score != top[j].score {
-			return top[i].score > top[j].score
-		}
-		if top[i].term != top[j].term {
-			return top[i].term < top[j].term
-		}
-		return top[i].idx < top[j].idx
-	})
-	if len(top) > k {
-		top = top[:k]
+// describe renders one pattern from the fields its kind stores; a
+// regional window's score is the paper's w-score (Eq. 9).
+func describe(col *stream.Collection, k *index.Kind, v index.View) string {
+	s := fmt.Sprintf("score %.3f  weeks [%d,%d]", v.Score, v.Start, v.End)
+	if k.Rect {
+		s = fmt.Sprintf("w-%s  region %v", s, v.Rect)
 	}
-	for i, s := range top {
-		fmt.Fprintf(w, "#%d  %-18s %s\n", i+1, col.Dict().Term(s.term), format(s))
+	if !k.Streams {
+		return s + "  merged stream"
 	}
+	return s + fmt.Sprintf("  %d streams: %s", len(v.Streams), names(col, v.Streams, 6))
 }
 
-// mineAll runs the corpus-wide batch miner for one pattern kind, prints
-// the top-k patterns across all terms (by descending score with
-// deterministic tie-breaks) to out and, when snapshotPath is set, writes
-// the mined index as a snapshot. Only the k survivors are formatted:
-// per-term pattern slices are already deterministically ordered, so
-// (score, term, position) is a total order.
-func mineAll(out, diag io.Writer, col *stream.Collection, method string, k, parallel int, snapshotPath string) error {
-	var format func(s scored) string
-	start := time.Now()
-	var top []scored
-	var set *index.PatternSet
-	switch method {
-	case "stlocal":
-		byTerm := search.MineWindowsPar(col, core.STLocalOptions{}, parallel)
-		set = index.NewWindowSet(byTerm)
-		for term, ws := range byTerm {
-			for i, w := range ws {
-				top = append(top, scored{term, i, w.Score})
-			}
-		}
-		format = func(s scored) string {
-			w := byTerm[s.term][s.idx]
-			return fmt.Sprintf("w-score %.3f  weeks [%d,%d]  region %v  %d streams: %s",
-				w.Score, w.Start, w.End, w.Rect, len(w.Streams), names(col, w.Streams, 6))
-		}
-	case "stcomb":
-		byTerm := search.MineCombPatternsPar(col, core.STCombOptions{}, parallel)
-		set = index.NewCombSet(byTerm)
-		for term, ps := range byTerm {
-			for i, p := range ps {
-				top = append(top, scored{term, i, p.Score})
-			}
-		}
-		format = func(s scored) string {
-			p := byTerm[s.term][s.idx]
-			return fmt.Sprintf("score %.3f  weeks [%d,%d]  %d streams: %s",
-				p.Score, p.Start, p.End, len(p.Streams), names(col, p.Streams, 6))
-		}
-	case "temporal", "tb":
-		byTerm := search.MineTemporalPar(col, nil, parallel)
-		set = index.NewTemporalSet(byTerm)
-		for term, ivs := range byTerm {
-			for i, iv := range ivs {
-				top = append(top, scored{term, i, iv.Score})
-			}
-		}
-		format = func(s scored) string {
-			iv := byTerm[s.term][s.idx]
-			return fmt.Sprintf("score %.3f  weeks [%d,%d]  merged stream", iv.Score, iv.Start, iv.End)
-		}
-	default:
-		return usageError(fmt.Sprintf("unknown method %q", method))
+// mineTerm mines one term with one kind's miner and prints its k best
+// patterns.
+func mineTerm(out io.Writer, col *stream.Collection, term, method string, k int) error {
+	kinds, err := methodKinds(method)
+	if err != nil {
+		return err
 	}
-	elapsed := time.Since(start)
-	fmt.Fprintf(diag, "stmine: mined %d terms, %d patterns in %v\n",
-		col.Dict().Len(), set.NumPatterns(), elapsed.Round(time.Millisecond))
-	if snapshotPath != "" {
-		if err := index.WriteSnapshotFile(snapshotPath, set, col.Dict().Term); err != nil {
-			return err
-		}
-		fmt.Fprintf(diag, "stmine: snapshot written to %s (fingerprint %.12s...)\n",
-			snapshotPath, set.Fingerprint())
+	id, ok := col.Dict().Lookup(term)
+	if !ok {
+		return fmt.Errorf("term %q not in corpus", term)
 	}
-	printTop(out, col, top, k, format)
+	sets, err := mine(col, kinds, []int{id}, 1)
+	if err != nil {
+		return err
+	}
+	views := sets[0].Views(id)
+	if len(views) > k {
+		views = views[:k]
+	}
+	for i, v := range views {
+		fmt.Fprintf(out, "#%d  %s\n", i+1, describe(col, kinds[0], v))
+	}
 	return nil
 }
 
-// mineAllKinds mines all three pattern kinds in a single pass over one
-// shared worker pool, prints the top-k patterns across every term AND
-// kind (each line tagged with its kind) to out and, when bundlePath is
-// set, writes the three indexes as one bundle — the artifact a
-// multi-kind stserve boots from. With shards > 1 the vocabulary is
-// split by index.TermShard and each shard's three kinds are written as
-// one sharded bundle next to bundlePath instead.
-func mineAllKinds(out, diag io.Writer, col *stream.Collection, k, parallel int, bundlePath string, shards int) error {
+// mineAll mines the whole vocabulary with -method's kinds — all of them
+// in a single pass over one shared worker pool for "all" — prints the
+// top-k patterns across all terms and kinds to out and, when path is
+// set, writes the artifact a serving process boots from: one kind as a
+// snapshot, -method all as one bundle of every kind (the listing then
+// tags each line with its kind), or with shards > 1 as one sharded
+// bundle per vocabulary slice next to path.
+func mineAll(out, diag io.Writer, col *stream.Collection, method string, k, parallel int, path string, shards int) error {
+	kinds, err := methodKinds(method)
+	if err != nil {
+		return err
+	}
 	if shards > col.Dict().Len() {
 		return usageError(fmt.Sprintf("-shards %d exceeds the vocabulary size %d (a shard must own at least one term)",
 			shards, col.Dict().Len()))
 	}
+	bundle := method == "all"
 	start := time.Now()
-	windows, combs, temporal, err := search.MineAllKindsParCtx(context.Background(), col,
-		core.STLocalOptions{}, core.STCombOptions{}, nil, parallel)
+	sets, err := mine(col, kinds, col.Terms(), parallel)
 	if err != nil {
 		return err
 	}
-	sets := []*index.PatternSet{
-		index.NewWindowSet(windows),
-		index.NewCombSet(combs),
-		index.NewTemporalSet(temporal),
-	}
-	elapsed := time.Since(start)
+	elapsed := time.Since(start).Round(time.Millisecond)
 	total := 0
 	for _, set := range sets {
 		total += set.NumPatterns()
 	}
-	fmt.Fprintf(diag, "stmine: mined %d terms x 3 kinds, %d patterns in %v\n",
-		col.Dict().Len(), total, elapsed.Round(time.Millisecond))
-	for _, set := range sets {
-		fmt.Fprintf(diag, "stmine: %-13s %d terms, %d patterns, fingerprint %.12s...\n",
-			set.Kind(), set.NumTerms(), set.NumPatterns(), set.Fingerprint())
+	term := col.Dict().Term
+	if bundle {
+		fmt.Fprintf(diag, "stmine: mined %d terms x %d kinds, %d patterns in %v\n", col.Dict().Len(), len(sets), total, elapsed)
+		for _, set := range sets {
+			fmt.Fprintf(diag, "stmine: %-13s %d terms, %d patterns, fingerprint %.12s...\n",
+				set.Kind(), set.NumTerms(), set.NumPatterns(), set.Fingerprint())
+		}
+	} else {
+		fmt.Fprintf(diag, "stmine: mined %d terms, %d patterns in %v\n", col.Dict().Len(), total, elapsed)
 	}
+	// A freshly mined artifact starts the generation sequence at 0; live
+	// ingestion through stserve advances it from there.
 	switch {
-	case bundlePath != "" && shards > 1:
+	case path == "":
+	case !bundle:
+		if err := index.WriteFileAtomic(path, func(w io.Writer) error { return index.WriteSnapshot(w, sets[0], term) }); err != nil {
+			return err
+		}
+		fmt.Fprintf(diag, "stmine: snapshot written to %s (fingerprint %.12s...)\n", path, sets[0].Fingerprint())
+	case shards > 1:
 		// One sharded bundle per vocabulary slice, each stamped with its
 		// coordinates, the partition scheme and the corpus checksum so a
-		// serving cluster can detect a mixed or foreign shard set. The
-		// generation starts at 0 as for any freshly mined artifact.
-		parts, err := index.SplitSets(sets, col.Dict().Term, shards)
+		// serving cluster can detect a mixed or foreign shard set.
+		parts, err := index.SplitSets(sets, term, shards)
 		if err != nil {
 			return err
 		}
 		checksum := col.Checksum()
 		for i, part := range parts {
 			info := index.ShardInfo{Shard: i, Shards: shards, Scheme: index.ShardScheme, CorpusFingerprint: checksum}
-			path := shardBundlePath(bundlePath, i, shards)
-			if err := index.WriteBundleShardedFile(path, part, col.Dict().Term, 0, info); err != nil {
+			shardPath := shardBundlePath(path, i, shards)
+			if err := (&index.Bundle{Sets: part, Shard: info}).WriteFile(shardPath, term); err != nil {
 				return err
 			}
 			terms, patterns := 0, 0
@@ -339,73 +284,55 @@ func mineAllKinds(out, diag io.Writer, col *stream.Collection, k, parallel int, 
 				patterns += set.NumPatterns()
 			}
 			fmt.Fprintf(diag, "stmine: shard %d/%d written to %s (%d terms, %d patterns)\n",
-				i, shards, path, terms, patterns)
+				i, shards, shardPath, terms, patterns)
 		}
-	case bundlePath != "":
-		// A freshly mined artifact starts the generation sequence at 0;
-		// live ingestion through stserve advances it from there.
-		if err := index.WriteBundleFile(bundlePath, sets, col.Dict().Term, 0); err != nil {
+	default:
+		if err := (&index.Bundle{Sets: sets, Shard: index.ShardInfo{Shards: 1}}).WriteFile(path, term); err != nil {
 			return err
 		}
-		fmt.Fprintf(diag, "stmine: bundle written to %s (3 members)\n", bundlePath)
+		fmt.Fprintf(diag, "stmine: bundle written to %s (%d members)\n", path, len(sets))
 	}
 
-	// One merged top-k across kinds: kindScored extends the (score, term,
-	// position) total order with the kind as the outer tie-break. Only
-	// the k survivors are formatted, as in mineAll.
-	type kindScored struct {
-		kind string
-		s    scored
+	// One merged top-k across terms and kinds. Per-term pattern slices
+	// are already deterministically ordered, so (score, kind, term,
+	// position) is a total order; only the k survivors are formatted.
+	type scored struct {
+		set   int // position in sets and kinds
+		term  int
+		idx   int // position within the term's pattern slice
+		score float64
 	}
-	format := map[string]func(s scored) string{
-		"regional": func(s scored) string {
-			w := windows[s.term][s.idx]
-			return fmt.Sprintf("w-score %.3f  weeks [%d,%d]  region %v  %d streams: %s",
-				w.Score, w.Start, w.End, w.Rect, len(w.Streams), names(col, w.Streams, 6))
-		},
-		"combinatorial": func(s scored) string {
-			p := combs[s.term][s.idx]
-			return fmt.Sprintf("score %.3f  weeks [%d,%d]  %d streams: %s",
-				p.Score, p.Start, p.End, len(p.Streams), names(col, p.Streams, 6))
-		},
-		"temporal": func(s scored) string {
-			iv := temporal[s.term][s.idx]
-			return fmt.Sprintf("score %.3f  weeks [%d,%d]  merged stream", iv.Score, iv.Start, iv.End)
-		},
-	}
-	var top []kindScored
-	for term, ws := range windows {
-		for i, w := range ws {
-			top = append(top, kindScored{"regional", scored{term, i, w.Score}})
-		}
-	}
-	for term, ps := range combs {
-		for i, p := range ps {
-			top = append(top, kindScored{"combinatorial", scored{term, i, p.Score}})
-		}
-	}
-	for term, ivs := range temporal {
-		for i, iv := range ivs {
-			top = append(top, kindScored{"temporal", scored{term, i, iv.Score}})
+	var top []scored
+	for si, set := range sets {
+		for _, t := range set.Terms() {
+			for i, v := range set.Views(t) {
+				top = append(top, scored{si, t, i, v.Score})
+			}
 		}
 	}
 	sort.Slice(top, func(i, j int) bool {
-		if top[i].s.score != top[j].s.score {
-			return top[i].s.score > top[j].s.score
+		a, b := top[i], top[j]
+		if a.score != b.score {
+			return a.score > b.score
 		}
-		if top[i].kind != top[j].kind {
-			return top[i].kind < top[j].kind
+		if a.set != b.set {
+			return kinds[a.set].Name < kinds[b.set].Name
 		}
-		if top[i].s.term != top[j].s.term {
-			return top[i].s.term < top[j].s.term
+		if a.term != b.term {
+			return a.term < b.term
 		}
-		return top[i].s.idx < top[j].s.idx
+		return a.idx < b.idx
 	})
 	if len(top) > k {
 		top = top[:k]
 	}
-	for i, ks := range top {
-		fmt.Fprintf(out, "#%d  [%s] %-18s %s\n", i+1, ks.kind, col.Dict().Term(ks.s.term), format[ks.kind](ks.s))
+	for i, s := range top {
+		tag := ""
+		if bundle {
+			tag = "[" + kinds[s.set].Name + "] "
+		}
+		fmt.Fprintf(out, "#%d  %s%-18s %s\n", i+1, tag, term(s.term),
+			describe(col, kinds[s.set], sets[s.set].Views(s.term)[s.idx]))
 	}
 	return nil
 }

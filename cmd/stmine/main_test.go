@@ -51,7 +51,7 @@ func TestMineAllSingleKindSnapshot(t *testing.T) {
 		t.Run(method, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "snapshot.stb")
 			var out bytes.Buffer
-			if err := mineAll(&out, io.Discard, col, method, 5, 1, path); err != nil {
+			if err := mineAll(&out, io.Discard, col, method, 5, 1, path, 1); err != nil {
 				t.Fatalf("mineAll(%s) = %v", method, err)
 			}
 			if !strings.Contains(out.String(), "#1") {
@@ -73,10 +73,29 @@ func TestMineAllSingleKindSnapshot(t *testing.T) {
 	}
 }
 
+// TestMineTerm: single-term mode prints the term's k best patterns
+// through the same formatter as the corpus-wide listing, and an unknown
+// term is a data error (exit 1).
+func TestMineTerm(t *testing.T) {
+	col := mineCollection(t)
+	for method, want := range map[string]string{"stlocal": "#1  w-score ", "stcomb": "#1  score "} {
+		var out bytes.Buffer
+		if err := mineTerm(&out, col, "earthquake", method, 1); err != nil {
+			t.Fatalf("mineTerm(%s) = %v", method, err)
+		}
+		if !strings.HasPrefix(out.String(), want) || strings.Count(out.String(), "\n") != 1 {
+			t.Errorf("mineTerm(%s, k=1) printed:\n%s", method, out.String())
+		}
+	}
+	if err := mineTerm(io.Discard, col, "nosuchterm", "stlocal", 1); err == nil || exitCode(err) != 1 {
+		t.Errorf("unknown term: err=%v, want a data error (exit 1)", err)
+	}
+}
+
 // TestMineAllUnknownMethod: a bad method is a usage error (exit 2), not
 // a mining failure.
 func TestMineAllUnknownMethod(t *testing.T) {
-	err := mineAll(io.Discard, io.Discard, mineCollection(t), "nope", 5, 1, "")
+	err := mineAll(io.Discard, io.Discard, mineCollection(t), "nope", 5, 1, "", 1)
 	if err == nil {
 		t.Fatal("mineAll accepted an unknown method")
 	}
@@ -92,7 +111,7 @@ func TestMineAllKindsBundle(t *testing.T) {
 	col := mineCollection(t)
 	path := filepath.Join(t.TempDir(), "corpus.bundle")
 	var out, diag bytes.Buffer
-	if err := mineAllKinds(&out, &diag, col, 5, 2, path, 1); err != nil {
+	if err := mineAll(&out, &diag, col, "all", 5, 2, path, 1); err != nil {
 		t.Fatalf("mineAllKinds = %v", err)
 	}
 	if !strings.Contains(out.String(), "[regional]") &&
@@ -118,7 +137,7 @@ func TestMineAllKindsBundle(t *testing.T) {
 	tmp := t.TempDir()
 	for _, method := range []string{"stlocal", "stcomb", "temporal"} {
 		p := filepath.Join(tmp, method+".stb")
-		if err := mineAll(io.Discard, io.Discard, col, method, 1, 1, p); err != nil {
+		if err := mineAll(io.Discard, io.Discard, col, method, 1, 1, p, 1); err != nil {
 			t.Fatal(err)
 		}
 		sf, err := os.Open(p)
@@ -165,6 +184,10 @@ func TestFlagValidation(t *testing.T) {
 		{name: "shards without all", term: "earthquake", method: "all", out: "x.bundle", shards: 2, ok: false},
 		{name: "shards with single-kind method", all: true, method: "stlocal", out: "x.stb", shards: 2, ok: false},
 		{name: "shards without output", all: true, method: "all", shards: 2, ok: false},
+		{name: "paper alias", all: true, method: "tb", shards: 1, ok: true},
+		{name: "unknown method", term: "earthquake", method: "nope", shards: 1, ok: false},
+		{name: "single term temporal", term: "earthquake", method: "temporal", shards: 1, ok: false},
+		{name: "single term all kinds", term: "earthquake", method: "all", shards: 1, ok: false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -194,12 +217,12 @@ func TestMineAllKindsSharded(t *testing.T) {
 	tmp := t.TempDir()
 	base := filepath.Join(tmp, "corpus.bundle")
 	var diag bytes.Buffer
-	if err := mineAllKinds(io.Discard, &diag, col, 5, 2, base, shards); err != nil {
+	if err := mineAll(io.Discard, &diag, col, "all", 5, 2, base, shards); err != nil {
 		t.Fatalf("mineAllKinds sharded = %v", err)
 	}
 
 	whole := filepath.Join(tmp, "whole.bundle")
-	if err := mineAllKinds(io.Discard, io.Discard, col, 5, 2, whole, 1); err != nil {
+	if err := mineAll(io.Discard, io.Discard, col, "all", 5, 2, whole, 1); err != nil {
 		t.Fatal(err)
 	}
 	wf, err := os.Open(whole)
@@ -222,11 +245,12 @@ func TestMineAllKindsSharded(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shard %d bundle not written: %v", i, err)
 		}
-		snaps, gen, info, err := index.ReadBundleShard(f)
+		b, err := index.ReadStore(f)
 		f.Close()
 		if err != nil {
 			t.Fatalf("shard %d bundle does not load: %v", i, err)
 		}
+		snaps, gen, info := b.Snaps, b.Generation, b.Shard
 		want := index.ShardInfo{Shard: i, Shards: shards, Scheme: index.ShardScheme, CorpusFingerprint: col.Checksum()}
 		if info != want || gen != 0 {
 			t.Errorf("shard %d identity = %+v gen %d, want %+v gen 0", i, info, gen, want)
@@ -255,7 +279,7 @@ func TestMineAllKindsSharded(t *testing.T) {
 
 	// A shard count beyond the vocabulary is a usage error, found only
 	// after the corpus loads.
-	err = mineAllKinds(io.Discard, io.Discard, col, 5, 1, filepath.Join(tmp, "x.bundle"), col.Dict().Len()+1)
+	err = mineAll(io.Discard, io.Discard, col, "all", 5, 1, filepath.Join(tmp, "x.bundle"), col.Dict().Len()+1)
 	if err == nil || exitCode(err) != 2 {
 		t.Errorf("oversized -shards: err=%v exitCode=%d, want usage error exit 2", err, exitCode(err))
 	}

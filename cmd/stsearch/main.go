@@ -8,9 +8,7 @@
 // -kind selects the burstiness model: regional (stlocal), combinatorial
 // (stcomb), temporal (tb), or "any" — which mines all three kinds in one
 // pass, fans the query out to each, and merges the rankings, tagging
-// every hit with the kind that scored it. The older -engine flag remains
-// as a deprecated alias; when both are given, the explicit -kind wins
-// and a warning is printed to stderr.
+// every hit with the kind that scored it.
 //
 // Usage:
 //
@@ -38,22 +36,6 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
 
-// resolveKindName picks the effective kind name from the -kind/-engine
-// pair. The deprecated -engine alias only ever applies when -kind was
-// not given explicitly: an explicit -kind always wins — even an empty
-// one, which falls through to the default — and disagreeing flags earn
-// a warning instead of silently searching the wrong model.
-func resolveKindName(kindSet, engineSet bool, kindName, engineName string, stderr io.Writer) string {
-	switch {
-	case engineSet && !kindSet:
-		fmt.Fprintln(stderr, "stsearch: -engine is deprecated; use -kind")
-		return engineName
-	case engineSet && kindSet:
-		fmt.Fprintf(stderr, "stsearch: both -kind and -engine given; -engine is a deprecated alias, using -kind %q\n", kindName)
-	}
-	return kindName
-}
-
 // run is main with its environment injected, so the CLI tests can drive
 // it end to end. It returns the process exit code: 0 on success, 1 on
 // data errors, 2 on usage errors.
@@ -61,15 +43,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("stsearch", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		kindName   = fs.String("kind", "", "pattern kind: regional/stlocal, combinatorial/stcomb, temporal/tb, or any (default regional)")
-		engineKind = fs.String("engine", "", "deprecated alias for -kind (ignored when -kind is given)")
-		query      = fs.String("q", "", "query terms (required)")
-		k          = fs.Int("k", 10, "number of documents to retrieve")
-		offset     = fs.Int("offset", 0, "number of ranked documents to skip (pagination)")
-		minScore   = fs.Float64("min-score", 0, "drop documents scoring below this threshold")
-		region     = fs.String("region", "", "spatial filter minX,minY,maxX,maxY: hits need a contributing pattern intersecting it")
-		from       = fs.Int("from", -1, "first timestamp of the temporal filter (inclusive; -1 = unbounded)")
-		to         = fs.Int("to", -1, "last timestamp of the temporal filter (inclusive; -1 = unbounded)")
+		kindName = fs.String("kind", "", "pattern kind: regional/stlocal, combinatorial/stcomb, temporal/tb, or any (default regional)")
+		query    = fs.String("q", "", "query terms (required)")
+		k        = fs.Int("k", 10, "number of documents to retrieve")
+		offset   = fs.Int("offset", 0, "number of ranked documents to skip (pagination)")
+		minScore = fs.Float64("min-score", 0, "drop documents scoring below this threshold")
+		region   = fs.String("region", "", "spatial filter minX,minY,maxX,maxY: hits need a contributing pattern intersecting it")
+		from     = fs.Int("from", -1, "first timestamp of the temporal filter (inclusive; -1 = unbounded)")
+		to       = fs.Int("to", -1, "last timestamp of the temporal filter (inclusive; -1 = unbounded)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -78,13 +59,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "stsearch: -q is required")
 		return 2
 	}
-	explicit := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	name := resolveKindName(explicit["kind"], explicit["engine"], *kindName, *engineKind, stderr)
-	if name == "" {
-		name = "regional"
+	if *kindName == "" {
+		*kindName = "regional"
 	}
-	kind, err := stburst.ParseKind(name)
+	kind, err := stburst.ParseKind(*kindName)
 	if err != nil {
 		fmt.Fprintln(stderr, "stsearch: -kind:", err)
 		return 2

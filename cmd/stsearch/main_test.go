@@ -41,45 +41,8 @@ func runSearch(t *testing.T, args ...string) (int, string, string) {
 	return code, stdout.String(), stderr.String()
 }
 
-// TestKindWinsOverEngineAlias is the regression test for the flag
-// precedence bug: with both -kind and -engine given, the explicit -kind
-// must select the engine — with a warning — instead of being silently
-// overridden by the deprecated alias.
-func TestKindWinsOverEngineAlias(t *testing.T) {
-	code, stdout, stderr := runSearch(t, "-kind", "regional", "-engine", "temporal", "-q", "earthquake")
-	if code != 0 {
-		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
-	}
-	if !strings.Contains(stderr, "regional engine built") {
-		t.Errorf("-kind regional lost to -engine temporal; stderr:\n%s", stderr)
-	}
-	if strings.Contains(stderr, "temporal engine built") {
-		t.Errorf("deprecated -engine selected the engine; stderr:\n%s", stderr)
-	}
-	if !strings.Contains(stderr, "deprecated") || !strings.Contains(stderr, "using -kind") {
-		t.Errorf("no precedence warning on stderr:\n%s", stderr)
-	}
-	if !strings.Contains(stdout, "doc") {
-		t.Errorf("no hits printed:\n%s", stdout)
-	}
-}
-
-// TestEngineAliasAloneStillWorks: -engine without -kind keeps selecting
-// the model (compatibility), but now warns about the deprecation.
-func TestEngineAliasAloneStillWorks(t *testing.T) {
-	code, _, stderr := runSearch(t, "-engine", "temporal", "-q", "earthquake")
-	if code != 0 {
-		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
-	}
-	if !strings.Contains(stderr, "temporal engine built") {
-		t.Errorf("-engine alone no longer selects the engine; stderr:\n%s", stderr)
-	}
-	if !strings.Contains(stderr, "-engine is deprecated") {
-		t.Errorf("no deprecation warning on stderr:\n%s", stderr)
-	}
-}
-
-// TestKindDefaultsRegionalWithoutWarning: the plain path stays quiet.
+// TestKindDefaultsRegionalWithoutWarning: without -kind the regional
+// model answers, quietly.
 func TestKindDefaultsRegionalWithoutWarning(t *testing.T) {
 	code, _, stderr := runSearch(t, "-q", "earthquake")
 	if code != 0 {
@@ -90,6 +53,18 @@ func TestKindDefaultsRegionalWithoutWarning(t *testing.T) {
 	}
 	if strings.Contains(stderr, "deprecated") {
 		t.Errorf("spurious deprecation warning:\n%s", stderr)
+	}
+}
+
+// TestKindSelectsModel: -kind picks the burstiness model by pattern or
+// paper name, and the retired -engine alias is an unknown flag.
+func TestKindSelectsModel(t *testing.T) {
+	code, stdout, stderr := runSearch(t, "-kind", "tb", "-q", "earthquake")
+	if code != 0 || !strings.Contains(stderr, "temporal engine built") || !strings.Contains(stdout, "doc") {
+		t.Errorf("-kind tb: exit %d, stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	}
+	if code, _, _ := runSearch(t, "-engine", "temporal", "-q", "earthquake"); code != 2 {
+		t.Errorf("-engine: exit %d, want usage error 2", code)
 	}
 }
 

@@ -63,9 +63,7 @@
 //	                         counters and latency histograms, in-flight
 //	                         gauge, store generation and ingest depth
 //
-// The pre-/v1 routes (GET /healthz, /stats, /patterns/{term},
-// /search?q=&k=) remain as aliases: /search keeps its exact original
-// hit shape, the others their original fields plus additive ones.
+// Every route is versioned; there are no unversioned aliases.
 //
 // When -snapshot names a file that does not exist, stserve mines the
 // corpus (-method selects the pattern kind, "all" mines all three in one

@@ -114,7 +114,7 @@ func equalCombs(a, b []CombinatorialPattern) bool {
 func TestMineAllRegionalMatchesSequentialLoop(t *testing.T) {
 	c := synthCollection(t, 8, 24, 30)
 	for _, workers := range []int{1, 4} {
-		ix := c.MineAllRegional(nil, workers)
+		ix := mustMine(c, KindRegional, &MineOptions{Parallelism: workers})
 		if ix.Kind() != "regional" {
 			t.Fatalf("kind = %q", ix.Kind())
 		}
@@ -138,7 +138,7 @@ func TestMineAllCombinatorialMatchesSequentialLoop(t *testing.T) {
 		{MaxPatterns: 2},
 		{Detector: DetectorKleinberg},
 	} {
-		ix := c.MineAllCombinatorial(opts, 3)
+		ix := mustMine(c, KindCombinatorial, &MineOptions{Combinatorial: opts, Parallelism: 3})
 		for _, term := range c.Terms() {
 			want := c.CombinatorialPatterns(term, opts)
 			got := ix.CombinatorialPatterns(term)
@@ -151,7 +151,7 @@ func TestMineAllCombinatorialMatchesSequentialLoop(t *testing.T) {
 
 func TestMineAllTemporalMatchesSequentialLoop(t *testing.T) {
 	c := synthCollection(t, 8, 24, 30)
-	ix := c.MineAllTemporal(4)
+	ix := mustMine(c, KindTemporal, &MineOptions{Parallelism: 4})
 	for _, term := range c.Terms() {
 		want := c.TemporalBursts(term)
 		got := ix.TemporalBursts(term)
@@ -177,9 +177,9 @@ func TestMineAllDeterminism(t *testing.T) {
 		c := synthCollection(t, 8, 24, 30)
 		for _, w := range workerCounts {
 			got := prints{
-				regional: c.MineAllRegional(nil, w).Fingerprint(),
-				comb:     c.MineAllCombinatorial(nil, w).Fingerprint(),
-				temporal: c.MineAllTemporal(w).Fingerprint(),
+				regional: mustMine(c, KindRegional, &MineOptions{Parallelism: w}).Fingerprint(),
+				comb:     mustMine(c, KindCombinatorial, &MineOptions{Parallelism: w}).Fingerprint(),
+				temporal: mustMine(c, KindTemporal, &MineOptions{Parallelism: w}).Fingerprint(),
 			}
 			if run == 0 && w == 1 {
 				golden = got
@@ -199,7 +199,7 @@ func TestMineAllDeterminism(t *testing.T) {
 // goroutines doing concurrent read/mine/search calls. Run under -race.
 func TestConcurrentCollectionReads(t *testing.T) {
 	c := synthCollection(t, 6, 20, 18)
-	ix := c.MineAllRegional(nil, 2)
+	ix := mustMine(c, KindRegional, &MineOptions{Parallelism: 2})
 	terms := c.Terms()
 	goroutines := 16
 	iters := 8
@@ -236,14 +236,14 @@ func TestConcurrentCollectionReads(t *testing.T) {
 // -race: this is the densest read pressure the engine generates.
 func TestConcurrentBatchMines(t *testing.T) {
 	c := synthCollection(t, 6, 20, 18)
-	want := c.MineAllRegional(nil, 1).Fingerprint()
+	want := mustMine(c, KindRegional, &MineOptions{Parallelism: 1}).Fingerprint()
 	var wg sync.WaitGroup
 	results := make([]string, 4)
 	wg.Add(len(results))
 	for i := range results {
 		go func(i int) {
 			defer wg.Done()
-			results[i] = c.MineAllRegional(nil, 2).Fingerprint()
+			results[i] = mustMine(c, KindRegional, &MineOptions{Parallelism: 2}).Fingerprint()
 		}(i)
 	}
 	wg.Wait()
@@ -261,10 +261,10 @@ func TestConcurrentBatchMines(t *testing.T) {
 func TestSearchAnswersFromIndexWithoutRemining(t *testing.T) {
 	c := synthCollection(t, 6, 20, 18)
 	before := search.TermsMined()
-	ix := c.MineAllRegional(nil, 2)
+	ix := mustMine(c, KindRegional, &MineOptions{Parallelism: 2})
 	mined := search.TermsMined() - before
 	if mined == 0 {
-		t.Fatal("MineAllRegional should mine terms")
+		t.Fatal("Mine should mine terms")
 	}
 	// First query builds the cached engine; none of the queries re-mine.
 	afterMine := search.TermsMined()
@@ -301,8 +301,8 @@ func TestSearchAnswersFromIndexWithoutRemining(t *testing.T) {
 // search path returns exactly what a freshly built engine returns.
 func TestPatternIndexSearchMatchesEngine(t *testing.T) {
 	c := synthCollection(t, 6, 20, 18)
-	ix := c.MineAllRegional(nil, 0)
-	eng := NewRegionalEngine(c, nil)
+	ix := mustMine(c, KindRegional, nil)
+	eng := mustMine(c, KindRegional, nil).Engine()
 	for _, q := range []string{"topic000", "topic003 surge", "topic006", "absent"} {
 		got := ix.Search(q, 10)
 		want := eng.Search(q, 10)

@@ -70,12 +70,8 @@
 //	top := ix.RegionalPatterns("earthquake")
 //	hits := ix.Search("earthquake rescue", 10) // engine built once, cached
 //
-// The MineAll* methods (MineAllRegional, MineAllCombinatorial,
-// MineAllTemporal) are non-cancellable positional conveniences over
-// Mine. The pre-index engine constructors NewRegionalEngine,
-// NewCombinatorialEngine and NewTemporalEngine are deprecated: they mine
-// with a background context and throw the index away, so prefer Mine
-// followed by PatternIndex.Engine or PatternIndex.Query.
+// PatternIndex.Patterns lists a term's stored patterns whatever the
+// index's kind, as the kind-independent Pattern.
 //
 // # Snapshots: mine once, serve many
 //
@@ -170,7 +166,7 @@
 // (live batch ingest, behind the -ingest flag) with GET /v1/generation
 // for cache-busting, POST /v1/reload (atomic snapshot reload — now the
 // cold-path alternative to live ingestion), /v1/stats and /v1/healthz —
-// plus the legacy unversioned aliases, off the immutable indexes.
+// off the immutable indexes.
 //
 // See README.md for the CLI tour, the examples directory for runnable
 // end-to-end programs, and DESIGN.md for the system inventory, the

@@ -1,6 +1,7 @@
 package stburst_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -54,8 +55,11 @@ func ExampleCollection_CombinatorialPatterns() {
 
 func ExampleEngine_Search() {
 	c := demo()
-	engine := stburst.NewRegionalEngine(c, nil)
-	hits := engine.Search("storm surge", 2)
+	ix, err := c.Mine(context.Background(), stburst.KindRegional, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	hits := ix.Engine().Search("storm surge", 2)
 	for _, h := range hits {
 		fmt.Printf("%s week %d\n", h.Stream, h.Doc.Time)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -40,7 +41,10 @@ func main() {
 	}
 
 	// Mine once: every term, in parallel.
-	mined := c.MineAllRegional(nil, 0)
+	mined, err := c.Mine(context.Background(), stburst.KindRegional, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("mined: %d terms, %d patterns\n", mined.NumTerms(), mined.NumPatterns())
 	fmt.Printf("fingerprint: %.16s...\n", mined.Fingerprint())
 

@@ -7,6 +7,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -45,13 +46,12 @@ func NewLabPar(cfg gen.TopixConfig, workers int) (*Lab, error) {
 	// stream that mentioned the term once or twice has no burst
 	// structure to contribute (see burst.Discrepancy.MinMass).
 	combDet := burst.Discrepancy{MinMass: 3}
-	return &Lab{
-		TP:       tp,
-		Windows:  search.MineWindowsPar(tp.Col, core.STLocalOptions{}, workers),
-		Combs:    search.MineCombPatternsPar(tp.Col, core.STCombOptions{Detector: combDet}, workers),
-		Temporal: search.MineTemporalPar(tp.Col, nil, workers),
-		workers:  workers,
-	}, nil
+	windows, combs, temporal, err := search.MineAllKindsParCtx(context.Background(), tp.Col,
+		core.STLocalOptions{}, core.STCombOptions{Detector: combDet}, nil, workers)
+	if err != nil {
+		return nil, err
+	}
+	return &Lab{TP: tp, Windows: windows, Combs: combs, Temporal: temporal, workers: workers}, nil
 }
 
 // Workers returns the lab's mining worker count, reused by the

@@ -5,6 +5,7 @@ import (
 
 	"stburst/internal/eval"
 	"stburst/internal/gen"
+	"stburst/internal/index"
 	"stburst/internal/search"
 )
 
@@ -39,9 +40,9 @@ func Table3(l *Lab, k int) Table3Result {
 		k = 10
 	}
 	col := l.Col()
-	engLocal := search.Build(col, search.WindowBurstiness(l.Windows))
-	engComb := search.Build(col, search.CombBurstiness(l.Combs))
-	engTB := search.Build(col, search.TemporalBurstiness(l.Temporal))
+	engLocal := search.BuildFromPatterns(col, index.NewWindowSet(l.Windows))
+	engComb := search.BuildFromPatterns(col, index.NewCombSet(l.Combs))
+	engTB := search.BuildFromPatterns(col, index.NewTemporalSet(l.Temporal))
 
 	var res Table3Result
 	var oCombTB, oCombLocal, oTBLocal float64

@@ -147,13 +147,13 @@ func New(cfg Config) (*Gateway, error) {
 	g.mux.HandleFunc("DELETE /v1/subscriptions/{id}", g.handleSubscriptionsUnsupported)
 	g.mux.HandleFunc("GET /v1/alerts/stream", g.handleSubscriptionsUnsupported)
 	g.obs = newObserver(g)
-	g.mux.HandleFunc("GET /metrics", g.obs.handleMetrics)
+	g.mux.Handle("GET /metrics", g.obs.s)
 	return g, nil
 }
 
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.requests.Add(1)
-	g.obs.instrument(g.mux, w, r)
+	g.obs.http.Serve(g.mux, w, r)
 }
 
 // shardHealth is the membership block of stserve's /v1/healthz body.

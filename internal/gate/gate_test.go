@@ -594,6 +594,13 @@ func TestGatewaySurface(t *testing.T) {
 			t.Errorf("search(%s) = %d, want 400", bad, rec.Code)
 		}
 	}
+	// The gateway caps the search body exactly as the members do.
+	oversize := `{"text":"` + strings.Repeat("a", serve.MaxBody) + `"}`
+	rec = httptest.NewRecorder()
+	g.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/search", strings.NewReader(oversize)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("search with a %d-byte body = %d, want 413", len(oversize), rec.Code)
+	}
 
 	doSearch(t, g, stburst.Query{Text: "earthquake rescue"})
 	var buf bytes.Buffer

@@ -1,33 +1,22 @@
 package gate
 
 import (
-	"log"
-	"net/http"
-	"sync"
 	"time"
 
 	"stburst/internal/metrics"
 )
 
 // observer is the gateway's metrics surface, shaped like stserve's so a
-// cluster dashboard reads both with one set of queries: per-route
-// request counters and latency histograms, fan-out latency by path
-// (forward vs scatter), per-member upstream counters, and member-state
-// gauges. Route instruments are created lazily on first hit; member
-// instruments eagerly (the member set is fixed for the gateway's life).
+// cluster dashboard reads both with one set of queries: the shared
+// per-route request instrumentation (metrics.HTTP), fan-out latency by
+// path (forward vs scatter), per-member upstream counters, and
+// member-state gauges. Member instruments are created eagerly (the
+// member set is fixed for the gateway's life).
 type observer struct {
-	s        *metrics.Registry
-	inFlight *metrics.Gauge
-	routes   sync.Map // mux pattern -> *routeInstruments
-	fanouts  map[string]*metrics.Histogram
-	members  map[string]*upstreamInstruments
-	mu       sync.Mutex
-	g        *Gateway
-}
-
-type routeInstruments struct {
-	byClass [5]*metrics.Counter // 1xx..5xx
-	latency *metrics.Histogram
+	s       *metrics.Registry
+	http    *metrics.HTTP
+	fanouts map[string]*metrics.Histogram
+	members map[string]*upstreamInstruments
 }
 
 // upstreamInstruments counts one member's upstream traffic.
@@ -36,12 +25,9 @@ type upstreamInstruments struct {
 	errs *metrics.Counter
 }
 
-var statusClasses = [5]string{"1xx", "2xx", "3xx", "4xx", "5xx"}
-
 func newObserver(g *Gateway) *observer {
-	o := &observer{s: metrics.NewRegistry(), g: g}
-	o.inFlight = o.s.NewGauge("stgate_http_in_flight",
-		"Requests currently being served.")
+	o := &observer{s: metrics.NewRegistry()}
+	o.http = metrics.NewHTTP(o.s, "stgate")
 	o.s.NewGaugeFunc("stgate_uptime_seconds",
 		"Seconds since the gateway was wired.",
 		func() float64 { return time.Since(g.started).Seconds() })
@@ -93,83 +79,6 @@ func (o *observer) fanout(path string) *metrics.Histogram { return o.fanouts[pat
 
 // upstream returns one member's upstream instruments.
 func (o *observer) upstream(url string) *upstreamInstruments { return o.members[url] }
-
-// route returns (creating on first use) the instruments of one route.
-func (o *observer) route(pattern string) *routeInstruments {
-	if pattern == "" {
-		pattern = "unmatched"
-	}
-	if ri, ok := o.routes.Load(pattern); ok {
-		return ri.(*routeInstruments)
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if ri, ok := o.routes.Load(pattern); ok { // lost the creation race
-		return ri.(*routeInstruments)
-	}
-	ri := &routeInstruments{
-		latency: o.s.NewHistogram("stgate_http_request_seconds",
-			"Request latency by route.", nil, metrics.L("route", pattern)),
-	}
-	for i, class := range statusClasses {
-		ri.byClass[i] = o.s.NewCounter("stgate_http_requests_total",
-			"Requests served by route and status class.",
-			metrics.L("route", pattern), metrics.L("code", class))
-	}
-	o.routes.Store(pattern, ri)
-	return ri
-}
-
-// statusWriter records the response status; Unwrap keeps
-// http.ResponseController working across the wrapper.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-// instrument serves r through next, recording in-flight depth, status
-// class and latency against the matched mux pattern.
-func (o *observer) instrument(next http.Handler, w http.ResponseWriter, r *http.Request) {
-	o.inFlight.Inc()
-	defer o.inFlight.Dec()
-	sw := &statusWriter{ResponseWriter: w}
-	start := time.Now()
-	next.ServeHTTP(sw, r)
-	elapsed := time.Since(start).Seconds()
-	status := sw.status
-	if status == 0 {
-		status = http.StatusOK
-	}
-	ri := o.route(r.Pattern)
-	if cls := status/100 - 1; cls >= 0 && cls < len(ri.byClass) {
-		ri.byClass[cls].Inc()
-	}
-	ri.latency.Observe(elapsed)
-}
-
-// handleMetrics answers GET /metrics with the Prometheus text format.
-func (o *observer) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := o.s.WriteText(w); err != nil {
-		log.Printf("gate: writing /metrics: %v", err)
-	}
-}
 
 // Registry exposes the gateway's metrics registry for in-process tests.
 func (g *Gateway) Registry() *metrics.Registry { return g.obs.s }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"stburst"
+	"stburst/internal/serve"
 )
 
 // The search path must be bit-identical to an unsharded stserve over the
@@ -60,10 +61,7 @@ type wireSearch struct {
 func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 	g.searches.Add(1)
 	var q stburst.Query
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&q); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid query body: "+err.Error())
+	if !serve.DecodeBody(w, r, serve.MaxBody, "query", &q) {
 		return
 	}
 	if err := q.Validate(); err != nil {

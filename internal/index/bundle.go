@@ -8,8 +8,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 )
 
 // Bundle binary format (".bundle", little-endian throughout):
@@ -52,29 +50,28 @@ import (
 // bundleMagic identifies a pattern-index bundle stream.
 const bundleMagic = "STBBNDL\x00"
 
-// BundleVersion is the codec version written by WriteBundle. ReadBundle
-// also accepts the previous version 1 (the pre-generation format),
-// decoding it as generation 0.
-const BundleVersion = 2
+// Bundle format versions. A writer picks the lowest version that can carry
+// the bundle's content, so an artifact without shard identity or
+// subscriptions stays in the earliest portable format; ReadBundle accepts
+// every version back to 1 (the pre-generation format, decoded as
+// generation 0).
+const (
+	// BundleVersion is the whole-vocabulary format.
+	BundleVersion = 2
+	// ShardBundleVersion adds the shard block (shard coordinates,
+	// partition-scheme tag and corpus fingerprint). Versions 1 and 2 read
+	// as the whole partition: shard 0 of 1.
+	ShardBundleVersion = 3
+	// SubsBundleVersion adds the subscriptions block of opaque JSON blobs
+	// (the shard block is always present, degenerate for an unsharded
+	// store). Versions 1..3 read as zero subscriptions.
+	SubsBundleVersion = 4
 
-// ShardBundleVersion is the codec version written by WriteBundleSharded:
-// version 2 plus the shard block (shard coordinates, partition-scheme
-// tag and corpus fingerprint). Versions 1 and 2 read as the whole
-// partition: shard 0 of 1.
-const ShardBundleVersion = 3
-
-// SubsBundleVersion is the codec version written by WriteBundleSubs:
-// version 3's layout (the shard block is always present, degenerate for
-// an unsharded store) plus a subscriptions block of opaque JSON blobs —
-// the persisted standing queries. Versions 1..3 read as zero
-// subscriptions, so every pre-subscription artifact stays loadable.
-const SubsBundleVersion = 4
-
-// minBundleVersion is the oldest codec version ReadBundle accepts.
-const minBundleVersion = 1
+	minBundleVersion = 1
+)
 
 // maxBundleMembers bounds the member count: one slot per pattern kind.
-const maxBundleMembers = 3
+const maxBundleMembers = NumKinds
 
 // maxBundleSubs and maxBundleSubBytes bound the subscriptions block: a
 // count or length beyond them can only come from corrupted input and is
@@ -84,172 +81,141 @@ const (
 	maxBundleSubBytes = 1 << 20
 )
 
-// WriteBundle serializes the given pattern sets as one bundle: a
-// manifest, then each set as an ordinary snapshot stream, then a stream
-// checksum over the whole file. Sets must be non-empty, hold distinct
-// kinds, and be ordered by ascending kind (the canonical regional,
-// combinatorial, temporal order); term resolves interned IDs to strings
-// as in WriteSnapshot. gen is the store generation recorded in the v2
-// header (and in each member snapshot), the live-ingestion cache-busting
-// token ReadBundle hands back; pass 0 for a freshly mined artifact.
+// Bundle is one store artifact: what Write serializes and what ReadStore
+// decodes. Sets are the members to write, non-empty, of distinct kinds in
+// ascending kind order; Snaps are the members as read, still keyed by the
+// writer's term IDs (Snapshot.Remap attaches them to a collection).
+// Generation is the store generation the artifact was saved at, the
+// live-ingestion cache-busting token (0 for a freshly mined artifact and
+// for any version-1 stream). Shard is the slice of a partitioned
+// vocabulary the bundle holds — ShardInfo{Shards: 1} for a whole store —
+// and Subs the persisted standing queries, one opaque JSON blob each,
+// owned and interpreted entirely by the store layer.
+type Bundle struct {
+	Sets       []*PatternSet
+	Snaps      []*Snapshot
+	Generation uint64
+	Shard      ShardInfo
+	Subs       [][]byte
+}
+
+// Write serializes the bundle: a manifest, then each of Sets as an
+// ordinary snapshot stream, then a stream checksum over the whole file;
+// term resolves interned IDs to strings as in WriteSnapshot. The format
+// version follows from the content: 4 when the bundle carries
+// subscriptions, 3 when Shard says anything beyond "the whole partition",
+// else 2. Shard is validated; a corpus fingerprint, when present, must
+// be a hex SHA-256 as produced by Collection.Checksum.
+func (b *Bundle) Write(w io.Writer, term func(id int) string) error {
+	version := uint32(BundleVersion)
+	switch {
+	case len(b.Subs) > 0:
+		version = SubsBundleVersion
+	case b.Shard != ShardInfo{Shards: 1}:
+		version = ShardBundleVersion
+	}
+	return writeBundleVersion(w, b, term, version)
+}
+
+// WriteFile is Write to a file, published atomically (WriteFileAtomic).
+func (b *Bundle) WriteFile(path string, term func(id int) string) error {
+	return WriteFileAtomic(path, func(w io.Writer) error { return b.Write(w, term) })
+}
+
+// WriteBundle writes sets as a whole-vocabulary bundle at generation gen:
+// Bundle.Write without shard identity or subscriptions.
 func WriteBundle(w io.Writer, sets []*PatternSet, term func(id int) string, gen uint64) error {
-	return writeBundleVersion(w, sets, term, gen, BundleVersion)
+	return WriteBundleSharded(w, sets, term, gen, ShardInfo{Shards: 1})
 }
 
-// WriteBundleSharded is WriteBundle for one shard of a partitioned
-// vocabulary: it writes a version-3 bundle whose shard block records the
-// shard's coordinates, the partition scheme and the shared corpus
-// fingerprint, so a serving process (or a gateway aggregating several)
-// can detect a mixed or foreign shard set before answering a single
-// query. info is validated; a fingerprint, when present, must be a hex
-// SHA-256 as produced by Collection.Checksum.
+// WriteBundleSharded writes sets as the bundle of one shard of a
+// partitioned vocabulary: Bundle.Write with a shard identity, so a
+// serving process (or a gateway aggregating several) can detect a mixed
+// or foreign shard set before answering a single query.
 func WriteBundleSharded(w io.Writer, sets []*PatternSet, term func(id int) string, gen uint64, info ShardInfo) error {
-	if err := info.validate(); err != nil {
+	return (&Bundle{Sets: sets, Generation: gen, Shard: info}).Write(w, term)
+}
+
+// writeBundleVersion is the single bundle encoder. Versions 1 and 2
+// ignore Shard, version 3 appends the shard block after the generation,
+// version 4 the subscriptions block after that. Version 1 — kept so the
+// cross-version tests can produce genuine legacy streams — has no
+// generation field and version-1 member snapshots.
+func writeBundleVersion(w io.Writer, b *Bundle, term func(id int) string, version uint32) error {
+	if err := b.Shard.validate(); err != nil {
 		return err
 	}
-	return writeBundleShardVersion(w, sets, term, gen, ShardBundleVersion, info, nil)
-}
-
-// WriteBundleSubs writes a version-4 bundle: WriteBundleSharded's layout
-// (info may be the degenerate whole-partition identity) plus the
-// subscriptions block — one opaque JSON blob per persisted standing
-// query, owned and interpreted entirely by the store layer. Readers of
-// earlier formats never see the block; readers of this format get the
-// blobs back byte-for-byte from ReadBundleSubs.
-func WriteBundleSubs(w io.Writer, sets []*PatternSet, term func(id int) string, gen uint64, info ShardInfo, subs [][]byte) error {
-	if err := info.validate(); err != nil {
-		return err
+	if len(b.Subs) > maxBundleSubs {
+		return fmt.Errorf("index: bundle holds at most %d subscriptions, got %d", maxBundleSubs, len(b.Subs))
 	}
-	if len(subs) > maxBundleSubs {
-		return fmt.Errorf("index: bundle holds at most %d subscriptions, got %d", maxBundleSubs, len(subs))
-	}
-	for _, b := range subs {
-		if len(b) > maxBundleSubBytes {
-			return fmt.Errorf("index: bundle subscription record longer than %d bytes", maxBundleSubBytes)
-		}
-	}
-	return writeBundleShardVersion(w, sets, term, gen, SubsBundleVersion, info, subs)
-}
-
-// writeBundleVersion writes the bundle at a specific codec version.
-// Version 1 — kept so the cross-version tests can produce genuine legacy
-// streams — has no generation field (gen is ignored) and version-1
-// member snapshots.
-func writeBundleVersion(w io.Writer, sets []*PatternSet, term func(id int) string, gen uint64, version uint32) error {
-	return writeBundleShardVersion(w, sets, term, gen, version, ShardInfo{Shards: 1}, nil)
-}
-
-// writeBundleShardVersion is the single bundle encoder: versions 1 and 2
-// ignore info, version 3 appends the shard block after the generation,
-// version 4 appends the subscriptions block after the shard block.
-func writeBundleShardVersion(w io.Writer, sets []*PatternSet, term func(id int) string, gen uint64, version uint32, info ShardInfo, subs [][]byte) error {
+	sets := b.Sets
 	if len(sets) == 0 || len(sets) > maxBundleMembers {
 		return fmt.Errorf("index: bundle needs 1..%d member sets, got %d", maxBundleMembers, len(sets))
 	}
-	memberVersion := version
-	if memberVersion > SnapshotVersion {
-		memberVersion = SnapshotVersion
-	}
-	members := make([]*bytes.Buffer, len(sets))
+	memberVersion := min(version, SnapshotVersion)
+	members := make([]bytes.Buffer, len(sets))
 	for i, s := range sets {
 		if i > 0 && sets[i-1].Kind() >= s.Kind() {
 			return fmt.Errorf("index: bundle members must be in ascending kind order (%v before %v)",
 				sets[i-1].Kind(), s.Kind())
 		}
-		members[i] = &bytes.Buffer{}
-		if err := writeSnapshotVersion(members[i], s, term, gen, memberVersion); err != nil {
+		if err := writeSnapshotVersion(&members[i], s, term, b.Generation, memberVersion); err != nil {
 			return fmt.Errorf("index: encoding bundle member %v: %w", s.Kind(), err)
 		}
 	}
 
-	h := sha256.New()
-	bw := bufio.NewWriter(w)
-	out := io.MultiWriter(bw, h)
-	var buf [8]byte
-	if _, err := out.Write([]byte(bundleMagic)); err != nil {
-		return fmt.Errorf("index: writing bundle: %w", err)
-	}
-	binary.LittleEndian.PutUint32(buf[:4], version)
-	if _, err := out.Write(buf[:4]); err != nil {
-		return fmt.Errorf("index: writing bundle: %w", err)
-	}
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(sets)))
-	if _, err := out.Write(buf[:4]); err != nil {
-		return fmt.Errorf("index: writing bundle: %w", err)
-	}
+	le := binary.LittleEndian
+	head := []byte(bundleMagic)
+	head = le.AppendUint32(head, version)
+	head = le.AppendUint32(head, uint32(len(sets)))
 	if version >= 2 {
-		binary.LittleEndian.PutUint64(buf[:8], gen)
-		if _, err := out.Write(buf[:8]); err != nil {
-			return fmt.Errorf("index: writing bundle: %w", err)
-		}
+		head = le.AppendUint64(head, b.Generation)
 	}
 	if version >= ShardBundleVersion {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(info.Shard))
-		binary.LittleEndian.PutUint32(buf[4:8], uint32(info.Shards))
-		if _, err := out.Write(buf[:8]); err != nil {
-			return fmt.Errorf("index: writing bundle: %w", err)
-		}
-		binary.LittleEndian.PutUint32(buf[:4], uint32(len(info.Scheme)))
-		if _, err := out.Write(buf[:4]); err != nil {
-			return fmt.Errorf("index: writing bundle: %w", err)
-		}
-		if _, err := out.Write([]byte(info.Scheme)); err != nil {
-			return fmt.Errorf("index: writing bundle: %w", err)
-		}
-		var fp [32]byte // left all-zero when no fingerprint was recorded
-		if info.CorpusFingerprint != "" {
-			raw, err := hex.DecodeString(info.CorpusFingerprint)
-			if err != nil || len(raw) != 32 {
-				return fmt.Errorf("index: corpus fingerprint is not a hex SHA-256")
-			}
-			copy(fp[:], raw)
-		}
-		if _, err := out.Write(fp[:]); err != nil {
-			return fmt.Errorf("index: writing bundle: %w", err)
-		}
+		head = le.AppendUint32(head, uint32(b.Shard.Shard))
+		head = le.AppendUint32(head, uint32(b.Shard.Shards))
+		head = le.AppendUint32(head, uint32(len(b.Shard.Scheme)))
+		head = append(head, b.Shard.Scheme...)
+		// validate vouched for the hex; an unrecorded fingerprint decodes
+		// to nothing and the block stays all-zero.
+		var fp [32]byte
+		raw, _ := hex.DecodeString(b.Shard.CorpusFingerprint)
+		copy(fp[:], raw)
+		head = append(head, fp[:]...)
 	}
 	if version >= SubsBundleVersion {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(len(subs)))
-		if _, err := out.Write(buf[:4]); err != nil {
-			return fmt.Errorf("index: writing bundle: %w", err)
-		}
-		for _, b := range subs {
-			binary.LittleEndian.PutUint32(buf[:4], uint32(len(b)))
-			if _, err := out.Write(buf[:4]); err != nil {
-				return fmt.Errorf("index: writing bundle: %w", err)
+		head = le.AppendUint32(head, uint32(len(b.Subs)))
+		for _, blob := range b.Subs {
+			if len(blob) > maxBundleSubBytes {
+				return fmt.Errorf("index: bundle subscription record longer than %d bytes", maxBundleSubBytes)
 			}
-			if _, err := out.Write(b); err != nil {
-				return fmt.Errorf("index: writing bundle: %w", err)
-			}
+			head = le.AppendUint32(head, uint32(len(blob)))
+			head = append(head, blob...)
 		}
 	}
 	for i, s := range sets {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(s.Kind()))
-		if _, err := out.Write(buf[:4]); err != nil {
-			return fmt.Errorf("index: writing bundle: %w", err)
-		}
-		binary.LittleEndian.PutUint64(buf[:8], uint64(members[i].Len()))
-		if _, err := out.Write(buf[:8]); err != nil {
-			return fmt.Errorf("index: writing bundle: %w", err)
-		}
 		fp, err := hex.DecodeString(s.Fingerprint())
 		if err != nil {
 			return fmt.Errorf("index: encoding bundle fingerprint: %w", err)
 		}
-		if _, err := out.Write(fp); err != nil {
+		head = le.AppendUint32(head, uint32(s.Kind()))
+		head = le.AppendUint64(head, uint64(members[i].Len()))
+		head = append(head, fp...)
+	}
+
+	h := sha256.New()
+	chunks := [][]byte{head}
+	for i := range members {
+		chunks = append(chunks, members[i].Bytes())
+	}
+	for _, c := range chunks {
+		h.Write(c)
+	}
+	chunks = append(chunks, h.Sum(nil)) // the footer is not part of its own checksum
+	for _, c := range chunks {
+		if _, err := w.Write(c); err != nil {
 			return fmt.Errorf("index: writing bundle: %w", err)
 		}
-	}
-	for _, m := range members {
-		if _, err := out.Write(m.Bytes()); err != nil {
-			return fmt.Errorf("index: writing bundle: %w", err)
-		}
-	}
-	if _, err := bw.Write(h.Sum(nil)); err != nil { // the footer is not part of its own checksum
-		return fmt.Errorf("index: writing bundle: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("index: writing bundle: %w", err)
 	}
 	return nil
 }
@@ -261,44 +227,38 @@ type bundleManifestEntry struct {
 	fingerprint [32]byte
 }
 
-// ReadBundle decodes a bundle written by WriteBundle and verifies its
+// ReadBundle decodes a bundle and returns its members and generation;
+// see readBundle for the checks.
+func ReadBundle(r io.Reader) ([]*Snapshot, uint64, error) {
+	b, err := readBundle(r)
+	if err != nil {
+		return nil, 0, err
+	}
+	return b.Snaps, b.Generation, nil
+}
+
+// readBundle decodes a bundle of any supported version and verifies its
 // integrity end to end: the magic, version and member count must be
 // valid, the manifest kinds strictly ascending, every member snapshot
 // must decode (with its own checksum and fingerprint checks) to exactly
 // its declared length, kind and manifest fingerprint, the trailing
 // stream checksum must match, and no bytes may follow it. Truncated or
 // corrupted input — including a tampered manifest — yields an error,
-// never a silently damaged store. The returned generation is the store
-// generation recorded in the v2 header; a version-1 bundle predates
-// generations and reads as generation 0.
-func ReadBundle(r io.Reader) ([]*Snapshot, uint64, error) {
-	snaps, gen, _, err := ReadBundleShard(r)
-	return snaps, gen, err
-}
-
-// ReadBundleShard is ReadBundle plus the bundle's shard identity: the
-// shard block of a version-3+ stream, or shard 0 of 1 for the earlier
-// whole-vocabulary versions.
-func ReadBundleShard(r io.Reader) ([]*Snapshot, uint64, ShardInfo, error) {
-	snaps, gen, si, _, err := ReadBundleSubs(r)
-	return snaps, gen, si, err
-}
-
-// ReadBundleSubs is ReadBundleShard plus the persisted subscription
-// blobs of a version-4 stream (nil for every earlier version), returned
-// byte-for-byte as WriteBundleSubs stored them.
-func ReadBundleSubs(r io.Reader) ([]*Snapshot, uint64, ShardInfo, [][]byte, error) {
+// never a silently damaged store. Versions before the shard block read
+// as shard 0 of 1, versions before the subscriptions block as no
+// subscriptions; a version-4 stream's blobs come back byte-for-byte.
+func readBundle(r io.Reader) (*Bundle, error) {
 	h := sha256.New()
 	tr := io.TeeReader(r, h)
-	info := ShardInfo{Shards: 1}
-	fail := func(err error) ([]*Snapshot, uint64, ShardInfo, [][]byte, error) {
+	b := &Bundle{Shard: ShardInfo{Shards: 1}}
+	fail := func(err error) (*Bundle, error) {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, 0, ShardInfo{}, nil, fmt.Errorf("index: reading bundle: %w", err)
+		return nil, fmt.Errorf("index: reading bundle: %w", err)
 	}
-	reject := func(format string, args ...any) ([]*Snapshot, uint64, ShardInfo, [][]byte, error) {
-		return nil, 0, ShardInfo{}, nil, fmt.Errorf(format, args...)
+	reject := func(format string, args ...any) (*Bundle, error) {
+		return nil, fmt.Errorf(format, args...)
 	}
 
 	var head [16]byte
@@ -313,24 +273,23 @@ func ReadBundleSubs(r io.Reader) ([]*Snapshot, uint64, ShardInfo, [][]byte, erro
 		return reject("index: unsupported bundle version %d (want %d..%d)", version, minBundleVersion, SubsBundleVersion)
 	}
 	count := binary.LittleEndian.Uint32(head[12:16])
-	if count == 0 || count > maxBundleMembers {
+	if count == 0 || count > uint32(maxBundleMembers) {
 		return reject("index: bundle member count %d outside [1, %d]", count, maxBundleMembers)
 	}
-	var generation uint64
 	if version >= 2 {
 		var g [8]byte
 		if _, err := io.ReadFull(tr, g[:]); err != nil {
 			return fail(err)
 		}
-		generation = binary.LittleEndian.Uint64(g[:])
+		b.Generation = binary.LittleEndian.Uint64(g[:])
 	}
 	if version >= ShardBundleVersion {
 		var coords [12]byte // shard(4) + shards(4) + scheme length(4)
 		if _, err := io.ReadFull(tr, coords[:]); err != nil {
 			return fail(err)
 		}
-		info.Shard = int(binary.LittleEndian.Uint32(coords[:4]))
-		info.Shards = int(binary.LittleEndian.Uint32(coords[4:8]))
+		b.Shard.Shard = int(binary.LittleEndian.Uint32(coords[:4]))
+		b.Shard.Shards = int(binary.LittleEndian.Uint32(coords[4:8]))
 		schemeLen := binary.LittleEndian.Uint32(coords[8:12])
 		if schemeLen > maxShardSchemeLen {
 			return reject("index: bundle shard scheme tag longer than %d bytes", maxShardSchemeLen)
@@ -339,19 +298,18 @@ func ReadBundleSubs(r io.Reader) ([]*Snapshot, uint64, ShardInfo, [][]byte, erro
 		if _, err := io.ReadFull(tr, scheme); err != nil {
 			return fail(err)
 		}
-		info.Scheme = string(scheme)
+		b.Shard.Scheme = string(scheme)
 		var fp [32]byte
 		if _, err := io.ReadFull(tr, fp[:]); err != nil {
 			return fail(err)
 		}
 		if fp != ([32]byte{}) {
-			info.CorpusFingerprint = hex.EncodeToString(fp[:])
+			b.Shard.CorpusFingerprint = hex.EncodeToString(fp[:])
 		}
-		if err := info.validate(); err != nil {
+		if err := b.Shard.validate(); err != nil {
 			return reject("index: reading bundle: %v", err)
 		}
 	}
-	var subs [][]byte
 	if version >= SubsBundleVersion {
 		var n [4]byte
 		if _, err := io.ReadFull(tr, n[:]); err != nil {
@@ -361,8 +319,8 @@ func ReadBundleSubs(r io.Reader) ([]*Snapshot, uint64, ShardInfo, [][]byte, erro
 		if nsubs > maxBundleSubs {
 			return reject("index: bundle subscription count %d exceeds %d", nsubs, maxBundleSubs)
 		}
-		subs = make([][]byte, nsubs)
-		for i := range subs {
+		b.Subs = make([][]byte, nsubs)
+		for i := range b.Subs {
 			if _, err := io.ReadFull(tr, n[:]); err != nil {
 				return fail(err)
 			}
@@ -370,8 +328,8 @@ func ReadBundleSubs(r io.Reader) ([]*Snapshot, uint64, ShardInfo, [][]byte, erro
 			if slen > maxBundleSubBytes {
 				return reject("index: bundle subscription record %d longer than %d bytes", i, maxBundleSubBytes)
 			}
-			subs[i] = make([]byte, slen)
-			if _, err := io.ReadFull(tr, subs[i]); err != nil {
+			b.Subs[i] = make([]byte, slen)
+			if _, err := io.ReadFull(tr, b.Subs[i]); err != nil {
 				return fail(err)
 			}
 		}
@@ -384,7 +342,7 @@ func ReadBundleSubs(r io.Reader) ([]*Snapshot, uint64, ShardInfo, [][]byte, erro
 			return fail(err)
 		}
 		kind := PatternKind(binary.LittleEndian.Uint32(entry[:4]))
-		if kind != KindRegional && kind != KindCombinatorial && kind != KindTemporal {
+		if !kind.Valid() {
 			return reject("index: bundle manifest names unknown pattern kind %d", kind)
 		}
 		if i > 0 && manifest[i-1].kind >= kind {
@@ -396,7 +354,7 @@ func ReadBundleSubs(r io.Reader) ([]*Snapshot, uint64, ShardInfo, [][]byte, erro
 		copy(manifest[i].fingerprint[:], entry[12:])
 	}
 
-	snaps := make([]*Snapshot, count)
+	b.Snaps = make([]*Snapshot, count)
 	for i, entry := range manifest {
 		snap, err := ReadSnapshot(io.LimitReader(tr, int64(entry.length)))
 		if err != nil {
@@ -409,7 +367,7 @@ func ReadBundleSubs(r io.Reader) ([]*Snapshot, uint64, ShardInfo, [][]byte, erro
 			return reject("index: bundle %v member fingerprint %.12s... does not match manifest %.12s...",
 				entry.kind, got, hex.EncodeToString(entry.fingerprint[:]))
 		}
-		snaps[i] = snap
+		b.Snaps[i] = snap
 	}
 
 	sum := h.Sum(nil)
@@ -424,99 +382,33 @@ func ReadBundleSubs(r io.Reader) ([]*Snapshot, uint64, ShardInfo, [][]byte, erro
 	if _, err := io.ReadFull(r, trailing[:]); err != io.EOF {
 		return reject("index: bundle has trailing data after checksum footer")
 	}
-	return snaps, generation, info, subs, nil
+	return b, nil
 }
 
-// WriteBundleFile saves a bundle atomically: it writes to a temp file in
-// the destination directory and renames over the target, so a crash or
-// full disk mid-save never leaves a truncated bundle for the next boot
-// to trip over.
-func WriteBundleFile(path string, sets []*PatternSet, term func(id int) string, gen uint64) error {
-	return writeBundleFileWith(path, func(w io.Writer) error {
-		return WriteBundle(w, sets, term, gen)
-	})
-}
-
-// WriteBundleShardedFile is WriteBundleFile for one shard bundle, with
-// the same atomic temp-and-rename publication.
-func WriteBundleShardedFile(path string, sets []*PatternSet, term func(id int) string, gen uint64, info ShardInfo) error {
-	return writeBundleFileWith(path, func(w io.Writer) error {
-		return WriteBundleSharded(w, sets, term, gen, info)
-	})
-}
-
-// WriteBundleSubsFile is WriteBundleFile for a version-4 bundle carrying
-// persisted subscriptions, with the same atomic temp-and-rename
-// publication.
-func WriteBundleSubsFile(path string, sets []*PatternSet, term func(id int) string, gen uint64, info ShardInfo, subs [][]byte) error {
-	return writeBundleFileWith(path, func(w io.Writer) error {
-		return WriteBundleSubs(w, sets, term, gen, info, subs)
-	})
-}
-
-func writeBundleFileWith(path string, write func(io.Writer) error) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".bundle-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	// CreateTemp uses 0600; bundles are mined by one user and served by
-	// another, so widen to the conventional 0644 before publishing.
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// ReadStore decodes either on-disk store artifact: a multi-member
-// bundle (ReadBundle) or a bare single-index snapshot (ReadSnapshot),
-// sniffed by magic. It is the boot-time entry point that lets a serving
-// process accept whichever file the mining pipeline produced. The
-// returned generation is the artifact's recorded store generation (the
-// bundle header's for a bundle, the snapshot's own for a bare snapshot;
-// 0 for any version-1 stream).
-func ReadStore(r io.Reader) ([]*Snapshot, uint64, error) {
-	snaps, gen, _, err := ReadStoreShard(r)
-	return snaps, gen, err
-}
-
-// ReadStoreShard is ReadStore plus the artifact's shard identity. A bare
-// snapshot or a pre-shard bundle reads as the whole partition (shard 0
-// of 1).
-func ReadStoreShard(r io.Reader) ([]*Snapshot, uint64, ShardInfo, error) {
-	snaps, gen, si, _, err := ReadStoreSubs(r)
-	return snaps, gen, si, err
-}
-
-// ReadStoreSubs is ReadStoreShard plus the artifact's persisted
-// subscription blobs: those of a version-4 bundle, nil for every earlier
-// bundle version and for bare snapshots.
-func ReadStoreSubs(r io.Reader) ([]*Snapshot, uint64, ShardInfo, [][]byte, error) {
+// ReadStore decodes either on-disk store artifact, sniffed by magic: a
+// multi-member bundle of any version, or a bare single-index snapshot
+// (ReadSnapshot), which reads as a one-member whole-partition bundle at
+// the snapshot's own generation. It is the boot-time entry point that
+// lets a serving process accept whichever file the mining pipeline
+// produced.
+func ReadStore(r io.Reader) (*Bundle, error) {
 	br := bufio.NewReader(r)
 	magic, err := br.Peek(8)
 	if err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, 0, ShardInfo{}, nil, fmt.Errorf("index: input too short to be a snapshot or bundle")
+			return nil, fmt.Errorf("index: input too short to be a snapshot or bundle")
 		}
-		return nil, 0, ShardInfo{}, nil, fmt.Errorf("index: reading store: %w", err)
+		return nil, fmt.Errorf("index: reading store: %w", err)
 	}
 	switch string(magic) {
 	case bundleMagic:
-		return ReadBundleSubs(br)
+		return readBundle(br)
 	case snapshotMagic:
 		snap, err := ReadSnapshot(br)
 		if err != nil {
-			return nil, 0, ShardInfo{}, nil, err
+			return nil, err
 		}
-		return []*Snapshot{snap}, snap.Generation, ShardInfo{Shards: 1}, nil, nil
+		return &Bundle{Snaps: []*Snapshot{snap}, Generation: snap.Generation, Shard: ShardInfo{Shards: 1}}, nil
 	}
-	return nil, 0, ShardInfo{}, nil, fmt.Errorf("index: not a pattern-index snapshot or bundle (bad magic %q)", magic)
+	return nil, fmt.Errorf("index: not a pattern-index snapshot or bundle (bad magic %q)", magic)
 }

@@ -166,31 +166,31 @@ func TestBundleRejectsHeaderDamage(t *testing.T) {
 // snapshot, and rejects junk.
 func TestReadStoreDispatch(t *testing.T) {
 	bundle := writeBundleBytes(t, orderedSets())
-	snaps, gen, err := ReadStore(bytes.NewReader(bundle))
-	if err != nil || len(snaps) != 3 {
-		t.Fatalf("ReadStore(bundle) = %d members, %v; want 3, nil", len(snaps), err)
+	b, err := ReadStore(bytes.NewReader(bundle))
+	if err != nil || len(b.Snaps) != 3 {
+		t.Fatalf("ReadStore(bundle) = %+v, %v; want 3 members, nil", b, err)
 	}
-	if gen != 7 {
-		t.Errorf("ReadStore(bundle) generation = %d, want the written 7", gen)
+	if b.Generation != 7 {
+		t.Errorf("ReadStore(bundle) generation = %d, want the written 7", b.Generation)
 	}
 
 	var buf bytes.Buffer
-	if err := WriteSnapshotGen(&buf, regionalSet(), snapshotTerm, 3); err != nil {
+	if err := writeSnapshotVersion(&buf, regionalSet(), snapshotTerm, 3, SnapshotVersion); err != nil {
 		t.Fatal(err)
 	}
-	snaps, gen, err = ReadStore(bytes.NewReader(buf.Bytes()))
-	if err != nil || len(snaps) != 1 {
-		t.Fatalf("ReadStore(snapshot) = %d members, %v; want 1, nil", len(snaps), err)
+	b, err = ReadStore(bytes.NewReader(buf.Bytes()))
+	if err != nil || len(b.Snaps) != 1 {
+		t.Fatalf("ReadStore(snapshot) = %+v, %v; want 1 member, nil", b, err)
 	}
-	if snaps[0].Set.Kind() != KindRegional {
-		t.Errorf("snapshot dispatch decoded kind %v", snaps[0].Set.Kind())
+	if b.Snaps[0].Set.Kind() != KindRegional {
+		t.Errorf("snapshot dispatch decoded kind %v", b.Snaps[0].Set.Kind())
 	}
-	if gen != 3 {
-		t.Errorf("ReadStore(snapshot) generation = %d, want the snapshot's own 3", gen)
+	if b.Generation != 3 {
+		t.Errorf("ReadStore(snapshot) generation = %d, want the snapshot's own 3", b.Generation)
 	}
 
 	for _, junk := range []string{"", "tiny", "neither a snapshot nor a bundle"} {
-		if _, _, err := ReadStore(strings.NewReader(junk)); err == nil {
+		if _, err := ReadStore(strings.NewReader(junk)); err == nil {
 			t.Errorf("ReadStore accepted %q", junk)
 		}
 	}

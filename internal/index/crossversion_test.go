@@ -14,7 +14,7 @@ func TestSnapshotCrossVersion(t *testing.T) {
 		if err := writeSnapshotVersion(&v1, set, snapshotTerm, 0, 1); err != nil {
 			t.Fatalf("writing v1 %v snapshot: %v", set.Kind(), err)
 		}
-		if err := WriteSnapshotGen(&v2, set, snapshotTerm, 42); err != nil {
+		if err := writeSnapshotVersion(&v2, set, snapshotTerm, 42, SnapshotVersion); err != nil {
 			t.Fatalf("writing v2 %v snapshot: %v", set.Kind(), err)
 		}
 		if bytes.Equal(v1.Bytes(), v2.Bytes()) {
@@ -52,7 +52,7 @@ func TestSnapshotCrossVersion(t *testing.T) {
 func TestBundleCrossVersion(t *testing.T) {
 	sets := orderedSets()
 	var v1 bytes.Buffer
-	if err := writeBundleVersion(&v1, sets, snapshotTerm, 0, 1); err != nil {
+	if err := writeBundleVersion(&v1, &Bundle{Sets: sets, Shard: ShardInfo{Shards: 1}}, snapshotTerm, 1); err != nil {
 		t.Fatalf("writing v1 bundle: %v", err)
 	}
 	snaps, gen, err := ReadBundle(bytes.NewReader(v1.Bytes()))
@@ -75,9 +75,8 @@ func TestBundleCrossVersion(t *testing.T) {
 	}
 
 	// ReadStore sniffs and dispatches the legacy stream too.
-	snaps, gen, err = ReadStore(bytes.NewReader(v1.Bytes()))
-	if err != nil || len(snaps) != len(sets) || gen != 0 {
-		t.Fatalf("ReadStore(v1 bundle) = %d members, gen %d, %v", len(snaps), gen, err)
+	if b, err := ReadStore(bytes.NewReader(v1.Bytes())); err != nil || len(b.Snaps) != len(sets) || b.Generation != 0 {
+		t.Fatalf("ReadStore(v1 bundle) = %+v, %v", b, err)
 	}
 
 	// Every flipped byte of the v1 stream is still caught.

@@ -1,7 +1,8 @@
 // Package index holds the query-side data structures of the system: the
-// inverted index with Threshold Algorithm top-k retrieval, the immutable
-// corpus-wide pattern store, and the versioned snapshot codec that
-// persists it.
+// inverted index with Threshold Algorithm top-k retrieval, the kind
+// table that says what a pattern kind is, the immutable corpus-wide
+// pattern store, and the versioned snapshot and bundle codecs that
+// persist it.
 //
 // # Inverted index and the Threshold Algorithm
 //
@@ -20,6 +21,13 @@
 // keyed by interned term ID. It is safe for unlimited concurrent readers
 // and exposes Fingerprint, a canonical SHA-256 digest over the full
 // content used by the determinism suite and the snapshot codec.
+//
+// Everything that differs between the kinds — the miner, when a pattern
+// covers a document, when it meets a region/timespan filter, which fields
+// it stores — is one entry of the kind table in kinds.go; every other
+// operation on a PatternSet (projection, fingerprint, codec, validation,
+// re-keying, re-mining, the engine-build and post-filter loops) is one
+// generic loop over the set's entry.
 //
 // # Snapshots
 //

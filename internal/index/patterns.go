@@ -4,89 +4,48 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
 	"math"
-	"sort"
 
 	"stburst/internal/burst"
 	"stburst/internal/core"
+	"stburst/internal/geo"
+	"stburst/internal/stream"
 )
-
-// PatternKind identifies which miner produced the patterns in a
-// PatternSet.
-type PatternKind int
-
-const (
-	// KindRegional holds STLocal windows.
-	KindRegional PatternKind = iota
-	// KindCombinatorial holds STComb patterns.
-	KindCombinatorial
-	// KindTemporal holds merged-stream temporal bursty intervals.
-	KindTemporal
-)
-
-// String returns the kind's name.
-func (k PatternKind) String() string {
-	switch k {
-	case KindRegional:
-		return "regional"
-	case KindCombinatorial:
-		return "combinatorial"
-	case KindTemporal:
-		return "temporal"
-	}
-	return "unknown"
-}
 
 // PatternSet is a cached, query-ready store of corpus-wide mined patterns
-// keyed by interned term ID. It is immutable after construction and
-// therefore safe for concurrent use by any number of goroutines: the
-// search layer consults it on every engine build instead of re-mining,
-// and readers may look terms up while other readers iterate.
-//
-// Exactly one of the three pattern maps is populated, according to Kind.
+// of one kind, keyed by interned term ID. It is immutable after
+// construction and therefore safe for concurrent use by any number of
+// goroutines: the search layer consults it on every engine build instead
+// of re-mining, and readers may look terms up while other readers iterate.
 type PatternSet struct {
 	kind     PatternKind
-	windows  map[int][]core.Window
-	combs    map[int][]core.CombPattern
-	temporal map[int][]burst.Interval
+	byTerm   any   // map[int][]P over the kind's concrete pattern type P
 	terms    []int // term IDs with at least one pattern, ascending
 	patterns int   // total number of stored patterns
 }
 
 // NewWindowSet wraps per-term STLocal windows. The map is adopted, not
 // copied; the caller must not mutate it afterwards.
-func NewWindowSet(byTerm map[int][]core.Window) *PatternSet {
-	s := &PatternSet{kind: KindRegional, windows: byTerm}
-	for t, ws := range byTerm {
-		s.terms = append(s.terms, t)
-		s.patterns += len(ws)
-	}
-	sort.Ints(s.terms)
-	return s
-}
+func NewWindowSet(byTerm map[int][]core.Window) *PatternSet { return newSet(KindRegional, byTerm) }
 
 // NewCombSet wraps per-term STComb patterns. The map is adopted, not
 // copied; the caller must not mutate it afterwards.
 func NewCombSet(byTerm map[int][]core.CombPattern) *PatternSet {
-	s := &PatternSet{kind: KindCombinatorial, combs: byTerm}
-	for t, ps := range byTerm {
-		s.terms = append(s.terms, t)
-		s.patterns += len(ps)
-	}
-	sort.Ints(s.terms)
-	return s
+	return newSet(KindCombinatorial, byTerm)
 }
 
 // NewTemporalSet wraps per-term temporal bursty intervals. The map is
 // adopted, not copied; the caller must not mutate it afterwards.
 func NewTemporalSet(byTerm map[int][]burst.Interval) *PatternSet {
-	s := &PatternSet{kind: KindTemporal, temporal: byTerm}
-	for t, ivs := range byTerm {
-		s.terms = append(s.terms, t)
-		s.patterns += len(ivs)
-	}
-	sort.Ints(s.terms)
-	return s
+	return newSet(KindTemporal, byTerm)
+}
+
+// EmptySet returns a set of the given (Valid) kind holding no patterns —
+// the starting point of a from-scratch Remine.
+func EmptySet(kind PatternKind) *PatternSet {
+	_, done := kinds[kind].build()
+	return done()
 }
 
 // Kind returns which miner produced the set.
@@ -104,27 +63,128 @@ func (s *PatternSet) NumPatterns() int { return s.patterns }
 
 // Windows returns the stored STLocal windows of a term (nil when the term
 // has none or the set holds a different kind).
-func (s *PatternSet) Windows(term int) []core.Window { return s.windows[term] }
+func (s *PatternSet) Windows(term int) []core.Window { return s.AllWindows()[term] }
 
 // Combs returns the stored STComb patterns of a term (nil when the term
 // has none or the set holds a different kind).
-func (s *PatternSet) Combs(term int) []core.CombPattern { return s.combs[term] }
+func (s *PatternSet) Combs(term int) []core.CombPattern { return s.AllCombs()[term] }
 
 // Temporal returns the stored temporal intervals of a term (nil when the
 // term has none or the set holds a different kind).
-func (s *PatternSet) Temporal(term int) []burst.Interval { return s.temporal[term] }
+func (s *PatternSet) Temporal(term int) []burst.Interval { return s.AllTemporal()[term] }
 
 // AllWindows returns the full per-term window map (nil for other kinds).
 // The map is shared; callers must not mutate it.
-func (s *PatternSet) AllWindows() map[int][]core.Window { return s.windows }
+func (s *PatternSet) AllWindows() map[int][]core.Window { return patterns[core.Window](s) }
 
 // AllCombs returns the full per-term pattern map (nil for other kinds).
 // The map is shared; callers must not mutate it.
-func (s *PatternSet) AllCombs() map[int][]core.CombPattern { return s.combs }
+func (s *PatternSet) AllCombs() map[int][]core.CombPattern { return patterns[core.CombPattern](s) }
 
 // AllTemporal returns the full per-term interval map (nil for other
 // kinds). The map is shared; callers must not mutate it.
-func (s *PatternSet) AllTemporal() map[int][]burst.Interval { return s.temporal }
+func (s *PatternSet) AllTemporal() map[int][]burst.Interval { return patterns[burst.Interval](s) }
+
+// Views returns the stored patterns of a term in stored order, projected
+// onto the kind-independent View (nil when the term has none).
+func (s *PatternSet) Views(term int) []View {
+	return kinds[s.kind].views(s, term, nil, nil, nil)
+}
+
+// Matching is Views restricted to the patterns that intersect the filter
+// under the kind's notion of intersection: regional windows through their
+// rectangle, combinatorial patterns through their member streams'
+// locations (points is the collection's stream-location table), temporal
+// intervals — deliberately geography-free — through their timeframe only.
+// Nil halves match everything. It is the single definition of "pattern
+// intersects the filter", shared with the query post-filter (Filter).
+func (s *PatternSet) Matching(term int, points []geo.Point, region *geo.Rect, span *Timespan) []View {
+	return kinds[s.kind].views(s, term, points, region, span)
+}
+
+// Burstiness returns f(P_{t,d}) of Eq. 11 over the set: the best score
+// among the term's patterns that overlap a document from the given stream
+// at the given timestamp, and whether any does.
+func (s *PatternSet) Burstiness() func(term, stream, time int) (float64, bool) {
+	return kinds[s.kind].burstiness(s)
+}
+
+// Filter returns the post-filter predicate of one query: whether some
+// pattern of the term both overlaps the document (as Burstiness does)
+// and intersects the region/timespan (as Matching does).
+func (s *PatternSet) Filter(points []geo.Point, region *geo.Rect, span *Timespan) func(term, stream, time int) bool {
+	return kinds[s.kind].filter(s, points, region, span)
+}
+
+// Remine starts re-mining the given terms with the set's kind of miner
+// over col: mine(i) mines terms[i] on a private miner instance and is
+// safe to call concurrently for distinct i; refreshed, called once every
+// mine has returned, yields a new set in which each mined term's entry is
+// replaced (dropped, when it mined to nothing) and every other term
+// shares s's pattern slices. s itself is never modified, so indexes built
+// over it keep serving meanwhile. Because each term is mined
+// independently of every other, the result over any term list covering
+// the changed terms is bit-identical to mining the whole vocabulary from
+// an EmptySet.
+func (s *PatternSet) Remine(col *stream.Collection, terms []int, o *MineOptions) (mine func(i int), refreshed func() *PatternSet) {
+	return kinds[s.kind].remine(s, col, terms, o)
+}
+
+// fieldWriter is the primitive encoder a stored pattern is written
+// through: Fingerprint and the snapshot writer emit the same field
+// sequence and differ only in how a count, an int and a float are
+// encoded.
+type fieldWriter interface {
+	count(n int)
+	int(v int)
+	float(v float64)
+}
+
+// encode emits one pattern's stored fields in the canonical order.
+func (k *Kind) encode(w fieldWriter, v *View) {
+	if k.Rect {
+		w.float(v.Rect.MinX)
+		w.float(v.Rect.MinY)
+		w.float(v.Rect.MaxX)
+		w.float(v.Rect.MaxY)
+	}
+	if k.Streams {
+		w.count(len(v.Streams))
+		for _, x := range v.Streams {
+			w.int(x)
+		}
+	}
+	w.int(v.Start)
+	w.int(v.End)
+	w.float(v.Score)
+	if k.Intervals {
+		w.count(len(v.Intervals))
+		for _, iv := range v.Intervals {
+			w.int(iv.Stream)
+			w.int(iv.Start)
+			w.int(iv.End)
+			w.float(iv.Weight)
+		}
+	}
+}
+
+// fingerprintWriter encodes every value by its exact 8-byte bit pattern.
+type fingerprintWriter struct {
+	h   hash.Hash
+	buf [8]byte
+}
+
+func (w *fingerprintWriter) count(n int) { w.int(n) }
+
+func (w *fingerprintWriter) int(v int) {
+	binary.LittleEndian.PutUint64(w.buf[:], uint64(int64(v)))
+	w.h.Write(w.buf[:])
+}
+
+func (w *fingerprintWriter) float(v float64) {
+	binary.LittleEndian.PutUint64(w.buf[:], math.Float64bits(v))
+	w.h.Write(w.buf[:])
+}
 
 // Fingerprint returns a hex SHA-256 digest over a canonical serialization
 // of the whole set: terms in ascending order, patterns in stored order,
@@ -133,64 +193,16 @@ func (s *PatternSet) AllTemporal() map[int][]burst.Interval { return s.temporal 
 // suite can assert byte-identical mining output across worker counts and
 // repeated runs with a single comparison.
 func (s *PatternSet) Fingerprint() string {
-	h := sha256.New()
-	var buf [8]byte
-	wInt := func(v int) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(int64(v)))
-		h.Write(buf[:])
-	}
-	wFloat := func(v float64) {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		h.Write(buf[:])
-	}
-	wInt(int(s.kind))
+	w := &fingerprintWriter{h: sha256.New()}
+	k := s.kind.Desc()
+	w.int(int(s.kind))
 	for _, t := range s.terms {
-		wInt(t)
-		switch s.kind {
-		case KindRegional:
-			ws := s.windows[t]
-			wInt(len(ws))
-			for _, w := range ws {
-				wFloat(w.Rect.MinX)
-				wFloat(w.Rect.MinY)
-				wFloat(w.Rect.MaxX)
-				wFloat(w.Rect.MaxY)
-				wInt(len(w.Streams))
-				for _, x := range w.Streams {
-					wInt(x)
-				}
-				wInt(w.Start)
-				wInt(w.End)
-				wFloat(w.Score)
-			}
-		case KindCombinatorial:
-			ps := s.combs[t]
-			wInt(len(ps))
-			for _, p := range ps {
-				wInt(len(p.Streams))
-				for _, x := range p.Streams {
-					wInt(x)
-				}
-				wInt(p.Start)
-				wInt(p.End)
-				wFloat(p.Score)
-				wInt(len(p.Intervals))
-				for _, iv := range p.Intervals {
-					wInt(iv.Stream)
-					wInt(iv.Start)
-					wInt(iv.End)
-					wFloat(iv.Weight)
-				}
-			}
-		case KindTemporal:
-			ivs := s.temporal[t]
-			wInt(len(ivs))
-			for _, iv := range ivs {
-				wInt(iv.Start)
-				wInt(iv.End)
-				wFloat(iv.Score)
-			}
+		w.int(t)
+		vs := s.Views(t)
+		w.count(len(vs))
+		for i := range vs {
+			k.encode(w, &vs[i])
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(w.h.Sum(nil))
 }

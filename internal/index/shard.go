@@ -3,9 +3,6 @@ package index
 import (
 	"encoding/hex"
 	"fmt"
-
-	"stburst/internal/burst"
-	"stburst/internal/core"
 )
 
 // ShardScheme names the vocabulary partition function used by sharded
@@ -92,42 +89,11 @@ func SplitSets(sets []*PatternSet, term func(id int) string, shards int) ([][]*P
 	}
 	out := make([][]*PatternSet, shards)
 	for _, s := range sets {
-		switch s.Kind() {
-		case KindRegional:
-			parts := make([]map[int][]core.Window, shards)
-			for i := range parts {
-				parts[i] = make(map[int][]core.Window)
-			}
-			for id, ws := range s.AllWindows() {
-				parts[TermShard(term(id), shards)][id] = ws
-			}
-			for i := range out {
-				out[i] = append(out[i], NewWindowSet(parts[i]))
-			}
-		case KindCombinatorial:
-			parts := make([]map[int][]core.CombPattern, shards)
-			for i := range parts {
-				parts[i] = make(map[int][]core.CombPattern)
-			}
-			for id, ps := range s.AllCombs() {
-				parts[TermShard(term(id), shards)][id] = ps
-			}
-			for i := range out {
-				out[i] = append(out[i], NewCombSet(parts[i]))
-			}
-		case KindTemporal:
-			parts := make([]map[int][]burst.Interval, shards)
-			for i := range parts {
-				parts[i] = make(map[int][]burst.Interval)
-			}
-			for id, ivs := range s.AllTemporal() {
-				parts[TermShard(term(id), shards)][id] = ivs
-			}
-			for i := range out {
-				out[i] = append(out[i], NewTemporalSet(parts[i]))
-			}
-		default:
-			return nil, fmt.Errorf("index: cannot split unknown pattern kind %d", s.Kind())
+		parts := kinds[s.kind].regroup(s, shards, func(id int) (int, int) {
+			return TermShard(term(id), shards), id
+		})
+		for i := range out {
+			out[i] = append(out[i], parts[i])
 		}
 	}
 	return out, nil

@@ -94,32 +94,28 @@ func TestShardBundleRoundTrip(t *testing.T) {
 		t.Fatalf("WriteBundleSharded: %v", err)
 	}
 
-	snaps, gen, got, err := ReadBundleShard(bytes.NewReader(buf.Bytes()))
+	b, err := ReadStore(bytes.NewReader(buf.Bytes()))
 	if err != nil {
-		t.Fatalf("ReadBundleShard: %v", err)
+		t.Fatalf("ReadStore: %v", err)
 	}
-	if gen != 42 {
-		t.Errorf("generation = %d, want 42", gen)
+	if b.Generation != 42 {
+		t.Errorf("generation = %d, want 42", b.Generation)
 	}
-	if got != info {
-		t.Errorf("ShardInfo = %+v, want %+v", got, info)
+	if b.Shard != info {
+		t.Errorf("ShardInfo = %+v, want %+v", b.Shard, info)
 	}
-	if len(snaps) != len(sets) {
-		t.Fatalf("decoded %d members, want %d", len(snaps), len(sets))
+	if len(b.Snaps) != len(sets) {
+		t.Fatalf("decoded %d members, want %d", len(b.Snaps), len(sets))
 	}
-	for i, snap := range snaps {
+	for i, snap := range b.Snaps {
 		if snap.Set.Fingerprint() != sets[i].Fingerprint() {
 			t.Errorf("member %d fingerprint changed across the round trip", i)
 		}
 	}
 
-	// The shard-blind wrapper and the magic-sniffing store reader must
-	// both accept the same stream.
+	// The shard-blind door must accept the same stream.
 	if _, gen2, err := ReadBundle(bytes.NewReader(buf.Bytes())); err != nil || gen2 != 42 {
 		t.Errorf("ReadBundle on a v3 stream = gen %d, %v; want 42, nil", gen2, err)
-	}
-	if _, _, si, err := ReadStoreShard(bytes.NewReader(buf.Bytes())); err != nil || si != info {
-		t.Errorf("ReadStoreShard = %+v, %v; want %+v, nil", si, err, info)
 	}
 }
 
@@ -133,16 +129,16 @@ func TestShardBundleEmptyMember(t *testing.T) {
 	if err := WriteBundleSharded(&buf, sets, snapshotTerm, 0, info); err != nil {
 		t.Fatalf("WriteBundleSharded with empty member: %v", err)
 	}
-	snaps, _, got, err := ReadBundleShard(&buf)
+	b, err := ReadStore(&buf)
 	if err != nil {
-		t.Fatalf("ReadBundleShard: %v", err)
+		t.Fatalf("ReadStore: %v", err)
 	}
-	if got != info {
-		t.Errorf("ShardInfo = %+v, want %+v", got, info)
+	if b.Shard != info {
+		t.Errorf("ShardInfo = %+v, want %+v", b.Shard, info)
 	}
-	if snaps[0].Set.NumTerms() != 0 || snaps[1].Set.NumPatterns() == 0 {
+	if b.Snaps[0].Set.NumTerms() != 0 || b.Snaps[1].Set.NumPatterns() == 0 {
 		t.Errorf("empty/non-empty member shape lost: %d terms, %d patterns",
-			snaps[0].Set.NumTerms(), snaps[1].Set.NumPatterns())
+			b.Snaps[0].Set.NumTerms(), b.Snaps[1].Set.NumPatterns())
 	}
 }
 
@@ -152,24 +148,24 @@ func TestUnshardedBundleReadsAsWholePartition(t *testing.T) {
 	if err := WriteBundle(&buf, sets, snapshotTerm, 7); err != nil {
 		t.Fatal(err)
 	}
-	_, _, si, err := ReadBundleShard(&buf)
+	b, err := ReadStore(&buf)
 	if err != nil {
-		t.Fatalf("ReadBundleShard on v2: %v", err)
+		t.Fatalf("ReadStore on v2: %v", err)
 	}
-	if want := (ShardInfo{Shards: 1}); si != want {
-		t.Errorf("v2 bundle ShardInfo = %+v, want %+v", si, want)
+	if want := (ShardInfo{Shards: 1}); b.Shard != want {
+		t.Errorf("v2 bundle ShardInfo = %+v, want %+v", b.Shard, want)
 	}
 
 	var snap bytes.Buffer
-	if err := WriteSnapshotGen(&snap, temporalSet(), snapshotTerm, 3); err != nil {
+	if err := writeSnapshotVersion(&snap, temporalSet(), snapshotTerm, 3, SnapshotVersion); err != nil {
 		t.Fatal(err)
 	}
-	_, gen, si, err := ReadStoreShard(&snap)
+	b, err = ReadStore(&snap)
 	if err != nil {
-		t.Fatalf("ReadStoreShard on bare snapshot: %v", err)
+		t.Fatalf("ReadStore on bare snapshot: %v", err)
 	}
-	if gen != 3 || si != (ShardInfo{Shards: 1}) {
-		t.Errorf("bare snapshot = gen %d, %+v; want 3, {Shards:1}", gen, si)
+	if b.Generation != 3 || b.Shard != (ShardInfo{Shards: 1}) {
+		t.Errorf("bare snapshot = gen %d, %+v; want 3, {Shards:1}", b.Generation, b.Shard)
 	}
 }
 
@@ -205,13 +201,13 @@ func TestShardBundleRejectsCorruption(t *testing.T) {
 	for i := range good {
 		bad := bytes.Clone(good)
 		bad[i] ^= 0x01
-		if _, _, _, err := ReadBundleShard(bytes.NewReader(bad)); err == nil {
+		if _, err := ReadStore(bytes.NewReader(bad)); err == nil {
 			t.Fatalf("corruption at byte %d of %d accepted", i, len(good))
 		}
 	}
 	// Truncation at any point must also fail.
 	for _, cut := range []int{0, 8, 16, 24, 30, len(good) / 2, len(good) - 1} {
-		if _, _, _, err := ReadBundleShard(bytes.NewReader(good[:cut])); err == nil {
+		if _, err := ReadStore(bytes.NewReader(good[:cut])); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", cut)
 		}
 	}
@@ -220,8 +216,8 @@ func TestShardBundleRejectsCorruption(t *testing.T) {
 func TestWriteBundleShardedFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "shard.bundle")
 	info := ShardInfo{Shard: 0, Shards: 2, Scheme: ShardScheme, CorpusFingerprint: testCorpusFingerprint}
-	if err := WriteBundleShardedFile(path, []*PatternSet{combSet()}, snapshotTerm, 5, info); err != nil {
-		t.Fatalf("WriteBundleShardedFile: %v", err)
+	if err := (&Bundle{Sets: []*PatternSet{combSet()}, Generation: 5, Shard: info}).WriteFile(path, snapshotTerm); err != nil {
+		t.Fatalf("Bundle.WriteFile: %v", err)
 	}
 	fi, err := os.Stat(path)
 	if err != nil {
@@ -235,11 +231,11 @@ func TestWriteBundleShardedFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	_, gen, si, err := ReadStoreShard(f)
+	b, err := ReadStore(f)
 	if err != nil {
-		t.Fatalf("ReadStoreShard: %v", err)
+		t.Fatalf("ReadStore: %v", err)
 	}
-	if gen != 5 || si != info {
-		t.Errorf("file round trip = gen %d, %+v; want 5, %+v", gen, si, info)
+	if b.Generation != 5 || b.Shard != info {
+		t.Errorf("file round trip = gen %d, %+v; want 5, %+v", b.Generation, b.Shard, info)
 	}
 }

@@ -13,8 +13,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"stburst/internal/burst"
-	"stburst/internal/core"
 	"stburst/internal/interval"
 )
 
@@ -91,7 +89,9 @@ func (sw *snapshotWriter) uvarint(v uint64) {
 	sw.bytes(sw.buf[:binary.PutUvarint(sw.buf[:], v)])
 }
 
-func (sw *snapshotWriter) varint(v int) {
+func (sw *snapshotWriter) count(n int) { sw.uvarint(uint64(n)) }
+
+func (sw *snapshotWriter) int(v int) {
 	sw.bytes(sw.buf[:binary.PutVarint(sw.buf[:], int64(v))])
 }
 
@@ -108,17 +108,11 @@ func (sw *snapshotWriter) string(s string) {
 // WriteSnapshot serializes a PatternSet to w in the versioned binary
 // snapshot format, resolving each interned term ID to its string through
 // term (normally Dictionary.Term). The trailing canonical SHA-256
-// fingerprint lets ReadSnapshot verify the round trip bit for bit. The
-// snapshot carries generation 0; use WriteSnapshotGen to record a store
-// generation for cache-busting.
+// fingerprint lets ReadSnapshot verify the round trip bit for bit. A bare
+// snapshot carries generation 0; only bundle members record a store
+// generation.
 func WriteSnapshot(w io.Writer, s *PatternSet, term func(id int) string) error {
 	return writeSnapshotVersion(w, s, term, 0, SnapshotVersion)
-}
-
-// WriteSnapshotGen is WriteSnapshot with an explicit store generation
-// recorded in the v2 header.
-func WriteSnapshotGen(w io.Writer, s *PatternSet, term func(id int) string, gen uint64) error {
-	return writeSnapshotVersion(w, s, term, gen, SnapshotVersion)
 }
 
 // writeSnapshotVersion writes the snapshot at a specific codec version.
@@ -135,54 +129,15 @@ func writeSnapshotVersion(w io.Writer, s *PatternSet, term func(id int) string, 
 		binary.LittleEndian.PutUint64(sw.buf[:8], gen)
 		sw.bytes(sw.buf[:8])
 	}
-	sw.uvarint(uint64(s.NumTerms()))
+	sw.count(s.NumTerms())
+	k := s.Kind().Desc()
 	for _, id := range s.Terms() {
 		sw.uvarint(uint64(id))
 		sw.string(term(id))
-		switch s.Kind() {
-		case KindRegional:
-			ws := s.Windows(id)
-			sw.uvarint(uint64(len(ws)))
-			for _, p := range ws {
-				sw.float(p.Rect.MinX)
-				sw.float(p.Rect.MinY)
-				sw.float(p.Rect.MaxX)
-				sw.float(p.Rect.MaxY)
-				sw.uvarint(uint64(len(p.Streams)))
-				for _, x := range p.Streams {
-					sw.varint(x)
-				}
-				sw.varint(p.Start)
-				sw.varint(p.End)
-				sw.float(p.Score)
-			}
-		case KindCombinatorial:
-			ps := s.Combs(id)
-			sw.uvarint(uint64(len(ps)))
-			for _, p := range ps {
-				sw.uvarint(uint64(len(p.Streams)))
-				for _, x := range p.Streams {
-					sw.varint(x)
-				}
-				sw.varint(p.Start)
-				sw.varint(p.End)
-				sw.float(p.Score)
-				sw.uvarint(uint64(len(p.Intervals)))
-				for _, iv := range p.Intervals {
-					sw.varint(iv.Stream)
-					sw.varint(iv.Start)
-					sw.varint(iv.End)
-					sw.float(iv.Weight)
-				}
-			}
-		case KindTemporal:
-			ivs := s.Temporal(id)
-			sw.uvarint(uint64(len(ivs)))
-			for _, iv := range ivs {
-				sw.varint(iv.Start)
-				sw.varint(iv.End)
-				sw.float(iv.Score)
-			}
+		vs := s.Views(id)
+		sw.count(len(vs))
+		for i := range vs {
+			k.encode(sw, &vs[i])
 		}
 	}
 	fp, err := hex.DecodeString(s.Fingerprint())
@@ -296,6 +251,41 @@ func (sr *snapshotReader) count() (n int, prealloc int) {
 	return int(v), int(v)
 }
 
+// decode reads one pattern's stored fields in the canonical order — the
+// mirror of encode.
+func (k *Kind) decode(sr *snapshotReader) View {
+	var v View
+	if k.Rect {
+		v.Rect.MinX = sr.float()
+		v.Rect.MinY = sr.float()
+		v.Rect.MaxX = sr.float()
+		v.Rect.MaxY = sr.float()
+	}
+	if k.Streams {
+		n, prealloc := sr.count()
+		v.Streams = make([]int, 0, prealloc)
+		for i := 0; i < n && sr.err == nil; i++ {
+			v.Streams = append(v.Streams, sr.varint())
+		}
+	}
+	v.Start = sr.varint()
+	v.End = sr.varint()
+	v.Score = sr.float()
+	if k.Intervals {
+		n, prealloc := sr.count()
+		v.Intervals = make([]interval.Interval, 0, prealloc)
+		for i := 0; i < n && sr.err == nil; i++ {
+			var iv interval.Interval
+			iv.Stream = sr.varint()
+			iv.Start = sr.varint()
+			iv.End = sr.varint()
+			iv.Weight = sr.float()
+			v.Intervals = append(v.Intervals, iv)
+		}
+	}
+	return v
+}
+
 // ReadSnapshot decodes a snapshot written by WriteSnapshot and verifies
 // its integrity: the magic, version and kind must be valid, the decoded
 // pattern content must reproduce the stored canonical SHA-256 fingerprint
@@ -317,7 +307,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		kindRaw = binary.LittleEndian.Uint32(p)
 	}
 	kind := PatternKind(kindRaw)
-	if sr.err == nil && kind != KindRegional && kind != KindCombinatorial && kind != KindTemporal {
+	if sr.err == nil && !kind.Valid() {
 		return nil, fmt.Errorf("index: unknown snapshot pattern kind %d", kindRaw)
 	}
 	var generation uint64
@@ -329,21 +319,10 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	}
 
 	numTerms, _ := sr.count()
-	var (
-		windows  map[int][]core.Window
-		combs    map[int][]core.CombPattern
-		temporal map[int][]burst.Interval
-		terms    []string
-		lastID   = -1
-	)
-	switch kind {
-	case KindRegional:
-		windows = make(map[int][]core.Window)
-	case KindCombinatorial:
-		combs = make(map[int][]core.CombPattern)
-	case KindTemporal:
-		temporal = make(map[int][]burst.Interval)
-	}
+	k := kind.Desc()
+	put, done := kinds[kind].build()
+	var terms []string
+	lastID := -1
 	for i := 0; i < numTerms && sr.err == nil; i++ {
 		id := int(sr.uvarint())
 		if sr.err == nil && id <= lastID {
@@ -353,62 +332,11 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		lastID = id
 		terms = append(terms, sr.string())
 		n, prealloc := sr.count()
-		switch kind {
-		case KindRegional:
-			ws := make([]core.Window, 0, prealloc)
-			for j := 0; j < n && sr.err == nil; j++ {
-				var w core.Window
-				w.Rect.MinX = sr.float()
-				w.Rect.MinY = sr.float()
-				w.Rect.MaxX = sr.float()
-				w.Rect.MaxY = sr.float()
-				ns, np := sr.count()
-				w.Streams = make([]int, 0, np)
-				for s := 0; s < ns && sr.err == nil; s++ {
-					w.Streams = append(w.Streams, sr.varint())
-				}
-				w.Start = sr.varint()
-				w.End = sr.varint()
-				w.Score = sr.float()
-				ws = append(ws, w)
-			}
-			windows[id] = ws
-		case KindCombinatorial:
-			ps := make([]core.CombPattern, 0, prealloc)
-			for j := 0; j < n && sr.err == nil; j++ {
-				var p core.CombPattern
-				ns, np := sr.count()
-				p.Streams = make([]int, 0, np)
-				for s := 0; s < ns && sr.err == nil; s++ {
-					p.Streams = append(p.Streams, sr.varint())
-				}
-				p.Start = sr.varint()
-				p.End = sr.varint()
-				p.Score = sr.float()
-				ni, nip := sr.count()
-				p.Intervals = make([]interval.Interval, 0, nip)
-				for s := 0; s < ni && sr.err == nil; s++ {
-					var iv interval.Interval
-					iv.Stream = sr.varint()
-					iv.Start = sr.varint()
-					iv.End = sr.varint()
-					iv.Weight = sr.float()
-					p.Intervals = append(p.Intervals, iv)
-				}
-				ps = append(ps, p)
-			}
-			combs[id] = ps
-		case KindTemporal:
-			ivs := make([]burst.Interval, 0, prealloc)
-			for j := 0; j < n && sr.err == nil; j++ {
-				var iv burst.Interval
-				iv.Start = sr.varint()
-				iv.End = sr.varint()
-				iv.Score = sr.float()
-				ivs = append(ivs, iv)
-			}
-			temporal[id] = ivs
+		vs := make([]View, 0, prealloc)
+		for j := 0; j < n && sr.err == nil; j++ {
+			vs = append(vs, k.decode(sr))
 		}
+		put(id, vs)
 	}
 	sum := sr.h.Sum(nil)
 	sr.h = nil // the footer is not part of its own checksum
@@ -423,16 +351,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if !bytes.Equal(sum, storedSum) {
 		return nil, fmt.Errorf("index: snapshot corrupted: stream checksum mismatch")
 	}
-
-	var set *PatternSet
-	switch kind {
-	case KindRegional:
-		set = NewWindowSet(windows)
-	case KindCombinatorial:
-		set = NewCombSet(combs)
-	case KindTemporal:
-		set = NewTemporalSet(temporal)
-	}
+	set := done()
 	if got := set.Fingerprint(); got != hex.EncodeToString(storedFP) {
 		return nil, fmt.Errorf("index: snapshot corrupted: content fingerprint %s does not match stored %s",
 			got, hex.EncodeToString(storedFP))
@@ -440,22 +359,22 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	return &Snapshot{Set: set, Terms: terms, Generation: generation}, nil
 }
 
-// WriteSnapshotFile saves a snapshot atomically: it writes to a temp
-// file in the destination directory and renames over the target, so a
-// crash or full disk mid-save never leaves a truncated snapshot for the
-// next boot to trip over.
-func WriteSnapshotFile(path string, s *PatternSet, term func(id int) string) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".snapshot-*")
+// WriteFileAtomic publishes what write produces as the file at path,
+// atomically: it writes to a temp file in the destination directory and
+// renames over the target, so a crash or full disk mid-save never leaves
+// a truncated snapshot or bundle for the next boot to trip over.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".stb-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if err := WriteSnapshot(tmp, s, term); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		return err
 	}
-	// CreateTemp uses 0600; snapshots are mined by one user and served
-	// by another, so widen to the conventional 0644 before publishing.
+	// CreateTemp uses 0600; artifacts are mined by one user and served by
+	// another, so widen to the conventional 0644 before publishing.
 	if err := tmp.Chmod(0o644); err != nil {
 		tmp.Close()
 		return err
@@ -486,37 +405,22 @@ func (s *PatternSet) Validate(numStreams, timeline int) error {
 		return nil
 	}
 	for _, t := range s.terms {
-		for _, w := range s.windows[t] {
-			if err := checkTime(w.Start, w.End); err != nil {
+		for _, v := range s.Views(t) {
+			if err := checkTime(v.Start, v.End); err != nil {
 				return err
 			}
-			for _, x := range w.Streams {
+			for _, x := range v.Streams {
 				if err := checkStream(x); err != nil {
 					return err
 				}
 			}
-		}
-		for _, p := range s.combs[t] {
-			if err := checkTime(p.Start, p.End); err != nil {
-				return err
-			}
-			for _, x := range p.Streams {
-				if err := checkStream(x); err != nil {
-					return err
-				}
-			}
-			for _, iv := range p.Intervals {
+			for _, iv := range v.Intervals {
 				if err := checkStream(iv.Stream); err != nil {
 					return err
 				}
 				if err := checkTime(iv.Start, iv.End); err != nil {
 					return err
 				}
-			}
-		}
-		for _, iv := range s.temporal[t] {
-			if err := checkTime(iv.Start, iv.End); err != nil {
-				return err
 			}
 		}
 	}
@@ -547,24 +451,6 @@ func (snap *Snapshot) Remap(lookup func(term string) (int, bool)) (*PatternSet, 
 		used[local] = term
 		mapped[id] = local
 	}
-	switch snap.Set.Kind() {
-	case KindRegional:
-		out := make(map[int][]core.Window, len(ids))
-		for id, local := range mapped {
-			out[local] = snap.Set.Windows(id)
-		}
-		return NewWindowSet(out), nil
-	case KindCombinatorial:
-		out := make(map[int][]core.CombPattern, len(ids))
-		for id, local := range mapped {
-			out[local] = snap.Set.Combs(id)
-		}
-		return NewCombSet(out), nil
-	default:
-		out := make(map[int][]burst.Interval, len(ids))
-		for id, local := range mapped {
-			out[local] = snap.Set.Temporal(id)
-		}
-		return NewTemporalSet(out), nil
-	}
+	set := snap.Set
+	return kinds[set.kind].regroup(set, 1, func(id int) (int, int) { return 0, mapped[id] })[0], nil
 }

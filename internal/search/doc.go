@@ -14,10 +14,9 @@
 // separate instance is required for each type"): regional windows
 // (STLocal), combinatorial patterns (STComb), or purely temporal bursty
 // intervals with all streams merged (the TB comparison engine of §6.3).
-// The Burstiness adapters (WindowBurstiness, CombBurstiness,
-// TemporalBurstiness, and the kind-dispatching PatternBurstiness) bridge
-// mined pattern stores to the engine builder; BuildFromPatterns is the
-// path that consults an existing index.PatternSet instead of re-mining,
+// BuildFromPatterns is the path that consults an existing
+// index.PatternSet instead of re-mining — its Burstiness method is the
+// kind's overlap notion, taken from the kind table of internal/index —
 // and the only path that retains the set for filtered queries.
 //
 // # Structured queries
@@ -32,15 +31,17 @@
 //
 // # Corpus-wide batch mining
 //
-// MineWindowsParCtx, MineCombPatternsParCtx and MineTemporalParCtx (and
-// their non-cancellable *Par wrappers) mine the entire vocabulary across
-// a bounded worker pool (internal/par): the term list is sorted into a
-// deterministic work list, each worker mines one term at a time on
-// private miner instances over private frequency surfaces, and results
-// land in index-addressed slots — so the assembled per-term maps are
-// bit-identical for every worker count, and (because nothing depends on
-// map iteration or the process hash seed) across runs and processes. A
-// cancelled context stops dispatching terms and surfaces ctx.Err().
+// MineSets mines any term list for any set of kinds across a bounded
+// worker pool (internal/par) — the whole vocabulary from empty sets, or
+// the dirty terms of an append against the resident sets: the term list
+// is sorted into a deterministic work list, each worker mines one
+// (term, kind) job at a time on private miner instances over private
+// frequency surfaces, and results land in index-addressed slots — so the
+// assembled sets are bit-identical for every worker count, and (because
+// nothing depends on map iteration or the process hash seed) across runs
+// and processes. A cancelled context stops dispatching terms and
+// surfaces ctx.Err(). The typed per-kind functions (MineWindowsParCtx,
+// RemineDirtyParCtx, ...) are doors onto it.
 // TermsMined counts per-term miner invocations so tests can assert that
 // index-backed query paths never re-mine.
 package search

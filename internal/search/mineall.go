@@ -7,6 +7,7 @@ import (
 
 	"stburst/internal/burst"
 	"stburst/internal/core"
+	"stburst/internal/index"
 	"stburst/internal/par"
 	"stburst/internal/stream"
 )
@@ -20,153 +21,120 @@ var termsMined atomic.Int64
 // performed by the corpus-wide miners since process start.
 func TermsMined() int64 { return termsMined.Load() }
 
-// sortedCorpusTerms returns the collection's term IDs in ascending order,
-// giving the batch miners a deterministic work list regardless of map
-// iteration order.
-func sortedCorpusTerms(col *stream.Collection) []int {
-	terms := col.Terms()
+// MineSets is the one corpus-wide miner: it re-mines the given terms for
+// every pattern set in prev — each with its own kind's miner — and
+// returns the refreshed sets in the same order. Mining the whole
+// vocabulary from scratch is the call with col.Terms() and one
+// index.EmptySet per wanted kind; an incremental refresh after a
+// Collection.Append is the call with the dirty terms and the resident
+// sets, and because a term's patterns depend only on its own frequency
+// surface the two agree bit for bit (the oracle tests assert fingerprint
+// equality).
+//
+// One bounded worker pool (workers < 1 means one per CPU) drains a
+// (term, kind) work list, term-major so a slow regional term overlaps
+// cheap temporal work instead of the kinds running as sequential sweeps.
+// Terms are mined in ascending ID order regardless of the caller's, each
+// on a private miner instance over a private frequency surface, and
+// results land in index-addressed slots, so the output is identical for
+// every worker count. The prev sets are never modified: each refreshed
+// set shares the untouched terms' pattern slices, so indexes built over
+// prev keep serving while the pass runs. With no terms to mine prev is
+// returned as it is. A cancelled context stops dispatching further terms
+// and returns ctx.Err(); mining already in flight finishes its term
+// first, so cancellation is prompt but never interrupts a miner mid-term.
+func MineSets(ctx context.Context, col *stream.Collection, terms []int, prev []*index.PatternSet, o *index.MineOptions, workers int) ([]*index.PatternSet, error) {
+	if len(terms) == 0 || len(prev) == 0 {
+		return prev, nil
+	}
+	terms = append([]int(nil), terms...)
 	sort.Ints(terms)
-	return terms
-}
-
-// mineAll fans the corpus vocabulary out across a bounded worker pool and
-// assembles the per-term results into a map, dropping empty results. Each
-// worker invocation mines one term through fn, which must be safe for
-// concurrent use (the per-term miners are: every call builds private
-// miner/baseline instances over a private frequency surface). A cancelled
-// context stops dispatching further terms and returns ctx.Err(); per-term
-// mining already in flight runs to completion, so cancellation is prompt
-// but never interrupts a miner mid-term.
-func mineAll[P any](ctx context.Context, col *stream.Collection, workers int, fn func(term int) []P) (map[int][]P, error) {
-	terms := sortedCorpusTerms(col)
-	results := make([][]P, len(terms))
-	if err := par.ForEachCtx(ctx, len(terms), workers, func(i int) {
+	mine := make([]func(i int), len(prev))
+	refreshed := make([]func() *index.PatternSet, len(prev))
+	for k, s := range prev {
+		mine[k], refreshed[k] = s.Remine(col, terms, o)
+	}
+	if err := par.ForEachCtx(ctx, len(prev)*len(terms), workers, func(i int) {
 		termsMined.Add(1)
-		results[i] = fn(terms[i])
+		mine[i%len(prev)](i / len(prev))
 	}); err != nil {
 		return nil, err
 	}
-	out := make(map[int][]P, len(terms))
-	for i, term := range terms {
-		if len(results[i]) > 0 {
-			out[term] = results[i]
-		}
+	out := make([]*index.PatternSet, len(prev))
+	for k := range out {
+		out[k] = refreshed[k]()
 	}
 	return out, nil
 }
 
-// MineWindowsParCtx runs STLocal over every term of the collection with
-// the given worker count (<1 means one worker per CPU) and returns the
-// per-term maximal windows. Output is identical to MineWindows for every
-// worker count: terms are mined independently, each on a private miner
-// instance with baselines created through the options' factory. A
-// cancelled context aborts the run with ctx.Err().
-func MineWindowsParCtx(ctx context.Context, col *stream.Collection, opts core.STLocalOptions, workers int) (map[int][]core.Window, error) {
-	points := col.Points()
-	return mineAll(ctx, col, workers, func(term int) []core.Window {
-		ws, err := core.MineLocal(col.Surface(term), points, opts)
-		if err != nil {
-			// Surfaces are always well-formed here; an error indicates a
-			// programming bug, not bad input.
-			panic(err)
+// The functions below are typed doors onto MineSets, kept for callers
+// that work with the concrete per-kind maps. They add no behaviour.
+
+// RemineDirtyParCtx re-mines the dirty terms of each kind with a non-nil
+// prev map and returns the refreshed maps; a nil prev map skips its kind
+// and returns nil for it. The prev maps are never mutated.
+func RemineDirtyParCtx(ctx context.Context, col *stream.Collection, dirty []int,
+	prevW map[int][]core.Window, prevC map[int][]core.CombPattern, prevT map[int][]burst.Interval,
+	lopts core.STLocalOptions, copts core.STCombOptions, det burst.Detector, workers int,
+) (map[int][]core.Window, map[int][]core.CombPattern, map[int][]burst.Interval, error) {
+	var prev []*index.PatternSet
+	if prevW != nil {
+		prev = append(prev, index.NewWindowSet(prevW))
+	}
+	if prevC != nil {
+		prev = append(prev, index.NewCombSet(prevC))
+	}
+	if prevT != nil {
+		prev = append(prev, index.NewTemporalSet(prevT))
+	}
+	sets, err := MineSets(ctx, col, dirty, prev, &index.MineOptions{Local: lopts, Comb: copts, Temporal: det}, workers)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	// Each set answers nil for the kinds it does not hold.
+	for _, s := range sets {
+		if m := s.AllWindows(); m != nil {
+			prevW = m
 		}
-		return ws
-	})
+		if m := s.AllCombs(); m != nil {
+			prevC = m
+		}
+		if m := s.AllTemporal(); m != nil {
+			prevT = m
+		}
+	}
+	return prevW, prevC, prevT, nil
 }
 
-// MineWindowsPar is MineWindowsParCtx without cancellation.
-func MineWindowsPar(col *stream.Collection, opts core.STLocalOptions, workers int) map[int][]core.Window {
-	ws, _ := MineWindowsParCtx(context.Background(), col, opts, workers)
-	return ws
+// MineAllKindsParCtx mines all three pattern kinds over the whole
+// vocabulary in a single pass.
+func MineAllKindsParCtx(ctx context.Context, col *stream.Collection, lopts core.STLocalOptions, copts core.STCombOptions, det burst.Detector, workers int) (map[int][]core.Window, map[int][]core.CombPattern, map[int][]burst.Interval, error) {
+	return RemineDirtyParCtx(ctx, col, col.Terms(),
+		map[int][]core.Window{}, map[int][]core.CombPattern{}, map[int][]burst.Interval{},
+		lopts, copts, det, workers)
+}
+
+// MineWindowsParCtx runs STLocal over every term of the collection and
+// returns the per-term maximal windows.
+func MineWindowsParCtx(ctx context.Context, col *stream.Collection, opts core.STLocalOptions, workers int) (map[int][]core.Window, error) {
+	ws, _, _, err := RemineDirtyParCtx(ctx, col, col.Terms(), map[int][]core.Window{}, nil, nil,
+		opts, core.STCombOptions{}, nil, workers)
+	return ws, err
 }
 
 // MineCombPatternsParCtx runs STComb over every term of the collection
-// with the given worker count (<1 means one worker per CPU) and returns
-// the per-term combinatorial patterns. A cancelled context aborts the run
-// with ctx.Err().
+// and returns the per-term combinatorial patterns.
 func MineCombPatternsParCtx(ctx context.Context, col *stream.Collection, opts core.STCombOptions, workers int) (map[int][]core.CombPattern, error) {
-	return mineAll(ctx, col, workers, func(term int) []core.CombPattern {
-		return core.STComb(col.Surface(term), opts)
-	})
-}
-
-// MineCombPatternsPar is MineCombPatternsParCtx without cancellation.
-func MineCombPatternsPar(col *stream.Collection, opts core.STCombOptions, workers int) map[int][]core.CombPattern {
-	ps, _ := MineCombPatternsParCtx(context.Background(), col, opts, workers)
-	return ps
+	_, ps, _, err := RemineDirtyParCtx(ctx, col, col.Terms(), nil, map[int][]core.CombPattern{}, nil,
+		core.STLocalOptions{}, opts, nil, workers)
+	return ps, err
 }
 
 // MineTemporalParCtx extracts per-term temporal bursty intervals over the
-// merged stream with the given detector (nil uses the discrepancy default)
-// and worker count (<1 means one worker per CPU). A cancelled context
-// aborts the run with ctx.Err().
+// merged stream with the given detector (nil uses the discrepancy
+// default).
 func MineTemporalParCtx(ctx context.Context, col *stream.Collection, det burst.Detector, workers int) (map[int][]burst.Interval, error) {
-	if det == nil {
-		det = burst.Discrepancy{}
-	}
-	return mineAll(ctx, col, workers, func(term int) []burst.Interval {
-		return det.Detect(col.MergedSeries(term))
-	})
-}
-
-// MineTemporalPar is MineTemporalParCtx without cancellation.
-func MineTemporalPar(col *stream.Collection, det burst.Detector, workers int) map[int][]burst.Interval {
-	ivs, _ := MineTemporalParCtx(context.Background(), col, det, workers)
-	return ivs
-}
-
-// MineAllKindsParCtx mines all three pattern kinds in a single pass: one
-// bounded worker pool drains a (term, kind) work list of 3×|vocabulary|
-// items, so a slow regional term overlaps with cheap temporal work
-// instead of the three kinds running as separate sequential sweeps. The
-// jobs interleave kinds (term-major) to keep the tail of the pass mixed.
-// Output is bit-identical to running the three single-kind miners
-// separately, for every worker count. A cancelled context aborts the
-// pass with ctx.Err().
-func MineAllKindsParCtx(ctx context.Context, col *stream.Collection, lopts core.STLocalOptions, copts core.STCombOptions, det burst.Detector, workers int) (map[int][]core.Window, map[int][]core.CombPattern, map[int][]burst.Interval, error) {
-	if det == nil {
-		det = burst.Discrepancy{}
-	}
-	terms := sortedCorpusTerms(col)
-	points := col.Points()
-	var (
-		windows  = make([][]core.Window, len(terms))
-		combs    = make([][]core.CombPattern, len(terms))
-		temporal = make([][]burst.Interval, len(terms))
-	)
-	if err := par.ForEachCtx(ctx, 3*len(terms), workers, func(i int) {
-		termsMined.Add(1)
-		term := terms[i/3]
-		switch i % 3 {
-		case 0:
-			ws, err := core.MineLocal(col.Surface(term), points, lopts)
-			if err != nil {
-				// Surfaces are always well-formed here; an error indicates
-				// a programming bug, not bad input.
-				panic(err)
-			}
-			windows[i/3] = ws
-		case 1:
-			combs[i/3] = core.STComb(col.Surface(term), copts)
-		case 2:
-			temporal[i/3] = det.Detect(col.MergedSeries(term))
-		}
-	}); err != nil {
-		return nil, nil, nil, err
-	}
-	wOut := make(map[int][]core.Window, len(terms))
-	cOut := make(map[int][]core.CombPattern, len(terms))
-	tOut := make(map[int][]burst.Interval, len(terms))
-	for i, term := range terms {
-		if len(windows[i]) > 0 {
-			wOut[term] = windows[i]
-		}
-		if len(combs[i]) > 0 {
-			cOut[term] = combs[i]
-		}
-		if len(temporal[i]) > 0 {
-			tOut[term] = temporal[i]
-		}
-	}
-	return wOut, cOut, tOut, nil
+	_, _, ivs, err := RemineDirtyParCtx(ctx, col, col.Terms(), nil, nil, map[int][]burst.Interval{},
+		core.STLocalOptions{}, core.STCombOptions{}, det, workers)
+	return ivs, err
 }

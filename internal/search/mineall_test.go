@@ -10,9 +10,9 @@ import (
 
 func TestMineWindowsParMatchesSequential(t *testing.T) {
 	col := testCollection(t)
-	want := MineWindows(col, core.STLocalOptions{})
+	want := mineWindows(col, core.STLocalOptions{}, 1)
 	for _, workers := range []int{2, 4, 0} {
-		got := MineWindowsPar(col, core.STLocalOptions{}, workers)
+		got := mineWindows(col, core.STLocalOptions{}, workers)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: parallel windows differ from sequential", workers)
 		}
@@ -21,8 +21,8 @@ func TestMineWindowsParMatchesSequential(t *testing.T) {
 
 func TestMineCombPatternsParMatchesSequential(t *testing.T) {
 	col := testCollection(t)
-	want := MineCombPatterns(col, core.STCombOptions{})
-	got := MineCombPatternsPar(col, core.STCombOptions{}, 3)
+	want := mineCombs(col, core.STCombOptions{}, 1)
+	got := mineCombs(col, core.STCombOptions{}, 3)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("parallel comb patterns differ from sequential")
 	}
@@ -30,8 +30,8 @@ func TestMineCombPatternsParMatchesSequential(t *testing.T) {
 
 func TestMineTemporalParMatchesSequential(t *testing.T) {
 	col := testCollection(t)
-	want := MineTemporal(col, nil)
-	got := MineTemporalPar(col, nil, 4)
+	want := mineTemporal(col, nil, 1)
+	got := mineTemporal(col, nil, 4)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("parallel temporal intervals differ from sequential")
 	}
@@ -40,7 +40,7 @@ func TestMineTemporalParMatchesSequential(t *testing.T) {
 func TestTermsMinedCounter(t *testing.T) {
 	col := testCollection(t)
 	before := TermsMined()
-	MineWindowsPar(col, core.STLocalOptions{}, 2)
+	mineWindows(col, core.STLocalOptions{}, 2)
 	delta := TermsMined() - before
 	if want := int64(len(col.Terms())); delta != want {
 		t.Fatalf("counter advanced by %d, want %d (one per vocabulary term)", delta, want)
@@ -49,8 +49,8 @@ func TestTermsMinedCounter(t *testing.T) {
 
 func TestBuildFromPatternsMatchesDirectBuild(t *testing.T) {
 	col := testCollection(t)
-	windows := MineWindows(col, core.STLocalOptions{})
-	direct := Build(col, WindowBurstiness(windows))
+	windows := mineWindows(col, core.STLocalOptions{}, 1)
+	direct := Build(col, windowBurstiness(windows))
 	fromSet := BuildFromPatterns(col, index.NewWindowSet(windows))
 	for _, q := range []string{"quake", "quake damage", "news"} {
 		a := direct.Query(q, 10)
@@ -58,28 +58,5 @@ func TestBuildFromPatternsMatchesDirectBuild(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("query %q: index-backed engine diverged: %+v vs %+v", q, a, b)
 		}
-	}
-}
-
-func TestPatternBurstinessDispatch(t *testing.T) {
-	col := testCollection(t)
-	quake, _ := col.Dict().Lookup("quake")
-
-	ws := MineWindows(col, core.STLocalOptions{})
-	rb := PatternBurstiness(index.NewWindowSet(ws))
-	if _, ok := rb(quake, 0, 2); !ok {
-		t.Fatal("regional dispatch found no overlap for the bursty doc")
-	}
-
-	cs := MineCombPatterns(col, core.STCombOptions{})
-	cb := PatternBurstiness(index.NewCombSet(cs))
-	if _, ok := cb(quake, 0, 2); !ok {
-		t.Fatal("combinatorial dispatch found no overlap for the bursty doc")
-	}
-
-	tsPat := MineTemporal(col, nil)
-	tb := PatternBurstiness(index.NewTemporalSet(tsPat))
-	if _, ok := tb(quake, 1, 2); !ok {
-		t.Fatal("temporal dispatch must ignore the stream")
 	}
 }

@@ -6,23 +6,13 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"stburst/internal/burst"
-	"stburst/internal/core"
 	"stburst/internal/geo"
 	"stburst/internal/index"
 )
 
 // Timespan is an inclusive timeframe [Start, End] on the collection's
 // discrete timeline.
-type Timespan struct {
-	Start, End int
-}
-
-// Overlaps reports whether the inclusive timeframe [start, end]
-// intersects the span.
-func (ts Timespan) Overlaps(start, end int) bool {
-	return start <= ts.End && ts.Start <= end
-}
+type Timespan = index.Timespan
 
 // Query is a structured spatiotemporal search request. Terms takes
 // precedence when non-empty; otherwise Text is tokenized with the
@@ -170,77 +160,21 @@ func (e *Engine) Run(ctx context.Context, q Query) (Page, error) {
 	return Page{Results: out, More: more}, nil
 }
 
-// WindowIntersects reports whether a regional window intersects the
-// filter: its rectangle meets the region and its timeframe meets the
-// span (nil halves match everything). It is the single definition of
-// "pattern intersects the filter" for the regional kind, shared by the
-// engine's post-filter and the serving layer's pattern listings.
-func WindowIntersects(w core.Window, region *geo.Rect, span *Timespan) bool {
-	if region != nil && !w.Rect.Intersects(*region) {
-		return false
-	}
-	return span == nil || span.Overlaps(w.Start, w.End)
-}
-
-// CombIntersects reports whether a combinatorial pattern intersects the
-// filter: some member stream's location (points is the collection's
-// stream-location table) lies inside the region, and the pattern's
-// common segment meets the span.
-func CombIntersects(p core.CombPattern, points []geo.Point, region *geo.Rect, span *Timespan) bool {
-	if region != nil {
-		inside := false
-		for _, x := range p.Streams {
-			if region.Contains(points[x]) {
-				inside = true
-				break
-			}
-		}
-		if !inside {
-			return false
-		}
-	}
-	return span == nil || span.Overlaps(p.Start, p.End)
-}
-
-// TemporalIntersects reports whether a merged-stream temporal interval
-// intersects the filter. Temporal intervals deliberately disregard
-// geography, so they span the whole map and every region intersects
-// them; only the span constrains.
-func TemporalIntersects(iv burst.Interval, span *Timespan) bool {
-	return span == nil || span.Overlaps(iv.Start, iv.End)
-}
-
 // overlapFilter returns the post-filter for a query: a document survives
 // iff, for some query term, a pattern of that term both overlaps the
 // document (the same overlap notion used at indexing time) and intersects
-// the query region/timespan under the kind's Intersects predicate above.
-// A nil filter means no restriction.
+// the query region/timespan (index.PatternSet.Filter). A nil filter means
+// no restriction.
 func (e *Engine) overlapFilter(terms []int, region *geo.Rect, span *Timespan) func(doc int) bool {
 	if region == nil && span == nil {
 		return nil
 	}
+	pass := e.ps.Filter(e.points, region, span)
 	return func(doc int) bool {
 		d := e.col.Doc(doc)
 		for _, t := range terms {
-			switch e.ps.Kind() {
-			case index.KindRegional:
-				for _, w := range e.ps.Windows(t) {
-					if w.Overlaps(d.Stream, d.Time) && WindowIntersects(w, region, span) {
-						return true
-					}
-				}
-			case index.KindCombinatorial:
-				for _, p := range e.ps.Combs(t) {
-					if p.OverlapsMember(d.Stream, d.Time) && CombIntersects(p, e.points, region, span) {
-						return true
-					}
-				}
-			case index.KindTemporal:
-				for _, iv := range e.ps.Temporal(t) {
-					if d.Time >= iv.Start && d.Time <= iv.End && TemporalIntersects(iv, span) {
-						return true
-					}
-				}
+			if pass(t, d.Stream, d.Time) {
+				return true
 			}
 		}
 		return false

@@ -17,7 +17,7 @@ import (
 func stlocalEngine(t *testing.T) *Engine {
 	t.Helper()
 	col := testCollection(t)
-	return BuildFromPatterns(col, index.NewWindowSet(MineWindows(col, core.STLocalOptions{})))
+	return BuildFromPatterns(col, index.NewWindowSet(mineWindows(col, core.STLocalOptions{}, 1)))
 }
 
 // TestRunMatchesQuery: an unfiltered Run is the Query path with
@@ -204,7 +204,7 @@ func TestRunFetchCappedAtBound(t *testing.T) {
 // reject filtered queries but answer plain ones.
 func TestRunWithoutPatternSet(t *testing.T) {
 	col := testCollection(t)
-	e := Build(col, WindowBurstiness(MineWindows(col, core.STLocalOptions{})))
+	e := Build(col, windowBurstiness(mineWindows(col, core.STLocalOptions{}, 1)))
 	if _, err := e.Run(context.Background(), Query{Text: "quake", K: 5}); err != nil {
 		t.Fatalf("plain Run on a closure-built engine: %v", err)
 	}

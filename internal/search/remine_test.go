@@ -30,18 +30,18 @@ func appendTestBatch(t *testing.T, col *stream.Collection) []int {
 // worker count.
 func TestRemineDirtyMatchesFullRemine(t *testing.T) {
 	col := testCollection(t)
-	prevW := MineWindows(col, core.STLocalOptions{})
-	prevC := MineCombPatterns(col, core.STCombOptions{})
-	prevT := MineTemporal(col, nil)
+	prevW := mineWindows(col, core.STLocalOptions{}, 1)
+	prevC := mineCombs(col, core.STCombOptions{}, 1)
+	prevT := mineTemporal(col, nil, 1)
 
 	dirty := appendTestBatch(t, col)
 	if len(dirty) == 0 || len(dirty) >= len(col.Terms()) {
 		t.Fatalf("batch dirtied %d of %d terms; the oracle needs a strict non-empty subset", len(dirty), len(col.Terms()))
 	}
 
-	wantW := MineWindows(col, core.STLocalOptions{})
-	wantC := MineCombPatterns(col, core.STCombOptions{})
-	wantT := MineTemporal(col, nil)
+	wantW := mineWindows(col, core.STLocalOptions{}, 1)
+	wantC := mineCombs(col, core.STCombOptions{}, 1)
+	wantT := mineTemporal(col, nil, 1)
 
 	for _, workers := range []int{1, 3, 0} {
 		gotW, gotC, gotT, err := RemineDirtyParCtx(context.Background(), col, dirty,
@@ -65,8 +65,8 @@ func TestRemineDirtyMatchesFullRemine(t *testing.T) {
 // exactly |dirty| x |active kinds| jobs, never the full vocabulary.
 func TestRemineDirtyCountsOnlyDirtyTerms(t *testing.T) {
 	col := testCollection(t)
-	prevW := MineWindows(col, core.STLocalOptions{})
-	prevT := MineTemporal(col, nil)
+	prevW := mineWindows(col, core.STLocalOptions{}, 1)
+	prevT := mineTemporal(col, nil, 1)
 	dirty := appendTestBatch(t, col)
 
 	before := TermsMined()
@@ -83,7 +83,7 @@ func TestRemineDirtyCountsOnlyDirtyTerms(t *testing.T) {
 // of the work list and returns nil for it.
 func TestRemineDirtySkipsInactiveKinds(t *testing.T) {
 	col := testCollection(t)
-	prevT := MineTemporal(col, nil)
+	prevT := mineTemporal(col, nil, 1)
 	dirty := appendTestBatch(t, col)
 	w, c, tp, err := RemineDirtyParCtx(context.Background(), col, dirty,
 		nil, nil, prevT, core.STLocalOptions{}, core.STCombOptions{}, nil, 0)
@@ -93,7 +93,7 @@ func TestRemineDirtySkipsInactiveKinds(t *testing.T) {
 	if w != nil || c != nil {
 		t.Error("inactive kinds were re-mined")
 	}
-	if want := MineTemporal(col, nil); !reflect.DeepEqual(tp, want) {
+	if want := mineTemporal(col, nil, 1); !reflect.DeepEqual(tp, want) {
 		t.Error("temporal refresh diverges from full re-mine")
 	}
 }
@@ -102,7 +102,7 @@ func TestRemineDirtySkipsInactiveKinds(t *testing.T) {
 // live queries during a refresh — are never written.
 func TestRemineDirtyDoesNotMutatePrev(t *testing.T) {
 	col := testCollection(t)
-	prevW := MineWindows(col, core.STLocalOptions{})
+	prevW := mineWindows(col, core.STLocalOptions{}, 1)
 	frozen := make(map[int][]core.Window, len(prevW))
 	for k, v := range prevW {
 		frozen[k] = append([]core.Window(nil), v...)
@@ -125,7 +125,7 @@ func TestRemineDirtyDoesNotMutatePrev(t *testing.T) {
 // TestRemineDirtyCancel: a cancelled context aborts the pass.
 func TestRemineDirtyCancel(t *testing.T) {
 	col := testCollection(t)
-	prevW := MineWindows(col, core.STLocalOptions{})
+	prevW := mineWindows(col, core.STLocalOptions{}, 1)
 	dirty := appendTestBatch(t, col)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -4,8 +4,6 @@ import (
 	"math"
 	"strings"
 
-	"stburst/internal/burst"
-	"stburst/internal/core"
 	"stburst/internal/geo"
 	"stburst/internal/index"
 	"stburst/internal/stream"
@@ -95,102 +93,15 @@ func (e *Engine) QueryTerms(terms []int, k int) []Result {
 // Index exposes the underlying inverted index (for diagnostics/tests).
 func (e *Engine) Index() *index.Index { return e.idx }
 
-// WindowBurstiness adapts per-term STLocal windows to the engine:
-// burstiness(d, t) is the maximum w-score over the windows of t whose
-// region contains d's stream and whose timeframe contains d's timestamp.
-func WindowBurstiness(byTerm map[int][]core.Window) Burstiness {
-	return func(term, streamIdx, time int) (float64, bool) {
-		best := math.Inf(-1)
-		found := false
-		for _, w := range byTerm[term] {
-			if w.Overlaps(streamIdx, time) && (!found || w.Score > best) {
-				best = w.Score
-				found = true
-			}
-		}
-		return best, found
-	}
-}
-
-// CombBurstiness adapts per-term STComb patterns to the engine. A
-// document overlaps a pattern through its own stream's contributing
-// interval (see core.CombPattern.OverlapsMember): large cliques can have
-// single-timestamp common segments, but every member document inside its
-// stream's burst belongs to the pattern.
-func CombBurstiness(byTerm map[int][]core.CombPattern) Burstiness {
-	return func(term, streamIdx, time int) (float64, bool) {
-		best := math.Inf(-1)
-		found := false
-		for _, p := range byTerm[term] {
-			if p.OverlapsMember(streamIdx, time) && (!found || p.Score > best) {
-				best = p.Score
-				found = true
-			}
-		}
-		return best, found
-	}
-}
-
-// TemporalBurstiness adapts per-term temporal bursty intervals (mined on
-// the merged stream) to the engine: the TB comparison system of §6.3,
-// which disregards the document's stream of origin.
-func TemporalBurstiness(byTerm map[int][]burst.Interval) Burstiness {
-	return func(term, _ /* stream */, time int) (float64, bool) {
-		best := math.Inf(-1)
-		found := false
-		for _, iv := range byTerm[term] {
-			if time >= iv.Start && time <= iv.End && (!found || iv.Score > best) {
-				best = iv.Score
-				found = true
-			}
-		}
-		return best, found
-	}
-}
-
-// PatternBurstiness adapts a mined pattern set of any kind to the engine,
-// dispatching to the kind's overlap notion.
-func PatternBurstiness(ps *index.PatternSet) Burstiness {
-	switch ps.Kind() {
-	case index.KindRegional:
-		return WindowBurstiness(ps.AllWindows())
-	case index.KindCombinatorial:
-		return CombBurstiness(ps.AllCombs())
-	default:
-		return TemporalBurstiness(ps.AllTemporal())
-	}
-}
-
 // BuildFromPatterns indexes the collection against an already-mined
-// pattern set: the engine-build path that consults the pattern index
-// instead of re-mining the corpus. Unlike Build, the resulting engine
-// retains the pattern set and therefore answers spatiotemporally filtered
-// queries (Query.Region / Query.Span).
+// pattern set of any kind: the engine-build path that consults the
+// pattern index instead of re-mining the corpus, scoring each document
+// with the set's Burstiness (the kind's overlap notion). Unlike Build,
+// the resulting engine retains the pattern set and therefore answers
+// spatiotemporally filtered queries (Query.Region / Query.Span).
 func BuildFromPatterns(col *stream.Collection, ps *index.PatternSet) *Engine {
-	e := Build(col, PatternBurstiness(ps))
+	e := Build(col, ps.Burstiness())
 	e.ps = ps
 	e.points = col.Points()
 	return e
-}
-
-// MineWindows runs STLocal over every term of the collection on a single
-// worker and returns the per-term maximal windows — the pattern side of an
-// STLocal engine. See MineWindowsPar for the concurrent variant.
-func MineWindows(col *stream.Collection, opts core.STLocalOptions) map[int][]core.Window {
-	return MineWindowsPar(col, opts, 1)
-}
-
-// MineCombPatterns runs STComb over every term of the collection on a
-// single worker and returns the per-term combinatorial patterns. See
-// MineCombPatternsPar for the concurrent variant.
-func MineCombPatterns(col *stream.Collection, opts core.STCombOptions) map[int][]core.CombPattern {
-	return MineCombPatternsPar(col, opts, 1)
-}
-
-// MineTemporal extracts per-term temporal bursty intervals over the
-// merged stream with the given detector (nil uses the discrepancy
-// default) — the pattern side of a TB engine. See MineTemporalPar for the
-// concurrent variant.
-func MineTemporal(col *stream.Collection, det burst.Detector) map[int][]burst.Interval {
-	return MineTemporalPar(col, det, 1)
 }

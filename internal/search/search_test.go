@@ -1,12 +1,14 @@
 package search
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"stburst/internal/burst"
 	"stburst/internal/core"
 	"stburst/internal/geo"
+	"stburst/internal/index"
 	"stburst/internal/interval"
 	"stburst/internal/stream"
 )
@@ -42,6 +44,45 @@ func testCollection(t *testing.T) *stream.Collection {
 	return col
 }
 
+// The single-kind miners and burstiness adapters as the tests use them:
+// no context, typed maps in and out.
+
+func mineWindows(col *stream.Collection, opts core.STLocalOptions, workers int) map[int][]core.Window {
+	ws, err := MineWindowsParCtx(context.Background(), col, opts, workers)
+	if err != nil {
+		panic(err)
+	}
+	return ws
+}
+
+func mineCombs(col *stream.Collection, opts core.STCombOptions, workers int) map[int][]core.CombPattern {
+	ps, err := MineCombPatternsParCtx(context.Background(), col, opts, workers)
+	if err != nil {
+		panic(err)
+	}
+	return ps
+}
+
+func mineTemporal(col *stream.Collection, det burst.Detector, workers int) map[int][]burst.Interval {
+	ivs, err := MineTemporalParCtx(context.Background(), col, det, workers)
+	if err != nil {
+		panic(err)
+	}
+	return ivs
+}
+
+func windowBurstiness(m map[int][]core.Window) Burstiness {
+	return index.NewWindowSet(m).Burstiness()
+}
+
+func combBurstiness(m map[int][]core.CombPattern) Burstiness {
+	return index.NewCombSet(m).Burstiness()
+}
+
+func temporalBurstiness(m map[int][]burst.Interval) Burstiness {
+	return index.NewTemporalSet(m).Burstiness()
+}
+
 func docIDs(rs []Result) []int {
 	out := make([]int, len(rs))
 	for i, r := range rs {
@@ -52,12 +93,12 @@ func docIDs(rs []Result) []int {
 
 func TestEngineSTLocalFiltersBySpace(t *testing.T) {
 	col := testCollection(t)
-	windows := MineWindows(col, core.STLocalOptions{})
+	windows := mineWindows(col, core.STLocalOptions{}, 1)
 	quake, _ := col.Dict().Lookup("quake")
 	if len(windows[quake]) == 0 {
 		t.Fatal("no windows mined for quake")
 	}
-	eng := Build(col, WindowBurstiness(windows))
+	eng := Build(col, windowBurstiness(windows))
 	rs := eng.Query("quake", 10)
 	if len(rs) == 0 {
 		t.Fatal("no results")
@@ -72,7 +113,7 @@ func TestEngineSTLocalFiltersBySpace(t *testing.T) {
 
 func TestEngineScoresDescend(t *testing.T) {
 	col := testCollection(t)
-	eng := Build(col, WindowBurstiness(MineWindows(col, core.STLocalOptions{})))
+	eng := Build(col, windowBurstiness(mineWindows(col, core.STLocalOptions{}, 1)))
 	rs := eng.Query("quake", 10)
 	for i := 1; i < len(rs); i++ {
 		if rs[i].Score > rs[i-1].Score {
@@ -83,8 +124,8 @@ func TestEngineScoresDescend(t *testing.T) {
 
 func TestEngineTBIgnoresSpace(t *testing.T) {
 	col := testCollection(t)
-	temporal := MineTemporal(col, nil)
-	eng := Build(col, TemporalBurstiness(temporal))
+	temporal := mineTemporal(col, nil, 1)
+	eng := Build(col, temporalBurstiness(temporal))
 	rs := eng.Query("quake", 20)
 	if len(rs) == 0 {
 		t.Fatal("no TB results")
@@ -104,12 +145,12 @@ func TestEngineTBIgnoresSpace(t *testing.T) {
 
 func TestEngineCombPatterns(t *testing.T) {
 	col := testCollection(t)
-	patterns := MineCombPatterns(col, core.STCombOptions{})
+	patterns := mineCombs(col, core.STCombOptions{}, 1)
 	quake, _ := col.Dict().Lookup("quake")
 	if len(patterns[quake]) == 0 {
 		t.Fatal("no STComb patterns for quake")
 	}
-	eng := Build(col, CombBurstiness(patterns))
+	eng := Build(col, combBurstiness(patterns))
 	rs := eng.Query("quake", 10)
 	if len(rs) == 0 {
 		t.Fatal("no results")
@@ -125,7 +166,7 @@ func TestEngineCombPatterns(t *testing.T) {
 
 func TestEngineUnknownTerm(t *testing.T) {
 	col := testCollection(t)
-	eng := Build(col, WindowBurstiness(MineWindows(col, core.STLocalOptions{})))
+	eng := Build(col, windowBurstiness(mineWindows(col, core.STLocalOptions{}, 1)))
 	if rs := eng.Query("nonexistent", 5); rs != nil {
 		t.Fatalf("unknown term: got %v", rs)
 	}
@@ -136,7 +177,7 @@ func TestEngineUnknownTerm(t *testing.T) {
 
 func TestEngineMultiTermConjunction(t *testing.T) {
 	col := testCollection(t)
-	eng := Build(col, WindowBurstiness(MineWindows(col, core.STLocalOptions{})))
+	eng := Build(col, windowBurstiness(mineWindows(col, core.STLocalOptions{}, 1)))
 	// "quake damage" must only return docs overlapping patterns of both.
 	rs := eng.Query("quake damage", 10)
 	for _, r := range rs {
@@ -153,7 +194,7 @@ func TestBurstinessAdapters(t *testing.T) {
 		Streams: []int{0},
 		Start:   2, End: 3, Score: 5,
 	}
-	wb := WindowBurstiness(map[int][]core.Window{7: {w}})
+	wb := windowBurstiness(map[int][]core.Window{7: {w}})
 	if s, ok := wb(7, 0, 2); !ok || s != 5 {
 		t.Fatalf("window overlap: (%v,%v)", s, ok)
 	}
@@ -171,7 +212,7 @@ func TestBurstinessAdapters(t *testing.T) {
 			{Start: 0, End: 6, Stream: 3},
 		},
 	}
-	cb := CombBurstiness(map[int][]core.CombPattern{7: {p}})
+	cb := combBurstiness(map[int][]core.CombPattern{7: {p}})
 	if s, ok := cb(7, 3, 4); !ok || s != 2 {
 		t.Fatalf("comb overlap: (%v,%v)", s, ok)
 	}
@@ -187,7 +228,7 @@ func TestBurstinessAdapters(t *testing.T) {
 		t.Fatal("outside the member's own interval should not overlap")
 	}
 
-	tb := TemporalBurstiness(map[int][]burst.Interval{7: {{Start: 1, End: 2, Score: 0.4}}})
+	tb := temporalBurstiness(map[int][]burst.Interval{7: {{Start: 1, End: 2, Score: 0.4}}})
 	if s, ok := tb(7, 99, 1); !ok || s != 0.4 {
 		t.Fatalf("temporal overlap: (%v,%v)", s, ok)
 	}
@@ -203,7 +244,7 @@ func TestBurstinessMaxAggregation(t *testing.T) {
 		{Rect: geo.Rect{MaxX: 10, MaxY: 10}, Streams: []int{0}, Start: 0, End: 9, Score: 1},
 		{Rect: geo.Rect{MaxX: 10, MaxY: 10}, Streams: []int{0}, Start: 2, End: 4, Score: 7},
 	}
-	wb := WindowBurstiness(map[int][]core.Window{0: ws})
+	wb := windowBurstiness(map[int][]core.Window{0: ws})
 	if s, _ := wb(0, 0, 3); s != 7 {
 		t.Fatalf("max aggregation: got %v, want 7", s)
 	}
@@ -238,7 +279,7 @@ func TestEngineRelevanceWeighting(t *testing.T) {
 
 func TestMineWindowsSkipsQuietTerms(t *testing.T) {
 	col := testCollection(t)
-	windows := MineWindows(col, core.STLocalOptions{})
+	windows := mineWindows(col, core.STLocalOptions{}, 1)
 	// Terms present at constant rate everywhere ("news") should have no
 	// or only weak windows; the map must not contain empty entries.
 	for term, ws := range windows {

@@ -36,7 +36,7 @@ func fastSink(c *stburst.Collection, ing *stburst.Ingester) *IngestSink {
 
 func TestIngestSinkValidatesAndApplies(t *testing.T) {
 	c := serveCollection(t)
-	s := storeOf(t, c, c.MineAllRegional(nil, 0))
+	s := storeOf(t, c, mustMine(c, stburst.KindRegional, nil))
 	ing := connectorIngester(s)
 	defer ing.Close()
 	sink := fastSink(c, ing)
@@ -78,7 +78,7 @@ func TestIngestSinkValidatesAndApplies(t *testing.T) {
 
 func TestIngestSinkCancelledContextKeepsBatchForRetry(t *testing.T) {
 	c := serveCollection(t)
-	s := storeOf(t, c, c.MineAllRegional(nil, 0))
+	s := storeOf(t, c, mustMine(c, stburst.KindRegional, nil))
 	ing := connectorIngester(s)
 	defer ing.Close()
 	sink := fastSink(c, ing)
@@ -173,7 +173,7 @@ func TestTailCrashRecoveryChecksumOracle(t *testing.T) {
 
 	// The never-crashed oracle, fed through the same sink code path.
 	oracleC := serveCollection(t)
-	oracleS := storeOf(t, oracleC, oracleC.MineAllRegional(nil, 0))
+	oracleS := storeOf(t, oracleC, mustMine(oracleC, stburst.KindRegional, nil))
 	oracleIng := connectorIngester(oracleS)
 	if _, err := fastSink(oracleC, oracleIng).Ingest(context.Background(), docs); err != nil {
 		t.Fatalf("oracle ingest: %v", err)
@@ -242,7 +242,7 @@ func TestTailCrashRecoveryChecksumOracle(t *testing.T) {
 
 func TestServerConnectorsStatsAndMetrics(t *testing.T) {
 	c := serveCollection(t)
-	s := storeOf(t, c, c.MineAllRegional(nil, 0))
+	s := storeOf(t, c, mustMine(c, stburst.KindRegional, nil))
 	srv := New(c, s, "")
 
 	// Disabled by default: the stats block says so.

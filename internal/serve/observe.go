@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"log"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 	"time"
 
 	"stburst"
@@ -12,39 +10,19 @@ import (
 	"stburst/internal/sub"
 )
 
-// observer is the server's metrics surface: per-route request counters
-// and latency histograms, an in-flight gauge, and scrape-time gauges
-// over store state. Instruments are created lazily the first time a
-// route is hit (one registry write-lock each, then lock-free), so the
-// per-request cost is one sync.Map load plus a few atomic adds —
-// recording must never show up in the latency it measures.
+// observer is the server's metrics surface: the shared per-route request
+// instrumentation (metrics.HTTP) and scrape-time gauges over store state.
 type observer struct {
-	s        *metrics.Registry
-	inFlight *metrics.Gauge
-	// routes maps a mux pattern ("POST /v1/search"; "unmatched" when no
-	// route matched) to its instruments.
-	routes sync.Map // string -> *routeInstruments
-	mu     sync.Mutex
-	srv    *Server
+	s    *metrics.Registry
+	http *metrics.HTTP
 	// alertLatency times webhook deliveries (enqueue to 2xx); the
 	// dispatcher's OnDelivery hook feeds it.
 	alertLatency *metrics.Histogram
 }
 
-// routeInstruments holds one route's counters (indexed by status class)
-// and latency histogram.
-type routeInstruments struct {
-	byClass [5]*metrics.Counter // 1xx..5xx
-	latency *metrics.Histogram
-}
-
-// statusClasses are the code label values, indexed by statusCode/100-1.
-var statusClasses = [5]string{"1xx", "2xx", "3xx", "4xx", "5xx"}
-
 func newObserver(srv *Server) *observer {
-	o := &observer{s: metrics.NewRegistry(), srv: srv}
-	o.inFlight = o.s.NewGauge("stserve_http_in_flight",
-		"Requests currently being served.")
+	o := &observer{s: metrics.NewRegistry()}
+	o.http = metrics.NewHTTP(o.s, "stserve")
 	o.s.NewGaugeFunc("stserve_uptime_seconds",
 		"Seconds since the server was wired.",
 		func() float64 { return time.Since(srv.started).Seconds() })
@@ -151,89 +129,6 @@ func newObserver(srv *Server) *observer {
 	return o
 }
 
-// route returns (creating on first use) the instruments of one route.
-func (o *observer) route(pattern string) *routeInstruments {
-	if pattern == "" {
-		pattern = "unmatched"
-	}
-	if ri, ok := o.routes.Load(pattern); ok {
-		return ri.(*routeInstruments)
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if ri, ok := o.routes.Load(pattern); ok { // lost the creation race
-		return ri.(*routeInstruments)
-	}
-	ri := &routeInstruments{
-		latency: o.s.NewHistogram("stserve_http_request_seconds",
-			"Request latency by route.", nil, metrics.L("route", pattern)),
-	}
-	for i, class := range statusClasses {
-		ri.byClass[i] = o.s.NewCounter("stserve_http_requests_total",
-			"Requests served by route and status class.",
-			metrics.L("route", pattern), metrics.L("code", class))
-	}
-	o.routes.Store(pattern, ri)
-	return ri
-}
-
-// statusWriter records the response status. Unwrap keeps
-// http.ResponseController (the reload/ingest handlers lift their write
-// deadlines through it) working across the wrapper.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-// instrument serves r through next, recording in-flight depth, status
-// class and latency against the matched mux pattern. The pattern is read
-// off the request after routing — the mux stamps r.Pattern during the
-// match — so route labels never explode on unmatched garbage paths
-// (those all share the "unmatched" series).
-func (o *observer) instrument(next http.Handler, w http.ResponseWriter, r *http.Request) {
-	o.inFlight.Inc()
-	defer o.inFlight.Dec()
-	sw := &statusWriter{ResponseWriter: w}
-	start := time.Now()
-	next.ServeHTTP(sw, r)
-	elapsed := time.Since(start).Seconds()
-	status := sw.status
-	if status == 0 {
-		// Nothing was written: net/http will send 200 with an empty body.
-		status = http.StatusOK
-	}
-	ri := o.route(r.Pattern)
-	if cls := status/100 - 1; cls >= 0 && cls < len(ri.byClass) {
-		ri.byClass[cls].Inc()
-	}
-	ri.latency.Observe(elapsed)
-}
-
-// handleMetrics answers GET /metrics with the Prometheus text format.
-func (o *observer) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := o.s.WriteText(w); err != nil {
-		// The header is out; all that remains is to note the dead client.
-		log.Printf("writing /metrics: %v", err)
-	}
-}
-
 // Registry exposes the server's metrics registry — the load generator's
 // in-process smoke test and the stserve debug listener both read it.
 func (s *Server) Registry() *metrics.Registry { return s.obs.s }
@@ -250,6 +145,6 @@ func (s *Server) DebugHandler() http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("GET /metrics", s.obs.handleMetrics)
+	mux.Handle("GET /metrics", s.obs.s)
 	return mux
 }

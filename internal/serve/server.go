@@ -1,10 +1,10 @@
 // Package serve implements the stserve HTTP layer: the versioned /v1
 // query, ingest and admin API over one collection and one multi-kind
-// pattern store, the legacy pre-/v1 aliases, and the observability
-// surface (Prometheus-text GET /metrics on the serving listener, pprof
-// on a separate debug handler). It lives under internal/ rather than in
-// cmd/stserve so the load generator's tests can boot the real server
-// in-process against a generated corpus.
+// pattern store, and the observability surface (Prometheus-text GET
+// /metrics on the serving listener, pprof on a separate debug handler).
+// It lives under internal/ rather than in cmd/stserve so the load
+// generator's tests can boot the real server in-process against a
+// generated corpus.
 package serve
 
 import (
@@ -24,7 +24,6 @@ import (
 	"stburst"
 	"stburst/internal/connector"
 	"stburst/internal/geo"
-	"stburst/internal/search"
 	"stburst/internal/sub"
 )
 
@@ -55,10 +54,6 @@ import (
 //	                         the post-ingest matcher produces
 //	GET  /v1/stats           index and traffic statistics
 //	GET  /v1/healthz         liveness probe
-//
-// The pre-/v1 routes (/healthz, /stats, /patterns/{term}, /search?q=&k=)
-// remain as aliases for existing clients; on a single-kind store they
-// behave exactly as before the store existed.
 type Server struct {
 	c     *stburst.Collection
 	store *stburst.Store
@@ -80,9 +75,6 @@ type Server struct {
 	// themselves always survive: they live in the collection, and the
 	// next ingest re-mines from the current corpus).
 	reloadMu sync.Mutex
-	// points caches the stream locations for the combinatorial
-	// pattern-vs-region intersection checks.
-	points []stburst.Point
 	// fpOnce caches the corpus fingerprint reported by /v1/healthz and
 	// /v1/stats: the shard bundle's recorded checksum when it carries
 	// one, otherwise the collection checksum computed once on first use
@@ -120,10 +112,8 @@ type Server struct {
 // disabled; EnableIngest arms it.
 func New(c *stburst.Collection, store *stburst.Store, snapshotPath string) *Server {
 	s := &Server{c: c, store: store, snapshotPath: snapshotPath, started: time.Now(), mux: http.NewServeMux()}
-	s.points = make([]stburst.Point, c.NumStreams())
 	s.streamIdx = make(map[string]int, c.NumStreams())
-	for x := range s.points {
-		s.points[x] = c.Stream(x).Location
+	for x := 0; x < c.NumStreams(); x++ {
 		s.streamIdx[c.Stream(x).Name] = x
 	}
 	// The versioned contract.
@@ -142,16 +132,11 @@ func New(c *stburst.Collection, store *stburst.Store, snapshotPath string) *Serv
 	s.mux.HandleFunc("GET /v1/subscriptions/{id}", s.handleSubscriptionGet)
 	s.mux.HandleFunc("DELETE /v1/subscriptions/{id}", s.handleSubscriptionDelete)
 	s.mux.HandleFunc("GET /v1/alerts/stream", s.handleAlertStream)
-	// Legacy aliases, kept verbatim for pre-/v1 clients.
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /stats", s.handleStats)
-	s.mux.HandleFunc("GET /patterns/{term}", s.handlePatterns)
-	s.mux.HandleFunc("GET /search", s.handleSearchLegacy)
 	// Observability: the Prometheus text exposition shares the serving
 	// listener (a scrape is as cheap as a query); pprof deliberately does
 	// not — see DebugHandler.
 	s.obs = newObserver(s)
-	s.mux.HandleFunc("GET /metrics", s.obs.handleMetrics)
+	s.mux.Handle("GET /metrics", s.obs.s)
 	return s
 }
 
@@ -161,7 +146,7 @@ func (s *Server) EnableIngest(ing *stburst.Ingester) { s.ing = ing }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	s.obs.instrument(s.mux, w, r)
+	s.obs.http.Serve(s.mux, w, r)
 }
 
 // writeJSON encodes v into a buffer before touching the ResponseWriter,
@@ -191,6 +176,34 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
+}
+
+// MaxBody caps the JSON bodies of the query-sized POST routes (search,
+// subscriptions). The /v1 surface is unauthenticated and the decoder
+// materializes the whole body in memory; a query or a predicate is a
+// handful of terms and a rectangle, never megabytes.
+const MaxBody = 1 << 20
+
+// DecodeBody strictly decodes a request's JSON body (unknown fields are
+// an error) into v, reading at most limit bytes, and reports whether it
+// succeeded. On failure it has already answered — 413 when the body
+// exceeds the limit, 400 for anything else, naming the body as what —
+// and the handler just returns. It is the one capped decoder behind
+// every POST route of stserve and stgate.
+func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("%s body exceeds %d bytes", what, tooBig.Limit))
+	default:
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid %s body: %v", what, err))
+	}
+	return false
 }
 
 // corpusFingerprint returns the fingerprint identifying the corpus this
@@ -267,10 +280,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	si := s.store.ShardInfo()
 	stats := map[string]any{
-		"indexes":        ixs,
-		"docs":           s.c.NumDocs(),
-		"streams":        s.c.NumStreams(),
-		"timeline":       s.c.Timeline(),
+		"indexes":    ixs,
+		"docs":       s.c.NumDocs(),
+		"streams":    s.c.NumStreams(),
+		"timeline":   s.c.Timeline(),
 		"generation": s.store.Generation(),
 		// The corpus fingerprint lives inside the shard object: the legacy
 		// top-level "fingerprint" below is the first resident index's
@@ -416,16 +429,7 @@ func (s *Server) handleDocuments(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req documentsRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("documents body exceeds %d bytes; split the batch", tooBig.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "invalid documents body: "+err.Error())
+	if !DecodeBody(w, r, maxIngestBody, "documents", &req) {
 		return
 	}
 	if len(req.Documents) == 0 {
@@ -550,61 +554,34 @@ func (s *Server) parseSpan(from, to string) (*stburst.Timespan, error) {
 
 // patternsOf assembles the JSON form of one index's stored patterns of a
 // term that intersect the given region/timespan (nil filters match
-// everything). Intersection is decided by the same per-kind predicates
-// the search engine's post-filter uses (search.WindowIntersects etc.),
-// so the /v1 routes can never disagree about what "intersects" means.
+// everything). PatternIndex.Patterns decides intersection exactly as the
+// search engine's post-filter does, so the /v1 routes can never disagree
+// about what "intersects" means.
 func (s *Server) patternsOf(ix *stburst.PatternIndex, term string, region *stburst.Rect, span *stburst.Timespan) []patternJSON {
-	var sp *search.Timespan
-	if span != nil {
-		sp = &search.Timespan{Start: span.Start, End: span.End}
-	}
-	kind := ix.PatternKind()
 	var patterns []patternJSON
-	switch kind {
-	case stburst.KindRegional:
-		for _, p := range ix.RegionalPatterns(term) {
-			if !search.WindowIntersects(p, region, sp) {
-				continue
-			}
-			patterns = append(patterns, patternJSON{
-				Kind: kind.String(), Start: p.Start, End: p.End, Score: p.Score,
-				Rect:    &rectJSON{MinX: p.Rect.MinX, MinY: p.Rect.MinY, MaxX: p.Rect.MaxX, MaxY: p.Rect.MaxY},
-				Streams: s.streamNames(p.Streams),
+	for _, p := range ix.Patterns(term, region, span) {
+		pj := patternJSON{
+			Kind: p.Kind.String(), Start: p.Start, End: p.End, Score: p.Score,
+			Streams: s.streamNames(p.Streams),
+		}
+		if p.Rect != nil {
+			pj.Rect = &rectJSON{MinX: p.Rect.MinX, MinY: p.Rect.MinY, MaxX: p.Rect.MaxX, MaxY: p.Rect.MaxY}
+		}
+		for _, iv := range p.Intervals {
+			pj.Intervals = append(pj.Intervals, intervalJSON{
+				Stream: s.c.Stream(iv.Stream).Name,
+				Start:  iv.Start, End: iv.End, Weight: iv.Weight,
 			})
 		}
-	case stburst.KindCombinatorial:
-		for _, p := range ix.CombinatorialPatterns(term) {
-			if !search.CombIntersects(p, s.points, region, sp) {
-				continue
-			}
-			pj := patternJSON{
-				Kind: kind.String(), Start: p.Start, End: p.End, Score: p.Score,
-				Streams: s.streamNames(p.Streams),
-			}
-			for _, iv := range p.Intervals {
-				pj.Intervals = append(pj.Intervals, intervalJSON{
-					Stream: s.c.Stream(iv.Stream).Name,
-					Start:  iv.Start, End: iv.End, Weight: iv.Weight,
-				})
-			}
-			patterns = append(patterns, pj)
-		}
-	case stburst.KindTemporal:
-		for _, p := range ix.TemporalBursts(term) {
-			if !search.TemporalIntersects(p, sp) {
-				continue
-			}
-			patterns = append(patterns, patternJSON{Kind: kind.String(), Start: p.Start, End: p.End, Score: p.Score})
-		}
+		patterns = append(patterns, pj)
 	}
 	return patterns
 }
 
-// handlePatterns serves GET /v1/patterns/{term}?kind=&region=&from=&to=
-// and the legacy GET /patterns/{term} alias. An absent kind defaults to
-// the sole resident kind when the store holds one index (the exact
-// pre-store behavior) and to "any" — every resident kind, patterns
-// concatenated in canonical kind order — otherwise.
+// handlePatterns serves GET /v1/patterns/{term}?kind=&region=&from=&to=.
+// An absent kind defaults to the sole resident kind when the store holds
+// one index and to "any" — every resident kind, patterns concatenated in
+// canonical kind order — otherwise.
 func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 	term := r.PathValue("term")
 	kind := stburst.KindAny
@@ -671,11 +648,17 @@ type hitJSON struct {
 	Score  float64 `json:"score"`
 }
 
-// runQuery executes a structured query against the store and writes the
-// response shared by both search routes. The request context is threaded
+// handleSearchV1 answers POST /v1/search: the body is the stburst.Query
+// JSON shape — including the kind field routing the query to one
+// burstiness model or fanning it out with "any" — validated by
+// Store.Query via Query.Validate. The request context is threaded
 // through, so a client that disconnects mid-query cancels the retrieval
 // loop.
-func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, q stburst.Query) {
+func (s *Server) handleSearchV1(w http.ResponseWriter, r *http.Request) {
+	var q stburst.Query
+	if !DecodeBody(w, r, MaxBody, "query", &q) {
+		return
+	}
 	s.searches.Add(1)
 	start := time.Now()
 	page, err := s.store.Query(r.Context(), q)
@@ -704,71 +687,5 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, q stburst.Quer
 		"count": len(hits),
 		"more":  page.More,
 		"hits":  hits,
-	})
-}
-
-// handleSearchV1 answers POST /v1/search: the body is the stburst.Query
-// JSON shape — including the kind field routing the query to one
-// burstiness model or fanning it out with "any" — validated by
-// Store.Query via Query.Validate.
-func (s *Server) handleSearchV1(w http.ResponseWriter, r *http.Request) {
-	var q stburst.Query
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&q); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid query body: "+err.Error())
-		return
-	}
-	s.runQuery(w, r, q)
-}
-
-// legacyHitJSON is the pre-/v1 hit shape, frozen without the kind tag:
-// legacy clients may validate response fields strictly, so the alias
-// keeps emitting exactly the bytes it always has.
-type legacyHitJSON struct {
-	Doc    int     `json:"doc"`
-	Stream string  `json:"stream"`
-	Time   int     `json:"time"`
-	Score  float64 `json:"score"`
-}
-
-// handleSearchLegacy answers the pre-/v1 GET /search?q=&k= route with the
-// original response shape. The query runs with KindAny, which on a
-// single-kind store is exactly the pre-store behavior.
-func (s *Server) handleSearchLegacy(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
-	if q == "" {
-		writeError(w, http.StatusBadRequest, "missing query parameter q")
-		return
-	}
-	k := 10
-	if raw := r.URL.Query().Get("k"); raw != "" {
-		var err error
-		if k, err = strconv.Atoi(raw); err != nil || k < 1 {
-			writeError(w, http.StatusBadRequest, "parameter k must be a positive integer")
-			return
-		}
-	}
-	s.searches.Add(1)
-	start := time.Now()
-	page, err := s.store.Query(r.Context(), stburst.Query{Text: q, K: k})
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			log.Printf("search cancelled: %v", err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	out := make([]legacyHitJSON, len(page.Hits))
-	for i, h := range page.Hits {
-		out[i] = legacyHitJSON{Doc: h.Doc.ID, Stream: h.Stream, Time: h.Doc.Time, Score: h.Score}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"query":      q,
-		"k":          k,
-		"took_ms":    float64(time.Since(start).Microseconds()) / 1000,
-		"total_hits": len(out),
-		"hits":       out,
 	})
 }

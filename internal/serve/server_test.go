@@ -44,6 +44,16 @@ func serveCollection(t *testing.T) *stburst.Collection {
 	return c
 }
 
+// mustMine is Collection.Mine on a background context; mining an
+// in-memory test corpus cannot fail.
+func mustMine(c *stburst.Collection, kind stburst.Kind, opts *stburst.MineOptions) *stburst.PatternIndex {
+	ix, err := c.Mine(context.Background(), kind, opts)
+	if err != nil {
+		panic(err)
+	}
+	return ix
+}
+
 // storeOf wraps mined indexes into a store over their collection.
 func storeOf(t *testing.T, c *stburst.Collection, ixs ...*stburst.PatternIndex) *stburst.Store {
 	t.Helper()
@@ -72,20 +82,20 @@ func get(t *testing.T, h http.Handler, url string) (int, map[string]any) {
 
 func TestServerHealthz(t *testing.T) {
 	c := serveCollection(t)
-	s := New(c, storeOf(t, c, c.MineAllRegional(nil, 0)), "")
-	code, body := get(t, s, "/healthz")
+	s := New(c, storeOf(t, c, mustMine(c, stburst.KindRegional, nil)), "")
+	code, body := get(t, s, "/v1/healthz")
 	if code != http.StatusOK || body["status"] != "ok" {
-		t.Errorf("GET /healthz = %d %v, want 200 ok", code, body)
+		t.Errorf("GET /v1/healthz = %d %v, want 200 ok", code, body)
 	}
 }
 
 func TestServerStats(t *testing.T) {
 	c := serveCollection(t)
-	ix := c.MineAllRegional(nil, 0)
+	ix := mustMine(c, stburst.KindRegional, nil)
 	s := New(c, storeOf(t, c, ix), "")
-	code, body := get(t, s, "/stats")
+	code, body := get(t, s, "/v1/stats")
 	if code != http.StatusOK {
-		t.Fatalf("GET /stats = %d, want 200", code)
+		t.Fatalf("GET /v1/stats = %d, want 200", code)
 	}
 	if body["kind"] != "regional" {
 		t.Errorf("stats kind %v, want regional", body["kind"])
@@ -112,16 +122,16 @@ func TestServerStats(t *testing.T) {
 func TestServerPatterns(t *testing.T) {
 	c := serveCollection(t)
 	kinds := map[string]*stburst.PatternIndex{
-		"regional":      c.MineAllRegional(nil, 0),
-		"combinatorial": c.MineAllCombinatorial(nil, 0),
-		"temporal":      c.MineAllTemporal(0),
+		"regional":      mustMine(c, stburst.KindRegional, nil),
+		"combinatorial": mustMine(c, stburst.KindCombinatorial, nil),
+		"temporal":      mustMine(c, stburst.KindTemporal, nil),
 	}
 	for kind, ix := range kinds {
 		t.Run(kind, func(t *testing.T) {
 			s := New(c, storeOf(t, c, ix), "")
-			code, body := get(t, s, "/patterns/earthquake")
+			code, body := get(t, s, "/v1/patterns/earthquake")
 			if code != http.StatusOK {
-				t.Fatalf("GET /patterns/earthquake = %d, want 200", code)
+				t.Fatalf("GET /v1/patterns/earthquake = %d, want 200", code)
 			}
 			if body["kind"] != kind || body["term"] != "earthquake" {
 				t.Errorf("patterns response kind=%v term=%v, want %s earthquake", body["kind"], body["term"], kind)
@@ -146,9 +156,9 @@ func TestServerPatterns(t *testing.T) {
 				}
 			}
 
-			code, body = get(t, s, "/patterns/nosuchterm")
+			code, body = get(t, s, "/v1/patterns/nosuchterm")
 			if code != http.StatusNotFound {
-				t.Errorf("GET /patterns/nosuchterm = %d %v, want 404", code, body)
+				t.Errorf("GET /v1/patterns/nosuchterm = %d %v, want 404", code, body)
 			}
 		})
 	}
@@ -156,12 +166,12 @@ func TestServerPatterns(t *testing.T) {
 
 func TestServerSearch(t *testing.T) {
 	c := serveCollection(t)
-	ix := c.MineAllRegional(nil, 0)
+	ix := mustMine(c, stburst.KindRegional, nil)
 	s := New(c, storeOf(t, c, ix), "")
 
-	code, body := get(t, s, "/search?q=earthquake&k=5")
+	code, body := postJSON(t, s, "/v1/search", `{"text":"earthquake","k":5}`)
 	if code != http.StatusOK {
-		t.Fatalf("GET /search = %d %v, want 200", code, body)
+		t.Fatalf("POST /v1/search = %d %v, want 200", code, body)
 	}
 	hits, ok := body["hits"].([]any)
 	if !ok || len(hits) == 0 {
@@ -175,47 +185,42 @@ func TestServerSearch(t *testing.T) {
 	if int(first["doc"].(float64)) != want[0].Doc.ID || first["stream"] != want[0].Stream {
 		t.Errorf("first hit %v, want doc %d stream %s", first, want[0].Doc.ID, want[0].Stream)
 	}
-	// The legacy hit shape is frozen: no kind tag, exactly the pre-store
-	// fields, so strict legacy clients keep decoding.
-	if _, ok := first["kind"]; ok {
-		t.Errorf("legacy /search hit gained a kind field: %v", first)
-	}
-	if len(first) != 4 {
-		t.Errorf("legacy /search hit has %d fields %v, want exactly doc/stream/time/score", len(first), first)
+	if first["kind"] != "regional" {
+		t.Errorf("hit %v is not tagged with the kind that scored it", first)
 	}
 
 	// A query term outside every pattern yields an empty hit list, not an
 	// error (Eq. 10: the document set is empty, the query is still valid).
-	code, body = get(t, s, "/search?q=markets&k=5")
+	code, body = postJSON(t, s, "/v1/search", `{"text":"markets","k":5}`)
 	if code != http.StatusOK {
-		t.Fatalf("GET /search?q=markets = %d %v, want 200", code, body)
+		t.Fatalf("POST /v1/search markets = %d %v, want 200", code, body)
 	}
-	if n := int(body["total_hits"].(float64)); n != len(ix.Search("markets", 5)) {
+	if n := int(body["count"].(float64)); n != len(ix.Search("markets", 5)) {
 		t.Errorf("background-term search: %d hits over HTTP, %d in process", n, len(ix.Search("markets", 5)))
 	}
 }
 
 func TestServerSearchValidation(t *testing.T) {
 	c := serveCollection(t)
-	s := New(c, storeOf(t, c, c.MineAllRegional(nil, 0)), "")
-	for _, url := range []string{"/search", "/search?q=", "/search?q=earthquake&k=0", "/search?q=earthquake&k=-3", "/search?q=earthquake&k=abc"} {
-		if code, body := get(t, s, url); code != http.StatusBadRequest {
-			t.Errorf("GET %s = %d %v, want 400", url, code, body)
+	s := New(c, storeOf(t, c, mustMine(c, stburst.KindRegional, nil)), "")
+	for _, q := range []string{`{}`, `{"text":""}`, `{"text":"earthquake","k":-3}`, `{"text":"earthquake","k":"abc"}`} {
+		if code, body := postJSON(t, s, "/v1/search", q); code != http.StatusBadRequest {
+			t.Errorf("POST /v1/search %s = %d %v, want 400", q, code, body)
 		} else if _, ok := body["error"]; !ok {
-			t.Errorf("GET %s: 400 body missing error field: %v", url, body)
+			t.Errorf("POST /v1/search %s: 400 body missing error field: %v", q, body)
 		}
 	}
 }
 
 func TestServerMethodAndRouteErrors(t *testing.T) {
 	c := serveCollection(t)
-	s := New(c, storeOf(t, c, c.MineAllRegional(nil, 0)), "")
+	s := New(c, storeOf(t, c, mustMine(c, stburst.KindRegional, nil)), "")
 
-	req := httptest.NewRequest(http.MethodPost, "/search?q=earthquake", strings.NewReader(""))
+	req := httptest.NewRequest(http.MethodPost, "/v1/patterns/earthquake", strings.NewReader(""))
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
 	if rec.Code != http.StatusMethodNotAllowed {
-		t.Errorf("POST /search = %d, want 405", rec.Code)
+		t.Errorf("POST /v1/patterns/earthquake = %d, want 405", rec.Code)
 	}
 
 	req = httptest.NewRequest(http.MethodGet, "/nosuchroute", nil)
@@ -236,17 +241,17 @@ func TestServerMethodAndRouteErrors(t *testing.T) {
 
 func TestServerConcurrentReads(t *testing.T) {
 	c := serveCollection(t)
-	s := New(c, storeOf(t, c, c.MineAllRegional(nil, 0)), "")
+	s := New(c, storeOf(t, c, mustMine(c, stburst.KindRegional, nil)), "")
 	done := make(chan struct{})
 	for g := 0; g < 8; g++ {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 50; i++ {
-				if code, _ := get(t, s, "/search?q=earthquake&k=3"); code != http.StatusOK {
+				if code, _ := postJSON(t, s, "/v1/search", `{"text":"earthquake","k":3}`); code != http.StatusOK {
 					t.Errorf("concurrent search returned %d", code)
 					return
 				}
-				if code, _ := get(t, s, "/patterns/earthquake"); code != http.StatusOK {
+				if code, _ := get(t, s, "/v1/patterns/earthquake"); code != http.StatusOK {
 					t.Errorf("concurrent patterns returned %d", code)
 					return
 				}
@@ -272,19 +277,23 @@ func postJSON(t *testing.T, h http.Handler, url, body string) (int, map[string]a
 	return rec.Code, out
 }
 
+// TestServerV1Aliases: the versioned routes are the only ones. Each read
+// route answers under /v1, and its retired unversioned alias is a 404.
 func TestServerV1Aliases(t *testing.T) {
 	c := serveCollection(t)
-	ix := c.MineAllRegional(nil, 0)
-	s := New(c, storeOf(t, c, ix), "")
-	if code, body := get(t, s, "/v1/healthz"); code != http.StatusOK || body["status"] != "ok" {
-		t.Errorf("GET /v1/healthz = %d %v, want 200 ok", code, body)
+	s := New(c, storeOf(t, c, mustMine(c, stburst.KindRegional, nil)), "")
+	for _, path := range []string{"/healthz", "/stats", "/patterns/earthquake"} {
+		if code, body := get(t, s, "/v1"+path); code != http.StatusOK {
+			t.Errorf("GET /v1%s = %d %v, want 200", path, code, body)
+		}
 	}
-	code, body := get(t, s, "/v1/stats")
-	if code != http.StatusOK || body["fingerprint"] != ix.Fingerprint() {
-		t.Errorf("GET /v1/stats = %d %v, want the index fingerprint", code, body)
-	}
-	if code, _ := get(t, s, "/v1/patterns/earthquake"); code != http.StatusOK {
-		t.Errorf("GET /v1/patterns/earthquake = %d, want 200", code)
+	for _, path := range []string{"/healthz", "/stats", "/patterns/earthquake", "/search?q=earthquake&k=3"} {
+		req := httptest.NewRequest(http.MethodGet, path, nil)
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404: the unversioned aliases are retired", path, rec.Code)
+		}
 	}
 }
 
@@ -292,7 +301,7 @@ func TestServerV1Aliases(t *testing.T) {
 // the in-process Query produces, for plain and filtered queries.
 func TestServerV1SearchRoundTrip(t *testing.T) {
 	c := serveCollection(t)
-	ix := c.MineAllRegional(nil, 0)
+	ix := mustMine(c, stburst.KindRegional, nil)
 	s := New(c, storeOf(t, c, ix), "")
 	cases := []struct {
 		name string
@@ -343,7 +352,7 @@ func TestServerV1SearchRoundTrip(t *testing.T) {
 
 func TestServerV1SearchValidation(t *testing.T) {
 	c := serveCollection(t)
-	s := New(c, storeOf(t, c, c.MineAllRegional(nil, 0)), "")
+	s := New(c, storeOf(t, c, mustMine(c, stburst.KindRegional, nil)), "")
 	bodies := []string{
 		`not json`,
 		`{}`,
@@ -376,7 +385,7 @@ func TestServerV1SearchValidation(t *testing.T) {
 // and an all-excluding filter reads as 404.
 func TestServerV1PatternsFiltered(t *testing.T) {
 	c := serveCollection(t)
-	s := New(c, storeOf(t, c, c.MineAllRegional(nil, 0)), "")
+	s := New(c, storeOf(t, c, mustMine(c, stburst.KindRegional, nil)), "")
 
 	code, body := get(t, s, "/v1/patterns/earthquake")
 	if code != http.StatusOK {
@@ -436,10 +445,11 @@ func TestWriteJSONEncodeFailure(t *testing.T) {
 }
 
 // TestServerV1SearchResourceLimits: a single request cannot demand an
-// unbounded page (stburst.MaxK caps K and Offset at validation time).
+// unbounded page (stburst.MaxK caps K and Offset at validation time) or
+// an unbounded body.
 func TestServerV1SearchResourceLimits(t *testing.T) {
 	c := serveCollection(t)
-	s := New(c, storeOf(t, c, c.MineAllRegional(nil, 0)), "")
+	s := New(c, storeOf(t, c, mustMine(c, stburst.KindRegional, nil)), "")
 	for _, body := range []string{
 		`{"text":"earthquake","k":500000000}`,
 		`{"text":"earthquake","k":5,"offset":4000000000}`,
@@ -448,6 +458,12 @@ func TestServerV1SearchResourceLimits(t *testing.T) {
 			t.Errorf("POST /v1/search %s = %d %v, want 400", body, code, out)
 		}
 	}
+	// Nor can it make the server buffer an unbounded body: the decoder
+	// stops reading at MaxBody and the answer is 413.
+	oversize := `{"text":"` + strings.Repeat("a", MaxBody) + `"}`
+	if code, out := postJSON(t, s, "/v1/search", oversize); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("POST /v1/search with a %d-byte body = %d %v, want 413", len(oversize), code, out)
+	}
 }
 
 // TestServerV1PatternsOpenEndedSpan: a one-sided from/to past the data
@@ -455,7 +471,7 @@ func TestServerV1SearchResourceLimits(t *testing.T) {
 // only an explicit from > to is rejected.
 func TestServerV1PatternsOpenEndedSpan(t *testing.T) {
 	c := serveCollection(t) // timeline 12
-	s := New(c, storeOf(t, c, c.MineAllRegional(nil, 0)), "")
+	s := New(c, storeOf(t, c, mustMine(c, stburst.KindRegional, nil)), "")
 	if code, body := get(t, s, "/v1/patterns/earthquake?from=100"); code != http.StatusNotFound {
 		t.Errorf("?from=100 (past the timeline) = %d %v, want 404", code, body)
 	}
@@ -558,7 +574,7 @@ func TestServerMultiKindSearch(t *testing.T) {
 // is 404, not 400 or an empty 200.
 func TestServerSearchKindNotResident(t *testing.T) {
 	c := serveCollection(t)
-	s := New(c, storeOf(t, c, c.MineAllRegional(nil, 0)), "")
+	s := New(c, storeOf(t, c, mustMine(c, stburst.KindRegional, nil)), "")
 	code, body := postJSON(t, s, "/v1/search", `{"text":"earthquake","kind":"temporal"}`)
 	if code != http.StatusNotFound {
 		t.Errorf("POST /v1/search kind=temporal on regional-only store = %d %v, want 404", code, body)
@@ -617,7 +633,7 @@ func TestServerReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Boot from a single-kind store, then reload into the full bundle.
-	regional := c.MineAllRegional(nil, 0)
+	regional := mustMine(c, stburst.KindRegional, nil)
 	s := New(c, storeOf(t, c, regional), path)
 
 	var wg sync.WaitGroup
@@ -674,7 +690,7 @@ func TestServerReload(t *testing.T) {
 // corrupt file is a 500 that leaves the old resident set serving.
 func TestServerReloadErrors(t *testing.T) {
 	c := serveCollection(t)
-	ix := c.MineAllRegional(nil, 0)
+	ix := mustMine(c, stburst.KindRegional, nil)
 	s := New(c, storeOf(t, c, ix), "")
 	if code, body := postJSON(t, s, "/v1/reload", ""); code != http.StatusConflict {
 		t.Errorf("reload without path = %d %v, want 409", code, body)
@@ -689,7 +705,7 @@ func TestServerReloadErrors(t *testing.T) {
 		t.Errorf("reload of corrupt file = %d %v, want 500", code, body)
 	}
 	// The old index still serves.
-	if code, _ := get(t, s, "/search?q=earthquake&k=3"); code != http.StatusOK {
+	if code, _ := postJSON(t, s, "/v1/search", `{"text":"earthquake","k":3}`); code != http.StatusOK {
 		t.Errorf("search after failed reload = %d, want 200", code)
 	}
 	code, body := get(t, s, "/v1/indexes")
@@ -718,7 +734,7 @@ func ingestServer(t *testing.T, flushDocs int) (*stburst.Collection, *stburst.St
 // sealed with 403, and nothing about the store changes.
 func TestServerDocumentsDisabled(t *testing.T) {
 	c := serveCollection(t)
-	s := New(c, storeOf(t, c, c.MineAllRegional(nil, 0)), "")
+	s := New(c, storeOf(t, c, mustMine(c, stburst.KindRegional, nil)), "")
 	docs := c.NumDocs()
 	code, body := postJSON(t, s, "/v1/documents",
 		`{"documents":[{"stream":"lima","time":3,"text":"volcano erupts"}]}`)

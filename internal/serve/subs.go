@@ -60,10 +60,6 @@ func (s *Server) requireSubs(w http.ResponseWriter) bool {
 	return true
 }
 
-// maxSubscriptionBody caps a POST /v1/subscriptions body; a predicate is
-// a handful of terms and a rectangle, never megabytes.
-const maxSubscriptionBody = 1 << 20
-
 // handleSubscriptionCreate answers POST /v1/subscriptions: the body is
 // the stburst.Subscription JSON shape minus the ID (the server assigns
 // it), validated and term-normalized by Store.Subscribe. 201 carries the
@@ -73,16 +69,7 @@ func (s *Server) handleSubscriptionCreate(w http.ResponseWriter, r *http.Request
 		return
 	}
 	var spec stburst.Subscription
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubscriptionBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("subscription body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "invalid subscription body: "+err.Error())
+	if !DecodeBody(w, r, MaxBody, "subscription", &spec) {
 		return
 	}
 	if spec.ID != 0 {

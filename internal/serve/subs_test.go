@@ -65,7 +65,7 @@ func do(t *testing.T, h http.Handler, method, url, body string) (int, map[string
 // standing-query route is sealed with 403 and registers nothing.
 func TestServerSubscriptionsDisabled(t *testing.T) {
 	c := serveCollection(t)
-	store := storeOf(t, c, c.MineAllRegional(nil, 0))
+	store := storeOf(t, c, mustMine(c, stburst.KindRegional, nil))
 	s := New(c, store, "")
 	routes := []struct{ method, url, body string }{
 		{http.MethodPost, "/v1/subscriptions", `{"terms":["earthquake"]}`},
@@ -480,7 +480,7 @@ func TestServerConcurrentIngestCRUDSSE(t *testing.T) {
 // unauthenticated surface must not become a blind-SSRF POST proxy.
 func TestServerRejectsPrivateWebhook(t *testing.T) {
 	c := serveCollection(t)
-	store := storeOf(t, c, c.MineAllRegional(nil, 0))
+	store := storeOf(t, c, mustMine(c, stburst.KindRegional, nil))
 	s := New(c, store, "")
 	s.EnableSubscriptions(sub.DispatcherOptions{Retries: 1, Backoff: time.Millisecond})
 	t.Cleanup(s.CloseSubscriptions)

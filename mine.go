@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"stburst/internal/index"
+	"stburst/internal/interval"
 	"stburst/internal/search"
 )
 
@@ -33,35 +34,25 @@ const (
 // Kinds lists the concrete pattern kinds in canonical (regional,
 // combinatorial, temporal) order — the fan-out and serialization order
 // used by Store and the bundle format.
-func Kinds() []Kind { return []Kind{KindRegional, KindCombinatorial, KindTemporal} }
-
-// patternKind maps a concrete kind onto the internal pattern-set kind.
-// It reports false for KindAny and out-of-range values, which name no
-// single pattern type.
-func (k Kind) patternKind() (index.PatternKind, bool) {
-	switch k {
-	case KindRegional:
-		return index.KindRegional, true
-	case KindCombinatorial:
-		return index.KindCombinatorial, true
-	case KindTemporal:
-		return index.KindTemporal, true
+func Kinds() []Kind {
+	out := make([]Kind, index.NumKinds)
+	for i := range out {
+		out[i] = kindOf(index.PatternKind(i))
 	}
-	return 0, false
+	return out
+}
+
+// patternKind maps a concrete kind onto the internal pattern-set kind:
+// the public enum is the kind table's shifted by one, leaving the zero
+// value to KindAny. It reports false for KindAny and out-of-range
+// values, which name no single pattern type.
+func (k Kind) patternKind() (index.PatternKind, bool) {
+	pk := index.PatternKind(k - 1)
+	return pk, pk.Valid()
 }
 
 // kindOf lifts an internal pattern-set kind back into the public enum.
-func kindOf(pk index.PatternKind) Kind {
-	switch pk {
-	case index.KindRegional:
-		return KindRegional
-	case index.KindCombinatorial:
-		return KindCombinatorial
-	case index.KindTemporal:
-		return KindTemporal
-	}
-	return KindAny
-}
+func kindOf(pk index.PatternKind) Kind { return Kind(pk) + 1 }
 
 // String returns the kind's name: "any", "regional", "combinatorial" or
 // "temporal".
@@ -69,26 +60,18 @@ func (k Kind) String() string {
 	if k == KindAny {
 		return "any"
 	}
-	pk, ok := k.patternKind()
-	if !ok {
-		return "unknown"
-	}
-	return pk.String()
+	return index.PatternKind(k - 1).String()
 }
 
 // ParseKind resolves a kind name, accepting the pattern names (regional,
 // combinatorial, temporal), the paper's miner names (stlocal, stcomb,
 // tb) the CLI tools historically used, and "any" for the Store fan-out.
 func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "any":
+	if s == "any" {
 		return KindAny, nil
-	case "regional", "stlocal":
-		return KindRegional, nil
-	case "combinatorial", "stcomb":
-		return KindCombinatorial, nil
-	case "temporal", "tb":
-		return KindTemporal, nil
+	}
+	if pk, ok := index.ParseKind(s); ok {
+		return kindOf(pk), nil
 	}
 	return 0, fmt.Errorf("stburst: unknown pattern kind %q (want any, regional/stlocal, combinatorial/stcomb or temporal/tb)", s)
 }
@@ -166,39 +149,49 @@ func WithCombinatorial(o *CombinatorialOptions) MineOption {
 	return func(mo *MineOptions) { mo.Combinatorial = o }
 }
 
+// core translates the options into the per-kind miners' own.
+func (o *MineOptions) core() *index.MineOptions {
+	return &index.MineOptions{Local: o.Regional.coreOptions(), Comb: o.Combinatorial.coreOptions()}
+}
+
 // Mine mines patterns of the given kind for every term of the corpus and
-// returns the resulting pattern index — the unified, cancellable entry
-// point behind the MineAll* convenience methods. The vocabulary is fanned
-// out across a bounded worker pool; any parallelism yields bit-identical
+// returns the resulting pattern index. The vocabulary is fanned out
+// across a bounded worker pool; any parallelism yields bit-identical
 // output (each term is mined independently on a private miner). A
 // cancelled context stops dispatching further terms and returns ctx.Err()
 // promptly — mining already in flight finishes its current term first. A
 // nil opts mines with the paper's defaults on one worker per CPU.
 func (c *Collection) Mine(ctx context.Context, kind Kind, opts *MineOptions) (*PatternIndex, error) {
+	if _, ok := kind.patternKind(); !ok {
+		return nil, fmt.Errorf("stburst: Mine needs a concrete pattern kind, got %v (use MineStore to mine every kind)", kind)
+	}
+	ixs, err := c.mine(ctx, []Kind{kind}, opts)
+	if err != nil {
+		return nil, err
+	}
+	return ixs[0], nil
+}
+
+// mine mines the given concrete kinds in one pass over a single shared
+// worker pool and returns one index per kind, in order.
+func (c *Collection) mine(ctx context.Context, kinds []Kind, opts *MineOptions) ([]*PatternIndex, error) {
 	if opts == nil {
 		opts = &MineOptions{}
 	}
-	switch kind {
-	case KindRegional:
-		windows, err := search.MineWindowsParCtx(ctx, c.col, opts.Regional.coreOptions(), opts.Parallelism)
-		if err != nil {
-			return nil, err
-		}
-		return &PatternIndex{c: c, set: index.NewWindowSet(windows)}, nil
-	case KindCombinatorial:
-		patterns, err := search.MineCombPatternsParCtx(ctx, c.col, opts.Combinatorial.coreOptions(), opts.Parallelism)
-		if err != nil {
-			return nil, err
-		}
-		return &PatternIndex{c: c, set: index.NewCombSet(patterns)}, nil
-	case KindTemporal:
-		temporal, err := search.MineTemporalParCtx(ctx, c.col, nil, opts.Parallelism)
-		if err != nil {
-			return nil, err
-		}
-		return &PatternIndex{c: c, set: index.NewTemporalSet(temporal)}, nil
+	empty := make([]*index.PatternSet, len(kinds))
+	for i, k := range kinds {
+		pk, _ := k.patternKind()
+		empty[i] = index.EmptySet(pk)
 	}
-	return nil, fmt.Errorf("stburst: Mine needs a concrete pattern kind, got %v (use MineStore to mine every kind)", kind)
+	sets, err := search.MineSets(ctx, c.col, c.col.Terms(), empty, opts.core(), opts.Parallelism)
+	if err != nil {
+		return nil, err
+	}
+	ixs := make([]*PatternIndex, len(sets))
+	for i, set := range sets {
+		ixs[i] = &PatternIndex{c: c, set: set}
+	}
+	return ixs, nil
 }
 
 // MineStore mines all three pattern kinds in one pass over a single
@@ -209,11 +202,7 @@ func (c *Collection) Mine(ctx context.Context, kind Kind, opts *MineOptions) (*P
 // bit-identical indexes. A nil opts mines with the paper's defaults on
 // one worker per CPU.
 func (c *Collection) MineStore(ctx context.Context, opts *MineOptions) (*Store, error) {
-	if opts == nil {
-		opts = &MineOptions{}
-	}
-	windows, combs, temporal, err := search.MineAllKindsParCtx(ctx, c.col,
-		opts.Regional.coreOptions(), opts.Combinatorial.coreOptions(), nil, opts.Parallelism)
+	ixs, err := c.mine(ctx, Kinds(), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -221,11 +210,7 @@ func (c *Collection) MineStore(ctx context.Context, opts *MineOptions) (*Store, 
 	// Record the mining options so Store.Ingest re-mines dirty terms
 	// with exactly the parameters the resident indexes were mined with.
 	s.SetMineOptions(opts)
-	for _, ix := range []*PatternIndex{
-		{c: c, set: index.NewWindowSet(windows)},
-		{c: c, set: index.NewCombSet(combs)},
-		{c: c, set: index.NewTemporalSet(temporal)},
-	} {
+	for _, ix := range ixs {
 		if _, err := s.Swap(ix.PatternKind(), ix); err != nil {
 			return nil, err
 		}
@@ -235,9 +220,9 @@ func (c *Collection) MineStore(ctx context.Context, opts *MineOptions) (*Store, 
 
 // PatternIndex is a cached, query-ready store of spatiotemporal patterns
 // mined across the entire corpus vocabulary, keyed by term. It is built
-// once by the batch miners (MineAllRegional, MineAllCombinatorial,
-// MineAllTemporal) and consulted afterwards by both the per-term accessors
-// and the search engine, so repeated queries never re-mine the corpus.
+// once by Collection.Mine (or MineStore) and consulted afterwards by both
+// the per-term accessors and the search engine, so repeated queries never
+// re-mine the corpus.
 //
 // A PatternIndex is immutable after construction and safe for concurrent
 // use from any number of goroutines.
@@ -250,39 +235,6 @@ type PatternIndex struct {
 
 	fpOnce sync.Once
 	fp     string
-}
-
-// MineAllRegional mines STLocal regional patterns for every term of the
-// corpus and returns the resulting pattern index: Mine with KindRegional,
-// a background context, and positional options. parallelism < 1 uses one
-// worker per CPU, 1 reproduces the sequential loop exactly, and any value
-// yields bit-identical output (each term is mined independently on a
-// private miner whose baselines come from the options' factory). A nil
-// opts uses the paper's defaults.
-func (c *Collection) MineAllRegional(opts *RegionalOptions, parallelism int) *PatternIndex {
-	ix, _ := c.Mine(context.Background(), KindRegional,
-		&MineOptions{Regional: opts, Parallelism: parallelism})
-	return ix
-}
-
-// MineAllCombinatorial mines STComb combinatorial patterns for every term
-// of the corpus and returns the resulting pattern index: Mine with
-// KindCombinatorial and a background context. Parallelism semantics match
-// MineAllRegional. A nil opts uses the paper's defaults.
-func (c *Collection) MineAllCombinatorial(opts *CombinatorialOptions, parallelism int) *PatternIndex {
-	ix, _ := c.Mine(context.Background(), KindCombinatorial,
-		&MineOptions{Combinatorial: opts, Parallelism: parallelism})
-	return ix
-}
-
-// MineAllTemporal extracts every term's bursty temporal intervals on the
-// merged stream (the temporal-only TB system of §6.3) and returns the
-// resulting pattern index: Mine with KindTemporal and a background
-// context. Parallelism semantics match MineAllRegional.
-func (c *Collection) MineAllTemporal(parallelism int) *PatternIndex {
-	ix, _ := c.Mine(context.Background(), KindTemporal,
-		&MineOptions{Parallelism: parallelism})
-	return ix
 }
 
 // Kind names the pattern type the index stores: "regional",
@@ -347,6 +299,54 @@ func (ix *PatternIndex) TemporalBursts(term string) []TemporalInterval {
 	return ix.set.Temporal(id)
 }
 
+// Pattern is one stored pattern of any kind, as the kind-independent
+// union of the fields the kinds store. Every pattern has a timeframe
+// [Start, End] and a score; Rect is set for kinds that store a region
+// (regional), Streams for kinds that store member streams (regional,
+// combinatorial) and Intervals for kinds that store each member stream's
+// contributing interval (combinatorial). The slices and the rectangle
+// alias the index's shared storage; callers must not modify them.
+type Pattern struct {
+	Kind       Kind
+	Start, End int
+	Score      float64
+	Rect       *Rect
+	Streams    []int
+	Intervals  []interval.Interval
+}
+
+// Patterns returns the stored patterns of a term, whatever the index's
+// kind, restricted to those intersecting the region and/or timeframe
+// (nil filters match everything) under exactly the notion Query's
+// Region/Time post-filter uses: regional windows intersect through
+// their rectangle, combinatorial patterns through their member streams'
+// locations, temporal intervals through their timeframe only. It is nil
+// for terms without matching patterns.
+func (ix *PatternIndex) Patterns(term string, region *Rect, time *Timespan) []Pattern {
+	id, ok := ix.c.col.Dict().Lookup(ix.c.normalize(term))
+	if !ok {
+		return nil
+	}
+	var points []Point // only a region filter consults stream locations
+	if region != nil {
+		points = ix.c.col.Points()
+	}
+	views := ix.set.Matching(id, points, region, time.internal())
+	if len(views) == 0 {
+		return nil
+	}
+	kind, layout := ix.PatternKind(), ix.set.Kind().Desc()
+	out := make([]Pattern, len(views))
+	for i := range views {
+		v := &views[i]
+		out[i] = Pattern{Kind: kind, Start: v.Start, End: v.End, Score: v.Score, Streams: v.Streams, Intervals: v.Intervals}
+		if layout.Rect {
+			out[i].Rect = &v.Rect
+		}
+	}
+	return out
+}
+
 // Fingerprint returns a hex SHA-256 digest over a canonical serialization
 // of the whole index. Equal fingerprints mean byte-identical pattern
 // content; the concurrency suite uses it to assert determinism across
@@ -362,7 +362,7 @@ func (ix *PatternIndex) Fingerprint() string {
 // (see DESIGN.md for the layout): the patterns of every term, the term
 // strings themselves, and a canonical SHA-256 fingerprint footer that
 // LoadPatternIndex verifies on the way back in. Snapshots are the
-// mine-once/serve-many pipeline: mine the corpus with MineAll*, Save the
+// mine-once/serve-many pipeline: mine the corpus with Mine, Save the
 // index, and every serving process loads it in milliseconds instead of
 // re-mining the vocabulary at boot.
 func (ix *PatternIndex) Save(w io.Writer) error {
@@ -373,7 +373,7 @@ func (ix *PatternIndex) Save(w io.Writer) error {
 // is written to a temp file in the destination directory and renamed
 // over the target, so an interrupted save never leaves a truncated file.
 func (ix *PatternIndex) SaveFile(path string) error {
-	return index.WriteSnapshotFile(path, ix.set, ix.c.col.Dict().Term)
+	return index.WriteFileAtomic(path, ix.Save)
 }
 
 // LoadPatternIndex reads a snapshot written by PatternIndex.Save and

@@ -164,10 +164,10 @@ func TestNilOptionsEndToEnd(t *testing.T) {
 	if len(c.CombinatorialPatterns("earthquake", nil)) == 0 {
 		t.Fatal("nil combinatorial options found nothing")
 	}
-	if c.MineAllRegional(nil, 2).NumPatterns() == 0 {
+	if mustMine(c, KindRegional, &MineOptions{Parallelism: 2}).NumPatterns() == 0 {
 		t.Fatal("nil batch regional options found nothing")
 	}
-	if c.MineAllCombinatorial(nil, 2).NumPatterns() == 0 {
+	if mustMine(c, KindCombinatorial, &MineOptions{Parallelism: 2}).NumPatterns() == 0 {
 		t.Fatal("nil batch combinatorial options found nothing")
 	}
 	// Clamped parameters survive a real mining pass end-to-end.

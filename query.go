@@ -21,6 +21,14 @@ func (ts Timespan) Overlaps(start, end int) bool {
 	return start <= ts.End && ts.Start <= end
 }
 
+// internal converts the span to the engine layer's form; nil stays nil.
+func (ts *Timespan) internal() *search.Timespan {
+	if ts == nil {
+		return nil
+	}
+	return &search.Timespan{Start: ts.Start, End: ts.End}
+}
+
 // Query is a structured spatiotemporal search request, the first-class
 // way to ask the §5 retrieval model for "bursty documents about X, in
 // this region, during this timeframe".
@@ -137,9 +145,7 @@ func (e *Engine) Run(ctx context.Context, q Query) (ResultPage, error) {
 		r := *q.Region
 		sq.Region = &r
 	}
-	if q.Time != nil {
-		sq.Span = &search.Timespan{Start: q.Time.Start, End: q.Time.End}
-	}
+	sq.Span = q.Time.internal()
 	if len(q.Terms) > 0 {
 		ids, ok := e.resolveTerms(q.Terms)
 		if !ok {

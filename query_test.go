@@ -91,7 +91,7 @@ func TestQueryValidate(t *testing.T) {
 func mineKinds(t *testing.T, c *Collection) map[Kind]*PatternIndex {
 	t.Helper()
 	out := make(map[Kind]*PatternIndex)
-	for _, kind := range []Kind{KindRegional, KindCombinatorial, KindTemporal} {
+	for _, kind := range Kinds() {
 		ix, err := c.Mine(context.Background(), kind, nil)
 		if err != nil {
 			t.Fatalf("Mine(%v): %v", kind, err)
@@ -455,33 +455,35 @@ func TestMineCancelled(t *testing.T) {
 	}
 }
 
-// TestMineMatchesBatchMiners: the unified entry point reproduces the
-// MineAll* convenience miners bit for bit, for every kind and option
-// style.
+// TestMineMatchesBatchMiners: mining one kind reproduces, bit for bit,
+// that kind's member of the one-pass all-kinds miner under the same
+// options — for every kind and option style.
 func TestMineMatchesBatchMiners(t *testing.T) {
 	c := twoBurstCollection(t)
 	ctx := context.Background()
 	cases := []struct {
 		kind Kind
 		opts *MineOptions
-		want *PatternIndex
 	}{
-		{KindRegional, nil, c.MineAllRegional(nil, 0)},
-		{KindRegional, NewMineOptions(WithParallelism(1)), c.MineAllRegional(nil, 1)},
-		{KindRegional, NewMineOptions(WithRegional(&RegionalOptions{Baseline: BaselineEWMA})),
-			c.MineAllRegional(&RegionalOptions{Baseline: BaselineEWMA}, 0)},
-		{KindCombinatorial, nil, c.MineAllCombinatorial(nil, 0)},
-		{KindCombinatorial, NewMineOptions(WithCombinatorial(&CombinatorialOptions{MaxPatterns: 2})),
-			c.MineAllCombinatorial(&CombinatorialOptions{MaxPatterns: 2}, 0)},
-		{KindTemporal, nil, c.MineAllTemporal(0)},
+		{KindRegional, nil},
+		{KindRegional, NewMineOptions(WithParallelism(1))},
+		{KindRegional, &MineOptions{Regional: &RegionalOptions{Baseline: BaselineEWMA}}},
+		{KindRegional, NewMineOptions(WithRegional(&RegionalOptions{Baseline: BaselineEWMA}))},
+		{KindCombinatorial, nil},
+		{KindCombinatorial, NewMineOptions(WithCombinatorial(&CombinatorialOptions{MaxPatterns: 2}))},
+		{KindTemporal, nil},
 	}
 	for _, tc := range cases {
 		ix, err := c.Mine(ctx, tc.kind, tc.opts)
 		if err != nil {
 			t.Fatalf("Mine(%v): %v", tc.kind, err)
 		}
-		if ix.Fingerprint() != tc.want.Fingerprint() {
-			t.Errorf("Mine(%v, %+v) fingerprint diverges from the batch miner", tc.kind, tc.opts)
+		store, err := c.MineStore(ctx, tc.opts)
+		if err != nil {
+			t.Fatalf("MineStore: %v", err)
+		}
+		if ix.Fingerprint() != store.Index(tc.kind).Fingerprint() {
+			t.Errorf("Mine(%v, %+v) fingerprint diverges from the all-kinds miner", tc.kind, tc.opts)
 		}
 	}
 	if _, err := c.Mine(ctx, Kind(99), nil); err == nil {

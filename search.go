@@ -22,48 +22,13 @@ type Hit struct {
 // Engine is a bursty-document search engine (§5 of the paper): it
 // retrieves documents that are both relevant to the query and inside
 // mined spatiotemporal burstiness patterns. Build one with
-// Collection.Mine (or the MineAll* batch miners) and PatternIndex.Engine;
-// structured queries — including Region/Time filters, pagination and
-// score thresholds — go through Run, and Search remains the free-text
-// convenience wrapper.
+// Collection.Mine and PatternIndex.Engine; structured queries — including
+// Region/Time filters, pagination and score thresholds — go through Run,
+// and Search remains the free-text convenience wrapper.
 type Engine struct {
 	c    *Collection
 	eng  *search.Engine
 	kind Kind // the concrete pattern kind the engine serves
-}
-
-// NewRegionalEngine builds a search engine over STLocal regional
-// patterns, mining every term of the collection in parallel (one worker
-// per CPU; the output is identical to the sequential loop). A nil opts
-// uses the paper's defaults.
-//
-// Deprecated: use Collection.Mine with KindRegional — it is cancellable,
-// reports errors, and returns the PatternIndex so the mined patterns can
-// be reused and saved; its Engine method (or PatternIndex.Query) answers
-// searches. NewRegionalEngine mines with a background context and
-// discards the index.
-func NewRegionalEngine(c *Collection, opts *RegionalOptions) *Engine {
-	return c.MineAllRegional(opts, 0).Engine()
-}
-
-// NewCombinatorialEngine builds a search engine over STComb combinatorial
-// patterns, mining every term of the collection in parallel. A nil opts
-// uses the paper's defaults.
-//
-// Deprecated: use Collection.Mine with KindCombinatorial. See
-// NewRegionalEngine for the rationale.
-func NewCombinatorialEngine(c *Collection, opts *CombinatorialOptions) *Engine {
-	return c.MineAllCombinatorial(opts, 0).Engine()
-}
-
-// NewTemporalEngine builds the temporal-only comparison engine (the TB
-// system of §6.3): burstiness is mined on the merged stream, in parallel,
-// and the documents' origins are disregarded.
-//
-// Deprecated: use Collection.Mine with KindTemporal. See
-// NewRegionalEngine for the rationale.
-func NewTemporalEngine(c *Collection) *Engine {
-	return c.MineAllTemporal(0).Engine()
 }
 
 // Search retrieves the top-k documents for a free-text query. Documents

@@ -16,9 +16,9 @@ import (
 func mineEachKind(tb testing.TB, c *Collection) map[string]*PatternIndex {
 	tb.Helper()
 	return map[string]*PatternIndex{
-		"regional":      c.MineAllRegional(nil, 0),
-		"combinatorial": c.MineAllCombinatorial(nil, 0),
-		"temporal":      c.MineAllTemporal(0),
+		"regional":      mustMine(c, KindRegional, nil),
+		"combinatorial": mustMine(c, KindCombinatorial, nil),
+		"temporal":      mustMine(c, KindTemporal, nil),
 	}
 }
 
@@ -61,7 +61,7 @@ func TestPatternIndexSaveLoadFingerprint(t *testing.T) {
 func TestLoadPatternIndexRejectsDamage(t *testing.T) {
 	c := synthCollection(t, 6, 30, 9)
 	var buf bytes.Buffer
-	if err := c.MineAllRegional(nil, 0).Save(&buf); err != nil {
+	if err := mustMine(c, KindRegional, nil).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -85,7 +85,7 @@ func TestLoadPatternIndexRejectsDamage(t *testing.T) {
 func TestLoadPatternIndexForeignCollection(t *testing.T) {
 	c := synthCollection(t, 6, 30, 9)
 	var buf bytes.Buffer
-	if err := c.MineAllRegional(nil, 0).Save(&buf); err != nil {
+	if err := mustMine(c, KindRegional, nil).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	other := NewCollection([]StreamInfo{{Name: "solo"}}, 4)
@@ -102,7 +102,7 @@ func TestLoadPatternIndexForeignCollection(t *testing.T) {
 // like the index it was saved from, without re-mining anything.
 func TestLoadedIndexServesLikeMined(t *testing.T) {
 	c := synthCollection(t, 8, 40, 12)
-	mined := c.MineAllRegional(nil, 0)
+	mined := mustMine(c, KindRegional, nil)
 	var buf bytes.Buffer
 	if err := mined.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestLoadCorpusRoundTripsSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mined := c1.MineAllTemporal(0)
+	mined := mustMine(c1, KindTemporal, nil)
 	var buf bytes.Buffer
 	if err := mined.Save(&buf); err != nil {
 		t.Fatal(err)

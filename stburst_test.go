@@ -1,8 +1,19 @@
 package stburst
 
 import (
+	"context"
 	"testing"
 )
+
+// mustMine is Collection.Mine on a background context; mining an
+// in-memory test corpus cannot fail.
+func mustMine(c *Collection, kind Kind, opts *MineOptions) *PatternIndex {
+	ix, err := c.Mine(context.Background(), kind, opts)
+	if err != nil {
+		panic(err)
+	}
+	return ix
+}
 
 // demoCollection: two nearby cities and one far city over 10 weeks, with
 // a localized "earthquake" burst in the nearby pair at weeks 4-6.
@@ -187,7 +198,7 @@ func TestCombinatorialMinerStreaming(t *testing.T) {
 
 func TestRegionalEngineSearch(t *testing.T) {
 	c := demoCollection(t)
-	e := NewRegionalEngine(c, nil)
+	e := mustMine(c, KindRegional, nil).Engine()
 	hits := e.Search("earthquake", 5)
 	if len(hits) == 0 {
 		t.Fatal("no hits")
@@ -212,7 +223,7 @@ func TestRegionalEngineSearch(t *testing.T) {
 
 func TestCombinatorialEngineSearch(t *testing.T) {
 	c := demoCollection(t)
-	e := NewCombinatorialEngine(c, nil)
+	e := mustMine(c, KindCombinatorial, nil).Engine()
 	hits := e.Search("earthquake", 5)
 	if len(hits) == 0 {
 		t.Fatal("no hits")
@@ -226,7 +237,7 @@ func TestCombinatorialEngineSearch(t *testing.T) {
 
 func TestTemporalEngineSearch(t *testing.T) {
 	c := demoCollection(t)
-	e := NewTemporalEngine(c)
+	e := mustMine(c, KindTemporal, nil).Engine()
 	hits := e.Search("earthquake", 10)
 	if len(hits) == 0 {
 		t.Fatal("no hits")
@@ -242,7 +253,7 @@ func TestTemporalEngineSearch(t *testing.T) {
 
 func TestMultiTermSearch(t *testing.T) {
 	c := demoCollection(t)
-	e := NewRegionalEngine(c, nil)
+	e := mustMine(c, KindRegional, nil).Engine()
 	hits := e.Search("earthquake damage", 5)
 	for _, h := range hits {
 		// "damage" appears only in lima's docs.

@@ -9,8 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"stburst/internal/burst"
-	"stburst/internal/core"
 	"stburst/internal/corpusio"
 	"stburst/internal/index"
 	"stburst/internal/search"
@@ -43,7 +41,7 @@ var ErrKindNotResident = errors.New("stburst: pattern kind not resident in store
 // serving layer hands to clients.
 type Store struct {
 	c       *Collection
-	indexes atomic.Pointer[[3]*PatternIndex] // slot k-1 holds the index of concrete kind k
+	indexes atomic.Pointer[residentSet]
 	gen     atomic.Uint64
 	// writeMu serializes every writer — Swap, Replace, and Ingest end to
 	// end (snapshot → append → re-mine → install) — plus Save's
@@ -83,12 +81,17 @@ type Store struct {
 	alertSink atomic.Pointer[AlertSink]
 }
 
+// residentSet holds the resident index of each concrete kind, in
+// canonical kind order (slot maps a kind to its position); nil marks a
+// kind that is not resident.
+type residentSet [index.NumKinds]*PatternIndex
+
 // NewStore creates an empty store over the collection. Populate it with
 // Swap or Replace, or mine all kinds in one pass with
 // Collection.MineStore.
 func NewStore(c *Collection) *Store {
 	s := &Store{c: c, shard: ShardInfo{Shards: 1}, subs: sub.NewRegistry()}
-	s.indexes.Store(new([3]*PatternIndex))
+	s.indexes.Store(new(residentSet))
 	return s
 }
 
@@ -98,16 +101,7 @@ func NewStore(c *Collection) *Store {
 // holds only the terms that hash to its shard under Scheme;
 // CorpusFingerprint is the checksum of the corpus the shard set was
 // mined from, shared by every member of the set.
-type ShardInfo struct {
-	Shard             int
-	Shards            int
-	Scheme            string
-	CorpusFingerprint string
-}
-
-// Sharded reports whether the store holds a true slice of a larger
-// partition rather than the whole vocabulary.
-func (si ShardInfo) Sharded() bool { return si.Shards > 1 }
+type ShardInfo = index.ShardInfo
 
 // TermShard returns the shard index owning a term under the canonical
 // vocabulary partition (the fnv1a64/term scheme stmine -shards writes).
@@ -140,10 +134,11 @@ func (s *Store) Collection() *Collection { return s.c }
 
 // slot maps a concrete kind to its array slot.
 func slot(kind Kind) (int, error) {
-	if _, ok := kind.patternKind(); !ok {
+	pk, ok := kind.patternKind()
+	if !ok {
 		return 0, fmt.Errorf("stburst: store slots hold concrete pattern kinds, not %v", kind)
 	}
-	return int(kind) - 1, nil
+	return int(pk), nil
 }
 
 // checkResident validates an index against the slot it is headed for:
@@ -205,7 +200,7 @@ func (s *Store) Replace(ixs ...*PatternIndex) error {
 
 // replaceLocked is Replace's body; callers hold writeMu.
 func (s *Store) replaceLocked(ixs ...*PatternIndex) error {
-	var next [3]*PatternIndex
+	var next residentSet
 	for _, ix := range ixs {
 		if ix == nil {
 			return errors.New("stburst: Replace: nil index (omit the kind instead)")
@@ -253,10 +248,9 @@ func (s *Store) Kinds() []Kind {
 // Kinds()/Index() loop, the result can never interleave two
 // generations across a concurrent Swap or Replace.
 func (s *Store) Resident() []*PatternIndex {
-	resident := s.indexes.Load()
 	var out []*PatternIndex
-	for _, k := range Kinds() {
-		if ix := resident[int(k)-1]; ix != nil {
+	for _, ix := range s.indexes.Load() {
+		if ix != nil {
 			out = append(out, ix)
 		}
 	}
@@ -302,14 +296,13 @@ func (s *Store) Query(ctx context.Context, q Query) (ResultPage, error) {
 	var merged []Hit
 	more := false
 	queried := false
-	for _, kind := range Kinds() {
-		ix := resident[int(kind)-1]
+	for _, ix := range resident {
 		if ix == nil {
 			continue
 		}
 		queried = true
 		sub := q
-		sub.Kind = kind
+		sub.Kind = ix.PatternKind()
 		sub.K = need
 		sub.Offset = 0
 		page, err := ix.Query(ctx, sub)
@@ -517,67 +510,33 @@ func (s *Store) Ingest(ctx context.Context, docs []IncomingDocument) (IngestResu
 // deserves. The shared back half of Ingest and AttachWAL's boot-time
 // replay: both must refresh identically for a replayed store to be
 // bit-identical to the pre-crash one.
-func (s *Store) refreshLocked(ctx context.Context, resident *[3]*PatternIndex, dirty []int) (bool, error) {
+func (s *Store) refreshLocked(ctx context.Context, resident *residentSet, dirty []int) (bool, error) {
 	opts := s.mineOpts.Load()
 	if opts == nil {
 		opts = &MineOptions{}
 	}
-	var (
-		prevW map[int][]core.Window
-		prevC map[int][]core.CombPattern
-		prevT map[int][]burst.Interval
-	)
-	if ix := resident[int(KindRegional)-1]; ix != nil {
-		prevW = ix.set.AllWindows()
+	var prev []*index.PatternSet
+	for _, ix := range resident {
+		if ix != nil {
+			prev = append(prev, ix.set)
+		}
 	}
-	if ix := resident[int(KindCombinatorial)-1]; ix != nil {
-		prevC = ix.set.AllCombs()
-	}
-	if ix := resident[int(KindTemporal)-1]; ix != nil {
-		prevT = ix.set.AllTemporal()
-	}
-	if prevW == nil && prevC == nil && prevT == nil {
+	if len(prev) == 0 {
 		return false, nil
 	}
-	w, cb, tp, err := search.RemineDirtyParCtx(ctx, s.c.col, dirty,
-		prevW, prevC, prevT,
-		opts.Regional.coreOptions(), opts.Combinatorial.coreOptions(), nil, opts.Parallelism)
+	sets, err := search.MineSets(ctx, s.c.col, dirty, prev, opts.core(), opts.Parallelism)
 	if err != nil {
 		return true, err
 	}
-	var fresh []*PatternIndex
-	if w != nil {
-		fresh = append(fresh, &PatternIndex{c: s.c, set: index.NewWindowSet(w)})
-	}
-	if cb != nil {
-		fresh = append(fresh, &PatternIndex{c: s.c, set: index.NewCombSet(cb)})
-	}
-	if tp != nil {
-		fresh = append(fresh, &PatternIndex{c: s.c, set: index.NewTemporalSet(tp)})
-	}
-	for _, ix := range fresh {
-		ix.Engine() // warm before the swap: no query pays the build
+	fresh := make([]*PatternIndex, len(sets))
+	for i, set := range sets {
+		fresh[i] = &PatternIndex{c: s.c, set: set}
+		fresh[i].Engine() // warm before the swap: no query pays the build
 	}
 	if err := s.replaceLocked(fresh...); err != nil {
 		return true, err
 	}
 	return true, nil
-}
-
-// residentSets returns the pattern sets of the resident indexes in
-// canonical kind order — the bundle member order.
-func (s *Store) residentSets() ([]*index.PatternSet, error) {
-	resident := s.indexes.Load()
-	var sets []*index.PatternSet
-	for _, k := range Kinds() {
-		if ix := resident[int(k)-1]; ix != nil {
-			sets = append(sets, ix.set)
-		}
-	}
-	if len(sets) == 0 {
-		return nil, errors.New("stburst: cannot save an empty store")
-	}
-	return sets, nil
 }
 
 // Save serializes every resident index into one versioned bundle: a
@@ -604,42 +563,36 @@ func (s *Store) residentSets() ([]*index.PatternSet, error) {
 // ingested while the bundle was being serialized stays logged until a
 // later save covers it.
 func (s *Store) Save(w io.Writer) error {
+	return s.save(func(b *index.Bundle) error { return b.Write(w, s.c.col.Dict().Term) })
+}
+
+// save is the shared body of Save and SaveFile: snapshot the resident
+// sets, generation, subscriptions and WAL boundary under writeMu, hand
+// the bundle to write outside it (ingestion continues underneath), and
+// rotate the log once the bundle is out.
+func (s *Store) save(write func(*index.Bundle) error) error {
+	b := &index.Bundle{Shard: s.shard}
 	s.writeMu.Lock()
-	sets, err := s.residentSets()
-	gen := s.Generation()
-	l, walBoundary := s.walSnapshotLocked()
-	var subBlobs [][]byte
-	if err == nil {
-		subBlobs, err = s.subscriptionBlobs()
+	for _, ix := range s.indexes.Load() {
+		if ix != nil {
+			b.Sets = append(b.Sets, ix.set)
+		}
 	}
+	b.Generation = s.Generation()
+	l, walBoundary := s.walSnapshotLocked()
+	var err error
+	b.Subs, err = s.subscriptionBlobs()
 	s.writeMu.Unlock()
 	if err != nil {
 		return err
 	}
-	if err := s.writeBundle(func(info index.ShardInfo) error {
-		if len(subBlobs) > 0 {
-			return index.WriteBundleSubs(w, sets, s.c.col.Dict().Term, gen, info, subBlobs)
-		}
-		if info.Shards > 1 {
-			return index.WriteBundleSharded(w, sets, s.c.col.Dict().Term, gen, info)
-		}
-		return index.WriteBundle(w, sets, s.c.col.Dict().Term, gen)
-	}); err != nil {
+	if len(b.Sets) == 0 {
+		return errors.New("stburst: cannot save an empty store")
+	}
+	if err := write(b); err != nil {
 		return err
 	}
 	return s.rotateWAL(l, walBoundary)
-}
-
-// writeBundle invokes write with the store's shard identity in the
-// bundle codec's terms, so a re-saved shard store keeps its shard block
-// (and an unsharded store keeps the plain portable format).
-func (s *Store) writeBundle(write func(index.ShardInfo) error) error {
-	return write(index.ShardInfo{
-		Shard:             s.shard.Shard,
-		Shards:            s.shard.Shards,
-		Scheme:            s.shard.Scheme,
-		CorpusFingerprint: s.shard.CorpusFingerprint,
-	})
 }
 
 // walSnapshotLocked captures, under writeMu, the attached log together
@@ -754,30 +707,7 @@ func (s *Store) absorbWAL(l *wal.Log, boundary uint64) error {
 // Like Save, a successful SaveFile rotates the attached write-ahead
 // log.
 func (s *Store) SaveFile(path string) error {
-	s.writeMu.Lock()
-	sets, err := s.residentSets()
-	gen := s.Generation()
-	l, walBoundary := s.walSnapshotLocked()
-	var subBlobs [][]byte
-	if err == nil {
-		subBlobs, err = s.subscriptionBlobs()
-	}
-	s.writeMu.Unlock()
-	if err != nil {
-		return err
-	}
-	if err := s.writeBundle(func(info index.ShardInfo) error {
-		if len(subBlobs) > 0 {
-			return index.WriteBundleSubsFile(path, sets, s.c.col.Dict().Term, gen, info, subBlobs)
-		}
-		if info.Shards > 1 {
-			return index.WriteBundleShardedFile(path, sets, s.c.col.Dict().Term, gen, info)
-		}
-		return index.WriteBundleFile(path, sets, s.c.col.Dict().Term, gen)
-	}); err != nil {
-		return err
-	}
-	return s.rotateWAL(l, walBoundary)
+	return s.save(func(b *index.Bundle) error { return b.WriteFile(path, s.c.col.Dict().Term) })
 }
 
 // LoadStore reads a store from r and attaches it to a collection
@@ -792,12 +722,12 @@ func (s *Store) SaveFile(path string) error {
 // collection. Any failure is an error; no partially loaded store is
 // returned.
 func LoadStore(r io.Reader, c *Collection) (*Store, error) {
-	snaps, gen, si, subBlobs, err := index.ReadStoreSubs(r)
+	b, err := index.ReadStore(r)
 	if err != nil {
 		return nil, fmt.Errorf("stburst: loading store: %w", err)
 	}
-	ixs := make([]*PatternIndex, len(snaps))
-	for i, snap := range snaps {
+	ixs := make([]*PatternIndex, len(b.Snaps))
+	for i, snap := range b.Snaps {
 		ix, err := attachSnapshot(snap, c)
 		if err != nil {
 			return nil, fmt.Errorf("stburst: loading store: %v member: %w", kindOf(snap.Set.Kind()), err)
@@ -805,22 +735,17 @@ func LoadStore(r io.Reader, c *Collection) (*Store, error) {
 		ixs[i] = ix
 	}
 	s := NewStore(c)
-	s.shard = ShardInfo{
-		Shard:             si.Shard,
-		Shards:            si.Shards,
-		Scheme:            si.Scheme,
-		CorpusFingerprint: si.CorpusFingerprint,
-	}
+	s.shard = b.Shard
 	if err := s.Replace(ixs...); err != nil {
 		return nil, fmt.Errorf("stburst: loading store: %w", err)
 	}
 	// Resume the saved store's generation sequence (a version-1 artifact
 	// predates generations and resumes from 0); the Replace above only
 	// counts as a mutation within this process.
-	s.gen.Store(gen)
+	s.gen.Store(b.Generation)
 	// Re-register the persisted standing queries under their saved IDs
 	// (a pre-subscription artifact simply has none).
-	if err := s.restoreSubscriptions(subBlobs); err != nil {
+	if err := s.restoreSubscriptions(b.Subs); err != nil {
 		return nil, fmt.Errorf("stburst: loading store: %w", err)
 	}
 	return s, nil

@@ -347,7 +347,7 @@ func TestStoreHotSwapUnderQueries(t *testing.T) {
 	ixs := mineKinds(t, c)
 	// A second generation of indexes to swap against (different options,
 	// same collection).
-	reg2 := c.MineAllRegional(&RegionalOptions{Baseline: BaselineEWMA}, 0)
+	reg2 := mustMine(c, KindRegional, &MineOptions{Regional: &RegionalOptions{Baseline: BaselineEWMA}})
 	s := fullStore(t, c)
 
 	var wg sync.WaitGroup

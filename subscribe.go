@@ -6,7 +6,7 @@ import (
 	"net/url"
 	"sort"
 
-	"stburst/internal/search"
+	"stburst/internal/index"
 	"stburst/internal/sub"
 )
 
@@ -203,9 +203,7 @@ func toInternalSub(s Subscription) sub.Subscription {
 		r := *s.Region
 		is.Region = &r
 	}
-	if s.Time != nil {
-		is.Time = &search.Timespan{Start: s.Time.Start, End: s.Time.End}
-	}
+	is.Time = s.Time.internal()
 	return is
 }
 
@@ -261,15 +259,26 @@ func (s *Store) matchDirtyLocked(dirty []int) []Alert {
 			continue
 		}
 		for _, cand := range cands {
-			for _, k := range Kinds() {
-				if cand.Kind != int(KindAny) && cand.Kind != int(k) {
-					continue
-				}
-				ix := resident[int(k)-1]
+			for _, ix := range resident {
 				if ix == nil {
 					continue
 				}
-				count, best, start, end := matchPatterns(ix, id, cand, points)
+				k := ix.PatternKind()
+				if cand.Kind != int(KindAny) && cand.Kind != int(k) {
+					continue
+				}
+				// The geometry predicate is the exact retrieval one, so a
+				// standing query matches precisely when the equivalent
+				// one-shot Query's post-filter would accept a pattern. The
+				// best match is the highest-scoring, first mined on ties.
+				count, best := 0, index.View{}
+				for _, v := range ix.set.Matching(id, points, cand.Region, cand.Time) {
+					if v.Score >= cand.MinScore {
+						if count++; count == 1 || v.Score > best.Score {
+							best = v
+						}
+					}
+				}
 				if count == 0 {
 					continue
 				}
@@ -279,10 +288,10 @@ func (s *Store) matchDirtyLocked(dirty []int) []Alert {
 					Generation:     gen,
 					Term:           term,
 					Kind:           k,
-					Score:          best,
+					Score:          best.Score,
 					Patterns:       count,
-					Start:          start,
-					End:            end,
+					Start:          best.Start,
+					End:            best.End,
 				})
 			}
 		}
@@ -294,43 +303,6 @@ func (s *Store) matchDirtyLocked(dirty []int) []Alert {
 		return alerts[i].SubscriptionID < alerts[j].SubscriptionID
 	})
 	return alerts
-}
-
-// matchPatterns evaluates one (index, term, predicate) triple: the count
-// of the term's patterns satisfying the predicate, and the score and
-// timeframe of the best of them. The geometry predicates are the exact
-// retrieval ones (search.WindowIntersects / CombIntersects /
-// TemporalIntersects), so a standing query matches precisely when the
-// equivalent one-shot Query's post-filter would accept a pattern.
-func matchPatterns(ix *PatternIndex, termID int, cand sub.Subscription, points []Point) (count int, best float64, start, end int) {
-	region, span, min := cand.Region, cand.Time, cand.MinScore
-	consider := func(score float64, s, e int) {
-		count++
-		if count == 1 || score > best {
-			best, start, end = score, s, e
-		}
-	}
-	switch ix.PatternKind() {
-	case KindRegional:
-		for _, w := range ix.set.Windows(termID) {
-			if w.Score >= min && search.WindowIntersects(w, region, span) {
-				consider(w.Score, w.Start, w.End)
-			}
-		}
-	case KindCombinatorial:
-		for _, p := range ix.set.Combs(termID) {
-			if p.Score >= min && search.CombIntersects(p, points, region, span) {
-				consider(p.Score, p.Start, p.End)
-			}
-		}
-	case KindTemporal:
-		for _, iv := range ix.set.Temporal(termID) {
-			if iv.Score >= min && search.TemporalIntersects(iv, span) {
-				consider(iv.Score, iv.Start, iv.End)
-			}
-		}
-	}
-	return count, best, start, end
 }
 
 // emitAlerts hands one batch's alerts to the installed sink, if any.

@@ -70,6 +70,40 @@ func TestSubscribeCRUD(t *testing.T) {
 	}
 }
 
+// bruteForceMatch evaluates one (index, term, predicate) triple with each
+// kind's geometry spelled out over the typed accessors (which answer nil
+// for the kinds the index does not hold): regional windows intersect
+// through their rectangle, combinatorial patterns through a member
+// stream's location, temporal intervals through their timeframe only.
+func bruteForceMatch(ix *PatternIndex, term string, spec Subscription, points []Point) (count int, best float64, start, end int) {
+	consider := func(score float64, s, e int) {
+		if score < spec.MinScore || (spec.Time != nil && !spec.Time.Overlaps(s, e)) {
+			return
+		}
+		if count++; count == 1 || score > best {
+			best, start, end = score, s, e
+		}
+	}
+	for _, w := range ix.RegionalPatterns(term) {
+		if spec.Region == nil || w.Rect.Intersects(*spec.Region) {
+			consider(w.Score, w.Start, w.End)
+		}
+	}
+	for _, p := range ix.CombinatorialPatterns(term) {
+		inside := spec.Region == nil
+		for _, x := range p.Streams {
+			inside = inside || spec.Region.Contains(points[x])
+		}
+		if inside {
+			consider(p.Score, p.Start, p.End)
+		}
+	}
+	for _, iv := range ix.TemporalBursts(term) {
+		consider(iv.Score, iv.Start, iv.End)
+	}
+	return count, best, start, end
+}
+
 // bruteForceAlerts recomputes one batch's alerts the slow way — every
 // registered subscription checked against every dirty term's freshly
 // installed patterns, no inverted index — with the same predicate
@@ -96,15 +130,15 @@ func bruteForceAlerts(s *Store, dirty []int) []Alert {
 			if !watched {
 				continue
 			}
-			for _, k := range Kinds() {
-				if spec.Kind != KindAny && spec.Kind != k {
-					continue
-				}
-				ix := resident[int(k)-1]
+			for _, ix := range resident {
 				if ix == nil {
 					continue
 				}
-				count, best, start, end := matchPatterns(ix, id, toInternalSub(spec), points)
+				k := ix.PatternKind()
+				if spec.Kind != KindAny && spec.Kind != k {
+					continue
+				}
+				count, best, start, end := bruteForceMatch(ix, term, spec, points)
 				if count == 0 {
 					continue
 				}
