@@ -2,6 +2,8 @@
 # and the snapshot/serving pipeline.
 #
 #   make             # build + vet + full tests (tier-1)
+#   make vet         # go vet, and fail on files gofmt would change
+#   make loc         # non-test code lines (the number ROADMAP aim 2 tracks)
 #   make test-short  # seconds-fast subset (heavy corpus reproductions skipped)
 #   make race        # concurrency suite under the race detector
 #   make bench       # all go-test benchmarks
@@ -44,7 +46,7 @@ BENCH_SMOKE_PATTERN ?= BenchmarkQuery|BenchmarkStoreQuery|BenchmarkIngest
 # runs treat as up to date.
 .DELETE_ON_ERROR:
 
-.PHONY: all build vet test test-short race bench bench-smoke bench-check verify snapshot bundle serve load loadtest wal-smoke cluster-smoke alert-smoke connector-smoke
+.PHONY: all build vet loc test test-short race bench bench-smoke bench-check verify snapshot bundle serve load loadtest wal-smoke cluster-smoke alert-smoke connector-smoke
 
 all: build test
 
@@ -53,6 +55,14 @@ build:
 
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || \
+		{ echo "gofmt -l is not empty; run gofmt -w on:" >&2; echo "$$unformatted" >&2; exit 1; }
+
+# Lines of Go that are neither blank nor a comment, outside tests and the
+# benchmark module: the count every simplification PR reports the same way.
+loc:
+	@find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*' -not -name '*_test.go' \
+		| xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l
 
 test: build vet
 	$(GO) test ./...

@@ -22,7 +22,6 @@ import (
 	"stburst/internal/gen"
 	"stburst/internal/index"
 	"stburst/internal/search"
-	"stburst/internal/textproc"
 )
 
 var (
@@ -140,7 +139,7 @@ func BenchmarkQueryFiltered(b *testing.B) {
 func storeBenchSetup(b *testing.B) (*Store, string) {
 	b.Helper()
 	lab := sharedLab(b)
-	c := &Collection{col: lab.Col(), tok: textproc.NewTokenizer()}
+	c := &Collection{col: lab.Col()}
 	store := NewStore(c)
 	if err := store.Replace(
 		&PatternIndex{c: c, set: index.NewWindowSet(lab.Windows)},
@@ -202,7 +201,7 @@ func BenchmarkStoreQueryAny(b *testing.B) {
 // the worker count, without three separate pool ramp-downs.
 func BenchmarkMineStore(b *testing.B) {
 	lab := sharedLab(b)
-	c := &Collection{col: lab.Col(), tok: textproc.NewTokenizer()}
+	c := &Collection{col: lab.Col()}
 	ctx := context.Background()
 	b.Run("onepass", func(b *testing.B) {
 		b.ReportAllocs()

@@ -33,21 +33,9 @@ import (
 	"os"
 	"time"
 
+	"stburst/internal/corpusio"
 	"stburst/internal/gen"
 )
-
-type header struct {
-	Kind     string   `json:"kind"`
-	Streams  []string `json:"streams"`
-	Timeline int      `json:"timeline"`
-}
-
-type docLine struct {
-	Stream string         `json:"stream"`
-	Time   int            `json:"time"`
-	Counts map[string]int `json:"counts"`
-	Event  int            `json:"event"`
-}
 
 type patternLine struct {
 	Term    int         `json:"term"`
@@ -123,7 +111,7 @@ func main() {
 			Mode:     mode,
 			Seed:     *seed,
 		})
-		must(enc.Encode(header{Kind: *kind, Timeline: *timeline}))
+		must(enc.Encode(corpusio.Header{Kind: *kind, Timeline: *timeline}))
 		for _, p := range ds.Patterns() {
 			line := patternLine{Term: p.Term, Streams: p.Streams, Start: p.Start, End: p.End}
 			for _, x := range p.Streams {
@@ -136,23 +124,23 @@ func main() {
 	}
 }
 
-func topixHeader(tp *gen.Topix) header {
+func topixHeader(tp *gen.Topix) corpusio.Header {
 	col := tp.Col
-	h := header{Kind: "topix", Timeline: col.Length()}
+	h := corpusio.Header{Kind: "topix", Timeline: col.Length()}
 	for i := 0; i < col.NumStreams(); i++ {
 		h.Streams = append(h.Streams, col.Stream(i).Name)
 	}
 	return h
 }
 
-func topixDoc(tp *gen.Topix, id int) docLine {
+func topixDoc(tp *gen.Topix, id int) corpusio.DocLine {
 	col := tp.Col
 	d := col.Doc(id)
 	counts := make(map[string]int, len(d.Counts))
 	for term, n := range d.Counts {
 		counts[col.Dict().Term(term)] = n
 	}
-	return docLine{
+	return corpusio.DocLine{
 		Stream: col.Stream(d.Stream).Name,
 		Time:   d.Time,
 		Counts: counts,

@@ -12,6 +12,7 @@ import (
 	"stburst"
 	"stburst/internal/gen"
 	"stburst/internal/geo"
+	"stburst/internal/serve"
 )
 
 // The route labels of every request stload can send, written exactly as
@@ -226,18 +227,6 @@ func (w *workload) statsOp(rng *rand.Rand) op {
 	return op{route: routeGeneration, method: "GET", path: "/v1/generation"}
 }
 
-// documentJSON and documentsRequest mirror stserve's POST /v1/documents
-// body shape.
-type documentJSON struct {
-	Stream string `json:"stream"`
-	Time   int    `json:"time"`
-	Text   string `json:"text"`
-}
-
-type documentsRequest struct {
-	Documents []documentJSON `json:"documents"`
-}
-
 // ingestOp synthesizes a burst of 1-4 articles about one event episode:
 // mostly from the epicenter country during the episode's weeks, with the
 // occasional far-away pickup — the same shape the generator's reach
@@ -245,7 +234,7 @@ type documentsRequest struct {
 func (w *workload) ingestOp(rng *rand.Rand) op {
 	ev := w.event(rng)
 	ep := ev.Episodes[rng.Intn(len(ev.Episodes))]
-	docs := make([]documentJSON, 1+rng.Intn(4))
+	docs := make([]serve.Document, 1+rng.Intn(4))
 	for j := range docs {
 		country := ep.Epicenter
 		if rng.Float64() < 0.3 {
@@ -259,9 +248,9 @@ func (w *workload) ingestOp(rng *rand.Rand) op {
 		for k, n := 0, 3+rng.Intn(6); k < n; k++ {
 			words = append(words, w.backgroundWord(rng))
 		}
-		docs[j] = documentJSON{Stream: country, Time: t, Text: strings.Join(words, " ")}
+		docs[j] = serve.Document{Stream: country, Time: t, Text: strings.Join(words, " ")}
 	}
-	return jsonOp(routeDocuments, "POST", "/v1/documents", documentsRequest{Documents: docs}, len(docs))
+	return jsonOp(routeDocuments, "POST", "/v1/documents", serve.DocumentsRequest{Documents: docs}, len(docs))
 }
 
 func jsonOp(route, method, path string, payload any, docs int) op {

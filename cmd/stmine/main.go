@@ -48,6 +48,7 @@ import (
 	"strings"
 	"time"
 
+	"stburst/internal/atomicfile"
 	"stburst/internal/corpusio"
 	"stburst/internal/index"
 	"stburst/internal/search"
@@ -259,7 +260,7 @@ func mineAll(out, diag io.Writer, col *stream.Collection, method string, k, para
 	switch {
 	case path == "":
 	case !bundle:
-		if err := index.WriteFileAtomic(path, func(w io.Writer) error { return index.WriteSnapshot(w, sets[0], term) }); err != nil {
+		if err := atomicfile.Write(path, func(w io.Writer) error { return index.WriteSnapshot(w, sets[0], term) }); err != nil {
 			return err
 		}
 		fmt.Fprintf(diag, "stmine: snapshot written to %s (fingerprint %.12s...)\n", path, sets[0].Fingerprint())

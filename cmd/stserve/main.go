@@ -101,11 +101,12 @@
 // a restart from an fsync'd checkpoint next to the feed so no document
 // is lost or applied twice; -listen-ingest accepts line- or
 // length-framed JSONL documents over TCP (-listen-framing picks the
-// framing). Both deliver through the same Ingester → WAL → dirty-term
-// re-mine path as POST /v1/documents, are supervised with capped
-// exponential backoff, and report per-connector counters on /metrics
-// and a connectors block on /v1/stats. On shutdown the sources drain
-// their buffered batches before the WAL closes.
+// framing). Both deliver straight into the same Store.Ingest → WAL →
+// dirty-term re-mine path POST /v1/documents flushes into, are
+// supervised with capped exponential backoff, and report per-connector
+// counters on /metrics and a connectors block on /v1/stats. On shutdown
+// the socket source drains its buffered batches before the WAL closes;
+// a tailed batch cut off mid-ingest is simply re-read on the next boot.
 //
 // -debug-addr starts a second listener with net/http/pprof under
 // /debug/pprof/ (plus another /metrics exposition). Profiling never
@@ -306,27 +307,19 @@ func main() {
 		}
 	}
 
-	// Streaming connectors: each source gets its own dedicated Ingester
-	// (sized so it never auto-flushes — the sink drives every flush
-	// synchronously, which is the backpressure path) and delivers into
-	// the same Store.Ingest → WAL → dirty-term re-mine path as
-	// POST /v1/documents. Built and registered before traffic so metric
-	// scrapes never race source registration; started only after the
-	// WAL is attached so the first tailed batch is already durable.
-	var (
-		sup      *connector.Supervisor
-		connIngs []*stburst.Ingester
-	)
+	// Streaming connectors deliver through one sink into the same
+	// Store.Ingest → WAL → dirty-term re-mine path as POST /v1/documents;
+	// the synchronous call is the backpressure path. Built and registered
+	// before traffic so metric scrapes never race source registration;
+	// started only after the WAL is attached so the first tailed batch is
+	// already durable.
+	var sup *connector.Supervisor
 	if connectorsEnabled {
 		sup = connector.NewSupervisor(connector.SupervisorConfig{Logf: log.Printf})
-		newSink := func() *serve.IngestSink {
-			ci := stburst.NewIngester(store, stburst.WithFlushDocs(1<<30))
-			connIngs = append(connIngs, ci)
-			return serve.NewIngestSink(c, ci)
-		}
+		sink := serve.NewIngestSink(c, store)
 		if *tailPath != "" {
 			cfg := connector.TailConfig{Path: *tailPath, CheckpointPath: *tailCkpt}
-			src := connector.NewTailSource(cfg, newSink())
+			src := connector.NewTailSource(cfg, sink)
 			sup.Add(src)
 			ckpt := *tailCkpt
 			if ckpt == "" {
@@ -336,7 +329,7 @@ func main() {
 		}
 		if *listenIngest != "" {
 			cfg := connector.SocketConfig{Addr: *listenIngest, Framing: socketFraming}
-			src := connector.NewSocketSource(cfg, newSink())
+			src := connector.NewSocketSource(cfg, sink)
 			sup.Add(src)
 			log.Printf("connector: ingest socket on %s (%s framing)", *listenIngest, socketFraming)
 		}
@@ -421,15 +414,10 @@ func main() {
 	}
 	err = listenAndDrain(srv)
 	if sup != nil {
-		// Stop the sources first: each drains its buffered batch through
-		// its sink before exiting, and nothing may write after the
-		// ingesters close.
+		// Stop the sources first: the socket source drains its buffered
+		// batches through the sink before exiting, and nothing may write
+		// once the WAL closes.
 		sup.Stop()
-	}
-	for _, ci := range connIngs {
-		if cerr := ci.Close(); cerr != nil {
-			log.Printf("closing connector ingester: %v", cerr)
-		}
 	}
 	if ing != nil {
 		// Drain whatever the batcher still buffers: a rolling restart

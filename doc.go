@@ -146,6 +146,12 @@
 //	})
 //	// res.Generation: cache-busting token; res.DirtyTerms: re-mined terms
 //
+// A document carries its body as Text, as pre-split Tokens or as
+// pre-counted Counts (the corpus file's own shape); whichever door it
+// came through, one validator checks its stream, its timestamp and
+// that every term count fits a posting before anything is logged or
+// applied.
+//
 // Every store mutation (Swap, Replace, Ingest) advances the
 // monotonically increasing Store.Generation, which bundles persist and
 // LoadStore restores, so clients can cache-bust across restarts. For a

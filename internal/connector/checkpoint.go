@@ -3,8 +3,10 @@ package connector
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
+
+	"stburst/internal/atomicfile"
 )
 
 // Checkpoint is the tailer's resume state, one small JSON object on
@@ -51,49 +53,18 @@ func LoadCheckpoint(path string) (cp Checkpoint, ok bool, err error) {
 	return cp, true, nil
 }
 
-// Save writes the checkpoint durably: temp file in the same directory,
-// fsync, atomic rename, directory sync. A crash leaves either the old
+// Save writes the checkpoint durably (atomicfile.Write: temp file,
+// fsync, atomic rename, directory sync). A crash leaves either the old
 // checkpoint or the new one, never a torn file — the same discipline
-// the snapshot and WAL writers use.
+// the snapshot and corpus writers use.
 func (cp Checkpoint) Save(path string) error {
 	cp.Version = checkpointVersion
 	raw, err := json.Marshal(cp)
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*")
-	if err != nil {
+	return atomicfile.Write(path, func(w io.Writer) error {
+		_, err := w.Write(append(raw, '\n'))
 		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(append(raw, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a just-renamed file survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	})
 }

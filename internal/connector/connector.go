@@ -7,7 +7,7 @@
 // backoff.
 //
 // The package knows nothing about stores, WALs or mining. The Sink —
-// implemented by the serve layer on top of an Ingester — owns
+// implemented by the serve layer on top of Store.Ingest — owns
 // validation and durability; its Ingest call does not return until the
 // batch is WAL-durable (or the context is cancelled), which is also
 // how backpressure reaches the feed: a source blocked in Ingest stops
@@ -48,8 +48,8 @@ type SinkResult struct {
 	// the store (and are WAL-durable).
 	Applied int
 	// Rejected is how many were dropped by validation — unknown
-	// stream, out-of-range time. A bad document is counted and
-	// skipped rather than wedging the feed behind it.
+	// stream, out-of-range time or term count. A bad document is
+	// counted and skipped rather than wedging the feed behind it.
 	Rejected int
 	// Total is the store's document count immediately after this
 	// batch applied. The tailer checkpoints it next to the byte

@@ -93,8 +93,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 func TestCheckpointCorruptIsHardError(t *testing.T) {
 	dir := t.TempDir()
 	for name, body := range map[string]string{
-		"garbage.checkpoint": "not json\n",
-		"version.checkpoint": `{"version":99,"offset":1,"docs":1}`,
+		"garbage.checkpoint":  "not json\n",
+		"version.checkpoint":  `{"version":99,"offset":1,"docs":1}`,
 		"negative.checkpoint": `{"version":1,"offset":-5,"docs":1}`,
 	} {
 		path := dir + "/" + name
@@ -115,7 +115,7 @@ type flappySource struct {
 	ran      chan struct{} // receives one token per Run invocation
 }
 
-func (f *flappySource) Name() string      { return f.name }
+func (f *flappySource) Name() string       { return f.name }
 func (f *flappySource) Stats() SourceStats { return SourceStats{Name: f.name, Lag: -1, Conns: -1} }
 
 func (f *flappySource) Run(ctx context.Context) error {

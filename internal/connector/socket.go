@@ -264,9 +264,9 @@ func (s *SocketSource) serveConn(ctx context.Context, conn net.Conn) {
 		}
 	}()
 
-	r := bufio.NewReaderSize(conn, 64<<10)
+	lr := &lineReader{r: bufio.NewReaderSize(conn, 64<<10), max: s.cfg.MaxFrameBytes}
 	for {
-		frame, err := s.readFrame(r)
+		frame, err := s.readFrame(lr)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) &&
 				!errors.Is(err, net.ErrClosed) && ctx.Err() == nil {
@@ -297,11 +297,11 @@ func (s *SocketSource) serveConn(ctx context.Context, conn net.Conn) {
 
 // readFrame reads one document frame per the configured framing. The
 // returned slice is only valid until the next call.
-func (s *SocketSource) readFrame(r *bufio.Reader) ([]byte, error) {
+func (s *SocketSource) readFrame(lr *lineReader) ([]byte, error) {
 	switch s.cfg.Framing {
 	case FrameLength:
 		var hdr [4]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if _, err := io.ReadFull(lr.r, hdr[:]); err != nil {
 			return nil, err
 		}
 		n := binary.BigEndian.Uint32(hdr[:])
@@ -312,22 +312,19 @@ func (s *SocketSource) readFrame(r *bufio.Reader) ([]byte, error) {
 			return nil, fmt.Errorf("frame of %d bytes exceeds limit %d", n, s.cfg.MaxFrameBytes)
 		}
 		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
+		if _, err := io.ReadFull(lr.r, buf); err != nil {
 			return nil, err
 		}
 		return buf, nil
 	default: // FrameLine
-		line, err := r.ReadBytes('\n')
-		if err != nil {
-			if errors.Is(err, io.EOF) && len(line) > 0 {
-				return trimNL(line), nil // final unterminated line
-			}
-			return nil, err
+		line, err := lr.next()
+		switch {
+		case err == io.EOF && len(lr.line) > 0:
+			line, lr.line, err = lr.line, nil, nil // final unterminated line
+		case err == errOverlong:
+			err = fmt.Errorf("line exceeds limit %d", s.cfg.MaxFrameBytes)
 		}
-		if len(line) > s.cfg.MaxFrameBytes {
-			return nil, fmt.Errorf("line of %d bytes exceeds limit %d", len(line), s.cfg.MaxFrameBytes)
-		}
-		return trimNL(line), nil
+		return trimNL(line), err
 	}
 }
 

@@ -1,10 +1,12 @@
 package connector
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -126,6 +128,36 @@ func TestSocketOversizeFrameClosesConnection(t *testing.T) {
 	buf := make([]byte, 1)
 	if _, err := conn.Read(buf); err == nil {
 		t.Fatal("connection still open after oversize frame")
+	}
+}
+
+// TestSocketUnterminatedLineIsBounded: a peer that streams bytes and
+// never sends a newline must cost the listener at most one frame of
+// memory — the connection is closed and one error counted as soon as
+// the line passes MaxFrameBytes, not once the peer relents.
+func TestSocketUnterminatedLineIsBounded(t *testing.T) {
+	sink := &memSink{}
+	src, addr, stop := startSocket(t, SocketConfig{}, sink)
+	defer stop()
+	const limit = 1 << 20 // the default MaxFrameBytes
+	payload := bytes.Repeat([]byte{'x'}, 8*limit)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	conn := dial(t, addr)
+	defer conn.Close()
+	go conn.Write(payload) // fails once the server hangs up; that is the point
+	waitFor(t, func() bool { return src.Stats().Errors > 0 })
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("connection still open after an overlong line")
+	}
+	runtime.ReadMemStats(&after)
+	if st := src.Stats(); st.Errors != 1 || sink.Docs() != 0 {
+		t.Fatalf("stats = %+v with %d docs, want exactly one error and no documents", st, sink.Docs())
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 2*limit {
+		t.Fatalf("reading an unterminated line allocated %d bytes, want under %d", grew, 2*limit)
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"io"
 	"os"
 	"time"
+
+	"stburst/internal/corpusio"
 )
 
 // TailConfig configures a tailing-file source.
@@ -71,13 +73,6 @@ func (t *TailSource) Name() string { return "tail:" + t.cfg.Path }
 // Stats implements Source.
 func (t *TailSource) Stats() SourceStats { return t.snapshot(t.Name()) }
 
-// feedHeader is the corpusio header line shape; only Kind matters here
-// — a first line that parses with a non-empty kind is metadata, not a
-// document.
-type feedHeader struct {
-	Kind string `json:"kind"`
-}
-
 // Run tails the feed until ctx is cancelled. The loop is: read full
 // lines, skip the header and any documents the resume arithmetic says
 // are already applied, batch the rest, flush through the sink at
@@ -113,13 +108,10 @@ func (t *TailSource) Run(ctx context.Context) error {
 	}
 	defer func() { f.Close() }()
 
-	r := bufio.NewReaderSize(f, 64<<10)
-	offset := cp.Offset // bytes consumed from the file so far
+	lr := &lineReader{r: bufio.NewReaderSize(f, 64<<10), max: t.cfg.MaxLineBytes, off: cp.Offset}
 	var (
-		pending    []byte // partial line carried across EOF waits
-		discarding bool   // inside an overlong line, skipping to '\n'
-		batch      []Doc
-		batchEnd   int64 // offset just past the last line in batch
+		batch    []Doc
+		batchEnd int64 // offset just past the last line in batch
 	)
 
 	flush := func() error {
@@ -145,22 +137,15 @@ func (t *TailSource) Run(ctx context.Context) error {
 	}
 
 	for {
-		chunk, err := r.ReadBytes('\n')
-		offset += int64(len(chunk))
-		pending = append(pending, chunk...)
-		switch {
-		case err == nil:
-			line := pending
-			pending = nil
-			lineStart := offset - int64(len(line))
-			if discarding {
-				discarding = false
-				continue
-			}
-			if lineStart == 0 {
-				var h feedHeader
+		line, err := lr.next()
+		switch err {
+		case nil:
+			if lr.start == 0 {
+				// The corpusio header: a first line that parses with a
+				// non-empty kind is metadata, not a document.
+				var h corpusio.Header
 				if json.Unmarshal(line, &h) == nil && h.Kind != "" {
-					continue // corpus header, not a document
+					continue
 				}
 			}
 			if len(line) <= 1 {
@@ -168,14 +153,14 @@ func (t *TailSource) Run(ctx context.Context) error {
 			}
 			var d Doc
 			if err := json.Unmarshal(line, &d); err != nil {
-				t.fail(fmt.Sprintf("offset %d: bad feed line: %v", lineStart, err))
+				t.fail(fmt.Sprintf("offset %d: bad feed line: %v", lr.start, err))
 				continue
 			}
 			if skip > 0 {
 				// Already applied before the last crash; advance the
 				// checkpoint bookkeeping without re-ingesting.
 				skip--
-				cp = Checkpoint{Offset: offset, Docs: cp.Docs + 1}
+				cp = Checkpoint{Offset: lr.off, Docs: cp.Docs + 1}
 				if skip == 0 {
 					if err := cp.Save(t.cfg.CheckpointPath); err != nil {
 						return err
@@ -184,26 +169,23 @@ func (t *TailSource) Run(ctx context.Context) error {
 				continue
 			}
 			batch = append(batch, d)
-			batchEnd = offset
+			batchEnd = lr.off
 			if len(batch) >= t.cfg.BatchDocs {
 				if err := flush(); err != nil {
 					return err
 				}
 			}
-		case err == io.EOF:
-			if len(pending) > t.cfg.MaxLineBytes {
-				t.fail(fmt.Sprintf("offset %d: line exceeds %d bytes; skipping to next newline",
-					offset-int64(len(pending)), t.cfg.MaxLineBytes))
-				pending = nil
-				discarding = true
-			}
+		case errOverlong:
+			t.fail(fmt.Sprintf("offset %d: line exceeds %d bytes; skipping to next newline",
+				lr.start, t.cfg.MaxLineBytes))
+		case io.EOF:
 			// Drain what we have before sleeping: end-of-file is the
 			// flush trigger that keeps a drip feed's latency at one
 			// poll interval, not one batch.
 			if err := flush(); err != nil {
 				return err
 			}
-			reset, err := t.watch(ctx, f, offset)
+			reset, err := t.watch(ctx, f, lr.off)
 			if err != nil {
 				return err
 			}
@@ -213,7 +195,6 @@ func (t *TailSource) Run(ctx context.Context) error {
 				// re-baseline the checkpoint at the store's current
 				// count — the new file's lines are all new documents.
 				f.Close()
-				pending, discarding = nil, false
 				cp = Checkpoint{Offset: 0, Docs: t.sink.Docs()}
 				if err := cp.Save(t.cfg.CheckpointPath); err != nil {
 					return err
@@ -223,9 +204,8 @@ func (t *TailSource) Run(ctx context.Context) error {
 				if err != nil {
 					return err
 				}
-				offset = 0
+				lr.reset(f, 0)
 			}
-			r.Reset(f)
 		default:
 			return fmt.Errorf("tail %s: %w", t.cfg.Path, err)
 		}

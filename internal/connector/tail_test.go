@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 	"time"
 )
@@ -243,6 +244,36 @@ func TestTailOverlongLineResyncs(t *testing.T) {
 	stop()
 	if src.Stats().Errors == 0 {
 		t.Fatal("overlong line was not counted")
+	}
+}
+
+// TestTailOverlongCompleteLineIsSkipped: MaxLineBytes holds for a line
+// whose newline is already in the file, not only for one the writer has
+// not finished — a well-formed but overlong document is skipped, the
+// line after it is ingested, and the checkpoint lands past both.
+func TestTailOverlongCompleteLineIsSkipped(t *testing.T) {
+	path := t.TempDir() + "/feed.jsonl"
+	long, _ := json.Marshal(Doc{Stream: "lima", Time: 1, Text: strings.Repeat("flood ", 500)})
+	body := feedHeaderLine + feedLine("lima", 0, 0) + string(long) + "\n" + feedLine("oslo", 2, 0)
+	appendFile(t, path, body)
+	sink := &memSink{}
+	cfg := fastCfg(path)
+	cfg.MaxLineBytes = 1024
+	src, stop := startTail(t, cfg, sink)
+	waitFor(t, func() bool { return sink.Docs() == 2 })
+	time.Sleep(20 * time.Millisecond) // would catch the overlong document landing late
+	stop()
+
+	docs := sink.applied()
+	if len(docs) != 2 || docs[0].Time != 0 || docs[1].Time != 2 {
+		t.Fatalf("applied docs = %+v, want the lines before and after the overlong one", docs)
+	}
+	if st := src.Stats(); st.Errors != 1 {
+		t.Fatalf("stats = %+v, want the overlong line counted once", st)
+	}
+	cp, ok, err := LoadCheckpoint(path + ".checkpoint")
+	if err != nil || !ok || cp.Offset != int64(len(body)) {
+		t.Fatalf("checkpoint = %+v (ok=%v, err=%v), want offset %d past both lines", cp, ok, err, len(body))
 	}
 }
 

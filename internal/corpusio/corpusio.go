@@ -6,12 +6,13 @@ package corpusio
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
-	"path/filepath"
 
+	"stburst/internal/atomicfile"
 	"stburst/internal/gen"
 	"stburst/internal/geo"
 	"stburst/internal/stream"
@@ -52,7 +53,6 @@ func Load(r io.Reader) (*stream.Collection, []int, error) {
 		return nil, nil, fmt.Errorf("corpusio: unsupported corpus kind %q", h.Kind)
 	}
 	infos := make([]stream.Info, len(h.Streams))
-	streamIdx := make(map[string]int, len(h.Streams))
 	coords := make([]geo.LatLon, len(h.Streams))
 	for i, name := range h.Streams {
 		ci := gen.CountryIndex(name)
@@ -61,7 +61,6 @@ func Load(r io.Reader) (*stream.Collection, []int, error) {
 		}
 		coords[i] = gen.Countries[ci].Geo
 		infos[i] = stream.Info{Name: name, Geo: coords[i]}
-		streamIdx[name] = i
 	}
 	pts, err := geo.MDS(geo.DistanceMatrix(coords, geo.Haversine), rand.New(rand.NewSource(1)))
 	if err != nil {
@@ -78,9 +77,9 @@ func Load(r io.Reader) (*stream.Collection, []int, error) {
 		if err := json.Unmarshal(sc.Bytes(), &d); err != nil {
 			return nil, nil, fmt.Errorf("corpusio: reading document: %w", err)
 		}
-		x, ok := streamIdx[d.Stream]
-		if !ok {
-			return nil, nil, fmt.Errorf("corpusio: document from unknown stream %q", d.Stream)
+		x, err := col.Resolve(d.Stream, d.Time)
+		if err != nil {
+			return nil, nil, fmt.Errorf("corpusio: document from %w", err)
 		}
 		// AddStringCounts interns each document's terms in sorted order:
 		// map iteration is randomized per process, and snapshot
@@ -100,108 +99,71 @@ func Load(r io.Reader) (*stream.Collection, []int, error) {
 // AppendDocs atomically appends document lines to the corpus file at
 // path: the existing file is copied line by line to a temp file in the
 // same directory, the new lines are appended, and the temp file is
-// fsync'd and renamed over the original — a crash leaves either the old
-// corpus or the new one, never a torn tail. The pick callback receives
-// the number of document lines the existing file holds and returns the
-// lines to append, so a caller that may retry after a partial failure
-// (WAL absorption whose prune step crashed) can skip documents a
-// previous append already folded in; returning no lines leaves the file
-// untouched. The header is validated and preserved verbatim; appended
-// lines must reference its streams and timeline (enforced by the next
-// Load, not here). Document counts marshal with sorted keys, so the
-// appended bytes are deterministic.
+// fsync'd and renamed over the original (atomicfile.Write) — a crash
+// leaves either the old corpus or the new one, never a torn tail. The
+// pick callback receives the number of document lines the existing file
+// holds and returns the lines to append, so a caller that may retry
+// after a partial failure (WAL absorption whose prune step crashed) can
+// skip documents a previous append already folded in; returning no lines
+// leaves the file untouched. The header is validated and preserved
+// verbatim; appended lines must reference its streams and timeline
+// (enforced by the next Load, not here). Document counts marshal with
+// sorted keys, so the appended bytes are deterministic.
 func AppendDocs(path string, pick func(existing int) []DocLine) (int, error) {
 	src, err := os.Open(path)
 	if err != nil {
 		return 0, fmt.Errorf("corpusio: %w", err)
 	}
 	defer src.Close()
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".absorb-*")
-	if err != nil {
-		return 0, fmt.Errorf("corpusio: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmpName)
+	appended := 0
+	err = atomicfile.Write(path, func(tmp io.Writer) error {
+		sc := bufio.NewScanner(src)
+		sc.Buffer(make([]byte, 1<<20), 1<<24)
+		w := bufio.NewWriter(tmp)
+		existing := -1 // the first line is the header, not a document
+		for sc.Scan() {
+			line := sc.Bytes()
+			if existing < 0 {
+				var h Header
+				if err := json.Unmarshal(line, &h); err != nil {
+					return fmt.Errorf("reading header: %w", err)
+				}
+				if h.Kind != "topix" {
+					return fmt.Errorf("unsupported corpus kind %q", h.Kind)
+				}
+			}
+			existing++
+			w.Write(line) // a failed write is sticky and surfaces at Flush
+			w.WriteByte('\n')
 		}
-	}()
-
-	sc := bufio.NewScanner(src)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	w := bufio.NewWriter(tmp)
-	existing := -1 // the first line is the header, not a document
-	for sc.Scan() {
-		line := sc.Bytes()
+		if err := sc.Err(); err != nil {
+			return fmt.Errorf("reading corpus: %w", err)
+		}
 		if existing < 0 {
-			var h Header
-			if err := json.Unmarshal(line, &h); err != nil {
-				return 0, fmt.Errorf("corpusio: reading header: %w", err)
+			return errors.New("empty corpus (missing header line)")
+		}
+		docs := pick(existing)
+		if len(docs) == 0 {
+			return errNothingToAppend
+		}
+		enc := json.NewEncoder(w)
+		for _, d := range docs {
+			if err := enc.Encode(d); err != nil {
+				return fmt.Errorf("appending document: %w", err)
 			}
-			if h.Kind != "topix" {
-				return 0, fmt.Errorf("corpusio: unsupported corpus kind %q", h.Kind)
-			}
 		}
-		existing++
-		if _, err := w.Write(line); err != nil {
-			return 0, fmt.Errorf("corpusio: %w", err)
-		}
-		if err := w.WriteByte('\n'); err != nil {
-			return 0, fmt.Errorf("corpusio: %w", err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return 0, fmt.Errorf("corpusio: reading corpus: %w", err)
-	}
-	if existing < 0 {
-		return 0, fmt.Errorf("corpusio: empty corpus (missing header line)")
-	}
-
-	docs := pick(existing)
-	if len(docs) == 0 {
+		appended = len(docs)
+		return w.Flush()
+	})
+	switch {
+	case errors.Is(err, errNothingToAppend):
 		return 0, nil
-	}
-	enc := json.NewEncoder(w)
-	for _, d := range docs {
-		if err := enc.Encode(d); err != nil {
-			return 0, fmt.Errorf("corpusio: appending document: %w", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
+	case err != nil:
 		return 0, fmt.Errorf("corpusio: %w", err)
 	}
-	if err := tmp.Sync(); err != nil {
-		return 0, fmt.Errorf("corpusio: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		tmp = nil
-		os.Remove(tmpName)
-		return 0, fmt.Errorf("corpusio: %w", err)
-	}
-	tmp = nil
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return 0, fmt.Errorf("corpusio: %w", err)
-	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
-		return len(docs), err
-	}
-	return len(docs), nil
+	return appended, nil
 }
 
-// syncDir fsyncs a directory so a just-renamed file survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("corpusio: %w", err)
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("corpusio: syncing directory: %w", err)
-	}
-	return nil
-}
+// errNothingToAppend aborts AppendDocs's rewrite, leaving the corpus
+// file untouched, when pick selects no lines.
+var errNothingToAppend = errors.New("nothing to append")

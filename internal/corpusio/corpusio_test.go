@@ -142,4 +142,12 @@ func TestLoadErrors(t *testing.T) {
 	if _, _, err := Load(strings.NewReader(bad)); err == nil {
 		t.Fatal("out-of-range time should error")
 	}
+	// A count past int32 would wrap into a negative frequency; zero and
+	// negative counts are no occurrence at all.
+	for _, n := range []string{"3000000000", "0", "-5"} {
+		bad = `{"kind":"topix","streams":["Peru"],"timeline":4}` + "\n" + `{"stream":"Peru","time":1,"counts":{"x":` + n + `}}`
+		if _, _, err := Load(strings.NewReader(bad)); err == nil {
+			t.Fatalf("term count %s should error", n)
+		}
+	}
 }

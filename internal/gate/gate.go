@@ -39,7 +39,7 @@ import (
 	"time"
 
 	"stburst"
-	"stburst/internal/textproc"
+	"stburst/internal/serve"
 )
 
 const (
@@ -78,16 +78,11 @@ type Gateway struct {
 	client    *http.Client
 	pollEvery time.Duration
 	timeout   time.Duration
-	// tok mirrors the collection-side tokenizer (collections always use
-	// the default pipeline), so the gateway splits query text into
-	// exactly the terms the members' dictionaries hold — the basis for
-	// routing terms to shards.
-	tok      *textproc.Tokenizer
-	mux      *http.ServeMux
-	obs      *observer
-	started  time.Time
-	requests atomic.Int64
-	searches atomic.Int64
+	mux       *http.ServeMux
+	obs       *observer
+	started   time.Time
+	requests  atomic.Int64
+	searches  atomic.Int64
 }
 
 // New builds a gateway over the configured members. It does not poll:
@@ -100,7 +95,6 @@ func New(cfg Config) (*Gateway, error) {
 		pollEvery: cfg.PollInterval,
 		timeout:   cfg.ShardTimeout,
 		client:    cfg.Client,
-		tok:       textproc.NewTokenizer(),
 		mux:       http.NewServeMux(),
 		started:   time.Now(),
 	}
@@ -156,15 +150,6 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.obs.http.Serve(g.mux, w, r)
 }
 
-// shardHealth is the membership block of stserve's /v1/healthz body.
-type shardHealth struct {
-	Generation  uint64 `json:"generation"`
-	Fingerprint string `json:"fingerprint"`
-	Shard       int    `json:"shard"`
-	Shards      int    `json:"shards"`
-	Scheme      string `json:"scheme"`
-}
-
 // memberState is the gateway's judgement of one member.
 type memberState int
 
@@ -191,7 +176,7 @@ type member struct {
 
 	mu       sync.Mutex
 	known    bool // at least one successful poll ever
-	health   shardHealth
+	health   serve.Health
 	fails    int // consecutive failures (polls and request path)
 	nextPoll time.Time
 	lastErr  string
@@ -209,7 +194,7 @@ func (m *member) state() memberState {
 }
 
 // recordOK installs a fresh health report and clears the failure streak.
-func (m *member) recordOK(h shardHealth) {
+func (m *member) recordOK(h serve.Health) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.known = true
@@ -248,7 +233,7 @@ type memberView struct {
 	URL    string
 	State  memberState
 	Known  bool
-	Health shardHealth
+	Health serve.Health
 	Err    string
 }
 
@@ -397,7 +382,7 @@ func (g *Gateway) poll(ctx context.Context, m *member) {
 		m.recordFail(fmt.Sprintf("healthz = %d", resp.StatusCode), g.pollEvery)
 		return
 	}
-	var h shardHealth
+	var h serve.Health
 	if err := json.Unmarshal(body, &h); err != nil {
 		m.recordFail("decoding healthz: "+err.Error(), g.pollEvery)
 		return
@@ -450,30 +435,6 @@ func (g *Gateway) do(ctx context.Context, m *member, method, path, rawQuery stri
 	return resp.StatusCode, raw, nil
 }
 
-// writeJSON mirrors the stserve encoder: buffer first so an encoding
-// failure is a clean 500, two-space indentation.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		log.Printf("gate: encoding %T response: %v", v, err)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		fmt.Fprintln(w, `{"error":"internal: response encoding failed"}`)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if _, err := buf.WriteTo(w); err != nil {
-		log.Printf("gate: writing response: %v", err)
-	}
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
-}
-
 // relay copies an upstream response through verbatim.
 func relay(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
@@ -498,14 +459,14 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if !v.ok {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		serve.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status":  "unavailable",
 			"reason":  v.reason,
 			"members": members,
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	serve.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":      "ok",
 		"generation":  v.generation,
 		"fingerprint": v.fingerprint,
@@ -518,10 +479,10 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleGeneration(w http.ResponseWriter, r *http.Request) {
 	v := g.snapshot()
 	if !v.ok {
-		writeError(w, http.StatusServiceUnavailable, v.reason)
+		serve.WriteError(w, http.StatusServiceUnavailable, v.reason)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"generation": v.generation})
+	serve.WriteJSON(w, http.StatusOK, map[string]any{"generation": v.generation})
 }
 
 // handleStats aggregates the members' /v1/stats into one cluster view:
@@ -532,7 +493,7 @@ func (g *Gateway) handleGeneration(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	v := g.snapshot()
 	if !v.ok {
-		writeError(w, http.StatusServiceUnavailable, v.reason)
+		serve.WriteError(w, http.StatusServiceUnavailable, v.reason)
 		return
 	}
 	type memberStats struct {
@@ -562,7 +523,7 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	wg.Wait()
 	for i, ms := range stats {
 		if ms.err != nil {
-			writeError(w, http.StatusServiceUnavailable,
+			serve.WriteError(w, http.StatusServiceUnavailable,
 				fmt.Sprintf("shard %d (%s): %v", i, ms.m.url, ms.err))
 			return
 		}
@@ -577,7 +538,7 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	base := stats[0].data
-	writeJSON(w, http.StatusOK, map[string]any{
+	serve.WriteJSON(w, http.StatusOK, map[string]any{
 		"docs":       base["docs"],
 		"streams":    base["streams"],
 		"timeline":   base["timeline"],
@@ -603,19 +564,19 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handlePatterns(w http.ResponseWriter, r *http.Request) {
 	v := g.snapshot()
 	if !v.ok {
-		writeError(w, http.StatusServiceUnavailable, v.reason)
+		serve.WriteError(w, http.StatusServiceUnavailable, v.reason)
 		return
 	}
 	term := r.PathValue("term")
 	norm := term
-	if toks := g.tok.Tokenize(term); len(toks) > 0 {
+	if toks := (stburst.Query{Text: term}).Tokens(); len(toks) > 0 {
 		norm = toks[0]
 	}
 	owner := v.owners[stburst.TermShard(norm, v.shards)]
 	status, body, err := g.do(r.Context(), owner, http.MethodGet,
 		"/v1/patterns/"+url.PathEscape(term), r.URL.RawQuery, nil)
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable,
+		serve.WriteError(w, http.StatusServiceUnavailable,
 			fmt.Sprintf("shard %d (%s): %v", v.memberShard(owner), owner.url, err))
 		return
 	}
@@ -637,11 +598,11 @@ func (v *clusterView) memberShard(m *member) int {
 // bundles (stserve rejects -ingest for them), so there is no write
 // surface for the gateway to front.
 func (g *Gateway) handleDocuments(w http.ResponseWriter, r *http.Request) {
-	writeError(w, http.StatusForbidden,
+	serve.WriteError(w, http.StatusForbidden,
 		"the gateway is read-only: shard members serve immutable shard bundles; re-mine with stmine -shards to update the cluster")
 }
 
 func (g *Gateway) handleSubscriptionsUnsupported(w http.ResponseWriter, r *http.Request) {
-	writeError(w, http.StatusNotImplemented,
+	serve.WriteError(w, http.StatusNotImplemented,
 		"subscriptions are not supported on a sharded cluster: alert matching runs in the ingest path and shard-local views of a cross-shard predicate would fire partial alerts; register on an unsharded stserve -subscriptions instead")
 }

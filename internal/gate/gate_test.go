@@ -120,9 +120,9 @@ func bootGateway(t *testing.T, col *stburst.Collection, stores []*stburst.Store)
 
 // searchResp is the slice of the search response the oracle compares.
 type searchResp struct {
-	Count int       `json:"count"`
-	More  bool      `json:"more"`
-	Hits  []wireHit `json:"hits"`
+	Count int               `json:"count"`
+	More  bool              `json:"more"`
+	Hits  []serve.SearchHit `json:"hits"`
 }
 
 func doSearch(t *testing.T, h http.Handler, q stburst.Query) (int, searchResp) {
@@ -154,9 +154,9 @@ func oracleSearch(t *testing.T, store *stburst.Store, q stburst.Query) (int, sea
 	case err != nil:
 		return http.StatusBadRequest, searchResp{}
 	}
-	sr := searchResp{Count: len(page.Hits), More: page.More, Hits: make([]wireHit, len(page.Hits))}
+	sr := searchResp{Count: len(page.Hits), More: page.More, Hits: make([]serve.SearchHit, len(page.Hits))}
 	for i, h := range page.Hits {
-		sr.Hits[i] = wireHit{Doc: h.Doc.ID, Kind: h.Kind.String(), Stream: h.Stream, Time: h.Doc.Time, Score: h.Score}
+		sr.Hits[i] = serve.SearchHit{Doc: h.Doc.ID, Kind: h.Kind.String(), Stream: h.Stream, Time: h.Doc.Time, Score: h.Score}
 	}
 	return http.StatusOK, sr
 }

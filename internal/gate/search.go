@@ -1,11 +1,11 @@
 package gate
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -36,27 +36,10 @@ import (
 // then joining: intersect for membership, sum per-term scores in token
 // order (float addition in the engine's order, so sums are
 // bit-identical), pass the filter if any term's filtered list holds the
-// document, and re-rank with the exported stburst.SortHits order.
-// KindAny reproduces Store.Query's fan-out literally: each kind's
-// ranking is truncated to Offset+K+1 before the merge and contributes
-// its own More flag, then one sort and one pagination over the merged
-// list.
-
-// wireHit mirrors stserve's search hit JSON.
-type wireHit struct {
-	Doc    int     `json:"doc"`
-	Kind   string  `json:"kind"`
-	Stream string  `json:"stream"`
-	Time   int     `json:"time"`
-	Score  float64 `json:"score"`
-}
-
-// wireSearch is the slice of stserve's search response the join needs.
-type wireSearch struct {
-	Count int       `json:"count"`
-	More  bool      `json:"more"`
-	Hits  []wireHit `json:"hits"`
-}
+// document, and re-rank with the exported stburst.SortHits order. The
+// per-kind rankings then go through stburst.QueryKinds — the store's own
+// fan-out, merge and pagination — and the page out through
+// serve.WriteSearch, the members' own encoder.
 
 func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 	g.searches.Add(1)
@@ -65,28 +48,19 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := q.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		serve.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	v := g.snapshot()
 	if !v.ok {
-		writeError(w, http.StatusServiceUnavailable, v.reason)
+		serve.WriteError(w, http.StatusServiceUnavailable, v.reason)
 		return
 	}
 	start := time.Now()
 
-	// Tokenize exactly as the members resolve the query: Text through
-	// ToLower+Tokenize (the engine's free-text path), Terms entry by
-	// entry through Tokenize (resolveTerms), occurrence order and
+	// Exactly the tokens the members resolve, occurrence order and
 	// duplicates preserved — the scoring fold depends on both.
-	var toks []string
-	if len(q.Terms) > 0 {
-		for _, t := range q.Terms {
-			toks = append(toks, g.tok.Tokenize(t)...)
-		}
-	} else {
-		toks = g.tok.Tokenize(strings.ToLower(q.Text))
-	}
+	toks := q.Tokens()
 	if len(toks) == 0 {
 		// Nothing survives tokenization: any single member computes the
 		// exact answer (an empty page under Eq. 10, or the store-level
@@ -116,13 +90,13 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) forwardSearch(w http.ResponseWriter, r *http.Request, v clusterView, m *member, q stburst.Query, start time.Time) {
 	body, err := json.Marshal(q)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "encoding query: "+err.Error())
+		serve.WriteError(w, http.StatusInternalServerError, "encoding query: "+err.Error())
 		return
 	}
 	status, resp, err := g.do(r.Context(), m, http.MethodPost, "/v1/search", "", body)
 	g.obs.fanout("forward").Observe(time.Since(start).Seconds())
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable,
+		serve.WriteError(w, http.StatusServiceUnavailable,
 			fmt.Sprintf("shard %d (%s): %v", v.memberShard(m), m.url, err))
 		return
 	}
@@ -140,7 +114,7 @@ type subKey struct {
 type subResult struct {
 	status int
 	body   []byte
-	resp   wireSearch
+	resp   serve.SearchResponse
 	err    error
 }
 
@@ -224,14 +198,14 @@ func (g *Gateway) scatterSearch(w http.ResponseWriter, r *http.Request, v cluste
 		res := results[j]
 		if res.err != nil {
 			owner := v.owners[stburst.TermShard(j.term, v.shards)]
-			writeError(w, http.StatusServiceUnavailable,
+			serve.WriteError(w, http.StatusServiceUnavailable,
 				fmt.Sprintf("shard %d (%s): %v", v.memberShard(owner), owner.url, res.err))
 			return
 		}
 		switch {
 		case res.status == http.StatusOK:
 			if res.resp.More {
-				writeError(w, http.StatusServiceUnavailable,
+				serve.WriteError(w, http.StatusServiceUnavailable,
 					fmt.Sprintf("term %q exceeds %d hits on its shard; the join cannot be exact", j.term, stburst.MaxK))
 				return
 			}
@@ -241,61 +215,41 @@ func (g *Gateway) scatterSearch(w http.ResponseWriter, r *http.Request, v cluste
 			relay(w, res.status, res.body)
 			return
 		default:
-			writeError(w, http.StatusServiceUnavailable,
+			serve.WriteError(w, http.StatusServiceUnavailable,
 				fmt.Sprintf("shard answered %d for term %q", res.status, j.term))
 			return
 		}
 	}
 
-	k := q.K
-	if k == 0 {
-		k = stburst.DefaultK
-	}
-	// Store.Query's KindAny fan-out asks each kind for the first
-	// Offset+K+1 of its own ranking (capped at MaxK) and ORs the
-	// per-kind More flags; reproduce that literally from the full
-	// per-kind joins.
-	need := q.Offset + k + 1
-	if need > stburst.MaxK {
-		need = stburst.MaxK
-	}
-	var merged []stburst.Hit
-	more := false
-	queried := false
+	var sources []stburst.KindSource
 	for _, kind := range kinds {
-		if absent[kind] {
-			continue
-		}
-		queried = true
-		full := joinKind(kind, toks, terms, results, filtered, q.MinScore)
-		if q.Kind == stburst.KindAny {
-			if len(full) > need {
-				more = true
-				full = full[:need]
-			}
-			merged = append(merged, full...)
-		} else {
-			merged = full
+		if !absent[kind] {
+			sources = append(sources, joinedKind{kind, joinKind(kind, toks, terms, results, filtered, q.MinScore)})
 		}
 	}
-	if !queried {
-		writeError(w, http.StatusNotFound, "kind not resident: store holds no indexes")
+	page, err := stburst.QueryKinds(r.Context(), q, sources)
+	if err != nil { // every kind absent: the store-level 404
+		serve.WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	if q.Kind == stburst.KindAny {
-		stburst.SortHits(merged)
+	serve.WriteSearch(w, q, page, start)
+}
+
+// joinedKind serves one kind's fully joined ranking as a
+// stburst.KindSource, paging it as a member's engine would.
+type joinedKind struct {
+	kind stburst.Kind
+	hits []stburst.Hit
+}
+
+func (j joinedKind) PatternKind() stburst.Kind { return j.kind }
+
+func (j joinedKind) Query(_ context.Context, q stburst.Query) (stburst.ResultPage, error) {
+	hits := j.hits[min(q.Offset, len(j.hits)):]
+	if len(hits) > q.K {
+		return stburst.ResultPage{Hits: hits[:q.K], More: true}, nil
 	}
-	if q.Offset >= len(merged) {
-		g.writePage(w, q, nil, false, start)
-		return
-	}
-	end := q.Offset + k
-	if end > len(merged) {
-		end = len(merged)
-	} else if end < len(merged) {
-		more = true
-	}
-	g.writePage(w, q, merged[q.Offset:end], more, start)
+	return stburst.ResultPage{Hits: hits}, nil
 }
 
 // joinKind assembles one kind's full filtered ranking from the per-term
@@ -303,10 +257,10 @@ func (g *Gateway) scatterSearch(w http.ResponseWriter, r *http.Request, v cluste
 // disjunctive filter pass, MinScore threshold, then the canonical
 // (score desc, doc asc) order via the exported merge.
 func joinKind(kind stburst.Kind, toks, terms []string, results map[subKey]*subResult, filtered bool, minScore float64) []stburst.Hit {
-	byTerm := make(map[string]map[int]wireHit, len(terms))
+	byTerm := make(map[string]map[int]serve.SearchHit, len(terms))
 	for _, t := range terms {
 		hits := results[subKey{kind: kind, term: t}].resp.Hits
-		m := make(map[int]wireHit, len(hits))
+		m := make(map[int]serve.SearchHit, len(hits))
 		for _, h := range hits {
 			m[h.Doc] = h
 		}
@@ -357,19 +311,4 @@ func joinKind(kind stburst.Kind, toks, terms []string, results map[subKey]*subRe
 	sort.Slice(hits, func(i, j int) bool { return hits[i].Doc.ID < hits[j].Doc.ID })
 	stburst.SortHits(hits)
 	return hits
-}
-
-// writePage emits a search response in stserve's exact shape.
-func (g *Gateway) writePage(w http.ResponseWriter, q stburst.Query, hits []stburst.Hit, more bool, start time.Time) {
-	out := make([]wireHit, len(hits))
-	for i, h := range hits {
-		out[i] = wireHit{Doc: h.Doc.ID, Kind: h.Kind.String(), Stream: h.Stream, Time: h.Doc.Time, Score: h.Score}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"query":   q,
-		"took_ms": float64(time.Since(start).Microseconds()) / 1000,
-		"count":   len(out),
-		"more":    more,
-		"hits":    out,
-	})
 }

@@ -8,6 +8,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+
+	"stburst/internal/atomicfile"
 )
 
 // Bundle binary format (".bundle", little-endian throughout):
@@ -117,9 +119,10 @@ func (b *Bundle) Write(w io.Writer, term func(id int) string) error {
 	return writeBundleVersion(w, b, term, version)
 }
 
-// WriteFile is Write to a file, published atomically (WriteFileAtomic).
+// WriteFile is Write to a file, published atomically and durably
+// (atomicfile.Write).
 func (b *Bundle) WriteFile(path string, term func(id int) string) error {
-	return WriteFileAtomic(path, func(w io.Writer) error { return b.Write(w, term) })
+	return atomicfile.Write(path, func(w io.Writer) error { return b.Write(w, term) })
 }
 
 // WriteBundle writes sets as a whole-vocabulary bundle at generation gen:

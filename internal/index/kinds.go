@@ -60,9 +60,11 @@ type View struct {
 }
 
 // Timespan is an inclusive timeframe [Start, End] on the collection's
-// discrete timeline.
+// discrete timeline. The public stburst.Timespan is this type, so the
+// JSON names are the /v1 wire names.
 type Timespan struct {
-	Start, End int
+	Start int `json:"start"`
+	End   int `json:"end"`
 }
 
 // Overlaps reports whether the inclusive timeframe [start, end]

@@ -10,8 +10,6 @@ import (
 	"hash"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 
 	"stburst/internal/interval"
 )
@@ -357,32 +355,6 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 			got, hex.EncodeToString(storedFP))
 	}
 	return &Snapshot{Set: set, Terms: terms, Generation: generation}, nil
-}
-
-// WriteFileAtomic publishes what write produces as the file at path,
-// atomically: it writes to a temp file in the destination directory and
-// renames over the target, so a crash or full disk mid-save never leaves
-// a truncated snapshot or bundle for the next boot to trip over.
-func WriteFileAtomic(path string, write func(io.Writer) error) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".stb-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	// CreateTemp uses 0600; artifacts are mined by one user and served by
-	// another, so widen to the conventional 0644 before publishing.
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }
 
 // Validate checks every stored pattern against the shape of a target

@@ -18,10 +18,10 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		v      float64
 		bucket int // index into counts (len(bounds)+1 buckets)
 	}{
-		{-1, 0},   // below everything still lands in the first bucket
+		{-1, 0}, // below everything still lands in the first bucket
 		{0, 0},
 		{0.999, 0},
-		{1, 0},    // le="1" includes 1 exactly
+		{1, 0}, // le="1" includes 1 exactly
 		{1.0001, 1},
 		{2.5, 1},
 		{2.50001, 2},

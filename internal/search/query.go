@@ -3,7 +3,6 @@ package search
 import (
 	"context"
 	"errors"
-	"strings"
 	"sync/atomic"
 
 	"stburst/internal/geo"
@@ -73,13 +72,7 @@ func (e *Engine) Run(ctx context.Context, q Query) (Page, error) {
 	}
 	terms := q.Terms
 	if len(terms) == 0 {
-		for _, t := range e.tok.Tokenize(strings.ToLower(q.Text)) {
-			id, ok := e.col.Dict().Lookup(t)
-			if !ok {
-				return Page{}, nil
-			}
-			terms = append(terms, id)
-		}
+		terms = e.resolve(q.Text)
 	}
 	if len(terms) == 0 {
 		return Page{}, nil
@@ -134,7 +127,7 @@ func (e *Engine) Run(ctx context.Context, q Query) (Page, error) {
 			if pass != nil && !pass(r.Doc) {
 				continue
 			}
-			kept = append(kept, Result{Doc: r.Doc, Score: r.Score})
+			kept = append(kept, r)
 			if len(kept) > need {
 				break
 			}

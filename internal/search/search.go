@@ -2,7 +2,6 @@ package search
 
 import (
 	"math"
-	"strings"
 
 	"stburst/internal/geo"
 	"stburst/internal/index"
@@ -32,10 +31,7 @@ type Engine struct {
 }
 
 // Result is one retrieved document.
-type Result struct {
-	Doc   int
-	Score float64
-}
+type Result = index.Result
 
 // Build indexes the collection: for every term and every document
 // containing it, the per-term score relevance × burstiness is added when
@@ -62,16 +58,22 @@ func Build(col *stream.Collection, b Burstiness) *Engine {
 // string (terms are tokenized with the default pipeline, mirroring the
 // indexing side).
 func (e *Engine) Query(q string, k int) []Result {
-	terms := e.tok.Tokenize(strings.ToLower(q))
-	ids := make([]int, 0, len(terms))
-	for _, t := range terms {
+	return e.QueryTerms(e.resolve(q), k)
+}
+
+// resolve tokenizes free text and interns the tokens; nil when nothing
+// survives tokenization or some token is unknown to the collection
+// (Eq. 10: a term with no patterns/documents zeroes the query).
+func (e *Engine) resolve(text string) []int {
+	var ids []int
+	for _, t := range e.tok.Tokenize(text) {
 		id, ok := e.col.Dict().Lookup(t)
 		if !ok {
-			return nil // Eq. 10: a term with no patterns/documents zeroes the query
+			return nil
 		}
 		ids = append(ids, id)
 	}
-	return e.QueryTerms(ids, k)
+	return ids
 }
 
 // QueryTerms retrieves the top-k documents for pre-interned term IDs.
@@ -80,14 +82,10 @@ func (e *Engine) QueryTerms(terms []int, k int) []Result {
 		return nil
 	}
 	rs := e.idx.TopK(terms, k, index.MissingExcludes)
-	out := make([]Result, len(rs))
-	for i, r := range rs {
-		out[i] = Result{Doc: r.Doc, Score: r.Score}
-	}
-	if len(out) == 0 {
+	if len(rs) == 0 {
 		return nil
 	}
-	return out
+	return rs
 }
 
 // Index exposes the underlying inverted index (for diagnostics/tests).

@@ -3,9 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"stburst"
@@ -16,93 +13,49 @@ import (
 // This file is the serve layer's half of the streaming-connector
 // subsystem: the durable Sink the sources deliver into, and the
 // stats/metrics surface over a running Supervisor. The connector
-// package owns transports and supervision; this layer owns validation
-// (stream names, timeline bounds) and durability (the Ingester → WAL
-// path), exactly the same split POST /v1/documents has between its
-// handler and the store.
+// package owns transports and supervision; this layer owns per-document
+// rejection and the retry loop around Store.Ingest, which owns
+// validation and durability (log-before-apply) — exactly the same split
+// POST /v1/documents has between its handler and the store.
 
-// IngestSink adapts a dedicated Ingester into connector.Sink. Ingest
-// converts feed documents into store form, rejecting (and counting)
-// ones that cannot ever apply — unknown stream, out-of-range time —
-// rather than wedging the feed behind them, and then flushes
-// synchronously, retrying transient store errors with capped backoff
+// IngestSink adapts Store.Ingest into connector.Sink. Ingest converts
+// feed documents into store form, rejecting (and counting) ones that
+// can never apply — unknown stream, out-of-range time or term count —
+// rather than wedging the feed behind them, and then ingests the rest
+// as one batch, retrying transient store errors with capped backoff
 // until the batch is WAL-durable or ctx is cancelled. The synchronous
-// flush is the backpressure path: a source blocked here stops reading
-// its feed.
-//
-// Each source must own its sink and its Ingester: the retry loop
-// relies on the ingester buffering only this sink's documents, and the
-// checkpoint arithmetic relies on IngestResult.TotalDocs being read
-// under the store's write lock with this batch last.
+// call is the backpressure path: a source blocked here stops reading
+// its feed. A call that returns an error (its context was cancelled
+// before the batch was logged) applied nothing, and the source's
+// checkpoint never advanced past the batch: the next boot re-reads it.
 type IngestSink struct {
-	c   *stburst.Collection
-	ing *stburst.Ingester
-	// streamIdx resolves feed stream names; built once from the
-	// collection's fixed stream list.
-	streamIdx map[string]int
-	// RetryBase/RetryMax tune the flush retry backoff (defaults
+	c     *stburst.Collection
+	store *stburst.Store
+	// RetryBase/RetryMax tune the ingest retry backoff (defaults
 	// 100ms/5s); tests shrink them.
 	RetryBase time.Duration
 	RetryMax  time.Duration
-
-	mu sync.Mutex
-	// buffered counts documents left in the ingester by an Ingest call
-	// that gave up on ctx cancellation; the next call (or the
-	// ingester's Close) flushes them before accepting new work.
-	buffered int
 }
 
-// NewIngestSink builds a sink over a collection and a dedicated
-// ingester. The ingester should never auto-flush (its flush size and
-// interval belong to the sink's callers — the sources batch
-// themselves), so build it with a flush size no batch will reach.
-func NewIngestSink(c *stburst.Collection, ing *stburst.Ingester) *IngestSink {
-	k := &IngestSink{
-		c:         c,
-		ing:       ing,
-		streamIdx: make(map[string]int, c.NumStreams()),
-		RetryBase: 100 * time.Millisecond,
-		RetryMax:  5 * time.Second,
-	}
-	for x := 0; x < c.NumStreams(); x++ {
-		k.streamIdx[c.Stream(x).Name] = x
-	}
-	return k
+// NewIngestSink builds a sink over a collection and the store mined
+// from it. Any number of sources may share one sink: Store.Ingest
+// serializes them.
+func NewIngestSink(c *stburst.Collection, store *stburst.Store) *IngestSink {
+	return &IngestSink{c: c, store: store, RetryBase: 100 * time.Millisecond, RetryMax: 5 * time.Second}
 }
 
 // Docs implements connector.Sink: the collection's current document
 // count, which sources compare against a checkpoint to dedupe resume.
 func (k *IngestSink) Docs() int { return k.c.NumDocs() }
 
-// convert validates one feed document into store form. The Counts map
-// is expanded into sorted repeated tokens — prepareBatch recounts
-// tokens verbatim, so the round trip reproduces the exact count map a
-// corpus load would produce.
+// convert resolves and validates one feed document into store form.
 func (k *IngestSink) convert(d connector.Doc) (stburst.IncomingDocument, error) {
-	x, ok := k.streamIdx[d.Stream]
-	if !ok {
-		return stburst.IncomingDocument{}, fmt.Errorf("unknown stream %q", d.Stream)
+	x, err := k.c.Resolve(d.Stream, d.Time)
+	if err != nil {
+		return stburst.IncomingDocument{}, err
 	}
-	if d.Time < 0 || d.Time >= k.c.Timeline() {
-		return stburst.IncomingDocument{}, fmt.Errorf("time %d outside the timeline [0, %d)", d.Time, k.c.Timeline())
-	}
-	doc := stburst.IncomingDocument{Stream: x, Time: d.Time, Text: d.Text, Tokens: d.Tokens}
-	if len(d.Counts) > 0 {
-		terms := make([]string, 0, len(d.Counts))
-		for term := range d.Counts {
-			terms = append(terms, term)
-		}
-		sort.Strings(terms)
-		var tokens []string
-		for _, term := range terms {
-			for i := 0; i < d.Counts[term]; i++ {
-				tokens = append(tokens, term)
-			}
-		}
-		doc.Tokens = tokens
-		doc.Text = ""
-	}
-	return doc, nil
+	doc := stburst.IncomingDocument{Stream: x, Time: d.Time, Text: d.Text, Tokens: d.Tokens, Counts: d.Counts}
+	return doc, k.c.Check(doc)
 }
 
 // Ingest implements connector.Sink. On return with a nil error every
@@ -110,20 +63,7 @@ func (k *IngestSink) convert(d connector.Doc) (stburst.IncomingDocument, error) 
 // WAL when one is attached); SinkResult.Total is the store's document
 // count with this batch last, read under the write lock.
 func (k *IngestSink) Ingest(ctx context.Context, docs []connector.Doc) (connector.SinkResult, error) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if k.buffered > 0 {
-		// Residue from a call that was cancelled between Add and a
-		// durable flush. Land it first — its documents belong to an
-		// older batch whose source already moved on, so they are not
-		// reported in this result, but they must precede this batch in
-		// the collection.
-		if _, err := k.flush(ctx); err != nil {
-			return connector.SinkResult{}, err
-		}
-		k.buffered = 0
-	}
-	var res connector.SinkResult
+	res := connector.SinkResult{Total: k.c.NumDocs()}
 	valid := make([]stburst.IncomingDocument, 0, len(docs))
 	for _, d := range docs {
 		doc, err := k.convert(d)
@@ -134,52 +74,28 @@ func (k *IngestSink) Ingest(ctx context.Context, docs []connector.Doc) (connecto
 		valid = append(valid, doc)
 	}
 	if len(valid) == 0 {
-		res.Total = k.c.NumDocs()
 		return res, nil
 	}
-	if _, err := k.ing.Add(valid...); err != nil {
-		// The ingester never auto-flushes for sink batches, so an Add
-		// error means it is closed (shutdown): nothing was buffered.
-		return connector.SinkResult{}, err
-	}
-	k.buffered = len(valid)
-	ires, err := k.flush(ctx)
-	if err != nil {
-		return connector.SinkResult{}, err
-	}
-	k.buffered = 0
 	res.Applied = len(valid)
-	res.Total = ires.TotalDocs
-	return res, nil
-}
-
-// flush drives the ingester until the buffered documents are durable,
-// retrying transient errors with capped backoff. It returns only on
-// success, ctx cancellation (documents stay buffered; Close or the
-// next call lands them), or a permanent error (ingester closed).
-func (k *IngestSink) flush(ctx context.Context) (*stburst.IngestResult, error) {
-	backoff := k.RetryBase
-	for {
-		res, err := k.ing.Flush(ctx)
-		if err == nil {
+	for backoff := k.RetryBase; ; backoff = min(2*backoff, k.RetryMax) {
+		ires, err := k.store.Ingest(ctx, valid)
+		switch {
+		case err == nil:
+			res.Total = ires.TotalDocs
 			return res, nil
-		}
-		if errors.Is(err, stburst.ErrIngestIncomplete) {
+		case errors.Is(err, stburst.ErrIngestIncomplete):
 			// The documents WERE appended (and logged); only the index
 			// refresh is owed, and the store repairs it on a later
 			// ingest. For delivery accounting this is success.
-			return &stburst.IngestResult{Generation: 0, TotalDocs: k.c.NumDocs()}, nil
-		}
-		if errors.Is(err, stburst.ErrIngesterClosed) || ctx.Err() != nil {
-			return nil, err
+			res.Total = k.c.NumDocs()
+			return res, nil
+		case ctx.Err() != nil:
+			return connector.SinkResult{}, err
 		}
 		select {
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return connector.SinkResult{}, ctx.Err()
 		case <-time.After(backoff):
-		}
-		if backoff *= 2; backoff > k.RetryMax {
-			backoff = k.RetryMax
 		}
 	}
 }
@@ -189,7 +105,7 @@ func (k *IngestSink) flush(ctx context.Context) (*stburst.IngestResult, error) {
 // EnableIngest: the per-source gauge families are registered here, and
 // a scrape must never race source registration. The server does not
 // own the supervisor's lifecycle — the caller starts it after the WAL
-// is attached and stops it before the ingesters close.
+// is attached and stops it before the WAL closes.
 func (s *Server) EnableConnectors(sup *connector.Supervisor) {
 	s.connectors = sup
 	for i := 0; i < sup.NumSources(); i++ {

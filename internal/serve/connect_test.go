@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -20,15 +21,9 @@ import (
 // reboot (WAL replay + checkpoint resume) reproduces a never-crashed
 // store checksum-for-checksum.
 
-// connectorIngester builds the dedicated never-auto-flush ingester a
-// connector sink requires.
-func connectorIngester(s *stburst.Store) *stburst.Ingester {
-	return stburst.NewIngester(s, stburst.WithFlushDocs(1<<30))
-}
-
 // fastSink builds an IngestSink with test-speed retry backoff.
-func fastSink(c *stburst.Collection, ing *stburst.Ingester) *IngestSink {
-	k := NewIngestSink(c, ing)
+func fastSink(c *stburst.Collection, s *stburst.Store) *IngestSink {
+	k := NewIngestSink(c, s)
 	k.RetryBase = time.Millisecond
 	k.RetryMax = 10 * time.Millisecond
 	return k
@@ -37,9 +32,7 @@ func fastSink(c *stburst.Collection, ing *stburst.Ingester) *IngestSink {
 func TestIngestSinkValidatesAndApplies(t *testing.T) {
 	c := serveCollection(t)
 	s := storeOf(t, c, mustMine(c, stburst.KindRegional, nil))
-	ing := connectorIngester(s)
-	defer ing.Close()
-	sink := fastSink(c, ing)
+	sink := fastSink(c, s)
 	base := c.NumDocs()
 
 	res, err := sink.Ingest(context.Background(), []connector.Doc{
@@ -58,12 +51,11 @@ func TestIngestSinkValidatesAndApplies(t *testing.T) {
 		t.Fatalf("Total = %d, collection = %d, want %d", res.Total, c.NumDocs(), base+2)
 	}
 
-	// The counts round trip exactly: expanding the map into sorted
-	// repeated tokens and recounting must reproduce the same content a
-	// direct token append stores. The oracle presents each document's
-	// tokens pre-sorted because the live Append path interns a
-	// document's new terms in sorted order, and Checksum covers the
-	// dictionary.
+	// The counts land exactly: the map a feed line carries must store
+	// the same content a direct token append does. The oracle presents
+	// each document's tokens pre-sorted because the live Append path
+	// interns a document's new terms in sorted order, and Checksum covers
+	// the dictionary.
 	oracle := serveCollection(t)
 	if _, err := oracle.AddTokens(0, 3, []string{"earthquake", "earthquake", "rescue"}); err != nil {
 		t.Fatal(err)
@@ -72,34 +64,69 @@ func TestIngestSinkValidatesAndApplies(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c.Checksum() != oracle.Checksum() {
-		t.Fatal("count expansion did not reproduce AddStringCounts content")
+		t.Fatal("ingested counts did not reproduce AddTokens content")
 	}
 }
 
-func TestIngestSinkCancelledContextKeepsBatchForRetry(t *testing.T) {
+func TestIngestSinkCancelledContextAppliesNothing(t *testing.T) {
 	c := serveCollection(t)
 	s := storeOf(t, c, mustMine(c, stburst.KindRegional, nil))
-	ing := connectorIngester(s)
-	defer ing.Close()
-	sink := fastSink(c, ing)
+	sink := fastSink(c, s)
 	base := c.NumDocs()
+	batch := []connector.Doc{{Stream: "lima", Time: 1, Text: "boat race"}}
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := sink.Ingest(cancelled, []connector.Doc{{Stream: "lima", Time: 1, Text: "boat race"}}); err == nil {
+	if _, err := sink.Ingest(cancelled, batch); err == nil {
 		t.Fatal("Ingest with cancelled context succeeded")
 	}
-	// The document is residue inside the ingester; the next successful
-	// call must land it exactly once, before its own batch.
-	res, err := sink.Ingest(context.Background(), []connector.Doc{{Stream: "quito", Time: 2, Text: "border fair"}})
+	if got := c.NumDocs(); got != base {
+		t.Fatalf("cancelled Ingest left %d docs, want %d (nothing applied)", got, base)
+	}
+	// The source never advanced past the batch, so it re-sends it; the
+	// re-sent batch must land exactly once.
+	res, err := sink.Ingest(context.Background(), batch)
 	if err != nil {
-		t.Fatalf("follow-up Ingest: %v", err)
+		t.Fatalf("re-sent Ingest: %v", err)
 	}
-	if res.Applied != 1 || res.Total != base+2 {
-		t.Fatalf("follow-up result = %+v, want 1 applied and total %d", res, base+2)
+	if res.Applied != 1 || res.Total != base+1 || c.NumDocs() != base+1 {
+		t.Fatalf("re-sent result = %+v with %d docs, want 1 applied and total %d", res, c.NumDocs(), base+1)
 	}
-	if got := c.NumDocs(); got != base+2 {
-		t.Fatalf("collection = %d docs, want %d (residue lost or duplicated)", got, base+2)
+}
+
+// TestIngestSinkRejectsBadCounts: a feed document whose term count is
+// negative or past int32 is rejected and counted, its neighbours in the
+// batch apply — and a huge but valid count costs a posting, not memory
+// proportional to the count.
+func TestIngestSinkRejectsBadCounts(t *testing.T) {
+	c := serveCollection(t)
+	s := storeOf(t, c, mustMine(c, stburst.KindRegional, nil))
+	sink := fastSink(c, s)
+	base := c.NumDocs()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := sink.Ingest(context.Background(), []connector.Doc{
+		{Stream: "lima", Time: 2, Counts: map[string]int{"flood": 1}},
+		{Stream: "lima", Time: 2, Counts: map[string]int{"flood": -5}},
+		{Stream: "quito", Time: 2, Counts: map[string]int{"flood": 3_000_000_000}},
+		{Stream: "tokyo", Time: 2, Counts: map[string]int{"deluge": 1_000_000_000}},
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("Ingest: %v", err)
+	}
+	if res.Applied != 2 || res.Rejected != 2 || c.NumDocs() != base+2 {
+		t.Fatalf("result = %+v with %d docs, want 2 applied, 2 rejected, %d docs", res, c.NumDocs(), base+2)
+	}
+	if got := c.TermFrequency("deluge", 2, 2); got != 1e9 {
+		t.Fatalf("TermFrequency(deluge) = %v, want 1e9", got)
+	}
+	if got := c.TermFrequency("flood", 0, 2); got != 1 {
+		t.Fatalf("TermFrequency(flood, lima) = %v, want 1 (the rejected counts must not land)", got)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("ingesting a count of 1e9 allocated %d bytes, want under 1 MiB", grew)
 	}
 }
 
@@ -111,13 +138,12 @@ func tailFeedLine(stream string, tm int, counts map[string]int) string {
 
 // bootTailed assembles one "process incarnation" of a WAL-backed,
 // tail-connected store: fresh collection, WAL replay, mine, attach,
-// dedicated ingester + sink, supervised tailer. It returns the pieces
+// sink, supervised tailer. It returns the pieces
 // a test needs to observe and to crash (cancel + abandon).
 type tailedProc struct {
 	c    *stburst.Collection
 	s    *stburst.Store
 	w    *stburst.WAL
-	ing  *stburst.Ingester
 	sink *IngestSink
 	sup  *connector.Supervisor
 }
@@ -140,8 +166,7 @@ func bootTailed(t *testing.T, walDir, feed string) *tailedProc {
 	if _, err := s.AttachWAL(ctx, w); err != nil {
 		t.Fatalf("AttachWAL: %v", err)
 	}
-	ing := connectorIngester(s)
-	sink := fastSink(c, ing)
+	sink := fastSink(c, s)
 	sup := connector.NewSupervisor(connector.SupervisorConfig{
 		BackoffBase: time.Millisecond,
 		Logf:        func(string, ...any) {},
@@ -152,7 +177,7 @@ func bootTailed(t *testing.T, walDir, feed string) *tailedProc {
 		Poll:      2 * time.Millisecond,
 	}, sink))
 	sup.Start(ctx)
-	return &tailedProc{c: c, s: s, w: w, ing: ing, sink: sink, sup: sup}
+	return &tailedProc{c: c, s: s, w: w, sink: sink, sup: sup}
 }
 
 func TestTailCrashRecoveryChecksumOracle(t *testing.T) {
@@ -174,12 +199,8 @@ func TestTailCrashRecoveryChecksumOracle(t *testing.T) {
 	// The never-crashed oracle, fed through the same sink code path.
 	oracleC := serveCollection(t)
 	oracleS := storeOf(t, oracleC, mustMine(oracleC, stburst.KindRegional, nil))
-	oracleIng := connectorIngester(oracleS)
-	if _, err := fastSink(oracleC, oracleIng).Ingest(context.Background(), docs); err != nil {
+	if _, err := fastSink(oracleC, oracleS).Ingest(context.Background(), docs); err != nil {
 		t.Fatalf("oracle ingest: %v", err)
-	}
-	if err := oracleIng.Close(); err != nil {
-		t.Fatal(err)
 	}
 	oracleSum := oracleC.Checksum()
 	oracleDocs := oracleC.NumDocs()
@@ -199,9 +220,9 @@ func TestTailCrashRecoveryChecksumOracle(t *testing.T) {
 
 			// First incarnation: tail until at least `cut` docs are
 			// durable, then crash — cancel the supervisor and abandon
-			// everything un-closed. The ingester is never closed and the
-			// WAL is never cleanly shut, exactly like kill -9: only what
-			// was fsync'd (WAL frames, checkpoint renames) survives.
+			// everything un-closed. The WAL is never cleanly shut, exactly
+			// like kill -9: only what was fsync'd (WAL frames, checkpoint
+			// renames) survives.
 			p1 := bootTailed(t, walDir, feed)
 			deadline := time.Now().Add(10 * time.Second)
 			for p1.sink.Docs() < base+cut && time.Now().Before(deadline) {
@@ -210,7 +231,7 @@ func TestTailCrashRecoveryChecksumOracle(t *testing.T) {
 			if p1.sink.Docs() < base+cut {
 				t.Fatalf("first incarnation never reached %d docs", base+cut)
 			}
-			p1.sup.Stop() // cancel + join; un-flushed residue dies with the process
+			p1.sup.Stop() // cancel + join; an un-ingested batch dies with the process
 
 			// Reboot: replay the WAL into a fresh collection, attach,
 			// and resume the tailer from its checkpoint.
@@ -223,9 +244,6 @@ func TestTailCrashRecoveryChecksumOracle(t *testing.T) {
 			// equality check.
 			time.Sleep(20 * time.Millisecond)
 			p2.sup.Stop()
-			if err := p2.ing.Close(); err != nil {
-				t.Fatalf("closing ingester: %v", err)
-			}
 
 			if got := p2.c.NumDocs(); got != oracleDocs {
 				t.Fatalf("recovered store has %d docs, oracle %d (lost or duplicated)", got, oracleDocs)
@@ -257,10 +275,8 @@ func TestServerConnectorsStatsAndMetrics(t *testing.T) {
 	if err := os.WriteFile(feed, []byte(tailFeedLine("lima", 1, map[string]int{"storm": 2})), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ing := connectorIngester(s)
-	defer ing.Close()
 	sup := connector.NewSupervisor(connector.SupervisorConfig{Logf: func(string, ...any) {}})
-	src := connector.NewTailSource(connector.TailConfig{Path: feed, Poll: 2 * time.Millisecond}, fastSink(c, ing))
+	src := connector.NewTailSource(connector.TailConfig{Path: feed, Poll: 2 * time.Millisecond}, fastSink(c, s))
 	sup.Add(src)
 	srv.EnableConnectors(sup)
 	sup.Start(context.Background())

@@ -61,9 +61,6 @@ type Server struct {
 	// server read-only and POST /v1/documents answers 403 (the -ingest
 	// flag gates it).
 	ing *stburst.Ingester
-	// streamIdx resolves incoming documents' stream names. It is built
-	// from the collection's fixed stream list, never mutated.
-	streamIdx map[string]int
 	// snapshotPath is the file POST /v1/reload re-reads; empty disables
 	// the route (the server was started without -snapshot).
 	snapshotPath string
@@ -112,10 +109,6 @@ type Server struct {
 // disabled; EnableIngest arms it.
 func New(c *stburst.Collection, store *stburst.Store, snapshotPath string) *Server {
 	s := &Server{c: c, store: store, snapshotPath: snapshotPath, started: time.Now(), mux: http.NewServeMux()}
-	s.streamIdx = make(map[string]int, c.NumStreams())
-	for x := 0; x < c.NumStreams(); x++ {
-		s.streamIdx[c.Stream(x).Name] = x
-	}
 	// The versioned contract.
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
@@ -149,12 +142,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.obs.http.Serve(s.mux, w, r)
 }
 
-// writeJSON encodes v into a buffer before touching the ResponseWriter,
-// so an encoding failure still produces a clean 500 (no header has been
-// written yet) instead of a truncated 200 body. Encode and write errors
-// are logged — a failed write after the header means the client is gone,
-// and the only remaining duty is to record it, never to write again.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers status with v as the indented JSON body every /v1
+// route of stserve and stgate speaks. It encodes into a buffer before
+// touching the ResponseWriter, so an encoding failure still produces a
+// clean 500 (no header has been written yet) instead of a truncated 200
+// body. Encode and write errors are logged — a failed write after the
+// header means the client is gone, and the only remaining duty is to
+// record it, never to write again.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
@@ -174,8 +169,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
+// WriteError answers status with the /v1 error body {"error": msg}.
+func WriteError(w http.ResponseWriter, status int, msg string) {
+	WriteJSON(w, status, map[string]string{"error": msg})
 }
 
 // MaxBody caps the JSON bodies of the query-sized POST routes (search,
@@ -199,9 +195,9 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string
 	case err == nil:
 		return true
 	case errors.As(err, &tooBig):
-		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("%s body exceeds %d bytes", what, tooBig.Limit))
+		WriteError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("%s body exceeds %d bytes", what, tooBig.Limit))
 	default:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid %s body: %v", what, err))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("invalid %s body: %v", what, err))
 	}
 	return false
 }
@@ -228,14 +224,26 @@ func (s *Server) corpusFingerprint() string {
 // the store generation, the corpus fingerprint, and the shard identity.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	si := s.store.ShardInfo()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":      "ok",
-		"generation":  s.store.Generation(),
-		"fingerprint": s.corpusFingerprint(),
-		"shard":       si.Shard,
-		"shards":      si.Shards,
-		"scheme":      si.Scheme,
+	WriteJSON(w, http.StatusOK, Health{
+		Fingerprint: s.corpusFingerprint(),
+		Generation:  s.store.Generation(),
+		Scheme:      si.Scheme,
+		Shard:       si.Shard,
+		Shards:      si.Shards,
+		Status:      "ok",
 	})
+}
+
+// Health is the GET /v1/healthz body, which a cluster gateway decodes to
+// place the member in its partition. Fields are declared in the
+// alphabetical key order the body has always had.
+type Health struct {
+	Fingerprint string `json:"fingerprint"`
+	Generation  uint64 `json:"generation"`
+	Scheme      string `json:"scheme"`
+	Shard       int    `json:"shard"`
+	Shards      int    `json:"shards"`
+	Status      string `json:"status"`
 }
 
 // indexJSON is one resident index in /v1/indexes and /v1/stats.
@@ -262,11 +270,11 @@ func (s *Server) indexes() []indexJSON {
 }
 
 func (s *Server) handleIndexes(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"indexes": s.indexes()})
+	WriteJSON(w, http.StatusOK, map[string]any{"indexes": s.indexes()})
 }
 
 func (s *Server) handleGeneration(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"generation": s.store.Generation()})
+	WriteJSON(w, http.StatusOK, map[string]any{"generation": s.store.Generation()})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -345,7 +353,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		stats["patterns"] = ixs[0].Patterns
 		stats["fingerprint"] = ixs[0].Fingerprint
 	}
-	writeJSON(w, http.StatusOK, stats)
+	WriteJSON(w, http.StatusOK, stats)
 }
 
 // handleReload re-reads the snapshot/bundle file and atomically replaces
@@ -355,7 +363,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // never exposes a cold engine to traffic.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if s.snapshotPath == "" {
-		writeError(w, http.StatusConflict, "server was started without -snapshot; nothing to reload")
+		WriteError(w, http.StatusConflict, "server was started without -snapshot; nothing to reload")
 		return
 	}
 	// Reloading is an admin operation that decodes a multi-gigabyte-class
@@ -370,13 +378,13 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	defer s.reloadMu.Unlock()
 	f, err := os.Open(s.snapshotPath)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "reload: "+err.Error())
+		WriteError(w, http.StatusInternalServerError, "reload: "+err.Error())
 		return
 	}
 	defer f.Close()
 	fresh, err := stburst.LoadStore(f, s.c)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "reload: "+err.Error())
+		WriteError(w, http.StatusInternalServerError, "reload: "+err.Error())
 		return
 	}
 	ixs := fresh.Resident()
@@ -384,26 +392,26 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		ix.Engine() // warm before the swap: no query pays the build
 	}
 	if err := s.store.Replace(ixs...); err != nil {
-		writeError(w, http.StatusInternalServerError, "reload: "+err.Error())
+		WriteError(w, http.StatusInternalServerError, "reload: "+err.Error())
 		return
 	}
 	s.reloads.Add(1)
 	log.Printf("reloaded %s: %d indexes", s.snapshotPath, len(ixs))
-	writeJSON(w, http.StatusOK, map[string]any{"reloaded": true, "indexes": s.indexes()})
+	WriteJSON(w, http.StatusOK, map[string]any{"reloaded": true, "indexes": s.indexes()})
 }
 
-// documentJSON is one incoming document of POST /v1/documents: a stream
+// Document is one incoming document of POST /v1/documents: a stream
 // name (as in the corpus header), a timestamp on the collection's
 // timeline, and the document text.
-type documentJSON struct {
+type Document struct {
 	Stream string `json:"stream"`
 	Time   int    `json:"time"`
 	Text   string `json:"text"`
 }
 
-// documentsRequest is the POST /v1/documents body.
-type documentsRequest struct {
-	Documents []documentJSON `json:"documents"`
+// DocumentsRequest is the POST /v1/documents body.
+type DocumentsRequest struct {
+	Documents []Document `json:"documents"`
 }
 
 // maxIngestBody caps a POST /v1/documents body. The write surface is
@@ -425,27 +433,22 @@ const maxIngestBody = 8 << 20
 // read-only, unauthenticated service.
 func (s *Server) handleDocuments(w http.ResponseWriter, r *http.Request) {
 	if s.ing == nil {
-		writeError(w, http.StatusForbidden, "ingestion is disabled; start stserve with -ingest")
+		WriteError(w, http.StatusForbidden, "ingestion is disabled; start stserve with -ingest")
 		return
 	}
-	var req documentsRequest
+	var req DocumentsRequest
 	if !DecodeBody(w, r, maxIngestBody, "documents", &req) {
 		return
 	}
 	if len(req.Documents) == 0 {
-		writeError(w, http.StatusBadRequest, "documents must be a non-empty array")
+		WriteError(w, http.StatusBadRequest, "documents must be a non-empty array")
 		return
 	}
 	docs := make([]stburst.IncomingDocument, len(req.Documents))
 	for i, d := range req.Documents {
-		x, ok := s.streamIdx[d.Stream]
-		if !ok {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("document %d: unknown stream %q", i, d.Stream))
-			return
-		}
-		if d.Time < 0 || d.Time >= s.c.Timeline() {
-			writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("document %d: time %d outside the timeline [0, %d)", i, d.Time, s.c.Timeline()))
+		x, err := s.c.Resolve(d.Stream, d.Time)
+		if err != nil {
+			WriteError(w, http.StatusBadRequest, fmt.Sprintf("document %d: %v", i, err))
 			return
 		}
 		docs[i] = stburst.IncomingDocument{Stream: x, Time: d.Time, Text: d.Text}
@@ -460,7 +463,7 @@ func (s *Server) handleDocuments(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.ing.Add(docs...)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "ingest: "+err.Error())
+		WriteError(w, http.StatusInternalServerError, "ingest: "+err.Error())
 		return
 	}
 	s.ingests.Add(int64(len(docs)))
@@ -476,7 +479,7 @@ func (s *Server) handleDocuments(w http.ResponseWriter, r *http.Request) {
 		body["flushed"] = false
 		body["generation"] = s.store.Generation()
 	}
-	writeJSON(w, http.StatusAccepted, body)
+	WriteJSON(w, http.StatusAccepted, body)
 }
 
 // streamNames resolves stream indices to their names for human-readable
@@ -588,7 +591,7 @@ func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 	if raw := r.URL.Query().Get("kind"); raw != "" {
 		var err error
 		if kind, err = stburst.ParseKind(raw); err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
+			WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 	}
@@ -596,14 +599,14 @@ func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 	if raw := r.URL.Query().Get("region"); raw != "" {
 		rect, err := geo.ParseRect(raw)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
+			WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		region = &rect
 	}
 	span, err := s.parseSpan(r.URL.Query().Get("from"), r.URL.Query().Get("to"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
@@ -616,7 +619,7 @@ func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if len(match) == 0 {
-			writeError(w, http.StatusNotFound, fmt.Sprintf("kind %v is not resident (have %v)", kind, s.store.Kinds()))
+			WriteError(w, http.StatusNotFound, fmt.Sprintf("kind %v is not resident (have %v)", kind, s.store.Kinds()))
 			return
 		}
 		resident = match
@@ -630,22 +633,53 @@ func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 		patterns = append(patterns, s.patternsOf(ix, term, region, span)...)
 	}
 	if len(patterns) == 0 {
-		writeError(w, http.StatusNotFound, "no patterns for term "+strconv.Quote(term))
+		WriteError(w, http.StatusNotFound, "no patterns for term "+strconv.Quote(term))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"term":     term,
 		"kind":     effective.String(),
 		"patterns": patterns,
 	})
 }
 
-type hitJSON struct {
+// SearchHit is one hit of a search response.
+type SearchHit struct {
 	Doc    int     `json:"doc"`
 	Kind   string  `json:"kind"`
 	Stream string  `json:"stream"`
 	Time   int     `json:"time"`
 	Score  float64 `json:"score"`
+}
+
+// SearchResponse is the POST /v1/search body, which a cluster gateway
+// both decodes from its members and answers with. Fields are declared in
+// the alphabetical key order the body has always had.
+type SearchResponse struct {
+	// Count is the size of *this page*; with offset paging the full
+	// result-set size is unknown (the TA never enumerates it), and More
+	// flags whether later pages exist.
+	Count  int           `json:"count"`
+	Hits   []SearchHit   `json:"hits"`
+	More   bool          `json:"more"`
+	Query  stburst.Query `json:"query"`
+	TookMS float64       `json:"took_ms"`
+}
+
+// WriteSearch answers a search with one page of the ranking, timed from
+// start.
+func WriteSearch(w http.ResponseWriter, q stburst.Query, page stburst.ResultPage, start time.Time) {
+	hits := make([]SearchHit, len(page.Hits))
+	for i, h := range page.Hits {
+		hits[i] = SearchHit{Doc: h.Doc.ID, Kind: h.Kind.String(), Stream: h.Stream, Time: h.Doc.Time, Score: h.Score}
+	}
+	WriteJSON(w, http.StatusOK, SearchResponse{
+		Count:  len(hits),
+		Hits:   hits,
+		More:   page.More,
+		Query:  q,
+		TookMS: float64(time.Since(start).Microseconds()) / 1000,
+	})
 }
 
 // handleSearchV1 answers POST /v1/search: the body is the stburst.Query
@@ -668,24 +702,11 @@ func (s *Server) handleSearchV1(w http.ResponseWriter, r *http.Request) {
 		log.Printf("search cancelled: %v", err)
 		return
 	case errors.Is(err, stburst.ErrKindNotResident):
-		writeError(w, http.StatusNotFound, err.Error())
+		WriteError(w, http.StatusNotFound, err.Error())
 		return
 	case err != nil:
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	hits := make([]hitJSON, len(page.Hits))
-	for i, h := range page.Hits {
-		hits[i] = hitJSON{Doc: h.Doc.ID, Kind: h.Kind.String(), Stream: h.Stream, Time: h.Doc.Time, Score: h.Score}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"query":   q,
-		"took_ms": float64(time.Since(start).Microseconds()) / 1000,
-		// count is the size of *this page*; with offset paging the full
-		// result-set size is unknown (the TA never enumerates it), and
-		// more flags whether later pages exist.
-		"count": len(hits),
-		"more":  page.More,
-		"hits":  hits,
-	})
+	WriteSearch(w, q, page, start)
 }

@@ -431,7 +431,7 @@ func TestServerV1PatternsFiltered(t *testing.T) {
 // JSON error, not a half-written 200.
 func TestWriteJSONEncodeFailure(t *testing.T) {
 	rec := httptest.NewRecorder()
-	writeJSON(rec, http.StatusOK, map[string]any{"bad": make(chan int)})
+	WriteJSON(rec, http.StatusOK, map[string]any{"bad": make(chan int)})
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500", rec.Code)
 	}

@@ -54,7 +54,7 @@ func (s *Server) CloseSubscriptions() {
 // must not be the default.
 func (s *Server) requireSubs(w http.ResponseWriter) bool {
 	if !s.subsEnabled {
-		writeError(w, http.StatusForbidden, "subscriptions are disabled; start stserve with -subscriptions")
+		WriteError(w, http.StatusForbidden, "subscriptions are disabled; start stserve with -subscriptions")
 		return false
 	}
 	return true
@@ -73,7 +73,7 @@ func (s *Server) handleSubscriptionCreate(w http.ResponseWriter, r *http.Request
 		return
 	}
 	if spec.ID != 0 {
-		writeError(w, http.StatusBadRequest, "id is assigned by the server; omit it")
+		WriteError(w, http.StatusBadRequest, "id is assigned by the server; omit it")
 		return
 	}
 	// Refuse visibly-private webhook targets up front (an unparseable
@@ -83,7 +83,7 @@ func (s *Server) handleSubscriptionCreate(w http.ResponseWriter, r *http.Request
 	if spec.Webhook != "" && !s.allowPrivateHooks {
 		if u, err := url.Parse(spec.Webhook); err == nil {
 			if err := sub.CheckWebhookHost(u.Hostname()); err != nil {
-				writeError(w, http.StatusBadRequest, err.Error())
+				WriteError(w, http.StatusBadRequest, err.Error())
 				return
 			}
 		}
@@ -91,14 +91,14 @@ func (s *Server) handleSubscriptionCreate(w http.ResponseWriter, r *http.Request
 	stored, err := s.store.Subscribe(spec)
 	if err != nil {
 		if errors.Is(err, stburst.ErrSubscriptionLimit) {
-			writeError(w, http.StatusTooManyRequests, err.Error())
+			WriteError(w, http.StatusTooManyRequests, err.Error())
 			return
 		}
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	w.Header().Set("Location", "/v1/subscriptions/"+strconv.FormatUint(stored.ID, 10))
-	writeJSON(w, http.StatusCreated, stored)
+	WriteJSON(w, http.StatusCreated, stored)
 }
 
 // handleSubscriptionList answers GET /v1/subscriptions with every
@@ -111,7 +111,7 @@ func (s *Server) handleSubscriptionList(w http.ResponseWriter, r *http.Request) 
 	if subs == nil {
 		subs = []stburst.Subscription{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"count":         len(subs),
 		"subscriptions": subs,
 	})
@@ -122,7 +122,7 @@ func (s *Server) handleSubscriptionList(w http.ResponseWriter, r *http.Request) 
 func subscriptionID(w http.ResponseWriter, r *http.Request) (uint64, bool) {
 	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 	if err != nil || id == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid subscription id %q", r.PathValue("id")))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("invalid subscription id %q", r.PathValue("id")))
 		return 0, false
 	}
 	return id, true
@@ -138,10 +138,10 @@ func (s *Server) handleSubscriptionGet(w http.ResponseWriter, r *http.Request) {
 	}
 	spec, ok := s.store.LookupSubscription(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("no subscription %d", id))
+		WriteError(w, http.StatusNotFound, fmt.Sprintf("no subscription %d", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, spec)
+	WriteJSON(w, http.StatusOK, spec)
 }
 
 func (s *Server) handleSubscriptionDelete(w http.ResponseWriter, r *http.Request) {
@@ -153,10 +153,10 @@ func (s *Server) handleSubscriptionDelete(w http.ResponseWriter, r *http.Request
 		return
 	}
 	if !s.store.Unsubscribe(id) {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("no subscription %d", id))
+		WriteError(w, http.StatusNotFound, fmt.Sprintf("no subscription %d", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"deleted": true, "id": id})
+	WriteJSON(w, http.StatusOK, map[string]any{"deleted": true, "id": id})
 }
 
 // handleAlertStream answers GET /v1/alerts/stream: a Server-Sent Events

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -114,6 +115,7 @@ type state struct {
 // of the collection, either wholly before or wholly after any batch.
 type Collection struct {
 	streams      []Info
+	byName       map[string]int // stream name -> index; fixed with streams
 	length       int
 	retainCounts bool
 	mu           sync.Mutex // serializes writers: load-phase adds and Append batches
@@ -125,8 +127,12 @@ type Collection struct {
 func NewCollection(streams []Info, length int) *Collection {
 	c := &Collection{
 		streams:      streams,
+		byName:       make(map[string]int, len(streams)),
 		length:       length,
 		retainCounts: true,
+	}
+	for x, s := range streams {
+		c.byName[s.Name] = x
 	}
 	c.st.Store(&state{
 		dict:     NewDictionary(),
@@ -191,9 +197,11 @@ func (c *Collection) AddTokens(streamIdx, time int, tokens []string) (int, error
 // assign identical dictionary IDs. Load phase only; Append interns the
 // same way for post-load batches.
 func (c *Collection) AddStringCounts(streamIdx, time int, counts map[string]int) (int, error) {
-	st := c.st.Load()
-	ids, _ := internSorted(st.dict, counts)
-	return c.AddCounts(streamIdx, time, ids)
+	if err := checkDoc(c, streamIdx, time, counts); err != nil {
+		return 0, err
+	}
+	ids, _ := internSorted(c.st.Load().dict, counts)
+	return c.addCounts(streamIdx, time, ids), nil
 }
 
 // internSorted interns one document's terms into dict in sorted string
@@ -216,14 +224,39 @@ func internSorted(dict *Dictionary, counts map[string]int) (map[int]int, []int) 
 	return out, ids
 }
 
-// checkDoc validates a document's stream and timestamp against the
-// collection's shape.
-func (c *Collection) checkDoc(streamIdx, time int) error {
+// Resolve maps an arriving document's stream name to its index and checks
+// its timestamp against the timeline — the one name resolver behind every
+// door a document enters through (corpus load, HTTP, connectors).
+func (c *Collection) Resolve(name string, time int) (int, error) {
+	x, ok := c.byName[name]
+	if !ok {
+		return 0, fmt.Errorf("unknown stream %q", name)
+	}
+	return x, c.checkTime(time)
+}
+
+func (c *Collection) checkTime(time int) error {
+	if time < 0 || time >= c.length {
+		return fmt.Errorf("time %d outside the timeline [0, %d)", time, c.length)
+	}
+	return nil
+}
+
+// checkDoc validates a document against the collection's shape: its
+// stream and timestamp must exist, and every term count must lie in
+// [1, math.MaxInt32] — postings store counts as int32, and a count that
+// wrapped would enter the frequency surface of Eq. 6 negative.
+func checkDoc[K comparable](c *Collection, streamIdx, time int, counts map[K]int) error {
 	if streamIdx < 0 || streamIdx >= len(c.streams) {
 		return fmt.Errorf("stream: document stream %d out of range [0,%d)", streamIdx, len(c.streams))
 	}
-	if time < 0 || time >= c.length {
-		return fmt.Errorf("stream: document time %d out of range [0,%d)", time, c.length)
+	if err := c.checkTime(time); err != nil {
+		return fmt.Errorf("stream: document %w", err)
+	}
+	for term, n := range counts {
+		if n < 1 || n > math.MaxInt32 {
+			return fmt.Errorf("stream: term %v count %d outside [1, %d]", term, n, math.MaxInt32)
+		}
 	}
 	return nil
 }
@@ -233,9 +266,14 @@ func (c *Collection) checkDoc(streamIdx, time int) error {
 // in place (single goroutine, no concurrent readers); see Append for the
 // post-load write path.
 func (c *Collection) AddCounts(streamIdx, time int, counts map[int]int) (int, error) {
-	if err := c.checkDoc(streamIdx, time); err != nil {
+	if err := checkDoc(c, streamIdx, time, counts); err != nil {
 		return 0, err
 	}
+	return c.addCounts(streamIdx, time, counts), nil
+}
+
+// addCounts stores an already-validated document.
+func (c *Collection) addCounts(streamIdx, time int, counts map[int]int) int {
 	st := c.st.Load()
 	id := len(st.docs)
 	doc := Document{ID: id, Stream: streamIdx, Time: time}
@@ -251,7 +289,7 @@ func (c *Collection) AddCounts(streamIdx, time int, counts map[int]int) (int, er
 			count:  int32(n),
 		})
 	}
-	return id, nil
+	return id
 }
 
 // AppendDoc is one document arriving after the initial load: a stream, a
@@ -271,7 +309,7 @@ type AppendDoc struct {
 // always replays cleanly into a collection of the same shape.
 func (c *Collection) CheckBatch(docs []AppendDoc) error {
 	for i, d := range docs {
-		if err := c.checkDoc(d.Stream, d.Time); err != nil {
+		if err := checkDoc(c, d.Stream, d.Time, d.Counts); err != nil {
 			return fmt.Errorf("appending document %d: %w", i, err)
 		}
 	}
@@ -297,10 +335,8 @@ func (c *Collection) CheckBatch(docs []AppendDoc) error {
 func (c *Collection) Append(docs []AppendDoc) (firstID int, dirty []int, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i, d := range docs {
-		if err := c.checkDoc(d.Stream, d.Time); err != nil {
-			return 0, nil, fmt.Errorf("appending document %d: %w", i, err)
-		}
+	if err := c.CheckBatch(docs); err != nil {
+		return 0, nil, err
 	}
 	cur := c.st.Load()
 	next := &state{

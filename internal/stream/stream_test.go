@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"math"
 	"testing"
 
 	"stburst/internal/geo"
@@ -77,6 +78,47 @@ func TestAddCountsValidation(t *testing.T) {
 	}
 	if _, err := c.AddCounts(0, 4, nil); err == nil {
 		t.Fatal("out-of-range time should error")
+	}
+	// Term counts are stored as int32: every door rejects what would not
+	// fit, and a count below 1 is no occurrence.
+	for _, n := range []int{0, -5, math.MaxInt32 + 1} {
+		if _, err := c.AddCounts(0, 0, map[int]int{0: n}); err == nil {
+			t.Fatalf("AddCounts accepted term count %d", n)
+		}
+		if _, err := c.AddStringCounts(0, 0, map[string]int{"x": n}); err == nil {
+			t.Fatalf("AddStringCounts accepted term count %d", n)
+		}
+		batch := []AppendDoc{{Counts: map[string]int{"ok": 1}}, {Counts: map[string]int{"x": n}}}
+		if err := c.CheckBatch(batch); err == nil {
+			t.Fatalf("CheckBatch accepted term count %d", n)
+		}
+		if _, _, err := c.Append(batch); err == nil {
+			t.Fatalf("Append accepted term count %d", n)
+		}
+	}
+	if c.NumDocs() != 0 || c.Dict().Len() != 0 {
+		t.Fatalf("rejected documents left %d docs, %d terms behind", c.NumDocs(), c.Dict().Len())
+	}
+	if _, err := c.AddStringCounts(1, 3, map[string]int{"x": math.MaxInt32}); err != nil {
+		t.Fatalf("the largest storable count was rejected: %v", err)
+	}
+	if got := c.Surface(0)[1][3]; got != math.MaxInt32 {
+		t.Fatalf("surface = %v, want %d", got, math.MaxInt32)
+	}
+}
+
+func TestResolve(t *testing.T) {
+	c := twoStreams()
+	if x, err := c.Resolve(c.Stream(1).Name, 3); err != nil || x != 1 {
+		t.Fatalf("Resolve = %d, %v, want stream 1", x, err)
+	}
+	if _, err := c.Resolve("atlantis", 0); err == nil {
+		t.Fatal("unknown stream name should error")
+	}
+	for _, tm := range []int{-1, 4} {
+		if _, err := c.Resolve(c.Stream(0).Name, tm); err == nil {
+			t.Fatalf("time %d should error", tm)
+		}
 	}
 }
 

@@ -8,9 +8,8 @@ import (
 	"unicode"
 )
 
-// DefaultStopwords is a compact English stopword list suitable for news
-// text. Callers needing custom behaviour can construct a Tokenizer with
-// their own list.
+// DefaultStopwords is the compact English stopword list, suited to news
+// text, that every tokenizer drops.
 var DefaultStopwords = []string{
 	"a", "an", "and", "are", "as", "at", "be", "but", "by", "for", "from",
 	"had", "has", "have", "he", "her", "his", "i", "in", "is", "it", "its",
@@ -18,52 +17,34 @@ var DefaultStopwords = []string{
 	"they", "this", "to", "was", "were", "which", "will", "with", "would",
 }
 
-// Tokenizer splits text into normalized terms.
+// Tokens shorter than minLen or longer than maxLen runes are dropped.
+const (
+	minLen = 2
+	maxLen = 40
+)
+
+// Tokenizer splits text into normalized terms. There is one pipeline and
+// no way to configure another: bundle portability, shard routing and
+// subscription normalization all assume every process normalizes terms
+// identically.
 type Tokenizer struct {
-	stop    map[string]struct{}
-	minLen  int
-	maxLen  int
-	keepNum bool
+	stop map[string]struct{}
 }
 
-// Option configures a Tokenizer.
-type Option func(*Tokenizer)
-
-// WithStopwords replaces the stopword list.
-func WithStopwords(words []string) Option {
-	return func(t *Tokenizer) {
-		t.stop = make(map[string]struct{}, len(words))
-		for _, w := range words {
-			t.stop[strings.ToLower(w)] = struct{}{}
-		}
-	}
-}
-
-// WithMinLen drops tokens shorter than n runes (default 2).
-func WithMinLen(n int) Option { return func(t *Tokenizer) { t.minLen = n } }
-
-// WithMaxLen drops tokens longer than n runes (default 40).
-func WithMaxLen(n int) Option { return func(t *Tokenizer) { t.maxLen = n } }
-
-// WithNumbers keeps purely numeric tokens (dropped by default).
-func WithNumbers() Option { return func(t *Tokenizer) { t.keepNum = true } }
-
-// NewTokenizer builds a tokenizer with the default configuration modified
-// by opts.
-func NewTokenizer(opts ...Option) *Tokenizer {
-	t := &Tokenizer{minLen: 2, maxLen: 40}
-	WithStopwords(DefaultStopwords)(t)
-	for _, o := range opts {
-		o(t)
+// NewTokenizer builds the tokenizer.
+func NewTokenizer() *Tokenizer {
+	t := &Tokenizer{stop: make(map[string]struct{}, len(DefaultStopwords))}
+	for _, w := range DefaultStopwords {
+		t.stop[w] = struct{}{}
 	}
 	return t
 }
 
 // Tokenize splits text into lowercase terms, dropping stopwords, tokens
-// outside the configured length bounds, and (unless WithNumbers) purely
-// numeric tokens. Splitting happens at any rune that is neither a letter
-// nor a digit, except that single apostrophes and hyphens inside a word
-// are removed rather than treated as separators ("mid-scale" → "midscale").
+// outside the length bounds, and purely numeric tokens. Splitting happens
+// at any rune that is neither a letter nor a digit, except that single
+// apostrophes and hyphens inside a word are removed rather than treated
+// as separators ("mid-scale" → "midscale").
 func (t *Tokenizer) Tokenize(text string) []string {
 	var out []string
 	var b strings.Builder
@@ -74,13 +55,13 @@ func (t *Tokenizer) Tokenize(text string) []string {
 		tok := b.String()
 		b.Reset()
 		n := len([]rune(tok))
-		if n < t.minLen || n > t.maxLen {
+		if n < minLen || n > maxLen {
 			return
 		}
 		if _, bad := t.stop[tok]; bad {
 			return
 		}
-		if !t.keepNum && isNumeric(tok) {
+		if isNumeric(tok) {
 			return
 		}
 		out = append(out, tok)

@@ -68,6 +68,7 @@ import (
 	"strings"
 	"sync"
 
+	"stburst/internal/atomicfile"
 	"stburst/internal/stream"
 )
 
@@ -310,7 +311,7 @@ func (l *Log) Append(preGen, baseDocs uint64, docs []stream.AppendDoc) (uint64, 
 		l.rollbackLocked(frameStart)
 		return 0, fmt.Errorf("wal: appending frame %d: %w", seq, err)
 	}
-	if l.opts.Sync == SyncAlways {
+	if l.opts.Sync != SyncNever { // anything but an explicit opt-out syncs
 		if err := l.fsync(); err != nil {
 			l.rollbackLocked(frameStart)
 			return 0, fmt.Errorf("wal: syncing frame %d: %w", seq, err)
@@ -525,15 +526,7 @@ func (l *Log) fsync() error {
 }
 
 func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	if err := atomicfile.SyncDir(dir); err != nil {
 		return fmt.Errorf("wal: syncing directory: %w", err)
 	}
 	return nil

@@ -111,7 +111,7 @@ func TestKindTable(t *testing.T) {
 			for _, id := range ix.set.Terms() {
 				term := dict.Term(id)
 				for _, f := range filters {
-					pass := ix.set.Filter(points, f.region, f.span.internal())
+					pass := ix.set.Filter(points, f.region, f.span)
 					for doc := 0; doc < c.NumDocs(); doc++ {
 						d := c.Doc(doc)
 						want := contributingPatternIntersects(c, ix, []string{term}, Hit{Doc: d}, f.region, f.span)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"sync"
 
+	"stburst/internal/atomicfile"
 	"stburst/internal/index"
 	"stburst/internal/interval"
 	"stburst/internal/search"
@@ -331,7 +332,7 @@ func (ix *PatternIndex) Patterns(term string, region *Rect, time *Timespan) []Pa
 	if region != nil {
 		points = ix.c.col.Points()
 	}
-	views := ix.set.Matching(id, points, region, time.internal())
+	views := ix.set.Matching(id, points, region, time)
 	if len(views) == 0 {
 		return nil
 	}
@@ -373,7 +374,7 @@ func (ix *PatternIndex) Save(w io.Writer) error {
 // is written to a temp file in the destination directory and renamed
 // over the target, so an interrupted save never leaves a truncated file.
 func (ix *PatternIndex) SaveFile(path string) error {
-	return index.WriteFileAtomic(path, ix.Save)
+	return atomicfile.Write(path, ix.Save)
 }
 
 // LoadPatternIndex reads a snapshot written by PatternIndex.Save and

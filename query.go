@@ -5,29 +5,14 @@ import (
 	"fmt"
 	"math"
 
+	"stburst/internal/index"
 	"stburst/internal/search"
+	"stburst/internal/textproc"
 )
 
 // Timespan is an inclusive timeframe [Start, End] on the collection's
 // discrete timeline, the temporal half of every mined pattern.
-type Timespan struct {
-	Start int `json:"start"`
-	End   int `json:"end"`
-}
-
-// Overlaps reports whether the inclusive timeframe [start, end]
-// intersects the span.
-func (ts Timespan) Overlaps(start, end int) bool {
-	return start <= ts.End && ts.Start <= end
-}
-
-// internal converts the span to the engine layer's form; nil stays nil.
-func (ts *Timespan) internal() *search.Timespan {
-	if ts == nil {
-		return nil
-	}
-	return &search.Timespan{Start: ts.Start, End: ts.End}
-}
+type Timespan = index.Timespan
 
 // Query is a structured spatiotemporal search request, the first-class
 // way to ask the §5 retrieval model for "bursty documents about X, in
@@ -104,6 +89,27 @@ func (q Query) Validate() error {
 	return nil
 }
 
+// tokenizer is the one tokenization pipeline of every collection, query
+// and subscription: bundle portability, shard routing and subscription
+// normalization all assume terms are normalized identically everywhere.
+var tokenizer = textproc.NewTokenizer()
+
+// Tokens returns the query's terms as collections normalize them: Text
+// tokenized, or Terms tokenized entry by entry (a multi-word entry
+// contributes every token), in occurrence order with duplicates kept —
+// the per-term score fold of Eq. 10 depends on both. Engine.Run resolves
+// exactly these tokens, and the stgate coordinator routes them to shards.
+func (q Query) Tokens() []string {
+	if len(q.Terms) == 0 {
+		return tokenizer.Tokenize(q.Text)
+	}
+	var toks []string
+	for _, t := range q.Terms {
+		toks = append(toks, tokenizer.Tokenize(t)...)
+	}
+	return toks
+}
+
 // k returns the effective page size.
 func (q Query) k() int {
 	if q.K == 0 {
@@ -140,20 +146,16 @@ func (e *Engine) Run(ctx context.Context, q Query) (ResultPage, error) {
 	if q.Kind != KindAny && q.Kind != e.kind {
 		return ResultPage{}, fmt.Errorf("stburst: query asks for %v patterns but the engine serves %v (route multi-kind queries through a Store)", q.Kind, e.kind)
 	}
-	sq := search.Query{K: q.k(), Offset: q.Offset, MinScore: q.MinScore}
-	if q.Region != nil {
-		r := *q.Region
-		sq.Region = &r
-	}
-	sq.Span = q.Time.internal()
-	if len(q.Terms) > 0 {
-		ids, ok := e.resolveTerms(q.Terms)
+	sq := search.Query{K: q.k(), Offset: q.Offset, MinScore: q.MinScore, Region: q.Region, Span: q.Time}
+	for _, tok := range q.Tokens() {
+		id, ok := e.c.col.Dict().Lookup(tok)
 		if !ok {
-			return ResultPage{}, nil // some term matches nothing: Eq. 10
+			return ResultPage{}, nil // a term the collection has never seen matches nothing: Eq. 10
 		}
-		sq.Terms = ids
-	} else {
-		sq.Text = q.Text
+		sq.Terms = append(sq.Terms, id)
+	}
+	if len(sq.Terms) == 0 {
+		return ResultPage{}, nil // nothing survived tokenization
 	}
 	page, err := e.eng.Run(ctx, sq)
 	if err != nil {
@@ -168,28 +170,6 @@ func (e *Engine) Run(ctx context.Context, q Query) (ResultPage, error) {
 		hits[i] = Hit{Doc: d, Score: r.Score, Stream: e.c.Stream(d.Stream).Name, Kind: e.kind}
 	}
 	return ResultPage{Hits: hits, More: page.More}, nil
-}
-
-// resolveTerms normalizes pre-split query terms through the collection's
-// tokenizer (a multi-word entry contributes every token) and interns
-// them. It reports false when any entry resolves to a term the
-// collection has never seen, or when nothing survives tokenization —
-// under Eq. 10 such a query retrieves nothing.
-func (e *Engine) resolveTerms(terms []string) ([]int, bool) {
-	var ids []int
-	for _, t := range terms {
-		for _, tok := range e.c.tok.Tokenize(t) {
-			id, ok := e.c.col.Dict().Lookup(tok)
-			if !ok {
-				return nil, false
-			}
-			ids = append(ids, id)
-		}
-	}
-	if len(ids) == 0 {
-		return nil, false
-	}
-	return ids, true
 }
 
 // Query executes a structured query against the stored patterns, building

@@ -11,7 +11,6 @@ import (
 	"stburst/internal/expect"
 	"stburst/internal/geo"
 	"stburst/internal/stream"
-	"stburst/internal/textproc"
 )
 
 // Point is a location on the 2-D map.
@@ -162,23 +161,19 @@ func (o *CombinatorialOptions) coreOptions() core.STCombOptions {
 // after any append batch.
 type Collection struct {
 	col *stream.Collection
-	tok *textproc.Tokenizer
 }
 
 // NewCollection creates an empty collection over the given streams and
 // timeline length (number of discrete timestamps).
 func NewCollection(streams []StreamInfo, timeline int) *Collection {
-	return &Collection{
-		col: stream.NewCollection(streams, timeline),
-		tok: textproc.NewTokenizer(),
-	}
+	return &Collection{col: stream.NewCollection(streams, timeline)}
 }
 
 // AddText tokenizes text (lowercasing, stopword removal) and adds it as
 // one document of the given stream at the given timestamp, returning the
 // assigned document ID.
 func (c *Collection) AddText(streamIdx, time int, text string) (int, error) {
-	return c.col.AddTokens(streamIdx, time, c.tok.Tokenize(text))
+	return c.col.AddTokens(streamIdx, time, tokenizer.Tokenize(text))
 }
 
 // AddTokens adds a pre-tokenized document.
@@ -208,7 +203,7 @@ func LoadCorpusLabeled(r io.Reader) (*Collection, []int, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Collection{col: col, tok: textproc.NewTokenizer()}, labels, nil
+	return &Collection{col: col}, labels, nil
 }
 
 // IncomingDocument is one document arriving after the initial corpus
@@ -228,6 +223,28 @@ type IncomingDocument struct {
 	// Tokens is the pre-tokenized alternative to Text and takes
 	// precedence when non-nil, exactly like AddTokens.
 	Tokens []string
+	// Counts is the pre-counted alternative (term -> within-document
+	// frequency, the corpus file's own shape) and takes precedence over
+	// Tokens and Text when non-empty. Every count must lie in
+	// [1, math.MaxInt32].
+	Counts map[string]int
+}
+
+// Resolve maps an arriving document's stream name to its index and
+// checks its timestamp against the timeline. Every door that accepts
+// documents by stream name (POST /v1/documents, the connectors' sink)
+// resolves through it; the error names what is wrong but not which
+// document, so each door prefixes its own position.
+func (c *Collection) Resolve(stream string, time int) (int, error) {
+	return c.col.Resolve(stream, time)
+}
+
+// Check reports the error Append or Store.Ingest would reject the
+// document with — an out-of-range stream, timestamp or term count —
+// or nil. A door that must drop a bad document rather than fail its
+// whole batch (the connectors' sink) asks per document.
+func (c *Collection) Check(d IncomingDocument) error {
+	return c.col.CheckBatch(c.prepareBatch([]IncomingDocument{d}))
 }
 
 // AppendResult reports one applied Collection.Append batch.
@@ -249,10 +266,10 @@ type AppendResult struct {
 // atomically and safely under any number of concurrent readers,
 // searches and miners: a concurrent reader observes the collection
 // either wholly before or wholly after the batch, never a torn mix.
-// Batches are all-or-nothing — any out-of-range stream or timestamp
-// rejects the whole batch with nothing published. Existing interned
-// term IDs never move (the frozen prefix), and each document's new
-// terms are interned in sorted order, so replaying the same appends
+// Batches are all-or-nothing — any out-of-range stream, timestamp or
+// term count rejects the whole batch with nothing published. Existing
+// interned term IDs never move (the frozen prefix), and each document's
+// new terms are interned in sorted order, so replaying the same appends
 // always assigns identical IDs and previously mined indexes and
 // snapshots stay attached; only the returned dirty terms go stale.
 // Concurrent Append calls serialize. The context is checked once up
@@ -266,7 +283,7 @@ func (c *Collection) Append(ctx context.Context, docs []IncomingDocument) (*Appe
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	first, dirty, err := c.appendDocs(docs)
+	first, dirty, err := c.col.Append(c.prepareBatch(docs))
 	if err != nil {
 		return nil, err
 	}
@@ -278,30 +295,28 @@ func (c *Collection) Append(ctx context.Context, docs []IncomingDocument) (*Appe
 	return &AppendResult{FirstID: first, Docs: len(docs), DirtyTerms: terms}, nil
 }
 
-// prepareBatch tokenizes a batch into the stream layer's append shape —
-// the form the write-ahead log frames and Collection.Append interns, so
+// prepareBatch turns a batch into the stream layer's append shape — the
+// form the write-ahead log frames and Collection.Append interns, so
 // logging and applying agree byte for byte on what the batch contains.
+// Counts pass through untouched; Tokens, or else the tokenized Text, are
+// counted.
 func (c *Collection) prepareBatch(docs []IncomingDocument) []stream.AppendDoc {
 	batch := make([]stream.AppendDoc, len(docs))
 	for i, d := range docs {
-		tokens := d.Tokens
-		if tokens == nil {
-			tokens = c.tok.Tokenize(d.Text)
-		}
-		counts := make(map[string]int, len(tokens))
-		for _, t := range tokens {
-			counts[t]++
+		counts := d.Counts
+		if len(counts) == 0 {
+			tokens := d.Tokens
+			if tokens == nil {
+				tokens = tokenizer.Tokenize(d.Text)
+			}
+			counts = make(map[string]int, len(tokens))
+			for _, t := range tokens {
+				counts[t]++
+			}
 		}
 		batch[i] = stream.AppendDoc{Stream: d.Stream, Time: d.Time, Counts: counts}
 	}
 	return batch
-}
-
-// appendDocs tokenizes and appends a batch, returning the first assigned
-// ID and the ascending dirty term IDs — the shared back half of Append
-// and Store.Ingest.
-func (c *Collection) appendDocs(docs []IncomingDocument) (int, []int, error) {
-	return c.col.Append(c.prepareBatch(docs))
 }
 
 // NumDocs returns the number of documents added.
@@ -358,7 +373,7 @@ func (c *Collection) TermFrequency(term string, streamIdx, time int) float64 {
 }
 
 func (c *Collection) normalize(term string) string {
-	toks := c.tok.Tokenize(term)
+	toks := tokenizer.Tokenize(term)
 	if len(toks) == 0 {
 		return term
 	}

@@ -283,37 +283,52 @@ func (s *Store) Query(ctx context.Context, q Query) (ResultPage, error) {
 		return ix.Query(ctx, q)
 	}
 
-	resident := s.indexes.Load() // one snapshot for the whole fan-out
+	var sources []KindSource
+	for _, ix := range s.indexes.Load() { // one snapshot for the whole fan-out
+		if ix != nil {
+			sources = append(sources, ix)
+		}
+	}
+	return QueryKinds(ctx, q, sources)
+}
+
+// KindSource answers single-kind queries: one kind's leg of a KindAny
+// fan-out. A resident *PatternIndex is one; an out-of-process merger (the
+// stgate coordinator) wraps each kind's joined ranking in one.
+type KindSource interface {
+	PatternKind() Kind
+	Query(ctx context.Context, q Query) (ResultPage, error)
+}
+
+// QueryKinds answers a validated KindAny query from per-kind sources
+// exactly as Store.Query does from its resident indexes (it is
+// Store.Query's fan-out): each source is asked for the head of its own
+// ranking, the heads are merged with SortHits and the merged list is
+// paged by Offset/K, More reporting whether hits exist beyond the page.
+// No sources at all is ErrKindNotResident.
+func QueryKinds(ctx context.Context, q Query, sources []KindSource) (ResultPage, error) {
+	if len(sources) == 0 {
+		return ResultPage{}, fmt.Errorf("%w: store holds no indexes", ErrKindNotResident)
+	}
 	// Each kind must contribute enough of its own ranking to fill the
 	// merged page: the first Offset+K merged hits can in the worst case
 	// all come from one kind. Fetch one beyond the page to learn whether
 	// more exist, capping at MaxK (which Validate guarantees each of
 	// Offset and K respects individually).
-	need := q.Offset + q.k() + 1
-	if need > MaxK {
-		need = MaxK
-	}
+	need := min(q.Offset+q.k()+1, MaxK)
 	var merged []Hit
 	more := false
-	queried := false
-	for _, ix := range resident {
-		if ix == nil {
-			continue
-		}
-		queried = true
+	for _, src := range sources {
 		sub := q
-		sub.Kind = ix.PatternKind()
+		sub.Kind = src.PatternKind()
 		sub.K = need
 		sub.Offset = 0
-		page, err := ix.Query(ctx, sub)
+		page, err := src.Query(ctx, sub)
 		if err != nil {
 			return ResultPage{}, err
 		}
 		merged = append(merged, page.Hits...)
 		more = more || page.More
-	}
-	if !queried {
-		return ResultPage{}, fmt.Errorf("%w: store holds no indexes", ErrKindNotResident)
 	}
 	SortHits(merged)
 	if q.Offset >= len(merged) {
@@ -332,11 +347,10 @@ func (s *Store) Query(ctx context.Context, q Query) (ResultPage, error) {
 
 // SortHits sorts hits into the store's canonical merged ranking:
 // descending score, ties broken by ascending document ID, then ascending
-// kind. This is the total order Store.Query's KindAny fan-out merges
-// per-kind rankings with, exported so an out-of-process merger (the
-// stgate scatter-gather coordinator) produces bit-identical pages. The
-// sort is stable, though the order is total whenever no two hits share
-// (score, doc, kind).
+// kind. This is the total order QueryKinds merges per-kind rankings
+// with, exported so the stgate coordinator's per-term join ranks each
+// kind in the engine's own order. The sort is stable, though the order
+// is total whenever no two hits share (score, doc, kind).
 func SortHits(hits []Hit) {
 	sort.SliceStable(hits, func(i, j int) bool {
 		if hits[i].Score != hits[j].Score {
@@ -446,9 +460,9 @@ func (s *Store) Ingest(ctx context.Context, docs []IncomingDocument) (IngestResu
 	}
 	_, dirty, err := s.c.col.Append(batch)
 	if err != nil {
-		// Unreachable: CheckBatch ran Append's exact validation. Surface
-		// it as pre-append (nothing applied) rather than strand the
-		// logged frame silently — replay would heal it after a restart.
+		// Unreachable: Append re-runs the CheckBatch that just passed.
+		// Surface it as pre-append (nothing applied) rather than strand
+		// the logged frame silently — replay would heal it after a restart.
 		return IngestResult{}, err
 	}
 	// Fold in dirty terms a previously aborted refresh left stale; they

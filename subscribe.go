@@ -147,7 +147,7 @@ func (s *Store) normalizeTerms(terms []string) ([]string, error) {
 	var out []string
 	seen := make(map[string]struct{}, len(terms))
 	for _, t := range terms {
-		toks := s.c.tok.Tokenize(t)
+		toks := tokenizer.Tokenize(t)
 		if len(toks) == 0 {
 			return nil, fmt.Errorf("stburst: subscription term %q tokenizes to nothing", t)
 		}
@@ -196,6 +196,7 @@ func toInternalSub(s Subscription) sub.Subscription {
 		Owner:    s.Owner,
 		Terms:    s.Terms,
 		Kind:     int(s.Kind),
+		Time:     s.Time, // the registry clones on the way in and out
 		MinScore: s.MinScore,
 		Webhook:  s.Webhook,
 	}
@@ -203,7 +204,6 @@ func toInternalSub(s Subscription) sub.Subscription {
 		r := *s.Region
 		is.Region = &r
 	}
-	is.Time = s.Time.internal()
 	return is
 }
 
@@ -214,15 +214,13 @@ func fromInternalSub(is sub.Subscription) Subscription {
 		Owner:    is.Owner,
 		Terms:    is.Terms,
 		Kind:     Kind(is.Kind),
+		Time:     is.Time,
 		MinScore: is.MinScore,
 		Webhook:  is.Webhook,
 	}
 	if is.Region != nil {
 		r := *is.Region
 		s.Region = &r
-	}
-	if is.Time != nil {
-		s.Time = &Timespan{Start: is.Time.Start, End: is.Time.End}
 	}
 	return s
 }

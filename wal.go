@@ -12,17 +12,17 @@ import (
 )
 
 // WALSync selects when logged batches reach stable storage.
-type WALSync int
+type WALSync = wal.SyncPolicy
 
 const (
 	// WALSyncAlways fsyncs every batch before Ingest acknowledges it —
 	// the default, and the only policy under which "acknowledged" means
 	// "survives kill -9".
-	WALSyncAlways WALSync = iota
+	WALSyncAlways = wal.SyncAlways
 	// WALSyncNever leaves flushing to the OS: faster, but a crash may
 	// lose — or leave as unrecoverable corruption — batches that were
 	// already acknowledged.
-	WALSyncNever
+	WALSyncNever = wal.SyncNever
 )
 
 // walConfig collects OpenWAL's options: the log's own knobs plus the
@@ -38,19 +38,7 @@ type WALOption func(*walConfig)
 
 // WithWALSync sets the fsync policy (default WALSyncAlways).
 func WithWALSync(p WALSync) WALOption {
-	return func(c *walConfig) {
-		if p == WALSyncNever {
-			c.opts.Sync = wal.SyncNever
-		} else {
-			c.opts.Sync = wal.SyncAlways
-		}
-	}
-}
-
-// WithWALSegmentBytes sets the segment rotation threshold (default
-// 64 MiB). Values <= 0 keep the default.
-func WithWALSegmentBytes(n int64) WALOption {
-	return func(c *walConfig) { c.opts.SegmentBytes = n }
+	return func(c *walConfig) { c.opts.Sync = p }
 }
 
 // WithWALPrune arms save-time log pruning, off by default. After each
@@ -249,18 +237,7 @@ type AttachResult struct {
 }
 
 // WALStats is a point-in-time summary of a store's attached log.
-type WALStats struct {
-	// LastSeq is the sequence number of the most recent logged batch.
-	LastSeq uint64
-	// Batches is the number of frames across all segment files.
-	Batches int
-	// Segments is the number of segment files.
-	Segments int
-	// Bytes is their total size.
-	Bytes int64
-	// Syncs counts fsyncs performed since the log opened.
-	Syncs uint64
-}
+type WALStats = wal.Stats
 
 // AttachWAL completes recovery and arms logging: it re-mines the dirty
 // terms of every replayed batch the resident indexes have not absorbed
@@ -345,12 +322,5 @@ func (s *Store) WALStats() (WALStats, bool) {
 	if l == nil {
 		return WALStats{}, false
 	}
-	st := l.Stats()
-	return WALStats{
-		LastSeq:  st.LastSeq,
-		Batches:  st.Batches,
-		Segments: st.Segments,
-		Bytes:    st.Bytes,
-		Syncs:    st.Syncs,
-	}, true
+	return l.Stats(), true
 }

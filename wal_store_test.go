@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"stburst/internal/search"
+	"stburst/internal/stream"
 	"stburst/internal/wal"
 )
 
@@ -497,6 +498,38 @@ func TestWALReplayRejectsForeignCorpus(t *testing.T) {
 		t.Fatalf("ReplayWAL into a foreign corpus = %v, want a corpus-mismatch error", err)
 	}
 	_ = w2.Close()
+}
+
+// TestWALReplayRejectsOutOfRangeCount: a frame that decodes cleanly —
+// valid checksums, valid structure — but carries a term count no posting
+// can hold must fail replay, not wrap into a negative frequency. Live
+// ingestion validates before logging, so such a frame can only come from
+// outside; it is written here through the log's own (unvalidating)
+// Append.
+func TestWALReplayRejectsOutOfRangeCount(t *testing.T) {
+	dir := t.TempDir()
+	c := twoBurstCollection(t)
+	l, _, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []stream.AppendDoc{{Stream: 0, Time: 1, Counts: map[string]int{"flood": 3_000_000_000}}}
+	if _, err := l.Append(0, uint64(c.NumDocs()), bad); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	before, docs := c.Checksum(), c.NumDocs()
+	w := mustOpenWAL(t, dir)
+	defer w.Close()
+	if _, err := c.ReplayWAL(context.Background(), w); err == nil || !strings.Contains(err.Error(), "count") {
+		t.Fatalf("ReplayWAL of an out-of-range count = %v, want a count error", err)
+	}
+	if c.NumDocs() != docs || c.Checksum() != before {
+		t.Fatal("a rejected frame changed the collection")
+	}
 }
 
 // TestWALLifecycleGuards locks down the misuse errors of the replay /
