@@ -1,17 +1,16 @@
-# Tier-1 verification plus the race/determinism and benchmark suites,
-# and the snapshot/serving pipeline.
+# Tier-1 verification plus the race/determinism, fuzz and benchmark
+# suites, and the bundle/serving pipeline.
 #
 #   make             # build + vet + full tests (tier-1)
 #   make vet         # go vet, and fail on files gofmt would change
 #   make loc         # non-test code lines (the number ROADMAP aim 2 tracks)
 #   make test-short  # seconds-fast subset (heavy corpus reproductions skipped)
 #   make race        # concurrency suite under the race detector
-#   make bench       # all go-test benchmarks
-#   make bench-smoke # one-iteration benchmark pass (CI: does the harness run?)
+#   make bench       # the per-package go-test micro-benchmarks
 #   make bench-check # vet + test the bench/ module (the BENCHMARK.json harness)
+#   make fuzz-smoke  # 10 s of native fuzzing at each artifact decoder
 #   make verify      # tier-1 + race: what CI should run
-#   make snapshot    # stgen a corpus (if missing) and stmine it into $(SNAPSHOT)
-#   make bundle      # stmine all three kinds into $(BUNDLE)
+#   make bundle      # stgen a corpus (if missing) and stmine all three kinds into $(BUNDLE)
 #   make serve       # stserve the bundle on $(ADDR)
 #   make load        # boot stserve on the bundle and drive $(LOAD_ARGS) at it
 #   make loadtest    # the in-process stload smoke (what CI runs)
@@ -22,7 +21,6 @@
 
 GO ?= go
 CORPUS ?= corpus.jsonl
-SNAPSHOT ?= snapshot.stb
 BUNDLE ?= corpus.bundle
 ADDR ?= :8080
 LOAD_ADDR ?= 127.0.0.1:8093
@@ -36,17 +34,12 @@ ALERT_SINK ?= 127.0.0.1:8100
 ALERT_TMP ?= alertsmoke.tmp
 CONN_ADDR ?= 127.0.0.1:8101
 CONN_TMP ?= connsmoke.tmp
-# The smoke subset skips the corpus-wide mining benchmarks (tens of
-# seconds per iteration); the ingest pair stays in — its per-iteration
-# setup mines a small dedicated corpus, cheap enough for CI, and keeps
-# both write paths provably runnable.
-BENCH_SMOKE_PATTERN ?= BenchmarkQuery|BenchmarkStoreQuery|BenchmarkIngest
 
 # A failed stgen/stmine must not leave a truncated artifact that later
 # runs treat as up to date.
 .DELETE_ON_ERROR:
 
-.PHONY: all build vet loc test test-short race bench bench-smoke bench-check verify snapshot bundle serve load loadtest wal-smoke cluster-smoke alert-smoke connector-smoke
+.PHONY: all build vet loc test test-short race bench bench-check fuzz-smoke verify bundle serve load loadtest wal-smoke cluster-smoke alert-smoke connector-smoke
 
 all: build test
 
@@ -75,13 +68,10 @@ race: build
 	$(GO) test -race -run 'TestMineAll|TestConcurrent|TestSearchAnswers|TestPatternIndex|TestLoaded|TestIngest|TestAppend|TestWAL' .
 	$(GO) test -race ./internal/serve/ ./internal/metrics/ ./internal/wal/ ./internal/gate/ ./internal/sub/ ./internal/connector/
 
+# The micro-benchmarks that sit beside their packages; end-to-end numbers
+# come from bench/ (sh bench/run.sh), the one benchmark system.
 bench: build
-	$(GO) test -bench=. -benchmem -run '^$$' .
-
-# One iteration of the query-side benchmarks: cheap enough for CI, and
-# fails the build if the benchmark harness can no longer run at all.
-bench-smoke: build
-	$(GO) test -bench '$(BENCH_SMOKE_PATTERN)' -benchtime 1x -run '^$$' .
+	$(GO) test -bench=. -benchmem -run '^$$' ./...
 
 # bench/ is a module of its own (it imports stburst/internal/*), so
 # neither `go build ./...` nor `go test ./...` at the root compiles it:
@@ -90,15 +80,17 @@ bench-smoke: build
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# go test -fuzz takes one target per run. Minimizing every new-coverage
+# input would eat the ten seconds, so it is off; a crasher is still
+# written to the package's testdata/fuzz.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadBundle$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/index
+	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/index
+
 verify: test race
 
 $(CORPUS):
 	$(GO) run ./cmd/stgen -kind topix > $@
-
-$(SNAPSHOT): $(CORPUS)
-	$(GO) run ./cmd/stmine -all -corpus $(CORPUS) -o $@ > /dev/null
-
-snapshot: $(SNAPSHOT)
 
 $(BUNDLE): $(CORPUS)
 	$(GO) run ./cmd/stmine -all -method all -corpus $(CORPUS) -o $@ > /dev/null

@@ -7,20 +7,20 @@
 //	stmine -term earthquake -method stlocal < corpus.jsonl
 //	stmine -term fujimori   -method stcomb  -k 5 < corpus.jsonl
 //	stmine -all -method stlocal -parallel 8 -corpus corpus.jsonl
-//	stmine -all -corpus corpus.jsonl -o snapshot.stb
+//	stmine -all -corpus corpus.jsonl -o regional.bundle
 //	stmine -all -method all -corpus corpus.jsonl -o corpus.bundle
 //
 // With -all, the entire corpus vocabulary is mined concurrently across a
 // bounded worker pool (-parallel workers, default one per CPU) and the
 // top-k patterns corpus-wide are printed together with their terms; the
 // output is identical for every worker count. -o additionally writes the
-// mined index as a binary snapshot, the artifact cmd/stserve loads at
-// boot — mine once, serve many.
+// mined index as a bundle, the artifact cmd/stserve loads at boot — mine
+// once, serve many.
 //
 // -method all mines all three pattern kinds (regional, combinatorial,
 // temporal) in a single pass over one shared worker pool and writes the
-// three indexes as one bundle, the artifact a multi-kind stserve boots
-// from; the top-k listing then tags each pattern with its kind.
+// three indexes into the one bundle, the artifact a multi-kind stserve
+// boots from; the top-k listing then tags each pattern with its kind.
 //
 // -shards N (requires -all -method all -o) splits the mined vocabulary
 // into N shard bundles by hashing each term's canonical string
@@ -48,7 +48,6 @@ import (
 	"strings"
 	"time"
 
-	"stburst/internal/atomicfile"
 	"stburst/internal/corpusio"
 	"stburst/internal/index"
 	"stburst/internal/search"
@@ -63,7 +62,7 @@ func main() {
 		k        = flag.Int("k", 5, "number of patterns to print")
 		parallel = flag.Int("parallel", 0, "mining workers for -all (<1 = one per CPU)")
 		corpus   = flag.String("corpus", "", "JSONL corpus path (default: read stdin)")
-		out      = flag.String("o", "", "write the mined index as a snapshot (-method all: a bundle) to this path (requires -all)")
+		out      = flag.String("o", "", "write the mined index as a bundle to this path (requires -all)")
 		shards   = flag.Int("shards", 1, "split the mined vocabulary into this many shard bundles (requires -all -method all -o)")
 	)
 	flag.Parse()
@@ -139,7 +138,7 @@ func validateFlags(term string, all bool, method, out string, shards int) error 
 		return usageError("-method temporal requires -all (it mines the merged stream corpus-wide)")
 	}
 	if out != "" && !all {
-		return usageError("-o requires -all (snapshots hold the whole vocabulary)")
+		return usageError("-o requires -all (bundles hold the whole vocabulary)")
 	}
 	if shards < 1 {
 		return usageError(fmt.Sprintf("-shards %d: need at least 1 shard", shards))
@@ -221,10 +220,10 @@ func mineTerm(out io.Writer, col *stream.Collection, term, method string, k int)
 // mineAll mines the whole vocabulary with -method's kinds — all of them
 // in a single pass over one shared worker pool for "all" — prints the
 // top-k patterns across all terms and kinds to out and, when path is
-// set, writes the artifact a serving process boots from: one kind as a
-// snapshot, -method all as one bundle of every kind (the listing then
-// tags each line with its kind), or with shards > 1 as one sharded
-// bundle per vocabulary slice next to path.
+// set, writes the artifact a serving process boots from: one bundle of
+// the mined kinds (-method all tags each listing line with its kind),
+// or with shards > 1 one sharded bundle per vocabulary slice next to
+// path.
 func mineAll(out, diag io.Writer, col *stream.Collection, method string, k, parallel int, path string, shards int) error {
 	kinds, err := methodKinds(method)
 	if err != nil {
@@ -234,7 +233,6 @@ func mineAll(out, diag io.Writer, col *stream.Collection, method string, k, para
 		return usageError(fmt.Sprintf("-shards %d exceeds the vocabulary size %d (a shard must own at least one term)",
 			shards, col.Dict().Len()))
 	}
-	bundle := method == "all"
 	start := time.Now()
 	sets, err := mine(col, kinds, col.Terms(), parallel)
 	if err != nil {
@@ -246,24 +244,15 @@ func mineAll(out, diag io.Writer, col *stream.Collection, method string, k, para
 		total += set.NumPatterns()
 	}
 	term := col.Dict().Term
-	if bundle {
-		fmt.Fprintf(diag, "stmine: mined %d terms x %d kinds, %d patterns in %v\n", col.Dict().Len(), len(sets), total, elapsed)
-		for _, set := range sets {
-			fmt.Fprintf(diag, "stmine: %-13s %d terms, %d patterns, fingerprint %.12s...\n",
-				set.Kind(), set.NumTerms(), set.NumPatterns(), set.Fingerprint())
-		}
-	} else {
-		fmt.Fprintf(diag, "stmine: mined %d terms, %d patterns in %v\n", col.Dict().Len(), total, elapsed)
+	fmt.Fprintf(diag, "stmine: mined %d terms x %d kinds, %d patterns in %v\n", col.Dict().Len(), len(sets), total, elapsed)
+	for _, set := range sets {
+		fmt.Fprintf(diag, "stmine: %-13s %d terms, %d patterns, fingerprint %.12s...\n",
+			set.Kind(), set.NumTerms(), set.NumPatterns(), set.Fingerprint())
 	}
 	// A freshly mined artifact starts the generation sequence at 0; live
 	// ingestion through stserve advances it from there.
 	switch {
 	case path == "":
-	case !bundle:
-		if err := atomicfile.Write(path, func(w io.Writer) error { return index.WriteSnapshot(w, sets[0], term) }); err != nil {
-			return err
-		}
-		fmt.Fprintf(diag, "stmine: snapshot written to %s (fingerprint %.12s...)\n", path, sets[0].Fingerprint())
 	case shards > 1:
 		// One sharded bundle per vocabulary slice, each stamped with its
 		// coordinates, the partition scheme and the corpus checksum so a
@@ -329,7 +318,7 @@ func mineAll(out, diag io.Writer, col *stream.Collection, method string, k, para
 	}
 	for i, s := range top {
 		tag := ""
-		if bundle {
+		if method == "all" {
 			tag = "[" + kinds[s.set].Name + "] "
 		}
 		fmt.Fprintf(out, "#%d  %s%-18s %s\n", i+1, tag, term(s.term),

@@ -42,14 +42,29 @@ func mineCollection(t *testing.T) *stream.Collection {
 	return col
 }
 
-// TestMineAllSingleKindSnapshot: the single-kind batch path still writes
-// a loadable .stb snapshot whose fingerprint matches the mined set, and
-// prints a ranked pattern listing.
+// readBundle loads the artifact mineAll wrote to path.
+func readBundle(t *testing.T, path string) *index.Bundle {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatalf("bundle not written: %v", err)
+	}
+	defer f.Close()
+	b, err := index.ReadStore(f)
+	if err != nil {
+		t.Fatalf("written bundle does not load: %v", err)
+	}
+	return b
+}
+
+// TestMineAllSingleKindSnapshot: the single-kind batch path writes a
+// loadable one-member bundle of the asked kind, and prints a ranked
+// pattern listing.
 func TestMineAllSingleKindSnapshot(t *testing.T) {
 	col := mineCollection(t)
 	for _, method := range []string{"stlocal", "stcomb", "temporal"} {
 		t.Run(method, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "snapshot.stb")
+			path := filepath.Join(t.TempDir(), method+".bundle")
 			var out bytes.Buffer
 			if err := mineAll(&out, io.Discard, col, method, 5, 1, path, 1); err != nil {
 				t.Fatalf("mineAll(%s) = %v", method, err)
@@ -57,17 +72,13 @@ func TestMineAllSingleKindSnapshot(t *testing.T) {
 			if !strings.Contains(out.String(), "#1") {
 				t.Errorf("mineAll(%s) printed no ranked patterns:\n%s", method, out.String())
 			}
-			f, err := os.Open(path)
-			if err != nil {
-				t.Fatalf("snapshot not written: %v", err)
+			b := readBundle(t, path)
+			want, _ := index.ParseKind(method)
+			if len(b.Snaps) != 1 || b.Snaps[0].Set.Kind() != want {
+				t.Fatalf("bundle holds %d members, want one %v member", len(b.Snaps), want)
 			}
-			defer f.Close()
-			snap, err := index.ReadSnapshot(f)
-			if err != nil {
-				t.Fatalf("written snapshot does not load: %v", err)
-			}
-			if snap.Set.NumPatterns() == 0 {
-				t.Errorf("snapshot holds no patterns")
+			if b.Snaps[0].Set.NumPatterns() == 0 {
+				t.Errorf("bundle member holds no patterns")
 			}
 		})
 	}
@@ -120,15 +131,7 @@ func TestMineAllKindsBundle(t *testing.T) {
 		t.Errorf("merged listing lacks kind tags:\n%s", out.String())
 	}
 
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatalf("bundle not written: %v", err)
-	}
-	defer f.Close()
-	snaps, _, err := index.ReadBundle(f)
-	if err != nil {
-		t.Fatalf("written bundle does not load: %v", err)
-	}
+	snaps := readBundle(t, path).Snaps
 	if len(snaps) != 3 {
 		t.Fatalf("bundle has %d members, want 3", len(snaps))
 	}
@@ -136,19 +139,11 @@ func TestMineAllKindsBundle(t *testing.T) {
 	singles := map[index.PatternKind]*index.PatternSet{}
 	tmp := t.TempDir()
 	for _, method := range []string{"stlocal", "stcomb", "temporal"} {
-		p := filepath.Join(tmp, method+".stb")
+		p := filepath.Join(tmp, method+".bundle")
 		if err := mineAll(io.Discard, io.Discard, col, method, 1, 1, p, 1); err != nil {
 			t.Fatal(err)
 		}
-		sf, err := os.Open(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap, err := index.ReadSnapshot(sf)
-		sf.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
+		snap := readBundle(t, p).Snaps[0]
 		singles[snap.Set.Kind()] = snap.Set
 	}
 	for _, snap := range snaps {
@@ -178,11 +173,11 @@ func TestFlagValidation(t *testing.T) {
 		{name: "all with bundle", all: true, method: "all", out: "corpus.bundle", shards: 1, ok: true},
 		{name: "sharded bundle", all: true, method: "all", out: "corpus.bundle", shards: 3, ok: true},
 		{name: "no term no all", method: "stlocal", shards: 1, ok: false},
-		{name: "output without all", term: "earthquake", method: "stlocal", out: "x.stb", shards: 1, ok: false},
+		{name: "output without all", term: "earthquake", method: "stlocal", out: "x.bundle", shards: 1, ok: false},
 		{name: "zero shards", all: true, method: "all", out: "corpus.bundle", shards: 0, ok: false},
 		{name: "negative shards", all: true, method: "all", out: "corpus.bundle", shards: -2, ok: false},
 		{name: "shards without all", term: "earthquake", method: "all", out: "x.bundle", shards: 2, ok: false},
-		{name: "shards with single-kind method", all: true, method: "stlocal", out: "x.stb", shards: 2, ok: false},
+		{name: "shards with single-kind method", all: true, method: "stlocal", out: "x.bundle", shards: 2, ok: false},
 		{name: "shards without output", all: true, method: "all", shards: 2, ok: false},
 		{name: "paper alias", all: true, method: "tb", shards: 1, ok: true},
 		{name: "unknown method", term: "earthquake", method: "nope", shards: 1, ok: false},

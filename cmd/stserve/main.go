@@ -10,15 +10,14 @@
 //	stmine -all -method all -corpus corpus.jsonl -o corpus.bundle
 //	stserve -corpus corpus.jsonl -snapshot corpus.bundle -addr :8080
 //
-// -snapshot accepts every artifact the miner produces: a multi-kind
-// bundle (stmine -method all), a single-kind .stb snapshot, or one
-// shard of a partitioned vocabulary (stmine -shards N). A shard bundle
-// turns this process into one read-only member of a cluster served
-// through stgate: -ingest and -wal-dir are refused, the bundle's
-// recorded corpus fingerprint must match -corpus, and the shard
-// coordinates are reported by /v1/healthz, /v1/stats and /metrics so
-// the gateway can verify the member set. The stable contract is the
-// versioned /v1/ JSON API:
+// -snapshot takes the bundle the miner produces: every kind (stmine
+// -method all), a single kind, or one shard of a partitioned vocabulary
+// (stmine -shards N). A shard bundle turns this process into one
+// read-only member of a cluster served through stgate: -ingest and
+// -wal-dir are refused, the bundle's recorded corpus fingerprint must
+// match -corpus, and the shard coordinates are reported by /v1/healthz,
+// /v1/stats and /metrics so the gateway can verify the member set. The
+// stable contract is the versioned /v1/ JSON API:
 //
 //	POST /v1/search          structured spatiotemporal query: the body is
 //	                         the stburst.Query JSON shape ({"text": ...,
@@ -67,9 +66,8 @@
 //
 // When -snapshot names a file that does not exist, stserve mines the
 // corpus (-method selects the pattern kind, "all" mines all three in one
-// pass; -parallel the worker count) and writes the artifact there — a
-// bundle for "all", a snapshot otherwise — so the next boot skips mining
-// entirely.
+// pass; -parallel the worker count) and writes the bundle there, so the
+// next boot skips mining entirely.
 //
 // -ingest arms the write surface. Incoming documents buffer in a
 // batching ingester: -ingest-batch sets how many accumulate before a
@@ -140,7 +138,7 @@ func main() {
 		addr           = flag.String("addr", ":8080", "listen address")
 		debugAddr      = flag.String("debug-addr", "", "optional second listener with /debug/pprof/ and /metrics (keep it loopback or firewalled)")
 		corpus         = flag.String("corpus", "", "JSONL corpus path (required)")
-		snapshot       = flag.String("snapshot", "", "pattern snapshot or bundle path (loaded if present, written after mining otherwise)")
+		snapshot       = flag.String("snapshot", "", "pattern bundle path (loaded if present, written after mining otherwise)")
 		method         = flag.String("method", "stlocal", "miner when no snapshot exists: stlocal, stcomb, tb or all")
 		parallel       = flag.Int("parallel", 0, "mining workers (<1 = one per CPU)")
 		ingest         = flag.Bool("ingest", false, "enable the POST /v1/documents write surface")
@@ -479,9 +477,9 @@ func listenAndDrain(srv *http.Server) error {
 	}
 }
 
-// loadOrMine restores the pattern store from the snapshot/bundle when
+// loadOrMine restores the pattern store from the -snapshot bundle when
 // one exists, and otherwise mines the corpus — all three kinds in one
-// pass for -method all — writing the freshly mined artifact back to the
+// pass for -method all — writing the freshly mined bundle back to the
 // snapshot path (when given) so subsequent boots load instead of mining.
 func loadOrMine(c *stburst.Collection, path, method string, parallel int) (*stburst.Store, error) {
 	if path != "" {
@@ -504,40 +502,33 @@ func loadOrMine(c *stburst.Collection, path, method string, parallel int) (*stbu
 
 	start := time.Now()
 	opts := stburst.NewMineOptions(stburst.WithParallelism(parallel))
+	var store *stburst.Store
 	if method == "all" {
-		store, err := c.MineStore(context.Background(), opts)
-		if err != nil {
+		var err error
+		if store, err = c.MineStore(context.Background(), opts); err != nil {
 			return nil, err
 		}
 		log.Printf("mined all kinds in %v", time.Since(start).Round(time.Millisecond))
-		if path != "" {
-			if err := store.SaveFile(path); err != nil {
-				return nil, err
-			}
-			log.Printf("bundle written to %s", path)
+	} else {
+		kind, err := stburst.ParseKind(method)
+		if err != nil || kind == stburst.KindAny {
+			return nil, fmt.Errorf("-method must name a concrete kind or \"all\", got %q", method)
 		}
-		return store, nil
-	}
-
-	kind, err := stburst.ParseKind(method)
-	if err != nil || kind == stburst.KindAny {
-		return nil, fmt.Errorf("-method must name a concrete kind or \"all\", got %q", method)
-	}
-	ix, err := c.Mine(context.Background(), kind, opts)
-	if err != nil {
-		return nil, err
-	}
-	log.Printf("mined %d terms in %v", ix.NumTerms(), time.Since(start).Round(time.Millisecond))
-
-	if path != "" {
-		if err := ix.SaveFile(path); err != nil {
+		ix, err := c.Mine(context.Background(), kind, opts)
+		if err != nil {
 			return nil, err
 		}
-		log.Printf("snapshot written to %s", path)
+		log.Printf("mined %d terms in %v", ix.NumTerms(), time.Since(start).Round(time.Millisecond))
+		store = stburst.NewStore(c)
+		if _, err := store.Swap(kind, ix); err != nil {
+			return nil, err
+		}
 	}
-	store := stburst.NewStore(c)
-	if _, err := store.Swap(kind, ix); err != nil {
-		return nil, err
+	if path != "" {
+		if err := store.SaveFile(path); err != nil {
+			return nil, err
+		}
+		log.Printf("bundle written to %s", path)
 	}
 	return store, nil
 }

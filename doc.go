@@ -73,24 +73,27 @@
 // PatternIndex.Patterns lists a term's stored patterns whatever the
 // index's kind, as the kind-independent Pattern.
 //
-// # Snapshots: mine once, serve many
+// # Bundles: mine once, serve many
 //
-// Mining is the expensive step; queries are cheap. A PatternIndex
-// persists to a versioned binary snapshot whose integrity is guarded by
-// a canonical SHA-256 fingerprint, so serving processes load in
-// milliseconds instead of re-mining at boot:
+// Mining is the expensive step; queries are cheap. A mined index
+// persists — alone or beside the other kinds — as a bundle whose
+// integrity is guarded by checksums and a canonical SHA-256 fingerprint
+// per kind, so serving processes load in milliseconds instead of
+// re-mining at boot:
 //
-//	f, _ := os.Create("patterns.stb")
-//	ix.Save(f) // snapshot = patterns + terms + fingerprint
+//	store := stburst.NewStore(c)
+//	store.Swap(stburst.KindRegional, ix)
+//	f, _ := os.Create("patterns.bundle")
+//	store.Save(f) // bundle = patterns + terms + fingerprints
 //	f.Close()
 //
 //	// ... later, in a serving process over the same corpus:
-//	f, _ = os.Open("patterns.stb")
-//	loaded, err := stburst.LoadPatternIndex(f, c) // verified on load
-//	hits = loaded.Search("earthquake rescue", 10)
+//	f, _ = os.Open("patterns.bundle")
+//	loaded, err := stburst.LoadStore(f, c) // verified on load
+//	hits = loaded.Index(stburst.KindRegional).Search("earthquake rescue", 10)
 //
 // LoadCorpus rebuilds a Collection from the JSONL interchange format of
-// cmd/stgen, interning deterministically so snapshots round-trip across
+// cmd/stgen, interning deterministically so bundles round-trip across
 // processes with byte-identical fingerprints.
 //
 // # The multi-kind store
@@ -110,17 +113,9 @@
 //	    fmt.Println(h.Kind, h.Doc.ID, h.Score) // per-model attribution
 //	}
 //
-// A Store persists as a bundle — a manifest of per-kind members, each a
-// complete snapshot, under one stream checksum — and loads back with
-// every layer verified:
-//
-//	f, _ := os.Create("corpus.bundle")
-//	store.Save(f)
-//	f.Close()
-//
-//	// ... later, in a serving process over the same corpus:
-//	f, _ = os.Open("corpus.bundle")
-//	loaded, err := stburst.LoadStore(f, c) // also accepts a bare .stb
+// Store.Save writes every resident kind into the one bundle — a
+// manifest of per-kind members under one stream checksum — and
+// LoadStore makes them all resident again, every layer verified.
 //
 // The resident set lives behind one atomic pointer, so a long-running
 // service hot-swaps freshly mined indexes without pausing queries:

@@ -1,5 +1,5 @@
 // Serve walkthrough: the mine-once/serve-many workflow in one process.
-// A collection is mined into a PatternIndex, saved as a snapshot file,
+// A collection is mined into a PatternIndex, saved as a bundle file,
 // reloaded with integrity verification, and queried — exactly what the
 // stmine -o / stserve pair does across process boundaries (see README.md
 // in this directory for the CLI version).
@@ -48,36 +48,35 @@ func main() {
 	fmt.Printf("mined: %d terms, %d patterns\n", mined.NumTerms(), mined.NumPatterns())
 	fmt.Printf("fingerprint: %.16s...\n", mined.Fingerprint())
 
-	// Save the snapshot — this file is what stserve loads at boot.
-	path := filepath.Join(os.TempDir(), "serve-example.stb")
-	f, err := os.Create(path)
-	if err != nil {
+	// Save it as a one-member bundle — this file is what stserve loads
+	// at boot.
+	store := stburst.NewStore(c)
+	if _, err := store.Swap(stburst.KindRegional, mined); err != nil {
 		log.Fatal(err)
 	}
-	if err := mined.Save(f); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	path := filepath.Join(os.TempDir(), "serve-example.bundle")
+	if err := store.SaveFile(path); err != nil {
 		log.Fatal(err)
 	}
 	info, err := os.Stat(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("snapshot: %s (%d bytes)\n", path, info.Size())
+	fmt.Printf("bundle: %s (%d bytes)\n", path, info.Size())
 	defer os.Remove(path)
 
 	// Load it back. The codec verifies a stream checksum and the
 	// canonical fingerprint; a truncated or corrupted file is rejected.
-	f, err = os.Open(path)
+	f, err := os.Open(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	loaded, err := stburst.LoadPatternIndex(f, c)
+	served, err := stburst.LoadStore(f, c)
 	f.Close()
 	if err != nil {
 		log.Fatal(err)
 	}
+	loaded := served.Index(stburst.KindRegional)
 	fmt.Printf("loaded fingerprint matches: %v\n", loaded.Fingerprint() == mined.Fingerprint())
 
 	// Serve queries from the loaded index: per-term pattern lookups and

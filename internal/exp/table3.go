@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"stburst/internal/eval"
@@ -49,9 +50,12 @@ func Table3(l *Lab, k int) Table3Result {
 	for _, ev := range gen.Events {
 		terms := l.TP.QueryTerms[ev.ID]
 		relevant := l.TP.Relevant(ev.ID)
-		topTB := docsOf(engTB.QueryTerms(terms, k))
-		topLocal := docsOf(engLocal.QueryTerms(terms, k))
-		topComb := docsOf(engComb.QueryTerms(terms, k))
+		top := func(eng *search.Engine) []int {
+			// Run fails only on a cancelled context.
+			page, _ := eng.Run(context.Background(), search.Query{Terms: terms, K: k})
+			return docsOf(page.Results)
+		}
+		topTB, topLocal, topComb := top(engTB), top(engLocal), top(engComb)
 		row := Table3Row{
 			EventID: ev.ID,
 			Query:   queryString(ev),

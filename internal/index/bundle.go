@@ -12,39 +12,42 @@ import (
 	"stburst/internal/atomicfile"
 )
 
-// Bundle binary format (".bundle", little-endian throughout):
+// Bundle binary format (".bundle", little-endian throughout) — the one
+// persisted pattern artifact, in one layout:
 //
 //	magic      [8]byte  "STBBNDL\x00"
-//	version    uint32   2 (whole-vocabulary) or 3 (shard of a partition)
-//	count      uint32   number of member snapshots (1..3)
+//	version    uint32   BundleVersion (4)
+//	count      uint32   number of member streams (1..3)
 //	generation uint64   store generation the bundle was saved at
-//	                    (version ≥ 2 only; a version-1 stream has no
-//	                    generation field and reads as generation 0)
-//	shard block (version ≥ 3 only):
+//	shard block:
 //	  shard       uint32   this bundle's shard index, in [0, shards)
 //	  shards      uint32   total shard count of the partition (≥ 1)
 //	  scheme      uint32 length + that many bytes, the partition-scheme
 //	              tag (ShardScheme; ≤ 64 bytes)
 //	  corpusfp    [32]byte raw SHA-256 of the mined corpus (all zero
 //	              when unrecorded)
-//	subscriptions block (version ≥ 4 only; version 4 always carries the
-//	shard block too, degenerate shard 0 of 1 for an unsharded store):
+//	subscriptions block:
 //	  nsubs       uint32   number of persisted standing queries
 //	  then, per subscription: uint32 length + that many bytes, an opaque
 //	  JSON blob the store layer owns (the codec never interprets it)
 //	then, for each member, one manifest entry:
 //	  kind        uint32   PatternKind; entries in strictly ascending order
-//	  length      uint64   byte length of the member's snapshot stream
+//	  length      uint64   byte length of the member's stream
 //	  fingerprint [32]byte the member's canonical PatternSet fingerprint
-//	members     count complete snapshot streams (the ".stb" format of
+//	members     count complete member streams (the encoding of
 //	            snapshot.go), concatenated, each exactly length bytes
 //	checksum    [32]byte raw SHA-256 over every preceding byte
+//
+// Both blocks are always present: a whole, subscription-free store is the
+// degenerate case — shard 0 of 1, empty scheme, all-zero corpus
+// fingerprint, zero subscriptions — and a single-kind artifact is a
+// one-member bundle.
 //
 // The manifest makes the bundle self-describing — a reader learns which
 // kinds are present and their fingerprints without decoding a single
 // pattern — and the trailing checksum covers the manifest itself, so a
 // flipped kind, length or fingerprint is caught even though each member
-// snapshot only self-verifies its own bytes. ReadBundle additionally
+// stream only self-verifies its own bytes. ReadStore additionally
 // checks every decoded member against its manifest entry: the kind and
 // the canonical fingerprint must both match. See DESIGN.md for the full
 // specification.
@@ -52,25 +55,8 @@ import (
 // bundleMagic identifies a pattern-index bundle stream.
 const bundleMagic = "STBBNDL\x00"
 
-// Bundle format versions. A writer picks the lowest version that can carry
-// the bundle's content, so an artifact without shard identity or
-// subscriptions stays in the earliest portable format; ReadBundle accepts
-// every version back to 1 (the pre-generation format, decoded as
-// generation 0).
-const (
-	// BundleVersion is the whole-vocabulary format.
-	BundleVersion = 2
-	// ShardBundleVersion adds the shard block (shard coordinates,
-	// partition-scheme tag and corpus fingerprint). Versions 1 and 2 read
-	// as the whole partition: shard 0 of 1.
-	ShardBundleVersion = 3
-	// SubsBundleVersion adds the subscriptions block of opaque JSON blobs
-	// (the shard block is always present, degenerate for an unsharded
-	// store). Versions 1..3 read as zero subscriptions.
-	SubsBundleVersion = 4
-
-	minBundleVersion = 1
-)
+// BundleVersion is the one bundle layout written and read.
+const BundleVersion = 4
 
 // maxBundleMembers bounds the member count: one slot per pattern kind.
 const maxBundleMembers = NumKinds
@@ -83,16 +69,16 @@ const (
 	maxBundleSubBytes = 1 << 20
 )
 
-// Bundle is one store artifact: what Write serializes and what ReadStore
+// Bundle is the store artifact: what Write serializes and what ReadStore
 // decodes. Sets are the members to write, non-empty, of distinct kinds in
 // ascending kind order; Snaps are the members as read, still keyed by the
 // writer's term IDs (Snapshot.Remap attaches them to a collection).
 // Generation is the store generation the artifact was saved at, the
-// live-ingestion cache-busting token (0 for a freshly mined artifact and
-// for any version-1 stream). Shard is the slice of a partitioned
-// vocabulary the bundle holds — ShardInfo{Shards: 1} for a whole store —
-// and Subs the persisted standing queries, one opaque JSON blob each,
-// owned and interpreted entirely by the store layer.
+// live-ingestion cache-busting token (0 for a freshly mined artifact).
+// Shard is the slice of a partitioned vocabulary the bundle holds —
+// ShardInfo{Shards: 1} for a whole store — and Subs the persisted
+// standing queries, one opaque JSON blob each, owned and interpreted
+// entirely by the store layer.
 type Bundle struct {
 	Sets       []*PatternSet
 	Snaps      []*Snapshot
@@ -101,50 +87,13 @@ type Bundle struct {
 	Subs       [][]byte
 }
 
-// Write serializes the bundle: a manifest, then each of Sets as an
-// ordinary snapshot stream, then a stream checksum over the whole file;
-// term resolves interned IDs to strings as in WriteSnapshot. The format
-// version follows from the content: 4 when the bundle carries
-// subscriptions, 3 when Shard says anything beyond "the whole partition",
-// else 2. Shard is validated; a corpus fingerprint, when present, must
-// be a hex SHA-256 as produced by Collection.Checksum.
+// Write serializes the bundle: the header with its shard and
+// subscriptions blocks, a manifest, then each of Sets as a member stream
+// stamped with Generation, then a stream checksum over the whole file;
+// term resolves interned IDs to strings as in WriteSnapshot. Shard is
+// validated; a corpus fingerprint, when present, must be a hex SHA-256 as
+// produced by Collection.Checksum.
 func (b *Bundle) Write(w io.Writer, term func(id int) string) error {
-	version := uint32(BundleVersion)
-	switch {
-	case len(b.Subs) > 0:
-		version = SubsBundleVersion
-	case b.Shard != ShardInfo{Shards: 1}:
-		version = ShardBundleVersion
-	}
-	return writeBundleVersion(w, b, term, version)
-}
-
-// WriteFile is Write to a file, published atomically and durably
-// (atomicfile.Write).
-func (b *Bundle) WriteFile(path string, term func(id int) string) error {
-	return atomicfile.Write(path, func(w io.Writer) error { return b.Write(w, term) })
-}
-
-// WriteBundle writes sets as a whole-vocabulary bundle at generation gen:
-// Bundle.Write without shard identity or subscriptions.
-func WriteBundle(w io.Writer, sets []*PatternSet, term func(id int) string, gen uint64) error {
-	return WriteBundleSharded(w, sets, term, gen, ShardInfo{Shards: 1})
-}
-
-// WriteBundleSharded writes sets as the bundle of one shard of a
-// partitioned vocabulary: Bundle.Write with a shard identity, so a
-// serving process (or a gateway aggregating several) can detect a mixed
-// or foreign shard set before answering a single query.
-func WriteBundleSharded(w io.Writer, sets []*PatternSet, term func(id int) string, gen uint64, info ShardInfo) error {
-	return (&Bundle{Sets: sets, Generation: gen, Shard: info}).Write(w, term)
-}
-
-// writeBundleVersion is the single bundle encoder. Versions 1 and 2
-// ignore Shard, version 3 appends the shard block after the generation,
-// version 4 the subscriptions block after that. Version 1 — kept so the
-// cross-version tests can produce genuine legacy streams — has no
-// generation field and version-1 member snapshots.
-func writeBundleVersion(w io.Writer, b *Bundle, term func(id int) string, version uint32) error {
 	if err := b.Shard.validate(); err != nil {
 		return err
 	}
@@ -155,46 +104,39 @@ func writeBundleVersion(w io.Writer, b *Bundle, term func(id int) string, versio
 	if len(sets) == 0 || len(sets) > maxBundleMembers {
 		return fmt.Errorf("index: bundle needs 1..%d member sets, got %d", maxBundleMembers, len(sets))
 	}
-	memberVersion := min(version, SnapshotVersion)
 	members := make([]bytes.Buffer, len(sets))
 	for i, s := range sets {
 		if i > 0 && sets[i-1].Kind() >= s.Kind() {
 			return fmt.Errorf("index: bundle members must be in ascending kind order (%v before %v)",
 				sets[i-1].Kind(), s.Kind())
 		}
-		if err := writeSnapshotVersion(&members[i], s, term, b.Generation, memberVersion); err != nil {
+		if err := writeSnapshot(&members[i], s, term, b.Generation); err != nil {
 			return fmt.Errorf("index: encoding bundle member %v: %w", s.Kind(), err)
 		}
 	}
 
 	le := binary.LittleEndian
 	head := []byte(bundleMagic)
-	head = le.AppendUint32(head, version)
+	head = le.AppendUint32(head, BundleVersion)
 	head = le.AppendUint32(head, uint32(len(sets)))
-	if version >= 2 {
-		head = le.AppendUint64(head, b.Generation)
-	}
-	if version >= ShardBundleVersion {
-		head = le.AppendUint32(head, uint32(b.Shard.Shard))
-		head = le.AppendUint32(head, uint32(b.Shard.Shards))
-		head = le.AppendUint32(head, uint32(len(b.Shard.Scheme)))
-		head = append(head, b.Shard.Scheme...)
-		// validate vouched for the hex; an unrecorded fingerprint decodes
-		// to nothing and the block stays all-zero.
-		var fp [32]byte
-		raw, _ := hex.DecodeString(b.Shard.CorpusFingerprint)
-		copy(fp[:], raw)
-		head = append(head, fp[:]...)
-	}
-	if version >= SubsBundleVersion {
-		head = le.AppendUint32(head, uint32(len(b.Subs)))
-		for _, blob := range b.Subs {
-			if len(blob) > maxBundleSubBytes {
-				return fmt.Errorf("index: bundle subscription record longer than %d bytes", maxBundleSubBytes)
-			}
-			head = le.AppendUint32(head, uint32(len(blob)))
-			head = append(head, blob...)
+	head = le.AppendUint64(head, b.Generation)
+	head = le.AppendUint32(head, uint32(b.Shard.Shard))
+	head = le.AppendUint32(head, uint32(b.Shard.Shards))
+	head = le.AppendUint32(head, uint32(len(b.Shard.Scheme)))
+	head = append(head, b.Shard.Scheme...)
+	// validate vouched for the hex; an unrecorded fingerprint decodes to
+	// nothing and the block stays all-zero.
+	var corpus [32]byte
+	raw, _ := hex.DecodeString(b.Shard.CorpusFingerprint)
+	copy(corpus[:], raw)
+	head = append(head, corpus[:]...)
+	head = le.AppendUint32(head, uint32(len(b.Subs)))
+	for _, blob := range b.Subs {
+		if len(blob) > maxBundleSubBytes {
+			return fmt.Errorf("index: bundle subscription record longer than %d bytes", maxBundleSubBytes)
 		}
+		head = le.AppendUint32(head, uint32(len(blob)))
+		head = append(head, blob...)
 	}
 	for i, s := range sets {
 		fp, err := hex.DecodeString(s.Fingerprint())
@@ -223,6 +165,26 @@ func writeBundleVersion(w io.Writer, b *Bundle, term func(id int) string, versio
 	return nil
 }
 
+// WriteFile is Write to a file, published atomically and durably
+// (atomicfile.Write).
+func (b *Bundle) WriteFile(path string, term func(id int) string) error {
+	return atomicfile.Write(path, func(w io.Writer) error { return b.Write(w, term) })
+}
+
+// WriteBundle writes sets as a whole-vocabulary bundle at generation gen:
+// Bundle.Write without shard identity or subscriptions.
+func WriteBundle(w io.Writer, sets []*PatternSet, term func(id int) string, gen uint64) error {
+	return WriteBundleSharded(w, sets, term, gen, ShardInfo{Shards: 1})
+}
+
+// WriteBundleSharded writes sets as the bundle of one shard of a
+// partitioned vocabulary: Bundle.Write with a shard identity, so a
+// serving process (or a gateway aggregating several) can detect a mixed
+// or foreign shard set before answering a single query.
+func WriteBundleSharded(w io.Writer, sets []*PatternSet, term func(id int) string, gen uint64, info ShardInfo) error {
+	return (&Bundle{Sets: sets, Generation: gen, Shard: info}).Write(w, term)
+}
+
 // bundleManifestEntry is one decoded manifest record.
 type bundleManifestEntry struct {
 	kind        PatternKind
@@ -231,29 +193,30 @@ type bundleManifestEntry struct {
 }
 
 // ReadBundle decodes a bundle and returns its members and generation;
-// see readBundle for the checks.
+// see ReadStore for the checks.
 func ReadBundle(r io.Reader) ([]*Snapshot, uint64, error) {
-	b, err := readBundle(r)
+	b, err := ReadStore(r)
 	if err != nil {
 		return nil, 0, err
 	}
 	return b.Snaps, b.Generation, nil
 }
 
-// readBundle decodes a bundle of any supported version and verifies its
-// integrity end to end: the magic, version and member count must be
-// valid, the manifest kinds strictly ascending, every member snapshot
-// must decode (with its own checksum and fingerprint checks) to exactly
-// its declared length, kind and manifest fingerprint, the trailing
-// stream checksum must match, and no bytes may follow it. Truncated or
-// corrupted input — including a tampered manifest — yields an error,
-// never a silently damaged store. Versions before the shard block read
-// as shard 0 of 1, versions before the subscriptions block as no
-// subscriptions; a version-4 stream's blobs come back byte-for-byte.
-func readBundle(r io.Reader) (*Bundle, error) {
+// ReadStore decodes the store artifact — a bundle, with its shard
+// identity and subscriptions — and verifies its integrity end to end: the
+// magic, version and member count must be valid, the shard block and
+// subscription lengths within their bounds, the manifest kinds strictly
+// ascending, every member stream must decode (with its own checksum and
+// fingerprint checks) to exactly its declared length, kind and manifest
+// fingerprint, the trailing stream checksum must match, and no bytes may
+// follow it. Truncated or corrupted input — including a tampered
+// manifest — yields an error, never a silently damaged store. The
+// subscription blobs come back byte-for-byte.
+func ReadStore(r io.Reader) (*Bundle, error) {
+	r = bufio.NewReader(r) // the header is many small reads
 	h := sha256.New()
 	tr := io.TeeReader(r, h)
-	b := &Bundle{Shard: ShardInfo{Shards: 1}}
+	b := &Bundle{}
 	fail := func(err error) (*Bundle, error) {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
@@ -264,6 +227,7 @@ func readBundle(r io.Reader) (*Bundle, error) {
 		return nil, fmt.Errorf(format, args...)
 	}
 
+	le := binary.LittleEndian
 	var head [16]byte
 	if _, err := io.ReadFull(tr, head[:]); err != nil {
 		return fail(err)
@@ -271,70 +235,60 @@ func readBundle(r io.Reader) (*Bundle, error) {
 	if string(head[:8]) != bundleMagic {
 		return reject("index: not a pattern-index bundle (bad magic %q)", head[:8])
 	}
-	version := binary.LittleEndian.Uint32(head[8:12])
-	if version < minBundleVersion || version > SubsBundleVersion {
-		return reject("index: unsupported bundle version %d (want %d..%d)", version, minBundleVersion, SubsBundleVersion)
+	if version := le.Uint32(head[8:12]); version != BundleVersion {
+		return reject("index: unsupported bundle version %d (want %d)", version, BundleVersion)
 	}
-	count := binary.LittleEndian.Uint32(head[12:16])
+	count := le.Uint32(head[12:16])
 	if count == 0 || count > uint32(maxBundleMembers) {
 		return reject("index: bundle member count %d outside [1, %d]", count, maxBundleMembers)
 	}
-	if version >= 2 {
-		var g [8]byte
-		if _, err := io.ReadFull(tr, g[:]); err != nil {
-			return fail(err)
-		}
-		b.Generation = binary.LittleEndian.Uint64(g[:])
+	var fixed [20]byte // generation(8) + shard(4) + shards(4) + scheme length(4)
+	if _, err := io.ReadFull(tr, fixed[:]); err != nil {
+		return fail(err)
 	}
-	if version >= ShardBundleVersion {
-		var coords [12]byte // shard(4) + shards(4) + scheme length(4)
-		if _, err := io.ReadFull(tr, coords[:]); err != nil {
-			return fail(err)
-		}
-		b.Shard.Shard = int(binary.LittleEndian.Uint32(coords[:4]))
-		b.Shard.Shards = int(binary.LittleEndian.Uint32(coords[4:8]))
-		schemeLen := binary.LittleEndian.Uint32(coords[8:12])
-		if schemeLen > maxShardSchemeLen {
-			return reject("index: bundle shard scheme tag longer than %d bytes", maxShardSchemeLen)
-		}
-		scheme := make([]byte, schemeLen)
-		if _, err := io.ReadFull(tr, scheme); err != nil {
-			return fail(err)
-		}
-		b.Shard.Scheme = string(scheme)
-		var fp [32]byte
-		if _, err := io.ReadFull(tr, fp[:]); err != nil {
-			return fail(err)
-		}
-		if fp != ([32]byte{}) {
-			b.Shard.CorpusFingerprint = hex.EncodeToString(fp[:])
-		}
-		if err := b.Shard.validate(); err != nil {
-			return reject("index: reading bundle: %v", err)
-		}
+	b.Generation = le.Uint64(fixed[:8])
+	b.Shard.Shard = int(le.Uint32(fixed[8:12]))
+	b.Shard.Shards = int(le.Uint32(fixed[12:16]))
+	schemeLen := le.Uint32(fixed[16:20])
+	if schemeLen > maxShardSchemeLen {
+		return reject("index: bundle shard scheme tag longer than %d bytes", maxShardSchemeLen)
 	}
-	if version >= SubsBundleVersion {
-		var n [4]byte
+	scheme := make([]byte, schemeLen)
+	if _, err := io.ReadFull(tr, scheme); err != nil {
+		return fail(err)
+	}
+	b.Shard.Scheme = string(scheme)
+	var corpus [32]byte
+	if _, err := io.ReadFull(tr, corpus[:]); err != nil {
+		return fail(err)
+	}
+	if corpus != ([32]byte{}) {
+		b.Shard.CorpusFingerprint = hex.EncodeToString(corpus[:])
+	}
+	if err := b.Shard.validate(); err != nil {
+		return reject("index: reading bundle: %v", err)
+	}
+
+	var n [4]byte
+	if _, err := io.ReadFull(tr, n[:]); err != nil {
+		return fail(err)
+	}
+	nsubs := le.Uint32(n[:])
+	if nsubs > maxBundleSubs {
+		return reject("index: bundle subscription count %d exceeds %d", nsubs, maxBundleSubs)
+	}
+	b.Subs = make([][]byte, nsubs)
+	for i := range b.Subs {
 		if _, err := io.ReadFull(tr, n[:]); err != nil {
 			return fail(err)
 		}
-		nsubs := binary.LittleEndian.Uint32(n[:])
-		if nsubs > maxBundleSubs {
-			return reject("index: bundle subscription count %d exceeds %d", nsubs, maxBundleSubs)
+		slen := le.Uint32(n[:])
+		if slen > maxBundleSubBytes {
+			return reject("index: bundle subscription record %d longer than %d bytes", i, maxBundleSubBytes)
 		}
-		b.Subs = make([][]byte, nsubs)
-		for i := range b.Subs {
-			if _, err := io.ReadFull(tr, n[:]); err != nil {
-				return fail(err)
-			}
-			slen := binary.LittleEndian.Uint32(n[:])
-			if slen > maxBundleSubBytes {
-				return reject("index: bundle subscription record %d longer than %d bytes", i, maxBundleSubBytes)
-			}
-			b.Subs[i] = make([]byte, slen)
-			if _, err := io.ReadFull(tr, b.Subs[i]); err != nil {
-				return fail(err)
-			}
+		b.Subs[i] = make([]byte, slen)
+		if _, err := io.ReadFull(tr, b.Subs[i]); err != nil {
+			return fail(err)
 		}
 	}
 
@@ -344,7 +298,7 @@ func readBundle(r io.Reader) (*Bundle, error) {
 		if _, err := io.ReadFull(tr, entry[:]); err != nil {
 			return fail(err)
 		}
-		kind := PatternKind(binary.LittleEndian.Uint32(entry[:4]))
+		kind := PatternKind(le.Uint32(entry[:4]))
 		if !kind.Valid() {
 			return reject("index: bundle manifest names unknown pattern kind %d", kind)
 		}
@@ -353,7 +307,7 @@ func readBundle(r io.Reader) (*Bundle, error) {
 				kind, manifest[i-1].kind)
 		}
 		manifest[i].kind = kind
-		manifest[i].length = binary.LittleEndian.Uint64(entry[4:12])
+		manifest[i].length = le.Uint64(entry[4:12])
 		copy(manifest[i].fingerprint[:], entry[12:])
 	}
 
@@ -386,32 +340,4 @@ func readBundle(r io.Reader) (*Bundle, error) {
 		return reject("index: bundle has trailing data after checksum footer")
 	}
 	return b, nil
-}
-
-// ReadStore decodes either on-disk store artifact, sniffed by magic: a
-// multi-member bundle of any version, or a bare single-index snapshot
-// (ReadSnapshot), which reads as a one-member whole-partition bundle at
-// the snapshot's own generation. It is the boot-time entry point that
-// lets a serving process accept whichever file the mining pipeline
-// produced.
-func ReadStore(r io.Reader) (*Bundle, error) {
-	br := bufio.NewReader(r)
-	magic, err := br.Peek(8)
-	if err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("index: input too short to be a snapshot or bundle")
-		}
-		return nil, fmt.Errorf("index: reading store: %w", err)
-	}
-	switch string(magic) {
-	case bundleMagic:
-		return readBundle(br)
-	case snapshotMagic:
-		snap, err := ReadSnapshot(br)
-		if err != nil {
-			return nil, err
-		}
-		return &Bundle{Snaps: []*Snapshot{snap}, Generation: snap.Generation, Shard: ShardInfo{Shards: 1}}, nil
-	}
-	return nil, fmt.Errorf("index: not a pattern-index snapshot or bundle (bad magic %q)", magic)
 }

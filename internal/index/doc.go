@@ -1,8 +1,7 @@
 // Package index holds the query-side data structures of the system: the
 // inverted index with Threshold Algorithm top-k retrieval, the kind
 // table that says what a pattern kind is, the immutable corpus-wide
-// pattern store, and the versioned snapshot and bundle codecs that
-// persist it.
+// pattern store, and the bundle codec that persists it.
 //
 // # Inverted index and the Threshold Algorithm
 //
@@ -29,13 +28,17 @@
 // re-keying, re-mining, the engine-build and post-filter loops) is one
 // generic loop over the set's entry.
 //
-// # Snapshots
+// # Bundles
 //
-// WriteSnapshot and ReadSnapshot serialize a PatternSet together with its
-// term strings into a versioned binary format guarded by two digests: a
-// stream checksum over every encoded byte, and the canonical fingerprint
-// proving the decoded patterns are bit-identical to the mined set.
-// Snapshot.Remap re-interns the patterns into a serving collection's
-// dictionary, completing the mine-once/serve-many pipeline
-// (stmine -all -o → stserve). The byte layout is specified in DESIGN.md.
+// Bundle is the one persisted artifact: up to one member stream per
+// pattern kind behind a header carrying the store generation, the shard
+// identity and the persisted subscriptions, a manifest of the members'
+// kinds and fingerprints, and a stream checksum over the whole file.
+// WriteSnapshot and ReadSnapshot are the member codec: a PatternSet with
+// its term strings, guarded by two digests — a stream checksum over every
+// encoded byte, and the canonical fingerprint proving the decoded
+// patterns are bit-identical to the mined set. Snapshot.Remap re-interns
+// the patterns into a serving collection's dictionary, completing the
+// mine-once/serve-many pipeline (stmine -all -o → stserve). The byte
+// layout is specified in DESIGN.md.
 package index

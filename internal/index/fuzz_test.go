@@ -1,0 +1,112 @@
+package index
+
+import (
+	"bytes"
+	"encoding/binary"
+	"runtime"
+	"testing"
+)
+
+// allocBound is what one decode of n input bytes may allocate: the
+// documented caps a length prefix can claim before its bytes are read
+// (2^20 subscription slots, one 1 MiB record or term string, 4096-element
+// preallocations) plus decoded structures proportional to the input.
+func allocBound(n int) uint64 { return 64<<20 + 256*uint64(n) }
+
+// decodeBounded runs decode and fails the test when it allocated past
+// allocBound — the "corrupted prefixes hit a decode error, never a huge
+// allocation" contract of both readers.
+func decodeBounded(t *testing.T, n int, decode func()) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	decode()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > allocBound(n) {
+		t.Fatalf("decoding %d bytes allocated %d, past the %d the caps allow", n, got, allocBound(n))
+	}
+}
+
+// addByteFlips seeds f with a valid stream, a truncation of it and one
+// flipped byte per position — the fixtures of the round-trip, truncation
+// and byte-flip tests.
+func addByteFlips(f *testing.F, full []byte) {
+	f.Add(full)
+	f.Add(full[:len(full)/2])
+	for i := range full {
+		flipped := bytes.Clone(full)
+		flipped[i] ^= 0xff
+		f.Add(flipped)
+	}
+}
+
+// FuzzReadSnapshot: whatever the bytes, the member decoder neither panics
+// nor allocates past its caps, and a stream it accepts re-encodes to the
+// same bytes — with one member version there is one encoding of a set.
+func FuzzReadSnapshot(f *testing.F) {
+	for _, set := range orderedSets() {
+		var buf bytes.Buffer
+		if err := writeSnapshot(&buf, set, snapshotTerm, 42); err != nil {
+			f.Fatal(err)
+		}
+		addByteFlips(f, buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var snap *Snapshot
+		var err error
+		decodeBounded(t, len(data), func() { snap, err = ReadSnapshot(bytes.NewReader(data)) })
+		if err != nil {
+			return
+		}
+		// The generation is the one header field the decoder skips; an
+		// accepted stream is long enough to hold it.
+		gen := binary.LittleEndian.Uint64(data[16:24])
+		var again bytes.Buffer
+		if err := writeSnapshot(&again, snap.Set, termTable(snap), gen); err != nil {
+			t.Fatalf("re-encoding an accepted stream: %v", err)
+		}
+		if !bytes.Equal(again.Bytes(), data) {
+			t.Fatalf("accepted %d-byte stream re-encodes to %d different bytes", len(data), again.Len())
+		}
+	})
+}
+
+// FuzzReadBundle is FuzzReadSnapshot one level up: no panic, bounded
+// allocation, and an accepted bundle re-encodes to the same bytes — the
+// property four header versions could not have (a version-1 input came
+// back as version 2).
+func FuzzReadBundle(f *testing.F) {
+	addByteFlips(f, bundleBytes(f, goldenBundle()))
+	addByteFlips(f, writeBundleBytes(f, []*PatternSet{temporalSet()}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var b *Bundle
+		var err error
+		decodeBounded(t, len(data), func() { b, err = ReadStore(bytes.NewReader(data)) })
+		if err != nil {
+			return
+		}
+		for _, snap := range b.Snaps {
+			b.Sets = append(b.Sets, snap.Set)
+		}
+		var again bytes.Buffer
+		if err := b.Write(&again, termTable(b.Snaps...)); err != nil {
+			t.Fatalf("re-encoding an accepted bundle: %v", err)
+		}
+		if !bytes.Equal(again.Bytes(), data) {
+			t.Fatalf("accepted %d-byte bundle re-encodes to %d different bytes", len(data), again.Len())
+		}
+	})
+}
+
+// termTable resolves decoded members' term IDs: one dictionary wrote
+// every member of a bundle, so their term tables merge into the one
+// resolver the encoders take.
+func termTable(snaps ...*Snapshot) func(id int) string {
+	terms := map[int]string{}
+	for _, snap := range snaps {
+		for i, id := range snap.Set.Terms() {
+			terms[id] = snap.Terms[i]
+		}
+	}
+	return func(id int) string { return terms[id] }
+}

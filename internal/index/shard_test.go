@@ -115,7 +115,7 @@ func TestShardBundleRoundTrip(t *testing.T) {
 
 	// The shard-blind door must accept the same stream.
 	if _, gen2, err := ReadBundle(bytes.NewReader(buf.Bytes())); err != nil || gen2 != 42 {
-		t.Errorf("ReadBundle on a v3 stream = gen %d, %v; want 42, nil", gen2, err)
+		t.Errorf("ReadBundle on a shard bundle = gen %d, %v; want 42, nil", gen2, err)
 	}
 }
 
@@ -150,22 +150,10 @@ func TestUnshardedBundleReadsAsWholePartition(t *testing.T) {
 	}
 	b, err := ReadStore(&buf)
 	if err != nil {
-		t.Fatalf("ReadStore on v2: %v", err)
+		t.Fatalf("ReadStore: %v", err)
 	}
 	if want := (ShardInfo{Shards: 1}); b.Shard != want {
-		t.Errorf("v2 bundle ShardInfo = %+v, want %+v", b.Shard, want)
-	}
-
-	var snap bytes.Buffer
-	if err := writeSnapshotVersion(&snap, temporalSet(), snapshotTerm, 3, SnapshotVersion); err != nil {
-		t.Fatal(err)
-	}
-	b, err = ReadStore(&snap)
-	if err != nil {
-		t.Fatalf("ReadStore on bare snapshot: %v", err)
-	}
-	if b.Generation != 3 || b.Shard != (ShardInfo{Shards: 1}) {
-		t.Errorf("bare snapshot = gen %d, %+v; want 3, {Shards:1}", b.Generation, b.Shard)
+		t.Errorf("unsharded bundle ShardInfo = %+v, want %+v", b.Shard, want)
 	}
 }
 
@@ -188,9 +176,9 @@ func TestWriteBundleShardedRejectsBadInfo(t *testing.T) {
 	}
 }
 
-// TestShardBundleRejectsCorruption flips every byte of a v3 stream in
-// turn; the trailing checksum (which now also covers the shard block)
-// must catch each one.
+// TestShardBundleRejectsCorruption flips every byte of a shard bundle in
+// turn; the trailing checksum (which also covers the shard block) must
+// catch each one.
 func TestShardBundleRejectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
 	info := ShardInfo{Shard: 2, Shards: 3, Scheme: ShardScheme, CorpusFingerprint: testCorpusFingerprint}

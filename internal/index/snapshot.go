@@ -14,14 +14,13 @@ import (
 	"stburst/internal/interval"
 )
 
-// Snapshot binary format (".stb", little-endian throughout):
+// Member encoding — the stream of one pattern kind inside a bundle
+// (bundle.go); never a file of its own. Little-endian throughout:
 //
 //	magic      [8]byte  "STBSNAP\x00"
-//	version    uint32   currently 2
+//	version    uint32   SnapshotVersion (2)
 //	kind       uint32   PatternKind
-//	generation uint64   store generation the snapshot was saved at
-//	                    (version ≥ 2 only; a version-1 stream has no
-//	                    generation field and reads as generation 0)
+//	generation uint64   store generation the bundle was saved at
 //	terms      uvarint  number of terms holding patterns
 //	then, for each term in ascending writer-side interned-ID order:
 //	  id       uvarint  the writer's interned term ID
@@ -38,31 +37,23 @@ import (
 // set. Both must verify and no bytes may follow the footer; ReadSnapshot
 // rejects anything else. See DESIGN.md for the full specification.
 
-// snapshotMagic identifies a pattern-index snapshot stream.
+// snapshotMagic identifies a member stream.
 const snapshotMagic = "STBSNAP\x00"
 
-// SnapshotVersion is the codec version written by WriteSnapshot.
-// ReadSnapshot also accepts the previous version 1 (the pre-generation
-// format), decoding it as generation 0.
+// SnapshotVersion is the one member-stream version written and read.
 const SnapshotVersion = 2
-
-// minSnapshotVersion is the oldest codec version ReadSnapshot accepts.
-const minSnapshotVersion = 1
 
 // maxSnapshotTermLen bounds a stored term string; longer length prefixes
 // can only come from corrupted input and are rejected before allocating.
 const maxSnapshotTermLen = 1 << 20
 
-// Snapshot is a decoded pattern-index snapshot, still keyed by the
-// *writer's* interned term IDs. Set holds the patterns exactly as they
-// were mined; Terms gives the string of each ID in Set.Terms() order, so
-// Remap can re-intern the patterns into another collection's dictionary.
-// Generation is the store generation the snapshot was saved at (0 for a
-// version-1 stream, which predates generations).
+// Snapshot is a decoded member stream, still keyed by the *writer's*
+// interned term IDs. Set holds the patterns exactly as they were mined;
+// Terms gives the string of each ID in Set.Terms() order, so Remap can
+// re-intern the patterns into another collection's dictionary.
 type Snapshot struct {
-	Set        *PatternSet
-	Terms      []string
-	Generation uint64
+	Set   *PatternSet
+	Terms []string
 }
 
 // snapshotWriter serializes primitive values with the format's encodings,
@@ -103,30 +94,25 @@ func (sw *snapshotWriter) string(s string) {
 	sw.bytes([]byte(s))
 }
 
-// WriteSnapshot serializes a PatternSet to w in the versioned binary
-// snapshot format, resolving each interned term ID to its string through
+// WriteSnapshot serializes a PatternSet to w as a member stream at
+// generation 0, resolving each interned term ID to its string through
 // term (normally Dictionary.Term). The trailing canonical SHA-256
-// fingerprint lets ReadSnapshot verify the round trip bit for bit. A bare
-// snapshot carries generation 0; only bundle members record a store
-// generation.
+// fingerprint lets ReadSnapshot verify the round trip bit for bit.
 func WriteSnapshot(w io.Writer, s *PatternSet, term func(id int) string) error {
-	return writeSnapshotVersion(w, s, term, 0, SnapshotVersion)
+	return writeSnapshot(w, s, term, 0)
 }
 
-// writeSnapshotVersion writes the snapshot at a specific codec version.
-// Version 1 — kept so the cross-version tests can produce genuine legacy
-// streams — has no generation field; gen is ignored there.
-func writeSnapshotVersion(w io.Writer, s *PatternSet, term func(id int) string, gen uint64, version uint32) error {
+// writeSnapshot is the member encoder; Bundle.Write stamps every member
+// with the bundle's generation.
+func writeSnapshot(w io.Writer, s *PatternSet, term func(id int) string, gen uint64) error {
 	sw := &snapshotWriter{w: bufio.NewWriter(w), h: sha256.New()}
 	sw.bytes([]byte(snapshotMagic))
-	binary.LittleEndian.PutUint32(sw.buf[:4], version)
+	binary.LittleEndian.PutUint32(sw.buf[:4], SnapshotVersion)
 	sw.bytes(sw.buf[:4])
 	binary.LittleEndian.PutUint32(sw.buf[:4], uint32(s.Kind()))
 	sw.bytes(sw.buf[:4])
-	if version >= 2 {
-		binary.LittleEndian.PutUint64(sw.buf[:8], gen)
-		sw.bytes(sw.buf[:8])
-	}
+	binary.LittleEndian.PutUint64(sw.buf[:8], gen)
+	sw.bytes(sw.buf[:8])
 	sw.count(s.NumTerms())
 	k := s.Kind().Desc()
 	for _, id := range s.Terms() {
@@ -284,7 +270,7 @@ func (k *Kind) decode(sr *snapshotReader) View {
 	return v
 }
 
-// ReadSnapshot decodes a snapshot written by WriteSnapshot and verifies
+// ReadSnapshot decodes a member stream written by WriteSnapshot and verifies
 // its integrity: the magic, version and kind must be valid, the decoded
 // pattern content must reproduce the stored canonical SHA-256 fingerprint
 // exactly, and no trailing bytes may follow the footer. Truncated or
@@ -298,8 +284,8 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if p := sr.bytes(4); p != nil {
 		version = binary.LittleEndian.Uint32(p)
 	}
-	if sr.err == nil && (version < minSnapshotVersion || version > SnapshotVersion) {
-		return nil, fmt.Errorf("index: unsupported snapshot version %d (want %d..%d)", version, minSnapshotVersion, SnapshotVersion)
+	if sr.err == nil && version != SnapshotVersion {
+		return nil, fmt.Errorf("index: unsupported snapshot version %d (want %d)", version, SnapshotVersion)
 	}
 	if p := sr.bytes(4); p != nil {
 		kindRaw = binary.LittleEndian.Uint32(p)
@@ -308,13 +294,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if sr.err == nil && !kind.Valid() {
 		return nil, fmt.Errorf("index: unknown snapshot pattern kind %d", kindRaw)
 	}
-	var generation uint64
-	if version >= 2 {
-		// Version-1 streams predate generations and read as generation 0.
-		if p := sr.bytes(8); p != nil {
-			generation = binary.LittleEndian.Uint64(p)
-		}
-	}
+	sr.bytes(8) // the generation: the bundle header's copy is the one read
 
 	numTerms, _ := sr.count()
 	k := kind.Desc()
@@ -354,7 +334,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("index: snapshot corrupted: content fingerprint %s does not match stored %s",
 			got, hex.EncodeToString(storedFP))
 	}
-	return &Snapshot{Set: set, Terms: terms, Generation: generation}, nil
+	return &Snapshot{Set: set, Terms: terms}, nil
 }
 
 // Validate checks every stored pattern against the shape of a target

@@ -14,20 +14,20 @@
 // separate instance is required for each type"): regional windows
 // (STLocal), combinatorial patterns (STComb), or purely temporal bursty
 // intervals with all streams merged (the TB comparison engine of §6.3).
-// BuildFromPatterns is the path that consults an existing
-// index.PatternSet instead of re-mining — its Burstiness method is the
-// kind's overlap notion, taken from the kind table of internal/index —
-// and the only path that retains the set for filtered queries.
+// BuildFromPatterns builds one from an existing index.PatternSet instead
+// of re-mining — the set's Burstiness method is the kind's overlap
+// notion, taken from the kind table of internal/index — and retains the
+// set for filtered queries.
 //
 // # Structured queries
 //
-// Engine.Run executes a Query: term resolution, TA retrieval, the
-// spatiotemporal pattern-overlap post-filter (a hit survives only if a
+// Engine.Run executes a Query over pre-interned term IDs: TA retrieval,
+// the spatiotemporal pattern-overlap post-filter (a hit survives only if a
 // contributing pattern of some query term intersects the query Region
 // and/or Span), MinScore thresholding and Offset/K pagination, with the
 // context checked between retrieval rounds so long queries cancel
-// promptly. Engine.Query remains the plain free-text top-k entry point
-// and is byte-identical to an unfiltered Run.
+// promptly. Tokenizing and interning free text is the caller's job (the
+// root package's Engine.Run).
 //
 // # Corpus-wide batch mining
 //

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"stburst/internal/core"
-	"stburst/internal/index"
 )
 
 func TestMineWindowsParMatchesSequential(t *testing.T) {
@@ -44,19 +43,5 @@ func TestTermsMinedCounter(t *testing.T) {
 	delta := TermsMined() - before
 	if want := int64(len(col.Terms())); delta != want {
 		t.Fatalf("counter advanced by %d, want %d (one per vocabulary term)", delta, want)
-	}
-}
-
-func TestBuildFromPatternsMatchesDirectBuild(t *testing.T) {
-	col := testCollection(t)
-	windows := mineWindows(col, core.STLocalOptions{}, 1)
-	direct := Build(col, windowBurstiness(windows))
-	fromSet := BuildFromPatterns(col, index.NewWindowSet(windows))
-	for _, q := range []string{"quake", "quake damage", "news"} {
-		a := direct.Query(q, 10)
-		b := fromSet.Query(q, 10)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("query %q: index-backed engine diverged: %+v vs %+v", q, a, b)
-		}
 	}
 }

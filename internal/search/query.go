@@ -2,7 +2,6 @@ package search
 
 import (
 	"context"
-	"errors"
 	"sync/atomic"
 
 	"stburst/internal/geo"
@@ -13,17 +12,15 @@ import (
 // discrete timeline.
 type Timespan = index.Timespan
 
-// Query is a structured spatiotemporal search request. Terms takes
-// precedence when non-empty; otherwise Text is tokenized with the
-// engine's pipeline (mirroring the indexing side). Region and Span
-// restrict hits to documents with a *contributing* pattern — one that
-// overlaps the document for some query term — intersecting the given
-// rectangle and/or timeframe (the pattern-overlap post-filter over
-// Eq. 10/11 scoring). MinScore drops hits whose aggregate score falls
+// Query is a structured spatiotemporal search request over pre-interned
+// term IDs (the caller tokenizes and interns; an unknown term zeroes the
+// query before it gets here). Region and Span restrict hits to documents
+// with a *contributing* pattern — one that overlaps the document for some
+// query term — intersecting the given rectangle and/or timeframe (the
+// pattern-overlap post-filter over Eq. 10/11 scoring). MinScore drops hits whose aggregate score falls
 // below the threshold, and Offset/K window the surviving ranked list.
 type Query struct {
-	Text     string
-	Terms    []int // pre-interned term IDs; overrides Text when non-empty
+	Terms    []int
 	Region   *geo.Rect
 	Span     *Timespan
 	K        int
@@ -49,31 +46,20 @@ var fetchRounds atomic.Int64
 // executed by Run since process start.
 func FetchRounds() int64 { return fetchRounds.Load() }
 
-// ErrNoPatternSet is returned for spatiotemporally filtered queries on an
-// engine built from a bare Burstiness closure: without the pattern set
-// there is nothing to intersect the filter against.
-var ErrNoPatternSet = errors.New("search: engine was built without a pattern set; Region/Span filters require BuildFromPatterns")
-
 // Run executes a structured query: top-k retrieval with the Threshold
 // Algorithm, the pattern-overlap post-filter for Region/Span, MinScore
 // thresholding and Offset/K pagination. The context is checked between
 // retrieval rounds, so long queries are cancellable; a cancelled context
-// returns ctx.Err(). An unknown query term yields an empty page (Eq. 10:
-// a term with no patterns or documents zeroes the query), not an error.
+// returns ctx.Err(). An empty term list yields an empty page, not an
+// error.
 func (e *Engine) Run(ctx context.Context, q Query) (Page, error) {
 	if err := ctx.Err(); err != nil {
 		return Page{}, err
-	}
-	if (q.Region != nil || q.Span != nil) && e.ps == nil {
-		return Page{}, ErrNoPatternSet
 	}
 	if q.K <= 0 || q.Offset < 0 {
 		return Page{}, nil
 	}
 	terms := q.Terms
-	if len(terms) == 0 {
-		terms = e.resolve(q.Text)
-	}
 	if len(terms) == 0 {
 		return Page{}, nil
 	}

@@ -20,23 +20,19 @@ func stlocalEngine(t *testing.T) *Engine {
 	return BuildFromPatterns(col, index.NewWindowSet(mineWindows(col, core.STLocalOptions{}, 1)))
 }
 
-// TestRunMatchesQuery: an unfiltered Run is the Query path with
-// pagination metadata.
+// TestRunMatchesQuery: an unfiltered Run is the index's plain TA top-k
+// with pagination metadata.
 func TestRunMatchesQuery(t *testing.T) {
 	e := stlocalEngine(t)
 	for _, q := range []string{"quake", "quake damage", "nosuchterm"} {
 		for _, k := range []int{1, 3, 100} {
-			legacy := e.Query(q, k)
-			page, err := e.Run(context.Background(), Query{Text: q, K: k})
-			if err != nil {
-				t.Fatalf("Run(%q, %d): %v", q, k, err)
+			var want []Result
+			if terms := termIDs(e, q); len(terms) > 0 {
+				want = e.idx.TopK(terms, k, index.MissingExcludes)
 			}
-			got := page.Results
-			if len(got) == 0 {
-				got = nil
-			}
-			if !reflect.DeepEqual(legacy, got) {
-				t.Errorf("Run(%q, %d) diverges from Query: %v vs %v", q, k, legacy, got)
+			got := topK(t, e, q, k)
+			if len(want) != len(got) || (len(got) > 0 && !reflect.DeepEqual(want, got)) {
+				t.Errorf("Run(%q, %d) diverges from TopK: %v vs %v", q, k, want, got)
 			}
 		}
 	}
@@ -52,7 +48,7 @@ func TestRunRegionFilter(t *testing.T) {
 	if !ok {
 		t.Fatal("quake not interned")
 	}
-	all, err := e.Run(context.Background(), Query{Text: "quake", K: 100})
+	all, err := e.Run(context.Background(), Query{Terms: []int{term}, K: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +71,7 @@ func TestRunRegionFilter(t *testing.T) {
 				}
 			}
 		}
-		page, err := e.Run(context.Background(), Query{Text: "quake", K: 100, Region: &region})
+		page, err := e.Run(context.Background(), Query{Terms: []int{term}, K: 100, Region: &region})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,8 +89,9 @@ func TestRunRegionFilter(t *testing.T) {
 // intersecting the span — not merely a document inside it.
 func TestRunSpanFilter(t *testing.T) {
 	e := stlocalEngine(t)
+	quake := termIDs(e, "quake")
 	burst := Timespan{Start: 2, End: 3}
-	page, err := e.Run(context.Background(), Query{Text: "quake", K: 100, Span: &burst})
+	page, err := e.Run(context.Background(), Query{Terms: quake, K: 100, Span: &burst})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +99,7 @@ func TestRunSpanFilter(t *testing.T) {
 		t.Fatal("span over the burst matched nothing")
 	}
 	outside := Timespan{Start: 5, End: 5}
-	page, err = e.Run(context.Background(), Query{Text: "quake", K: 100, Span: &outside})
+	page, err = e.Run(context.Background(), Query{Terms: quake, K: 100, Span: &outside})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,26 +197,12 @@ func TestRunFetchCappedAtBound(t *testing.T) {
 	}
 }
 
-// TestRunWithoutPatternSet: engines built from a bare Burstiness closure
-// reject filtered queries but answer plain ones.
-func TestRunWithoutPatternSet(t *testing.T) {
-	col := testCollection(t)
-	e := Build(col, windowBurstiness(mineWindows(col, core.STLocalOptions{}, 1)))
-	if _, err := e.Run(context.Background(), Query{Text: "quake", K: 5}); err != nil {
-		t.Fatalf("plain Run on a closure-built engine: %v", err)
-	}
-	r := geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
-	if _, err := e.Run(context.Background(), Query{Text: "quake", K: 5, Region: &r}); !errors.Is(err, ErrNoPatternSet) {
-		t.Fatalf("filtered Run on a closure-built engine: err = %v, want ErrNoPatternSet", err)
-	}
-}
-
 // TestRunCancelledContext: cancellation is observed before retrieval.
 func TestRunCancelledContext(t *testing.T) {
 	e := stlocalEngine(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.Run(ctx, Query{Text: "quake", K: 5}); !errors.Is(err, context.Canceled) {
+	if _, err := e.Run(ctx, Query{Terms: termIDs(e, "quake"), K: 5}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

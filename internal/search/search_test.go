@@ -2,7 +2,7 @@ package search
 
 import (
 	"context"
-	"math"
+	"strings"
 	"testing"
 
 	"stburst/internal/burst"
@@ -44,8 +44,33 @@ func testCollection(t *testing.T) *stream.Collection {
 	return col
 }
 
-// The single-kind miners and burstiness adapters as the tests use them:
-// no context, typed maps in and out.
+// topK runs a free-text query the way the root package does: split,
+// intern (an unknown term zeroes the query), Run.
+func topK(t *testing.T, e *Engine, q string, k int) []Result {
+	t.Helper()
+	page, err := e.Run(context.Background(), Query{Terms: termIDs(e, q), K: k})
+	if err != nil {
+		t.Fatalf("Run(%q, %d): %v", q, k, err)
+	}
+	return page.Results
+}
+
+// termIDs interns a whitespace-separated query; nil when a term is
+// unknown to the collection.
+func termIDs(e *Engine, q string) []int {
+	var ids []int
+	for _, tok := range strings.Fields(q) {
+		id, ok := e.col.Dict().Lookup(tok)
+		if !ok {
+			return nil
+		}
+		ids = append(ids, id)
+	}
+	return ids
+}
+
+// The single-kind miners as the tests use them: no context, typed maps
+// in and out.
 
 func mineWindows(col *stream.Collection, opts core.STLocalOptions, workers int) map[int][]core.Window {
 	ws, err := MineWindowsParCtx(context.Background(), col, opts, workers)
@@ -71,18 +96,6 @@ func mineTemporal(col *stream.Collection, det burst.Detector, workers int) map[i
 	return ivs
 }
 
-func windowBurstiness(m map[int][]core.Window) Burstiness {
-	return index.NewWindowSet(m).Burstiness()
-}
-
-func combBurstiness(m map[int][]core.CombPattern) Burstiness {
-	return index.NewCombSet(m).Burstiness()
-}
-
-func temporalBurstiness(m map[int][]burst.Interval) Burstiness {
-	return index.NewTemporalSet(m).Burstiness()
-}
-
 func docIDs(rs []Result) []int {
 	out := make([]int, len(rs))
 	for i, r := range rs {
@@ -98,8 +111,8 @@ func TestEngineSTLocalFiltersBySpace(t *testing.T) {
 	if len(windows[quake]) == 0 {
 		t.Fatal("no windows mined for quake")
 	}
-	eng := Build(col, windowBurstiness(windows))
-	rs := eng.Query("quake", 10)
+	eng := BuildFromPatterns(col, index.NewWindowSet(windows))
+	rs := topK(t, eng, "quake", 10)
 	if len(rs) == 0 {
 		t.Fatal("no results")
 	}
@@ -113,8 +126,8 @@ func TestEngineSTLocalFiltersBySpace(t *testing.T) {
 
 func TestEngineScoresDescend(t *testing.T) {
 	col := testCollection(t)
-	eng := Build(col, windowBurstiness(mineWindows(col, core.STLocalOptions{}, 1)))
-	rs := eng.Query("quake", 10)
+	eng := BuildFromPatterns(col, index.NewWindowSet(mineWindows(col, core.STLocalOptions{}, 1)))
+	rs := topK(t, eng, "quake", 10)
 	for i := 1; i < len(rs); i++ {
 		if rs[i].Score > rs[i-1].Score {
 			t.Fatalf("scores not descending: %+v", rs)
@@ -125,8 +138,8 @@ func TestEngineScoresDescend(t *testing.T) {
 func TestEngineTBIgnoresSpace(t *testing.T) {
 	col := testCollection(t)
 	temporal := mineTemporal(col, nil, 1)
-	eng := Build(col, temporalBurstiness(temporal))
-	rs := eng.Query("quake", 20)
+	eng := BuildFromPatterns(col, index.NewTemporalSet(temporal))
+	rs := topK(t, eng, "quake", 20)
 	if len(rs) == 0 {
 		t.Fatal("no TB results")
 	}
@@ -150,8 +163,8 @@ func TestEngineCombPatterns(t *testing.T) {
 	if len(patterns[quake]) == 0 {
 		t.Fatal("no STComb patterns for quake")
 	}
-	eng := Build(col, combBurstiness(patterns))
-	rs := eng.Query("quake", 10)
+	eng := BuildFromPatterns(col, index.NewCombSet(patterns))
+	rs := topK(t, eng, "quake", 10)
 	if len(rs) == 0 {
 		t.Fatal("no results")
 	}
@@ -166,20 +179,20 @@ func TestEngineCombPatterns(t *testing.T) {
 
 func TestEngineUnknownTerm(t *testing.T) {
 	col := testCollection(t)
-	eng := Build(col, windowBurstiness(mineWindows(col, core.STLocalOptions{}, 1)))
-	if rs := eng.Query("nonexistent", 5); rs != nil {
+	eng := BuildFromPatterns(col, index.NewWindowSet(mineWindows(col, core.STLocalOptions{}, 1)))
+	if rs := topK(t, eng, "nonexistent", 5); len(rs) != 0 {
 		t.Fatalf("unknown term: got %v", rs)
 	}
-	if rs := eng.Query("", 5); rs != nil {
+	if rs := topK(t, eng, "", 5); len(rs) != 0 {
 		t.Fatalf("empty query: got %v", rs)
 	}
 }
 
 func TestEngineMultiTermConjunction(t *testing.T) {
 	col := testCollection(t)
-	eng := Build(col, windowBurstiness(mineWindows(col, core.STLocalOptions{}, 1)))
+	eng := BuildFromPatterns(col, index.NewWindowSet(mineWindows(col, core.STLocalOptions{}, 1)))
 	// "quake damage" must only return docs overlapping patterns of both.
-	rs := eng.Query("quake damage", 10)
+	rs := topK(t, eng, "quake damage", 10)
 	for _, r := range rs {
 		d := col.Doc(r.Doc)
 		if d.Time != 2 {
@@ -194,7 +207,7 @@ func TestBurstinessAdapters(t *testing.T) {
 		Streams: []int{0},
 		Start:   2, End: 3, Score: 5,
 	}
-	wb := windowBurstiness(map[int][]core.Window{7: {w}})
+	wb := index.NewWindowSet(map[int][]core.Window{7: {w}}).Burstiness()
 	if s, ok := wb(7, 0, 2); !ok || s != 5 {
 		t.Fatalf("window overlap: (%v,%v)", s, ok)
 	}
@@ -212,7 +225,7 @@ func TestBurstinessAdapters(t *testing.T) {
 			{Start: 0, End: 6, Stream: 3},
 		},
 	}
-	cb := combBurstiness(map[int][]core.CombPattern{7: {p}})
+	cb := index.NewCombSet(map[int][]core.CombPattern{7: {p}}).Burstiness()
 	if s, ok := cb(7, 3, 4); !ok || s != 2 {
 		t.Fatalf("comb overlap: (%v,%v)", s, ok)
 	}
@@ -228,7 +241,7 @@ func TestBurstinessAdapters(t *testing.T) {
 		t.Fatal("outside the member's own interval should not overlap")
 	}
 
-	tb := temporalBurstiness(map[int][]burst.Interval{7: {{Start: 1, End: 2, Score: 0.4}}})
+	tb := index.NewTemporalSet(map[int][]burst.Interval{7: {{Start: 1, End: 2, Score: 0.4}}}).Burstiness()
 	if s, ok := tb(7, 99, 1); !ok || s != 0.4 {
 		t.Fatalf("temporal overlap: (%v,%v)", s, ok)
 	}
@@ -244,7 +257,7 @@ func TestBurstinessMaxAggregation(t *testing.T) {
 		{Rect: geo.Rect{MaxX: 10, MaxY: 10}, Streams: []int{0}, Start: 0, End: 9, Score: 1},
 		{Rect: geo.Rect{MaxX: 10, MaxY: 10}, Streams: []int{0}, Start: 2, End: 4, Score: 7},
 	}
-	wb := windowBurstiness(map[int][]core.Window{0: ws})
+	wb := index.NewWindowSet(map[int][]core.Window{0: ws}).Burstiness()
 	if s, _ := wb(0, 0, 3); s != 7 {
 		t.Fatalf("max aggregation: got %v, want 7", s)
 	}
@@ -264,14 +277,8 @@ func TestEngineRelevanceWeighting(t *testing.T) {
 		t.Fatal(err)
 	}
 	quake, _ := col.Dict().Lookup("quake")
-	b := func(term, s, i int) (float64, bool) {
-		if term == quake && i == 1 {
-			return 2, true
-		}
-		return math.Inf(-1), false
-	}
-	eng := Build(col, b)
-	rs := eng.Query("quake", 2)
+	eng := BuildFromPatterns(col, index.NewTemporalSet(map[int][]burst.Interval{quake: {{Start: 1, End: 1, Score: 2}}}))
+	rs := topK(t, eng, "quake", 2)
 	if len(rs) != 2 || rs[0].Doc != hi || rs[1].Doc != lo {
 		t.Fatalf("got %+v, want hi=%d first then lo=%d", rs, hi, lo)
 	}

@@ -356,11 +356,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, stats)
 }
 
-// handleReload re-reads the snapshot/bundle file and atomically replaces
-// the store's resident set with its contents. Every member is integrity-
+// handleReload re-reads the bundle file and atomically replaces the
+// store's resident set with its contents. Every member is integrity-
 // checked and its search engine warmed before the swap, so a failed or
 // corrupt reload leaves the old indexes serving and a successful one
-// never exposes a cold engine to traffic.
+// never exposes a cold engine to traffic. A bundle of another shard
+// identity is refused with 409: the store's identity is fixed at boot
+// and is what /v1/healthz advertises, so installing a foreign shard's
+// terms under it would have a gateway route queries to a member that no
+// longer holds them.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if s.snapshotPath == "" {
 		WriteError(w, http.StatusConflict, "server was started without -snapshot; nothing to reload")
@@ -385,6 +389,11 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	fresh, err := stburst.LoadStore(f, s.c)
 	if err != nil {
 		WriteError(w, http.StatusInternalServerError, "reload: "+err.Error())
+		return
+	}
+	if have, got := s.store.ShardInfo(), fresh.ShardInfo(); got != have {
+		WriteError(w, http.StatusConflict, fmt.Sprintf(
+			"reload: %s holds %+v but this server was booted as %+v; restart it on the new bundle", s.snapshotPath, got, have))
 		return
 	}
 	ixs := fresh.Resident()

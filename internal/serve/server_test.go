@@ -1,17 +1,20 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"stburst"
+	"stburst/internal/index"
 )
 
 // serveCollection builds a small deterministic corpus with one strongly
@@ -683,6 +686,78 @@ func TestServerReload(t *testing.T) {
 		if entry["fingerprint"] != full.Index(kind).Fingerprint() {
 			t.Errorf("reloaded %v fingerprint %v, want %s", kind, entry["fingerprint"], full.Index(kind).Fingerprint())
 		}
+	}
+}
+
+// TestServerReloadRefusesForeignShard: a member booted on shard 0 of 2
+// whose bundle file is overwritten with shard 1's refuses the reload
+// with 409 naming both identities, and goes on serving and advertising
+// shard 0 — a gateway routing by /v1/healthz never meets shard 1's
+// terms under shard 0's name.
+func TestServerReloadRefusesForeignShard(t *testing.T) {
+	c := serveCollection(t)
+	whole, err := c.MineStore(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := whole.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	b, err := index.ReadStore(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[int]string{}
+	for _, snap := range b.Snaps {
+		b.Sets = append(b.Sets, snap.Set)
+		for i, id := range snap.Set.Terms() {
+			names[id] = snap.Terms[i]
+		}
+	}
+	term := func(id int) string { return names[id] }
+	parts, err := index.SplitSets(b.Sets, term, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "member.bundle")
+	writeShard := func(i int) {
+		t.Helper()
+		info := index.ShardInfo{Shard: i, Shards: 2, Scheme: index.ShardScheme, CorpusFingerprint: c.Checksum()}
+		if err := (&index.Bundle{Sets: parts[i], Shard: info}).WriteFile(path, term); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeShard(0)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := stburst.LoadStore(f, c)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(c, store, path)
+	_, before := get(t, s, "/v1/indexes")
+
+	writeShard(1)
+	code, body := postJSON(t, s, "/v1/reload", "")
+	msg, _ := body["error"].(string)
+	if code != http.StatusConflict || !strings.Contains(msg, "Shard:1 Shards:2") || !strings.Contains(msg, "Shard:0 Shards:2") {
+		t.Fatalf("reload of a foreign shard = %d %v, want 409 naming both identities", code, body)
+	}
+	if _, health := get(t, s, "/v1/healthz"); health["shard"] != float64(0) || health["shards"] != float64(2) {
+		t.Errorf("healthz after the refused reload = %v, want shard 0 of 2", health)
+	}
+	if _, after := get(t, s, "/v1/indexes"); !reflect.DeepEqual(after, before) {
+		t.Errorf("resident set changed across a refused reload:\n before %v\n after  %v", before, after)
+	}
+
+	// Its own shard, re-mined, still reloads.
+	writeShard(0)
+	if code, body := postJSON(t, s, "/v1/reload", ""); code != http.StatusOK || body["reloaded"] != true {
+		t.Errorf("reload of the member's own shard = %d %v, want 200 reloaded", code, body)
 	}
 }
 

@@ -4,10 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"sync"
 
-	"stburst/internal/atomicfile"
 	"stburst/internal/index"
 	"stburst/internal/interval"
 	"stburst/internal/search"
@@ -359,47 +357,9 @@ func (ix *PatternIndex) Fingerprint() string {
 	return ix.fp
 }
 
-// Save serializes the index to w in the versioned binary snapshot format
-// (see DESIGN.md for the layout): the patterns of every term, the term
-// strings themselves, and a canonical SHA-256 fingerprint footer that
-// LoadPatternIndex verifies on the way back in. Snapshots are the
-// mine-once/serve-many pipeline: mine the corpus with Mine, Save the
-// index, and every serving process loads it in milliseconds instead of
-// re-mining the vocabulary at boot.
-func (ix *PatternIndex) Save(w io.Writer) error {
-	return index.WriteSnapshot(w, ix.set, ix.c.col.Dict().Term)
-}
-
-// SaveFile saves the index as a snapshot file, atomically: the snapshot
-// is written to a temp file in the destination directory and renamed
-// over the target, so an interrupted save never leaves a truncated file.
-func (ix *PatternIndex) SaveFile(path string) error {
-	return atomicfile.Write(path, ix.Save)
-}
-
-// LoadPatternIndex reads a snapshot written by PatternIndex.Save and
-// attaches it to a collection holding the same corpus. The snapshot's
-// integrity is verified against its embedded canonical fingerprint —
-// truncated or corrupted input is rejected with an error — and every
-// stored term is re-interned through the collection's dictionary, so the
-// loaded index answers lookups and searches exactly like the freshly
-// mined one. A snapshot mentioning a term the collection has never seen
-// is an error: it was mined from a different corpus.
-func LoadPatternIndex(r io.Reader, c *Collection) (*PatternIndex, error) {
-	snap, err := index.ReadSnapshot(r)
-	if err != nil {
-		return nil, fmt.Errorf("stburst: loading pattern index: %w", err)
-	}
-	ix, err := attachSnapshot(snap, c)
-	if err != nil {
-		return nil, fmt.Errorf("stburst: loading pattern index: %w", err)
-	}
-	return ix, nil
-}
-
-// attachSnapshot re-interns a decoded snapshot into the collection's
-// dictionary and validates it against the collection's shape — the
-// shared back half of LoadPatternIndex and LoadStore.
+// attachSnapshot re-interns a decoded bundle member into the
+// collection's dictionary and validates it against the collection's
+// shape — the back half of LoadStore.
 func attachSnapshot(snap *index.Snapshot, c *Collection) (*PatternIndex, error) {
 	set, err := snap.Remap(c.col.Dict().Lookup)
 	if err != nil {

@@ -185,9 +185,9 @@ func (c *Collection) AddTokens(streamIdx, time int, tokens []string) (int, error
 // cmd/stgen (a topix header line followed by one document per line) and
 // returns the rebuilt collection, with stream locations projected by MDS
 // over their geographic distances as in §6.1 of the paper. Loading the
-// same corpus always interns terms in the same order, so a pattern-index
-// snapshot mined from a corpus loads cleanly into any collection rebuilt
-// from that corpus with LoadCorpus (see LoadPatternIndex).
+// same corpus always interns terms in the same order, so a bundle mined
+// from a corpus loads cleanly into any collection rebuilt from that
+// corpus with LoadCorpus (see LoadStore).
 func LoadCorpus(r io.Reader) (*Collection, error) {
 	c, _, err := LoadCorpusLabeled(r)
 	return c, err

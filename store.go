@@ -553,15 +553,14 @@ func (s *Store) refreshLocked(ctx context.Context, resident *residentSet, dirty 
 	return true, nil
 }
 
-// Save serializes every resident index into one versioned bundle: a
-// manifest listing each member's kind, byte length and canonical
-// fingerprint, followed by the members as ordinary snapshot streams and
-// a stream checksum over the whole file (see DESIGN.md for the layout).
-// The store's current Generation is recorded in the v2 header and
-// restored by LoadStore, and any registered standing queries are
-// persisted in a v4 subscriptions block (a store without them keeps the
-// earlier byte-exact formats). LoadStore verifies all of it on the way
-// back in. An empty store cannot be saved. Save serializes against writers
+// Save serializes every resident index into one bundle: a header
+// recording the store's current Generation, its shard identity and any
+// registered standing queries, a manifest listing each member's kind,
+// byte length and canonical fingerprint, the members themselves and a
+// stream checksum over the whole file (see DESIGN.md for the layout). A
+// store holding one kind saves as a one-member bundle. LoadStore
+// verifies all of it on the way back in and restores the generation and
+// the subscriptions. An empty store cannot be saved. Save serializes against writers
 // (Swap/Replace/Ingest), so the recorded generation always matches the
 // serialized indexes — never one mutation's number on another's data.
 //
@@ -724,17 +723,15 @@ func (s *Store) SaveFile(path string) error {
 	return s.save(func(b *index.Bundle) error { return b.WriteFile(path, s.c.col.Dict().Term) })
 }
 
-// LoadStore reads a store from r and attaches it to a collection
-// holding the same corpus. It accepts both on-disk formats: a bundle
-// written by Store.Save (every member index becomes resident) and a
-// plain single-index snapshot written by PatternIndex.Save (the store
-// holds that one kind), so a serving process boots from whichever
-// artifact the mining pipeline produced. Every member is integrity-
-// checked exactly as LoadPatternIndex would: stream checksums, the
-// canonical per-kind fingerprints (which must also match the bundle
-// manifest), vocabulary membership and structural fit against the
-// collection. Any failure is an error; no partially loaded store is
-// returned.
+// LoadStore reads a bundle written by Store.Save (or stmine -o) from r
+// and attaches it to a collection holding the same corpus; every member
+// index becomes resident. Every member is integrity-checked: stream
+// checksums, the canonical per-kind fingerprints (which must also match
+// the bundle manifest), vocabulary membership — every stored term is
+// re-interned through the collection's dictionary, and one the
+// collection has never seen means the bundle was mined from a different
+// corpus — and structural fit against the collection. Any failure is an
+// error; no partially loaded store is returned.
 func LoadStore(r io.Reader, c *Collection) (*Store, error) {
 	b, err := index.ReadStore(r)
 	if err != nil {
@@ -753,12 +750,10 @@ func LoadStore(r io.Reader, c *Collection) (*Store, error) {
 	if err := s.Replace(ixs...); err != nil {
 		return nil, fmt.Errorf("stburst: loading store: %w", err)
 	}
-	// Resume the saved store's generation sequence (a version-1 artifact
-	// predates generations and resumes from 0); the Replace above only
-	// counts as a mutation within this process.
+	// Resume the saved store's generation sequence; the Replace above
+	// only counts as a mutation within this process.
 	s.gen.Store(b.Generation)
-	// Re-register the persisted standing queries under their saved IDs
-	// (a pre-subscription artifact simply has none).
+	// Re-register the persisted standing queries under their saved IDs.
 	if err := s.restoreSubscriptions(b.Subs); err != nil {
 		return nil, fmt.Errorf("stburst: loading store: %w", err)
 	}

@@ -555,28 +555,23 @@ func TestStoreSavePartial(t *testing.T) {
 	}
 }
 
-// TestLoadStoreSingleSnapshot: LoadStore accepts a bare single-index
-// snapshot, booting a one-kind store — the pre-bundle artifact keeps
-// working.
+// TestLoadStoreSingleSnapshot: a single-kind artifact — a one-member
+// bundle — boots a one-kind store.
 func TestLoadStoreSingleSnapshot(t *testing.T) {
 	c := twoBurstCollection(t)
 	ix, err := c.Mine(context.Background(), KindCombinatorial, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s, err := LoadStore(&buf, c)
+	s, err := LoadStore(bytes.NewReader(saveOne(t, c, ix)), c)
 	if err != nil {
-		t.Fatalf("LoadStore(snapshot): %v", err)
+		t.Fatalf("LoadStore(one member): %v", err)
 	}
 	if got := s.Kinds(); len(got) != 1 || got[0] != KindCombinatorial {
 		t.Fatalf("kinds = %v, want [combinatorial]", got)
 	}
 	if s.Index(KindCombinatorial).Fingerprint() != ix.Fingerprint() {
-		t.Error("loaded snapshot fingerprint differs")
+		t.Error("loaded member fingerprint differs")
 	}
 }
 
