@@ -10,7 +10,10 @@
 // of Fagin, Lotem and Naor (PODS'01 — reference [6] of the paper) with
 // sorted and random access and early termination on the threshold, as the
 // bursty-document search engine of §5 requires. Build with Add + Finalize,
-// query with TopK; TopKNaive is the exhaustive testing oracle.
+// then open a Cursor: one resumable TA pass whose Next yields hits in
+// final rank order and whose Page pulls them through a post-filter until
+// a page is full. TopK is the first k hits of a Cursor; TopKNaive is the
+// exhaustive testing oracle.
 //
 // # Pattern store
 //

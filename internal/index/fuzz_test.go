@@ -2,8 +2,11 @@ package index
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
+	"math"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -94,6 +97,62 @@ func FuzzReadBundle(f *testing.F) {
 		}
 		if !bytes.Equal(again.Bytes(), data) {
 			t.Fatalf("accepted %d-byte bundle re-encodes to %d different bytes", len(data), again.Len())
+		}
+	})
+}
+
+// FuzzCursor: on any index of at most 4 terms × 32 docs with scores from
+// {0.5, 1, …, 4} — exact in float64, and tie-heavy — a full Next drain is
+// the naive oracle's ranking, Page is the matching window of that drain
+// through a filter, and TopK(k) is a prefix of every longer TopK.
+func FuzzCursor(f *testing.F) {
+	f.Add([]byte{1, 0, 3, 2, 0x0f, 0x0b, 0x0c, 0x08, 0x0f, 0x09, 0x0f})
+	f.Add(bytes.Repeat([]byte{3, 2, 5, 1, 0x0b, 0x0f, 0x09, 0x0e}, 16))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		// Header: term count, offset, k, minScore; then one byte per
+		// (term, doc) slot: bit 3 says the posting exists, bits 0-2 its
+		// score in halves.
+		terms := make([]int, 1+int(data[0])%4)
+		for i := range terms {
+			terms[i] = i
+		}
+		offset, k, minScore := int(data[1]%16), int(data[2]%16), float64(data[3]%17)/2
+		ix := New()
+		for slot, b := range data[4:min(len(data), 4+32*len(terms))] {
+			if b&8 != 0 {
+				ix.Add(slot/32, slot%32, float64(b&7+1)/2)
+			}
+		}
+		ix.Finalize()
+
+		c := ix.Cursor(terms)
+		var drain []Result
+		for r, ok := c.Next(); ok; r, ok = c.Next() {
+			drain = append(drain, r)
+		}
+		if want := ix.TopKNaive(terms, math.MaxInt); !slices.Equal(drain, want) {
+			t.Fatalf("drain %v, naive %v", drain, want)
+		}
+		for _, pass := range []func(doc int) bool{nil, func(doc int) bool { return doc%2 == 0 }} {
+			var survivors []Result
+			for _, r := range drain {
+				if r.Score >= minScore && (pass == nil || pass(r.Doc)) {
+					survivors = append(survivors, r)
+				}
+			}
+			want := survivors[min(offset, len(survivors)):min(offset+k, len(survivors))]
+			hits, more, err := ix.Cursor(terms).Page(context.Background(), offset, k, minScore, pass)
+			if err != nil || !slices.Equal(hits, want) || more != (len(survivors) > offset+k) {
+				t.Fatalf("Page(%d, %d, %v) = %v, %v, %v; want %v of %d survivors", offset, k, minScore, hits, more, err, want, len(survivors))
+			}
+		}
+		for n := 0; n <= len(drain)+1; n++ {
+			if got := ix.TopK(terms, n, MissingExcludes); !slices.Equal(got, drain[:min(n, len(drain))]) {
+				t.Fatalf("TopK(%d) = %v, not a prefix of %v", n, got, drain)
+			}
 		}
 	})
 }

@@ -1,6 +1,9 @@
 package index
 
 import (
+	"context"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -16,19 +19,15 @@ type Result struct {
 	Score float64
 }
 
-// MissingPolicy controls how a document absent from some query term's
-// posting list contributes to the aggregate of Eq. 10.
+// MissingPolicy is the type of TopK's last parameter, kept because
+// bench/ pins that signature. Its one value is the index's only query
+// semantics.
 type MissingPolicy int
 
-const (
-	// MissingExcludes drops documents that are absent from any query
-	// term's list — the strict reading of Eq. 10/11, where burstiness is
-	// -inf without a pattern overlap.
-	MissingExcludes MissingPolicy = iota
-	// MissingZero scores absent terms as zero, ranking documents that
-	// match a subset of the query below full matches but keeping them.
-	MissingZero
-)
+// MissingExcludes drops documents that are absent from any query term's
+// list — the strict reading of Eq. 10/11, where burstiness is -inf
+// without a pattern overlap.
+const MissingExcludes MissingPolicy = 0
 
 // Index is an inverted index over per-term document scores.
 type Index struct {
@@ -73,12 +72,7 @@ func (ix *Index) Finalize() {
 		for i := range list {
 			list[i].Score = m[list[i].Doc]
 		}
-		sort.Slice(list, func(i, j int) bool {
-			if list[i].Score != list[j].Score {
-				return list[i].Score > list[j].Score
-			}
-			return list[i].Doc < list[j].Doc
-		})
+		sort.Slice(list, func(i, j int) bool { return ranksBefore(Result(list[i]), Result(list[j])) })
 		ix.postings[term] = list
 	}
 	ix.finalized = true
@@ -98,11 +92,11 @@ func (ix *Index) Score(term, doc int) (float64, bool) {
 }
 
 // CandidateBound returns an upper bound on the number of distinct
-// documents a MissingExcludes query over terms can ever return: every
-// hit must appear in each query term's posting list, so the shortest
-// list bounds the result set (and a term with no postings zeroes it).
-// The search layer uses it to size retrieval fetches and to answer
-// pages offset past the last possible hit without fetching at all.
+// documents a query over terms can ever return: every hit must appear in
+// each query term's posting list, so the shortest list bounds the result
+// set (and a term with no postings zeroes it). The search layer uses it
+// to answer pages offset past the last possible hit without opening a
+// Cursor.
 func (ix *Index) CandidateBound(terms []int) int {
 	if len(terms) == 0 {
 		return 0
@@ -116,160 +110,187 @@ func (ix *Index) CandidateBound(terms []int) int {
 	return bound
 }
 
-// TopK answers a multi-term top-k query with the Threshold Algorithm:
-// round-robin sorted access over the query terms' posting lists, random
-// access to complete each newly seen document's aggregate, and
-// termination once the k-th best aggregate reaches the threshold (the sum
-// of the scores at the current sorted-access frontier). Results are
-// sorted by descending aggregate score, ties by doc ID. It panics if the
-// index was not finalized.
-func (ix *Index) TopK(terms []int, k int, policy MissingPolicy) []Result {
-	if !ix.finalized {
-		panic("index: TopK before Finalize")
-	}
-	if k <= 0 {
-		return nil
-	}
-	lists := make([][]Posting, 0, len(terms))
-	qterms := make([]int, 0, len(terms))
-	for _, t := range terms {
-		l := ix.postings[t]
-		if len(l) == 0 {
-			if policy == MissingExcludes {
-				return nil // no document can match every term
-			}
-			continue
-		}
-		lists = append(lists, l)
-		qterms = append(qterms, t)
-	}
-	if len(lists) == 0 {
-		return nil
-	}
-
-	type cand struct {
-		doc   int
-		score float64
-	}
-	seen := make(map[int]bool)
-	var top []cand // maintained sorted descending, at most k entries
-	insert := func(c cand) {
-		pos := sort.Search(len(top), func(i int) bool {
-			if top[i].score != c.score {
-				return top[i].score < c.score
-			}
-			return top[i].doc > c.doc
-		})
-		if pos >= k {
-			return
-		}
-		top = append(top, cand{})
-		copy(top[pos+1:], top[pos:])
-		top[pos] = c
-		if len(top) > k {
-			top = top[:k]
-		}
-	}
-	aggregate := func(doc int) (float64, bool) {
-		var sum float64
-		for _, t := range qterms {
-			s, ok := ix.random[t][doc]
-			if !ok {
-				if policy == MissingExcludes {
-					return 0, false
-				}
-				continue
-			}
-			sum += s
-		}
-		return sum, true
-	}
-
-	depth := 0
-	frontier := make([]float64, len(lists))
-	for {
-		exhausted := true
-		for li, l := range lists {
-			if depth >= len(l) {
-				// Frontier stays at the last (smallest) score.
-				continue
-			}
-			exhausted = false
-			p := l[depth]
-			frontier[li] = p.Score
-			if !seen[p.Doc] {
-				seen[p.Doc] = true
-				if s, ok := aggregate(p.Doc); ok {
-					insert(cand{doc: p.Doc, score: s})
-				}
-			}
-		}
-		if exhausted {
-			break
-		}
-		depth++
-		// Threshold: the aggregate of the last score seen under sorted
-		// access in each list. Any unseen document scores at most the
-		// frontier in every list (scores are required to be
-		// non-negative), so once the k-th best reaches the threshold no
-		// unseen document can displace it.
-		var threshold float64
-		for _, f := range frontier {
-			threshold += f
-		}
-		if len(top) == k && top[k-1].score >= threshold {
-			break
-		}
-	}
-	out := make([]Result, len(top))
-	for i, c := range top {
-		out[i] = Result{Doc: c.doc, Score: c.score}
-	}
-	return out
+// Cursor is one resumable Threshold-Algorithm pass (Fagin, Lotem and
+// Naor) over a query's posting lists: sorted access one row of every list
+// at a time, random access to complete each newly seen document's
+// aggregate, and each complete aggregate held until no unseen document
+// can outrank it. Between calls it keeps its depth, seen-set and
+// candidates, so a caller pulls exactly as many hits as it needs. A
+// Cursor is not safe for concurrent use.
+type Cursor struct {
+	ix    *Index
+	terms []int
+	lists [][]Posting
+	// end is the shortest list's length. Once a list is read to its end,
+	// every document that can appear in all lists has been seen, so the
+	// walk stops there and only the candidates drain.
+	end   int
+	depth int // rows read from every list
+	seen  map[int]bool
+	cands []Result // complete aggregates not yet returned, worst first
 }
 
-// TopKNaive answers the same query by exhaustively scoring every
-// candidate document. It is the testing oracle for TopK.
-func (ix *Index) TopKNaive(terms []int, k int, policy MissingPolicy) []Result {
-	if k <= 0 {
-		return nil
+// Cursor opens a Threshold-Algorithm pass over terms. A document is a hit
+// only when every term's list holds it, scored by the sum of its per-term
+// scores; Next yields hits by descending score, ties by doc ID. It panics
+// if the index was not finalized.
+func (ix *Index) Cursor(terms []int) *Cursor {
+	if !ix.finalized {
+		panic("index: Cursor before Finalize")
 	}
-	docs := make(map[int]bool)
+	c := &Cursor{ix: ix, terms: terms, end: ix.CandidateBound(terms), seen: make(map[int]bool)}
 	for _, t := range terms {
-		for _, p := range ix.postings[t] {
-			docs[p.Doc] = true
+		c.lists = append(c.lists, ix.postings[t])
+	}
+	return c
+}
+
+// Next returns the next hit in rank order, and false once none is left.
+func (c *Cursor) Next() (Result, bool) {
+	for {
+		n := len(c.cands)
+		if n > 0 && (c.depth == c.end || c.settled(c.cands[n-1])) {
+			best := c.cands[n-1]
+			c.cands = c.cands[:n-1]
+			return best, true
+		}
+		if c.depth == c.end {
+			return Result{}, false
+		}
+		c.step()
+	}
+}
+
+// step reads one row of every list and completes the aggregate of each
+// document it sees for the first time.
+func (c *Cursor) step() {
+	for _, l := range c.lists {
+		doc := l[c.depth].Doc
+		if c.seen[doc] {
+			continue
+		}
+		c.seen[doc] = true
+		if s, ok := c.aggregate(doc); ok {
+			r := Result{Doc: doc, Score: s}
+			i := sort.Search(len(c.cands), func(i int) bool { return ranksBefore(c.cands[i], r) })
+			c.cands = slices.Insert(c.cands, i, r)
 		}
 	}
+	c.depth++
+}
+
+// aggregate sums doc's per-term scores in query order, the order
+// TopKNaive adds in; false when some term's list omits doc.
+func (c *Cursor) aggregate(doc int) (float64, bool) {
+	var sum float64
+	for _, t := range c.terms {
+		s, ok := c.ix.random[t][doc]
+		if !ok {
+			return 0, false
+		}
+		sum += s
+	}
+	return sum, true
+}
+
+// settled reports whether no unseen document can outrank best. An unseen
+// document scores at most the frontier — the last score read — in every
+// list (scores are non-negative), so at most their sum T. On a tie with T
+// it must tie the frontier in every list, and within a score each list is
+// sorted by doc ID, so it sits at or after every list's next unread
+// posting: best is settled when one of those scores below its frontier or
+// carries a larger doc ID. Settling on best.Score >= T alone would return
+// best ahead of a tying unseen document with a smaller ID. The argument
+// assumes exact sums, as small integer scores have.
+func (c *Cursor) settled(best Result) bool {
+	var t float64
+	for _, l := range c.lists {
+		t += l[c.depth-1].Score
+	}
+	if best.Score != t {
+		return best.Score > t
+	}
+	for _, l := range c.lists {
+		if next := l[c.depth]; next.Score < l[c.depth-1].Score || next.Doc > best.Doc {
+			return true
+		}
+	}
+	return false
+}
+
+// Page pulls hits through the post-filter pass (nil keeps every hit)
+// until it holds the survivors' window [offset, offset+k) plus one more,
+// which only sets more. Scores descend, so the first hit below minScore
+// ends the pull. The context is checked every 1 024 pulls; a cancelled
+// one returns ctx.Err().
+func (c *Cursor) Page(ctx context.Context, offset, k int, minScore float64, pass func(doc int) bool) (hits []Result, more bool, err error) {
+	for pulls := 1; ; pulls++ {
+		if pulls%1024 == 0 && ctx.Err() != nil {
+			return nil, false, ctx.Err()
+		}
+		r, ok := c.Next()
+		if !ok || r.Score < minScore {
+			return hits, false, nil
+		}
+		if pass != nil && !pass(r.Doc) {
+			continue
+		}
+		if offset > 0 {
+			offset--
+			continue
+		}
+		if len(hits) >= k {
+			return hits, true, nil
+		}
+		if hits == nil {
+			// K is caller-controlled; the shortest list bounds the hits.
+			hits = make([]Result, 0, min(k, c.end))
+		}
+		hits = append(hits, r)
+	}
+}
+
+// TopK returns the first k hits of a Cursor over terms. Its policy
+// parameter is kept for bench/, which pins the signature.
+func (ix *Index) TopK(terms []int, k int, _ MissingPolicy) []Result {
+	hits, _, _ := ix.Cursor(terms).Page(context.Background(), 0, k, math.Inf(-1), nil)
+	return hits
+}
+
+// TopKNaive answers the same query by exhaustively scoring every document
+// of the first term's list. It is the testing oracle for Cursor.
+func (ix *Index) TopKNaive(terms []int, k int) []Result {
+	if k <= 0 || len(terms) == 0 {
+		return nil
+	}
 	var out []Result
-	for doc := range docs {
+	for _, p := range ix.postings[terms[0]] {
 		var sum float64
 		ok := true
 		for _, t := range terms {
-			s, present := ix.random[t][doc]
+			s, present := ix.random[t][p.Doc]
 			if !present {
-				if policy == MissingExcludes {
-					ok = false
-					break
-				}
-				continue
+				ok = false
+				break
 			}
 			sum += s
 		}
 		if ok {
-			out = append(out, Result{Doc: doc, Score: sum})
+			out = append(out, Result{Doc: p.Doc, Score: sum})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Doc < out[j].Doc
-	})
+	sort.Slice(out, func(i, j int) bool { return ranksBefore(out[i], out[j]) })
 	if len(out) > k {
 		out = out[:k]
 	}
-	if len(out) == 0 {
-		return nil
-	}
 	return out
+}
+
+// ranksBefore is the rank order of postings and hits: score descending,
+// then doc ID ascending.
+func ranksBefore(a, b Result) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	return a.Doc < b.Doc
 }

@@ -1,7 +1,10 @@
 package index
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -42,21 +45,6 @@ func TestTopKExcludesPartialMatches(t *testing.T) {
 	}
 }
 
-func TestTopKMissingZeroKeepsPartialMatches(t *testing.T) {
-	ix := buildSmall()
-	got := ix.TopK([]int{0, 1}, 10, MissingZero)
-	// All docs: 1→5, 2→7, 3→3, 4→6.
-	want := []Result{{Doc: 2, Score: 7}, {Doc: 4, Score: 6}, {Doc: 1, Score: 5}, {Doc: 3, Score: 3}}
-	if len(got) != len(want) {
-		t.Fatalf("got %+v, want %+v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %+v, want %+v", got, want)
-		}
-	}
-}
-
 func TestTopKUnknownTerm(t *testing.T) {
 	ix := buildSmall()
 	if got := ix.TopK([]int{99}, 5, MissingExcludes); got != nil {
@@ -65,16 +53,11 @@ func TestTopKUnknownTerm(t *testing.T) {
 	if got := ix.TopK([]int{0, 99}, 5, MissingExcludes); got != nil {
 		t.Fatalf("conjunctive with unknown term: got %v", got)
 	}
-	// MissingZero ignores the unknown term.
-	got := ix.TopK([]int{0, 99}, 1, MissingZero)
-	if len(got) != 1 || got[0].Doc != 1 {
-		t.Fatalf("got %+v, want doc 1", got)
-	}
 }
 
 func TestTopKZeroK(t *testing.T) {
 	ix := buildSmall()
-	if got := ix.TopK([]int{0}, 0, MissingZero); got != nil {
+	if got := ix.TopK([]int{0}, 0, MissingExcludes); got != nil {
 		t.Fatalf("k=0: got %v", got)
 	}
 }
@@ -87,7 +70,7 @@ func TestTopKPanicsBeforeFinalize(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	ix.TopK([]int{0}, 1, MissingZero)
+	ix.TopK([]int{0}, 1, MissingExcludes)
 }
 
 func TestAddPanicsAfterFinalize(t *testing.T) {
@@ -131,40 +114,44 @@ func TestPostingsSorted(t *testing.T) {
 	}
 }
 
+// TestTopKMatchesNaiveRandom: TA equals the exhaustive oracle on random
+// indexes, including dense tie-heavy ones whose scores come from {1, 2, 3},
+// where an unseen document can tie the threshold with a smaller doc ID.
 func TestTopKMatchesNaiveRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(91))
-	for iter := 0; iter < 200; iter++ {
-		ix := New()
-		nTerms := 1 + rng.Intn(4)
-		nDocs := 1 + rng.Intn(30)
-		for term := 0; term < nTerms; term++ {
-			for doc := 0; doc < nDocs; doc++ {
-				if rng.Intn(3) == 0 {
-					ix.Add(term, doc, float64(rng.Intn(100))/7)
+	for _, dist := range []struct {
+		name  string
+		iters int
+		skip  int // a (term, doc) posting exists with probability 1/skip
+		score func(*rand.Rand) float64
+	}{
+		{"sevenths", 200, 3, func(rng *rand.Rand) float64 { return float64(rng.Intn(100)) / 7 }},
+		{"ties", 2000, 2, func(rng *rand.Rand) float64 { return float64(1 + rng.Intn(3)) }},
+	} {
+		rng := rand.New(rand.NewSource(91))
+		for iter := 0; iter < dist.iters; iter++ {
+			ix := New()
+			nTerms := 1 + rng.Intn(4)
+			nDocs := 1 + rng.Intn(30)
+			for term := 0; term < nTerms; term++ {
+				for doc := 0; doc < nDocs; doc++ {
+					if rng.Intn(dist.skip) == 0 {
+						ix.Add(term, doc, dist.score(rng))
+					}
 				}
 			}
-		}
-		ix.Finalize()
-		var qterms []int
-		for term := 0; term < nTerms; term++ {
-			if rng.Intn(2) == 0 {
-				qterms = append(qterms, term)
-			}
-		}
-		if len(qterms) == 0 {
-			qterms = []int{0}
-		}
-		k := 1 + rng.Intn(8)
-		for _, policy := range []MissingPolicy{MissingExcludes, MissingZero} {
-			got := ix.TopK(qterms, k, policy)
-			want := ix.TopKNaive(qterms, k, policy)
-			if len(got) != len(want) {
-				t.Fatalf("iter %d policy %v: TA %v naive %v", iter, policy, got, want)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("iter %d policy %v: TA %v naive %v", iter, policy, got, want)
+			ix.Finalize()
+			var qterms []int
+			for term := 0; term < nTerms; term++ {
+				if rng.Intn(2) == 0 {
+					qterms = append(qterms, term)
 				}
+			}
+			if len(qterms) == 0 {
+				qterms = []int{0}
+			}
+			k := 1 + rng.Intn(8)
+			if got, want := ix.TopK(qterms, k, MissingExcludes), ix.TopKNaive(qterms, k); !slices.Equal(got, want) {
+				t.Fatalf("%s iter %d: TA %v naive %v", dist.name, iter, got, want)
 			}
 		}
 	}
@@ -198,6 +185,53 @@ func BenchmarkTopKTA(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.TopK([]int{0, 1, 2}, 10, MissingZero)
+		ix.TopK([]int{0, 1, 2}, 10, MissingExcludes)
+	}
+}
+
+// TestCursorStopsAtShortestList: once the 6-posting list is read to its
+// end every full match has been seen, so the cursor never walks the long
+// list past depth 6 — whether one or all of the short list's documents
+// qualify.
+func TestCursorStopsAtShortestList(t *testing.T) {
+	const long = 10000
+	for _, shortDocs := range [][]int{
+		{7, long + 1, long + 2, long + 3, long + 4, long + 5},
+		{long + 1, 10, 20, 30, 40, 50},
+	} {
+		ix := New()
+		for i, doc := range shortDocs {
+			ix.Add(0, doc, float64(i+1))
+		}
+		for doc := 0; doc < long; doc++ {
+			ix.Add(1, doc, float64(doc%97))
+		}
+		ix.Finalize()
+		terms := []int{1, 0}
+		c := ix.Cursor(terms)
+		var got []Result
+		for r, ok := c.Next(); ok; r, ok = c.Next() {
+			got = append(got, r)
+		}
+		if c.depth > len(shortDocs) {
+			t.Errorf("cursor read %d rows, past the %d-posting list", c.depth, len(shortDocs))
+		}
+		if want := ix.TopKNaive(terms, long); !slices.Equal(got, want) {
+			t.Errorf("drain %v, naive %v", got, want)
+		}
+	}
+}
+
+// TestPageCancelled: a long pull observes a cancelled context.
+func TestPageCancelled(t *testing.T) {
+	ix := New()
+	for doc := 0; doc < 5000; doc++ {
+		ix.Add(0, doc, float64(doc))
+	}
+	ix.Finalize()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := ix.Cursor([]int{0}).Page(ctx, 0, 4000, 0, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -36,107 +36,39 @@ type Page struct {
 	More bool
 }
 
-// fetchRounds counts TopK retrieval rounds across all Run calls in the
-// process. It exists so tests can assert that pathological pages — an
-// Offset pointing past the last possible hit — resolve without grinding
-// the progressive fetch-doubling through the whole index.
-var fetchRounds atomic.Int64
+// passes counts the index passes (Cursors opened) across all Run calls
+// in the process. It exists so tests can assert that every page costs at
+// most one pass, and that pathological pages — an Offset pointing past the
+// last possible hit — cost none.
+var passes atomic.Int64
 
-// FetchRounds returns the cumulative number of TopK retrieval rounds
-// executed by Run since process start.
-func FetchRounds() int64 { return fetchRounds.Load() }
+// FetchRounds returns the cumulative number of index passes Run has made
+// since process start: one per Run that reaches the index.
+func FetchRounds() int64 { return passes.Load() }
 
-// Run executes a structured query: top-k retrieval with the Threshold
-// Algorithm, the pattern-overlap post-filter for Region/Span, MinScore
-// thresholding and Offset/K pagination. The context is checked between
-// retrieval rounds, so long queries are cancellable; a cancelled context
-// returns ctx.Err(). An empty term list yields an empty page, not an
-// error.
+// Run executes a structured query: one Threshold-Algorithm pass pulled
+// through the pattern-overlap post-filter for Region/Span until the
+// Offset/K page is full, stopping at the first hit below MinScore. The
+// context is checked on entry and during the pass, so long queries are
+// cancellable; a cancelled context returns ctx.Err(). An empty term list
+// yields an empty page, not an error.
 func (e *Engine) Run(ctx context.Context, q Query) (Page, error) {
 	if err := ctx.Err(); err != nil {
 		return Page{}, err
 	}
-	if q.K <= 0 || q.Offset < 0 {
-		return Page{}, nil
-	}
-	terms := q.Terms
-	if len(terms) == 0 {
-		return Page{}, nil
-	}
-
-	pass := e.overlapFilter(terms, q.Region, q.Span)
-	need := q.Offset + q.K
-	if need < 0 {
-		return Page{}, nil // K+Offset overflowed; nothing sane to page
-	}
 	// The shortest query term's posting list bounds the result set: an
 	// Offset at or past it can never land on a hit, so the page is empty
-	// (More=false) without a single retrieval round — previously such a
-	// request ground through the progressive fetch-doubling until the
-	// index was exhausted.
-	bound := e.idx.CandidateBound(terms)
-	if q.Offset >= bound {
+	// (More=false) without touching the index.
+	if q.K <= 0 || q.Offset < 0 || q.Offset >= e.idx.CandidateBound(q.Terms) {
 		return Page{}, nil
 	}
-	// Fetch one hit beyond the page to learn whether more exist; with a
-	// post-filter in play, double the fetch depth until enough hits
-	// survive or the index is exhausted. Fetches never exceed the
-	// candidate bound: a request for everything the index can possibly
-	// hold completes in one round instead of doubling past it. The
-	// capacity hint is bounded: K/Offset are caller-controlled
-	// (unauthenticated over HTTP), and the slice should grow with actual
-	// hits, not with the request's ambition.
-	capHint := need + 1
-	if capHint > 4096 {
-		capHint = 4096
+	passes.Add(1)
+	pass := e.overlapFilter(q.Terms, q.Region, q.Span)
+	hits, more, err := e.idx.Cursor(q.Terms).Page(ctx, q.Offset, q.K, q.MinScore, pass)
+	if err != nil {
+		return Page{}, err
 	}
-	kept := make([]Result, 0, capHint)
-	fetch := need + 1
-	if fetch > bound {
-		fetch = bound
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return Page{}, err
-		}
-		fetchRounds.Add(1)
-		rs := e.idx.TopK(terms, fetch, index.MissingExcludes)
-		exhausted := len(rs) < fetch || fetch >= bound
-		kept = kept[:0]
-		for _, r := range rs {
-			if r.Score < q.MinScore {
-				// Results are score-descending: nothing below the
-				// threshold can follow a qualifying hit.
-				exhausted = true
-				break
-			}
-			if pass != nil && !pass(r.Doc) {
-				continue
-			}
-			kept = append(kept, r)
-			if len(kept) > need {
-				break
-			}
-		}
-		if len(kept) > need || exhausted {
-			break
-		}
-		if fetch *= 2; fetch > bound {
-			fetch = bound
-		}
-	}
-
-	if q.Offset >= len(kept) {
-		return Page{}, nil
-	}
-	end := q.Offset + q.K
-	more := len(kept) > end
-	if end > len(kept) {
-		end = len(kept)
-	}
-	out := make([]Result, end-q.Offset)
-	copy(out, kept[q.Offset:end])
-	return Page{Results: out, More: more}, nil
+	return Page{Results: hits, More: more}, nil
 }
 
 // overlapFilter returns the post-filter for a query: a document survives

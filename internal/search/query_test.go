@@ -3,7 +3,6 @@ package search
 import (
 	"context"
 	"errors"
-	"math/bits"
 	"reflect"
 	"testing"
 
@@ -111,10 +110,8 @@ func TestRunSpanFilter(t *testing.T) {
 // TestRunOffsetPastLastHit is the regression test for the pathological
 // page: an Offset at or beyond the shortest query term's posting list
 // can never land on a hit, so Run must answer an empty page with
-// More=false without a single retrieval round — previously it ground
-// the progressive fetch-doubling through the whole index. An Offset
-// past the last hit but within the bound must still resolve in one
-// round when no post-filter starves the page.
+// More=false without an index pass. An Offset past the last hit but
+// within the bound costs exactly one pass.
 func TestRunOffsetPastLastHit(t *testing.T) {
 	e := stlocalEngine(t)
 	term, ok := e.col.Dict().Lookup("quake")
@@ -126,7 +123,7 @@ func TestRunOffsetPastLastHit(t *testing.T) {
 		t.Fatal("quake has no postings")
 	}
 
-	// Way past every possible hit, filtered and unfiltered: zero rounds.
+	// Way past every possible hit, filtered and unfiltered: zero passes.
 	region := geo.Rect{MinX: -1, MinY: -1, MaxX: 1, MaxY: 1}
 	for _, q := range []Query{
 		{Terms: []int{term}, K: 10, Offset: bound},
@@ -141,15 +138,19 @@ func TestRunOffsetPastLastHit(t *testing.T) {
 		if len(page.Results) != 0 || page.More {
 			t.Errorf("offset %d: page = %d hits, more=%v; want empty, false", q.Offset, len(page.Results), page.More)
 		}
-		if rounds := FetchRounds() - before; rounds != 0 {
-			t.Errorf("offset %d: %d fetch rounds, want 0 (the candidate bound answers it)", q.Offset, rounds)
+		if passes := FetchRounds() - before; passes != 0 {
+			t.Errorf("offset %d: %d index passes, want 0 (the candidate bound answers it)", q.Offset, passes)
 		}
 	}
 
-	// Just past the last actual hit (but inside the bound): one round.
+	// Just past the last actual hit (but inside the bound): one pass.
+	before := FetchRounds()
 	full, err := e.Run(context.Background(), Query{Terms: []int{term}, K: bound})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if passes := FetchRounds() - before; passes != 1 {
+		t.Errorf("full page took %d index passes, want 1", passes)
 	}
 	hits := len(full.Results)
 	if hits == 0 || hits > bound {
@@ -164,36 +165,29 @@ func TestRunOffsetPastLastHit(t *testing.T) {
 		if len(page.Results) != 0 || page.More {
 			t.Errorf("offset at last hit: page = %d hits, more=%v; want empty, false", len(page.Results), page.More)
 		}
-		if rounds := FetchRounds() - before; rounds != 1 {
-			t.Errorf("offset at last hit took %d fetch rounds, want 1", rounds)
+		if passes := FetchRounds() - before; passes != 1 {
+			t.Errorf("offset at last hit took %d index passes, want 1", passes)
 		}
 	}
 }
 
-// TestRunFetchCappedAtBound: even a starving post-filter never doubles
-// the fetch beyond the candidate bound — one bound-sized round is the
-// worst case once the doubling reaches it.
-func TestRunFetchCappedAtBound(t *testing.T) {
+// TestRunStarvedPageOnePass: a post-filter that starves the page costs one
+// index pass, not a pass per fetch depth, and answers an empty page with
+// More=false.
+func TestRunStarvedPageOnePass(t *testing.T) {
 	e := stlocalEngine(t)
-	term, ok := e.col.Dict().Lookup("quake")
-	if !ok {
-		t.Fatal("no quake term")
-	}
-	bound := e.idx.CandidateBound([]int{term})
 	// A region intersecting nothing starves every page.
 	region := geo.Rect{MinX: 900, MinY: 900, MaxX: 901, MaxY: 901}
 	before := FetchRounds()
-	page, err := e.Run(context.Background(), Query{Terms: []int{term}, K: 1, Offset: 0, Region: &region})
+	page, err := e.Run(context.Background(), Query{Terms: termIDs(e, "quake"), K: 1, Region: &region})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(page.Results) != 0 || page.More {
 		t.Errorf("starved page = %d hits, more=%v", len(page.Results), page.More)
 	}
-	// fetch starts at K+1=2 and doubles to the bound: at most
-	// ceil(log2(bound)) + 1 rounds, and never more than bound rounds.
-	if rounds := FetchRounds() - before; rounds > int64(bits.Len(uint(bound)))+1 {
-		t.Errorf("starved query took %d fetch rounds for bound %d", rounds, bound)
+	if passes := FetchRounds() - before; passes != 1 {
+		t.Errorf("starved query took %d index passes, want 1", passes)
 	}
 }
 

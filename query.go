@@ -128,12 +128,13 @@ type ResultPage struct {
 }
 
 // Run executes a structured query against the engine's mined patterns:
-// Threshold-Algorithm top-k retrieval, the spatiotemporal pattern-overlap
-// post-filter for Region/Time, MinScore thresholding and Offset/K
-// pagination. The context is checked between retrieval rounds, so long
-// queries are cancellable; a cancelled context returns ctx.Err(). A
-// query term absent from every pattern yields an empty page, not an
-// error. Plain Search(query, k) is a thin wrapper over Run.
+// one Threshold-Algorithm pass pulled through the spatiotemporal
+// pattern-overlap post-filter for Region/Time, MinScore thresholding and
+// Offset/K pagination until the page is full. The context is checked
+// during the pass, so long queries are cancellable; a cancelled context
+// returns ctx.Err(). A query term absent from every pattern yields an
+// empty page, not an error. Plain Search(query, k) is a thin wrapper over
+// Run.
 //
 // An Engine answers for one pattern kind: Query.Kind must be KindAny or
 // the engine's own kind. Asking a single-kind engine for a different
