@@ -51,9 +51,10 @@ func Table3(l *Lab, k int) Table3Result {
 		terms := l.TP.QueryTerms[ev.ID]
 		relevant := l.TP.Relevant(ev.ID)
 		top := func(eng *search.Engine) []int {
-			// Run fails only on a cancelled context.
-			page, _ := eng.Run(context.Background(), search.Query{Terms: terms, K: k})
-			return docsOf(page.Results)
+			// Page fails only on a cancelled context.
+			ctx := context.Background()
+			hits, _, _ := index.Page(ctx, eng.Rank(ctx, search.Query{Terms: terms}), 0, k)
+			return docsOf(hits)
 		}
 		topTB, topLocal, topComb := top(engTB), top(engLocal), top(engComb)
 		row := Table3Row{

@@ -1,11 +1,9 @@
 package gate
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -38,7 +36,7 @@ import (
 // bit-identical), pass the filter if any term's filtered list holds the
 // document, and re-rank with the exported stburst.SortHits order. The
 // per-kind rankings then go through stburst.QueryKinds — the store's own
-// fan-out, merge and pagination — and the page out through
+// lazy merge and pagination — and the page out through
 // serve.WriteSearch, the members' own encoder.
 
 func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
@@ -221,13 +219,13 @@ func (g *Gateway) scatterSearch(w http.ResponseWriter, r *http.Request, v cluste
 		}
 	}
 
-	var sources []stburst.KindSource
+	var rankings []func() (stburst.Hit, bool)
 	for _, kind := range kinds {
 		if !absent[kind] {
-			sources = append(sources, joinedKind{kind, joinKind(kind, toks, terms, results, filtered, q.MinScore)})
+			rankings = append(rankings, ranking(joinKind(kind, toks, terms, results, filtered, q.MinScore)))
 		}
 	}
-	page, err := stburst.QueryKinds(r.Context(), q, sources)
+	page, err := stburst.QueryKinds(r.Context(), q, rankings)
 	if err != nil { // every kind absent: the store-level 404
 		serve.WriteError(w, http.StatusNotFound, err.Error())
 		return
@@ -235,21 +233,17 @@ func (g *Gateway) scatterSearch(w http.ResponseWriter, r *http.Request, v cluste
 	serve.WriteSearch(w, q, page, start)
 }
 
-// joinedKind serves one kind's fully joined ranking as a
-// stburst.KindSource, paging it as a member's engine would.
-type joinedKind struct {
-	kind stburst.Kind
-	hits []stburst.Hit
-}
-
-func (j joinedKind) PatternKind() stburst.Kind { return j.kind }
-
-func (j joinedKind) Query(_ context.Context, q stburst.Query) (stburst.ResultPage, error) {
-	hits := j.hits[min(q.Offset, len(j.hits)):]
-	if len(hits) > q.K {
-		return stburst.ResultPage{Hits: hits[:q.K], More: true}, nil
+// ranking yields a fully joined, ranked list one hit at a time, as a
+// member's engine ranking would.
+func ranking(hits []stburst.Hit) func() (stburst.Hit, bool) {
+	return func() (stburst.Hit, bool) {
+		if len(hits) == 0 {
+			return stburst.Hit{}, false
+		}
+		h := hits[0]
+		hits = hits[1:]
+		return h, true
 	}
-	return stburst.ResultPage{Hits: hits}, nil
 }
 
 // joinKind assembles one kind's full filtered ranking from the per-term
@@ -305,10 +299,10 @@ func joinKind(kind stburst.Kind, toks, terms []string, results map[subKey]*subRe
 			Kind:   kind,
 		})
 	}
-	// Map iteration is unordered; establish doc order first so the
-	// stable score sort leaves equal scores in ascending-doc order —
-	// the same total order the engine's TopK emits.
-	sort.Slice(hits, func(i, j int) bool { return hits[i].Doc.ID < hits[j].Doc.ID })
+	// Map iteration is unordered, but no pre-sort is needed: doc IDs are
+	// distinct within one kind, so SortHits' (score desc, doc asc) order
+	// is total and lands on the engine's own ranking whatever the input
+	// order.
 	stburst.SortHits(hits)
 	return hits
 }

@@ -11,9 +11,11 @@
 // sorted and random access and early termination on the threshold, as the
 // bursty-document search engine of §5 requires. Build with Add + Finalize,
 // then open a Cursor: one resumable TA pass whose Next yields hits in
-// final rank order and whose Page pulls them through a post-filter until
-// a page is full. TopK is the first k hits of a Cursor; TopKNaive is the
-// exhaustive testing oracle.
+// final rank order, and whose Where is that ranking through a post-filter
+// and a score floor. A ranking is a plain pull function, and Page pages
+// any ranking — a cursor's, or a merge of several — into an
+// [offset, offset+k) window. TopK is the first k hits of a Cursor;
+// TopKNaive is the exhaustive testing oracle.
 //
 // # Pattern store
 //

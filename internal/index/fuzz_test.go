@@ -103,8 +103,9 @@ func FuzzReadBundle(f *testing.F) {
 
 // FuzzCursor: on any index of at most 4 terms × 32 docs with scores from
 // {0.5, 1, …, 4} — exact in float64, and tie-heavy — a full Next drain is
-// the naive oracle's ranking, Page is the matching window of that drain
-// through a filter, and TopK(k) is a prefix of every longer TopK.
+// the naive oracle's ranking, Page over Where is the matching window of
+// that drain through a filter, and TopK(k) is a prefix of every longer
+// TopK.
 func FuzzCursor(f *testing.F) {
 	f.Add([]byte{1, 0, 3, 2, 0x0f, 0x0b, 0x0c, 0x08, 0x0f, 0x09, 0x0f})
 	f.Add(bytes.Repeat([]byte{3, 2, 5, 1, 0x0b, 0x0f, 0x09, 0x0e}, 16))
@@ -144,7 +145,8 @@ func FuzzCursor(f *testing.F) {
 				}
 			}
 			want := survivors[min(offset, len(survivors)):min(offset+k, len(survivors))]
-			hits, more, err := ix.Cursor(terms).Page(context.Background(), offset, k, minScore, pass)
+			ctx := context.Background()
+			hits, more, err := Page(ctx, ix.Cursor(terms).Where(ctx, minScore, pass), offset, k)
 			if err != nil || !slices.Equal(hits, want) || more != (len(survivors) > offset+k) {
 				t.Fatalf("Page(%d, %d, %v) = %v, %v, %v; want %v of %d survivors", offset, k, minScore, hits, more, err, want, len(survivors))
 			}

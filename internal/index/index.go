@@ -2,7 +2,6 @@ package index
 
 import (
 	"context"
-	"math"
 	"slices"
 	"sort"
 )
@@ -218,22 +217,45 @@ func (c *Cursor) settled(best Result) bool {
 	return false
 }
 
-// Page pulls hits through the post-filter pass (nil keeps every hit)
-// until it holds the survivors' window [offset, offset+k) plus one more,
-// which only sets more. Scores descend, so the first hit below minScore
-// ends the pull. The context is checked every 1 024 pulls; a cancelled
-// one returns ctx.Err().
-func (c *Cursor) Page(ctx context.Context, offset, k int, minScore float64, pass func(doc int) bool) (hits []Result, more bool, err error) {
+// Where is the cursor's ranking through the post-filter pass (nil keeps
+// every hit). Scores descend, so the first hit below minScore ends it.
+// The context is checked every 1 024 cursor pulls, rejected hits
+// included, and a cancelled one ends the ranking early; Page then
+// returns ctx.Err().
+func (c *Cursor) Where(ctx context.Context, minScore float64, pass func(doc int) bool) func() (Result, bool) {
+	pulls := 0
+	return func() (Result, bool) {
+		for {
+			if pulls++; pulls%1024 == 0 && ctx.Err() != nil {
+				return Result{}, false
+			}
+			r, ok := c.Next()
+			if !ok || r.Score < minScore {
+				return Result{}, false
+			}
+			if pass == nil || pass(r.Doc) {
+				return r, true
+			}
+		}
+	}
+}
+
+// Page pulls a ranking — next yields hits best first and false once none
+// is left, after which it is not called again — until it holds the
+// window [offset, offset+k) plus one hit more, which only sets more. The
+// context is checked every 1 024 pulls and when the ranking ends, so a
+// ranking cut short by cancellation returns ctx.Err().
+func Page[T any](ctx context.Context, next func() (T, bool), offset, k int) (hits []T, more bool, err error) {
 	for pulls := 1; ; pulls++ {
 		if pulls%1024 == 0 && ctx.Err() != nil {
 			return nil, false, ctx.Err()
 		}
-		r, ok := c.Next()
-		if !ok || r.Score < minScore {
+		h, ok := next()
+		if !ok {
+			if err := ctx.Err(); err != nil {
+				return nil, false, err
+			}
 			return hits, false, nil
-		}
-		if pass != nil && !pass(r.Doc) {
-			continue
 		}
 		if offset > 0 {
 			offset--
@@ -243,17 +265,17 @@ func (c *Cursor) Page(ctx context.Context, offset, k int, minScore float64, pass
 			return hits, true, nil
 		}
 		if hits == nil {
-			// K is caller-controlled; the shortest list bounds the hits.
-			hits = make([]Result, 0, min(k, c.end))
+			// k is caller-controlled, so it alone must not size the page.
+			hits = make([]T, 0, min(k, 64))
 		}
-		hits = append(hits, r)
+		hits = append(hits, h)
 	}
 }
 
 // TopK returns the first k hits of a Cursor over terms. Its policy
 // parameter is kept for bench/, which pins the signature.
 func (ix *Index) TopK(terms []int, k int, _ MissingPolicy) []Result {
-	hits, _, _ := ix.Cursor(terms).Page(context.Background(), 0, k, math.Inf(-1), nil)
+	hits, _, _ := Page(context.Background(), ix.Cursor(terms).Next, 0, k)
 	return hits
 }
 

@@ -222,7 +222,9 @@ func TestCursorStopsAtShortestList(t *testing.T) {
 	}
 }
 
-// TestPageCancelled: a long pull observes a cancelled context.
+// TestPageCancelled: a long pull observes a cancelled context, also when
+// a filter rejects every hit, so that Page itself pulls once: Where must
+// then stop the cursor early, not read all 5 000 postings.
 func TestPageCancelled(t *testing.T) {
 	ix := New()
 	for doc := 0; doc < 5000; doc++ {
@@ -231,7 +233,17 @@ func TestPageCancelled(t *testing.T) {
 	ix.Finalize()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := ix.Cursor([]int{0}).Page(ctx, 0, 4000, 0, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	rejected := 0
+	reject := func(int) bool { rejected++; return false }
+	for name, next := range map[string]func() (Result, bool){
+		"plain":     ix.Cursor([]int{0}).Next,
+		"rejecting": ix.Cursor([]int{0}).Where(ctx, 0, reject),
+	} {
+		if _, _, err := Page(ctx, next, 0, 4000); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", name, err)
+		}
+	}
+	if rejected >= 5000 {
+		t.Errorf("the filter saw all %d hits of a cancelled pull", rejected)
 	}
 }

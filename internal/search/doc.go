@@ -21,14 +21,14 @@
 //
 // # Structured queries
 //
-// Engine.Run executes a Query over pre-interned term IDs as one TA pass
-// (index.Cursor) pulled through the spatiotemporal pattern-overlap
-// post-filter (a hit survives only if a contributing pattern of some
-// query term intersects the query Region and/or Span), MinScore
-// thresholding and Offset/K pagination until the page is full, with the
-// context checked during the pass so long queries cancel promptly.
-// Tokenizing and interning free text is the caller's job (the root
-// package's Engine.Run).
+// Engine.Rank turns a Query over pre-interned term IDs into a ranking —
+// a pull function — that is one TA pass (index.Cursor) through the
+// spatiotemporal pattern-overlap post-filter (a hit survives only if a
+// contributing pattern of some query term intersects the query Region
+// and/or Span) and the MinScore floor, with the context checked during
+// the pass so long queries cancel promptly. index.Page cuts the
+// Offset/K window out of it. Tokenizing and interning free text is the
+// caller's job (the root package's Engine.Run).
 //
 // # Corpus-wide batch mining
 //

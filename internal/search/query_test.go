@@ -19,8 +19,8 @@ func stlocalEngine(t *testing.T) *Engine {
 	return BuildFromPatterns(col, index.NewWindowSet(mineWindows(col, core.STLocalOptions{}, 1)))
 }
 
-// TestRunMatchesQuery: an unfiltered Run is the index's plain TA top-k
-// with pagination metadata.
+// TestRunMatchesQuery: an unfiltered ranking, paged, is the index's plain
+// TA top-k.
 func TestRunMatchesQuery(t *testing.T) {
 	e := stlocalEngine(t)
 	for _, q := range []string{"quake", "quake damage", "nosuchterm"} {
@@ -31,7 +31,7 @@ func TestRunMatchesQuery(t *testing.T) {
 			}
 			got := topK(t, e, q, k)
 			if len(want) != len(got) || (len(got) > 0 && !reflect.DeepEqual(want, got)) {
-				t.Errorf("Run(%q, %d) diverges from TopK: %v vs %v", q, k, want, got)
+				t.Errorf("Page(Rank(%q), %d) diverges from TopK: %v vs %v", q, k, want, got)
 			}
 		}
 	}
@@ -47,11 +47,11 @@ func TestRunRegionFilter(t *testing.T) {
 	if !ok {
 		t.Fatal("quake not interned")
 	}
-	all, err := e.Run(context.Background(), Query{Terms: []int{term}, K: 100})
+	all, _, err := run(context.Background(), e, Query{Terms: []int{term}}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all.Results) == 0 {
+	if len(all) == 0 {
 		t.Fatal("no unfiltered hits")
 	}
 	for _, region := range []geo.Rect{
@@ -61,7 +61,7 @@ func TestRunRegionFilter(t *testing.T) {
 		{MinX: -10, MinY: -10, MaxX: -5, MaxY: -5},
 	} {
 		var want []Result
-		for _, r := range all.Results {
+		for _, r := range all {
 			d := e.col.Doc(r.Doc)
 			for _, w := range e.ps.Windows(term) {
 				if w.Overlaps(d.Stream, d.Time) && w.Rect.Intersects(region) {
@@ -70,11 +70,10 @@ func TestRunRegionFilter(t *testing.T) {
 				}
 			}
 		}
-		page, err := e.Run(context.Background(), Query{Terms: []int{term}, K: 100, Region: &region})
+		got, _, err := run(context.Background(), e, Query{Terms: []int{term}, Region: &region}, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := page.Results
 		if len(got) == 0 {
 			got = nil
 		}
@@ -90,28 +89,28 @@ func TestRunSpanFilter(t *testing.T) {
 	e := stlocalEngine(t)
 	quake := termIDs(e, "quake")
 	burst := Timespan{Start: 2, End: 3}
-	page, err := e.Run(context.Background(), Query{Terms: quake, K: 100, Span: &burst})
+	hits, _, err := run(context.Background(), e, Query{Terms: quake, Span: &burst}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(page.Results) == 0 {
+	if len(hits) == 0 {
 		t.Fatal("span over the burst matched nothing")
 	}
 	outside := Timespan{Start: 5, End: 5}
-	page, err = e.Run(context.Background(), Query{Terms: quake, K: 100, Span: &outside})
+	hits, _, err = run(context.Background(), e, Query{Terms: quake, Span: &outside}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(page.Results) != 0 {
-		t.Errorf("span outside every pattern matched %d hits", len(page.Results))
+	if len(hits) != 0 {
+		t.Errorf("span outside every pattern matched %d hits", len(hits))
 	}
 }
 
 // TestRunOffsetPastLastHit is the regression test for the pathological
 // page: an Offset at or beyond the shortest query term's posting list
-// can never land on a hit, so Run must answer an empty page with
-// More=false without an index pass. An Offset past the last hit but
-// within the bound costs exactly one pass.
+// can never land on a hit, so Rank must return an empty ranking — an
+// empty page with More=false — without an index pass. An Offset past
+// the last hit but within the bound costs exactly one pass.
 func TestRunOffsetPastLastHit(t *testing.T) {
 	e := stlocalEngine(t)
 	term, ok := e.col.Dict().Lookup("quake")
@@ -126,17 +125,17 @@ func TestRunOffsetPastLastHit(t *testing.T) {
 	// Way past every possible hit, filtered and unfiltered: zero passes.
 	region := geo.Rect{MinX: -1, MinY: -1, MaxX: 1, MaxY: 1}
 	for _, q := range []Query{
-		{Terms: []int{term}, K: 10, Offset: bound},
-		{Terms: []int{term}, K: 10, Offset: 1 << 20},
-		{Terms: []int{term}, K: 10, Offset: bound, Region: &region},
+		{Terms: []int{term}, Offset: bound},
+		{Terms: []int{term}, Offset: 1 << 20},
+		{Terms: []int{term}, Offset: bound, Region: &region},
 	} {
 		before := FetchRounds()
-		page, err := e.Run(context.Background(), q)
+		hits, more, err := run(context.Background(), e, q, 10)
 		if err != nil {
-			t.Fatalf("Run(offset %d): %v", q.Offset, err)
+			t.Fatalf("offset %d: %v", q.Offset, err)
 		}
-		if len(page.Results) != 0 || page.More {
-			t.Errorf("offset %d: page = %d hits, more=%v; want empty, false", q.Offset, len(page.Results), page.More)
+		if len(hits) != 0 || more {
+			t.Errorf("offset %d: page = %d hits, more=%v; want empty, false", q.Offset, len(hits), more)
 		}
 		if passes := FetchRounds() - before; passes != 0 {
 			t.Errorf("offset %d: %d index passes, want 0 (the candidate bound answers it)", q.Offset, passes)
@@ -145,25 +144,25 @@ func TestRunOffsetPastLastHit(t *testing.T) {
 
 	// Just past the last actual hit (but inside the bound): one pass.
 	before := FetchRounds()
-	full, err := e.Run(context.Background(), Query{Terms: []int{term}, K: bound})
+	full, _, err := run(context.Background(), e, Query{Terms: []int{term}}, bound)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if passes := FetchRounds() - before; passes != 1 {
 		t.Errorf("full page took %d index passes, want 1", passes)
 	}
-	hits := len(full.Results)
-	if hits == 0 || hits > bound {
-		t.Fatalf("full fetch returned %d hits (bound %d)", hits, bound)
+	n := len(full)
+	if n == 0 || n > bound {
+		t.Fatalf("full fetch returned %d hits (bound %d)", n, bound)
 	}
-	if hits < bound {
+	if n < bound {
 		before := FetchRounds()
-		page, err := e.Run(context.Background(), Query{Terms: []int{term}, K: 10, Offset: hits})
+		hits, more, err := run(context.Background(), e, Query{Terms: []int{term}, Offset: n}, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(page.Results) != 0 || page.More {
-			t.Errorf("offset at last hit: page = %d hits, more=%v; want empty, false", len(page.Results), page.More)
+		if len(hits) != 0 || more {
+			t.Errorf("offset at last hit: page = %d hits, more=%v; want empty, false", len(hits), more)
 		}
 		if passes := FetchRounds() - before; passes != 1 {
 			t.Errorf("offset at last hit took %d index passes, want 1", passes)
@@ -179,12 +178,12 @@ func TestRunStarvedPageOnePass(t *testing.T) {
 	// A region intersecting nothing starves every page.
 	region := geo.Rect{MinX: 900, MinY: 900, MaxX: 901, MaxY: 901}
 	before := FetchRounds()
-	page, err := e.Run(context.Background(), Query{Terms: termIDs(e, "quake"), K: 1, Region: &region})
+	hits, more, err := run(context.Background(), e, Query{Terms: termIDs(e, "quake"), Region: &region}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(page.Results) != 0 || page.More {
-		t.Errorf("starved page = %d hits, more=%v", len(page.Results), page.More)
+	if len(hits) != 0 || more {
+		t.Errorf("starved page = %d hits, more=%v", len(hits), more)
 	}
 	if passes := FetchRounds() - before; passes != 1 {
 		t.Errorf("starved query took %d index passes, want 1", passes)
@@ -196,7 +195,7 @@ func TestRunCancelledContext(t *testing.T) {
 	e := stlocalEngine(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.Run(ctx, Query{Terms: termIDs(e, "quake"), K: 5}); !errors.Is(err, context.Canceled) {
+	if _, _, err := run(ctx, e, Query{Terms: termIDs(e, "quake")}, 5); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -14,7 +14,7 @@ type Engine struct {
 	col *stream.Collection
 	idx *index.Index
 	// ps is the pattern set the engine was built from; it powers the
-	// spatiotemporal post-filter of Run.
+	// spatiotemporal post-filter of Rank.
 	ps *index.PatternSet
 	// points caches the stream locations for combinatorial region checks.
 	points []geo.Point

@@ -45,14 +45,19 @@ func testCollection(t *testing.T) *stream.Collection {
 }
 
 // topK runs a free-text query the way the root package does: split,
-// intern (an unknown term zeroes the query), Run.
+// intern (an unknown term zeroes the query), Rank, Page.
 func topK(t *testing.T, e *Engine, q string, k int) []Result {
 	t.Helper()
-	page, err := e.Run(context.Background(), Query{Terms: termIDs(e, q), K: k})
+	hits, _, err := run(context.Background(), e, Query{Terms: termIDs(e, q)}, k)
 	if err != nil {
-		t.Fatalf("Run(%q, %d): %v", q, k, err)
+		t.Fatalf("Rank(%q) paged by %d: %v", q, k, err)
 	}
-	return page.Results
+	return hits
+}
+
+// run pages q's ranking from q.Offset by k, as the root Engine.Run does.
+func run(ctx context.Context, e *Engine, q Query, k int) ([]Result, bool, error) {
+	return index.Page(ctx, e.Rank(ctx, q), q.Offset, k)
 }
 
 // termIDs interns a whitespace-separated query; nil when a term is

@@ -147,31 +147,38 @@ func (e *Engine) Run(ctx context.Context, q Query) (ResultPage, error) {
 	if q.Kind != KindAny && q.Kind != e.kind {
 		return ResultPage{}, fmt.Errorf("stburst: query asks for %v patterns but the engine serves %v (route multi-kind queries through a Store)", q.Kind, e.kind)
 	}
-	sq := search.Query{K: q.k(), Offset: q.Offset, MinScore: q.MinScore, Region: q.Region, Span: q.Time}
-	for _, tok := range q.Tokens() {
-		id, ok := e.c.col.Dict().Lookup(tok)
-		if !ok {
-			return ResultPage{}, nil // a term the collection has never seen matches nothing: Eq. 10
-		}
-		sq.Terms = append(sq.Terms, id)
-	}
-	if len(sq.Terms) == 0 {
-		return ResultPage{}, nil // nothing survived tokenization
-	}
-	page, err := e.eng.Run(ctx, sq)
+	hits, more, err := index.Page(ctx, e.rank(ctx, q), q.Offset, q.k())
 	if err != nil {
 		return ResultPage{}, err
 	}
-	if len(page.Results) == 0 {
-		return ResultPage{More: page.More}, nil
-	}
-	hits := make([]Hit, len(page.Results))
-	for i, r := range page.Results {
-		d := e.c.Doc(r.Doc)
-		hits[i] = Hit{Doc: d, Score: r.Score, Stream: e.c.Stream(d.Stream).Name, Kind: e.kind}
-	}
-	return ResultPage{Hits: hits, More: page.More}, nil
+	return ResultPage{Hits: hits, More: more}, nil
 }
+
+// rank returns a validated query's ranking on this engine, hits best
+// first; its Offset only lets the engine skip a pass that cannot reach
+// the page.
+func (e *Engine) rank(ctx context.Context, q Query) func() (Hit, bool) {
+	sq := search.Query{Offset: q.Offset, MinScore: q.MinScore, Region: q.Region, Span: q.Time}
+	for _, tok := range q.Tokens() {
+		id, ok := e.c.col.Dict().Lookup(tok)
+		if !ok {
+			return noHits // a term the collection has never seen matches nothing: Eq. 10
+		}
+		sq.Terms = append(sq.Terms, id)
+	}
+	next := e.eng.Rank(ctx, sq)
+	return func() (Hit, bool) {
+		r, ok := next()
+		if !ok {
+			return Hit{}, false
+		}
+		d := e.c.Doc(r.Doc)
+		return Hit{Doc: d, Score: r.Score, Stream: e.c.Stream(d.Stream).Name, Kind: e.kind}, true
+	}
+}
+
+// noHits is the empty ranking.
+func noHits() (Hit, bool) { return Hit{}, false }
 
 // Query executes a structured query against the stored patterns, building
 // the cached engine on first use. See Engine.Run.

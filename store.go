@@ -283,66 +283,57 @@ func (s *Store) Query(ctx context.Context, q Query) (ResultPage, error) {
 		return ix.Query(ctx, q)
 	}
 
-	var sources []KindSource
+	// Each kind's ranking is read from its head; QueryKinds pages the
+	// merge.
+	var rankings []func() (Hit, bool)
+	sub := q
+	sub.Offset = 0
 	for _, ix := range s.indexes.Load() { // one snapshot for the whole fan-out
 		if ix != nil {
-			sources = append(sources, ix)
+			rankings = append(rankings, ix.Engine().rank(ctx, sub))
 		}
 	}
-	return QueryKinds(ctx, q, sources)
+	return QueryKinds(ctx, q, rankings)
 }
 
-// KindSource answers single-kind queries: one kind's leg of a KindAny
-// fan-out. A resident *PatternIndex is one; an out-of-process merger (the
-// stgate coordinator) wraps each kind's joined ranking in one.
-type KindSource interface {
-	PatternKind() Kind
-	Query(ctx context.Context, q Query) (ResultPage, error)
-}
-
-// QueryKinds answers a validated KindAny query from per-kind sources
-// exactly as Store.Query does from its resident indexes (it is
-// Store.Query's fan-out): each source is asked for the head of its own
-// ranking, the heads are merged with SortHits and the merged list is
-// paged by Offset/K, More reporting whether hits exist beyond the page.
-// No sources at all is ErrKindNotResident.
-func QueryKinds(ctx context.Context, q Query, sources []KindSource) (ResultPage, error) {
-	if len(sources) == 0 {
+// QueryKinds answers a validated KindAny query from per-kind rankings —
+// each a pull function yielding one kind's hits best first — exactly as
+// Store.Query does from its resident indexes (it is Store.Query's
+// fan-out): the rankings are merged lazily in SortHits order and the
+// merge is paged once by Offset/K, More reporting whether hits exist
+// beyond the page. No rankings at all is ErrKindNotResident.
+func QueryKinds(ctx context.Context, q Query, rankings []func() (Hit, bool)) (ResultPage, error) {
+	if len(rankings) == 0 {
 		return ResultPage{}, fmt.Errorf("%w: store holds no indexes", ErrKindNotResident)
 	}
-	// Each kind must contribute enough of its own ranking to fill the
-	// merged page: the first Offset+K merged hits can in the worst case
-	// all come from one kind. Fetch one beyond the page to learn whether
-	// more exist, capping at MaxK (which Validate guarantees each of
-	// Offset and K respects individually).
-	need := min(q.Offset+q.k()+1, MaxK)
-	var merged []Hit
-	more := false
-	for _, src := range sources {
-		sub := q
-		sub.Kind = src.PatternKind()
-		sub.K = need
-		sub.Offset = 0
-		page, err := src.Query(ctx, sub)
-		if err != nil {
-			return ResultPage{}, err
+	type head struct {
+		hit  Hit
+		live bool
+	}
+	heads := make([]head, len(rankings))
+	for i, next := range rankings {
+		heads[i].hit, heads[i].live = next()
+	}
+	// There are at most three kinds, so a linear pick beats a heap.
+	merged := func() (Hit, bool) {
+		best := -1
+		for i, h := range heads {
+			if h.live && (best < 0 || hitBefore(h.hit, heads[best].hit)) {
+				best = i
+			}
 		}
-		merged = append(merged, page.Hits...)
-		more = more || page.More
+		if best < 0 {
+			return Hit{}, false
+		}
+		h := heads[best].hit
+		heads[best].hit, heads[best].live = rankings[best]()
+		return h, true
 	}
-	SortHits(merged)
-	if q.Offset >= len(merged) {
-		return ResultPage{More: false}, nil
+	hits, more, err := index.Page(ctx, merged, q.Offset, q.k())
+	if err != nil {
+		return ResultPage{}, err
 	}
-	end := q.Offset + q.k()
-	if end > len(merged) {
-		end = len(merged)
-	} else if end < len(merged) {
-		more = true
-	}
-	out := make([]Hit, end-q.Offset)
-	copy(out, merged[q.Offset:end])
-	return ResultPage{Hits: out, More: more}, nil
+	return ResultPage{Hits: hits, More: more}, nil
 }
 
 // SortHits sorts hits into the store's canonical merged ranking:
@@ -352,15 +343,18 @@ func QueryKinds(ctx context.Context, q Query, sources []KindSource) (ResultPage,
 // kind in the engine's own order. The sort is stable, though the order
 // is total whenever no two hits share (score, doc, kind).
 func SortHits(hits []Hit) {
-	sort.SliceStable(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
-		}
-		if hits[i].Doc.ID != hits[j].Doc.ID {
-			return hits[i].Doc.ID < hits[j].Doc.ID
-		}
-		return hits[i].Kind < hits[j].Kind
-	})
+	sort.SliceStable(hits, func(i, j int) bool { return hitBefore(hits[i], hits[j]) })
+}
+
+// hitBefore is the SortHits order.
+func hitBefore(a, b Hit) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	if a.Doc.ID != b.Doc.ID {
+		return a.Doc.ID < b.Doc.ID
+	}
+	return a.Kind < b.Kind
 }
 
 // IngestResult reports one applied ingest batch.
