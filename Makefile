@@ -8,7 +8,8 @@
 #   make race        # concurrency suite under the race detector
 #   make bench       # the per-package go-test micro-benchmarks
 #   make bench-check # vet + test the bench/ module (the BENCHMARK.json harness)
-#   make fuzz-smoke  # 10 s of native fuzzing at each artifact decoder, the TA cursor and the KindAny merge
+#   make fuzz-smoke  # 10 s of native fuzzing at each of six targets: the artifact decoders, TA cursor,
+#                    # KindAny merge, WAL segment scan and feed line framing
 #   make verify      # tier-1 + race: what CI should run
 #   make bundle      # stgen a corpus (if missing) and stmine all three kinds into $(BUNDLE)
 #   make serve       # stserve the bundle on $(ADDR)
@@ -88,6 +89,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/index
 	$(GO) test -run '^$$' -fuzz '^FuzzCursor$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/index
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryKinds$$' -fuzztime 10s -fuzzminimizetime 0 .
+	$(GO) test -run '^$$' -fuzz '^FuzzWALOpen$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzLineReader$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/connector
 
 verify: test race
 

@@ -185,7 +185,7 @@ func TestIngestIncrementalOracle(t *testing.T) {
 // TestIngestMatchesFullRemineWithOptions: Ingest re-mines with the
 // recorded (non-default) options, staying exact against the oracle.
 func TestIngestMatchesFullRemineWithOptions(t *testing.T) {
-	opts := NewMineOptions(WithRegional(&RegionalOptions{Baseline: BaselineEWMA}))
+	opts := &MineOptions{Regional: &RegionalOptions{Baseline: BaselineEWMA}}
 	live := twoBurstCollection(t)
 	s, err := live.MineStore(context.Background(), opts)
 	if err != nil {

@@ -56,10 +56,15 @@ func (lr *lineReader) next() ([]byte, error) {
 			lr.skipping = err != nil // else this chunk ended the line
 			return nil, errOverlong
 		default:
-			if lr.line == nil && err == bufio.ErrBufferFull {
-				// The line outgrew the bufio buffer: take the whole
+			if n := len(lr.line) + len(chunk); n > cap(lr.line) {
+				// Grow by hand: append's growth would overshoot max. A
+				// line that outgrew the bufio buffer takes the whole
 				// allowance once instead of regrowing toward it.
-				lr.line = make([]byte, 0, lr.max)
+				c := min(2*n, lr.max)
+				if err == bufio.ErrBufferFull {
+					c = lr.max
+				}
+				lr.line = append(make([]byte, 0, c), lr.line...)
 			}
 			lr.line = append(lr.line, chunk...)
 			if err == nil {

@@ -150,7 +150,8 @@ func BenchmarkAblationSTLocalPruning(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		open = m.OpenSequences()
+		hist := m.OpenHistory()
+		open = hist[len(hist)-1]
 		created = m.CreatedSequences()
 	}
 	b.ReportMetric(float64(open), "open-seqs")

@@ -12,9 +12,7 @@
 //     Algorithm 1) and maintaining maximal spatiotemporal windows online
 //     (Algorithm 2);
 //
-// plus the two extensions the paper lists as future work (§8): an online
-// variant of STComb and a miner for non-rectangular (arbitrary-shape)
-// regions.
+// plus the online variant of STComb the paper lists as future work (§8).
 package core
 
 import (

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"stburst/internal/expect"
 	"stburst/internal/interval"
@@ -120,27 +119,4 @@ func (o *OnlineSTComb) Patterns(max int) []CombPattern {
 		}
 	}
 	return cliquesToPatterns(interval.TopCliques(ivs, max))
-}
-
-// Intervals returns the current per-stream maximal bursty intervals,
-// sorted by stream then start, mainly for inspection and testing.
-func (o *OnlineSTComb) Intervals() []interval.Interval {
-	var ivs []interval.Interval
-	for x := range o.rts {
-		for _, seg := range o.rts[x].Maximals() {
-			ivs = append(ivs, interval.Interval{
-				Start:  seg.Start,
-				End:    seg.End - 1,
-				Weight: seg.Score,
-				Stream: x,
-			})
-		}
-	}
-	sort.Slice(ivs, func(i, j int) bool {
-		if ivs[i].Stream != ivs[j].Stream {
-			return ivs[i].Stream < ivs[j].Stream
-		}
-		return ivs[i].Start < ivs[j].Start
-	})
-	return ivs
 }

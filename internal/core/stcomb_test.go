@@ -203,22 +203,6 @@ func TestOnlineSTCombPushValidation(t *testing.T) {
 	}
 }
 
-func TestOnlineSTCombIntervalsSorted(t *testing.T) {
-	o := NewOnlineSTComb(2, nil)
-	for _, obs := range [][]float64{{5, 0}, {0, 0}, {0, 7}, {6, 0}} {
-		if err := o.Push(obs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ivs := o.Intervals()
-	for i := 1; i < len(ivs); i++ {
-		if ivs[i].Stream < ivs[i-1].Stream ||
-			(ivs[i].Stream == ivs[i-1].Stream && ivs[i].Start < ivs[i-1].Start) {
-			t.Fatalf("intervals unsorted: %+v", ivs)
-		}
-	}
-}
-
 func BenchmarkSTComb181x48(b *testing.B) {
 	rng := rand.New(rand.NewSource(62))
 	surface := make([][]float64, 181)

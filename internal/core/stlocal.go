@@ -65,7 +65,6 @@ type STLocal struct {
 	done  []Window
 	now   int
 
-	lastRects   int   // rectangles reported at the most recent snapshot
 	totalRects  int   // rectangles reported across all snapshots
 	openHistory []int // open sequences after each snapshot (Fig. 6)
 	created     int   // sequences ever created
@@ -107,7 +106,6 @@ func (s *STLocal) Push(observed []float64) error {
 	}
 	// Line 6: find this snapshot's bursty rectangles.
 	rects := RBursty(s.points, s.weights, s.finder)
-	s.lastRects = len(rects)
 	s.totalRects += len(rects)
 	// Line 7: open a sequence for every newly seen region.
 	for _, r := range rects {
@@ -190,17 +188,9 @@ func (s *STLocal) Windows() []Window {
 // Timestamps returns the number of snapshots processed so far.
 func (s *STLocal) Timestamps() int { return s.now }
 
-// LastRectCount returns the number of bursty rectangles reported at the
-// most recent snapshot (the quantity histogrammed in Fig. 5).
-func (s *STLocal) LastRectCount() int { return s.lastRects }
-
 // TotalRectCount returns the number of bursty rectangles reported across
 // all snapshots so far.
 func (s *STLocal) TotalRectCount() int { return s.totalRects }
-
-// OpenSequences returns the number of regions currently being tracked
-// (the "open spatiotemporal windows" of Fig. 6).
-func (s *STLocal) OpenSequences() int { return len(s.seqs) }
 
 // OpenHistory returns, per processed timestamp, the number of open
 // sequences after that snapshot.

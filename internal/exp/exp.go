@@ -9,7 +9,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"stburst/internal/burst"
@@ -30,13 +29,10 @@ type Lab struct {
 	workers  int                        // worker count for per-term experiment replays
 }
 
-// NewLab generates the corpus and mines all three pattern sets, fanning
-// the vocabulary out across one worker per CPU. Mining output is
-// bit-identical to the sequential path for every worker count.
-func NewLab(cfg gen.TopixConfig) (*Lab, error) { return NewLabPar(cfg, 0) }
-
-// NewLabPar is NewLab with an explicit mining worker count (<1 means one
-// worker per CPU, 1 is fully sequential).
+// NewLabPar generates the corpus and mines all three pattern sets,
+// fanning the vocabulary out across workers (<1 means one per CPU, 1 is
+// fully sequential). Mining output is bit-identical to the sequential
+// path for every worker count.
 func NewLabPar(cfg gen.TopixConfig, workers int) (*Lab, error) {
 	tp, err := gen.NewTopix(cfg)
 	if err != nil {
@@ -129,14 +125,4 @@ func formatTable(header []string, rows [][]string) string {
 		line(r)
 	}
 	return b.String()
-}
-
-// sortedTerms returns map keys in ascending order (deterministic output).
-func sortedTerms[M ~map[int]V, V any](m M) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -21,7 +21,7 @@ func lab(t *testing.T) *Lab {
 		t.Skip("corpus experiments skipped in -short mode")
 	}
 	labOnce.Do(func() {
-		testLab, labErr = NewLab(gen.TopixConfig{Seed: 7, WeeklyArticles: 2, Vocab: 2500})
+		testLab, labErr = NewLabPar(gen.TopixConfig{Seed: 7, WeeklyArticles: 2, Vocab: 2500}, 0)
 	})
 	if labErr != nil {
 		t.Fatal(labErr)
@@ -308,13 +308,5 @@ func TestFormatTableAlignment(t *testing.T) {
 	}
 	if len(lines[0]) != len(lines[1]) {
 		t.Fatalf("header and separator misaligned:\n%s", s)
-	}
-}
-
-func TestSortedTerms(t *testing.T) {
-	m := map[int]string{3: "c", 1: "a", 2: "b"}
-	got := sortedTerms(m)
-	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Fatalf("got %v", got)
 	}
 }

@@ -8,8 +8,6 @@ type Baseline interface {
 	// Next returns the expected frequency for this observation and then
 	// absorbs the observed value into the model state.
 	Next(observed float64) (expected float64)
-	// Reset returns the model to its initial state.
-	Reset()
 }
 
 // Factory creates one Baseline instance per (stream, term) series.
@@ -49,9 +47,6 @@ func (m *RunningMean) Next(observed float64) float64 {
 	return expected
 }
 
-// Reset implements Baseline.
-func (m *RunningMean) Reset() { m.sum, m.n = 0, 0 }
-
 // WindowMean predicts the mean of the most recent K observations ("one can
 // focus only on the most recent measurements").
 type WindowMean struct {
@@ -90,11 +85,6 @@ func (m *WindowMean) Next(observed float64) float64 {
 	return expected
 }
 
-// Reset implements Baseline.
-func (m *WindowMean) Reset() {
-	m.head, m.size, m.sum = 0, 0, 0
-}
-
 // EWMA predicts an exponentially weighted moving average with smoothing
 // factor alpha in (0, 1]: heavier alpha tracks recent activity faster.
 type EWMA struct {
@@ -122,9 +112,6 @@ func (m *EWMA) Next(observed float64) float64 {
 	m.val = m.alpha*observed + (1-m.alpha)*m.val
 	return expected
 }
-
-// Reset implements Baseline.
-func (m *EWMA) Reset() { m.val, m.init = 0, false }
 
 // Seasonal predicts the mean of observations exactly one or more whole
 // periods earlier (the paper's example: the expected frequency of a term
@@ -165,28 +152,6 @@ func (m *Seasonal) Next(observed float64) float64 {
 	m.history = append(m.history, observed)
 	return expected
 }
-
-// Reset implements Baseline.
-func (m *Seasonal) Reset() {
-	m.history = m.history[:0]
-	m.fallback.Reset()
-}
-
-// Constant predicts a fixed expected frequency, useful when an external
-// model (e.g. corpus-wide rates from previous years) supplies the
-// expectation.
-type Constant struct{ V float64 }
-
-// NewConstant returns a Factory producing Constant baselines.
-func NewConstant(v float64) Factory {
-	return func() Baseline { return &Constant{V: v} }
-}
-
-// Next implements Baseline.
-func (m *Constant) Next(float64) float64 { return m.V }
-
-// Reset implements Baseline.
-func (m *Constant) Reset() {}
 
 // WeightSurface converts a frequency surface (streams × timeline) into the
 // burstiness-weight surface B(t, D_x[i]) = observed − expected of Eq. 7,

@@ -35,15 +35,6 @@ func TestRunningMean(t *testing.T) {
 	}
 }
 
-func TestRunningMeanReset(t *testing.T) {
-	b := NewRunningMean()()
-	feed(b, 10, 10)
-	b.Reset()
-	if got := b.Next(3); got != 3 {
-		t.Fatalf("after Reset first prediction = %v, want 3 (perfect)", got)
-	}
-}
-
 func TestWindowMean(t *testing.T) {
 	b := NewWindowMean(2)()
 	got := feed(b, 4, 2, 6, 0)
@@ -72,17 +63,6 @@ func TestWindowMeanPanicsOnBadK(t *testing.T) {
 	NewWindowMean(0)
 }
 
-func TestWindowMeanReset(t *testing.T) {
-	b := NewWindowMean(3)()
-	feed(b, 1, 2, 3, 4)
-	b.Reset()
-	got := feed(b, 10, 0)
-	want := []float64{10, 10}
-	if !approxEq(got, want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-}
-
 func TestEWMA(t *testing.T) {
 	b := NewEWMA(0.5)()
 	got := feed(b, 4, 0, 8)
@@ -103,15 +83,6 @@ func TestEWMAPanicsOnBadAlpha(t *testing.T) {
 			}()
 			NewEWMA(alpha)
 		}()
-	}
-}
-
-func TestEWMAReset(t *testing.T) {
-	b := NewEWMA(0.9)()
-	feed(b, 100)
-	b.Reset()
-	if got := b.Next(2); got != 2 {
-		t.Fatalf("after Reset prediction = %v, want 2", got)
 	}
 }
 
@@ -149,25 +120,6 @@ func TestSeasonalPanicsOnBadPeriod(t *testing.T) {
 		}
 	}()
 	NewSeasonal(0)
-}
-
-func TestSeasonalReset(t *testing.T) {
-	b := NewSeasonal(2)()
-	feed(b, 1, 2, 3, 4)
-	b.Reset()
-	if got := b.Next(7); got != 7 {
-		t.Fatalf("after Reset prediction = %v, want 7", got)
-	}
-}
-
-func TestConstant(t *testing.T) {
-	b := NewConstant(2.5)()
-	got := feed(b, 0, 100, 3)
-	want := []float64{2.5, 2.5, 2.5}
-	if !approxEq(got, want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	b.Reset() // no-op, must not panic
 }
 
 func TestWeightSurface(t *testing.T) {

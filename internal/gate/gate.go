@@ -556,11 +556,9 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handlePatterns proxies the lookup to the member owning the term. The
-// term is normalized exactly as the members' pattern lookup normalizes
-// it (first token of the default pipeline, the raw string when nothing
-// survives), so the routing hash always lands on the shard whose bundle
-// holds the term.
+// handlePatterns proxies the lookup to the member owning the term,
+// routing on stburst.NormalizeTerm: the form the members' pattern
+// lookup keys on.
 func (g *Gateway) handlePatterns(w http.ResponseWriter, r *http.Request) {
 	v := g.snapshot()
 	if !v.ok {
@@ -568,11 +566,7 @@ func (g *Gateway) handlePatterns(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	term := r.PathValue("term")
-	norm := term
-	if toks := (stburst.Query{Text: term}).Tokens(); len(toks) > 0 {
-		norm = toks[0]
-	}
-	owner := v.owners[stburst.TermShard(norm, v.shards)]
+	owner := v.owners[stburst.TermShard(stburst.NormalizeTerm(term), v.shards)]
 	status, body, err := g.do(r.Context(), owner, http.MethodGet,
 		"/v1/patterns/"+url.PathEscape(term), r.URL.RawQuery, nil)
 	if err != nil {

@@ -312,6 +312,7 @@ func TestGatewayPatternsRoute(t *testing.T) {
 		"/v1/patterns/damage?kind=regional",
 		"/v1/patterns/rescue?from=4&to=6",
 		"/v1/patterns/EARTHQUAKE%20Rescue", // normalizes to "earthquake"
+		"/v1/patterns/%22Flood%21%22",      // normalizes to "flood"
 		"/v1/patterns/zzz-not-a-term",
 	}
 	for _, p := range paths {

@@ -30,22 +30,6 @@ func TestWeibullPDFBasics(t *testing.T) {
 	}
 }
 
-func TestWeibullMode(t *testing.T) {
-	if got := WeibullMode(5, 1); got != 0 {
-		t.Fatalf("k<=1 mode should be 0, got %v", got)
-	}
-	// For k=2, mode = c/√2; the PDF there must dominate neighbours.
-	c := 4.0
-	m := WeibullMode(c, 2)
-	if math.Abs(m-c/math.Sqrt2) > 1e-12 {
-		t.Fatalf("mode = %v, want %v", m, c/math.Sqrt2)
-	}
-	pm := WeibullPDF(m, c, 2)
-	if WeibullPDF(m-0.1, c, 2) >= pm || WeibullPDF(m+0.1, c, 2) >= pm {
-		t.Fatal("PDF not maximal at mode")
-	}
-}
-
 func TestWeibullEnvelopePeaksAtP(t *testing.T) {
 	env := WeibullEnvelope(20, 8, 2.5, 42)
 	if len(env) != 20 {

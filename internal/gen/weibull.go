@@ -27,15 +27,6 @@ func WeibullPDF(x, c, k float64) float64 {
 	return k / c * math.Pow(r, k-1) * math.Exp(-math.Pow(r, k))
 }
 
-// WeibullMode returns the location of the density's maximum: c·((k−1)/k)^(1/k)
-// for k > 1, and 0 for k <= 1 (monotone decreasing density).
-func WeibullMode(c, k float64) float64 {
-	if k <= 1 {
-		return 0
-	}
-	return c * math.Pow((k-1)/k, 1/k)
-}
-
 // WeibullEnvelope samples the density at timestamps 1..n and rescales so
 // the curve peaks at exactly peak — the paper's recipe for injecting an
 // event's frequency lift: "we can easily set the frequency P at which the

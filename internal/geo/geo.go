@@ -74,9 +74,6 @@ func (r Rect) Width() float64 { return r.MaxX - r.MinX }
 // Height returns the extent of the rectangle along the Y axis.
 func (r Rect) Height() float64 { return r.MaxY - r.MinY }
 
-// Area returns the area of the rectangle.
-func (r Rect) Area() float64 { return r.Width() * r.Height() }
-
 // String formats the rectangle for diagnostics.
 func (r Rect) String() string {
 	return fmt.Sprintf("[%.3f,%.3f]x[%.3f,%.3f]", r.MinX, r.MaxX, r.MinY, r.MaxY)

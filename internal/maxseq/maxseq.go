@@ -1,7 +1,6 @@
 // Package maxseq implements algorithms over real-valued score sequences:
 // the Ruzzo–Tompa linear-time algorithm for finding all maximal scoring
-// subsequences (both offline and online variants), and Kadane-style
-// maximum-subarray primitives.
+// subsequences, in an offline and an online variant.
 //
 // These are the 1-D engines underneath the paper's burst machinery:
 // temporal bursty-interval extraction (Lappas et al., KDD'09) reduces to
@@ -102,30 +101,6 @@ func (rt *RuzzoTompa) Maximals() []Segment {
 	return out
 }
 
-// Best returns the highest-scoring maximal segment appended so far and
-// reports whether any exists (there is none until a positive score has been
-// appended). Ties are broken toward the earliest segment.
-func (rt *RuzzoTompa) Best() (Segment, bool) {
-	if len(rt.stack) == 0 {
-		return Segment{}, false
-	}
-	best := rt.stack[0]
-	for _, c := range rt.stack[1:] {
-		if c.r-c.l > best.r-best.l {
-			best = c
-		}
-	}
-	return Segment{Start: best.start, End: best.end, Score: best.r - best.l}, true
-}
-
-// Reset restores the receiver to its zero state, retaining allocated
-// capacity.
-func (rt *RuzzoTompa) Reset() {
-	rt.stack = rt.stack[:0]
-	rt.cum = 0
-	rt.n = 0
-}
-
 // Maximals returns all maximal scoring subsequences of scores in
 // left-to-right order, in O(len(scores)) time. It is the offline
 // Ruzzo–Tompa algorithm.
@@ -133,29 +108,6 @@ func Maximals(scores []float64) []Segment {
 	var rt RuzzoTompa
 	rt.AddAll(scores)
 	return rt.Maximals()
-}
-
-// MaxSubarray returns the maximum-sum contiguous non-empty subarray of
-// scores (Kadane's algorithm) and reports whether scores is non-empty.
-// If every score is negative the single largest element is returned.
-func MaxSubarray(scores []float64) (Segment, bool) {
-	if len(scores) == 0 {
-		return Segment{}, false
-	}
-	best := Segment{Start: 0, End: 1, Score: scores[0]}
-	cur := Segment{Start: 0, End: 1, Score: scores[0]}
-	for i := 1; i < len(scores); i++ {
-		if cur.Score < 0 {
-			cur = Segment{Start: i, End: i + 1, Score: scores[i]}
-		} else {
-			cur.End = i + 1
-			cur.Score += scores[i]
-		}
-		if cur.Score > best.Score {
-			best = cur
-		}
-	}
-	return best, true
 }
 
 // MaximalsBrute enumerates maximal scoring subsequences by the quadratic

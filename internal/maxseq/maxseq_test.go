@@ -201,107 +201,6 @@ func TestRuzzoTompaTotal(t *testing.T) {
 	}
 }
 
-func TestRuzzoTompaBest(t *testing.T) {
-	var rt RuzzoTompa
-	if _, ok := rt.Best(); ok {
-		t.Fatal("Best on empty sequence should report false")
-	}
-	rt.AddAll([]float64{-1, -1})
-	if _, ok := rt.Best(); ok {
-		t.Fatal("Best with no positive scores should report false")
-	}
-	rt.AddAll([]float64{2, -5, 7})
-	best, ok := rt.Best()
-	if !ok {
-		t.Fatal("Best should report true after positive scores")
-	}
-	want := Segment{Start: 4, End: 5, Score: 7}
-	if best != want {
-		t.Fatalf("Best = %v, want %v", best, want)
-	}
-}
-
-func TestRuzzoTompaReset(t *testing.T) {
-	var rt RuzzoTompa
-	rt.AddAll([]float64{1, 2, 3})
-	rt.Reset()
-	if rt.Len() != 0 || rt.Total() != 0 || rt.Maximals() != nil {
-		t.Fatalf("Reset did not clear state: len=%d total=%v maximals=%v",
-			rt.Len(), rt.Total(), rt.Maximals())
-	}
-	rt.Add(1)
-	want := []Segment{{Start: 0, End: 1, Score: 1}}
-	if !segsEqual(rt.Maximals(), want) {
-		t.Fatalf("after Reset+Add got %v, want %v", rt.Maximals(), want)
-	}
-}
-
-func TestMaxSubarrayEmpty(t *testing.T) {
-	if _, ok := MaxSubarray(nil); ok {
-		t.Fatal("MaxSubarray(nil) should report false")
-	}
-}
-
-func TestMaxSubarrayAllNegative(t *testing.T) {
-	seg, ok := MaxSubarray([]float64{-3, -1, -2})
-	if !ok {
-		t.Fatal("expected ok")
-	}
-	want := Segment{Start: 1, End: 2, Score: -1}
-	if seg != want {
-		t.Fatalf("got %v, want %v", seg, want)
-	}
-}
-
-func TestMaxSubarrayClassic(t *testing.T) {
-	seg, ok := MaxSubarray([]float64{-2, 1, -3, 4, -1, 2, 1, -5, 4})
-	if !ok {
-		t.Fatal("expected ok")
-	}
-	if seg.Score != 6 || seg.Start != 3 || seg.End != 7 {
-		t.Fatalf("got %+v, want score 6 over [3,7)", seg)
-	}
-}
-
-func TestMaxSubarrayMatchesBrute(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for iter := 0; iter < 300; iter++ {
-		n := 1 + rng.Intn(20)
-		scores := make([]float64, n)
-		for i := range scores {
-			scores[i] = float64(rng.Intn(21) - 10)
-		}
-		got, _ := MaxSubarray(scores)
-		best := math.Inf(-1)
-		for i := 0; i < n; i++ {
-			sum := 0.0
-			for j := i; j < n; j++ {
-				sum += scores[j]
-				if sum > best {
-					best = sum
-				}
-			}
-		}
-		if math.Abs(got.Score-best) > 1e-9 {
-			t.Fatalf("scores %v: got %v want %v", scores, got.Score, best)
-		}
-	}
-}
-
-func TestMaxSubarrayHandlesNegInf(t *testing.T) {
-	// -Inf blockers (used by R-Bursty to forbid already-reported streams)
-	// must never be bridged.
-	ninf := math.Inf(-1)
-	seg, ok := MaxSubarray([]float64{2, ninf, 3})
-	if !ok {
-		t.Fatal("expected ok")
-	}
-	want := Segment{Start: 2, End: 3, Score: 3}
-	if seg != want {
-		t.Fatalf("got %v, want %v", seg, want)
-	}
-}
-
 func TestSegmentLen(t *testing.T) {
 	if got := (Segment{Start: 2, End: 7}).Len(); got != 5 {
 		t.Fatalf("Len = %d, want 5", got)

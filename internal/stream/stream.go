@@ -438,9 +438,6 @@ func (c *Collection) Terms() []int {
 	return out
 }
 
-// DocFreq returns the number of documents containing the term.
-func (c *Collection) DocFreq(term int) int { return len(c.st.Load().postings[term]) }
-
 // Surface returns the dense frequency surface of a term:
 // surface[x][i] = D_x[i][t], the total frequency of the term in the
 // documents of stream x at timestamp i (Eq. 6 of the paper).

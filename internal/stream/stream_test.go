@@ -149,11 +149,8 @@ func TestTermDocsAndDocFreq(t *testing.T) {
 	if freqs[0] != 2 || freqs[1] != 7 {
 		t.Fatalf("freqs = %v, want [2 7]", freqs)
 	}
-	if c.DocFreq(term) != 2 {
-		t.Fatalf("DocFreq = %d, want 2", c.DocFreq(term))
-	}
-	if c.DocFreq(999) != 0 {
-		t.Fatal("DocFreq of unknown term should be 0")
+	if ids, _ := c.TermDocs(999); len(ids) != 0 {
+		t.Fatalf("unknown term has documents %v, want none", ids)
 	}
 }
 

@@ -30,8 +30,7 @@ type Injector struct {
 	afterSyncErr  error
 	dropSyncs     bool
 
-	writes int64 // bytes actually written through the injector
-	syncs  int   // fsyncs actually performed (dropped syncs excluded)
+	syncs int // fsyncs actually performed (dropped syncs excluded)
 }
 
 // FailWritesAfter arms the write fault: the next n bytes write
@@ -76,7 +75,7 @@ func (in *Injector) DropSyncs(drop bool) {
 	in.dropSyncs = drop
 }
 
-// Clear disarms every fault; the counters keep counting.
+// Clear disarms every fault; the sync counter keeps counting.
 func (in *Injector) Clear() {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -86,13 +85,6 @@ func (in *Injector) Clear() {
 	in.beforeSyncErr = nil
 	in.afterSyncErr = nil
 	in.dropSyncs = false
-}
-
-// Writes returns the total bytes written through the injector.
-func (in *Injector) Writes() int64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.writes
 }
 
 // Syncs returns the number of fsyncs actually performed (dropped
@@ -110,7 +102,6 @@ func (in *Injector) write(f *os.File, p []byte) (int, error) {
 		if in.budgetSet {
 			in.budget -= int64(len(p))
 		}
-		in.writes += int64(len(p))
 		in.mu.Unlock()
 		return f.Write(p)
 	}
@@ -121,7 +112,6 @@ func (in *Injector) write(f *os.File, p []byte) (int, error) {
 	if failErr == nil {
 		failErr = io.ErrShortWrite
 	}
-	in.writes += keep
 	in.mu.Unlock()
 	n, err := f.Write(p[:keep])
 	if err != nil {

@@ -39,7 +39,7 @@ func testBatches(n int) [][]stream.AppendDoc {
 // fillLog appends batches to a fresh log in dir and returns the
 // cumulative Stats().Bytes after each append — the frame boundaries
 // the truncation sweeps anchor on — plus the appended batches.
-func fillLog(t *testing.T, dir string, opts Options, n int) (bounds []int64, batches [][]stream.AppendDoc) {
+func fillLog(t testing.TB, dir string, opts Options, n int) (bounds []int64, batches [][]stream.AppendDoc) {
 	t.Helper()
 	l, pending, err := Open(dir, opts)
 	if err != nil {
@@ -286,6 +286,68 @@ func TestFinalFrameFlip(t *testing.T) {
 		}
 		l.Close()
 	}
+}
+
+// FuzzWALOpen writes arbitrary bytes as the log's only segment, once
+// after a valid segment header and once without one. Whatever the bytes,
+// Open must not panic; when it accepts them, the batches it returns
+// carry consecutive sequence numbers, and reopening the directory (Open
+// may have truncated a torn tail) returns exactly the same batches.
+// The seeds are the torn-tail and byte-flip fixtures: every truncation
+// and every one-byte flip of a valid segment's frames.
+func FuzzWALOpen(f *testing.F) {
+	dir := f.TempDir()
+	fillLog(f, dir, Options{}, 3)
+	segs, err := listSegments(dir)
+	if err != nil || len(segs) != 1 {
+		f.Fatalf("want one segment, got %v (%v)", segs, err)
+	}
+	seg, err := os.ReadFile(filepath.Join(dir, segs[0]))
+	if err != nil {
+		f.Fatal(err)
+	}
+	body := seg[headerLen:]
+	for cut := range body {
+		f.Add(body[:cut])
+	}
+	for i := range body {
+		flipped := append([]byte(nil), body...)
+		flipped[i] ^= 0xFF
+		f.Add(flipped)
+	}
+	f.Add(body)
+	f.Add(seg)
+
+	var hdr [headerLen]byte
+	copy(hdr[:8], segMagic)
+	binary.LittleEndian.PutUint32(hdr[8:12], segVersion)
+	name := fmt.Sprintf("%s%016x%s", segPrefix, uint64(1), segSuffix)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, contents := range [][]byte{append(hdr[:], data...), data} {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, name), contents, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			l, pending, err := Open(dir, Options{})
+			if err != nil {
+				continue
+			}
+			l.Close()
+			for i := 1; i < len(pending); i++ {
+				if pending[i].Seq != pending[i-1].Seq+1 {
+					t.Fatalf("batch %d has seq %d after seq %d", i, pending[i].Seq, pending[i-1].Seq)
+				}
+			}
+			l, again, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatalf("reopening an accepted log: %v", err)
+			}
+			l.Close()
+			if !reflect.DeepEqual(again, pending) {
+				t.Fatalf("reopen returned %d batches, first open %d", len(again), len(pending))
+			}
+		}
+	})
 }
 
 // writeRawFrames builds a segment by hand with the given sequence

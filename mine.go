@@ -105,8 +105,8 @@ func (k *Kind) UnmarshalJSON(data []byte) error {
 
 // MineOptions configures Collection.Mine. The zero value (or a nil
 // pointer) mines with the paper's defaults on one worker per CPU.
-// Options are assembled functional-style with NewMineOptions, or built
-// literally.
+// Build one literally; NewMineOptions(WithParallelism(n)) is the
+// functional shorthand for setting the worker count alone.
 type MineOptions struct {
 	// Parallelism is the mining worker count: < 1 means one worker per
 	// CPU, 1 reproduces the sequential loop exactly, and every value
@@ -135,17 +135,6 @@ func NewMineOptions(opts ...MineOption) *MineOptions {
 // CPU).
 func WithParallelism(n int) MineOption {
 	return func(mo *MineOptions) { mo.Parallelism = n }
-}
-
-// WithRegional sets the STLocal options used by KindRegional mining.
-func WithRegional(o *RegionalOptions) MineOption {
-	return func(mo *MineOptions) { mo.Regional = o }
-}
-
-// WithCombinatorial sets the STComb options used by KindCombinatorial
-// mining.
-func WithCombinatorial(o *CombinatorialOptions) MineOption {
-	return func(mo *MineOptions) { mo.Combinatorial = o }
 }
 
 // core translates the options into the per-kind miners' own.
@@ -267,7 +256,7 @@ func (ix *PatternIndex) NumPatterns() int { return ix.set.NumPatterns() }
 // index's shared storage (unlike the per-term miner, which returns a
 // fresh slice): callers must not modify it — copy first to sort or edit.
 func (ix *PatternIndex) RegionalPatterns(term string) []RegionalPattern {
-	id, ok := ix.c.col.Dict().Lookup(ix.c.normalize(term))
+	id, ok := ix.c.col.Dict().Lookup(NormalizeTerm(term))
 	if !ok {
 		return nil
 	}
@@ -279,7 +268,7 @@ func (ix *PatternIndex) RegionalPatterns(term string) []RegionalPattern {
 // nil for terms without patterns and for indexes of other kinds. The
 // slice aliases the index's shared storage; callers must not modify it.
 func (ix *PatternIndex) CombinatorialPatterns(term string) []CombinatorialPattern {
-	id, ok := ix.c.col.Dict().Lookup(ix.c.normalize(term))
+	id, ok := ix.c.col.Dict().Lookup(NormalizeTerm(term))
 	if !ok {
 		return nil
 	}
@@ -291,7 +280,7 @@ func (ix *PatternIndex) CombinatorialPatterns(term string) []CombinatorialPatter
 // for terms without intervals and for indexes of other kinds. The slice
 // aliases the index's shared storage; callers must not modify it.
 func (ix *PatternIndex) TemporalBursts(term string) []TemporalInterval {
-	id, ok := ix.c.col.Dict().Lookup(ix.c.normalize(term))
+	id, ok := ix.c.col.Dict().Lookup(NormalizeTerm(term))
 	if !ok {
 		return nil
 	}
@@ -322,7 +311,7 @@ type Pattern struct {
 // locations, temporal intervals through their timeframe only. It is nil
 // for terms without matching patterns.
 func (ix *PatternIndex) Patterns(term string, region *Rect, time *Timespan) []Pattern {
-	id, ok := ix.c.col.Dict().Lookup(ix.c.normalize(term))
+	id, ok := ix.c.col.Dict().Lookup(NormalizeTerm(term))
 	if !ok {
 		return nil
 	}

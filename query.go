@@ -94,6 +94,17 @@ func (q Query) Validate() error {
 // normalization all assume terms are normalized identically everywhere.
 var tokenizer = textproc.NewTokenizer()
 
+// NormalizeTerm returns the dictionary form every single-term lookup
+// keys on: the first token of the tokenization pipeline, or term itself
+// when no token survives. Shard routing hashes this form, so a term
+// lands on the shard whose bundle holds it.
+func NormalizeTerm(term string) string {
+	if toks := tokenizer.Tokenize(term); len(toks) > 0 {
+		return toks[0]
+	}
+	return term
+}
+
 // Tokens returns the query's terms as collections normalize them: Text
 // tokenized, or Terms tokenized entry by entry (a multi-word entry
 // contributes every token), in occurrence order with duplicates kept —

@@ -468,9 +468,8 @@ func TestMineMatchesBatchMiners(t *testing.T) {
 		{KindRegional, nil},
 		{KindRegional, NewMineOptions(WithParallelism(1))},
 		{KindRegional, &MineOptions{Regional: &RegionalOptions{Baseline: BaselineEWMA}}},
-		{KindRegional, NewMineOptions(WithRegional(&RegionalOptions{Baseline: BaselineEWMA}))},
 		{KindCombinatorial, nil},
-		{KindCombinatorial, NewMineOptions(WithCombinatorial(&CombinatorialOptions{MaxPatterns: 2}))},
+		{KindCombinatorial, &MineOptions{Combinatorial: &CombinatorialOptions{MaxPatterns: 2}}},
 		{KindTemporal, nil},
 	}
 	for _, tc := range cases {

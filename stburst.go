@@ -365,26 +365,18 @@ func (c *Collection) Terms() []string {
 // TermFrequency returns the total frequency of term in stream x at the
 // given timestamp (D_x[i][t], Eq. 6 of the paper).
 func (c *Collection) TermFrequency(term string, streamIdx, time int) float64 {
-	id, ok := c.col.Dict().Lookup(c.normalize(term))
+	id, ok := c.col.Dict().Lookup(NormalizeTerm(term))
 	if !ok {
 		return 0
 	}
 	return c.col.Surface(id)[streamIdx][time]
 }
 
-func (c *Collection) normalize(term string) string {
-	toks := tokenizer.Tokenize(term)
-	if len(toks) == 0 {
-		return term
-	}
-	return toks[0]
-}
-
 // RegionalPatterns mines the maximal regional spatiotemporal windows of a
 // term with STLocal (§4 of the paper), sorted by descending w-score.
 // A nil opts uses the paper's defaults.
 func (c *Collection) RegionalPatterns(term string, opts *RegionalOptions) []RegionalPattern {
-	id, ok := c.col.Dict().Lookup(c.normalize(term))
+	id, ok := c.col.Dict().Lookup(NormalizeTerm(term))
 	if !ok {
 		return nil
 	}
@@ -399,7 +391,7 @@ func (c *Collection) RegionalPatterns(term string, opts *RegionalOptions) []Regi
 // of a term with STComb (§3 of the paper), in descending score order.
 // A nil opts uses the paper's defaults.
 func (c *Collection) CombinatorialPatterns(term string, opts *CombinatorialOptions) []CombinatorialPattern {
-	id, ok := c.col.Dict().Lookup(c.normalize(term))
+	id, ok := c.col.Dict().Lookup(NormalizeTerm(term))
 	if !ok {
 		return nil
 	}
@@ -410,7 +402,7 @@ func (c *Collection) CombinatorialPatterns(term string, opts *CombinatorialOptio
 // merged stream (all streams folded into one), as used by temporal-only
 // burstiness systems.
 func (c *Collection) TemporalBursts(term string) []TemporalInterval {
-	id, ok := c.col.Dict().Lookup(c.normalize(term))
+	id, ok := c.col.Dict().Lookup(NormalizeTerm(term))
 	if !ok {
 		return nil
 	}

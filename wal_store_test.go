@@ -288,7 +288,7 @@ func TestWALCrashRecoverySweep(t *testing.T) {
 		t.Skip("crash-recovery sweep is slow; skipped with -short")
 	}
 	ctx := context.Background()
-	opts := NewMineOptions(WithRegional(&RegionalOptions{Baseline: BaselineEWMA, BaselineParam: 0.5}))
+	opts := &MineOptions{Regional: &RegionalOptions{Baseline: BaselineEWMA, BaselineParam: 0.5}}
 	rng := rand.New(rand.NewSource(7))
 	vocab := []string{"quake", "flood", "storm", "sirens", "levee", "ashfall"}
 	schedule := make([][]IncomingDocument, 4)
