@@ -275,8 +275,8 @@ func TestSearchAnswersFromIndexWithoutRemining(t *testing.T) {
 	if got := search.TermsMined(); got != afterMine {
 		t.Fatalf("queries re-mined %d terms", got-afterMine)
 	}
-	// The engine is built exactly once and shared, even under concurrent
-	// first use.
+	// The engine is shared, even under concurrent first use: every caller
+	// gets the same instance.
 	engines := make([]*Engine, 8)
 	var wg sync.WaitGroup
 	wg.Add(len(engines))

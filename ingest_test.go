@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -139,6 +140,15 @@ func TestIngestIncrementalOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Warm engines make the ingest refresh them rather than build anew.
+	warm := map[Kind]*Engine{}
+	for _, kind := range Kinds() {
+		warm[kind] = s.Index(kind).Engine()
+	}
+	postingsBefore := map[int]int{}
+	for _, term := range live.col.Terms() {
+		postingsBefore[term] = len(live.col.Postings(term))
+	}
 	minedBefore := search.TermsMined()
 	res, err := s.Ingest(context.Background(), liveBatch())
 	if err != nil {
@@ -168,6 +178,25 @@ func TestIngestIncrementalOracle(t *testing.T) {
 		got, want := s.Index(kind).Fingerprint(), full.Index(kind).Fingerprint()
 		if got != want {
 			t.Errorf("kind %v: incremental fingerprint %.12s != from-scratch %.12s", kind, got, want)
+		}
+	}
+	assertEnginesFresh(t, s)
+	// A clean term — one the batch gave no document — keeps its posting
+	// list across the refresh: shared, not rebuilt.
+	for _, kind := range Kinds() {
+		before, after := warm[kind].eng.Index(), s.Index(kind).Engine().eng.Index()
+		shared := 0
+		for term, n := range postingsBefore {
+			if n != len(live.col.Postings(term)) || len(before.Postings(term)) == 0 {
+				continue
+			}
+			if &after.Postings(term)[0] != &before.Postings(term)[0] {
+				t.Errorf("kind %v: clean term %q's postings were rebuilt", kind, live.col.Dict().Term(term))
+			}
+			shared++
+		}
+		if shared == 0 {
+			t.Errorf("kind %v: no clean term with postings; the carry-over went unchecked", kind)
 		}
 	}
 
@@ -445,6 +474,27 @@ func TestIngestIncompleteRepairs(t *testing.T) {
 	for _, kind := range Kinds() {
 		if got, want := s.Index(kind).Fingerprint(), full.Index(kind).Fingerprint(); got != want {
 			t.Errorf("kind %v: repaired fingerprint %.12s != from-scratch %.12s", kind, got, want)
+		}
+	}
+	assertEnginesFresh(t, s)
+}
+
+// assertEnginesFresh checks every resident kind's served engine against
+// one built from scratch over the same collection and pattern set: the
+// same terms, each with the same postings.
+func assertEnginesFresh(t *testing.T, s *Store) {
+	t.Helper()
+	for _, ix := range s.Resident() {
+		got := ix.Engine().eng.Index()
+		want := search.BuildFromPatterns(ix.c.col, ix.set).Index()
+		if got.Terms() != want.Terms() {
+			t.Errorf("kind %v: served engine holds %d terms, from scratch %d", ix.PatternKind(), got.Terms(), want.Terms())
+		}
+		for _, term := range ix.c.col.Terms() {
+			if !slices.Equal(got.Postings(term), want.Postings(term)) {
+				t.Errorf("kind %v: term %q postings %v, from scratch %v", ix.PatternKind(),
+					ix.c.col.Dict().Term(term), got.Postings(term), want.Postings(term))
+			}
 		}
 	}
 }

@@ -5,16 +5,21 @@
 //
 // # Inverted index and the Threshold Algorithm
 //
-// Index maps each term to a posting list sorted by per-term document
-// score. Multi-term top-k queries are answered by the Threshold Algorithm
-// of Fagin, Lotem and Naor (PODS'01 — reference [6] of the paper) with
-// sorted and random access and early termination on the threshold, as the
-// bursty-document search engine of §5 requires. Build with Add + Finalize,
-// then open a Cursor: one resumable TA pass whose Next yields hits in
-// final rank order, and whose Where is that ranking through a post-filter
-// and a score floor. A ranking is a plain pull function, and Page pages
-// any ranking — a cursor's, or a merge of several — into an
-// [offset, offset+k) window. TopK is the first k hits of a Cursor;
+// Index maps each term to one immutable segment: the term's postings
+// held twice, by per-term document score descending (ties by doc) for
+// sorted access, and by doc ascending for random access by binary
+// search. Multi-term top-k queries are answered by the Threshold
+// Algorithm of Fagin, Lotem and Naor (PODS'01 — reference [6] of the
+// paper) with sorted and random access and early termination on the
+// threshold, as the bursty-document search engine of §5 requires. Build
+// with With, which rebuilds the listed terms' segments and shares every
+// other segment with the index it is called on (nil is the empty index),
+// so successive generations of an engine share their clean terms'
+// segments by pointer. Then open a Cursor: one resumable TA pass whose
+// Next yields hits in final rank order, and whose Where is that ranking
+// through a post-filter and a score floor. A ranking is a plain pull
+// function, and Page pages any ranking — a cursor's, or a merge of
+// several — into an [offset, offset+k) window. TopK is the first k hits of a Cursor;
 // TopKNaive is the exhaustive testing oracle.
 //
 // # Pattern store

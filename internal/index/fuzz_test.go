@@ -104,11 +104,12 @@ func FuzzReadBundle(f *testing.F) {
 // FuzzCursor: on any index of at most 4 terms × 32 docs with scores from
 // {0.5, 1, …, 4} — exact in float64, and tie-heavy — a full Next drain is
 // the naive oracle's ranking, Page over Where is the matching window of
-// that drain through a filter, and TopK(k) is a prefix of every longer
-// TopK.
+// that drain through a filter, TopK(k) is a prefix of every longer
+// TopK, and an index refreshed by With drains as the from-scratch one.
 func FuzzCursor(f *testing.F) {
 	f.Add([]byte{1, 0, 3, 2, 0x0f, 0x0b, 0x0c, 0x08, 0x0f, 0x09, 0x0f})
 	f.Add(bytes.Repeat([]byte{3, 2, 5, 1, 0x0b, 0x0f, 0x09, 0x0e}, 16))
+	f.Add(append([]byte{0x52, 1, 6, 2}, bytes.Repeat([]byte{0x0c, 0x09, 0x00, 0x0f}, 24)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -121,13 +122,13 @@ func FuzzCursor(f *testing.F) {
 			terms[i] = i
 		}
 		offset, k, minScore := int(data[1]%16), int(data[2]%16), float64(data[3]%17)/2
-		ix := New()
+		lists := make([][]Posting, len(terms))
 		for slot, b := range data[4:min(len(data), 4+32*len(terms))] {
 			if b&8 != 0 {
-				ix.Add(slot/32, slot%32, float64(b&7+1)/2)
+				lists[slot/32] = append(lists[slot/32], Posting{Doc: slot % 32, Score: float64(b&7+1) / 2})
 			}
 		}
-		ix.Finalize()
+		ix := (*Index)(nil).With(terms, func(t int) []Posting { return lists[t] })
 
 		c := ix.Cursor(terms)
 		var drain []Result
@@ -155,6 +156,36 @@ func FuzzCursor(f *testing.F) {
 			if got := ix.TopK(terms, n, MissingExcludes); !slices.Equal(got, drain[:min(n, len(drain))]) {
 				t.Fatalf("TopK(%d) = %v, not a prefix of %v", n, got, drain)
 			}
+		}
+		// A prior generation whose lists differ on the terms header bits
+		// 4-7 pick — every score raised by 0.5, an empty list given one
+		// posting — drains as ix does once With rebuilds exactly those.
+		var dirty []int
+		for _, t := range terms {
+			if data[0]>>(4+t)&1 != 0 {
+				dirty = append(dirty, t)
+			}
+		}
+		prior := (*Index)(nil).With(terms, func(t int) []Posting {
+			if !slices.Contains(dirty, t) {
+				return lists[t]
+			}
+			stale := []Posting{{Doc: 0, Score: 0.5}}
+			if len(lists[t]) > 0 {
+				stale = slices.Clone(lists[t])
+			}
+			for i := range stale {
+				stale[i].Score += 0.5
+			}
+			return stale
+		})
+		var again []Result
+		c = prior.With(dirty, func(t int) []Posting { return lists[t] }).Cursor(terms)
+		for r, ok := c.Next(); ok; r, ok = c.Next() {
+			again = append(again, r)
+		}
+		if !slices.Equal(again, drain) {
+			t.Fatalf("refreshed drain %v, from-scratch %v (dirty %v)", again, drain, dirty)
 		}
 	})
 }

@@ -1,7 +1,9 @@
 package index
 
 import (
+	"cmp"
 	"context"
+	"maps"
 	"slices"
 	"sort"
 )
@@ -28,66 +30,82 @@ type MissingPolicy int
 // without a pattern overlap.
 const MissingExcludes MissingPolicy = 0
 
-// Index is an inverted index over per-term document scores.
+// Index is an inverted index over per-term document scores: one
+// immutable segment per term. It is never modified once built, so
+// successive generations share their clean terms' segments by pointer.
 type Index struct {
-	postings  map[int][]Posting
-	random    map[int]map[int]float64
-	finalized bool
+	segs map[int]*segment
 }
 
-// New returns an empty index.
-func New() *Index {
-	return &Index{
-		postings: make(map[int][]Posting),
-		random:   make(map[int]map[int]float64),
-	}
+// segment is one term's posting list held twice: byScore in rank order
+// (score descending, ties by doc) for the cursor's sorted access, and
+// byDoc in ascending doc order for random access by binary search.
+type segment struct {
+	byScore, byDoc []Posting
 }
 
-// Add records the score of doc for term. Scores must be non-negative:
-// the Threshold Algorithm's early-termination bound relies on posting
-// scores never increasing the aggregate of a document a list omits.
-// Adding the same (term, doc) pair twice overwrites the previous score.
-// Add must not be called after Finalize.
-func (ix *Index) Add(term, doc int, score float64) {
-	if ix.finalized {
-		panic("index: Add after Finalize")
+// With returns an index holding ix's segments, except that each listed
+// term's segment is rebuilt from list(term) — the term's postings in
+// ascending doc order, with non-negative scores, which the Threshold
+// Algorithm's early-termination bound relies on — and a term whose list
+// is empty is dropped. The index keeps the lists. ix is never modified
+// and every unlisted term's segment is shared with it. A nil ix is the
+// empty index.
+func (ix *Index) With(terms []int, list func(term int) []Posting) *Index {
+	out := &Index{segs: make(map[int]*segment)}
+	if ix != nil {
+		maps.Copy(out.segs, ix.segs)
 	}
-	m, ok := ix.random[term]
-	if !ok {
-		m = make(map[int]float64)
-		ix.random[term] = m
-	}
-	if _, dup := m[doc]; !dup {
-		ix.postings[term] = append(ix.postings[term], Posting{Doc: doc})
-	}
-	m[doc] = score
-}
-
-// Finalize sorts every posting list by descending score (ties by doc ID)
-// and freezes the index. It must be called before querying.
-func (ix *Index) Finalize() {
-	for term, list := range ix.postings {
-		m := ix.random[term]
-		for i := range list {
-			list[i].Score = m[list[i].Doc]
+	for _, t := range terms {
+		byDoc := list(t)
+		if len(byDoc) == 0 {
+			delete(out.segs, t)
+			continue
 		}
-		sort.Slice(list, func(i, j int) bool { return ranksBefore(Result(list[i]), Result(list[j])) })
-		ix.postings[term] = list
+		byScore := slices.Clone(byDoc)
+		slices.SortFunc(byScore, func(a, b Posting) int { return rankCmp(Result(a), Result(b)) })
+		out.segs[t] = &segment{byScore: byScore, byDoc: byDoc}
 	}
-	ix.finalized = true
+	return out
+}
+
+// score returns the segment's score of doc and whether doc is present:
+// the cursor's random access. The search is written out because
+// slices.BinarySearchFunc's comparator call measured about 1.4× slower.
+func (s *segment) score(doc int) (float64, bool) {
+	l := s.byDoc
+	i, j := 0, len(l)
+	for i < j {
+		if h := int(uint(i+j) >> 1); l[h].Doc < doc {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	if i < len(l) && l[i].Doc == doc {
+		return l[i].Score, true
+	}
+	return 0, false
 }
 
 // Terms returns the number of terms with at least one posting.
-func (ix *Index) Terms() int { return len(ix.postings) }
+func (ix *Index) Terms() int { return len(ix.segs) }
 
-// Postings returns the (finalized) posting list of a term; nil when the
-// term is unknown.
-func (ix *Index) Postings(term int) []Posting { return ix.postings[term] }
+// Postings returns the posting list of a term in rank order; nil when
+// the term is unknown.
+func (ix *Index) Postings(term int) []Posting {
+	if s := ix.segs[term]; s != nil {
+		return s.byScore
+	}
+	return nil
+}
 
 // Score returns the per-term score of doc and whether it is present.
 func (ix *Index) Score(term, doc int) (float64, bool) {
-	s, ok := ix.random[term][doc]
-	return s, ok
+	if s := ix.segs[term]; s != nil {
+		return s.score(doc)
+	}
+	return 0, false
 }
 
 // CandidateBound returns an upper bound on the number of distinct
@@ -100,9 +118,9 @@ func (ix *Index) CandidateBound(terms []int) int {
 	if len(terms) == 0 {
 		return 0
 	}
-	bound := len(ix.postings[terms[0]])
+	bound := len(ix.Postings(terms[0]))
 	for _, t := range terms[1:] {
-		if n := len(ix.postings[t]); n < bound {
+		if n := len(ix.Postings(t)); n < bound {
 			bound = n
 		}
 	}
@@ -117,9 +135,7 @@ func (ix *Index) CandidateBound(terms []int) int {
 // candidates, so a caller pulls exactly as many hits as it needs. A
 // Cursor is not safe for concurrent use.
 type Cursor struct {
-	ix    *Index
-	terms []int
-	lists [][]Posting
+	segs []*segment // the query terms' segments, in query order
 	// end is the shortest list's length. Once a list is read to its end,
 	// every document that can appear in all lists has been seen, so the
 	// walk stops there and only the candidates drain.
@@ -131,15 +147,12 @@ type Cursor struct {
 
 // Cursor opens a Threshold-Algorithm pass over terms. A document is a hit
 // only when every term's list holds it, scored by the sum of its per-term
-// scores; Next yields hits by descending score, ties by doc ID. It panics
-// if the index was not finalized.
+// scores; Next yields hits by descending score, ties by doc ID.
 func (ix *Index) Cursor(terms []int) *Cursor {
-	if !ix.finalized {
-		panic("index: Cursor before Finalize")
-	}
-	c := &Cursor{ix: ix, terms: terms, end: ix.CandidateBound(terms), seen: make(map[int]bool)}
+	c := &Cursor{end: ix.CandidateBound(terms), seen: make(map[int]bool)}
 	for _, t := range terms {
-		c.lists = append(c.lists, ix.postings[t])
+		// An unknown term's nil segment zeroes end: nothing is read.
+		c.segs = append(c.segs, ix.segs[t])
 	}
 	return c
 }
@@ -163,27 +176,31 @@ func (c *Cursor) Next() (Result, bool) {
 // step reads one row of every list and completes the aggregate of each
 // document it sees for the first time.
 func (c *Cursor) step() {
-	for _, l := range c.lists {
-		doc := l[c.depth].Doc
-		if c.seen[doc] {
+	for read, seg := range c.segs {
+		p := seg.byScore[c.depth]
+		if c.seen[p.Doc] {
 			continue
 		}
-		c.seen[doc] = true
-		if s, ok := c.aggregate(doc); ok {
-			r := Result{Doc: doc, Score: s}
-			i := sort.Search(len(c.cands), func(i int) bool { return ranksBefore(c.cands[i], r) })
+		c.seen[p.Doc] = true
+		if s, ok := c.aggregate(p, read); ok {
+			r := Result{Doc: p.Doc, Score: s}
+			i := sort.Search(len(c.cands), func(i int) bool { return rankCmp(c.cands[i], r) < 0 })
 			c.cands = slices.Insert(c.cands, i, r)
 		}
 	}
 	c.depth++
 }
 
-// aggregate sums doc's per-term scores in query order, the order
-// TopKNaive adds in; false when some term's list omits doc.
-func (c *Cursor) aggregate(doc int) (float64, bool) {
+// aggregate sums the per-term scores of p's document in query order,
+// the order TopKNaive adds in, taking term read's score from p itself;
+// false when some term's list omits the document.
+func (c *Cursor) aggregate(p Posting, read int) (float64, bool) {
 	var sum float64
-	for _, t := range c.terms {
-		s, ok := c.ix.random[t][doc]
+	for i, seg := range c.segs {
+		s, ok := p.Score, true
+		if i != read {
+			s, ok = seg.score(p.Doc)
+		}
 		if !ok {
 			return 0, false
 		}
@@ -203,13 +220,14 @@ func (c *Cursor) aggregate(doc int) (float64, bool) {
 // assumes exact sums, as small integer scores have.
 func (c *Cursor) settled(best Result) bool {
 	var t float64
-	for _, l := range c.lists {
-		t += l[c.depth-1].Score
+	for _, seg := range c.segs {
+		t += seg.byScore[c.depth-1].Score
 	}
 	if best.Score != t {
 		return best.Score > t
 	}
-	for _, l := range c.lists {
+	for _, seg := range c.segs {
+		l := seg.byScore
 		if next := l[c.depth]; next.Score < l[c.depth-1].Score || next.Doc > best.Doc {
 			return true
 		}
@@ -286,11 +304,11 @@ func (ix *Index) TopKNaive(terms []int, k int) []Result {
 		return nil
 	}
 	var out []Result
-	for _, p := range ix.postings[terms[0]] {
+	for _, p := range ix.Postings(terms[0]) {
 		var sum float64
 		ok := true
 		for _, t := range terms {
-			s, present := ix.random[t][p.Doc]
+			s, present := ix.Score(t, p.Doc)
 			if !present {
 				ok = false
 				break
@@ -301,18 +319,18 @@ func (ix *Index) TopKNaive(terms []int, k int) []Result {
 			out = append(out, Result{Doc: p.Doc, Score: sum})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return ranksBefore(out[i], out[j]) })
+	slices.SortFunc(out, rankCmp)
 	if len(out) > k {
 		out = out[:k]
 	}
 	return out
 }
 
-// ranksBefore is the rank order of postings and hits: score descending,
+// rankCmp is the rank order of postings and hits: score descending,
 // then doc ID ascending.
-func ranksBefore(a, b Result) bool {
-	if a.Score != b.Score {
-		return a.Score > b.Score
+func rankCmp(a, b Result) int {
+	if c := cmp.Compare(b.Score, a.Score); c != 0 {
+		return c
 	}
-	return a.Doc < b.Doc
+	return cmp.Compare(a.Doc, b.Doc)
 }

@@ -3,23 +3,38 @@ package index
 import (
 	"context"
 	"errors"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
 )
 
+// lists gathers (term, doc, score) postings for With, which takes each
+// term's list in ascending doc order.
+type lists map[int][]Posting
+
+func (l lists) add(term, doc int, score float64) {
+	l[term] = append(l[term], Posting{Doc: doc, Score: score})
+}
+
+func (l lists) index() *Index {
+	for _, list := range l {
+		slices.SortFunc(list, func(a, b Posting) int { return a.Doc - b.Doc })
+	}
+	return (*Index)(nil).With(slices.Collect(maps.Keys(l)), func(term int) []Posting { return l[term] })
+}
+
 func buildSmall() *Index {
-	ix := New()
+	l := lists{}
 	// term 0: docs 1,2,3 with scores 5,3,1
-	ix.Add(0, 1, 5)
-	ix.Add(0, 2, 3)
-	ix.Add(0, 3, 1)
+	l.add(0, 1, 5)
+	l.add(0, 2, 3)
+	l.add(0, 3, 1)
 	// term 1: docs 2,3,4 with scores 4,2,6
-	ix.Add(1, 2, 4)
-	ix.Add(1, 3, 2)
-	ix.Add(1, 4, 6)
-	ix.Finalize()
-	return ix
+	l.add(1, 2, 4)
+	l.add(1, 3, 2)
+	l.add(1, 4, 6)
+	return l.index()
 }
 
 func TestTopKSingleTerm(t *testing.T) {
@@ -62,47 +77,12 @@ func TestTopKZeroK(t *testing.T) {
 	}
 }
 
-func TestTopKPanicsBeforeFinalize(t *testing.T) {
-	ix := New()
-	ix.Add(0, 1, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	ix.TopK([]int{0}, 1, MissingExcludes)
-}
-
-func TestAddPanicsAfterFinalize(t *testing.T) {
-	ix := New()
-	ix.Finalize()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	ix.Add(0, 1, 1)
-}
-
-func TestAddOverwrites(t *testing.T) {
-	ix := New()
-	ix.Add(0, 7, 1)
-	ix.Add(0, 7, 9)
-	ix.Finalize()
-	if s, ok := ix.Score(0, 7); !ok || s != 9 {
-		t.Fatalf("Score = (%v,%v), want (9,true)", s, ok)
-	}
-	if len(ix.Postings(0)) != 1 {
-		t.Fatalf("duplicate Add created extra posting: %v", ix.Postings(0))
-	}
-}
-
 func TestPostingsSorted(t *testing.T) {
-	ix := New()
-	ix.Add(0, 1, 2)
-	ix.Add(0, 2, 8)
-	ix.Add(0, 3, 5)
-	ix.Finalize()
+	l := lists{}
+	l.add(0, 1, 2)
+	l.add(0, 2, 8)
+	l.add(0, 3, 5)
+	ix := l.index()
 	ps := ix.Postings(0)
 	for i := 1; i < len(ps); i++ {
 		if ps[i].Score > ps[i-1].Score {
@@ -129,17 +109,17 @@ func TestTopKMatchesNaiveRandom(t *testing.T) {
 	} {
 		rng := rand.New(rand.NewSource(91))
 		for iter := 0; iter < dist.iters; iter++ {
-			ix := New()
+			l := lists{}
 			nTerms := 1 + rng.Intn(4)
 			nDocs := 1 + rng.Intn(30)
 			for term := 0; term < nTerms; term++ {
 				for doc := 0; doc < nDocs; doc++ {
 					if rng.Intn(dist.skip) == 0 {
-						ix.Add(term, doc, dist.score(rng))
+						l.add(term, doc, dist.score(rng))
 					}
 				}
 			}
-			ix.Finalize()
+			ix := l.index()
 			var qterms []int
 			for term := 0; term < nTerms; term++ {
 				if rng.Intn(2) == 0 {
@@ -159,12 +139,12 @@ func TestTopKMatchesNaiveRandom(t *testing.T) {
 
 func TestTopKEarlyTermination(t *testing.T) {
 	// TA must not need to scan whole lists when k=1 and one doc dominates.
-	ix := New()
+	l := lists{}
 	for doc := 0; doc < 1000; doc++ {
-		ix.Add(0, doc, float64(1000-doc))
-		ix.Add(1, doc, float64(1000-doc))
+		l.add(0, doc, float64(1000-doc))
+		l.add(1, doc, float64(1000-doc))
 	}
-	ix.Finalize()
+	ix := l.index()
 	got := ix.TopK([]int{0, 1}, 1, MissingExcludes)
 	if len(got) != 1 || got[0].Doc != 0 || got[0].Score != 2000 {
 		t.Fatalf("got %+v", got)
@@ -173,15 +153,15 @@ func TestTopKEarlyTermination(t *testing.T) {
 
 func BenchmarkTopKTA(b *testing.B) {
 	rng := rand.New(rand.NewSource(92))
-	ix := New()
+	l := lists{}
 	for term := 0; term < 3; term++ {
 		for doc := 0; doc < 50000; doc++ {
 			if rng.Intn(4) == 0 {
-				ix.Add(term, doc, rng.Float64()*100)
+				l.add(term, doc, rng.Float64()*100)
 			}
 		}
 	}
-	ix.Finalize()
+	ix := l.index()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -199,14 +179,14 @@ func TestCursorStopsAtShortestList(t *testing.T) {
 		{7, long + 1, long + 2, long + 3, long + 4, long + 5},
 		{long + 1, 10, 20, 30, 40, 50},
 	} {
-		ix := New()
+		l := lists{}
 		for i, doc := range shortDocs {
-			ix.Add(0, doc, float64(i+1))
+			l.add(0, doc, float64(i+1))
 		}
 		for doc := 0; doc < long; doc++ {
-			ix.Add(1, doc, float64(doc%97))
+			l.add(1, doc, float64(doc%97))
 		}
-		ix.Finalize()
+		ix := l.index()
 		terms := []int{1, 0}
 		c := ix.Cursor(terms)
 		var got []Result
@@ -226,11 +206,11 @@ func TestCursorStopsAtShortestList(t *testing.T) {
 // a filter rejects every hit, so that Page itself pulls once: Where must
 // then stop the cursor early, not read all 5 000 postings.
 func TestPageCancelled(t *testing.T) {
-	ix := New()
+	l := lists{}
 	for doc := 0; doc < 5000; doc++ {
-		ix.Add(0, doc, float64(doc))
+		l.add(0, doc, float64(doc))
 	}
-	ix.Finalize()
+	ix := l.index()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	rejected := 0
@@ -245,5 +225,33 @@ func TestPageCancelled(t *testing.T) {
 	}
 	if rejected >= 5000 {
 		t.Errorf("the filter saw all %d hits of a cancelled pull", rejected)
+	}
+}
+
+// TestWithSharesCleanSegments: With rebuilds only the listed terms —
+// dropping one whose list is empty — shares every other term's postings
+// with the prior index, and leaves the prior index as it was.
+func TestWithSharesCleanSegments(t *testing.T) {
+	prior := buildSmall()
+	next := prior.With([]int{1, 2}, func(term int) []Posting {
+		if term == 2 {
+			return []Posting{{Doc: 3, Score: 1}, {Doc: 5, Score: 4}}
+		}
+		return nil
+	})
+	if next.Terms() != 2 || next.Postings(1) != nil || prior.Terms() != 2 || len(prior.Postings(1)) != 3 {
+		t.Fatalf("terms: next %d (term 1 %v), prior %d", next.Terms(), next.Postings(1), prior.Terms())
+	}
+	if &next.Postings(0)[0] != &prior.Postings(0)[0] {
+		t.Error("the clean term's postings were copied, not shared")
+	}
+	if want := []Posting{{Doc: 5, Score: 4}, {Doc: 3, Score: 1}}; !slices.Equal(next.Postings(2), want) {
+		t.Errorf("term 2 postings %v, want %v", next.Postings(2), want)
+	}
+	if s, ok := next.Score(2, 3); !ok || s != 1 {
+		t.Errorf("Score(2, 3) = %v, %v; want 1, true", s, ok)
+	}
+	if _, ok := next.Score(2, 4); ok {
+		t.Error("Score(2, 4) found a document term 2 does not hold")
 	}
 }

@@ -17,7 +17,12 @@
 // BuildFromPatterns builds one from an existing index.PatternSet instead
 // of re-mining — the set's Burstiness method is the kind's overlap
 // notion, taken from the kind table of internal/index — and retains the
-// set for filtered queries.
+// set for filtered queries. It reads each term's postings straight from
+// the collection (stream.Collection.Postings carries stream, time and
+// count). Engine.Refresh is the incremental form an ingest uses: it
+// rebuilds only the dirty terms' index segments and shares the rest with
+// the previous engine; BuildFromPatterns is a Refresh of an empty engine
+// over every term of the set.
 //
 // # Structured queries
 //

@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"stburst/internal/core"
+	"stburst/internal/gen"
+	"stburst/internal/index"
 	"stburst/internal/stream"
 )
 
@@ -133,4 +136,65 @@ func TestRemineDirtyCancel(t *testing.T) {
 		prevW, nil, nil, core.STLocalOptions{}, core.STCombOptions{}, nil, 2); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled re-mine = %v, want context.Canceled", err)
 	}
+}
+
+// TestRefreshMatchesBuild: refreshing an engine for the dirty terms of
+// an append yields, for every kind, the postings a from-scratch build
+// over the re-mined set holds.
+func TestRefreshMatchesBuild(t *testing.T) {
+	col := testCollection(t)
+	prev := []*index.PatternSet{index.EmptySet(index.KindRegional), index.EmptySet(index.KindCombinatorial), index.EmptySet(index.KindTemporal)}
+	prev, err := MineSets(context.Background(), col, col.Terms(), prev, &index.MineOptions{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var engines []*Engine
+	for _, ps := range prev {
+		engines = append(engines, BuildFromPatterns(col, ps))
+	}
+	dirty := appendTestBatch(t, col)
+	next, err := MineSets(context.Background(), col, dirty, prev, &index.MineOptions{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, ps := range next {
+		got, want := engines[k].Refresh(ps, dirty).Index(), BuildFromPatterns(col, ps).Index()
+		if got.Terms() != want.Terms() {
+			t.Errorf("%v: refreshed engine holds %d terms, built %d", ps.Kind(), got.Terms(), want.Terms())
+		}
+		for _, term := range col.Terms() {
+			if !slices.Equal(got.Postings(term), want.Postings(term)) {
+				t.Errorf("%v: term %d postings %v, built %v", ps.Kind(), term, got.Postings(term), want.Postings(term))
+			}
+		}
+	}
+}
+
+// BenchmarkEngineRefresh sets the full engine build against the refresh
+// an ingest pays — five dirty terms re-scored, every other term's
+// postings shared — on the generated Topix corpus of bench/'s xs size.
+func BenchmarkEngineRefresh(b *testing.B) {
+	tp, err := gen.NewTopix(gen.TopixConfig{Seed: 1, WeeklyArticles: 0.2, Vocab: 150, TokensPerArticle: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ps := index.NewWindowSet(mineWindows(tp.Col, core.STLocalOptions{}, 0))
+	terms := ps.Terms()
+	var dirty []int
+	for i := 0; i < 5; i++ {
+		dirty = append(dirty, terms[i*len(terms)/5])
+	}
+	b.Run("build", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			BuildFromPatterns(tp.Col, ps)
+		}
+	})
+	eng := BuildFromPatterns(tp.Col, ps)
+	b.Run("refresh5", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			eng.Refresh(ps, dirty)
+		}
+	})
 }

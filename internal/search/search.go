@@ -28,28 +28,35 @@ func (e *Engine) Index() *index.Index { return e.idx }
 
 // BuildFromPatterns indexes the collection against an already-mined
 // pattern set of any kind — the engine-build path that consults the
-// pattern index instead of re-mining the corpus. For every term and every
-// document containing it, the per-term score relevance × burstiness is
-// added when the document overlaps at least one pattern of the term, the
-// burstiness being the set's own (the kind's overlap notion; Eq. 11: no
-// overlap means the document does not participate for this term). The
-// engine retains the pattern set to answer spatiotemporally filtered
-// queries (Query.Region / Query.Span).
+// pattern index instead of re-mining the corpus: a Refresh of an empty
+// engine for every term of the set. The engine retains the pattern set
+// to answer spatiotemporally filtered queries (Query.Region /
+// Query.Span).
 func BuildFromPatterns(col *stream.Collection, ps *index.PatternSet) *Engine {
+	return (&Engine{col: col, points: col.Points()}).Refresh(ps, ps.Terms())
+}
+
+// Refresh returns the engine over ps, a pattern set whose dirty terms —
+// and only those — differ from e's set or gained documents since e was
+// built. Each dirty term's posting list is rebuilt: for every document
+// containing the term, the per-term score relevance × burstiness is kept
+// when the document overlaps at least one pattern of the term, the
+// burstiness being the set's own (the kind's overlap notion; Eq. 11: no
+// overlap means the document does not participate for this term). Every
+// other term's list is shared with e, which keeps serving unmodified.
+func (e *Engine) Refresh(ps *index.PatternSet, dirty []int) *Engine {
 	b := ps.Burstiness()
-	ix := index.New()
-	for _, term := range col.Terms() {
-		ids, freqs := col.TermDocs(term)
-		for i, docID := range ids {
-			d := col.Doc(docID)
-			bs, ok := b(term, d.Stream, d.Time)
+	idx := e.idx.With(dirty, func(term int) []index.Posting {
+		var list []index.Posting
+		for _, p := range e.col.Postings(term) {
+			bs, ok := b(term, int(p.Stream), int(p.Time))
 			if !ok || bs <= 0 {
 				continue
 			}
-			rel := math.Log(float64(freqs[i]) + 1)
-			ix.Add(term, docID, rel*bs)
+			rel := math.Log(float64(p.Count) + 1)
+			list = append(list, index.Posting{Doc: int(p.Doc), Score: rel * bs})
 		}
-	}
-	ix.Finalize()
-	return &Engine{col: col, idx: ix, ps: ps, points: col.Points()}
+		return list
+	})
+	return &Engine{col: e.col, idx: idx, ps: ps, points: e.points}
 }

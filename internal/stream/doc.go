@@ -6,8 +6,9 @@
 // Collection stores documents as packed posting lists and derives the
 // views every other layer consumes: the per-term frequency surfaces
 // D_x[i][t] of Eq. 6 for the pattern miners, the merged single-stream
-// series for the temporal-only TB baseline of §6.3, and the per-term
-// document/frequency pairs for the search engine's indexer. Dictionary
+// series for the temporal-only TB baseline of §6.3, and each term's
+// packed postings (document, stream, time, count) in ascending document
+// order for the search engine's indexer. Dictionary
 // interns terms to the dense integer IDs used throughout the repository —
 // including inside persisted pattern-index snapshots, which is why
 // loaders that rebuild a collection from a corpus file must intern
@@ -17,7 +18,7 @@
 //
 // Loading (AddTokens, AddCounts, SetRetainCounts, Dictionary.ID) must
 // happen from a single goroutine. Once loading is done, every read path —
-// Surface, MergedSeries, TermDocs, Terms, Doc, Dict().Lookup/Term, and
+// Surface, MergedSeries, Postings, Terms, Doc, Dict().Lookup/Term, and
 // the rest of the accessors — is safe for unlimited concurrent use: the
 // corpus-wide batch miners read one collection from many workers at once,
 // and a serving process answers queries over it from many requests.

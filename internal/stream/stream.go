@@ -82,14 +82,14 @@ func (d *Dictionary) clone() *Dictionary {
 	return &Dictionary{ids: ids, terms: d.terms}
 }
 
-// posting records one (document, stream, time, count) occurrence of a
+// Posting records one (document, stream, time, count) occurrence of a
 // term. Fields are packed: corpora at the paper's scale (305k articles,
 // ~9M postings) stay in tens of megabytes.
-type posting struct {
-	doc    int32
-	stream int32
-	time   int32
-	count  int32
+type Posting struct {
+	Doc    int32
+	Stream int32
+	Time   int32
+	Count  int32
 }
 
 // state is one immutable-once-published snapshot of the collection's
@@ -99,7 +99,7 @@ type posting struct {
 type state struct {
 	dict     *Dictionary
 	docs     []Document
-	postings map[int][]posting // term ID -> occurrences
+	postings map[int][]Posting // term ID -> occurrences
 }
 
 // Collection is a spatiotemporal document collection: n streams observed
@@ -108,7 +108,7 @@ type state struct {
 // Concurrency: the initial load (AddTokens/AddCounts/AddStringCounts,
 // SetRetainCounts and Dictionary.ID) must happen from a single goroutine
 // with no concurrent readers, exactly as before. Once loading is done,
-// every read path — Surface, MergedSeries, TermDocs, Terms, Doc,
+// every read path — Surface, MergedSeries, Postings, Terms, Doc,
 // Dict().Lookup/Term, and the rest of the accessors — is safe for
 // unlimited concurrent use, and Append may publish further documents
 // while those reads run: each reader operation sees one atomic snapshot
@@ -136,7 +136,7 @@ func NewCollection(streams []Info, length int) *Collection {
 	}
 	c.st.Store(&state{
 		dict:     NewDictionary(),
-		postings: make(map[int][]posting),
+		postings: make(map[int][]Posting),
 	})
 	return c
 }
@@ -282,11 +282,11 @@ func (c *Collection) addCounts(streamIdx, time int, counts map[int]int) int {
 	}
 	st.docs = append(st.docs, doc)
 	for term, n := range counts {
-		st.postings[term] = append(st.postings[term], posting{
-			doc:    int32(id),
-			stream: int32(streamIdx),
-			time:   int32(time),
-			count:  int32(n),
+		st.postings[term] = append(st.postings[term], Posting{
+			Doc:    int32(id),
+			Stream: int32(streamIdx),
+			Time:   int32(time),
+			Count:  int32(n),
 		})
 	}
 	return id
@@ -346,7 +346,7 @@ func (c *Collection) Append(docs []AppendDoc) (firstID int, dirty []int, err err
 		// length it was published with, so writes land either past every
 		// visible length (shared backing array) or in a fresh copy.
 		docs:     cur.docs,
-		postings: make(map[int][]posting, len(cur.postings)),
+		postings: make(map[int][]Posting, len(cur.postings)),
 	}
 	for t, ps := range cur.postings {
 		next.postings[t] = ps
@@ -365,11 +365,11 @@ func (c *Collection) Append(docs []AppendDoc) (firstID int, dirty []int, err err
 		// posting order — and with it every downstream fingerprint — is
 		// deterministic across replays.
 		for _, tid := range ids {
-			next.postings[tid] = append(next.postings[tid], posting{
-				doc:    int32(id),
-				stream: int32(d.Stream),
-				time:   int32(d.Time),
-				count:  int32(counts[tid]),
+			next.postings[tid] = append(next.postings[tid], Posting{
+				Doc:    int32(id),
+				Stream: int32(d.Stream),
+				Time:   int32(d.Time),
+				Count:  int32(counts[tid]),
 			})
 			dirtySet[tid] = struct{}{}
 		}
@@ -418,10 +418,10 @@ func (c *Collection) Checksum() string {
 		ps := st.postings[t]
 		w(uint64(len(ps)))
 		for _, p := range ps {
-			w(uint64(p.doc))
-			w(uint64(p.stream))
-			w(uint64(p.time))
-			w(uint64(p.count))
+			w(uint64(p.Doc))
+			w(uint64(p.Stream))
+			w(uint64(p.Time))
+			w(uint64(p.Count))
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -449,7 +449,7 @@ func (c *Collection) Surface(term int) [][]float64 {
 		surface[x], flat = flat[:c.length], flat[c.length:]
 	}
 	for _, p := range st.postings[term] {
-		surface[p.stream][p.time] += float64(p.count)
+		surface[p.Stream][p.Time] += float64(p.Count)
 	}
 	return surface
 }
@@ -461,20 +461,13 @@ func (c *Collection) MergedSeries(term int) []float64 {
 	st := c.st.Load()
 	series := make([]float64, c.length)
 	for _, p := range st.postings[term] {
-		series[p.time] += float64(p.count)
+		series[p.Time] += float64(p.Count)
 	}
 	return series
 }
 
-// TermDocs returns the IDs of all documents containing the term together
-// with freq(term, d), in insertion order.
-func (c *Collection) TermDocs(term int) (ids []int, freqs []int) {
-	ps := c.st.Load().postings[term]
-	ids = make([]int, len(ps))
-	freqs = make([]int, len(ps))
-	for i, p := range ps {
-		ids[i] = int(p.doc)
-		freqs[i] = int(p.count)
-	}
-	return ids, freqs
-}
+// Postings returns a term's occurrences in ascending document order
+// (documents are added and appended in ID order); nil for an unknown
+// term. The slice is shared with the collection: callers must not
+// modify it.
+func (c *Collection) Postings(term int) []Posting { return c.st.Load().postings[term] }

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"stburst/internal/geo"
@@ -142,15 +143,20 @@ func TestTermDocsAndDocFreq(t *testing.T) {
 	term := c.Dict().ID("quake")
 	id0, _ := c.AddCounts(0, 0, map[int]int{term: 2})
 	id1, _ := c.AddCounts(1, 1, map[int]int{term: 7})
-	ids, freqs := c.TermDocs(term)
-	if len(ids) != 2 || ids[0] != id0 || ids[1] != id1 {
-		t.Fatalf("ids = %v, want [%d %d]", ids, id0, id1)
+	id2, _, err := c.Append([]AppendDoc{{Stream: 0, Time: 3, Counts: map[string]int{"quake": 1}}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if freqs[0] != 2 || freqs[1] != 7 {
-		t.Fatalf("freqs = %v, want [2 7]", freqs)
+	want := []Posting{
+		{Doc: int32(id0), Stream: 0, Time: 0, Count: 2},
+		{Doc: int32(id1), Stream: 1, Time: 1, Count: 7},
+		{Doc: int32(id2), Stream: 0, Time: 3, Count: 1},
 	}
-	if ids, _ := c.TermDocs(999); len(ids) != 0 {
-		t.Fatalf("unknown term has documents %v, want none", ids)
+	if got := c.Postings(term); !slices.Equal(got, want) {
+		t.Fatalf("postings = %v, want %v", got, want)
+	}
+	if ps := c.Postings(999); len(ps) != 0 {
+		t.Fatalf("unknown term has postings %v, want none", ps)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"stburst/internal/index"
 	"stburst/internal/interval"
@@ -218,8 +219,7 @@ type PatternIndex struct {
 	c   *Collection
 	set *index.PatternSet
 
-	engOnce sync.Once
-	eng     *Engine
+	eng atomic.Pointer[Engine] // built on first use, or warmed by a store refresh
 
 	fpOnce sync.Once
 	fp     string
@@ -364,13 +364,32 @@ func attachSnapshot(snap *index.Snapshot, c *Collection) (*PatternIndex, error) 
 }
 
 // Engine returns a search engine answering queries from the stored
-// patterns. The engine is built on first use and cached; no call ever
-// re-mines the corpus. It is safe to call concurrently.
+// patterns. The engine is built on first use — unless the store's ingest
+// path already derived it from the previous generation's engine — and
+// cached; no call ever re-mines the corpus. It is safe to call
+// concurrently: every caller gets the same engine, though concurrent
+// first callers may each build one.
 func (ix *PatternIndex) Engine() *Engine {
-	ix.engOnce.Do(func() {
-		ix.eng = &Engine{c: ix.c, eng: search.BuildFromPatterns(ix.c.col, ix.set), kind: ix.PatternKind()}
-	})
-	return ix.eng
+	if e := ix.eng.Load(); e != nil {
+		return e
+	}
+	ix.eng.CompareAndSwap(nil, &Engine{c: ix.c, eng: search.BuildFromPatterns(ix.c.col, ix.set), kind: ix.PatternKind()})
+	return ix.eng.Load()
+}
+
+// successor returns the index over set, the re-mine of ix's set for the
+// dirty terms, with its engine warmed before any query can reach it: a
+// Refresh of ix's engine, which rebuilds only the dirty terms' posting
+// lists and shares the rest, or — when ix's engine was never built —
+// one build from set itself.
+func (ix *PatternIndex) successor(set *index.PatternSet, dirty []int) *PatternIndex {
+	next := &PatternIndex{c: ix.c, set: set}
+	if e := ix.eng.Load(); e != nil {
+		next.eng.Store(&Engine{c: ix.c, eng: e.eng.Refresh(set, dirty), kind: e.kind})
+	} else {
+		next.Engine()
+	}
+	return next
 }
 
 // Search retrieves the top-k documents for a free-text query against the

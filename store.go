@@ -396,12 +396,15 @@ var ErrIngestIncomplete = errors.New("stburst: ingest appended documents but the
 // documents to the collection and incrementally refreshes every resident
 // index — only the dirty terms (those whose frequency surfaces the batch
 // changed, including brand-new terms) are re-mined, per resident kind,
-// on one shared worker pool. The refreshed indexes are warmed and then
-// installed with the same atomic install a reload uses, so concurrent
-// queries never block and never observe a torn resident set; the
-// refreshed indexes are bit-identical to a from-scratch MineStore over
-// the appended collection (the per-term miners are independent, and the
-// oracle tests assert fingerprint equality for every kind).
+// on one shared worker pool. Each refreshed index's search engine is
+// derived from the resident one's by rebuilding only the dirty terms'
+// posting lists (search.Engine.Refresh; clean terms' lists are shared
+// across generations), and the warmed indexes are then installed with
+// the same atomic install a reload uses, so concurrent queries never
+// block and never observe a torn resident set. The refreshed indexes and
+// engines are bit-identical to a from-scratch MineStore over the
+// appended collection (the per-term miners and posting lists are
+// independent, and the oracle tests assert equality for every kind).
 //
 // Re-mining uses the options recorded by Collection.MineStore or
 // SetMineOptions — they must match the resident indexes' original mining
@@ -524,9 +527,11 @@ func (s *Store) refreshLocked(ctx context.Context, resident *residentSet, dirty 
 		opts = &MineOptions{}
 	}
 	var prev []*index.PatternSet
+	var prevIx []*PatternIndex
 	for _, ix := range resident {
 		if ix != nil {
 			prev = append(prev, ix.set)
+			prevIx = append(prevIx, ix)
 		}
 	}
 	if len(prev) == 0 {
@@ -538,8 +543,7 @@ func (s *Store) refreshLocked(ctx context.Context, resident *residentSet, dirty 
 	}
 	fresh := make([]*PatternIndex, len(sets))
 	for i, set := range sets {
-		fresh[i] = &PatternIndex{c: s.c, set: set}
-		fresh[i].Engine() // warm before the swap: no query pays the build
+		fresh[i] = prevIx[i].successor(set, dirty)
 	}
 	if err := s.replaceLocked(fresh...); err != nil {
 		return true, err

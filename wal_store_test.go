@@ -129,6 +129,7 @@ func TestWALRecoveryMatchesLiveStore(t *testing.T) {
 	}
 	mustIngest(t, s1, liveBatch())
 	mustIngest(t, s1, secondBatch())
+	assertEnginesFresh(t, s1)
 	want := captureState(s1)
 	// Crash: the WAL is deliberately not closed.
 
@@ -154,6 +155,7 @@ func TestWALRecoveryMatchesLiveStore(t *testing.T) {
 	if w2.LastSeq() != 3 {
 		t.Fatalf("LastSeq after post-recovery ingest = %d, want 3", w2.LastSeq())
 	}
+	assertEnginesFresh(t, s2)
 	c3 := twoBurstCollection(t)
 	w3 := mustOpenWAL(t, dir)
 	if rep3, err := c3.ReplayWAL(ctx, w3); err != nil || rep3.Batches != 3 {
