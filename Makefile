@@ -8,8 +8,8 @@
 #   make race        # concurrency suite under the race detector
 #   make bench       # the per-package go-test micro-benchmarks
 #   make bench-check # vet + test the bench/ module (the BENCHMARK.json harness)
-#   make fuzz-smoke  # 10 s of native fuzzing at each of six targets: the artifact decoders, TA cursor,
-#                    # KindAny merge, WAL segment scan and feed line framing
+#   make fuzz-smoke  # 10 s of native fuzzing at each of eight targets: the artifact decoders, TA cursor,
+#                    # KindAny merge, WAL segment scan, feed line framing and the two miner kernels
 #   make verify      # tier-1 + race: what CI should run
 #   make bundle      # stgen a corpus (if missing) and stmine all three kinds into $(BUNDLE)
 #   make serve       # stserve the bundle on $(ADDR)
@@ -91,6 +91,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryKinds$$' -fuzztime 10s -fuzzminimizetime 0 .
 	$(GO) test -run '^$$' -fuzz '^FuzzWALOpen$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzLineReader$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/connector
+	$(GO) test -run '^$$' -fuzz '^FuzzMaxRect$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/discrepancy
+	$(GO) test -run '^$$' -fuzz '^FuzzTopCliques$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/interval
 
 verify: test race
 

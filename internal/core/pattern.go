@@ -102,19 +102,17 @@ func (w Window) SubWindowOf(o Window) bool {
 // ties broken by earlier start and smaller region.
 func FilterMaximal(windows []Window) []Window {
 	out := make([]Window, 0, len(windows))
-	for i, w := range windows {
+	for i := range windows {
+		w := &windows[i]
 		dominated := false
-		for j, o := range windows {
-			if i == j {
-				continue
-			}
-			if w.SubWindowOf(o) && o.Score > w.Score {
+		for j := range windows {
+			if o := &windows[j]; o.Score > w.Score && w.SubWindowOf(*o) {
 				dominated = true
 				break
 			}
 		}
 		if !dominated {
-			out = append(out, w)
+			out = append(out, *w)
 		}
 	}
 	SortWindows(out)

@@ -7,24 +7,47 @@ import (
 	"stburst/internal/geo"
 )
 
-// RectFinder returns the maximum-weight rectangle over a weighted point
-// set, playing the role of the Dobkin et al. module in Algorithm 1.
-// Implementations must honour -Inf blocker weights: a reported rectangle
-// containing a blocker must score -Inf. Implementations must also be
-// safe for concurrent use — stateless per call — since one finder value
-// is shared by every worker of a corpus-wide batch run (ExactFinder and
-// GridFinder both qualify: they read only their arguments).
-type RectFinder func(pts []discrepancy.WeightedPoint) (discrepancy.Rectangle, bool)
+// RectFinder makes the rectangle finder of one miner over its fixed
+// stream locations, in the shape of expect.Factory: the miner's streams
+// never move, only their weights change, so a finder may sort or index
+// the points once and keep scratch between calls. The returned function
+// plays the role of the Dobkin et al. module in Algorithm 1: given
+// weights[x] for every point x, it returns the maximum-weight rectangle,
+// whose Points index the weights. It must honour -Inf blocker weights —
+// a reported rectangle containing a blocker must score -Inf — and the
+// Points slice it returns is only valid until its next call.
+//
+// Concurrency: a RectFinder is shared by every miner of a corpus-wide
+// batch run and must be safe to call concurrently (ExactFinder and
+// GridFinder read only their arguments); each finder it returns is a
+// private instance, and NewSTLocal makes one per miner.
+type RectFinder func(points []geo.Point) func(weights []float64) (discrepancy.Rectangle, bool)
 
 // ExactFinder returns the exact maximum-weight rectangle finder.
-func ExactFinder() RectFinder { return discrepancy.MaxRect }
+func ExactFinder() RectFinder {
+	return func(points []geo.Point) func([]float64) (discrepancy.Rectangle, bool) {
+		return discrepancy.NewFinder(points).MaxRect
+	}
+}
 
 // GridFinder returns a rectangle finder that aggregates points into a
 // grid×grid partition of bounds — the granularity mechanism of §2 of the
 // paper, which keeps STLocal near-linear for very large stream counts.
 func GridFinder(bounds geo.Rect, grid int) RectFinder {
-	return func(pts []discrepancy.WeightedPoint) (discrepancy.Rectangle, bool) {
-		return discrepancy.GridMaxRect(pts, bounds, grid)
+	return func(points []geo.Point) func([]float64) (discrepancy.Rectangle, bool) {
+		pts := make([]discrepancy.WeightedPoint, len(points))
+		for i, p := range points {
+			pts[i] = discrepancy.WeightedPoint{X: p.X, Y: p.Y}
+		}
+		return func(weights []float64) (discrepancy.Rectangle, bool) {
+			if len(weights) != len(pts) {
+				panic("core: grid finder weight count differs from point count")
+			}
+			for i, w := range weights {
+				pts[i].W = w
+			}
+			return discrepancy.GridMaxRect(pts, bounds, grid)
+		}
 	}
 }
 
@@ -42,21 +65,17 @@ type BurstyRect struct {
 // it contains (eliminating overlap among reported rectangles), and stops
 // as soon as the best remaining rectangle scores at or below zero. The
 // returned rectangles are stream-disjoint and all score positively; there
-// are at most len(points) of them.
+// are at most len(weights) of them.
 //
 // weights[x] is B(t, D_x[i]) for stream x at the current snapshot
-// (Eq. 7). points and weights must have equal length.
-func RBursty(points []geo.Point, weights []float64, finder RectFinder) []BurstyRect {
-	if len(points) != len(weights) {
-		panic("core: RBursty points/weights length mismatch")
-	}
-	pts := make([]discrepancy.WeightedPoint, len(points))
-	for i, p := range points {
-		pts[i] = discrepancy.WeightedPoint{X: p.X, Y: p.Y, W: weights[i]}
-	}
+// (Eq. 7); find is a finder a RectFinder made over the streams'
+// locations. weights is not modified.
+func RBursty(weights []float64, find func([]float64) (discrepancy.Rectangle, bool)) []BurstyRect {
+	w := make([]float64, len(weights))
+	copy(w, weights)
 	var out []BurstyRect
-	for iter := 0; iter <= len(points); iter++ {
-		r, ok := finder(pts)
+	for iter := 0; iter <= len(w); iter++ {
+		r, ok := find(w)
 		if !ok || r.Score <= 0 || math.IsInf(r.Score, -1) {
 			break
 		}
@@ -64,7 +83,7 @@ func RBursty(points []geo.Point, weights []float64, finder RectFinder) []BurstyR
 		copy(streams, r.Points)
 		out = append(out, BurstyRect{Rect: r.Rect, Streams: streams, Score: r.Score})
 		for _, i := range r.Points {
-			pts[i].W = math.Inf(-1)
+			w[i] = math.Inf(-1)
 		}
 	}
 	return out

@@ -17,7 +17,7 @@ func line(n int) []geo.Point {
 }
 
 func TestRBurstyEmpty(t *testing.T) {
-	if got := RBursty(nil, nil, ExactFinder()); got != nil {
+	if got := RBursty(nil, ExactFinder()(nil)); got != nil {
 		t.Fatalf("empty input: got %v", got)
 	}
 }
@@ -25,24 +25,29 @@ func TestRBurstyEmpty(t *testing.T) {
 func TestRBurstyAllNegative(t *testing.T) {
 	pts := line(4)
 	w := []float64{-1, -2, -0.5, -3}
-	if got := RBursty(pts, w, ExactFinder()); got != nil {
+	if got := RBursty(w, ExactFinder()(pts)); got != nil {
 		t.Fatalf("all-negative weights: got %v", got)
 	}
 }
 
 func TestRBurstyMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on length mismatch")
-		}
-	}()
-	RBursty(line(3), []float64{1}, ExactFinder())
+	bounds := geo.Rect{MinX: 0, MinY: 0, MaxX: 3, MaxY: 1}
+	for name, finder := range map[string]RectFinder{"exact": ExactFinder(), "grid": GridFinder(bounds, 4)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s finder: expected panic on length mismatch", name)
+				}
+			}()
+			RBursty([]float64{1}, finder(line(3)))
+		}()
+	}
 }
 
 func TestRBurstySingleRegion(t *testing.T) {
 	pts := line(5)
 	w := []float64{-1, 2, 3, -1, -1}
-	rects := RBursty(pts, w, ExactFinder())
+	rects := RBursty(w, ExactFinder()(pts))
 	if len(rects) != 1 {
 		t.Fatalf("got %d rects, want 1: %+v", len(rects), rects)
 	}
@@ -60,7 +65,7 @@ func TestRBurstySplitsAcrossHeavyNegative(t *testing.T) {
 	// one rectangle or report several smaller ones.
 	pts := line(5)
 	w := []float64{2, -10, 3, -10, 1}
-	rects := RBursty(pts, w, ExactFinder())
+	rects := RBursty(w, ExactFinder()(pts))
 	if len(rects) != 3 {
 		t.Fatalf("got %d rects, want 3: %+v", len(rects), rects)
 	}
@@ -73,7 +78,7 @@ func TestRBurstySplitsAcrossHeavyNegative(t *testing.T) {
 func TestRBurstyMergesAcrossLightNegative(t *testing.T) {
 	pts := line(3)
 	w := []float64{2, -0.5, 3}
-	rects := RBursty(pts, w, ExactFinder())
+	rects := RBursty(w, ExactFinder()(pts))
 	if len(rects) != 1 {
 		t.Fatalf("got %d rects, want 1 merged: %+v", len(rects), rects)
 	}
@@ -98,7 +103,7 @@ func TestRBurstyInvariants(t *testing.T) {
 			pts[i] = geo.Point{X: rng.Float64() * 10, Y: rng.Float64() * 10}
 			w[i] = rng.NormFloat64()
 		}
-		rects := RBursty(pts, w, ExactFinder())
+		rects := RBursty(w, ExactFinder()(pts))
 		if len(rects) > n {
 			t.Fatalf("%d rects for %d streams", len(rects), n)
 		}
@@ -133,7 +138,7 @@ func TestRBurstyInvariants(t *testing.T) {
 func TestRBurstyIsolatedPositivesAllReported(t *testing.T) {
 	pts := []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 0, Y: 100}, {X: 100, Y: 100}}
 	w := []float64{1, 2, 3, 4}
-	rects := RBursty(pts, w, ExactFinder())
+	rects := RBursty(w, ExactFinder()(pts))
 	covered := 0
 	for _, r := range rects {
 		covered += len(r.Streams)
@@ -147,7 +152,7 @@ func TestRBurstyGridFinder(t *testing.T) {
 	bounds := geo.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
 	pts := []geo.Point{{X: 10, Y: 10}, {X: 12, Y: 11}, {X: 50, Y: 50}, {X: 90, Y: 90}}
 	w := []float64{2, 3, -6, 4}
-	rects := RBursty(pts, w, GridFinder(bounds, 10))
+	rects := RBursty(w, GridFinder(bounds, 10)(pts))
 	if len(rects) != 2 {
 		t.Fatalf("got %d rects, want 2: %+v", len(rects), rects)
 	}
@@ -169,7 +174,7 @@ func TestRBurstyGridBlockedCellsNotReused(t *testing.T) {
 	bounds := geo.Rect{MinX: 0, MinY: 0, MaxX: 30, MaxY: 30}
 	pts := []geo.Point{{X: 5, Y: 5}, {X: 15, Y: 5}, {X: 25, Y: 5}}
 	w := []float64{1, -5, 10}
-	rects := RBursty(pts, w, GridFinder(bounds, 3))
+	rects := RBursty(w, GridFinder(bounds, 3)(pts))
 	if len(rects) != 2 {
 		t.Fatalf("got %d rects, want 2: %+v", len(rects), rects)
 	}

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"stburst/internal/discrepancy"
 	"stburst/internal/expect"
 	"stburst/internal/geo"
 	"stburst/internal/maxseq"
@@ -15,16 +16,18 @@ import (
 // Concurrency: an options value may be shared by any number of concurrent
 // miners. Baseline is a factory precisely so that no baseline *instance*
 // is ever shared — every NewSTLocal call creates its own per-stream
-// instances — and Finder implementations must be stateless per call (both
-// provided finders are). Individual STLocal instances are NOT safe for
-// concurrent use; create one per goroutine (MineLocal does).
+// instances — and Finder is a factory for the same reason: every
+// NewSTLocal call makes its own finder over the miner's points.
+// Individual STLocal instances are NOT safe for concurrent use; create
+// one per goroutine (MineLocal does).
 type STLocalOptions struct {
 	// Baseline supplies the expected-frequency model E_x[i][t] of Eq. 7.
 	// nil uses the paper's default, the running mean over all earlier
 	// snapshots.
 	Baseline expect.Factory
-	// Finder locates the maximum r-score rectangle per R-Bursty
-	// iteration. nil uses the exact finder.
+	// Finder makes the miner's private rectangle finder, which locates
+	// the maximum r-score rectangle per R-Bursty iteration. nil uses the
+	// exact finder.
 	Finder RectFinder
 	// KeepDominated, when set, makes Windows return every per-region
 	// maximal segment without the cross-region maximality filter of
@@ -52,7 +55,7 @@ type STLocal struct {
 	points    []geo.Point
 	baselines []expect.Baseline
 	weights   []float64
-	finder    RectFinder
+	find      func([]float64) (discrepancy.Rectangle, bool)
 
 	// seqs answers "is this region already tracked?"; order holds the
 	// same open sequences in creation order. Every loop that can reach
@@ -89,7 +92,7 @@ func NewSTLocal(points []geo.Point, opts STLocalOptions) *STLocal {
 		points:    points,
 		baselines: baselines,
 		weights:   make([]float64, len(points)),
-		finder:    finder,
+		find:      finder(points),
 		seqs:      make(map[string]*sequence),
 	}
 }
@@ -105,7 +108,7 @@ func (s *STLocal) Push(observed []float64) error {
 		s.weights[x] = obs - s.baselines[x].Next(obs)
 	}
 	// Line 6: find this snapshot's bursty rectangles.
-	rects := RBursty(s.points, s.weights, s.finder)
+	rects := RBursty(s.weights, s.find)
 	s.totalRects += len(rects)
 	// Line 7: open a sequence for every newly seen region.
 	for _, r := range rects {

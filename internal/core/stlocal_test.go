@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"stburst/internal/expect"
+	"stburst/internal/gen"
 	"stburst/internal/geo"
 )
 
@@ -221,7 +222,7 @@ func (o *noPruneOracle) run(surface [][]float64) {
 		for x := 0; x < n; x++ {
 			weights[x] = surface[x][i] - baselines[x].Next(surface[x][i])
 		}
-		for _, r := range RBursty(o.pts, weights, ExactFinder()) {
+		for _, r := range RBursty(weights, ExactFinder()(o.pts)) {
 			key := streamsKey(r.Streams)
 			if _, ok := seqs[key]; !ok {
 				seqs[key] = &seq{streams: r.Streams, rect: r.Rect, start: i}
@@ -524,6 +525,28 @@ func BenchmarkSTLocalPush181(b *testing.B) {
 			obs[x] = rng.ExpFloat64()
 		}
 		if err := m.Push(obs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMineLocalHeavyTerm mines "w0000", the term STLocal spends the
+// most time on in the generated Topix corpus the benchmark calls xs (181
+// streams, 48 weeks).
+func BenchmarkMineLocalHeavyTerm(b *testing.B) {
+	tp, err := gen.NewTopix(gen.TopixConfig{Seed: 1, WeeklyArticles: 0.2, Vocab: 150, TokensPerArticle: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	term, ok := tp.Col.Dict().Lookup("w0000")
+	if !ok {
+		b.Fatal("the xs corpus has no term w0000")
+	}
+	surface, points := tp.Col.Surface(term), tp.Col.Points()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := MineLocal(surface, points, STLocalOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -312,11 +312,7 @@ func BenchmarkMaxRectSparse(b *testing.B) {
 		}
 		pts[i] = WeightedPoint{X: rng.Float64() * 100, Y: rng.Float64() * 100, W: w}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MaxRect(pts)
-	}
+	benchMaxRect(b, pts)
 }
 
 func BenchmarkMaxRectDense(b *testing.B) {
@@ -326,11 +322,32 @@ func BenchmarkMaxRectDense(b *testing.B) {
 	for i := range pts {
 		pts[i] = WeightedPoint{X: rng.Float64() * 100, Y: rng.Float64() * 100, W: rng.NormFloat64()}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MaxRect(pts)
-	}
+	benchMaxRect(b, pts)
+}
+
+// benchMaxRect times the one-call MaxRect, which builds a finder per
+// call, and a Finder made once and called again per iteration, as
+// R-Bursty calls its miner's finder.
+func benchMaxRect(b *testing.B, pts []WeightedPoint) {
+	b.Run("oneshot", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			MaxRect(pts)
+		}
+	})
+	b.Run("reused", func(b *testing.B) {
+		points := make([]geo.Point, len(pts))
+		w := make([]float64, len(pts))
+		for i, p := range pts {
+			points[i], w[i] = geo.Point{X: p.X, Y: p.Y}, p.W
+		}
+		f := NewFinder(points)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f.MaxRect(w)
+		}
+	})
 }
 
 func BenchmarkGridMaxRect128k(b *testing.B) {

@@ -8,10 +8,15 @@
 // per-stream bursty intervals (Proposition 1). Because intervals on a line
 // have the Helly property (Lemma 1), a clique is exactly a set of intervals
 // sharing a common stab point, so the maximum-weight clique is found by a
-// single sweep over interval endpoints in O(n log n).
+// single sweep over interval endpoints in O(n log n). Extracting k cliques
+// one after another sorts the endpoints once and sweeps the survivors
+// each round: O(n log n + k·n).
 package interval
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Interval is a closed interval [Start, End] of integer timestamps with an
 // associated weight (the temporal burstiness score B_T of the interval) and
@@ -83,6 +88,7 @@ type Clique struct {
 // clique exists (false only for an empty input). The clique is realized as
 // the set of intervals covering the best stab point; among equal-weight
 // stab points the earliest is chosen, so the result is deterministic.
+// It is the first round of TopCliques, taken whatever its weight.
 //
 // Interval weights must be positive (temporal burstiness scores always
 // are): with positive weights the heaviest clique is exactly the full set
@@ -92,35 +98,84 @@ func MaxWeightClique(intervals []Interval) (Clique, bool) {
 	if len(intervals) == 0 {
 		return Clique{}, false
 	}
-	// Sweep events: weight enters at Start, leaves after End.
-	type event struct {
-		pos   int
-		delta float64
+	return newSweep(intervals).round(), true
+}
+
+// TopCliques iteratively extracts the maximum-weight clique, each time
+// removing the intervals of the reported clique, exactly as §3 of the
+// paper obtains multiple non-overlapping combinatorial patterns.
+// Extraction stops after k cliques (k <= 0 means no limit), when no
+// intervals remain, or when the best remaining clique has non-positive
+// weight. Each round is MaxWeightClique over the remaining intervals, but
+// the sweep events are sorted once, so the whole extraction costs
+// O(n log n + k·n) rather than a sort per round.
+func TopCliques(intervals []Interval, k int) []Clique {
+	if len(intervals) == 0 {
+		return nil
 	}
-	events := make([]event, 0, 2*len(intervals))
-	for _, iv := range intervals {
-		events = append(events, event{iv.Start, iv.Weight}, event{iv.End + 1, -iv.Weight})
-	}
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].pos != events[j].pos {
-			return events[i].pos < events[j].pos
+	s := newSweep(intervals)
+	var out []Clique
+	for s.live > 0 && (k <= 0 || len(out) < k) {
+		c := s.round()
+		if c.Weight <= 0 {
+			break
 		}
-		// Removals before additions at the same coordinate never happen
-		// for distinct roles (removal is at End+1), but keep ordering
-		// stable for equal positions by applying additions first so the
-		// running sum at pos includes all intervals covering pos.
-		return events[i].delta > events[j].delta
+		out = append(out, c)
+	}
+	return out
+}
+
+// sweep is the stab-point sweep over a shrinking interval set: the
+// events of every interval sorted once, then filtered as rounds remove
+// intervals.
+type sweep struct {
+	intervals []Interval
+	events    []event // live intervals' events in sweep order
+	dead      []bool  // by index into intervals
+	live      int
+}
+
+// event is one end of an interval: its weight enters at Start and leaves
+// at End+1.
+type event struct {
+	pos   int
+	delta float64
+	iv    int // index into intervals
+}
+
+func newSweep(intervals []Interval) *sweep {
+	events := make([]event, 0, 2*len(intervals))
+	for i, iv := range intervals {
+		events = append(events, event{iv.Start, iv.Weight, i}, event{iv.End + 1, -iv.Weight, i})
+	}
+	// At one position additions come before removals. Events with equal
+	// position and delta may land in any order: they add the same value,
+	// so every running sum below is the same float whatever the order,
+	// and dropping a dead interval's events leaves the rest sorted.
+	slices.SortFunc(events, func(a, b event) int {
+		if a.pos != b.pos {
+			return cmp.Compare(a.pos, b.pos)
+		}
+		return cmp.Compare(b.delta, a.delta)
 	})
+	return &sweep{intervals: intervals, events: events, dead: make([]bool, len(intervals)), live: len(intervals)}
+}
+
+// round sweeps the live intervals, returns the clique at the heaviest
+// stab point (the earliest among equals) and removes its members. There
+// must be a live interval.
+func (s *sweep) round() Clique {
 	var (
 		cur      float64
 		best     float64
 		bestPos  int
 		haveBest bool
 	)
-	for k := 0; k < len(events); {
-		pos := events[k].pos
-		for k < len(events) && events[k].pos == pos {
-			cur += events[k].delta
+	ev := s.events
+	for k := 0; k < len(ev); {
+		pos := ev[k].pos
+		for k < len(ev) && ev[k].pos == pos {
+			cur += ev[k].delta
 			k++
 		}
 		if !haveBest || cur > best {
@@ -128,45 +183,22 @@ func MaxWeightClique(intervals []Interval) (Clique, bool) {
 		}
 	}
 	members := make([]Interval, 0, 4)
-	for _, iv := range intervals {
-		if iv.Contains(bestPos) {
+	for i, iv := range s.intervals {
+		if !s.dead[i] && iv.Contains(bestPos) {
 			members = append(members, iv)
+			s.dead[i] = true
 		}
 	}
+	s.live -= len(members)
+	kept := ev[:0]
+	for _, e := range ev {
+		if !s.dead[e.iv] {
+			kept = append(kept, e)
+		}
+	}
+	s.events = kept
 	start, end, _ := CommonSegment(members)
-	return Clique{Members: members, Start: start, End: end, Weight: best}, true
-}
-
-// TopCliques iteratively applies MaxWeightClique, each time removing the
-// intervals of the reported clique, exactly as §3 of the paper obtains
-// multiple non-overlapping combinatorial patterns. Extraction stops after
-// k cliques (k <= 0 means no limit), when no intervals remain, or when the
-// best remaining clique has non-positive weight.
-func TopCliques(intervals []Interval, k int) []Clique {
-	remaining := make([]Interval, len(intervals))
-	copy(remaining, intervals)
-	var out []Clique
-	for len(remaining) > 0 && (k <= 0 || len(out) < k) {
-		c, ok := MaxWeightClique(remaining)
-		if !ok || c.Weight <= 0 {
-			break
-		}
-		out = append(out, c)
-		taken := make(map[Interval]int, len(c.Members))
-		for _, m := range c.Members {
-			taken[m]++
-		}
-		next := remaining[:0]
-		for _, iv := range remaining {
-			if n := taken[iv]; n > 0 {
-				taken[iv] = n - 1
-				continue
-			}
-			next = append(next, iv)
-		}
-		remaining = next
-	}
-	return out
+	return Clique{Members: members, Start: start, End: end, Weight: best}
 }
 
 // MaxWeightCliqueBrute solves the maximum-weight clique problem by

@@ -290,3 +290,22 @@ func BenchmarkMaxWeightClique(b *testing.B) {
 		MaxWeightClique(intervals)
 	}
 }
+
+// BenchmarkTopCliques extracts every positive clique from the interval
+// graph STComb builds on a 181-stream, 48-week corpus: three bursty
+// intervals per stream, up to eight weeks long.
+func BenchmarkTopCliques(b *testing.B) {
+	rng := rand.New(rand.NewSource(14))
+	var intervals []Interval
+	for x := 0; x < 181; x++ {
+		for j := 0; j < 3; j++ {
+			a := rng.Intn(48)
+			intervals = append(intervals, Interval{Start: a, End: min(a+rng.Intn(8), 47), Weight: rng.Float64(), Stream: x})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		TopCliques(intervals, 0)
+	}
+}
