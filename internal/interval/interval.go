@@ -115,7 +115,7 @@ func TopCliques(intervals []Interval, k int) []Clique {
 	}
 	s := newSweep(intervals)
 	var out []Clique
-	for s.live > 0 && (k <= 0 || len(out) < k) {
+	for len(s.events) > 0 && (k <= 0 || len(out) < k) {
 		c := s.round()
 		if c.Weight <= 0 {
 			break
@@ -132,7 +132,6 @@ type sweep struct {
 	intervals []Interval
 	events    []event // live intervals' events in sweep order
 	dead      []bool  // by index into intervals
-	live      int
 }
 
 // event is one end of an interval: its weight enters at Start and leaves
@@ -158,7 +157,7 @@ func newSweep(intervals []Interval) *sweep {
 		}
 		return cmp.Compare(b.delta, a.delta)
 	})
-	return &sweep{intervals: intervals, events: events, dead: make([]bool, len(intervals)), live: len(intervals)}
+	return &sweep{intervals: intervals, events: events, dead: make([]bool, len(intervals))}
 }
 
 // round sweeps the live intervals, returns the clique at the heaviest
@@ -189,7 +188,6 @@ func (s *sweep) round() Clique {
 			s.dead[i] = true
 		}
 	}
-	s.live -= len(members)
 	kept := ev[:0]
 	for _, e := range ev {
 		if !s.dead[e.iv] {
