@@ -61,6 +61,10 @@ const BundleVersion = 4
 // maxBundleMembers bounds the member count: one slot per pattern kind.
 const maxBundleMembers = NumKinds
 
+// maxMemberPrealloc caps the buffer a member's declared length sizes up
+// front; a longer member grows it as it is read.
+const maxMemberPrealloc = 16 << 20
+
 // maxBundleSubs and maxBundleSubBytes bound the subscriptions block: a
 // count or length beyond them can only come from corrupted input and is
 // rejected before allocating.
@@ -104,15 +108,13 @@ func (b *Bundle) Write(w io.Writer, term func(id int) string) error {
 	if len(sets) == 0 || len(sets) > maxBundleMembers {
 		return fmt.Errorf("index: bundle needs 1..%d member sets, got %d", maxBundleMembers, len(sets))
 	}
-	members := make([]bytes.Buffer, len(sets))
+	members := make([][]byte, len(sets))
 	for i, s := range sets {
 		if i > 0 && sets[i-1].Kind() >= s.Kind() {
 			return fmt.Errorf("index: bundle members must be in ascending kind order (%v before %v)",
 				sets[i-1].Kind(), s.Kind())
 		}
-		if err := writeSnapshot(&members[i], s, term, b.Generation); err != nil {
-			return fmt.Errorf("index: encoding bundle member %v: %w", s.Kind(), err)
-		}
+		members[i] = encodeSnapshot(s, term, b.Generation)
 	}
 
 	le := binary.LittleEndian
@@ -139,20 +141,14 @@ func (b *Bundle) Write(w io.Writer, term func(id int) string) error {
 		head = append(head, blob...)
 	}
 	for i, s := range sets {
-		fp, err := hex.DecodeString(s.Fingerprint())
-		if err != nil {
-			return fmt.Errorf("index: encoding bundle fingerprint: %w", err)
-		}
+		fp := s.digest()
 		head = le.AppendUint32(head, uint32(s.Kind()))
-		head = le.AppendUint64(head, uint64(members[i].Len()))
-		head = append(head, fp...)
+		head = le.AppendUint64(head, uint64(len(members[i])))
+		head = append(head, fp[:]...)
 	}
 
 	h := sha256.New()
-	chunks := [][]byte{head}
-	for i := range members {
-		chunks = append(chunks, members[i].Bytes())
-	}
+	chunks := append([][]byte{head}, members...)
 	for _, c := range chunks {
 		h.Write(c)
 	}
@@ -313,16 +309,23 @@ func ReadStore(r io.Reader) (*Bundle, error) {
 
 	b.Snaps = make([]*Snapshot, count)
 	for i, entry := range manifest {
-		snap, err := ReadSnapshot(io.LimitReader(tr, int64(entry.length)))
+		// The buffer is sized from the declared length only up to a cap, so
+		// a corrupted length ends in a short read, never a large allocation.
+		// ReadFrom wants MinRead bytes free before each read, EOF included.
+		data := bytes.NewBuffer(make([]byte, 0, min(entry.length, maxMemberPrealloc)+bytes.MinRead))
+		if _, err := data.ReadFrom(io.LimitReader(tr, int64(entry.length))); err != nil {
+			return fail(err)
+		}
+		snap, err := decodeSnapshot(data.Bytes())
 		if err != nil {
 			return reject("index: reading bundle %v member: %w", entry.kind, err)
 		}
 		if got := snap.Set.Kind(); got != entry.kind {
 			return reject("index: bundle %v member actually holds %v patterns", entry.kind, got)
 		}
-		if got := snap.Set.Fingerprint(); got != hex.EncodeToString(entry.fingerprint[:]) {
-			return reject("index: bundle %v member fingerprint %.12s... does not match manifest %.12s...",
-				entry.kind, got, hex.EncodeToString(entry.fingerprint[:]))
+		if got := snap.Set.digest(); got != entry.fingerprint {
+			return reject("index: bundle %v member fingerprint %.6x... does not match manifest %.6x...",
+				entry.kind, got[:], entry.fingerprint[:])
 		}
 		b.Snaps[i] = snap
 	}
@@ -336,8 +339,12 @@ func ReadStore(r io.Reader) (*Bundle, error) {
 		return reject("index: bundle corrupted: stream checksum mismatch")
 	}
 	var trailing [1]byte
-	if _, err := io.ReadFull(r, trailing[:]); err != io.EOF {
+	switch _, err := io.ReadFull(r, trailing[:]); err {
+	case io.EOF:
+		return b, nil
+	case nil:
 		return reject("index: bundle has trailing data after checksum footer")
+	default:
+		return fail(err)
 	}
-	return b, nil
 }

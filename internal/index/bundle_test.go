@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
+	"io"
 	"os"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // orderedSets returns one set of each kind in the canonical bundle
@@ -176,6 +179,17 @@ func TestBundleRejectsTrailingData(t *testing.T) {
 	full := writeBundleBytes(t, orderedSets())
 	if _, _, err := ReadBundle(bytes.NewReader(append(bytes.Clone(full), 0))); err == nil {
 		t.Fatal("bundle with trailing garbage loaded without error")
+	}
+}
+
+// TestBundleReportsReadError checks that a reader failing after the whole
+// bundle is reported as that failure, not as trailing data.
+func TestBundleReportsReadError(t *testing.T) {
+	full := writeBundleBytes(t, orderedSets())
+	errRead := errors.New("device gone")
+	_, err := ReadStore(io.MultiReader(bytes.NewReader(full), iotest.ErrReader(errRead)))
+	if !errors.Is(err, errRead) {
+		t.Fatalf("ReadStore error = %v, want the reader's %v", err, errRead)
 	}
 }
 

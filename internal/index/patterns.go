@@ -4,8 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
 	"math"
+	"sync"
 
 	"stburst/internal/burst"
 	"stburst/internal/core"
@@ -23,6 +23,9 @@ type PatternSet struct {
 	byTerm   any   // map[int][]P over the kind's concrete pattern type P
 	terms    []int // term IDs with at least one pattern, ascending
 	patterns int   // total number of stored patterns
+
+	fpOnce sync.Once
+	fp     [32]byte // the canonical digest; see Fingerprint
 }
 
 // NewWindowSet wraps per-term STLocal windows. The map is adopted, not
@@ -130,60 +133,61 @@ func (s *PatternSet) Remine(col *stream.Collection, terms []int, o *MineOptions)
 	return kinds[s.kind].remine(s, col, terms, o)
 }
 
-// fieldWriter is the primitive encoder a stored pattern is written
-// through: Fingerprint and the snapshot writer emit the same field
-// sequence and differ only in how a count, an int and a float are
-// encoded.
-type fieldWriter interface {
-	count(n int)
-	int(v int)
-	float(v float64)
+// appender appends a pattern's stored fields to buf. Floats are always
+// their 8-byte IEEE-754 bit patterns. Counts and ints are the member
+// format's varints, or, with fixed set, 8-byte words: the fingerprint's
+// encoding, in which every value is its exact bit pattern.
+type appender struct {
+	buf   []byte
+	fixed bool
 }
 
-// encode emits one pattern's stored fields in the canonical order.
-func (k *Kind) encode(w fieldWriter, v *View) {
+func (a *appender) count(n int) {
+	if a.fixed {
+		a.int(n)
+		return
+	}
+	a.buf = binary.AppendUvarint(a.buf, uint64(n))
+}
+
+func (a *appender) int(v int) {
+	if a.fixed {
+		a.buf = binary.LittleEndian.AppendUint64(a.buf, uint64(int64(v)))
+		return
+	}
+	a.buf = binary.AppendVarint(a.buf, int64(v))
+}
+
+func (a *appender) float(v float64) {
+	a.buf = binary.LittleEndian.AppendUint64(a.buf, math.Float64bits(v))
+}
+
+// encode appends one pattern's stored fields in the canonical order.
+func (k *Kind) encode(a *appender, v *View) {
 	if k.Rect {
-		w.float(v.Rect.MinX)
-		w.float(v.Rect.MinY)
-		w.float(v.Rect.MaxX)
-		w.float(v.Rect.MaxY)
+		a.float(v.Rect.MinX)
+		a.float(v.Rect.MinY)
+		a.float(v.Rect.MaxX)
+		a.float(v.Rect.MaxY)
 	}
 	if k.Streams {
-		w.count(len(v.Streams))
+		a.count(len(v.Streams))
 		for _, x := range v.Streams {
-			w.int(x)
+			a.int(x)
 		}
 	}
-	w.int(v.Start)
-	w.int(v.End)
-	w.float(v.Score)
+	a.int(v.Start)
+	a.int(v.End)
+	a.float(v.Score)
 	if k.Intervals {
-		w.count(len(v.Intervals))
+		a.count(len(v.Intervals))
 		for _, iv := range v.Intervals {
-			w.int(iv.Stream)
-			w.int(iv.Start)
-			w.int(iv.End)
-			w.float(iv.Weight)
+			a.int(iv.Stream)
+			a.int(iv.Start)
+			a.int(iv.End)
+			a.float(iv.Weight)
 		}
 	}
-}
-
-// fingerprintWriter encodes every value by its exact 8-byte bit pattern.
-type fingerprintWriter struct {
-	h   hash.Hash
-	buf [8]byte
-}
-
-func (w *fingerprintWriter) count(n int) { w.int(n) }
-
-func (w *fingerprintWriter) int(v int) {
-	binary.LittleEndian.PutUint64(w.buf[:], uint64(int64(v)))
-	w.h.Write(w.buf[:])
-}
-
-func (w *fingerprintWriter) float(v float64) {
-	binary.LittleEndian.PutUint64(w.buf[:], math.Float64bits(v))
-	w.h.Write(w.buf[:])
 }
 
 // Fingerprint returns a hex SHA-256 digest over a canonical serialization
@@ -191,18 +195,33 @@ func (w *fingerprintWriter) float(v float64) {
 // every coordinate and score encoded by its exact bit pattern. Two sets
 // fingerprint equally iff their contents are identical, so the determinism
 // suite can assert byte-identical mining output across worker counts and
-// repeated runs with a single comparison.
+// repeated runs with a single comparison. The digest is computed on first
+// use and cached: the set is immutable, and serving paths (/v1/indexes,
+// /v1/stats) and every bundle save consult it.
 func (s *PatternSet) Fingerprint() string {
-	w := &fingerprintWriter{h: sha256.New()}
-	k := s.kind.Desc()
-	w.int(int(s.kind))
-	for _, t := range s.terms {
-		w.int(t)
-		vs := s.Views(t)
-		w.count(len(vs))
-		for i := range vs {
-			k.encode(w, &vs[i])
+	fp := s.digest()
+	return hex.EncodeToString(fp[:])
+}
+
+// digest is the raw fingerprint, computed once per set.
+func (s *PatternSet) digest() [32]byte {
+	s.fpOnce.Do(func() {
+		h := sha256.New()
+		a := appender{fixed: true}
+		k := s.kind.Desc()
+		a.int(int(s.kind))
+		for _, t := range s.terms {
+			a.int(t)
+			vs := s.Views(t)
+			a.count(len(vs))
+			for i := range vs {
+				k.encode(&a, &vs[i])
+			}
+			h.Write(a.buf)
+			a.buf = a.buf[:0]
 		}
-	}
-	return hex.EncodeToString(w.h.Sum(nil))
+		h.Write(a.buf) // the kind word of a set without terms
+		h.Sum(s.fp[:0])
+	})
+	return s.fp
 }

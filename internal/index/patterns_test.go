@@ -1,6 +1,8 @@
 package index
 
 import (
+	"bytes"
+	"sync"
 	"testing"
 
 	"stburst/internal/burst"
@@ -92,5 +94,62 @@ func TestFingerprintStableAndSensitive(t *testing.T) {
 	et := NewTemporalSet(nil)
 	if ew.Fingerprint() == et.Fingerprint() {
 		t.Fatal("kind must be part of the fingerprint")
+	}
+}
+
+// TestFingerprintConcurrentFirstUse has 8 goroutines ask a fresh set for
+// its fingerprint at once, and every caller must see the same one. A
+// decoded set's digest was filled by its decode; a re-interned or a
+// constructed set's is computed by whichever caller comes first.
+func TestFingerprintConcurrentFirstUse(t *testing.T) {
+	fresh := map[string]func() *PatternSet{
+		"decoded": func() *PatternSet {
+			var buf bytes.Buffer
+			if err := WriteSnapshot(&buf, combSet(), snapshotTerm); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := ReadSnapshot(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return snap.Set
+		},
+		"remapped": func() *PatternSet {
+			var buf bytes.Buffer
+			if err := WriteSnapshot(&buf, regionalSet(), snapshotTerm); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := ReadSnapshot(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			set, err := snap.Remap(snapshotLookup)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return set
+		},
+		"constructed": func() *PatternSet { return NewWindowSet(windowFixture()) },
+	}
+	for name, mk := range fresh {
+		t.Run(name, func(t *testing.T) {
+			want := mk().Fingerprint()
+			s := mk()
+			got := make([]string, 8)
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[i] = s.Fingerprint()
+				}()
+			}
+			wg.Wait()
+			for i, fp := range got {
+				if fp != want {
+					t.Errorf("goroutine %d read fingerprint %s, want %s", i, fp, want)
+				}
+			}
+		})
 	}
 }

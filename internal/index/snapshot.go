@@ -1,15 +1,15 @@
 package index
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
-	"hash"
 	"io"
 	"math"
+	"slices"
 
 	"stburst/internal/interval"
 )
@@ -56,44 +56,6 @@ type Snapshot struct {
 	Terms []string
 }
 
-// snapshotWriter serializes primitive values with the format's encodings,
-// feeding every payload byte through the stream checksum.
-type snapshotWriter struct {
-	w   *bufio.Writer
-	h   hash.Hash // nil once the payload ends and the footer begins
-	buf [binary.MaxVarintLen64]byte
-	err error
-}
-
-func (sw *snapshotWriter) bytes(p []byte) {
-	if sw.err == nil {
-		if sw.h != nil {
-			sw.h.Write(p)
-		}
-		_, sw.err = sw.w.Write(p)
-	}
-}
-
-func (sw *snapshotWriter) uvarint(v uint64) {
-	sw.bytes(sw.buf[:binary.PutUvarint(sw.buf[:], v)])
-}
-
-func (sw *snapshotWriter) count(n int) { sw.uvarint(uint64(n)) }
-
-func (sw *snapshotWriter) int(v int) {
-	sw.bytes(sw.buf[:binary.PutVarint(sw.buf[:], int64(v))])
-}
-
-func (sw *snapshotWriter) float(v float64) {
-	binary.LittleEndian.PutUint64(sw.buf[:8], math.Float64bits(v))
-	sw.bytes(sw.buf[:8])
-}
-
-func (sw *snapshotWriter) string(s string) {
-	sw.uvarint(uint64(len(s)))
-	sw.bytes([]byte(s))
-}
-
 // WriteSnapshot serializes a PatternSet to w as a member stream at
 // generation 0, resolving each interned term ID to its string through
 // term (normally Dictionary.Term). The trailing canonical SHA-256
@@ -102,132 +64,132 @@ func WriteSnapshot(w io.Writer, s *PatternSet, term func(id int) string) error {
 	return writeSnapshot(w, s, term, 0)
 }
 
-// writeSnapshot is the member encoder; Bundle.Write stamps every member
-// with the bundle's generation.
+// writeSnapshot writes one member stamped with generation gen.
 func writeSnapshot(w io.Writer, s *PatternSet, term func(id int) string, gen uint64) error {
-	sw := &snapshotWriter{w: bufio.NewWriter(w), h: sha256.New()}
-	sw.bytes([]byte(snapshotMagic))
-	binary.LittleEndian.PutUint32(sw.buf[:4], SnapshotVersion)
-	sw.bytes(sw.buf[:4])
-	binary.LittleEndian.PutUint32(sw.buf[:4], uint32(s.Kind()))
-	sw.bytes(sw.buf[:4])
-	binary.LittleEndian.PutUint64(sw.buf[:8], gen)
-	sw.bytes(sw.buf[:8])
-	sw.count(s.NumTerms())
-	k := s.Kind().Desc()
-	for _, id := range s.Terms() {
-		sw.uvarint(uint64(id))
-		sw.string(term(id))
-		vs := s.Views(id)
-		sw.count(len(vs))
-		for i := range vs {
-			k.encode(sw, &vs[i])
-		}
-	}
-	fp, err := hex.DecodeString(s.Fingerprint())
-	if err != nil {
-		return fmt.Errorf("index: encoding snapshot fingerprint: %w", err)
-	}
-	sum := sw.h.Sum(nil)
-	sw.h = nil // the footer is not part of its own checksum
-	sw.bytes(sum)
-	sw.bytes(fp)
-	if sw.err != nil {
-		return fmt.Errorf("index: writing snapshot: %w", sw.err)
-	}
-	if err := sw.w.Flush(); err != nil {
+	if _, err := w.Write(encodeSnapshot(s, term, gen)); err != nil {
 		return fmt.Errorf("index: writing snapshot: %w", err)
 	}
 	return nil
 }
 
-// snapshotReader decodes primitive values, converting any mid-stream EOF
-// into io.ErrUnexpectedEOF so truncation always reads as corruption, and
-// feeding every consumed payload byte through the stream checksum.
-type snapshotReader struct {
-	r   *bufio.Reader
-	h   hash.Hash // nil once the payload ends and the footer begins
+// encodeSnapshot is the member encoder: it builds the member in memory,
+// closes the payload with one checksum over its bytes and adds the set's
+// fingerprint. Bundle.Write stamps every member with the bundle's
+// generation.
+func encodeSnapshot(s *PatternSet, term func(id int) string, gen uint64) []byte {
+	le := binary.LittleEndian
+	a := appender{buf: []byte(snapshotMagic)}
+	a.buf = le.AppendUint32(a.buf, SnapshotVersion)
+	a.buf = le.AppendUint32(a.buf, uint32(s.Kind()))
+	a.buf = le.AppendUint64(a.buf, gen)
+	a.count(s.NumTerms())
+	k := s.Kind().Desc()
+	for _, id := range s.Terms() {
+		// Grow by doubling, as bytes.Buffer does: append grows a large
+		// slice by a quarter at a time, which copies a big member many
+		// more times and leaves more freed pages behind.
+		if cap(a.buf)-len(a.buf) < 4<<10 {
+			a.buf = slices.Grow(a.buf, len(a.buf)+4<<10)
+		}
+		t := term(id)
+		a.count(id)
+		a.count(len(t))
+		a.buf = append(a.buf, t...)
+		vs := s.Views(id)
+		a.count(len(vs))
+		for i := range vs {
+			k.encode(&a, &vs[i])
+		}
+	}
+	sum := sha256.Sum256(a.buf) // the footer is not part of its own checksum
+	fp := s.digest()
+	return append(append(a.buf, sum[:]...), fp[:]...)
+}
+
+// decoder reads a member's fields from its bytes in memory. The first
+// short or malformed field records err, and every later read returns a
+// zero value, so a truncated member always reads as corruption.
+type decoder struct {
+	p   []byte // the bytes not yet read
 	err error
 }
 
-// ReadByte implements io.ByteReader for binary.ReadUvarint/ReadVarint,
-// folding the consumed byte into the checksum.
-func (sr *snapshotReader) ReadByte() (byte, error) {
-	b, err := sr.r.ReadByte()
-	if err == nil && sr.h != nil {
-		sr.h.Write([]byte{b})
-	}
-	return b, err
-}
-
-func (sr *snapshotReader) fail(err error) {
-	if sr.err == nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		sr.err = err
+func (d *decoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
 	}
 }
 
-func (sr *snapshotReader) bytes(n int) []byte {
-	if sr.err != nil {
+func (d *decoder) bytes(n int) []byte {
+	if d.err != nil {
 		return nil
 	}
-	p := make([]byte, n)
-	if _, err := io.ReadFull(sr.r, p); err != nil {
-		sr.fail(err)
+	if n > len(d.p) {
+		d.fail(io.ErrUnexpectedEOF)
 		return nil
 	}
-	if sr.h != nil {
-		sr.h.Write(p)
-	}
+	p := d.p[:n:n]
+	d.p = d.p[n:]
 	return p
 }
 
-func (sr *snapshotReader) uvarint() uint64 {
-	if sr.err != nil {
+// varintErr is the error of a binary.Uvarint or binary.Varint that read
+// n <= 0 bytes.
+func varintErr(n int) error {
+	if n == 0 {
+		return io.ErrUnexpectedEOF
+	}
+	return errors.New("varint overflows a 64-bit integer")
+}
+
+func (d *decoder) uvarint() uint64 {
+	if d.err != nil {
 		return 0
 	}
-	v, err := binary.ReadUvarint(sr)
-	if err != nil {
-		sr.fail(err)
+	v, n := binary.Uvarint(d.p)
+	if n <= 0 {
+		d.fail(varintErr(n))
+		return 0
 	}
+	d.p = d.p[n:]
 	return v
 }
 
-func (sr *snapshotReader) varint() int {
-	if sr.err != nil {
+func (d *decoder) varint() int {
+	if d.err != nil {
 		return 0
 	}
-	v, err := binary.ReadVarint(sr)
-	if err != nil {
-		sr.fail(err)
+	v, n := binary.Varint(d.p)
+	if n <= 0 {
+		d.fail(varintErr(n))
+		return 0
 	}
+	d.p = d.p[n:]
 	return int(v)
 }
 
-func (sr *snapshotReader) float() float64 {
-	p := sr.bytes(8)
+func (d *decoder) float() float64 {
+	p := d.bytes(8)
 	if p == nil {
 		return 0
 	}
 	return math.Float64frombits(binary.LittleEndian.Uint64(p))
 }
 
-func (sr *snapshotReader) string() string {
-	n := sr.uvarint()
-	if sr.err == nil && n > maxSnapshotTermLen {
-		sr.fail(fmt.Errorf("term length %d exceeds limit", n))
+func (d *decoder) string() string {
+	n := d.uvarint()
+	if d.err == nil && n > maxSnapshotTermLen {
+		d.fail(fmt.Errorf("term length %d exceeds limit", n))
 	}
-	return string(sr.bytes(int(n)))
+	return string(d.bytes(int(n)))
 }
 
 // count validates a length prefix and returns a safe preallocation size:
 // corrupted prefixes must hit a decode error, never a huge allocation.
-func (sr *snapshotReader) count() (n int, prealloc int) {
-	v := sr.uvarint()
-	if sr.err == nil && v > math.MaxInt32 {
-		sr.fail(fmt.Errorf("element count %d exceeds limit", v))
+func (d *decoder) count() (n int, prealloc int) {
+	v := d.uvarint()
+	if d.err == nil && v > math.MaxInt32 {
+		d.fail(fmt.Errorf("element count %d exceeds limit", v))
 	}
 	if v > 4096 {
 		return int(v), 4096
@@ -237,33 +199,33 @@ func (sr *snapshotReader) count() (n int, prealloc int) {
 
 // decode reads one pattern's stored fields in the canonical order — the
 // mirror of encode.
-func (k *Kind) decode(sr *snapshotReader) View {
+func (k *Kind) decode(d *decoder) View {
 	var v View
 	if k.Rect {
-		v.Rect.MinX = sr.float()
-		v.Rect.MinY = sr.float()
-		v.Rect.MaxX = sr.float()
-		v.Rect.MaxY = sr.float()
+		v.Rect.MinX = d.float()
+		v.Rect.MinY = d.float()
+		v.Rect.MaxX = d.float()
+		v.Rect.MaxY = d.float()
 	}
 	if k.Streams {
-		n, prealloc := sr.count()
+		n, prealloc := d.count()
 		v.Streams = make([]int, 0, prealloc)
-		for i := 0; i < n && sr.err == nil; i++ {
-			v.Streams = append(v.Streams, sr.varint())
+		for i := 0; i < n && d.err == nil; i++ {
+			v.Streams = append(v.Streams, d.varint())
 		}
 	}
-	v.Start = sr.varint()
-	v.End = sr.varint()
-	v.Score = sr.float()
+	v.Start = d.varint()
+	v.End = d.varint()
+	v.Score = d.float()
 	if k.Intervals {
-		n, prealloc := sr.count()
+		n, prealloc := d.count()
 		v.Intervals = make([]interval.Interval, 0, prealloc)
-		for i := 0; i < n && sr.err == nil; i++ {
+		for i := 0; i < n && d.err == nil; i++ {
 			var iv interval.Interval
-			iv.Stream = sr.varint()
-			iv.Start = sr.varint()
-			iv.End = sr.varint()
-			iv.Weight = sr.float()
+			iv.Stream = d.varint()
+			iv.Start = d.varint()
+			iv.End = d.varint()
+			iv.Weight = d.float()
 			v.Intervals = append(v.Intervals, iv)
 		}
 	}
@@ -276,63 +238,73 @@ func (k *Kind) decode(sr *snapshotReader) View {
 // exactly, and no trailing bytes may follow the footer. Truncated or
 // corrupted input yields an error, never a silently damaged index.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	sr := &snapshotReader{r: bufio.NewReader(r), h: sha256.New()}
-	if magic := sr.bytes(len(snapshotMagic)); sr.err == nil && string(magic) != snapshotMagic {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("index: reading snapshot: %w", err)
+	}
+	return decodeSnapshot(data)
+}
+
+// decodeSnapshot is ReadSnapshot on a member's bytes.
+func decodeSnapshot(data []byte) (*Snapshot, error) {
+	d := &decoder{p: data}
+	if magic := d.bytes(len(snapshotMagic)); d.err == nil && string(magic) != snapshotMagic {
 		return nil, fmt.Errorf("index: not a pattern-index snapshot (bad magic %q)", magic)
 	}
 	var version, kindRaw uint32
-	if p := sr.bytes(4); p != nil {
+	if p := d.bytes(4); p != nil {
 		version = binary.LittleEndian.Uint32(p)
 	}
-	if sr.err == nil && version != SnapshotVersion {
+	if d.err == nil && version != SnapshotVersion {
 		return nil, fmt.Errorf("index: unsupported snapshot version %d (want %d)", version, SnapshotVersion)
 	}
-	if p := sr.bytes(4); p != nil {
+	if p := d.bytes(4); p != nil {
 		kindRaw = binary.LittleEndian.Uint32(p)
 	}
 	kind := PatternKind(kindRaw)
-	if sr.err == nil && !kind.Valid() {
+	if d.err == nil && !kind.Valid() {
 		return nil, fmt.Errorf("index: unknown snapshot pattern kind %d", kindRaw)
 	}
-	sr.bytes(8) // the generation: the bundle header's copy is the one read
+	d.bytes(8) // the generation: the bundle header's copy is the one read
 
-	numTerms, _ := sr.count()
+	numTerms, _ := d.count()
 	k := kind.Desc()
 	put, done := kinds[kind].build()
 	var terms []string
 	lastID := -1
-	for i := 0; i < numTerms && sr.err == nil; i++ {
-		id := int(sr.uvarint())
-		if sr.err == nil && id <= lastID {
-			sr.fail(fmt.Errorf("term IDs not strictly ascending (%d after %d)", id, lastID))
+	for i := 0; i < numTerms && d.err == nil; i++ {
+		id := int(d.uvarint())
+		if d.err == nil && id <= lastID {
+			d.fail(fmt.Errorf("term IDs not strictly ascending (%d after %d)", id, lastID))
 			break
 		}
 		lastID = id
-		terms = append(terms, sr.string())
-		n, prealloc := sr.count()
+		terms = append(terms, d.string())
+		n, prealloc := d.count()
 		vs := make([]View, 0, prealloc)
-		for j := 0; j < n && sr.err == nil; j++ {
-			vs = append(vs, k.decode(sr))
+		for j := 0; j < n && d.err == nil; j++ {
+			vs = append(vs, k.decode(d))
 		}
 		put(id, vs)
 	}
-	sum := sr.h.Sum(nil)
-	sr.h = nil // the footer is not part of its own checksum
-	storedSum := sr.bytes(32)
-	storedFP := sr.bytes(32)
-	if sr.err != nil {
-		return nil, fmt.Errorf("index: reading snapshot: %w", sr.err)
+	payload := data[:len(data)-len(d.p)]
+	storedSum := d.bytes(32)
+	storedFP := d.bytes(32)
+	if d.err != nil {
+		return nil, fmt.Errorf("index: reading snapshot: %w", d.err)
 	}
-	if _, err := sr.r.ReadByte(); err != io.EOF {
+	if len(d.p) != 0 {
 		return nil, fmt.Errorf("index: snapshot has trailing data after fingerprint footer")
 	}
-	if !bytes.Equal(sum, storedSum) {
+	if sum := sha256.Sum256(payload); !bytes.Equal(sum[:], storedSum) {
 		return nil, fmt.Errorf("index: snapshot corrupted: stream checksum mismatch")
 	}
+	// The fingerprint is recomputed from the decoded patterns, never taken
+	// from the stored bytes: this fills the set's cached digest.
 	set := done()
-	if got := set.Fingerprint(); got != hex.EncodeToString(storedFP) {
+	if fp := set.digest(); !bytes.Equal(fp[:], storedFP) {
 		return nil, fmt.Errorf("index: snapshot corrupted: content fingerprint %s does not match stored %s",
-			got, hex.EncodeToString(storedFP))
+			hex.EncodeToString(fp[:]), hex.EncodeToString(storedFP))
 	}
 	return &Snapshot{Set: set, Terms: terms}, nil
 }

@@ -2,9 +2,12 @@ package index
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"stburst/internal/burst"
 	"stburst/internal/core"
@@ -168,6 +171,20 @@ func TestSnapshotRejectsTrailingData(t *testing.T) {
 	buf.WriteByte(0)
 	if _, err := ReadSnapshot(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("snapshot with trailing garbage loaded without error")
+	}
+}
+
+// TestSnapshotReportsReadError checks that a reader failing after the
+// whole member is reported as that failure, not as trailing data.
+func TestSnapshotReportsReadError(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, temporalSet(), snapshotTerm); err != nil {
+		t.Fatal(err)
+	}
+	errRead := errors.New("device gone")
+	_, err := ReadSnapshot(io.MultiReader(&buf, iotest.ErrReader(errRead)))
+	if !errors.Is(err, errRead) {
+		t.Fatalf("ReadSnapshot error = %v, want the reader's %v", err, errRead)
 	}
 }
 

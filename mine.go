@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"stburst/internal/index"
@@ -220,9 +219,6 @@ type PatternIndex struct {
 	set *index.PatternSet
 
 	eng atomic.Pointer[Engine] // built on first use, or warmed by a store refresh
-
-	fpOnce sync.Once
-	fp     string
 }
 
 // Kind names the pattern type the index stores: "regional",
@@ -338,13 +334,8 @@ func (ix *PatternIndex) Patterns(term string, region *Rect, time *Timespan) []Pa
 // Fingerprint returns a hex SHA-256 digest over a canonical serialization
 // of the whole index. Equal fingerprints mean byte-identical pattern
 // content; the concurrency suite uses it to assert determinism across
-// worker counts and repeated runs. The digest is computed on first use
-// and cached — the index is immutable, and serving paths (/v1/indexes,
-// /v1/stats) consult it on every poll.
-func (ix *PatternIndex) Fingerprint() string {
-	ix.fpOnce.Do(func() { ix.fp = ix.set.Fingerprint() })
-	return ix.fp
-}
+// worker counts and repeated runs.
+func (ix *PatternIndex) Fingerprint() string { return ix.set.Fingerprint() }
 
 // attachSnapshot re-interns a decoded bundle member into the
 // collection's dictionary and validates it against the collection's
