@@ -7,8 +7,10 @@
 //
 // A log is a directory of segment files named wal-%016x.stwal, where
 // the hex field is the sequence number the segment's first frame will
-// carry (lexicographic order == numeric order). Every segment starts
-// with a 12-byte header:
+// carry (lexicographic order == numeric order). A new segment's name
+// always sorts after every existing one, and a log whose every frame
+// was pruned resumes its sequence from the active segment's name.
+// Every segment starts with a 12-byte header:
 //
 //	offset  size  field
 //	0       8     magic "STBWAL\x00\x00"
@@ -137,7 +139,8 @@ type Batch struct {
 // Stats is a point-in-time summary of the log.
 type Stats struct {
 	// LastSeq is the sequence number of the most recently appended (or
-	// scanned) frame; 0 when the log has never held a frame.
+	// scanned) frame, pruned or not; 0 when the log has never held a
+	// frame.
 	LastSeq uint64
 	// Batches is the number of frames across all segments.
 	Batches int
@@ -220,6 +223,14 @@ func Open(dir string, opts Options) (*Log, []Batch, error) {
 		}
 	}
 	l.lastSeq = prevSeq
+	if !seenAny && l.activeName != "" {
+		// Every frame was pruned away: the active segment's name still
+		// announces the sequence its first frame will carry, so resume
+		// there instead of restarting at 1.
+		if n := segmentSeq(l.activeName); n > 0 {
+			l.lastSeq = n - 1
+		}
+	}
 
 	if l.activeName == "" {
 		if err := l.createSegmentLocked(1); err != nil {
@@ -376,8 +387,15 @@ func (l *Log) rotateLocked() error {
 }
 
 // createSegmentLocked creates and syncs a fresh active segment whose
-// name announces the sequence its first frame will carry.
+// name announces the sequence its first frame will carry. The name
+// always sorts after the current active segment's: a log an older
+// release reopened at sequence 1 after a prune holds frames below its
+// active segment's name, and a colliding or earlier-sorting name would
+// break rotation or the next scan's order.
 func (l *Log) createSegmentLocked(firstSeq uint64) error {
+	if l.activeName != "" {
+		firstSeq = max(firstSeq, segmentSeq(l.activeName)+1)
+	}
 	name := fmt.Sprintf("%s%016x%s", segPrefix, firstSeq, segSuffix)
 	f, err := os.OpenFile(filepath.Join(l.dir, name), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
@@ -558,6 +576,13 @@ func listSegments(dir string) ([]string, error) {
 	// Zero-padded hex: lexicographic order is numeric order.
 	sort.Strings(names)
 	return names, nil
+}
+
+// segmentSeq returns the sequence number a segment name listSegments
+// accepted announces.
+func segmentSeq(name string) uint64 {
+	n, _ := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), segSuffix), 16, 64)
+	return n
 }
 
 // segScan is the result of scanning one segment.

@@ -564,6 +564,94 @@ func TestExplicitRotateAndPrune(t *testing.T) {
 	}
 }
 
+// TestPrunedLogResumesSequence: a log whose every frame was pruned
+// reopens at its last sequence, not at 0, so the next frame cannot
+// reuse a pruned number and the next rotation cannot collide with the
+// active segment's file.
+func TestPrunedLogResumesSequence(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := testBatches(3)
+	if _, err := l.Append(0, 0, batches[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Prune(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for want := uint64(1); want <= 2; want++ {
+		l, pending, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pending) != 0 || l.Stats().LastSeq != want {
+			t.Fatalf("reopened pruned log: %d pending, LastSeq %d, want 0 and %d", len(pending), l.Stats().LastSeq, want)
+		}
+		if seq, err := l.Append(0, 0, batches[want]); err != nil || seq != want+1 {
+			t.Fatalf("append after reopen = (%d, %v), want seq %d", seq, err, want+1)
+		}
+		if err := l.Rotate(); err != nil {
+			t.Fatalf("rotate after reopen: %v", err)
+		}
+		if err := l.Prune(want + 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRenumberedLogReopens: a log an older release renumbered from 1
+// after a prune holds frame 1 inside a segment named for frame 2. It
+// must still open, replay and rotate, and the rotated segment must sort
+// after it.
+func TestRenumberedLogReopens(t *testing.T) {
+	dir := t.TempDir()
+	fillLog(t, dir, Options{}, 1)
+	seg := func(seq uint64) string {
+		return filepath.Join(dir, fmt.Sprintf("%s%016x%s", segPrefix, seq, segSuffix))
+	}
+	if err := os.Rename(seg(1), seg(2)); err != nil {
+		t.Fatal(err)
+	}
+	l, pending, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pending) != 1 || pending[0].Seq != 1 || l.Stats().LastSeq != 1 {
+		t.Fatalf("renumbered log: %d pending, LastSeq %d, want frame 1", len(pending), l.Stats().LastSeq)
+	}
+	if err := l.Rotate(); err != nil {
+		t.Fatalf("rotate: %v", err)
+	}
+	if seq, err := l.Append(0, 0, testBatches(2)[1]); err != nil || seq != 2 {
+		t.Fatalf("append after rotate = (%d, %v), want seq 2", seq, err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, pending, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopen after rotate: %v", err)
+	}
+	defer l.Close()
+	if len(pending) != 2 || pending[1].Seq != 2 {
+		t.Fatalf("reopen after rotate: %d pending, want frames 1 and 2", len(pending))
+	}
+	if segs, _ := listSegments(dir); len(segs) != 2 || filepath.Join(dir, segs[0]) != seg(2) {
+		t.Fatalf("segments %v, want the renumbered one first", segs)
+	}
+}
+
 func TestInjectorWriteFaults(t *testing.T) {
 	errBoom := errors.New("boom")
 	for _, tc := range []struct {

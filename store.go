@@ -613,10 +613,14 @@ func (s *Store) save(write func(*index.Bundle) error) error {
 // bundle being written covers it; frames appended after the snapshot
 // (Save serializes the bundle outside writeMu, so ingestion continues
 // underneath) are NOT covered and must survive rotation un-absorbed.
+// While a refresh is owed (an Ingest aborted after its append) the
+// bundle lacks that batch's re-mine, and absorbing its frame would let
+// recovery skip it for good, so the boundary is 0: the save rotates but
+// absorbs nothing, and the first save after the repair absorbs it all.
 func (s *Store) walSnapshotLocked() (*wal.Log, uint64) {
 	l := s.wal.Load()
-	if l == nil {
-		return nil, 0
+	if l == nil || len(s.staleDirty) > 0 {
+		return l, 0
 	}
 	return l, l.Stats().LastSeq
 }
