@@ -130,6 +130,112 @@ func TestAppendDeterministicInterning(t *testing.T) {
 	}
 }
 
+// TestIngestIncrementalOracle is the acceptance oracle: after Ingest,
+// every resident index's fingerprint is byte-identical to a from-scratch
+// MineStore over the appended collection, for all three kinds — and the
+// incremental path mined only the dirty terms.
+func TestIngestIncrementalOracle(t *testing.T) {
+	live := twoBurstCollection(t)
+	s, err := live.MineStore(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Warm engines make the ingest refresh them rather than build anew.
+	warm := map[Kind]*Engine{}
+	for _, kind := range Kinds() {
+		warm[kind] = s.Index(kind).Engine()
+	}
+	postingsBefore := map[int]int{}
+	for _, term := range live.col.Terms() {
+		postingsBefore[term] = len(live.col.Postings(term))
+	}
+	minedBefore := search.TermsMined()
+	res, err := s.Ingest(context.Background(), liveBatch())
+	if err != nil {
+		t.Fatalf("Ingest: %v", err)
+	}
+	minedDelta := search.TermsMined() - minedBefore
+	if res.Docs != 3 || res.DirtyTerms == 0 {
+		t.Fatalf("IngestResult = %+v, want 3 docs and dirty terms", res)
+	}
+	if want := int64(3 * res.DirtyTerms); minedDelta != want {
+		t.Errorf("incremental ingest mined %d (term, kind) jobs, want %d (3 kinds x %d dirty terms)",
+			minedDelta, want, res.DirtyTerms)
+	}
+	if res.DirtyTerms >= len(live.Terms()) {
+		t.Fatalf("every term dirty (%d of %d): the oracle would not exercise the clean-term carry-over",
+			res.DirtyTerms, len(live.Terms()))
+	}
+
+	// From scratch: rebuild the same appended corpus and mine everything.
+	oracle := twoBurstCollection(t)
+	applyBatch(t, oracle, liveBatch())
+	full, err := oracle.MineStore(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range Kinds() {
+		got, want := s.Index(kind).Fingerprint(), full.Index(kind).Fingerprint()
+		if got != want {
+			t.Errorf("kind %v: incremental fingerprint %.12s != from-scratch %.12s", kind, got, want)
+		}
+	}
+	assertEnginesFresh(t, s)
+	// A clean term — one the batch gave no document — keeps its posting
+	// list across the refresh: shared, not rebuilt.
+	for _, kind := range Kinds() {
+		before, after := warm[kind].eng.Index(), s.Index(kind).Engine().eng.Index()
+		shared := 0
+		for term, n := range postingsBefore {
+			if n != len(live.col.Postings(term)) || len(before.Postings(term)) == 0 {
+				continue
+			}
+			if &after.Postings(term)[0] != &before.Postings(term)[0] {
+				t.Errorf("kind %v: clean term %q's postings were rebuilt", kind, live.col.Dict().Term(term))
+			}
+			shared++
+		}
+		if shared == 0 {
+			t.Errorf("kind %v: no clean term with postings; the carry-over went unchecked", kind)
+		}
+	}
+
+	// The refreshed indexes serve the appended documents: the new term
+	// retrieves its documents through every surface.
+	page, err := s.Query(context.Background(), Query{Text: "volcano", K: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(page.Hits) == 0 {
+		t.Error("ingested term retrieves nothing after the incremental refresh")
+	}
+}
+
+// TestIngestMatchesFullRemineWithOptions: Ingest re-mines with the
+// recorded (non-default) options, staying exact against the oracle.
+func TestIngestMatchesFullRemineWithOptions(t *testing.T) {
+	opts := &MineOptions{Regional: &RegionalOptions{Baseline: BaselineEWMA}}
+	live := twoBurstCollection(t)
+	s, err := live.MineStore(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Ingest(context.Background(), liveBatch()); err != nil {
+		t.Fatal(err)
+	}
+	oracle := twoBurstCollection(t)
+	applyBatch(t, oracle, liveBatch())
+	full, err := oracle.MineStore(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range Kinds() {
+		if got, want := s.Index(kind).Fingerprint(), full.Index(kind).Fingerprint(); got != want {
+			t.Errorf("kind %v: incremental (EWMA opts) fingerprint %.12s != from-scratch %.12s", kind, got, want)
+		}
+	}
+}
+
 // TestIngestPartialResidency: a store holding a subset of kinds
 // refreshes just those kinds.
 func TestIngestPartialResidency(t *testing.T) {

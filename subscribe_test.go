@@ -157,6 +157,115 @@ func bruteForceAlerts(ref *Store, subs []Subscription, gen uint64, dirty []int) 
 	return alerts
 }
 
+// TestIngestAlertOracle registers predicates across all three kinds
+// (plus ones that must stay silent) and checks that each Ingest's
+// matcher output equals the brute-force every-subscription scan, and
+// that the alerts themselves make sense.
+func TestIngestAlertOracle(t *testing.T) {
+	c := twoBurstCollection(t)
+	s := fullStore(t, c)
+
+	subsSpecs := []Subscription{
+		{Owner: "any", Terms: []string{"earthquake"}},
+		{Owner: "regional-andes", Terms: []string{"earthquake"}, Kind: KindRegional, Region: &andesRegion},
+		{Owner: "regional-japan", Terms: []string{"earthquake"}, Kind: KindRegional, Region: &japanRegion},
+		{Owner: "comb", Terms: []string{"earthquake"}, Kind: KindCombinatorial},
+		{Owner: "temporal-late", Terms: []string{"earthquake"}, Kind: KindTemporal, Time: &japanTime},
+		{Owner: "rescue", Terms: []string{"rescue"}, Kind: KindTemporal},
+		{Owner: "high-bar", Terms: []string{"earthquake"}, MinScore: 1e9},
+		{Owner: "silent", Terms: []string{"volcano"}},
+	}
+	for _, spec := range subsSpecs {
+		if _, err := s.Subscribe(spec); err != nil {
+			t.Fatalf("Subscribe(%s): %v", spec.Owner, err)
+		}
+	}
+
+	var mu sync.Mutex
+	var got []Alert
+	s.SetAlertSink(func(alerts []Alert) {
+		mu.Lock()
+		defer mu.Unlock()
+		got = append([]Alert(nil), alerts...)
+	})
+
+	// Reinforce the andes burst so "earthquake" (and "rescue") go dirty.
+	var docs []IncomingDocument
+	for w := 4; w <= 6; w++ {
+		docs = append(docs,
+			IncomingDocument{Stream: 0, Time: w, Text: "earthquake rescue teams dig"},
+			IncomingDocument{Stream: 1, Time: w, Text: "earthquake tremors again"})
+	}
+	res, err := s.Ingest(context.Background(), docs)
+	if err != nil {
+		t.Fatalf("Ingest: %v", err)
+	}
+
+	// Recompute the dirty-term ID set the matcher saw.
+	dict := s.c.col.Dict()
+	var dirty []int
+	for _, term := range []string{"earthquake", "rescue", "teams", "dig", "tremors", "again"} {
+		if id, ok := dict.Lookup(term); ok {
+			dirty = append(dirty, id)
+		}
+	}
+	want := bruteForceAlerts(s, s.Subscriptions(), s.Generation(), dirty)
+
+	mu.Lock()
+	if len(got) == 0 {
+		t.Fatal("sink received no alerts")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("matcher disagrees with brute force:\n got %+v\nwant %+v", got, want)
+	}
+	byOwner := make(map[string][]Alert)
+	for _, a := range got {
+		if a.Generation != res.Generation {
+			t.Fatalf("alert generation %d, ingest generation %d", a.Generation, res.Generation)
+		}
+		byOwner[a.Owner] = append(byOwner[a.Owner], a)
+	}
+	for _, owner := range []string{"silent", "high-bar"} {
+		if as := byOwner[owner]; len(as) != 0 {
+			t.Fatalf("%s subscription fired: %+v", owner, as)
+		}
+	}
+	for _, owner := range []string{"any", "regional-andes", "comb", "rescue"} {
+		if len(byOwner[owner]) == 0 {
+			t.Fatalf("%s subscription never fired; got %+v", owner, byOwner)
+		}
+	}
+	for _, a := range byOwner["regional-andes"] {
+		if a.Kind != KindRegional || a.Term != "earthquake" {
+			t.Fatalf("regional-andes alert %+v", a)
+		}
+	}
+	// The temporal-late subscription is span-gated to the japan weeks; any
+	// alert it gets must overlap that span.
+	for _, a := range byOwner["temporal-late"] {
+		if a.End < japanTime.Start || a.Start > japanTime.End {
+			t.Fatalf("temporal-late alert outside its span: %+v", a)
+		}
+	}
+	got = nil
+	mu.Unlock()
+
+	// A batch whose dirty terms nobody watches may only alert through
+	// terms an earlier batch left watched — never the new ones.
+	if _, err := s.Ingest(context.Background(), []IncomingDocument{
+		{Stream: 0, Time: 2, Text: "quiet bureaucratic memo"}}); err != nil {
+		t.Fatalf("Ingest: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, a := range got {
+		switch a.Term {
+		case "quiet", "bureaucratic", "memo":
+			t.Fatalf("unwatched dirty term produced an alert: %+v", a)
+		}
+	}
+}
+
 // TestSubscriptionPersistence round-trips subscriptions through
 // Save/LoadStore and confirms pre-subscription bundles load as zero
 // subscriptions.

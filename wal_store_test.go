@@ -3,21 +3,25 @@ package stburst
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"stburst/internal/search"
 	"stburst/internal/stream"
 	"stburst/internal/wal"
 )
 
-// This file tests the write-ahead log at the Store level where a fault
-// or a misuse must leave the store untouched: injected write and fsync
-// failures, replay into a foreign corpus or of an out-of-range count,
-// and the replay/attach protocol's guards. Crash recovery itself —
-// ingest, crash, reboot through OpenWAL → ReplayWAL →
-// MineStore/LoadStore → AttachWAL, bit-identical to a from-scratch
-// reference — is TestIngestModel's; the byte-level torn-tail and
-// corruption sweeps live in internal/wal.
+// This file tests crash recovery end to end at the Store level: ingest
+// through an attached write-ahead log, "crash" (abandon the process
+// state), reboot through OpenWAL → ReplayWAL → MineStore/LoadStore →
+// AttachWAL, and assert the recovered store is bit-identical to the
+// pre-crash one — collection checksum, per-kind index fingerprints and
+// generation. The byte-level torn-tail and corruption sweeps live in
+// internal/wal; here the oracle is a live store that never crashed.
 
 func mustMineStore(t *testing.T, c *Collection, opts *MineOptions) *Store {
 	t.Helper()
@@ -106,6 +110,306 @@ func secondBatch() []IncomingDocument {
 		{Stream: 1, Time: 15, Text: "tsunami warning coastal sirens"},
 		{Stream: 2, Time: 15, Text: "tsunami evacuation routes crowded"},
 	}
+}
+
+// TestWALRecoveryMatchesLiveStore is the basic crash round trip: two
+// logged ingests, kill, reboot through replay + full re-mine + attach.
+// The recovered store must equal the live one on every axis, and must
+// keep ingesting on the recovered log without a sequence anomaly.
+func TestWALRecoveryMatchesLiveStore(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+
+	c1 := twoBurstCollection(t)
+	s1 := mustMineStore(t, c1, nil)
+	w1 := mustOpenWAL(t, dir)
+	att1 := mustAttachWAL(t, s1, w1)
+	if att1.Batches != 0 || att1.DirtyTerms != 0 {
+		t.Fatalf("fresh-log attach = %+v, want nothing replayed", att1)
+	}
+	mustIngest(t, s1, liveBatch())
+	mustIngest(t, s1, secondBatch())
+	assertEnginesFresh(t, s1)
+	want := captureState(s1)
+	// Crash: the WAL is deliberately not closed.
+
+	c2 := twoBurstCollection(t)
+	w2 := mustOpenWAL(t, dir)
+	rep, err := c2.ReplayWAL(ctx, w2)
+	if err != nil {
+		t.Fatalf("ReplayWAL: %v", err)
+	}
+	if rep.Batches != 2 || rep.Docs != 5 {
+		t.Fatalf("ReplayWAL = %+v, want 2 batches, 5 docs", rep)
+	}
+	s2 := mustMineStore(t, c2, nil)
+	att2 := mustAttachWAL(t, s2, w2)
+	if att2.Generation != want.gen {
+		t.Errorf("AttachWAL restored generation %d, want %d", att2.Generation, want.gen)
+	}
+	assertState(t, "recovered store", s2, want)
+
+	// The recovered log keeps accepting ingests, and a second recovery
+	// sees a gap-free sequence.
+	mustIngest(t, s2, []IncomingDocument{{Stream: 0, Time: 15, Text: "aftershocks rattle harbor"}})
+	if w2.LastSeq() != 3 {
+		t.Fatalf("LastSeq after post-recovery ingest = %d, want 3", w2.LastSeq())
+	}
+	assertEnginesFresh(t, s2)
+	c3 := twoBurstCollection(t)
+	w3 := mustOpenWAL(t, dir)
+	if rep3, err := c3.ReplayWAL(ctx, w3); err != nil || rep3.Batches != 3 {
+		t.Fatalf("second recovery: ReplayWAL = %+v, %v, want 3 batches", rep3, err)
+	}
+	_ = w3.Close()
+	_ = w2.Close()
+}
+
+// TestWALRecoveryAfterSaveSkipsMinedBatches covers the interaction
+// between Store.Save and replay: the save rotates the log (bounding the
+// active segment) and persists the generation, so a reboot that loads
+// the bundle must re-mine ONLY the batches logged at or after the
+// bundle's generation — the earlier ones are already mined into it.
+func TestWALRecoveryAfterSaveSkipsMinedBatches(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	bundle := filepath.Join(t.TempDir(), "store.bundle")
+
+	c1 := twoBurstCollection(t)
+	s1 := mustMineStore(t, c1, nil)
+	w1 := mustOpenWAL(t, dir)
+	mustAttachWAL(t, s1, w1)
+	mustIngest(t, s1, liveBatch())
+	if err := s1.SaveFile(bundle); err != nil {
+		t.Fatalf("SaveFile: %v", err)
+	}
+	st, ok := s1.WALStats()
+	if !ok {
+		t.Fatal("WALStats: no wal attached")
+	}
+	if st.Segments != 2 || st.Batches != 1 {
+		t.Fatalf("after save: WALStats = %+v, want the save to have rotated to 2 segments around 1 batch", st)
+	}
+	res2 := mustIngest(t, s1, secondBatch())
+	want := captureState(s1)
+	// Crash.
+
+	c2 := twoBurstCollection(t)
+	w2 := mustOpenWAL(t, dir)
+	rep, err := c2.ReplayWAL(ctx, w2)
+	if err != nil {
+		t.Fatalf("ReplayWAL: %v", err)
+	}
+	if rep.Batches != 2 || rep.Docs != 5 {
+		t.Fatalf("ReplayWAL = %+v, want both batches re-appended", rep)
+	}
+	f, err := os.Open(bundle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := LoadStore(f, c2)
+	f.Close()
+	if err != nil {
+		t.Fatalf("LoadStore after replay: %v", err)
+	}
+	minedBefore := search.TermsMined()
+	att, err := s2.AttachWAL(ctx, w2)
+	if err != nil {
+		t.Fatalf("AttachWAL: %v", err)
+	}
+	// Batch 1 predates the bundle's generation: only batch 2's terms
+	// may be re-mined, once per resident kind.
+	if att.DirtyTerms != res2.DirtyTerms {
+		t.Errorf("attach re-mined %d terms, want only the post-save batch's %d", att.DirtyTerms, res2.DirtyTerms)
+	}
+	if delta, wantMined := search.TermsMined()-minedBefore, int64(res2.DirtyTerms)*3; delta != wantMined {
+		t.Errorf("attach mined %d (term, kind) pairs, want %d", delta, wantMined)
+	}
+	assertState(t, "bundle-loaded recovery", s2, want)
+	_ = w2.Close()
+}
+
+// TestWALHealsIncompleteIngest is the satellite-1 regression: an ingest
+// that aborts AFTER the append (ErrIngestIncomplete) leaves its WAL
+// entry intact, so a crash in the half-finished state — batch appended,
+// index refresh still owed — heals on replay: the recovered store
+// equals an oracle whose ingest completed normally.
+func TestWALHealsIncompleteIngest(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+
+	c1 := twoBurstCollection(t)
+	s1 := mustMineStore(t, c1, nil)
+	w1 := mustOpenWAL(t, dir)
+	mustAttachWAL(t, s1, w1)
+	tctx := &trippingContext{Context: context.Background(), after: 1}
+	_, err := s1.Ingest(tctx, liveBatch())
+	if !errors.Is(err, ErrIngestIncomplete) {
+		t.Fatalf("tripped Ingest error = %v, want ErrIngestIncomplete", err)
+	}
+	// The abort must NOT have rolled the logged frame back: it is the
+	// durable copy of documents that are already in the collection.
+	if st, _ := s1.WALStats(); st.Batches != 1 || st.LastSeq != 1 {
+		t.Fatalf("after aborted refresh: WALStats = %+v, want the batch still logged", st)
+	}
+	// Crash now, before any repair flush runs.
+
+	oc := twoBurstCollection(t)
+	os1 := mustMineStore(t, oc, nil)
+	if _, err := os1.Ingest(ctx, liveBatch()); err != nil {
+		t.Fatalf("oracle Ingest: %v", err)
+	}
+	want := captureState(os1)
+
+	c2 := twoBurstCollection(t)
+	w2 := mustOpenWAL(t, dir)
+	rep, err := c2.ReplayWAL(ctx, w2)
+	if err != nil {
+		t.Fatalf("ReplayWAL: %v", err)
+	}
+	if rep.Batches != 1 || rep.Docs != 3 {
+		t.Fatalf("ReplayWAL = %+v, want the aborted ingest's batch", rep)
+	}
+	s2 := mustMineStore(t, c2, nil)
+	att := mustAttachWAL(t, s2, w2)
+	if att.DirtyTerms == 0 {
+		t.Error("attach re-mined nothing; the healed batch's terms should be dirty")
+	}
+	assertState(t, "healed store", s2, want)
+	_ = w2.Close()
+}
+
+// TestWALCrashRecoverySweep is the randomized crash-recovery property
+// test: a seeded schedule of ingest batches over all three pattern
+// kinds with non-default EWMA regional options, then a kill at every
+// frame boundary and at sampled mid-frame offsets of the log. For each
+// cut the rebooted store must equal the synchronous oracle that stopped
+// after exactly the batches the truncated log still holds.
+func TestWALCrashRecoverySweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crash-recovery sweep is slow; skipped with -short")
+	}
+	ctx := context.Background()
+	opts := &MineOptions{Regional: &RegionalOptions{Baseline: BaselineEWMA, BaselineParam: 0.5}}
+	rng := rand.New(rand.NewSource(7))
+	vocab := []string{"quake", "flood", "storm", "sirens", "levee", "ashfall"}
+	schedule := make([][]IncomingDocument, 4)
+	for i := range schedule {
+		batch := make([]IncomingDocument, 1+rng.Intn(3))
+		for j := range batch {
+			words := make([]string, 3+rng.Intn(3))
+			for k := range words {
+				words[k] = vocab[rng.Intn(len(vocab))]
+			}
+			batch[j] = IncomingDocument{
+				Stream: rng.Intn(4),
+				Time:   13 + rng.Intn(3),
+				Text:   strings.Join(words, " "),
+			}
+		}
+		schedule[i] = batch
+	}
+
+	// Live run: ingest the schedule, recording the log's size after
+	// every batch (the frame boundaries) and the store state each
+	// boundary corresponds to — the oracle for every cut point.
+	dir := t.TempDir()
+	c1 := twoBurstCollection(t)
+	s1 := mustMineStore(t, c1, opts)
+	w1 := mustOpenWAL(t, dir)
+	mustAttachWAL(t, s1, w1)
+	boundaries := []int64{mustWALBytes(t, s1)} // segment header only
+	oracle := []storeState{captureState(s1)}
+	for _, batch := range schedule {
+		mustIngest(t, s1, batch)
+		boundaries = append(boundaries, mustWALBytes(t, s1))
+		oracle = append(oracle, captureState(s1))
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.stwal"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("expected exactly one segment file, got %v (%v)", segs, err)
+	}
+	full, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(full)) != boundaries[len(boundaries)-1] {
+		t.Fatalf("segment is %d bytes, WALStats says %d", len(full), boundaries[len(boundaries)-1])
+	}
+
+	// Cut points: every frame boundary, its neighbors, and sampled
+	// mid-frame offsets. (The exhaustive every-byte sweep runs at the
+	// frame level in internal/wal; this one pays a full store boot per
+	// cut.)
+	cuts := map[int64]bool{0: true, 5: true}
+	for _, b := range boundaries {
+		cuts[b] = true
+		if b > 0 {
+			cuts[b-1] = true
+		}
+		cuts[b+1] = true
+	}
+	for off := int64(0); off < int64(len(full)); off += 5 {
+		cuts[off] = true
+	}
+	for cut := range cuts {
+		if cut > int64(len(full)) {
+			delete(cuts, cut)
+		}
+	}
+
+	// expected batches for a cut: frames wholly before it survive.
+	expect := func(cut int64) int {
+		n := 0
+		for j := 1; j < len(boundaries); j++ {
+			if boundaries[j] <= cut {
+				n = j
+			}
+		}
+		return n
+	}
+
+	name := filepath.Base(segs[0])
+	for cut := int64(0); cut <= int64(len(full)); cut++ {
+		if !cuts[cut] {
+			continue
+		}
+		cutDir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(cutDir, name), full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j := expect(cut)
+		w2, err := OpenWAL(cutDir)
+		if err != nil {
+			t.Fatalf("cut %d: OpenWAL: %v", cut, err)
+		}
+		c2 := twoBurstCollection(t)
+		rep, err := c2.ReplayWAL(ctx, w2)
+		if err != nil {
+			t.Fatalf("cut %d: ReplayWAL: %v", cut, err)
+		}
+		if rep.Batches != j {
+			t.Fatalf("cut %d: replayed %d batches, want %d", cut, rep.Batches, j)
+		}
+		s2 := mustMineStore(t, c2, opts)
+		if _, err := s2.AttachWAL(ctx, w2); err != nil {
+			t.Fatalf("cut %d: AttachWAL: %v", cut, err)
+		}
+		assertState(t, fmt.Sprintf("cut %d (%d batches)", cut, j), s2, oracle[j])
+		if t.Failed() {
+			t.Fatalf("cut %d diverged from the oracle", cut)
+		}
+		_ = w2.Close()
+	}
+}
+
+func mustWALBytes(t *testing.T, s *Store) int64 {
+	t.Helper()
+	st, ok := s.WALStats()
+	if !ok {
+		t.Fatal("WALStats: no wal attached")
+	}
+	return st.Bytes
 }
 
 // TestWALIngestFaultInjection drives Store.Ingest through injected WAL
