@@ -8,8 +8,9 @@
 #   make race        # concurrency suite under the race detector
 #   make bench       # the per-package go-test micro-benchmarks
 #   make bench-check # vet + test the bench/ module (the BENCHMARK.json harness)
-#   make fuzz-smoke  # 10 s of native fuzzing at each of eight targets: the artifact decoders, TA cursor,
-#                    # KindAny merge, WAL segment scan, feed line framing and the two miner kernels
+#   make fuzz-smoke  # 10 s of native fuzzing at each of nine targets: the artifact decoders, TA cursor,
+#                    # KindAny merge, WAL segment scan, feed line framing, the two miner kernels and
+#                    # the engine's coverage grid
 #   make verify      # tier-1 + race: what CI should run
 #   make bundle      # stgen a corpus (if missing) and stmine all three kinds into $(BUNDLE)
 #   make serve       # stserve the bundle on $(ADDR)
@@ -88,6 +89,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBundle$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/index
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/index
 	$(GO) test -run '^$$' -fuzz '^FuzzCursor$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/index
+	$(GO) test -run '^$$' -fuzz '^FuzzCoverage$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/index
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryKinds$$' -fuzztime 10s -fuzzminimizetime 0 .
 	$(GO) test -run '^$$' -fuzz '^FuzzWALOpen$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzLineReader$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/connector

@@ -40,7 +40,7 @@ type CombPattern struct {
 }
 
 // ContainsStream reports whether stream x participates in the pattern.
-func (p CombPattern) ContainsStream(x int) bool {
+func (p *CombPattern) ContainsStream(x int) bool {
 	i := sort.SearchInts(p.Streams, x)
 	return i < len(p.Streams) && p.Streams[i] == x
 }
@@ -48,7 +48,7 @@ func (p CombPattern) ContainsStream(x int) bool {
 // Overlaps reports whether a document from stream x at timestamp i
 // overlaps the pattern's common segment (both its stream and its
 // timestamp are included, §5).
-func (p CombPattern) Overlaps(x, i int) bool {
+func (p *CombPattern) Overlaps(x, i int) bool {
 	return i >= p.Start && i <= p.End && p.ContainsStream(x)
 }
 
@@ -57,7 +57,7 @@ func (p CombPattern) Overlaps(x, i int) bool {
 // is the overlap notion the search engine uses: the common segment of a
 // large clique can shrink to a single timestamp, but a document belongs
 // to the pattern through its stream's full bursty interval.
-func (p CombPattern) OverlapsMember(x, i int) bool {
+func (p *CombPattern) OverlapsMember(x, i int) bool {
 	idx := sort.Search(len(p.Intervals), func(j int) bool { return p.Intervals[j].Stream >= x })
 	for ; idx < len(p.Intervals) && p.Intervals[idx].Stream == x; idx++ {
 		if p.Intervals[idx].Contains(i) {
@@ -79,14 +79,14 @@ type Window struct {
 }
 
 // ContainsStream reports whether stream x lies inside the window's region.
-func (w Window) ContainsStream(x int) bool {
+func (w *Window) ContainsStream(x int) bool {
 	i := sort.SearchInts(w.Streams, x)
 	return i < len(w.Streams) && w.Streams[i] == x
 }
 
 // Overlaps reports whether a document from stream x at timestamp i
 // overlaps the window (§5).
-func (w Window) Overlaps(x, i int) bool {
+func (w *Window) Overlaps(x, i int) bool {
 	return i >= w.Start && i <= w.End && w.ContainsStream(x)
 }
 

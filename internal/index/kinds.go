@@ -1,7 +1,6 @@
 package index
 
 import (
-	"math"
 	"sort"
 
 	"stburst/internal/burst"
@@ -96,8 +95,13 @@ type kindOf[P any] struct {
 	// mine runs the kind's miner over one term of the collection.
 	mine func(col *stream.Collection, points []geo.Point, term int, o *MineOptions) []P
 	// covers reports whether a document of the given stream and timestamp
-	// overlaps the pattern (§5): the notion the engine scores with.
+	// overlaps the pattern (§5): the notion the query post-filter tests.
 	covers func(p *P, stream, time int) bool
+	// runs lists the same cells covers accepts, as runs: run(stream, lo,
+	// hi) for the timestamps [lo, hi] of one stream, or of every stream
+	// when stream is -1 (a kind that stores no Streams covers by time
+	// alone). The engine scores with them through a Coverage.
+	runs func(p *P, run func(stream, lo, hi int))
 	// intersects reports whether the pattern meets a region/timespan
 	// filter (nil halves match everything); points is the collection's
 	// stream-location table.
@@ -118,7 +122,7 @@ type kindOps interface {
 	views(s *PatternSet, term int, points []geo.Point, region *geo.Rect, span *Timespan) []View
 	regroup(s *PatternSet, parts int, place func(term int) (part, id int)) []*PatternSet
 	remine(s *PatternSet, col *stream.Collection, terms []int, o *MineOptions) (mine func(i int), refreshed func() *PatternSet)
-	burstiness(s *PatternSet) func(term, stream, time int) (float64, bool)
+	paint(c *Coverage, term int)
 	filter(s *PatternSet, points []geo.Point, region *geo.Rect, span *Timespan) func(term, stream, time int) bool
 }
 
@@ -136,6 +140,11 @@ var kinds = [...]kindOps{
 			return ws
 		},
 		covers: func(w *core.Window, stream, time int) bool { return w.Overlaps(stream, time) },
+		runs: func(w *core.Window, run func(stream, lo, hi int)) {
+			for _, x := range w.Streams {
+				run(x, w.Start, w.End)
+			}
+		},
 		intersects: func(w *core.Window, _ []geo.Point, region *geo.Rect, span *Timespan) bool {
 			return (region == nil || w.Rect.Intersects(*region)) && span.meets(w.Start, w.End)
 		},
@@ -157,6 +166,11 @@ var kinds = [...]kindOps{
 		// single-timestamp common segments, but every member document
 		// inside its stream's burst belongs to the pattern.
 		covers: func(p *core.CombPattern, stream, time int) bool { return p.OverlapsMember(stream, time) },
+		runs: func(p *core.CombPattern, run func(stream, lo, hi int)) {
+			for _, iv := range p.Intervals {
+				run(iv.Stream, iv.Start, iv.End)
+			}
+		},
 		// Some member stream's location lies inside the region, and the
 		// common segment meets the span.
 		intersects: func(p *core.CombPattern, points []geo.Point, region *geo.Rect, span *Timespan) bool {
@@ -185,6 +199,7 @@ var kinds = [...]kindOps{
 		// The TB comparison system disregards the document's stream of
 		// origin and all geography: only time constrains.
 		covers: func(iv *burst.Interval, _, time int) bool { return time >= iv.Start && time <= iv.End },
+		runs:   func(iv *burst.Interval, run func(stream, lo, hi int)) { run(-1, iv.Start, iv.End) },
 		intersects: func(iv *burst.Interval, _ []geo.Point, _ *geo.Rect, span *Timespan) bool {
 			return span.meets(iv.Start, iv.End)
 		},
@@ -339,23 +354,14 @@ func (k *kindOf[P]) remine(s *PatternSet, col *stream.Collection, terms []int, o
 	return mine, refreshed
 }
 
-// burstiness is the engine-build hot loop (one call per term and
-// document): the best score among the term's patterns covering the
-// document. It runs over the concrete pattern slice; nothing in it boxes
-// or allocates.
-func (k *kindOf[P]) burstiness(s *PatternSet) func(term, stream, time int) (float64, bool) {
-	byTerm, covers, score := patterns[P](s), k.covers, k.score
-	return func(term, stream, time int) (float64, bool) {
-		best, found := math.Inf(-1), false
-		ps := byTerm[term]
-		for i := range ps {
-			if covers(&ps[i], stream, time) {
-				if sc := score(&ps[i]); !found || sc > best {
-					best, found = sc, true
-				}
-			}
-		}
-		return best, found
+// paint lays the term's patterns onto c's grid, in stored order: the
+// engine-build hot loop. The per-run callback is bound once per Coverage,
+// so nothing here allocates.
+func (k *kindOf[P]) paint(c *Coverage, term int) {
+	ps := patterns[P](c.set)[term]
+	for i := range ps {
+		c.score = k.score(&ps[i])
+		k.runs(&ps[i], c.run)
 	}
 }
 

@@ -105,15 +105,86 @@ func (s *PatternSet) Matching(term int, points []geo.Point, region *geo.Rect, sp
 	return kinds[s.kind].views(s, term, points, region, span)
 }
 
-// Burstiness returns f(P_{t,d}) of Eq. 11 over the set: the best score
-// among the term's patterns that overlap a document from the given stream
-// at the given timestamp, and whether any does.
-func (s *PatternSet) Burstiness() func(term, stream, time int) (float64, bool) {
-	return kinds[s.kind].burstiness(s)
+// Coverage is the scratch grid that answers f(P_{t,d}) of Eq. 11 over the
+// set, one term at a time: Paint lays the term's patterns onto a stream ×
+// time grid, each cell keeping the best score painted over it, and At
+// reads a document's cell. A document's burstiness is then one lookup
+// instead of a scan of every pattern of the term. A kind that stores no
+// streams covers by time alone and paints one row. The grid is as large
+// as one term's Surface; it keeps nothing of a term past the next Paint,
+// and a Coverage serves one goroutine at a time.
+type Coverage struct {
+	set      *PatternSet
+	cells    []float64 // rows × width; -Inf where no pattern covers
+	rows     int
+	width    int
+	timeOnly bool
+	score    float64                  // the score of the pattern being painted
+	run      func(stream, lo, hi int) // c.paintRun, bound once
+}
+
+// Coverage returns an unpainted grid for documents of numStreams streams
+// over a timeline of the given length: the shape of the collection the
+// set is scored against. Runs of a pattern outside that shape are
+// clipped to it.
+func (s *PatternSet) Coverage(numStreams, timeline int) *Coverage {
+	c := &Coverage{set: s, rows: numStreams, width: timeline, timeOnly: !s.kind.Desc().Streams}
+	if c.timeOnly {
+		c.rows = 1
+	}
+	c.cells = make([]float64, c.rows*c.width)
+	c.run = c.paintRun
+	return c
+}
+
+// Paint clears the grid and paints the term's patterns onto it in stored
+// order. A cell rises only on a strictly greater score, so it ends at the
+// score a scan of the term's patterns keeps: the maximum among those
+// covering it, the first painted of equal ones. For the finite scores
+// Validate admits, that maximum does not depend on the painting order.
+func (c *Coverage) Paint(term int) {
+	for i := range c.cells {
+		c.cells[i] = math.Inf(-1)
+	}
+	kinds[c.set.kind].paint(c, term)
+}
+
+// paintRun raises the cells [lo, hi] of one stream's row, or of the time
+// row when stream is -1, to the current pattern's score.
+func (c *Coverage) paintRun(stream, lo, hi int) {
+	if c.timeOnly {
+		stream = 0
+	}
+	if stream < 0 || stream >= c.rows {
+		return
+	}
+	lo, hi = max(lo, 0), min(hi, c.width-1)
+	if lo > hi {
+		return
+	}
+	score := c.score
+	cells := c.cells[stream*c.width+lo : stream*c.width+hi+1]
+	for t, v := range cells {
+		if score > v {
+			cells[t] = score
+		}
+	}
+}
+
+// At returns the best score among the painted term's patterns that
+// overlap a document from the given stream at the given timestamp, and
+// whether any does (-Inf and false when none does). Both must lie inside
+// the grid's shape.
+func (c *Coverage) At(stream, time int) (float64, bool) {
+	if c.timeOnly {
+		stream = 0
+	}
+	v := c.cells[stream*c.width+time]
+	return v, v != math.Inf(-1)
 }
 
 // Filter returns the post-filter predicate of one query: whether some
-// pattern of the term both overlaps the document (as Burstiness does)
+// pattern of the term both overlaps the document (as Coverage paints it)
 // and intersects the region/timespan (as Matching does).
 func (s *PatternSet) Filter(points []geo.Point, region *geo.Rect, span *Timespan) func(term, stream, time int) bool {
 	return kinds[s.kind].filter(s, points, region, span)

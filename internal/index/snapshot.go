@@ -314,7 +314,12 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 // in [0, timeline). A snapshot can pass the checksum, fingerprint and
 // vocabulary checks yet come from a structurally different corpus (fewer
 // streams, shorter timeline); out-of-range references would otherwise
-// surface later as index-out-of-range panics on the serving path.
+// surface later as index-out-of-range panics on the serving path. It also
+// checks what the overlap tests and Coverage assume of a pattern and
+// every miner guarantees: a finite score (the best covering score is
+// then the same in any visiting order), member Streams strictly
+// ascending (ContainsStream binary-searches them) and member Intervals
+// sorted by (Stream, Start) (OverlapsMember searches them by stream).
 func (s *PatternSet) Validate(numStreams, timeline int) error {
 	checkTime := func(start, end int) error {
 		if start < 0 || end < start || end >= timeline {
@@ -333,17 +338,29 @@ func (s *PatternSet) Validate(numStreams, timeline int) error {
 			if err := checkTime(v.Start, v.End); err != nil {
 				return err
 			}
-			for _, x := range v.Streams {
+			if math.IsNaN(v.Score) || math.IsInf(v.Score, 0) {
+				return fmt.Errorf("index: pattern score %v is not finite", v.Score)
+			}
+			for i, x := range v.Streams {
 				if err := checkStream(x); err != nil {
 					return err
 				}
+				if i > 0 && x <= v.Streams[i-1] {
+					return fmt.Errorf("index: pattern streams %v not strictly ascending", v.Streams)
+				}
 			}
-			for _, iv := range v.Intervals {
+			for i, iv := range v.Intervals {
 				if err := checkStream(iv.Stream); err != nil {
 					return err
 				}
 				if err := checkTime(iv.Start, iv.End); err != nil {
 					return err
+				}
+				if i > 0 {
+					prev := v.Intervals[i-1]
+					if iv.Stream < prev.Stream || (iv.Stream == prev.Stream && iv.Start < prev.Start) {
+						return fmt.Errorf("index: pattern intervals not sorted by (stream, start) at member %d", i)
+					}
 				}
 			}
 		}

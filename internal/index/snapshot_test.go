@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -294,6 +295,54 @@ func TestSnapshotValidate(t *testing.T) {
 				t.Errorf("Validate(%d, %d) = nil, want error", tc.streams, tc.timeline)
 			}
 		})
+	}
+}
+
+// TestValidateRejectsNonFiniteScore: a NaN score would be kept by a scan
+// that visits it first and ignored by a Coverage cell, and an infinite
+// one is no burstiness; a loaded set holds neither.
+func TestValidateRejectsNonFiniteScore(t *testing.T) {
+	for _, score := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		sets := map[string]*PatternSet{
+			"regional": NewWindowSet(map[int][]core.Window{0: {{Streams: []int{0}, Start: 1, End: 2, Score: score}}}),
+			"combinatorial": NewCombSet(map[int][]core.CombPattern{0: {{Streams: []int{0}, Start: 1, End: 2, Score: score,
+				Intervals: []interval.Interval{{Stream: 0, Start: 1, End: 2, Weight: 1}}}}}),
+			"temporal": NewTemporalSet(map[int][]burst.Interval{0: {{Start: 1, End: 2, Score: score}}}),
+		}
+		for name, set := range sets {
+			if err := set.Validate(3, 5); err == nil {
+				t.Errorf("%s: Validate accepted score %v", name, score)
+			}
+		}
+	}
+}
+
+// TestValidateRejectsUnsortedStreams: ContainsStream binary-searches a
+// pattern's member streams, so they must be strictly ascending.
+func TestValidateRejectsUnsortedStreams(t *testing.T) {
+	for _, streams := range [][]int{{2, 0}, {1, 1}} {
+		win := NewWindowSet(map[int][]core.Window{0: {{Streams: streams, Start: 1, End: 2, Score: 1}}})
+		comb := NewCombSet(map[int][]core.CombPattern{0: {{Streams: streams, Start: 1, End: 2, Score: 1}}})
+		for _, set := range []*PatternSet{win, comb} {
+			if err := set.Validate(3, 5); err == nil {
+				t.Errorf("%v: Validate accepted streams %v", set.Kind(), streams)
+			}
+		}
+	}
+}
+
+// TestValidateRejectsUnsortedIntervals: OverlapsMember searches a
+// combinatorial pattern's member intervals by stream, so they must be
+// sorted by (Stream, Start).
+func TestValidateRejectsUnsortedIntervals(t *testing.T) {
+	for _, ivs := range [][]interval.Interval{
+		{{Stream: 2, Start: 1, End: 2}, {Stream: 0, Start: 1, End: 2}},
+		{{Stream: 1, Start: 3, End: 4}, {Stream: 1, Start: 0, End: 1}},
+	} {
+		set := NewCombSet(map[int][]core.CombPattern{0: {{Streams: []int{0, 1, 2}, Start: 1, End: 1, Score: 1, Intervals: ivs}}})
+		if err := set.Validate(3, 5); err == nil {
+			t.Errorf("Validate accepted intervals %+v", ivs)
+		}
 	}
 }
 

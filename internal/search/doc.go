@@ -15,9 +15,10 @@
 // (STLocal), combinatorial patterns (STComb), or purely temporal bursty
 // intervals with all streams merged (the TB comparison engine of §6.3).
 // BuildFromPatterns builds one from an existing index.PatternSet instead
-// of re-mining — the set's Burstiness method is the kind's overlap
-// notion, taken from the kind table of internal/index — and retains the
-// set for filtered queries. It reads each term's postings straight from
+// of re-mining — the set's Coverage paints each term's patterns onto a
+// stream × time grid by the kind's overlap notion, taken from the kind
+// table of internal/index, and each posting reads its cell — and retains
+// the set for filtered queries. It reads each term's postings straight from
 // the collection (stream.Collection.Postings carries stream, time and
 // count). Engine.Refresh is the incremental form an ingest uses: it
 // rebuilds only the dirty terms' index segments and shares the rest with

@@ -172,29 +172,42 @@ func TestRefreshMatchesBuild(t *testing.T) {
 
 // BenchmarkEngineRefresh sets the full engine build against the refresh
 // an ingest pays — five dirty terms re-scored, every other term's
-// postings shared — on the generated Topix corpus of bench/'s xs size.
+// postings shared — on the generated Topix corpus of bench/'s xs size,
+// for every kind: build/<kind> and refresh5/<kind>.
 func BenchmarkEngineRefresh(b *testing.B) {
 	tp, err := gen.NewTopix(gen.TopixConfig{Seed: 1, WeeklyArticles: 0.2, Vocab: 150, TokensPerArticle: 8})
 	if err != nil {
 		b.Fatal(err)
 	}
-	ps := index.NewWindowSet(mineWindows(tp.Col, core.STLocalOptions{}, 0))
-	terms := ps.Terms()
-	var dirty []int
-	for i := 0; i < 5; i++ {
-		dirty = append(dirty, terms[i*len(terms)/5])
+	prev := []*index.PatternSet{index.EmptySet(index.KindRegional), index.EmptySet(index.KindCombinatorial), index.EmptySet(index.KindTemporal)}
+	sets, err := MineSets(context.Background(), tp.Col, tp.Col.Terms(), prev, &index.MineOptions{}, 0)
+	if err != nil {
+		b.Fatal(err)
 	}
 	b.Run("build", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			BuildFromPatterns(tp.Col, ps)
+		for _, ps := range sets {
+			b.Run(ps.Kind().String(), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					BuildFromPatterns(tp.Col, ps)
+				}
+			})
 		}
 	})
-	eng := BuildFromPatterns(tp.Col, ps)
 	b.Run("refresh5", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			eng.Refresh(ps, dirty)
+		for _, ps := range sets {
+			terms := ps.Terms()
+			var dirty []int
+			for i := 0; i < 5; i++ {
+				dirty = append(dirty, terms[i*len(terms)/5])
+			}
+			eng := BuildFromPatterns(tp.Col, ps)
+			b.Run(ps.Kind().String(), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					eng.Refresh(ps, dirty)
+				}
+			})
 		}
 	})
 }

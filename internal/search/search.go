@@ -45,16 +45,27 @@ func BuildFromPatterns(col *stream.Collection, ps *index.PatternSet) *Engine {
 // overlap means the document does not participate for this term). Every
 // other term's list is shared with e, which keeps serving unmodified.
 func (e *Engine) Refresh(ps *index.PatternSet, dirty []int) *Engine {
-	b := ps.Burstiness()
+	cov := ps.Coverage(e.col.NumStreams(), e.col.Length())
 	idx := e.idx.With(dirty, func(term int) []index.Posting {
-		var list []index.Posting
-		for _, p := range e.col.Postings(term) {
-			bs, ok := b(term, int(p.Stream), int(p.Time))
-			if !ok || bs <= 0 {
-				continue
+		cov.Paint(term)
+		postings := e.col.Postings(term)
+		// Count the kept postings first, so the list the index retains
+		// is allocated once at its exact size.
+		n := 0
+		for _, p := range postings {
+			if bs, _ := cov.At(int(p.Stream), int(p.Time)); bs > 0 {
+				n++
 			}
-			rel := math.Log(float64(p.Count) + 1)
-			list = append(list, index.Posting{Doc: int(p.Doc), Score: rel * bs})
+		}
+		if n == 0 {
+			return nil
+		}
+		list := make([]index.Posting, 0, n)
+		for _, p := range postings {
+			if bs, _ := cov.At(int(p.Stream), int(p.Time)); bs > 0 {
+				rel := math.Log(float64(p.Count) + 1)
+				list = append(list, index.Posting{Doc: int(p.Doc), Score: rel * bs})
+			}
 		}
 		return list
 	})

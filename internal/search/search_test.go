@@ -212,14 +212,16 @@ func TestBurstinessAdapters(t *testing.T) {
 		Streams: []int{0},
 		Start:   2, End: 3, Score: 5,
 	}
-	wb := index.NewWindowSet(map[int][]core.Window{7: {w}}).Burstiness()
-	if s, ok := wb(7, 0, 2); !ok || s != 5 {
+	wb := index.NewWindowSet(map[int][]core.Window{7: {w}}).Coverage(4, 8)
+	wb.Paint(7)
+	if s, ok := wb.At(0, 2); !ok || s != 5 {
 		t.Fatalf("window overlap: (%v,%v)", s, ok)
 	}
-	if _, ok := wb(7, 1, 2); ok {
+	if _, ok := wb.At(1, 2); ok {
 		t.Fatal("wrong stream should not overlap")
 	}
-	if _, ok := wb(8, 0, 2); ok {
+	wb.Paint(8)
+	if _, ok := wb.At(0, 2); ok {
 		t.Fatal("wrong term should not overlap")
 	}
 
@@ -230,27 +232,30 @@ func TestBurstinessAdapters(t *testing.T) {
 			{Start: 0, End: 6, Stream: 3},
 		},
 	}
-	cb := index.NewCombSet(map[int][]core.CombPattern{7: {p}}).Burstiness()
-	if s, ok := cb(7, 3, 4); !ok || s != 2 {
+	cb := index.NewCombSet(map[int][]core.CombPattern{7: {p}}).Coverage(4, 8)
+	cb.Paint(7)
+	if s, ok := cb.At(3, 4); !ok || s != 2 {
 		t.Fatalf("comb overlap: (%v,%v)", s, ok)
 	}
-	if _, ok := cb(7, 2, 4); ok {
+	if _, ok := cb.At(2, 4); ok {
 		t.Fatal("non-member stream should not overlap")
 	}
 	// Member overlap extends beyond the common segment through the
 	// member's own interval.
-	if s, ok := cb(7, 3, 6); !ok || s != 2 {
+	if s, ok := cb.At(3, 6); !ok || s != 2 {
 		t.Fatalf("member-interval overlap: (%v,%v)", s, ok)
 	}
-	if _, ok := cb(7, 1, 6); ok {
+	if _, ok := cb.At(1, 6); ok {
 		t.Fatal("outside the member's own interval should not overlap")
 	}
 
-	tb := index.NewTemporalSet(map[int][]burst.Interval{7: {{Start: 1, End: 2, Score: 0.4}}}).Burstiness()
-	if s, ok := tb(7, 99, 1); !ok || s != 0.4 {
+	// The temporal grid is one time row: any stream reads it.
+	tb := index.NewTemporalSet(map[int][]burst.Interval{7: {{Start: 1, End: 2, Score: 0.4}}}).Coverage(4, 8)
+	tb.Paint(7)
+	if s, ok := tb.At(99, 1); !ok || s != 0.4 {
 		t.Fatalf("temporal overlap: (%v,%v)", s, ok)
 	}
-	if _, ok := tb(7, 0, 3); ok {
+	if _, ok := tb.At(0, 3); ok {
 		t.Fatal("outside interval should not overlap")
 	}
 }
@@ -262,8 +267,9 @@ func TestBurstinessMaxAggregation(t *testing.T) {
 		{Rect: geo.Rect{MaxX: 10, MaxY: 10}, Streams: []int{0}, Start: 0, End: 9, Score: 1},
 		{Rect: geo.Rect{MaxX: 10, MaxY: 10}, Streams: []int{0}, Start: 2, End: 4, Score: 7},
 	}
-	wb := index.NewWindowSet(map[int][]core.Window{0: ws}).Burstiness()
-	if s, _ := wb(0, 0, 3); s != 7 {
+	wb := index.NewWindowSet(map[int][]core.Window{0: ws}).Coverage(1, 10)
+	wb.Paint(0)
+	if s, _ := wb.At(0, 3); s != 7 {
 		t.Fatalf("max aggregation: got %v, want 7", s)
 	}
 }

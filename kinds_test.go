@@ -107,9 +107,10 @@ func TestKindTable(t *testing.T) {
 			// The two hot loops agree with the brute-force oracles on
 			// every (term, document) pair, and the pattern listing with
 			// the filter's notion of intersection.
-			burstiness := ix.set.Burstiness()
+			coverage := ix.set.Coverage(c.NumStreams(), c.Timeline())
 			for _, id := range ix.set.Terms() {
 				term := dict.Term(id)
+				coverage.Paint(id)
 				for _, f := range filters {
 					pass := ix.set.Filter(points, f.region, f.span)
 					for doc := 0; doc < c.NumDocs(); doc++ {
@@ -133,8 +134,8 @@ func TestKindTable(t *testing.T) {
 				for doc := 0; doc < c.NumDocs(); doc++ {
 					d := c.Doc(doc)
 					wantScore, wantOK := bruteForceBurstiness(ix, term, d)
-					if score, ok := burstiness(id, d.Stream, d.Time); ok != wantOK || (ok && score != wantScore) {
-						t.Fatalf("Burstiness(%q, doc %d) = %v, %v; brute force says %v, %v", term, doc, score, ok, wantScore, wantOK)
+					if score, ok := coverage.At(d.Stream, d.Time); ok != wantOK || (ok && score != wantScore) {
+						t.Fatalf("Coverage.At(%q, doc %d) = %v, %v; brute force says %v, %v", term, doc, score, ok, wantScore, wantOK)
 					}
 				}
 			}
