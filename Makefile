@@ -8,9 +8,9 @@
 #   make race        # concurrency suite under the race detector
 #   make bench       # the per-package go-test micro-benchmarks
 #   make bench-check # vet + test the bench/ module (the BENCHMARK.json harness)
-#   make fuzz-smoke  # 10 s of native fuzzing at each of nine targets: the artifact decoders, TA cursor,
-#                    # KindAny merge, WAL segment scan, feed line framing, the two miner kernels and
-#                    # the engine's coverage grid
+#   make fuzz-smoke  # 10 s of native fuzzing at each of ten targets: the artifact decoders, TA cursor,
+#                    # KindAny merge, WAL segment scan, feed line framing, the two miner kernels,
+#                    # the engine's coverage grid and the search body decoder
 #   make verify      # tier-1 + race: what CI should run
 #   make bundle      # stgen a corpus (if missing) and stmine all three kinds into $(BUNDLE)
 #   make serve       # stserve the bundle on $(ADDR)
@@ -95,6 +95,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLineReader$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/connector
 	$(GO) test -run '^$$' -fuzz '^FuzzMaxRect$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/discrepancy
 	$(GO) test -run '^$$' -fuzz '^FuzzTopCliques$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/interval
+	$(GO) test -run '^$$' -fuzz '^FuzzSearchBody$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/serve
 
 verify: test race
 

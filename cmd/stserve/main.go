@@ -31,6 +31,10 @@
 //	GET  /v1/patterns/{term} the stored patterns of a term (404 when
 //	                         none), filterable by ?kind= and
 //	                         ?region=minX,minY,maxX,maxY and ?from=&to=
+//	GET  /v1/patterns/{term}/bundle
+//	                         the term's patterns of every resident kind
+//	                         as a bundle, which stgate ships to the member
+//	                         answering a search over the term
 //	GET  /v1/indexes         the resident kinds with sizes and fingerprints
 //	POST /v1/documents       live batch ingest (requires -ingest): the body
 //	                         is {"documents": [{"stream": "Japan", "time":

@@ -1,17 +1,17 @@
-// Package gate implements the stgate scatter-gather coordinator: one
-// HTTP front over a set of shard-serving stserve members, each holding
-// the pattern bundles of one vocabulary shard (stmine -shards) over the
-// full corpus.
+// Package gate implements the stgate cluster coordinator: one HTTP front
+// over a set of shard-serving stserve members, each holding the pattern
+// bundles of one vocabulary shard (stmine -shards) over the full corpus.
 //
 // The gateway keeps a health-checked member table (periodic /v1/healthz
 // polls, with backoff for members that stay down), refuses to serve
 // while the member set does not form exactly one consistent partition —
 // every shard index present exactly once, all members reporting the
 // same shard count, partition scheme, corpus fingerprint and store
-// generation — and fans queries out under per-shard timeouts:
+// generation — and routes requests under per-shard timeouts:
 //
-//	POST /v1/search          scatter-gather retrieval; pages are
-//	                         bit-identical to an unsharded stserve
+//	POST /v1/search          answered by one member, shipped the
+//	                         patterns of the query's foreign terms; pages
+//	                         are bit-identical to an unsharded stserve
 //	GET  /v1/patterns/{term} proxied to the member owning the term
 //	GET  /v1/stats           aggregated cluster statistics
 //	GET  /v1/generation      the cluster's common store generation
@@ -20,8 +20,8 @@
 //
 // The failure policy is strict: a request that cannot be answered
 // exactly — a member down or unreachable, a mixed-generation member
-// set, a truncated sub-response — is a 503, never a silently partial
-// page.
+// set, shipped patterns a member reloaded past — is a 503, never a
+// silently partial page.
 package gate
 
 import (
@@ -72,7 +72,7 @@ type Config struct {
 	Client *http.Client
 }
 
-// Gateway is the scatter-gather coordinator. It implements http.Handler.
+// Gateway is the cluster coordinator. It implements http.Handler.
 type Gateway struct {
 	members   []*member
 	client    *http.Client

@@ -22,7 +22,12 @@ import (
 // over a background hum, so all three miners produce patterns and
 // multi-term conjunctive queries return hits. Streams 0-1 and 2-3 sit
 // in two distant city pairs for Region filtering.
-func gateCollection(t *testing.T) *stburst.Collection {
+func gateCollection(t *testing.T) *stburst.Collection { return repeatedGateCollection(t, 1) }
+
+// repeatedGateCollection is gateCollection with every document added
+// copies times: each term's frequency surface scales by copies, which
+// leaves its patterns' shape alone and multiplies its posting list.
+func repeatedGateCollection(t *testing.T, copies int) *stburst.Collection {
 	t.Helper()
 	col := stburst.NewCollection([]stburst.StreamInfo{
 		{Name: "lima", Location: stburst.Point{X: 0, Y: 0}},
@@ -33,8 +38,10 @@ func gateCollection(t *testing.T) *stburst.Collection {
 	}, 12)
 	add := func(s, w int, text string) {
 		t.Helper()
-		if _, err := col.AddText(s, w, text); err != nil {
-			t.Fatal(err)
+		for range copies {
+			if _, err := col.AddText(s, w, text); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	for w := 0; w < 12; w++ {

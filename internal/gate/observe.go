@@ -9,7 +9,8 @@ import (
 // observer is the gateway's metrics surface, shaped like stserve's so a
 // cluster dashboard reads both with one set of queries: the shared
 // per-route request instrumentation (metrics.HTTP), fan-out latency by
-// path (forward vs scatter), per-member upstream counters, and
+// path (forward, or scatter: a search that shipped at least one foreign
+// term's patterns), per-member upstream counters, and
 // member-state gauges. Member instruments are created eagerly (the
 // member set is fixed for the gateway's life).
 type observer struct {

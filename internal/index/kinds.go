@@ -122,6 +122,7 @@ type kindOps interface {
 	views(s *PatternSet, term int, points []geo.Point, region *geo.Rect, span *Timespan) []View
 	regroup(s *PatternSet, parts int, place func(term int) (part, id int)) []*PatternSet
 	remine(s *PatternSet, col *stream.Collection, terms []int, o *MineOptions) (mine func(i int), refreshed func() *PatternSet)
+	with(s, from *PatternSet, terms []int) *PatternSet
 	paint(c *Coverage, term int)
 	filter(s *PatternSet, points []geo.Point, region *geo.Rect, span *Timespan) func(term, stream, time int) bool
 }
@@ -333,25 +334,36 @@ func (k *kindOf[P]) remine(s *PatternSet, col *stream.Collection, terms []int, o
 	points := col.Points()
 	mined := make([][]P, len(terms))
 	mine := func(i int) { mined[i] = k.mine(col, points, terms[i], o) }
-	refreshed := func() *PatternSet {
-		prev := patterns[P](s)
-		out := make(map[int][]P, len(prev)+len(terms))
-		for t, ps := range prev {
-			out[t] = ps
-		}
-		// A term whose re-mine came back empty is dropped, as a full mine
-		// never stores it: more data can dissolve a pattern as well as
-		// create one, e.g. by raising the term's baseline.
-		for i, t := range terms {
-			if len(mined[i]) > 0 {
-				out[t] = mined[i]
-			} else {
-				delete(out, t)
-			}
-		}
-		return newSet(k.ID, out)
-	}
+	// A term whose re-mine came back empty is dropped, as a full mine
+	// never stores it: more data can dissolve a pattern as well as create
+	// one, e.g. by raising the term's baseline.
+	refreshed := func() *PatternSet { return k.replaced(s, terms, func(i int) []P { return mined[i] }) }
 	return mine, refreshed
+}
+
+// with is PatternSet.With for the kind.
+func (k *kindOf[P]) with(s, from *PatternSet, terms []int) *PatternSet {
+	src := patterns[P](from)
+	return k.replaced(s, terms, func(i int) []P { return src[terms[i]] })
+}
+
+// replaced returns s with each terms[i]'s patterns replaced by get(i),
+// and the term dropped when get(i) is empty. Every pattern slice is
+// shared, so the copy is one map entry per term.
+func (k *kindOf[P]) replaced(s *PatternSet, terms []int, get func(i int) []P) *PatternSet {
+	prev := patterns[P](s)
+	out := make(map[int][]P, len(prev)+len(terms))
+	for t, ps := range prev {
+		out[t] = ps
+	}
+	for i, t := range terms {
+		if ps := get(i); len(ps) > 0 {
+			out[t] = ps
+		} else {
+			delete(out, t)
+		}
+	}
+	return newSet(k.ID, out)
 }
 
 // paint lays the term's patterns onto c's grid, in stored order: the

@@ -204,6 +204,16 @@ func (s *PatternSet) Remine(col *stream.Collection, terms []int, o *MineOptions)
 	return kinds[s.kind].remine(s, col, terms, o)
 }
 
+// With returns a set holding s's patterns, except that each listed
+// term's patterns are from's — and a listed term from holds none of is
+// dropped. from must be of s's kind. Neither set is modified and every
+// pattern slice is shared, so the copy is one map entry per term: one
+// term cut out of a resident set is EmptySet(kind).With(set, []int{id}),
+// and a foreign term joins a resident set the same way.
+func (s *PatternSet) With(from *PatternSet, terms []int) *PatternSet {
+	return kinds[s.kind].with(s, from, terms)
+}
+
 // appender appends a pattern's stored fields to buf. Floats are always
 // their 8-byte IEEE-754 bit patterns. Counts and ints are the member
 // format's varints, or, with fixed set, 8-byte words: the fingerprint's

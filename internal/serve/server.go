@@ -40,6 +40,9 @@ import (
 //	                         JSON, including "kind": regional |
 //	                         combinatorial | temporal | any)
 //	GET  /v1/patterns/{term} stored patterns, filterable by ?kind=&region=&from=&to=
+//	GET  /v1/patterns/{term}/bundle
+//	                         the term's patterns of every resident kind as
+//	                         a bundle, for a cluster gateway to ship
 //	GET  /v1/indexes         the resident kinds with their sizes and fingerprints
 //	POST /v1/documents       live batch ingest (requires -ingest): append
 //	                         documents and incrementally re-mine the dirty
@@ -117,6 +120,7 @@ func New(c *stburst.Collection, store *stburst.Store, snapshotPath string) *Serv
 	s.mux.HandleFunc("POST /v1/reload", s.handleReload)
 	s.mux.HandleFunc("POST /v1/documents", s.handleDocuments)
 	s.mux.HandleFunc("GET /v1/patterns/{term}", s.handlePatterns)
+	s.mux.HandleFunc("GET /v1/patterns/{term}/bundle", s.handleTermBundle)
 	s.mux.HandleFunc("POST /v1/search", s.handleSearchV1)
 	// The standing-query surface: registered unconditionally so the
 	// routes answer a clean 403 (not 404) until -subscriptions arms them.
@@ -662,7 +666,7 @@ type SearchHit struct {
 }
 
 // SearchResponse is the POST /v1/search body, which a cluster gateway
-// both decodes from its members and answers with. Fields are declared in
+// relays verbatim from the member that answered. Fields are declared in
 // the alphabetical key order the body has always had.
 type SearchResponse struct {
 	// Count is the size of *this page*; with offset paging the full
@@ -691,20 +695,32 @@ func WriteSearch(w http.ResponseWriter, q stburst.Query, page stburst.ResultPage
 	})
 }
 
-// handleSearchV1 answers POST /v1/search: the body is the stburst.Query
-// JSON shape — including the kind field routing the query to one
-// burstiness model or fanning it out with "any" — validated by
-// Store.Query via Query.Validate. The request context is threaded
+// SearchRequest is the POST /v1/search body: the stburst.Query JSON
+// shape, whose fields it embeds, plus the cluster-only Patterns — the
+// bundles a gateway fetched from GET /v1/patterns/{term}/bundle on the
+// members owning the query's other terms (see stburst.Store.QueryWith).
+// Clients leave Patterns out; the response echoes only the query.
+type SearchRequest struct {
+	stburst.Query
+	Patterns [][]byte `json:"patterns,omitempty"`
+}
+
+// handleSearchV1 answers POST /v1/search: the body is a SearchRequest —
+// the query, including the kind field routing it to one burstiness model
+// or fanning it out with "any", validated by Store.QueryWith via
+// Query.Validate, and any shipped patterns. Patterns that do not decode
+// or fit the corpus are a 400; patterns of another generation or corpus
+// a 503, the cluster's strict policy. The request context is threaded
 // through, so a client that disconnects mid-query cancels the retrieval
 // loop.
 func (s *Server) handleSearchV1(w http.ResponseWriter, r *http.Request) {
-	var q stburst.Query
-	if !DecodeBody(w, r, MaxBody, "query", &q) {
+	var req SearchRequest
+	if !DecodeBody(w, r, MaxBody, "query", &req) {
 		return
 	}
 	s.searches.Add(1)
 	start := time.Now()
-	page, err := s.store.Query(r.Context(), q)
+	page, err := s.store.QueryWith(r.Context(), req.Query, req.Patterns...)
 	switch {
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		// The client is gone; there is no one left to answer.
@@ -713,9 +729,27 @@ func (s *Server) handleSearchV1(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, stburst.ErrKindNotResident):
 		WriteError(w, http.StatusNotFound, err.Error())
 		return
+	case errors.Is(err, stburst.ErrMismatchedPatterns):
+		WriteError(w, http.StatusServiceUnavailable, err.Error())
+		return
 	case err != nil:
 		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	WriteSearch(w, q, page, start)
+	WriteSearch(w, req.Query, page, start)
+}
+
+// handleTermBundle answers GET /v1/patterns/{term}/bundle with
+// Store.SaveTerm's bundle: 200 for every term, an empty member for a kind
+// holding none of its patterns; 404 only when no kind is resident.
+func (s *Server) handleTermBundle(w http.ResponseWriter, r *http.Request) {
+	var buf bytes.Buffer
+	if err := s.store.SaveTerm(&buf, r.PathValue("term")); err != nil {
+		WriteError(w, http.StatusNotFound, err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	if _, err := buf.WriteTo(w); err != nil {
+		log.Printf("writing term bundle: %v", err)
+	}
 }

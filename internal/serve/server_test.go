@@ -19,7 +19,7 @@ import (
 
 // serveCollection builds a small deterministic corpus with one strongly
 // localized burst so every engine kind has patterns to serve.
-func serveCollection(t *testing.T) *stburst.Collection {
+func serveCollection(t testing.TB) *stburst.Collection {
 	t.Helper()
 	streams := []stburst.StreamInfo{
 		{Name: "lima", Location: stburst.Point{X: 0, Y: 0}},

@@ -3,10 +3,16 @@ package stburst
 import (
 	"context"
 	"slices"
+	"sort"
 	"testing"
 )
 
-// sliceRanking yields hits, already in SortHits order, one at a time.
+// sortHits sorts hits into the merged ranking's order (hitBefore).
+func sortHits(hits []Hit) {
+	sort.SliceStable(hits, func(i, j int) bool { return hitBefore(hits[i], hits[j]) })
+}
+
+// sliceRanking yields hits, already in sortHits order, one at a time.
 func sliceRanking(hits []Hit) func() (Hit, bool) {
 	return func() (Hit, bool) {
 		if len(hits) == 0 {
@@ -31,15 +37,15 @@ func constRanking(n int, score float64, kind Kind) func() (Hit, bool) {
 	}
 }
 
-// concatPage is the merge QueryKinds had before rankings were lazy,
-// kept as its oracle: concatenate every ranking, SortHits, slice the
+// concatPage is the merge queryKinds had before rankings were lazy,
+// kept as its oracle: concatenate every ranking, sortHits, slice the
 // page, and report More when hits exist past it.
 func concatPage(q Query, rankings [][]Hit) ([]Hit, bool) {
 	var merged []Hit
 	for _, r := range rankings {
 		merged = append(merged, r...)
 	}
-	SortHits(merged)
+	sortHits(merged)
 	lo, hi := min(q.Offset, len(merged)), min(q.Offset+q.k(), len(merged))
 	return merged[lo:hi], len(merged) > q.Offset+q.k()
 }
@@ -50,7 +56,7 @@ func concatPage(q Query, rankings [][]Hit) ([]Hit, bool) {
 // hits, and the page came back from another kind.
 func TestQueryKindsPastMaxK(t *testing.T) {
 	q := Query{Text: "x", Offset: MaxK, K: 10}
-	page, err := QueryKinds(context.Background(), q, []func() (Hit, bool){
+	page, err := queryKinds(context.Background(), q, []func() (Hit, bool){
 		constRanking(MaxK+20, 2, KindRegional),
 		constRanking(50, 1, KindTemporal),
 	})
@@ -94,11 +100,11 @@ func FuzzQueryKinds(f *testing.F) {
 		}
 		rankings := make([]func() (Hit, bool), len(lists))
 		for i, l := range lists {
-			SortHits(l)
+			sortHits(l)
 			rankings[i] = sliceRanking(l)
 		}
 		want, wantMore := concatPage(q, lists)
-		page, err := QueryKinds(context.Background(), q, rankings)
+		page, err := queryKinds(context.Background(), q, rankings)
 		if err != nil || !slices.Equal(page.Hits, want) || page.More != wantMore {
 			t.Fatalf("offset %d k %d: page %v more=%v err=%v; want %v more=%v", q.Offset, q.K, page.Hits, page.More, err, want, wantMore)
 		}

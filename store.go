@@ -1,11 +1,12 @@
 package stburst
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -20,6 +21,11 @@ import (
 // names a concrete kind the store holds no index for, and by a KindAny
 // query against an empty store. The HTTP layer maps it to 404.
 var ErrKindNotResident = errors.New("stburst: pattern kind not resident in store")
+
+// ErrMismatchedPatterns is returned (wrapped) by Store.QueryWith when a
+// shipped bundle was written at another store generation, or from
+// another corpus, than the store's. The HTTP layer maps it to 503.
+var ErrMismatchedPatterns = errors.New("stburst: shipped patterns do not match the store's generation or corpus")
 
 // Store holds up to one query-ready PatternIndex per concrete pattern
 // kind over a single shared Collection — the paper's three burstiness
@@ -270,39 +276,150 @@ func (s *Store) Resident() []*PatternIndex {
 //
 // MinScore, Region and Time apply within each kind exactly as in
 // Engine.Run; Offset/K page the merged list. The page's More flag
-// reports whether hits exist beyond it in the merged ranking.
+// reports whether hits exist beyond it in the merged ranking. Query is
+// QueryWith without shipped patterns.
 func (s *Store) Query(ctx context.Context, q Query) (ResultPage, error) {
+	return s.QueryWith(ctx, q)
+}
+
+// QueryWith is Query over the resident set joined, for this query only,
+// by shipped patterns: each bundle, as SaveTerm writes it on the member
+// that owns a term, brings that term's patterns of every kind. One member
+// of a sharded cluster thereby answers any query exactly as an unsharded
+// store would: every member holds the full corpus, and a term's
+// per-document scores depend only on the corpus and the term's own
+// patterns (Eq. 10/11).
+//
+// A bundle is decoded and checked as LoadStore checks one; a bundle that
+// does not decode, or whose patterns do not fit the collection, is an
+// error. One written at another generation, or from another corpus, than
+// the store's is ErrMismatchedPatterns, wrapped: answering from it would
+// mix two states of the cluster. Only the query's own terms are taken
+// from a bundle. The resident set is never modified: the shipped terms'
+// posting lists are built into request-local engines that share every
+// resident term's list, as an ingest's refresh does.
+func (s *Store) QueryWith(ctx context.Context, q Query, bundles ...[]byte) (ResultPage, error) {
 	if err := q.Validate(); err != nil {
 		return ResultPage{}, err
 	}
-	if q.Kind != KindAny {
-		ix := s.Index(q.Kind)
-		if ix == nil {
-			return ResultPage{}, fmt.Errorf("%w: %v", ErrKindNotResident, q.Kind)
+	resident := s.indexes.Load() // one snapshot for the whole fan-out
+	if len(bundles) > 0 {
+		var err error
+		if resident, err = s.shipped(q, bundles); err != nil {
+			return ResultPage{}, err
 		}
-		return ix.Query(ctx, q)
 	}
-
-	// Each kind's ranking is read from its head; QueryKinds pages the
-	// merge.
-	var rankings []func() (Hit, bool)
 	sub := q
-	sub.Offset = 0
-	for _, ix := range s.indexes.Load() { // one snapshot for the whole fan-out
-		if ix != nil {
+	if q.Kind == KindAny {
+		sub.Offset = 0 // each kind's ranking is read from its head; queryKinds pages the merge
+	}
+	var rankings []func() (Hit, bool)
+	for _, ix := range resident {
+		if ix != nil && (q.Kind == KindAny || ix.PatternKind() == q.Kind) {
 			rankings = append(rankings, ix.Engine().rank(ctx, sub))
 		}
 	}
-	return QueryKinds(ctx, q, rankings)
+	if len(rankings) == 0 && q.Kind != KindAny {
+		return ResultPage{}, fmt.Errorf("%w: %v", ErrKindNotResident, q.Kind)
+	}
+	return queryKinds(ctx, q, rankings)
 }
 
-// QueryKinds answers a validated KindAny query from per-kind rankings —
-// each a pull function yielding one kind's hits best first — exactly as
-// Store.Query does from its resident indexes (it is Store.Query's
-// fan-out): the rankings are merged lazily in SortHits order and the
-// merge is paged once by Offset/K, More reporting whether hits exist
-// beyond the page. No rankings at all is ErrKindNotResident.
-func QueryKinds(ctx context.Context, q Query, rankings []func() (Hit, bool)) (ResultPage, error) {
+// shipped returns the resident set joined by the query terms' patterns
+// the bundles hold (see QueryWith).
+func (s *Store) shipped(q Query, bundles [][]byte) (*residentSet, error) {
+	resident, gen := s.residentAt()
+	var want []int // the query's terms the collection knows
+	for _, tok := range q.Tokens() {
+		if id, ok := s.c.col.Dict().Lookup(tok); ok {
+			want = append(want, id)
+		}
+	}
+	var add [index.NumKinds]*index.PatternSet
+	for i, raw := range bundles {
+		b, err := index.ReadStore(bytes.NewReader(raw))
+		if err != nil {
+			return nil, fmt.Errorf("stburst: shipped bundle %d: %w", i, err)
+		}
+		if b.Generation != gen {
+			return nil, fmt.Errorf("%w: bundle %d was written at generation %d, the store is at %d",
+				ErrMismatchedPatterns, i, b.Generation, gen)
+		}
+		if fp := s.shard.CorpusFingerprint; b.Shard.CorpusFingerprint != fp {
+			return nil, fmt.Errorf("%w: bundle %d was mined from corpus %q, the store from %q",
+				ErrMismatchedPatterns, i, b.Shard.CorpusFingerprint, fp)
+		}
+		for _, snap := range b.Snaps {
+			ix, err := attachSnapshot(snap, s.c)
+			if err != nil {
+				return nil, fmt.Errorf("stburst: shipped bundle %d %v member: %w", i, kindOf(snap.Set.Kind()), err)
+			}
+			k := ix.set.Kind()
+			if add[k] == nil {
+				add[k] = index.EmptySet(k)
+			}
+			var held []int
+			for _, id := range want {
+				if _, ok := slices.BinarySearch(ix.set.Terms(), id); ok {
+					held = append(held, id)
+				}
+			}
+			add[k] = add[k].With(ix.set, held)
+		}
+	}
+	next := *resident
+	for k, set := range add {
+		if base := next[k]; base != nil && set != nil && set.NumTerms() > 0 {
+			base.Engine() // built once and kept, so the refresh below shares it
+			next[k] = base.successor(base.set.With(set, set.Terms()), set.Terms())
+		}
+	}
+	return &next, nil
+}
+
+// residentAt returns the resident set together with the generation it
+// serves at, read as one pair under writeMu: every writer installs and
+// counts under it.
+func (s *Store) residentAt() (*residentSet, uint64) {
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	return s.indexes.Load(), s.Generation()
+}
+
+// SaveTerm writes one term's patterns of every resident kind as a bundle
+// stamped with the store's generation and shard identity: what a cluster
+// member ships to the member answering a query over the term (see
+// QueryWith). term is a dictionary term, as Query.Tokens returns it. A
+// kind holding no patterns of the term, and every kind for a term the
+// collection has never seen, writes an empty member. An empty store
+// cannot be saved.
+func (s *Store) SaveTerm(w io.Writer, term string) error {
+	resident, gen := s.residentAt()
+	id, known := s.c.col.Dict().Lookup(term)
+	b := &index.Bundle{Generation: gen, Shard: s.shard}
+	for _, ix := range resident {
+		if ix == nil {
+			continue
+		}
+		one := index.EmptySet(ix.set.Kind())
+		if known {
+			one = one.With(ix.set, []int{id})
+		}
+		b.Sets = append(b.Sets, one)
+	}
+	if len(b.Sets) == 0 {
+		return errors.New("stburst: cannot save an empty store")
+	}
+	return b.Write(w, s.c.col.Dict().Term)
+}
+
+// queryKinds answers a validated query from per-kind rankings — each a
+// pull function yielding one kind's hits best first: the rankings are
+// merged lazily, by descending score, ties by ascending document ID,
+// then ascending kind, and the merge is paged once by Offset/K, More
+// reporting whether hits exist beyond the page. No rankings at all is
+// ErrKindNotResident.
+func queryKinds(ctx context.Context, q Query, rankings []func() (Hit, bool)) (ResultPage, error) {
 	if len(rankings) == 0 {
 		return ResultPage{}, fmt.Errorf("%w: store holds no indexes", ErrKindNotResident)
 	}
@@ -336,17 +453,8 @@ func QueryKinds(ctx context.Context, q Query, rankings []func() (Hit, bool)) (Re
 	return ResultPage{Hits: hits, More: more}, nil
 }
 
-// SortHits sorts hits into the store's canonical merged ranking:
-// descending score, ties broken by ascending document ID, then ascending
-// kind. This is the total order QueryKinds merges per-kind rankings
-// with, exported so the stgate coordinator's per-term join ranks each
-// kind in the engine's own order. The sort is stable, though the order
-// is total whenever no two hits share (score, doc, kind).
-func SortHits(hits []Hit) {
-	sort.SliceStable(hits, func(i, j int) bool { return hitBefore(hits[i], hits[j]) })
-}
-
-// hitBefore is the SortHits order.
+// hitBefore is queryKinds' merge order: descending score, then ascending
+// document ID, then ascending kind.
 func hitBefore(a, b Hit) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score
