@@ -71,27 +71,30 @@ func Load(r io.Reader) (*stream.Collection, []int, error) {
 	}
 	col := stream.NewCollection(infos, h.Timeline)
 	col.SetRetainCounts(false)
-	var labels []int
+	var (
+		labels []int
+		counts []stream.TermCount // one slice reused by every line
+	)
 	for sc.Scan() {
-		var d DocLine
-		if err := json.Unmarshal(sc.Bytes(), &d); err != nil {
+		d, err := scanDoc(sc.Bytes(), counts)
+		if err != nil {
 			return nil, nil, fmt.Errorf("corpusio: reading document: %w", err)
 		}
-		x, err := col.Resolve(d.Stream, d.Time)
+		counts = d.counts
+		x, err := col.Resolve(string(d.stream), d.time)
 		if err != nil {
 			return nil, nil, fmt.Errorf("corpusio: document from %w", err)
 		}
-		// AddStringCounts interns each document's terms in sorted order:
-		// map iteration is randomized per process, and snapshot
+		// AddTermCounts interns each document's terms in sorted order, as
+		// Collection.Append does for post-load batches: snapshot
 		// portability (plus stable cross-process index fingerprints)
 		// needs every load of a corpus to assign identical dictionary
-		// IDs. Collection.Append interns post-load batches the same way,
-		// so a corpus replayed as load-then-append still assigns the
+		// IDs, and a corpus replayed as load-then-append must assign the
 		// loaded prefix identically.
-		if _, err := col.AddStringCounts(x, d.Time, d.Counts); err != nil {
+		if _, err := col.AddTermCounts(x, d.time, d.counts); err != nil {
 			return nil, nil, err
 		}
-		labels = append(labels, d.Event)
+		labels = append(labels, d.event)
 	}
 	return col, labels, sc.Err()
 }

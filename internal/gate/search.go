@@ -101,6 +101,15 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, http.StatusInternalServerError, "encoding query: "+err.Error())
 		return
 	}
+	// The member would refuse the forwarded body with its own cap and
+	// blame the client's query, which may be a few bytes: say here that
+	// the shipped patterns overflowed it.
+	if len(body) > serve.MaxBody {
+		serve.WriteError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf(
+			"the patterns of the query's %d foreign terms make a %d-byte member query body, past the members' %d-byte cap",
+			len(foreign), len(body), serve.MaxBody))
+		return
+	}
 	m := v.owners[home]
 	status, resp, err := g.do(r.Context(), m, http.MethodPost, "/v1/search", "", body)
 	path := "forward"

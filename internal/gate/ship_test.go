@@ -3,6 +3,7 @@ package gate
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"fmt"
 	"io"
 	"net/http"
@@ -228,5 +229,50 @@ func TestGatewayRefusesReloadedMember(t *testing.T) {
 				t.Errorf("search across a reload = %d %s, want 503 naming the generation", rec.Code, rec.Body.String())
 			}
 		})
+	}
+}
+
+// TestGatewayRefusesOversizedShipment: a query of a few KB over enough
+// foreign terms that their shipped patterns overflow a member's body cap
+// gets the gateway's 413 naming the foreign-term count, the forwarded
+// bytes and the cap — not the home member's 413, which would blame the
+// client's body — and no member search.
+func TestGatewayRefusesOversizedShipment(t *testing.T) {
+	col := gateCollection(t)
+	store, err := col.MineStore(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stores := shardStores(t, col, store, 2)
+	g, traffic := bootCounted(t, col, stores)
+	// A term the corpus lacks still ships its owner's stamped bundle of
+	// empty members, so enough distinct ones overflow the cap.
+	home := stburst.TermShard("earthquake", 2)
+	words := []string{"earthquake"}
+	for i, shipped := 0, 0; shipped <= serve.MaxBody; i++ {
+		w := stburst.NormalizeTerm(fmt.Sprintf("zz%d", i))
+		owner := stburst.TermShard(w, 2)
+		if owner == home {
+			continue
+		}
+		var b bytes.Buffer
+		if err := stores[owner].SaveTerm(&b, w); err != nil {
+			t.Fatal(err)
+		}
+		shipped += base64.StdEncoding.EncodedLen(b.Len())
+		words = append(words, w)
+	}
+	body := `{"text":"` + strings.Join(words, " ") + `","k":3}`
+	if len(body) > serve.MaxBody/8 {
+		t.Fatalf("the client body is %d bytes; the test needs a small one", len(body))
+	}
+	rec := httptest.NewRecorder()
+	g.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/search", strings.NewReader(body)))
+	want := fmt.Sprintf("%d foreign terms", len(words)-1)
+	if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), want) || !strings.Contains(rec.Body.String(), fmt.Sprint(serve.MaxBody)) {
+		t.Errorf("search over %d foreign terms (%d-byte body) = %d %s, want 413 naming %q and the cap", len(words)-1, len(body), rec.Code, rec.Body.String(), want)
+	}
+	if n := traffic.reqs["POST /v1/search"]; n != 0 {
+		t.Errorf("%d member searches, want none", n)
 	}
 }

@@ -202,3 +202,45 @@ func termTable(snaps ...*Snapshot) func(id int) string {
 	}
 	return func(id int) string { return terms[id] }
 }
+
+// FuzzSegmentOrder: whatever ties a posting list holds, With's rank
+// order is the comparator sort's (slices.SortFunc with rankCmp), bit for
+// bit. Byte 0 picks the scores — drawn from an eight-value palette, so
+// equal scores land across the list; one score for every posting, the
+// single-bucket case; or every score distinct — and byte 1 rotates the
+// palette of specials (0 and -0, which tie; NaN, which ties nothing;
+// +Inf; the smallest subnormal; neighbouring floats). Each further byte
+// is one posting: its doc gap and palette slot.
+func FuzzSegmentOrder(f *testing.F) {
+	f.Add([]byte{0, 0, 0x01, 0x22, 0x43, 0x04, 0x05, 0x26, 0x07, 0x00, 0x11})
+	f.Add([]byte{1, 3, 0x01, 0x02, 0x03})
+	f.Add(append([]byte{2, 0}, bytes.Repeat([]byte{0x21, 0x07}, 64)...))
+	palette := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), 5e-324, 1, math.Nextafter(1, 2), 0.5}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		var byDoc []Posting
+		doc := 0
+		for i, b := range data[2:] {
+			doc += 1 + int(b>>3)
+			score := palette[(int(b&7)+int(data[1]))%len(palette)]
+			switch data[0] % 3 {
+			case 1:
+				score = palette[int(data[1])%len(palette)]
+			case 2:
+				score = float64((i*7919)%len(data)) + float64(i)/float64(len(data))
+			}
+			byDoc = append(byDoc, Posting{Doc: doc, Score: score})
+		}
+		got := (*Index)(nil).With([]int{0}, func(int) []Posting { return byDoc }).Postings(0)
+		want := slices.Clone(byDoc)
+		slices.SortFunc(want, func(a, b Posting) int { return rankCmp(Result(a), Result(b)) })
+		same := func(a, b Posting) bool {
+			return a.Doc == b.Doc && math.Float64bits(a.Score) == math.Float64bits(b.Score)
+		}
+		if !slices.EqualFunc(got, want, same) {
+			t.Fatalf("With ranks %v, the comparator sort %v", got, want)
+		}
+	})
+}

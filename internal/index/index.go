@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"maps"
+	"math"
 	"slices"
 	"sort"
 )
@@ -62,9 +63,59 @@ func (ix *Index) With(terms []int, list func(term int) []Posting) *Index {
 			delete(out.segs, t)
 			continue
 		}
-		byScore := slices.Clone(byDoc)
-		slices.SortFunc(byScore, func(a, b Posting) int { return rankCmp(Result(a), Result(b)) })
-		out.segs[t] = &segment{byScore: byScore, byDoc: byDoc}
+		out.segs[t] = &segment{byScore: rankOrder(byDoc), byDoc: byDoc}
+	}
+	return out
+}
+
+// rankOrder returns a copy of byDoc, whose postings ascend by doc, in
+// rank order (rankCmp: score descending, then doc ascending) without a
+// comparator sort. A term's scores take few distinct values — each is
+// log(count+1) times one painted pattern score — so it sorts the D
+// distinct scores and deals the postings, in doc order, into one bucket
+// per score: every bucket's ties come out doc-ascending, in O(P + D log D)
+// for P postings. A bucket holds the scores rankCmp ties: 0 with -0, and
+// every NaN with every other.
+func rankOrder(byDoc []Posting) []Posting {
+	bucketOf := make([]int32, len(byDoc))
+	var (
+		scores []float64 // one per bucket, in order of first appearance
+		sizes  []int     // postings per bucket; then each bucket's next slot
+		index  = map[uint64]int32{}
+		last   = uint64(math.MaxUint64) // no score's key
+		b      int32
+	)
+	for i, p := range byDoc {
+		key := math.Float64bits(p.Score + 0) // -0 + 0 is 0
+		if p.Score != p.Score {
+			key = math.Float64bits(math.NaN())
+		}
+		if key != last { // neighbours often share a score
+			var ok bool
+			if b, ok = index[key]; !ok {
+				b = int32(len(scores))
+				index[key] = b
+				scores = append(scores, p.Score)
+				sizes = append(sizes, 0)
+			}
+			last = key
+		}
+		bucketOf[i] = b
+		sizes[b]++
+	}
+	order := make([]int32, len(scores))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(scores[b], scores[a]) })
+	next := 0
+	for _, b := range order {
+		next, sizes[b] = next+sizes[b], next
+	}
+	out := make([]Posting, len(byDoc))
+	for i, p := range byDoc {
+		out[sizes[bucketOf[i]]] = p
+		sizes[bucketOf[i]]++
 	}
 	return out
 }

@@ -16,10 +16,11 @@
 //
 // # Concurrency
 //
-// Loading (AddTokens, AddCounts, SetRetainCounts, Dictionary.ID) must
-// happen from a single goroutine. Once loading is done, every read path —
-// Surface, MergedSeries, Postings, Terms, Doc, Dict().Lookup/Term, and
-// the rest of the accessors — is safe for unlimited concurrent use: the
-// corpus-wide batch miners read one collection from many workers at once,
-// and a serving process answers queries over it from many requests.
+// Loading (AddTokens, AddCounts, AddTermCounts, SetRetainCounts,
+// Dictionary.ID) must happen from a single goroutine. Once loading is
+// done, every read path — Surface, MergedSeries, Postings, Terms, Doc,
+// Dict().Lookup/Term, and the rest of the accessors — is safe for
+// unlimited concurrent use: the corpus-wide batch miners read one
+// collection from many workers at once, and a serving process answers
+// queries over it from many requests.
 package stream

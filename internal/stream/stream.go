@@ -1,11 +1,13 @@
 package stream
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -105,7 +107,7 @@ type state struct {
 // Collection is a spatiotemporal document collection: n streams observed
 // over a timeline of Length discrete timestamps.
 //
-// Concurrency: the initial load (AddTokens/AddCounts/AddStringCounts,
+// Concurrency: the initial load (AddTokens/AddCounts/AddTermCounts,
 // SetRetainCounts and Dictionary.ID) must happen from a single goroutine
 // with no concurrent readers, exactly as before. Once loading is done,
 // every read path — Surface, MergedSeries, Postings, Terms, Doc,
@@ -190,38 +192,96 @@ func (c *Collection) AddTokens(streamIdx, time int, tokens []string) (int, error
 	return c.AddCounts(streamIdx, time, counts)
 }
 
-// AddStringCounts adds a document given per-term counts keyed by the term
-// string, interning the document's terms in sorted order: map iteration
-// is randomized per process, and snapshot portability (plus stable
-// cross-process index fingerprints) needs every load of a corpus to
-// assign identical dictionary IDs. Load phase only; Append interns the
-// same way for post-load batches.
-func (c *Collection) AddStringCounts(streamIdx, time int, counts map[string]int) (int, error) {
-	if err := checkDoc(c, streamIdx, time, counts); err != nil {
-		return 0, err
-	}
-	ids, _ := internSorted(c.st.Load().dict, counts)
-	return c.addCounts(streamIdx, time, ids), nil
+// TermCount is one term of a document with its within-document
+// frequency freq(t, d), the term given by its bytes.
+type TermCount struct {
+	Term  []byte
+	Count int
 }
 
-// internSorted interns one document's terms into dict in sorted string
-// order and returns the ID-keyed count map plus the interned IDs in that
-// same sorted-term order — the single definition of deterministic
-// per-document interning shared by the load and append paths.
-func internSorted(dict *Dictionary, counts map[string]int) (map[int]int, []int) {
-	terms := make([]string, 0, len(counts))
-	for t := range counts {
-		terms = append(terms, t)
+// AddTermCounts adds a document given its (term, count) pairs and
+// returns the assigned document ID. It sorts counts in place by term
+// (only when they arrive out of order) and rejects a term repeated in
+// the document; the terms are interned in that sorted order, the one
+// order every load of a corpus and every Append share (see internSorted).
+// A term's bytes are copied only when the dictionary meets it for the
+// first time, so the caller may reuse them once the call returns. Load
+// phase only; Append interns the same way for post-load batches.
+func (c *Collection) AddTermCounts(streamIdx, time int, counts []TermCount) (int, error) {
+	if err := c.checkShape(streamIdx, time); err != nil {
+		return 0, err
 	}
-	sort.Strings(terms)
-	out := make(map[int]int, len(counts))
-	ids := make([]int, len(terms))
-	for i, t := range terms {
-		id := dict.ID(t)
-		out[id] = counts[t]
+	for _, tc := range counts {
+		if !countInRange(tc.Count) {
+			return 0, countError(string(tc.Term), tc.Count)
+		}
+	}
+	if err := sortTerms(counts); err != nil {
+		return 0, err
+	}
+	st := c.st.Load()
+	id := len(st.docs)
+	c.addSorted(st, streamIdx, time, counts)
+	return id, nil
+}
+
+// addSorted interns a validated document's pairs, in ascending term
+// order, into st and appends the document and its postings; it returns
+// the terms' IDs.
+func (c *Collection) addSorted(st *state, streamIdx, time int, counts []TermCount) []int {
+	ids := internSorted(st.dict, counts)
+	id := len(st.docs)
+	doc := Document{ID: id, Stream: streamIdx, Time: time}
+	if c.retainCounts {
+		doc.Counts = make(map[int]int, len(ids))
+	}
+	for i, tid := range ids {
+		if doc.Counts != nil {
+			doc.Counts[tid] = counts[i].Count
+		}
+		st.postings[tid] = append(st.postings[tid], Posting{
+			Doc:    int32(id),
+			Stream: int32(streamIdx),
+			Time:   int32(time),
+			Count:  int32(counts[i].Count),
+		})
+	}
+	st.docs = append(st.docs, doc)
+	return ids
+}
+
+// sortTerms puts one document's pairs in ascending term order — a
+// check, and a sort only when they arrive out of order (json.Marshal
+// writes a map's keys sorted) — and rejects a repeated term.
+func sortTerms(counts []TermCount) error {
+	byTerm := func(a, b TermCount) int { return bytes.Compare(a.Term, b.Term) }
+	if !slices.IsSortedFunc(counts, byTerm) {
+		slices.SortFunc(counts, byTerm)
+	}
+	for i := 1; i < len(counts); i++ {
+		if bytes.Equal(counts[i-1].Term, counts[i].Term) {
+			return fmt.Errorf("stream: term %q repeated in one document", counts[i].Term)
+		}
+	}
+	return nil
+}
+
+// internSorted interns one document's terms, given in ascending term
+// order, into dict and returns their IDs in that order — the single
+// definition of deterministic per-document interning shared by the load
+// and append paths: map iteration is randomized per process, and
+// snapshot portability (plus stable cross-process index fingerprints)
+// needs every load of a corpus to assign identical dictionary IDs.
+func internSorted(dict *Dictionary, counts []TermCount) []int {
+	ids := make([]int, len(counts))
+	for i, tc := range counts {
+		id, ok := dict.ids[string(tc.Term)]
+		if !ok {
+			id = dict.ID(string(tc.Term))
+		}
 		ids[i] = id
 	}
-	return out, ids
+	return ids
 }
 
 // Resolve maps an arriving document's stream name to its index and checks
@@ -244,21 +304,38 @@ func (c *Collection) checkTime(time int) error {
 
 // checkDoc validates a document against the collection's shape: its
 // stream and timestamp must exist, and every term count must lie in
-// [1, math.MaxInt32] — postings store counts as int32, and a count that
-// wrapped would enter the frequency surface of Eq. 6 negative.
+// [1, math.MaxInt32] (countInRange).
 func checkDoc[K comparable](c *Collection, streamIdx, time int, counts map[K]int) error {
+	if err := c.checkShape(streamIdx, time); err != nil {
+		return err
+	}
+	for term, n := range counts {
+		if !countInRange(n) {
+			return countError(term, n)
+		}
+	}
+	return nil
+}
+
+// checkShape checks a document's stream and timestamp exist.
+func (c *Collection) checkShape(streamIdx, time int) error {
 	if streamIdx < 0 || streamIdx >= len(c.streams) {
 		return fmt.Errorf("stream: document stream %d out of range [0,%d)", streamIdx, len(c.streams))
 	}
 	if err := c.checkTime(time); err != nil {
 		return fmt.Errorf("stream: document %w", err)
 	}
-	for term, n := range counts {
-		if n < 1 || n > math.MaxInt32 {
-			return fmt.Errorf("stream: term %v count %d outside [1, %d]", term, n, math.MaxInt32)
-		}
-	}
 	return nil
+}
+
+// countInRange reports whether a term count lies in [1, math.MaxInt32]:
+// postings store counts as int32, and a count that wrapped would enter
+// the frequency surface of Eq. 6 negative.
+func countInRange(n int) bool { return n >= 1 && n <= math.MaxInt32 }
+
+// countError is the error for a term count outside countInRange.
+func countError(term any, n int) error {
+	return fmt.Errorf("stream: term %v count %d outside [1, %d]", term, n, math.MaxInt32)
 }
 
 // AddCounts adds a document given pre-interned term counts and returns the
@@ -353,24 +430,13 @@ func (c *Collection) Append(docs []AppendDoc) (firstID int, dirty []int, err err
 	}
 	firstID = len(cur.docs)
 	dirtySet := make(map[int]struct{})
-	for i, d := range docs {
-		id := firstID + i
-		counts, ids := internSorted(next.dict, d.Counts)
-		doc := Document{ID: id, Stream: d.Stream, Time: d.Time}
-		if c.retainCounts {
-			doc.Counts = counts
+	for _, d := range docs {
+		counts := make([]TermCount, 0, len(d.Counts))
+		for t, n := range d.Counts {
+			counts = append(counts, TermCount{Term: []byte(t), Count: n})
 		}
-		next.docs = append(next.docs, doc)
-		// Walk the IDs in sorted-term order rather than the count map so
-		// posting order — and with it every downstream fingerprint — is
-		// deterministic across replays.
-		for _, tid := range ids {
-			next.postings[tid] = append(next.postings[tid], Posting{
-				Doc:    int32(id),
-				Stream: int32(d.Stream),
-				Time:   int32(d.Time),
-				Count:  int32(counts[tid]),
-			})
+		sortTerms(counts) // a map's keys are distinct: no error
+		for _, tid := range c.addSorted(next, d.Stream, d.Time, counts) {
 			dirtySet[tid] = struct{}{}
 		}
 	}

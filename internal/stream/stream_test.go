@@ -86,8 +86,8 @@ func TestAddCountsValidation(t *testing.T) {
 		if _, err := c.AddCounts(0, 0, map[int]int{0: n}); err == nil {
 			t.Fatalf("AddCounts accepted term count %d", n)
 		}
-		if _, err := c.AddStringCounts(0, 0, map[string]int{"x": n}); err == nil {
-			t.Fatalf("AddStringCounts accepted term count %d", n)
+		if _, err := c.AddTermCounts(0, 0, []TermCount{{Term: []byte("x"), Count: n}}); err == nil {
+			t.Fatalf("AddTermCounts accepted term count %d", n)
 		}
 		batch := []AppendDoc{{Counts: map[string]int{"ok": 1}}, {Counts: map[string]int{"x": n}}}
 		if err := c.CheckBatch(batch); err == nil {
@@ -100,7 +100,7 @@ func TestAddCountsValidation(t *testing.T) {
 	if c.NumDocs() != 0 || c.Dict().Len() != 0 {
 		t.Fatalf("rejected documents left %d docs, %d terms behind", c.NumDocs(), c.Dict().Len())
 	}
-	if _, err := c.AddStringCounts(1, 3, map[string]int{"x": math.MaxInt32}); err != nil {
+	if _, err := c.AddTermCounts(1, 3, []TermCount{{Term: []byte("x"), Count: math.MaxInt32}}); err != nil {
 		t.Fatalf("the largest storable count was rejected: %v", err)
 	}
 	if got := c.Surface(0)[1][3]; got != math.MaxInt32 {
