@@ -8,10 +8,10 @@
 #   make race        # concurrency suite under the race detector
 #   make bench       # the per-package go-test micro-benchmarks
 #   make bench-check # vet + test the bench/ module (the BENCHMARK.json harness)
-#   make fuzz-smoke  # 10 s of native fuzzing at each of twelve targets: the artifact decoders, TA cursor,
+#   make fuzz-smoke  # 10 s of native fuzzing at each of thirteen targets: the artifact decoders, TA cursor,
 #                    # KindAny merge, WAL segment scan, feed line framing, the two miner kernels,
-#                    # the engine's coverage grid and segment order, the search body decoder
-#                    # and the corpus line scanner
+#                    # the engine's coverage grid and segment order, the search and documents
+#                    # body decoders and the corpus line scanner
 #   make verify      # tier-1 + race: what CI should run
 #   make bundle      # stgen a corpus (if missing) and stmine all three kinds into $(BUNDLE)
 #   make serve       # stserve the bundle on $(ADDR)
@@ -98,6 +98,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMaxRect$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/discrepancy
 	$(GO) test -run '^$$' -fuzz '^FuzzTopCliques$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/interval
 	$(GO) test -run '^$$' -fuzz '^FuzzSearchBody$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzDocumentsBody$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzCorpusLine$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/corpusio
 
 verify: test race
@@ -140,8 +141,12 @@ loadtest: build
 # on a small generated corpus, drive write-only load through the WAL,
 # kill -9 mid-flight state, reboot on the same log, and assert the
 # generation and document count come back exactly — zero acknowledged
-# batches lost. The root-package tests prove bit-identical recovery at
-# every truncation point; this proves the shipped binaries wire it up.
+# batches lost. A second pass runs the same drill with pruning armed
+# (-snapshot plus -wal-prune-interval 1s) on a copy of the corpus, and
+# kills only once the timer's saves have absorbed every ingested
+# document into that corpus file and the log is down to its one active
+# segment. The root-package tests prove bit-identical recovery at every
+# truncation point; this proves the shipped binaries wire it up.
 wal-smoke:
 	$(GO) build -o bin/stgen ./cmd/stgen
 	$(GO) build -o bin/stserve ./cmd/stserve
@@ -150,9 +155,10 @@ wal-smoke:
 	rm -rf $(WAL_TMP); mkdir -p $(WAL_TMP); \
 	trap 'kill -9 $$pid 2>/dev/null || true; rm -rf $(WAL_TMP)' EXIT; \
 	./bin/stgen -kind topix -seed 1 -articles 0.4 -vocab 300 -tokens 8 > $(WAL_TMP)/corpus.jsonl; \
+	corpus=corpus.jsonl; wal=wal; extra=""; \
 	boot() { \
-		./bin/stserve -corpus $(WAL_TMP)/corpus.jsonl -addr $(WAL_ADDR) \
-			-method stlocal -ingest -wal-dir $(WAL_TMP)/wal & pid=$$!; \
+		./bin/stserve -corpus $(WAL_TMP)/$$corpus -addr $(WAL_ADDR) \
+			-method stlocal -ingest -wal-dir $(WAL_TMP)/$$wal $$extra & pid=$$!; \
 		for i in $$(seq 1 200); do \
 			curl -sf http://$(WAL_ADDR)/v1/healthz > /dev/null 2>&1 && return 0; sleep 0.3; \
 		done; \
@@ -172,7 +178,32 @@ wal-smoke:
 	kill $$pid 2>/dev/null; wait $$pid 2>/dev/null || true; \
 	test "$$gen1" = "$$gen2" || { echo "wal-smoke: generation not recovered: pre-kill $$gen1, post-reboot $$gen2" >&2; exit 1; }; \
 	test "$$docs1" = "$$docs2" || { echo "wal-smoke: documents lost: pre-kill $$docs1, post-reboot $$docs2" >&2; exit 1; }; \
-	echo "wal-smoke: kill -9 survived — $$docs2 and $$gen2" | tr '\n' ' '; echo "recovered"
+	echo "wal-smoke: kill -9 survived — $$docs2 and $$gen2" | tr '\n' ' '; echo "recovered"; \
+	cp $(WAL_TMP)/corpus.jsonl $(WAL_TMP)/prune.jsonl; \
+	corpus=prune.jsonl; wal=walprune; \
+	extra="-snapshot $(WAL_TMP)/prune.bundle -wal-prune-interval 1s"; \
+	lines0=$$(wc -l < $(WAL_TMP)/prune.jsonl); \
+	boot; \
+	docs() { curl -sf http://$(WAL_ADDR)/v1/stats | grep -o '"docs": [0-9]*' | grep -o '[0-9]*$$'; }; \
+	gen0=$$(curl -sf http://$(WAL_ADDR)/v1/generation); docs0=$$(docs); \
+	./bin/stload -target http://$(WAL_ADDR) -requests 60 -seed 1 -concurrency 4 \
+		-write-fraction 1 -vocab 300 > $(WAL_TMP)/prune-load.json; \
+	gen1=$$(curl -sf http://$(WAL_ADDR)/v1/generation); docs1=$$(docs); \
+	test "$$gen0" != "$$gen1" || { echo "wal-smoke: pruning pass ingested nothing (generation never moved)" >&2; exit 1; }; \
+	want=$$(($$lines0 + $$docs1 - $$docs0)); \
+	ok=0; for i in $$(seq 1 100); do \
+		lines=$$(wc -l < $(WAL_TMP)/prune.jsonl); \
+		segs=$$(curl -sf http://$(WAL_ADDR)/metrics | awk '/^stserve_wal_segments /{ print $$2 }'); \
+		test "$$lines" = "$$want" && test "$$segs" = 1 && { ok=1; break; }; sleep 0.3; \
+	done; \
+	test $$ok = 1 || { echo "wal-smoke: pruning never absorbed the log: corpus $$lines lines (want $$want), $$segs wal segments (want 1)" >&2; exit 1; }; \
+	kill -9 $$pid; wait $$pid 2>/dev/null || true; \
+	boot; \
+	gen2=$$(curl -sf http://$(WAL_ADDR)/v1/generation); docs2=$$(docs); \
+	kill $$pid 2>/dev/null; wait $$pid 2>/dev/null || true; \
+	test "$$gen1" = "$$gen2" || { echo "wal-smoke: pruned generation not recovered: pre-kill $$gen1, post-reboot $$gen2" >&2; exit 1; }; \
+	test "$$docs1" = "$$docs2" || { echo "wal-smoke: pruned documents lost: pre-kill $$docs1, post-reboot $$docs2" >&2; exit 1; }; \
+	echo "wal-smoke: kill -9 after pruning survived — $$docs2 docs and generation $$(echo $$gen2 | grep -o '[0-9]*') recovered from the absorbing corpus file"
 
 # Scatter-gather smoke over the real binaries: mine a 3-shard partition,
 # boot one stserve per shard and an stgate over them, drive read-only

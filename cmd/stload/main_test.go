@@ -96,10 +96,7 @@ func bootTarget(t *testing.T) (*httptest.Server, *serve.Server) {
 		t.Fatal(err)
 	}
 	handler := serve.New(c, store, "")
-	// Batch flushes: every flush re-mines the dirty terms over all 181
-	// streams, and the smoke's ~45 ingest requests would otherwise spend
-	// half a minute re-mining one burst at a time.
-	ing := stburst.NewIngester(store, stburst.WithFlushDocs(16))
+	ing := stburst.NewIngester(store)
 	handler.EnableIngest(ing)
 	handler.EnableSubscriptions(sub.DispatcherOptions{})
 	t.Cleanup(func() {
@@ -245,7 +242,7 @@ func TestReportRoundTrip(t *testing.T) {
 // must equal the report's per-route sent totals.
 func TestSmokeMixedLoad(t *testing.T) {
 	if testing.Short() {
-		t.Skip("mixed-load smoke re-mines dirty terms on every ingest flush; skipped under -short")
+		t.Skip("mixed-load smoke re-mines dirty terms on every ingest; skipped under -short")
 	}
 	ts, handler := bootTarget(t)
 	code, stdout, stderr := runLoad(t,

@@ -59,12 +59,12 @@
 //	POST /v1/reload          atomically swap in freshly mined indexes from
 //	                         the -snapshot file, without pausing traffic —
 //	                         the cold-path alternative to /v1/documents
-//	GET  /v1/stats           index size, fingerprint, generation, pending
-//	                         ingest depth, uptime, traffic counters
+//	GET  /v1/stats           index size, fingerprint, generation, ingest
+//	                         state, uptime, traffic counters
 //	GET  /v1/healthz         liveness probe
 //	GET  /metrics            Prometheus text exposition: per-route request
 //	                         counters and latency histograms, in-flight
-//	                         gauge, store generation and ingest depth
+//	                         gauge, store generation and ingested documents
 //
 // Every route is versioned; there are no unversioned aliases.
 //
@@ -73,16 +73,14 @@
 // pass; -parallel the worker count) and writes the bundle there, so the
 // next boot skips mining entirely.
 //
-// -ingest arms the write surface. Incoming documents buffer in a
-// batching ingester: -ingest-batch sets how many accumulate before a
-// flush (default 1: every request flushes synchronously and its response
-// reports the resulting generation), and -ingest-interval bounds how
-// long a trickle may sit buffered. Each flush appends the batch to the
-// in-memory collection and incrementally re-mines only the dirty terms,
-// hot-swapping the refreshed indexes under live queries. The -snapshot
-// file on disk is not rewritten by ingestion; POST /v1/reload therefore
-// reverts to the snapshot's indexes (the appended documents survive in
-// memory) until the process is restarted or the file is re-mined.
+// -ingest arms the write surface. Each POST /v1/documents request is one
+// batch: it is appended to the in-memory collection and only the dirty
+// terms are incrementally re-mined, hot-swapping the refreshed indexes
+// under live queries, before the 202 reports the resulting generation.
+// The -snapshot file on disk is not rewritten by ingestion; POST
+// /v1/reload therefore reverts to the snapshot's indexes (the appended
+// documents survive in memory) until the process is restarted or the
+// file is re-mined.
 //
 // -wal-dir arms crash durability for ingestion: every accepted batch is
 // framed, checksummed and (under -fsync always, the default) fsync'd to
@@ -91,10 +89,9 @@
 // path — a kill -9 mid-ingest loses nothing that was acknowledged. A
 // successful snapshot save rotates the log's segments. -fsync never
 // trades that guarantee for speed: the OS flushes when it pleases, and
-// a crash may lose acknowledged batches. -wal-prune additionally
-// absorbs sealed segments into the -corpus file after every snapshot
-// save so the log stays bounded, and -wal-prune-interval re-saves the
-// -snapshot bundle on a timer so those saves actually happen under
+// a crash may lose acknowledged batches. -wal-prune-interval re-saves
+// the -snapshot bundle on a timer and absorbs the sealed segments into
+// the -corpus file after every save, so the log stays bounded under
 // sustained ingestion.
 //
 // Streaming connectors pull documents in without any HTTP client.
@@ -104,7 +101,7 @@
 // is lost or applied twice; -listen-ingest accepts line- or
 // length-framed JSONL documents over TCP (-listen-framing picks the
 // framing). Both deliver straight into the same Store.Ingest → WAL →
-// dirty-term re-mine path POST /v1/documents flushes into, are
+// dirty-term re-mine path POST /v1/documents ingests through, are
 // supervised with capped exponential backoff, and report per-connector
 // counters on /metrics and a connectors block on /v1/stats. On shutdown
 // the socket source drains its buffered batches before the WAL closes;
@@ -139,26 +136,23 @@ import (
 
 func main() {
 	var (
-		addr           = flag.String("addr", ":8080", "listen address")
-		debugAddr      = flag.String("debug-addr", "", "optional second listener with /debug/pprof/ and /metrics (keep it loopback or firewalled)")
-		corpus         = flag.String("corpus", "", "JSONL corpus path (required)")
-		snapshot       = flag.String("snapshot", "", "pattern bundle path (loaded if present, written after mining otherwise)")
-		method         = flag.String("method", "stlocal", "miner when no snapshot exists: stlocal, stcomb, tb or all")
-		parallel       = flag.Int("parallel", 0, "mining workers (<1 = one per CPU)")
-		ingest         = flag.Bool("ingest", false, "enable the POST /v1/documents write surface")
-		ingestBatch    = flag.Int("ingest-batch", 1, "buffer this many documents before an ingest flush (1 = flush every request)")
-		ingestInterval = flag.Duration("ingest-interval", 0, "flush buffered documents at least this often (0 = only on batch size)")
-		subscriptions  = flag.Bool("subscriptions", false, "enable the /v1/subscriptions standing-query surface and the /v1/alerts/stream SSE feed")
-		allowPrivate   = flag.Bool("webhook-allow-private", false, "permit webhook deliveries to loopback, private-range and link-local addresses (off by default: SSRF guard)")
-		maxSubs        = flag.Int("max-subscriptions", 0, "cap on registered subscriptions; creates past it answer 429 (0 = default 65536)")
-		walDir         = flag.String("wal-dir", "", "write-ahead log directory: log every ingest batch before applying it and replay the log on boot")
-		fsync          = flag.String("fsync", "always", "WAL fsync policy: always (acknowledged = durable) or never (faster, crash may lose batches)")
-		walPrune       = flag.Bool("wal-prune", false, "absorb sealed WAL segments into the -corpus file after each snapshot save so the log stays bounded (requires -wal-dir)")
-		walPruneIvl    = flag.Duration("wal-prune-interval", 0, "re-save the -snapshot bundle this often so -wal-prune compacts the log under sustained ingestion (requires -wal-prune and -snapshot)")
-		tailPath       = flag.String("tail", "", "follow this JSONL feed file, ingesting appended documents as they arrive (resumes from a checkpoint)")
-		tailCkpt       = flag.String("tail-checkpoint", "", "tailer checkpoint file (default: <tail path>.checkpoint)")
-		listenIngest   = flag.String("listen-ingest", "", "accept framed JSONL documents over TCP on this address and ingest them")
-		listenFraming  = flag.String("listen-framing", "line", "ingest socket framing: line (newline-delimited) or len (4-byte big-endian length prefix)")
+		addr          = flag.String("addr", ":8080", "listen address")
+		debugAddr     = flag.String("debug-addr", "", "optional second listener with /debug/pprof/ and /metrics (keep it loopback or firewalled)")
+		corpus        = flag.String("corpus", "", "JSONL corpus path (required)")
+		snapshot      = flag.String("snapshot", "", "pattern bundle path (loaded if present, written after mining otherwise)")
+		method        = flag.String("method", "stlocal", "miner when no snapshot exists: stlocal, stcomb, tb or all")
+		parallel      = flag.Int("parallel", 0, "mining workers (<1 = one per CPU)")
+		ingest        = flag.Bool("ingest", false, "enable the POST /v1/documents write surface")
+		subscriptions = flag.Bool("subscriptions", false, "enable the /v1/subscriptions standing-query surface and the /v1/alerts/stream SSE feed")
+		allowPrivate  = flag.Bool("webhook-allow-private", false, "permit webhook deliveries to loopback, private-range and link-local addresses (off by default: SSRF guard)")
+		maxSubs       = flag.Int("max-subscriptions", 0, "cap on registered subscriptions; creates past it answer 429 (0 = default 65536)")
+		walDir        = flag.String("wal-dir", "", "write-ahead log directory: log every ingest batch before applying it and replay the log on boot")
+		fsync         = flag.String("fsync", "always", "WAL fsync policy: always (acknowledged = durable) or never (faster, crash may lose batches)")
+		walPruneIvl   = flag.Duration("wal-prune-interval", 0, "re-save the -snapshot bundle this often and absorb sealed WAL segments into the -corpus file after each save, so the log stays bounded (requires -wal-dir and -snapshot)")
+		tailPath      = flag.String("tail", "", "follow this JSONL feed file, ingesting appended documents as they arrive (resumes from a checkpoint)")
+		tailCkpt      = flag.String("tail-checkpoint", "", "tailer checkpoint file (default: <tail path>.checkpoint)")
+		listenIngest  = flag.String("listen-ingest", "", "accept framed JSONL documents over TCP on this address and ingest them")
+		listenFraming = flag.String("listen-framing", "line", "ingest socket framing: line (newline-delimited) or len (4-byte big-endian length prefix)")
 	)
 	flag.Parse()
 	log.SetPrefix("stserve: ")
@@ -166,12 +160,9 @@ func main() {
 	if *corpus == "" {
 		log.Fatal("-corpus is required")
 	}
-	if *walPrune && *walDir == "" {
-		log.Fatal("-wal-prune requires -wal-dir: there is no log to prune")
-	}
 	if *walPruneIvl > 0 {
-		if !*walPrune {
-			log.Fatal("-wal-prune-interval requires -wal-prune: a periodic save without pruning armed never compacts the log")
+		if *walDir == "" {
+			log.Fatal("-wal-prune-interval requires -wal-dir: there is no log to prune")
 		}
 		if *snapshot == "" {
 			log.Fatal("-wal-prune-interval requires -snapshot: there is nowhere to save the bundle")
@@ -215,7 +206,7 @@ func main() {
 	if *walDir != "" {
 		start = time.Now()
 		walOpts := []stburst.WALOption{stburst.WithWALSync(walSync)}
-		if *walPrune {
+		if *walPruneIvl > 0 {
 			walOpts = append(walOpts, stburst.WithWALPrune(*corpus))
 		}
 		wal, err = stburst.OpenWAL(*walDir, walOpts...)
@@ -276,23 +267,9 @@ func main() {
 	}
 	var ing *stburst.Ingester
 	if *ingest {
-		opts := []stburst.IngesterOption{
-			stburst.WithFlushDocs(*ingestBatch),
-			stburst.WithOnFlush(func(res stburst.IngestResult, err error) {
-				if err != nil {
-					log.Printf("ingest flush failed: %v", err)
-					return
-				}
-				log.Printf("ingested %d docs: %d dirty terms re-mined, generation %d",
-					res.Docs, res.DirtyTerms, res.Generation)
-			}),
-		}
-		if *ingestInterval > 0 {
-			opts = append(opts, stburst.WithFlushInterval(*ingestInterval))
-		}
-		ing = stburst.NewIngester(store, opts...)
+		ing = stburst.NewIngester(store)
 		handler.EnableIngest(ing)
-		log.Printf("live ingestion enabled (batch %d, interval %v)", *ingestBatch, *ingestInterval)
+		log.Printf("live ingestion enabled")
 	}
 	if *subscriptions {
 		// Bundles persist registered subscriptions; a loaded snapshot may
@@ -362,9 +339,9 @@ func main() {
 		log.Printf("connectors: %d source(s) supervised", sup.NumSources())
 	}
 
-	// The periodic saver exists for -wal-prune: every successful save
-	// absorbs the sealed segments into the corpus file and deletes them,
-	// so under sustained connector ingestion the log stays bounded.
+	// The periodic saver drives pruning: every successful save absorbs
+	// the sealed segments into the corpus file and deletes them, so
+	// under sustained ingestion the log stays bounded.
 	var pruneStop, pruneDone chan struct{}
 	if *walPruneIvl > 0 {
 		pruneStop, pruneDone = make(chan struct{}), make(chan struct{})
@@ -422,23 +399,19 @@ func main() {
 		sup.Stop()
 	}
 	if ing != nil {
-		// Drain whatever the batcher still buffers: a rolling restart
-		// must not drop accepted documents.
-		if cerr := ing.Close(); cerr != nil {
-			log.Printf("closing ingester: %v", cerr)
-		}
+		// Seal the write door: nothing may ingest once the WAL closes.
+		ing.Close()
 	}
 	if pruneStop != nil {
-		// After the final flushes so a last save could still absorb
-		// them, and strictly before the WAL closes.
+		// Strictly before the WAL closes.
 		close(pruneStop)
 		<-pruneDone
 	}
-	// After the final ingest flush, so its alerts still reach the queue;
+	// After the last ingest, so its alerts still reach the queue;
 	// draining the dispatcher delivers every queued webhook batch.
 	handler.CloseSubscriptions()
 	if wal != nil {
-		// Only after the listener drained and the ingester flushed: the
+		// Only after the listener drained and the ingester sealed: the
 		// last batch must hit the log before the log closes.
 		if cerr := wal.Close(); cerr != nil {
 			log.Printf("closing wal: %v", cerr)

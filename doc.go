@@ -149,15 +149,14 @@
 //
 // Every store mutation (Swap, Replace, Ingest) advances the
 // monotonically increasing Store.Generation, which bundles persist and
-// LoadStore restores, so clients can cache-bust across restarts. For a
-// live trickle, an Ingester amortizes the per-batch re-mine over a
-// flush size and/or interval:
+// LoadStore restores, so clients can cache-bust across restarts. A
+// server's write surface ingests through an Ingester, a sealable door
+// onto Store.Ingest: each Add is one batch, installed before it returns,
+// and Close refuses every later Add so shutdown can close the log:
 //
-//	ing := stburst.NewIngester(store,
-//	    stburst.WithFlushDocs(64),
-//	    stburst.WithFlushInterval(2*time.Second))
-//	defer ing.Close() // flushes what is left
-//	ing.Add(stburst.IncomingDocument{Stream: 1, Time: 18, Text: "..."})
+//	ing := stburst.NewIngester(store)
+//	defer ing.Close()
+//	res, err := ing.Add(ctx, stburst.IncomingDocument{Stream: 1, Time: 18, Text: "..."})
 //
 // The CLI pipeline mirrors the API: stgen generates a corpus,
 // stmine -all -method all -o mines it into a bundle, and stserve loads

@@ -4,234 +4,53 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
-	"time"
 )
 
-// ErrIngesterClosed is returned by Add and Flush after Close.
+// ErrIngesterClosed is returned by Add after Close.
 var ErrIngesterClosed = errors.New("stburst: ingester is closed")
 
-// Ingester batches live document arrival in front of Store.Ingest: every
-// ingest pays one incremental re-mine of the dirty terms, so feeding
-// documents one by one re-mines per document while a batch amortizes the
-// cost over its whole window. Documents queue in memory until the batch
-// reaches the flush size (flushed synchronously inside Add, providing
-// natural backpressure) or the flush interval elapses (flushed by a
-// background goroutine), whichever comes first.
+// Ingester is the sealable door of the HTTP write surface onto
+// Store.Ingest: each Add is one batch — one WAL frame, one dirty-term
+// re-mine and one install — applied before Add returns, and Close seals
+// the door so a draining server accepts no further batch. Nothing is
+// buffered: a nil error means the batch is installed, and WAL-durable
+// when a log is attached.
 //
-// An Ingester is safe for concurrent use. Close flushes whatever is
-// still buffered and stops the background flusher; documents added and
-// not yet flushed are never dropped except by a failing Ingest, whose
-// error Close (or the OnFlush callback) reports.
-//
-// The Ingester buffers in memory: documents become crash-durable only
-// when a flush hands them to Store.Ingest, which — on a store with a
-// write-ahead log attached — fsyncs the batch before applying it. A
-// process crash loses at most the documents still buffered here, never
-// a batch a flush already logged.
+// An Ingester is safe for concurrent use. After ErrIngestIncomplete the
+// store itself owes the interrupted refresh and repairs it on its next
+// ingest; the Ingester keeps no repair state of its own.
 type Ingester struct {
-	s         *Store
-	flushDocs int
-	interval  time.Duration
-	onFlush   func(IngestResult, error)
+	s *Store
 
-	mu      sync.Mutex
-	buf     []IncomingDocument
-	closed  bool
-	lastErr error // most recent asynchronous flush failure, surfaced by Close
-	// repair is set when a flush ended in ErrIngestIncomplete: the batch
-	// was appended and dropped from the buffer, but the store still owes
-	// its index refresh — the next flush must run even with an empty
-	// buffer so the owed dirty terms get re-mined.
-	repair bool
-
-	// pendingN mirrors len(buf) so Pending never blocks behind an
-	// in-flight flush (mu is held across Store.Ingest, which can take
-	// seconds on a large corpus — a stats poll must not stall on it).
-	pendingN atomic.Int64
-
-	stop chan struct{}
-	done chan struct{}
+	// mu is held across each Add's ingest, so an Add that saw the door
+	// open finishes its batch before Close returns.
+	mu     sync.Mutex
+	closed bool
 }
 
-// IngesterOption configures an Ingester functional-style.
-type IngesterOption func(*Ingester)
-
-// WithFlushDocs sets the flush size: Add flushes synchronously once the
-// buffer holds at least n documents. Values below 1 are clamped to 1
-// (the default), which flushes every Add call immediately — each call's
-// whole batch still amortizes one re-mine.
-func WithFlushDocs(n int) IngesterOption {
-	return func(g *Ingester) {
-		if n < 1 {
-			n = 1
-		}
-		g.flushDocs = n
-	}
+// NewIngester creates an open ingester over the store.
+func NewIngester(s *Store) *Ingester {
+	return &Ingester{s: s}
 }
 
-// WithFlushInterval sets the flush interval: a background goroutine
-// flushes any buffered documents every d, so a trickle of arrivals
-// never waits indefinitely for the flush size. d <= 0 (the default)
-// disables the background flusher.
-func WithFlushInterval(d time.Duration) IngesterOption {
-	return func(g *Ingester) { g.interval = d }
-}
-
-// WithOnFlush installs a callback invoked after every attempted flush
-// with its result or error — the observability hook for asynchronous
-// (interval-driven) flushes, whose errors otherwise surface only from
-// Close. The callback runs on the flushing goroutine while the ingester
-// is locked: it must not call back into the Ingester (Add, Flush,
-// Pending, Close), or it deadlocks.
-func WithOnFlush(f func(IngestResult, error)) IngesterOption {
-	return func(g *Ingester) { g.onFlush = f }
-}
-
-// NewIngester creates an ingester over the store. The zero configuration
-// flushes every Add immediately and runs no background flusher.
-func NewIngester(s *Store, opts ...IngesterOption) *Ingester {
-	g := &Ingester{s: s, flushDocs: 1}
-	for _, o := range opts {
-		o(g)
-	}
-	if g.interval > 0 {
-		g.stop = make(chan struct{})
-		g.done = make(chan struct{})
-		go g.loop()
-	}
-	return g
-}
-
-// loop is the background flusher: every interval it flushes whatever is
-// buffered.
-func (g *Ingester) loop() {
-	defer close(g.done)
-	t := time.NewTicker(g.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-g.stop:
-			return
-		case <-t.C:
-			g.mu.Lock()
-			if !g.closed && (len(g.buf) > 0 || g.repair) {
-				g.flushLocked(context.Background())
-			}
-			g.mu.Unlock()
-		}
-	}
-}
-
-// Add queues documents, flushing synchronously when the buffer reaches
-// the flush size. When a flush happened it returns the batch's result;
-// a nil result means the documents are buffered and will ride a later
-// flush. A flush error that precedes the append (invalid batch,
-// cancelled context) leaves the documents buffered for retry; an
-// ErrIngestIncomplete means they were appended and are dropped from the
-// buffer — the store repairs the index refresh on the next flush.
-func (g *Ingester) Add(docs ...IncomingDocument) (*IngestResult, error) {
+// Add ingests docs as one batch through Store.Ingest and returns its
+// result. An error that precedes the append (invalid batch, cancelled
+// context) applies nothing, so the caller may retry the batch verbatim;
+// ErrIngestIncomplete means the batch was appended and must not be
+// retried.
+func (g *Ingester) Add(ctx context.Context, docs ...IncomingDocument) (IngestResult, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.closed {
-		return nil, ErrIngesterClosed
+		return IngestResult{}, ErrIngesterClosed
 	}
-	g.buf = append(g.buf, docs...)
-	g.pendingN.Store(int64(len(g.buf)))
-	if len(g.buf) < g.flushDocs {
-		return nil, nil
-	}
-	res, err := g.flushLocked(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return g.s.Ingest(ctx, docs)
 }
 
-// Pending returns the number of buffered documents not yet ingested.
-// During a flush the documents being applied still count as pending —
-// they are not applied to the store until Ingest returns, and with a
-// write-ahead log attached they become durable partway through the
-// flush, the moment Ingest has fsync'd the batch (logged ⇒ replayable:
-// from that point a crash replays them on boot even though Pending
-// still counts them). Without a WAL they are memory-only either way.
-// Pending never blocks behind an in-flight flush.
-func (g *Ingester) Pending() int {
-	return int(g.pendingN.Load())
-}
-
-// Flush applies everything buffered right now, regardless of the flush
-// size. With an empty buffer it is a no-op reporting the store's
-// current generation.
-func (g *Ingester) Flush(ctx context.Context) (*IngestResult, error) {
+// Close seals the ingester, waiting for in-flight Adds to finish;
+// subsequent Adds return ErrIngesterClosed. A second Close is a no-op.
+func (g *Ingester) Close() {
 	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed {
-		return nil, ErrIngesterClosed
-	}
-	return g.flushLocked(ctx)
-}
-
-// flushLocked ingests the buffered batch; callers hold mu. On success
-// the buffer resets. An error from before the append leaves the buffer
-// intact so the documents retry on the next flush; ErrIngestIncomplete
-// means the documents WERE appended, so the buffer resets too —
-// retrying them would duplicate the batch in the collection, and the
-// store itself remembers the terms whose refresh is still owed.
-func (g *Ingester) flushLocked(ctx context.Context) (*IngestResult, error) {
-	if len(g.buf) == 0 && !g.repair {
-		return &IngestResult{Generation: g.s.Generation(), TotalDocs: g.s.c.NumDocs()}, nil
-	}
-	// With an empty buffer but repair owed, the empty Ingest re-mines
-	// the store's remembered stale dirty terms.
-	res, err := g.s.Ingest(ctx, g.buf)
-	if err != nil {
-		if errors.Is(err, ErrIngestIncomplete) {
-			g.buf = nil
-			g.pendingN.Store(0)
-			g.repair = true
-		}
-		g.lastErr = err
-		if g.onFlush != nil {
-			g.onFlush(IngestResult{}, err)
-		}
-		return nil, err
-	}
-	g.buf = nil
-	g.pendingN.Store(0)
-	g.repair = false
-	g.lastErr = nil
-	if g.onFlush != nil {
-		g.onFlush(res, nil)
-	}
-	return &res, nil
-}
-
-// Close stops the background flusher, flushes whatever is still
-// buffered, and marks the ingester closed: subsequent Add/Flush calls
-// return ErrIngesterClosed. It returns the final flush's error, or —
-// when nothing was left to flush — the most recent asynchronous flush
-// failure, so a silently failing interval flusher cannot drop documents
-// without anyone noticing.
-func (g *Ingester) Close() error {
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return nil
-	}
 	g.closed = true
 	g.mu.Unlock()
-	if g.stop != nil {
-		close(g.stop)
-		<-g.done
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if len(g.buf) > 0 || g.repair {
-		if _, err := g.flushLocked(context.Background()); err != nil {
-			return err
-		}
-		return nil
-	}
-	return g.lastErr
 }

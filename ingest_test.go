@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"stburst/internal/search"
 )
@@ -327,96 +326,41 @@ func TestStoreGeneration(t *testing.T) {
 	}
 }
 
-// TestIngesterBatching: Add buffers until the flush size, Flush drains
-// on demand, Close drains the rest.
+// TestIngesterBatching: each Add is one batch and one generation,
+// Close seals the ingester, and a second Close is harmless.
 func TestIngesterBatching(t *testing.T) {
 	c := twoBurstCollection(t)
 	s, err := c.MineStore(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var flushes int
-	ing := NewIngester(s, WithFlushDocs(3), WithOnFlush(func(IngestResult, error) { flushes++ }))
+	ing := NewIngester(s)
 	batch := liveBatch()
 
-	res, err := ing.Add(batch[0])
-	if err != nil || res != nil {
-		t.Fatalf("Add below flush size = (%+v, %v), want buffered", res, err)
-	}
-	if ing.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", ing.Pending())
-	}
-	res, err = ing.Add(batch[1], batch[2])
+	gen0 := s.Generation()
+	res, err := ing.Add(context.Background(), batch[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res == nil || res.Docs != 3 {
-		t.Fatalf("Add at flush size = %+v, want a 3-doc flush", res)
+	if res.Docs != 1 || res.Generation != gen0+1 || s.Generation() != res.Generation {
+		t.Fatalf("single-doc Add = %+v (store generation %d), want one doc at generation %d", res, s.Generation(), gen0+1)
 	}
-	if ing.Pending() != 0 || flushes != 1 {
-		t.Fatalf("after flush: pending %d, flushes %d", ing.Pending(), flushes)
-	}
-
-	// Flush with an empty buffer is a generation-reporting no-op.
-	res, err = ing.Flush(context.Background())
-	if err != nil || res == nil || res.Docs != 0 || res.Generation != s.Generation() {
-		t.Fatalf("empty Flush = (%+v, %v)", res, err)
-	}
-	if flushes != 1 {
-		t.Error("empty flush invoked the callback")
-	}
-
-	// Close drains the remainder and seals the ingester.
-	if _, err := ing.Add(IncomingDocument{Stream: 0, Time: 15, Text: "late arrival wildfire"}); err != nil {
+	res, err = ing.Add(context.Background(), batch[1], batch[2])
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ing.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
+	if res.Docs != 2 || res.Generation != gen0+2 {
+		t.Fatalf("two-doc Add = %+v, want one 2-doc batch at generation %d", res, gen0+2)
 	}
-	if got := c.TermFrequency("wildfire", 0, 15); got != 1 {
-		t.Errorf("document buffered at Close was dropped (freq %v)", got)
-	}
-	if _, err := ing.Add(batch[0]); !errors.Is(err, ErrIngesterClosed) {
+
+	ing.Close()
+	if _, err := ing.Add(context.Background(), batch[0]); !errors.Is(err, ErrIngesterClosed) {
 		t.Errorf("Add after Close = %v, want ErrIngesterClosed", err)
 	}
-	if _, err := ing.Flush(context.Background()); !errors.Is(err, ErrIngesterClosed) {
-		t.Errorf("Flush after Close = %v, want ErrIngesterClosed", err)
+	if s.Generation() != gen0+2 {
+		t.Errorf("Add after Close moved the generation to %d", s.Generation())
 	}
-	if err := ing.Close(); err != nil {
-		t.Errorf("second Close = %v, want nil", err)
-	}
-}
-
-// TestIngesterInterval: the background flusher drains a trickle that
-// never reaches the flush size.
-func TestIngesterInterval(t *testing.T) {
-	c := twoBurstCollection(t)
-	s, err := c.MineStore(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flushed := make(chan struct{}, 1)
-	ing := NewIngester(s, WithFlushDocs(100), WithFlushInterval(10*time.Millisecond),
-		WithOnFlush(func(res IngestResult, err error) {
-			if err == nil && res.Docs > 0 {
-				select {
-				case flushed <- struct{}{}:
-				default:
-				}
-			}
-		}))
-	defer ing.Close()
-	if _, err := ing.Add(IncomingDocument{Stream: 1, Time: 15, Text: "landslide blocks highway"}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-flushed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("interval flusher never fired")
-	}
-	if ing.Pending() != 0 {
-		t.Errorf("pending %d after interval flush", ing.Pending())
-	}
+	ing.Close()
 }
 
 // trippingContext reports healthy for its first n Err() checks and
@@ -500,31 +444,29 @@ func assertEnginesFresh(t *testing.T, s *Store) {
 }
 
 // TestIngesterDropsAppendedBatchOnIncomplete: after ErrIngestIncomplete
-// the ingester must not retry the batch — the documents are already in
-// the collection, and a retry would duplicate them.
+// the batch is already in the collection, and the next Add — even an
+// empty one — repairs the owed refresh without applying it twice.
 func TestIngesterDropsAppendedBatchOnIncomplete(t *testing.T) {
 	live := twoBurstCollection(t)
 	s, err := live.MineStore(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ing := NewIngester(s, WithFlushDocs(100))
+	ing := NewIngester(s)
 	defer ing.Close()
-	if _, err := ing.Add(liveBatch()...); err != nil {
-		t.Fatal(err)
-	}
-	docsAfterBuffer := live.NumDocs()
+	docsBefore := live.NumDocs()
 	tripping := &trippingContext{Context: context.Background(), after: 1}
-	if _, err := ing.Flush(tripping); !errors.Is(err, ErrIngestIncomplete) {
-		t.Fatalf("aborted flush = %v, want ErrIngestIncomplete", err)
+	if _, err := ing.Add(tripping, liveBatch()...); !errors.Is(err, ErrIngestIncomplete) {
+		t.Fatalf("aborted Add = %v, want ErrIngestIncomplete", err)
 	}
-	if ing.Pending() != 0 {
-		t.Fatalf("aborted-after-append flush left %d docs buffered for a duplicating retry", ing.Pending())
+	res, err := ing.Add(context.Background())
+	if err != nil {
+		t.Fatalf("repair Add: %v", err)
 	}
-	if _, err := ing.Flush(context.Background()); err != nil {
-		t.Fatalf("repair flush: %v", err)
+	if res.DirtyTerms == 0 {
+		t.Error("repair Add re-mined nothing; the owed dirty terms were lost")
 	}
-	if got, want := live.NumDocs(), docsAfterBuffer+3; got != want {
+	if got, want := live.NumDocs(), docsBefore+3; got != want {
 		t.Fatalf("collection holds %d docs, want %d (batch applied exactly once)", got, want)
 	}
 }
@@ -540,7 +482,7 @@ func TestIngesterAddCloseRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := c.NumDocs()
-	ing := NewIngester(s, WithFlushDocs(4))
+	ing := NewIngester(s)
 
 	const adders = 8
 	var accepted atomic.Int64
@@ -552,7 +494,7 @@ func TestIngesterAddCloseRace(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for j := 0; j < 16; j++ {
-				_, err := ing.Add(IncomingDocument{Stream: 0, Time: 3, Text: "aftershock tremor"})
+				_, err := ing.Add(context.Background(), IncomingDocument{Stream: 0, Time: 3, Text: "aftershock tremor"})
 				if errors.Is(err, ErrIngesterClosed) {
 					return
 				}
@@ -568,66 +510,42 @@ func TestIngesterAddCloseRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		<-start
-		if err := ing.Close(); err != nil {
-			t.Errorf("racing Close: %v", err)
-		}
+		ing.Close()
 	}()
 	close(start)
 	wg.Wait()
 	if got, want := c.NumDocs(), before+int(accepted.Load()); got != want {
 		t.Fatalf("collection holds %d docs, want %d: an accepted Add was dropped across Close", got, want)
 	}
-	if _, err := ing.Add(liveBatch()[0]); !errors.Is(err, ErrIngesterClosed) {
+	if _, err := ing.Add(context.Background(), liveBatch()[0]); !errors.Is(err, ErrIngesterClosed) {
 		t.Errorf("Add after racing Close = %v, want ErrIngesterClosed", err)
 	}
 }
 
 // TestIngesterFlushErrorPropagates: a batch the store rejects before the
-// append (invalid stream) surfaces its error from Flush, from a
-// size-triggered Add, from the OnFlush callback and finally from Close —
-// and the rejected documents stay buffered rather than vanishing.
+// append (invalid stream) fails in Add and applies nothing.
 func TestIngesterFlushErrorPropagates(t *testing.T) {
 	c := twoBurstCollection(t)
 	s, err := c.MineStore(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cbErrs int
-	ing := NewIngester(s, WithFlushDocs(100), WithOnFlush(func(_ IngestResult, err error) {
-		if err != nil {
-			cbErrs++
-		}
-	}))
+	ing := NewIngester(s)
+	defer ing.Close()
+	before, gen0 := c.NumDocs(), s.Generation()
 	bad := IncomingDocument{Stream: 99, Time: 3, Text: "no such stream"}
-	if _, err := ing.Add(bad); err != nil {
-		t.Fatalf("Add below flush size must buffer, got %v", err)
+	if _, err := ing.Add(context.Background(), liveBatch()[0], bad); err == nil {
+		t.Fatal("Add of an invalid batch reported success")
 	}
-	if _, err := ing.Flush(context.Background()); err == nil {
-		t.Fatal("Flush of an invalid batch reported success")
-	}
-	if cbErrs != 1 {
-		t.Errorf("OnFlush saw %d errors, want 1", cbErrs)
-	}
-	if ing.Pending() != 1 {
-		t.Errorf("Pending = %d after a pre-append failure, want the batch kept for retry", ing.Pending())
-	}
-	if err := ing.Close(); err == nil {
-		t.Error("Close swallowed the final flush failure")
-	}
-
-	// The same error also surfaces synchronously from the Add that
-	// trips the flush size.
-	ing2 := NewIngester(s, WithFlushDocs(1))
-	defer ing2.Close()
-	if _, err := ing2.Add(bad); err == nil {
-		t.Error("size-triggered Add of an invalid batch reported success")
+	if c.NumDocs() != before || s.Generation() != gen0 {
+		t.Errorf("rejected batch applied: %d docs (want %d), generation %d (want %d)",
+			c.NumDocs(), before, s.Generation(), gen0)
 	}
 }
 
-// TestIngesterPendingAfterFailedFlush: a flush that fails before the
-// append (cancelled context) must leave Pending exactly as it was —
-// the documents are still owed — and a later healthy flush drains them
-// exactly once.
+// TestIngesterPendingAfterFailedFlush: an Add that fails before the
+// append (cancelled context) applies nothing, and a verbatim retry
+// applies the batch exactly once.
 func TestIngesterPendingAfterFailedFlush(t *testing.T) {
 	c := twoBurstCollection(t)
 	s, err := c.MineStore(context.Background(), nil)
@@ -635,32 +553,22 @@ func TestIngesterPendingAfterFailedFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := c.NumDocs()
-	ing := NewIngester(s, WithFlushDocs(100))
+	ing := NewIngester(s)
 	defer ing.Close()
-	if _, err := ing.Add(liveBatch()...); err != nil {
-		t.Fatal(err)
-	}
-	if ing.Pending() != 3 {
-		t.Fatalf("Pending = %d, want 3 buffered", ing.Pending())
-	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ing.Flush(cancelled); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Flush(cancelled) = %v, want context.Canceled", err)
-	}
-	if ing.Pending() != 3 {
-		t.Fatalf("Pending = %d after a cancelled flush, want 3 still buffered", ing.Pending())
+	if _, err := ing.Add(cancelled, liveBatch()...); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Add(cancelled) = %v, want context.Canceled", err)
 	}
 	if c.NumDocs() != before {
-		t.Fatal("cancelled flush published documents")
+		t.Fatal("cancelled Add published documents")
 	}
-	res, err := ing.Flush(context.Background())
+	res, err := ing.Add(context.Background(), liveBatch()...)
 	if err != nil {
-		t.Fatalf("retry flush: %v", err)
+		t.Fatalf("retry Add: %v", err)
 	}
-	if res.Docs != 3 || ing.Pending() != 0 || c.NumDocs() != before+3 {
-		t.Fatalf("retry flush = %+v (pending %d, docs %d), want the batch applied exactly once",
-			res, ing.Pending(), c.NumDocs())
+	if res.Docs != 3 || c.NumDocs() != before+3 {
+		t.Fatalf("retry Add = %+v (docs %d), want the batch applied exactly once", res, c.NumDocs())
 	}
 }
 

@@ -44,14 +44,6 @@ func newObserver(srv *Server) *observer {
 	o.s.NewGaugeFunc("stserve_shard_count",
 		"Total shard count of the vocabulary partition (1 when unsharded).",
 		func() float64 { return float64(srv.store.ShardInfo().Shards) })
-	o.s.NewGaugeFunc("stserve_pending_ingest_docs",
-		"Documents buffered in the ingester awaiting a flush.",
-		func() float64 {
-			if srv.ing == nil {
-				return 0
-			}
-			return float64(srv.ing.Pending())
-		})
 	o.s.NewGaugeFunc("stserve_ingested_docs_total",
 		"Documents accepted through POST /v1/documents.",
 		func() float64 { return float64(srv.ingests.Load()) })

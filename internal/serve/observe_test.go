@@ -51,7 +51,7 @@ func series(route, code string) string {
 // requests issued, the latency histogram counts every request, and the
 // store-state gauges track the ingest.
 func TestMetricsMonotonicity(t *testing.T) {
-	_, store, s, _ := ingestServer(t, 1)
+	_, store, s := ingestServer(t)
 
 	before := scrape(t, s)
 	if before[series("POST /v1/search", "2xx")] != 0 {
@@ -193,7 +193,7 @@ func TestPprofOnDebugHandler(t *testing.T) {
 // equal exactly the requests issued — no lost or double-counted updates
 // (run under -race for the full effect).
 func TestMetricsUnderHammer(t *testing.T) {
-	_, _, s, _ := ingestServer(t, 1)
+	_, _, s := ingestServer(t)
 	const workers, perWorker = 4, 25
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {

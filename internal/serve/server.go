@@ -60,7 +60,7 @@ import (
 type Server struct {
 	c     *stburst.Collection
 	store *stburst.Store
-	// ing is the batching front of the write surface; nil keeps the
+	// ing is the sealable door of the write surface; nil keeps the
 	// server read-only and POST /v1/documents answers 403 (the -ingest
 	// flag gates it).
 	ing *stburst.Ingester
@@ -137,8 +137,9 @@ func New(c *stburst.Collection, store *stburst.Store, snapshotPath string) *Serv
 	return s
 }
 
-// enableIngest arms the write surface with a batching ingester. Call
-// before serving traffic.
+// EnableIngest arms the POST /v1/documents write surface: each request
+// is one batch through ing, acknowledged once installed. Call before
+// serving traffic.
 func (s *Server) EnableIngest(ing *stburst.Ingester) { s.ing = ing }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -286,10 +287,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// landing mid-handler must not leave the legacy top-level fields
 	// describing a different index generation than the indexes array.
 	ixs := s.indexes()
-	pending := 0
-	if s.ing != nil {
-		pending = s.ing.Pending()
-	}
 	si := s.store.ShardInfo()
 	stats := map[string]any{
 		"indexes":    ixs,
@@ -307,7 +304,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"fingerprint": s.corpusFingerprint(),
 		},
 		"ingest_enabled": s.ing != nil,
-		"pending_ingest": pending,
 		"uptime_seconds": time.Since(s.started).Seconds(),
 		"requests":       s.requests.Load(),
 		"searches":       s.searches.Load(),
@@ -436,14 +432,12 @@ type DocumentsRequest struct {
 const maxIngestBody = 8 << 20
 
 // handleDocuments answers POST /v1/documents, the live write surface:
-// the batch is validated, handed to the ingester, and acknowledged with
-// 202 Accepted. When the add flushed (the default ingester flushes every
-// request), the response carries the new store generation and the
-// batch's dirty-term count; when the batch is buffered for a later
-// size- or interval-driven flush, it reports the pending depth and the
-// still-current generation instead. Without -ingest the route answers
-// 403: the write surface is an operator opt-in on an otherwise
-// read-only, unauthenticated service.
+// the batch is validated, ingested through the ingester as one batch,
+// and acknowledged with 202 Accepted only once it is installed (and
+// logged, when a WAL is attached); the response carries the new store
+// generation and the batch's dirty-term count. Without -ingest the
+// route answers 403: the write surface is an operator opt-in on an
+// otherwise read-only, unauthenticated service.
 func (s *Server) handleDocuments(w http.ResponseWriter, r *http.Request) {
 	if s.ing == nil {
 		WriteError(w, http.StatusForbidden, "ingestion is disabled; start stserve with -ingest")
@@ -467,32 +461,29 @@ func (s *Server) handleDocuments(w http.ResponseWriter, r *http.Request) {
 		docs[i] = stburst.IncomingDocument{Stream: x, Time: d.Time, Text: d.Text}
 	}
 
-	// An add that triggers a flush re-mines the dirty terms and warms
-	// fresh engines; on a large corpus that can outlive the query-sized
-	// WriteTimeout, which would kill the connection before the response.
+	// The ingest re-mines the dirty terms and warms fresh engines; on a
+	// large corpus that can outlive the query-sized WriteTimeout, which
+	// would kill the connection before the response.
 	// Lift the deadline for this request only, as the reload path does.
 	if err := http.NewResponseController(w).SetWriteDeadline(time.Time{}); err != nil {
 		log.Printf("ingest: clearing write deadline: %v", err)
 	}
-	res, err := s.ing.Add(docs...)
+	// A client disconnect must not abort an ingest partway through its
+	// re-mine, so the request's context is deliberately not passed on.
+	res, err := s.ing.Add(context.Background(), docs...)
 	if err != nil {
 		WriteError(w, http.StatusInternalServerError, "ingest: "+err.Error())
 		return
 	}
 	s.ingests.Add(int64(len(docs)))
-	body := map[string]any{
-		"accepted": len(docs),
-		"pending":  s.ing.Pending(),
-	}
-	if res != nil {
-		body["flushed"] = true
-		body["generation"] = res.Generation
-		body["dirty_terms"] = res.DirtyTerms
-	} else {
-		body["flushed"] = false
-		body["generation"] = s.store.Generation()
-	}
-	WriteJSON(w, http.StatusAccepted, body)
+	// "flushed" is always true: every ack is an installed batch, and the
+	// key stays for clients that check it beside the generation.
+	WriteJSON(w, http.StatusAccepted, map[string]any{
+		"accepted":    len(docs),
+		"dirty_terms": res.DirtyTerms,
+		"generation":  res.Generation,
+		"flushed":     true,
+	})
 }
 
 // streamNames resolves stream indices to their names for human-readable

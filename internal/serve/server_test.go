@@ -791,7 +791,7 @@ func TestServerReloadErrors(t *testing.T) {
 
 // ingestServer builds an ingest-enabled server over a full three-kind
 // store, mirroring `stserve -ingest`.
-func ingestServer(t *testing.T, flushDocs int) (*stburst.Collection, *stburst.Store, *Server, *stburst.Ingester) {
+func ingestServer(t *testing.T) (*stburst.Collection, *stburst.Store, *Server) {
 	t.Helper()
 	c := serveCollection(t)
 	store, err := c.MineStore(context.Background(), nil)
@@ -799,10 +799,10 @@ func ingestServer(t *testing.T, flushDocs int) (*stburst.Collection, *stburst.St
 		t.Fatal(err)
 	}
 	s := New(c, store, "")
-	ing := stburst.NewIngester(store, stburst.WithFlushDocs(flushDocs))
-	t.Cleanup(func() { ing.Close() })
+	ing := stburst.NewIngester(store)
+	t.Cleanup(ing.Close)
 	s.EnableIngest(ing)
-	return c, store, s, ing
+	return c, store, s
 }
 
 // TestServerDocumentsDisabled: without -ingest the write surface is
@@ -821,11 +821,11 @@ func TestServerDocumentsDisabled(t *testing.T) {
 	}
 }
 
-// TestServerDocumentsIngest: a flushed batch answers 202 with the new
+// TestServerDocumentsIngest: an ingested batch answers 202 with the new
 // generation and dirty-term count, and the refreshed indexes serve the
 // new documents immediately.
 func TestServerDocumentsIngest(t *testing.T) {
-	c, store, s, _ := ingestServer(t, 1)
+	c, store, s := ingestServer(t)
 	gen0 := store.Generation()
 	docs0 := c.NumDocs()
 
@@ -837,8 +837,8 @@ func TestServerDocumentsIngest(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("POST /v1/documents = %d %v, want 202", code, body)
 	}
-	if body["flushed"] != true || int(body["accepted"].(float64)) != 2 || int(body["pending"].(float64)) != 0 {
-		t.Errorf("ingest response %v, want flushed=true accepted=2 pending=0", body)
+	if body["flushed"] != true || int(body["accepted"].(float64)) != 2 {
+		t.Errorf("ingest response %v, want flushed=true accepted=2", body)
 	}
 	if int(body["dirty_terms"].(float64)) == 0 {
 		t.Errorf("ingest response %v reports no dirty terms", body)
@@ -868,8 +868,8 @@ func TestServerDocumentsIngest(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("GET /v1/stats = %d", code)
 	}
-	if body["ingest_enabled"] != true || int(body["pending_ingest"].(float64)) != 0 {
-		t.Errorf("stats %v, want ingest_enabled=true pending_ingest=0", body)
+	if body["ingest_enabled"] != true {
+		t.Errorf("stats %v, want ingest_enabled=true", body)
 	}
 	if int(body["ingested_docs"].(float64)) != 2 {
 		t.Errorf("stats ingested_docs %v, want 2", body["ingested_docs"])
@@ -879,43 +879,10 @@ func TestServerDocumentsIngest(t *testing.T) {
 	}
 }
 
-// TestServerDocumentsBuffered: below the flush size the batch is
-// buffered — 202 with flushed=false, pending depth, and the old
-// generation — and a later request tips it over.
-func TestServerDocumentsBuffered(t *testing.T) {
-	c, store, s, _ := ingestServer(t, 3)
-	gen0 := store.Generation()
-	docs0 := c.NumDocs()
-
-	code, body := postJSON(t, s, "/v1/documents",
-		`{"documents":[{"stream":"quito","time":8,"text":"flood waters rising"}]}`)
-	if code != http.StatusAccepted || body["flushed"] != false {
-		t.Fatalf("buffered ingest = %d %v, want 202 flushed=false", code, body)
-	}
-	if int(body["pending"].(float64)) != 1 || uint64(body["generation"].(float64)) != gen0 {
-		t.Errorf("buffered response %v, want pending=1 generation=%d", body, gen0)
-	}
-	if c.NumDocs() != docs0 {
-		t.Error("buffered documents were applied early")
-	}
-
-	code, body = postJSON(t, s, "/v1/documents",
-		`{"documents":[
-			{"stream":"quito","time":9,"text":"flood rescue boats"},
-			{"stream":"lima","time":9,"text":"flood warnings coast"}
-		]}`)
-	if code != http.StatusAccepted || body["flushed"] != true {
-		t.Fatalf("tipping ingest = %d %v, want 202 flushed=true", code, body)
-	}
-	if int(body["pending"].(float64)) != 0 || c.NumDocs() != docs0+3 {
-		t.Errorf("after flush: pending %v, %d docs (want 0, %d)", body["pending"], c.NumDocs(), docs0+3)
-	}
-}
-
 // TestServerDocumentsValidation: bad bodies, unknown streams and
-// out-of-range times are 400s and nothing is applied or buffered.
+// out-of-range times are 400s and nothing is applied.
 func TestServerDocumentsValidation(t *testing.T) {
-	c, _, s, ing := ingestServer(t, 10)
+	c, _, s := ingestServer(t)
 	docs0 := c.NumDocs()
 	for name, body := range map[string]string{
 		"not json":        `{"documents": nope}`,
@@ -932,16 +899,65 @@ func TestServerDocumentsValidation(t *testing.T) {
 			t.Errorf("%s: POST /v1/documents = %d %v, want 400", name, code, resp)
 		}
 	}
-	if c.NumDocs() != docs0 || ing.Pending() != 0 {
-		t.Errorf("rejected batches left state behind: %d docs, %d pending", c.NumDocs()-docs0, ing.Pending())
+	if c.NumDocs() != docs0 {
+		t.Errorf("rejected batches left state behind: %d docs", c.NumDocs()-docs0)
 	}
+}
+
+// FuzzDocumentsBody: on arbitrary POST /v1/documents bodies the handler
+// never panics; every 202 grew the collection by exactly its accepted
+// count and the generation by exactly one, and reports the store's
+// generation; every other status left the documents and the generation
+// untouched.
+func FuzzDocumentsBody(f *testing.F) {
+	c := serveCollection(f)
+	store, err := c.MineStore(f.Context(), nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	srv := New(c, store, "")
+	ing := stburst.NewIngester(store)
+	f.Cleanup(ing.Close)
+	srv.EnableIngest(ing)
+	f.Add([]byte(`{"documents":[{"stream":"tokyo","time":9,"text":"volcano eruption ash volcano"},{"stream":"lima","time":10,"text":"volcano ash cloud spreads"}]}`))
+	f.Add([]byte(`{"documents":[{"stream":"quito","time":8,"text":""}]}`))
+	f.Add([]byte(`{"documents":[{"stream":"lima","time":3,"text":"ok"},{"stream":"lima","time":99,"text":"x"}]}`))
+	f.Add([]byte(`{"documents":[{"stream":"atlantis","time":3,"text":"x"}]}`))
+	f.Add([]byte(`{"documents":[],"mode":"fast"}`))
+	f.Add([]byte(`{"documents": nope}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		docs0, gen0 := c.NumDocs(), store.Generation()
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/documents", bytes.NewReader(body)))
+		if rec.Code != http.StatusAccepted {
+			if c.NumDocs() != docs0 || store.Generation() != gen0 {
+				t.Fatalf("status %d moved the store: %d → %d docs, generation %d → %d",
+					rec.Code, docs0, c.NumDocs(), gen0, store.Generation())
+			}
+			return
+		}
+		var ack struct {
+			Accepted   int    `json:"accepted"`
+			Generation uint64 `json:"generation"`
+			Flushed    bool   `json:"flushed"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil {
+			t.Fatalf("202 body %q does not decode: %v", rec.Body.String(), err)
+		}
+		if ack.Accepted < 1 || !ack.Flushed || c.NumDocs() != docs0+ack.Accepted {
+			t.Fatalf("202 %s: collection %d → %d docs", rec.Body.String(), docs0, c.NumDocs())
+		}
+		if gen := store.Generation(); gen != gen0+1 || ack.Generation != gen {
+			t.Fatalf("202 %s: generation %d → %d", rec.Body.String(), gen0, gen)
+		}
+	})
 }
 
 // TestServerIngestUnderQueryHammer: POSTs to /v1/documents proceed while
 // searches hammer every kind — the HTTP-level ingest-vs-query drill; run
 // it under -race for the full effect.
 func TestServerIngestUnderQueryHammer(t *testing.T) {
-	_, store, s, _ := ingestServer(t, 1)
+	_, store, s := ingestServer(t)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 3; g++ {

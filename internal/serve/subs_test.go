@@ -28,7 +28,7 @@ func subsServer(t *testing.T) (*stburst.Collection, *stburst.Store, *Server) {
 		t.Fatal(err)
 	}
 	s := New(c, store, "")
-	ing := stburst.NewIngester(store, stburst.WithFlushDocs(1))
+	ing := stburst.NewIngester(store)
 	s.EnableIngest(ing)
 	// AllowPrivate: every test sink is an httptest server on loopback,
 	// which the default webhook policy would refuse.
@@ -458,7 +458,7 @@ func TestServerConcurrentIngestCRUDSSE(t *testing.T) {
 		}()
 	}
 
-	// The ingest hammer drives matching on every flush.
+	// The ingest hammer drives matching on every ingest.
 	for i := 0; i < 12; i++ {
 		code, body := postJSON(t, s, "/v1/documents",
 			`{"documents":[{"stream":"tokyo","time":9,"text":"earthquake rescue crews earthquake"}]}`)

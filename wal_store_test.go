@@ -252,7 +252,7 @@ func TestWALHealsIncompleteIngest(t *testing.T) {
 	if st, _ := s1.WALStats(); st.Batches != 1 || st.LastSeq != 1 {
 		t.Fatalf("after aborted refresh: WALStats = %+v, want the batch still logged", st)
 	}
-	// Crash now, before any repair flush runs.
+	// Crash now, before any repair ingest runs.
 
 	oc := twoBurstCollection(t)
 	os1 := mustMineStore(t, oc, nil)
