@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"stburst"
+	"stburst/internal/corpusio"
 	"stburst/internal/gen"
 	"stburst/internal/serve"
 	"stburst/internal/sub"
@@ -79,6 +80,30 @@ func corpusJSONL(t *testing.T) []byte {
 	}
 	bootOnce.corpus = buf.Bytes()
 	return bootOnce.corpus
+}
+
+// TestWorkloadPointsMatchLoad: the locations stload aims regional
+// hotspot queries at are exactly the ones corpusio.Load gives an stgen
+// corpus's streams, so a query box drawn around an epicenter covers the
+// stream the server placed there.
+func TestWorkloadPointsMatchLoad(t *testing.T) {
+	col, _, err := corpusio.Load(bytes.NewReader(corpusJSONL(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := newWorkload(config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if col.NumStreams() != len(w.pts) {
+		t.Fatalf("corpus has %d streams, workload %d points", col.NumStreams(), len(w.pts))
+	}
+	for i := 0; i < col.NumStreams(); i++ {
+		st := col.Stream(i)
+		if got := w.pts[gen.CountryIndex(st.Name)]; got != st.Location {
+			t.Fatalf("stream %s: workload point %v, loaded location %v", st.Name, got, st.Location)
+		}
+	}
 }
 
 func bootTarget(t *testing.T) (*httptest.Server, *serve.Server) {

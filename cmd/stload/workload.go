@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"stburst"
+	"stburst/internal/corpusio"
 	"stburst/internal/gen"
 	"stburst/internal/geo"
 	"stburst/internal/serve"
@@ -70,10 +71,10 @@ func mix64(x uint64) uint64 {
 // workload synthesizes the request mix from the same world model the
 // corpus generator uses: event query terms and episode geography from
 // gen.Events, the background vocabulary's "w%04d" zipf tail, and — for
-// aiming regional hotspot queries — the exact seed-1 MDS projection
-// corpusio.Load stamps onto every topix corpus (topix streams are always
-// the full country list, so the projection is reproducible client-side
-// without ever seeing the corpus).
+// aiming regional hotspot queries — the stream locations corpusio.Load
+// stamps onto every topix corpus, from corpusio.ProjectStreams (topix
+// streams are always the full country list, so the projection is
+// reproducible client-side without ever seeing the corpus).
 type workload struct {
 	cfg          config
 	pts          []geo.Point // projected country locations, by gen.Countries index
@@ -82,13 +83,17 @@ type workload struct {
 }
 
 func newWorkload(cfg config) (*workload, error) {
-	coords := make([]geo.LatLon, len(gen.Countries))
+	names := make([]string, len(gen.Countries))
 	for i, c := range gen.Countries {
-		coords[i] = c.Geo
+		names[i] = c.Name
 	}
-	pts, err := geo.MDS(geo.DistanceMatrix(coords, geo.Haversine), rand.New(rand.NewSource(1)))
+	infos, err := corpusio.ProjectStreams(names)
 	if err != nil {
 		return nil, fmt.Errorf("projecting countries: %w", err)
+	}
+	pts := make([]geo.Point, len(infos))
+	for i, in := range infos {
+		pts[i] = in.Location
 	}
 	w := &workload{cfg: cfg, pts: pts}
 	w.minX, w.minY = pts[0].X, pts[0].Y

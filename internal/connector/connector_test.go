@@ -105,6 +105,50 @@ func TestCheckpointCorruptIsHardError(t *testing.T) {
 	}
 }
 
+// FuzzLoadCheckpoint: any checkpoint file bytes load without panic, a
+// present file either loads (version 1, non-negative offset and docs) or
+// fails with an error, and a loaded checkpoint written back with Save
+// loads back exactly — as does any non-negative (offset, docs) pair.
+func FuzzLoadCheckpoint(f *testing.F) {
+	f.Add([]byte(`{"version":1,"offset":12345,"docs":67}`+"\n"), int64(5), 3)
+	f.Add([]byte(`{"version":2,"offset":1,"docs":1}`), int64(0), 0)
+	f.Add([]byte(`{"version":1,"offset":-5,"docs":1}`), int64(-1), 1)
+	f.Add([]byte(`{"version":1,"offset":1e30}`), int64(1<<62), -2)
+	f.Add([]byte("not json\n"), int64(9), 9)
+	f.Fuzz(func(t *testing.T, data []byte, offset int64, docs int) {
+		dir := t.TempDir()
+		path := dir + "/feed.checkpoint"
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cp, ok, err := LoadCheckpoint(path)
+		if ok != (err == nil) {
+			t.Fatalf("present checkpoint %q: ok=%v err=%v", data, ok, err)
+		}
+		saved := []Checkpoint{{Offset: offset, Docs: docs}}
+		if ok {
+			if cp.Version != checkpointVersion || cp.Offset < 0 || cp.Docs < 0 {
+				t.Fatalf("checkpoint %q loaded as %+v", data, cp)
+			}
+			saved = append(saved, cp)
+		}
+		for _, want := range saved {
+			if want.Offset < 0 || want.Docs < 0 {
+				continue
+			}
+			out := dir + "/saved.checkpoint"
+			if err := want.Save(out); err != nil {
+				t.Fatal(err)
+			}
+			got, ok, err := LoadCheckpoint(out)
+			want.Version = checkpointVersion
+			if !ok || err != nil || got != want {
+				t.Fatalf("Save(%+v) loaded back %+v ok=%v err=%v", want, got, ok, err)
+			}
+		}
+	})
+}
+
 // flappySource fails a fixed number of runs before running clean, for
 // supervisor restart tests.
 type flappySource struct {

@@ -341,6 +341,14 @@ func (k *kindOf[P]) remine(s *PatternSet, col *stream.Collection, terms []int, o
 	return mine, refreshed
 }
 
+// MineTerm runs the kind's table miner over one term of col: the call
+// every corpus-wide pass makes per term, for callers that want one
+// term's patterns as mined rather than a set. P must be the kind's
+// pattern type (core.Window, core.CombPattern, burst.Interval).
+func MineTerm[P any](kind PatternKind, col *stream.Collection, term int, o *MineOptions) []P {
+	return kinds[kind].(*kindOf[P]).mine(col, col.Points(), term, o)
+}
+
 // with is PatternSet.With for the kind.
 func (k *kindOf[P]) with(s, from *PatternSet, terms []int) *PatternSet {
 	src := patterns[P](from)

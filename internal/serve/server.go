@@ -86,14 +86,14 @@ type Server struct {
 	searches atomic.Int64
 	reloads  atomic.Int64
 	ingests  atomic.Int64 // documents accepted through POST /v1/documents
-	// Standing queries: false/nil until EnableSubscriptions arms the
-	// surface (the -subscriptions flag gates it, like -ingest gates the
-	// write surface). alertsMatched counts every alert the post-ingest
-	// matcher handed the sink, before delivery fan-out.
-	subsEnabled bool
-	// allowPrivateHooks mirrors the dispatcher's AllowPrivate option so
-	// registration can refuse visibly-private webhook targets with a
-	// clean 400 instead of letting every delivery fail at dial time.
+	// Standing queries: dispatcher and broker stay nil until
+	// EnableSubscriptions arms the surface (the -subscriptions flag gates
+	// it, like -ingest gates the write surface), so a nil dispatcher
+	// seals the routes. alertsMatched counts every alert the post-ingest
+	// matcher handed the sink, before delivery fan-out. allowPrivateHooks
+	// mirrors the dispatcher's AllowPrivate option so registration can
+	// refuse visibly-private webhook targets with a clean 400 instead of
+	// letting every delivery fail at dial time.
 	allowPrivateHooks bool
 	dispatcher        *sub.Dispatcher
 	broker            *sub.Broker
@@ -314,7 +314,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// from "no one subscribed yet"; delivery counters appear only when a
 	// dispatcher exists, mirroring the WAL block below.
 	subsStats := map[string]any{
-		"enabled":        s.subsEnabled,
+		"enabled":        s.dispatcher != nil,
 		"count":          s.store.NumSubscriptions(),
 		"matched_alerts": s.alertsMatched.Load(),
 	}
@@ -670,9 +670,9 @@ type SearchResponse struct {
 	TookMS float64       `json:"took_ms"`
 }
 
-// WriteSearch answers a search with one page of the ranking, timed from
+// writeSearch answers a search with one page of the ranking, timed from
 // start.
-func WriteSearch(w http.ResponseWriter, q stburst.Query, page stburst.ResultPage, start time.Time) {
+func writeSearch(w http.ResponseWriter, q stburst.Query, page stburst.ResultPage, start time.Time) {
 	hits := make([]SearchHit, len(page.Hits))
 	for i, h := range page.Hits {
 		hits[i] = SearchHit{Doc: h.Doc.ID, Kind: h.Kind.String(), Stream: h.Stream, Time: h.Doc.Time, Score: h.Score}
@@ -727,7 +727,7 @@ func (s *Server) handleSearchV1(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	WriteSearch(w, req.Query, page, start)
+	writeSearch(w, req.Query, page, start)
 }
 
 // handleTermBundle answers GET /v1/patterns/{term}/bundle with

@@ -29,7 +29,6 @@ import (
 // dispatcher (tests shrink its retries); its OnDelivery hook is
 // replaced with the delivery-latency histogram.
 func (s *Server) EnableSubscriptions(opts sub.DispatcherOptions) {
-	s.subsEnabled = true
 	s.allowPrivateHooks = opts.AllowPrivate
 	s.broker = sub.NewBroker()
 	opts.OnDelivery = s.obs.alertLatency.Observe
@@ -53,7 +52,7 @@ func (s *Server) CloseSubscriptions() {
 // unauthenticated, and registering webhooks on someone else's server
 // must not be the default.
 func (s *Server) requireSubs(w http.ResponseWriter) bool {
-	if !s.subsEnabled {
+	if s.dispatcher == nil {
 		WriteError(w, http.StatusForbidden, "subscriptions are disabled; start stserve with -subscriptions")
 		return false
 	}

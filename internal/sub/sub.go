@@ -5,23 +5,19 @@
 // dispatcher with bounded retry and an SSE broker — that turns matches
 // into pushed alerts.
 //
-// The package deliberately knows nothing about pattern mining: the
-// store's ingest path owns the matching (it holds the fresh indexes and
-// the dirty-term set) and hands finished alert batches to the delivery
-// layer here. The registry's Subscription is the predicate in internal
-// terms (normalized term strings, a geo rectangle, a timespan, a kind
-// ordinal); the root package converts its public Query-shaped form to
-// and from this one.
+// The package deliberately knows nothing about pattern mining or about
+// what a predicate contains: the store's ingest path owns the matching
+// (it holds the fresh indexes and the dirty-term set) and hands finished
+// alert batches to the delivery layer here. The registry stores an
+// opaque spec — the root package's public Subscription — keyed by ID and
+// indexed by the normalized terms it watches.
 package sub
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
-
-	"stburst/internal/geo"
-	"stburst/internal/search"
 )
 
 // DefaultMaxSubscriptions bounds Add-registered subscriptions when no
@@ -36,66 +32,35 @@ const DefaultMaxSubscriptions = 1 << 16
 // limit's worth of subscriptions; the HTTP layer maps it to 429.
 var ErrRegistryFull = errors.New("sub: subscription limit reached")
 
-// Subscription is one registered standing query.
-type Subscription struct {
-	// ID is the registry-assigned identifier, unique for the life of
-	// the registry (and, once persisted, of the store).
-	ID uint64
-	// Owner is a free-form label identifying who registered the query.
-	Owner string
-	// Terms are the normalized (collection-tokenizer) term strings the
-	// subscription watches. Matching is keyed on strings, not interned
-	// IDs: a standing query may name vocabulary the corpus has not seen
-	// yet, and must start matching the moment ingestion interns it.
-	Terms []string
-	// Kind is the pattern kind ordinal the subscription watches: 0
-	// matches every kind, 1..3 the concrete kinds in the root package's
-	// canonical order (regional, combinatorial, temporal).
-	Kind int
-	// Region, when non-nil, requires the matching pattern to intersect
-	// the rectangle (per-kind geometry, shared with retrieval).
-	Region *geo.Rect
-	// Time, when non-nil, requires the matching pattern's timeframe to
-	// overlap the span.
-	Time *search.Timespan
-	// MinScore drops patterns scoring below the threshold.
-	MinScore float64
-	// Webhook is the delivery URL alert batches are POSTed to; empty
-	// means the subscription is observed through the SSE feed only.
-	Webhook string
-}
-
-// clone deep-copies the subscription so registry internals never alias
-// caller-held slices or pointers.
-func (s Subscription) clone() Subscription {
-	c := s
-	c.Terms = append([]string(nil), s.Terms...)
-	if s.Region != nil {
-		r := *s.Region
-		c.Region = &r
-	}
-	if s.Time != nil {
-		t := *s.Time
-		c.Time = &t
-	}
-	return c
-}
-
-// Registry is a concurrent subscription store with an inverted
-// term→subscriptions index. Reads (Candidates, Get, List) take the
-// read lock; mutations are rare next to ingest-path lookups.
-type Registry struct {
+// Registry is a concurrent store of standing-query specs S with an
+// inverted term→ID index. It keeps, per ID, a private copy of the spec
+// and of the normalized terms it watches; matching is keyed on term
+// strings, not interned IDs, so a standing query may name vocabulary the
+// corpus has not seen yet and starts matching the moment ingestion
+// interns it. Reads (Candidates, Get, List) take the read lock;
+// mutations are rare next to ingest-path lookups.
+type Registry[S any] struct {
 	mu     sync.RWMutex
-	subs   map[uint64]Subscription
+	clone  func(S) S
+	subs   map[uint64]entry[S]
 	byTerm map[string]map[uint64]struct{}
 	nextID uint64
 	max    int
 }
 
+// entry is one registered spec and the terms it is indexed under.
+type entry[S any] struct {
+	spec  S
+	terms []string
+}
+
 // NewRegistry returns an empty registry with the default Add limit.
-func NewRegistry() *Registry {
-	return &Registry{
-		subs:   make(map[uint64]Subscription),
+// clone deep-copies a spec; the registry copies on the way in and out so
+// it never aliases caller-held memory.
+func NewRegistry[S any](clone func(S) S) *Registry[S] {
+	return &Registry[S]{
+		clone:  clone,
+		subs:   make(map[uint64]entry[S]),
 		byTerm: make(map[string]map[uint64]struct{}),
 		max:    DefaultMaxSubscriptions,
 	}
@@ -104,7 +69,7 @@ func NewRegistry() *Registry {
 // SetLimit bounds the number of subscriptions Add accepts; n <= 0
 // restores DefaultMaxSubscriptions. Restore is deliberately exempt —
 // a persisted set the bundle codec accepted must always load.
-func (r *Registry) SetLimit(n int) {
+func (r *Registry[S]) SetLimit(n int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if n <= 0 {
@@ -113,71 +78,74 @@ func (r *Registry) SetLimit(n int) {
 	r.max = n
 }
 
-// Add registers a subscription, assigns it the next free ID and returns
-// the stored form. Terms must be non-empty — a termless subscription
-// would have no inverted-index home and silently never match. A
-// registry at its limit (SetLimit) refuses with ErrRegistryFull.
-func (r *Registry) Add(s Subscription) (Subscription, error) {
-	if len(s.Terms) == 0 {
-		return Subscription{}, fmt.Errorf("sub: subscription needs at least one term")
+// Add registers the spec spec(id) under the next free ID, watching
+// terms, and returns the stored form. Terms must be non-empty — a
+// termless subscription would have no inverted-index home and silently
+// never match. A registry at its limit (SetLimit) refuses with
+// ErrRegistryFull.
+func (r *Registry[S]) Add(terms []string, spec func(id uint64) S) (S, error) {
+	var zero S
+	if len(terms) == 0 {
+		return zero, fmt.Errorf("sub: subscription needs at least one term")
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.subs) >= r.max {
-		return Subscription{}, fmt.Errorf("%w (%d registered)", ErrRegistryFull, len(r.subs))
+		return zero, fmt.Errorf("%w (%d registered)", ErrRegistryFull, len(r.subs))
 	}
 	r.nextID++
-	s.ID = r.nextID
-	r.insertLocked(s.clone())
-	return s.clone(), nil
+	s := spec(r.nextID)
+	r.insertLocked(r.nextID, terms, s)
+	return r.clone(s), nil
 }
 
-// Restore re-registers a persisted subscription under its saved ID —
-// the load path's Add. A duplicate or zero ID is an error; the ID
-// counter advances past every restored ID so later Adds never collide.
-func (r *Registry) Restore(s Subscription) error {
-	if len(s.Terms) == 0 {
-		return fmt.Errorf("sub: subscription %d has no terms", s.ID)
+// Restore re-registers a persisted spec under its saved ID — the load
+// path's Add. A duplicate or zero ID is an error; the ID counter
+// advances past every restored ID so later Adds never collide.
+func (r *Registry[S]) Restore(id uint64, terms []string, spec S) error {
+	if len(terms) == 0 {
+		return fmt.Errorf("sub: subscription %d has no terms", id)
 	}
-	if s.ID == 0 {
+	if id == 0 {
 		return fmt.Errorf("sub: cannot restore a subscription without an ID")
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.subs[s.ID]; ok {
-		return fmt.Errorf("sub: duplicate subscription ID %d", s.ID)
+	if _, ok := r.subs[id]; ok {
+		return fmt.Errorf("sub: duplicate subscription ID %d", id)
 	}
-	if s.ID > r.nextID {
-		r.nextID = s.ID
+	if id > r.nextID {
+		r.nextID = id
 	}
-	r.insertLocked(s.clone())
+	r.insertLocked(id, terms, spec)
 	return nil
 }
 
-// insertLocked indexes one subscription; callers hold the write lock
-// and pass an already-cloned value.
-func (r *Registry) insertLocked(s Subscription) {
-	r.subs[s.ID] = s
-	for _, t := range s.Terms {
+// insertLocked stores copies of one spec and its terms and indexes them;
+// callers hold the write lock.
+func (r *Registry[S]) insertLocked(id uint64, terms []string, spec S) {
+	terms = append([]string(nil), terms...)
+	r.subs[id] = entry[S]{spec: r.clone(spec), terms: terms}
+	for _, t := range terms {
 		m := r.byTerm[t]
 		if m == nil {
 			m = make(map[uint64]struct{})
 			r.byTerm[t] = m
 		}
-		m[s.ID] = struct{}{}
+		m[id] = struct{}{}
 	}
 }
 
 // Remove deletes a subscription, reporting whether it existed.
-func (r *Registry) Remove(id uint64) bool {
+func (r *Registry[S]) Remove(id uint64) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s, ok := r.subs[id]
+	e, ok := r.subs[id]
 	if !ok {
 		return false
 	}
 	delete(r.subs, id)
-	for _, t := range s.Terms {
+	for _, t := range e.terms {
 		if m := r.byTerm[t]; m != nil {
 			delete(m, id)
 			if len(m) == 0 {
@@ -188,50 +156,60 @@ func (r *Registry) Remove(id uint64) bool {
 	return true
 }
 
-// Get returns a copy of one subscription.
-func (r *Registry) Get(id uint64) (Subscription, bool) {
+// Get returns a copy of one subscription's spec.
+func (r *Registry[S]) Get(id uint64) (S, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	s, ok := r.subs[id]
+	e, ok := r.subs[id]
 	if !ok {
-		return Subscription{}, false
+		var zero S
+		return zero, false
 	}
-	return s.clone(), true
+	return r.clone(e.spec), true
 }
 
-// List returns copies of every subscription in ascending ID order.
-func (r *Registry) List() []Subscription {
+// List returns copies of every spec in ascending ID order.
+func (r *Registry[S]) List() []S {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]Subscription, 0, len(r.subs))
-	for _, s := range r.subs {
-		out = append(out, s.clone())
+	ids := make([]uint64, 0, len(r.subs))
+	for id := range r.subs {
+		ids = append(ids, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return r.copiesLocked(ids)
 }
 
 // Count returns the number of registered subscriptions.
-func (r *Registry) Count() int {
+func (r *Registry[S]) Count() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.subs)
 }
 
-// Candidates returns copies of the subscriptions watching a term — the
-// inverted-index lookup the post-ingest matcher does once per dirty
-// term. A term nobody watches costs one map probe.
-func (r *Registry) Candidates(term string) []Subscription {
+// Candidates returns copies of the specs watching a term, in ascending
+// ID order — the inverted-index lookup the post-ingest matcher does once
+// per dirty term. A term nobody watches costs one map probe.
+func (r *Registry[S]) Candidates(term string) []S {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	m := r.byTerm[term]
 	if len(m) == 0 {
 		return nil
 	}
-	out := make([]Subscription, 0, len(m))
+	ids := make([]uint64, 0, len(m))
 	for id := range m {
-		out = append(out, r.subs[id].clone())
+		ids = append(ids, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return r.copiesLocked(ids)
+}
+
+// copiesLocked sorts ids ascending and returns copies of their specs;
+// callers hold the read lock.
+func (r *Registry[S]) copiesLocked(ids []uint64) []S {
+	slices.Sort(ids)
+	out := make([]S, len(ids))
+	for i, id := range ids {
+		out[i] = r.clone(r.subs[id].spec)
+	}
 	return out
 }

@@ -8,24 +8,61 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"stburst/internal/geo"
-	"stburst/internal/search"
 )
 
+// spec is a test-local standing query. The registry treats its spec as
+// opaque, so this one carries pointers for the deep-copy test to poke.
+type spec struct {
+	ID       uint64
+	Owner    string
+	Terms    []string
+	Kind     int
+	Region   *box
+	Time     *span
+	MinScore float64
+}
+
+type box struct{ MinX, MinY, MaxX, MaxY float64 }
+
+type span struct{ Start, End int }
+
+// clone deep-copies every slice and pointer of the spec.
+func (s spec) clone() spec {
+	c := s
+	c.Terms = append([]string(nil), s.Terms...)
+	if s.Region != nil {
+		r := *s.Region
+		c.Region = &r
+	}
+	if s.Time != nil {
+		t := *s.Time
+		c.Time = &t
+	}
+	return c
+}
+
+func newRegistry() *Registry[spec] { return NewRegistry(spec.clone) }
+
+// add registers s under its own terms, stamping the assigned ID into it.
+func add(r *Registry[spec], s spec) (spec, error) {
+	return r.Add(s.Terms, func(id uint64) spec { s.ID = id; return s })
+}
+
+func restore(r *Registry[spec], s spec) error { return r.Restore(s.ID, s.Terms, s) }
+
 func TestRegistryAddGetRemove(t *testing.T) {
-	r := NewRegistry()
-	if _, err := r.Add(Subscription{Owner: "x"}); err == nil {
+	r := newRegistry()
+	if _, err := add(r, spec{Owner: "x"}); err == nil {
 		t.Fatalf("Add with no terms should fail")
 	}
-	s1, err := r.Add(Subscription{Owner: "alice", Terms: []string{"quake", "tremor"}, MinScore: 1.5})
+	s1, err := add(r, spec{Owner: "alice", Terms: []string{"quake", "tremor"}, MinScore: 1.5})
 	if err != nil {
 		t.Fatalf("Add: %v", err)
 	}
 	if s1.ID != 1 {
 		t.Fatalf("first ID = %d, want 1", s1.ID)
 	}
-	s2, err := r.Add(Subscription{Owner: "bob", Terms: []string{"quake"}, Kind: 2})
+	s2, err := add(r, spec{Owner: "bob", Terms: []string{"quake"}, Kind: 2})
 	if err != nil {
 		t.Fatalf("Add: %v", err)
 	}
@@ -67,18 +104,18 @@ func TestRegistryAddGetRemove(t *testing.T) {
 }
 
 func TestRegistryCopiesAreDeep(t *testing.T) {
-	r := NewRegistry()
-	region := &geo.Rect{MinX: -1, MinY: -1, MaxX: 1, MaxY: 1}
-	span := &search.Timespan{Start: 2, End: 5}
-	in := Subscription{Owner: "o", Terms: []string{"a"}, Region: region, Time: span}
-	added, err := r.Add(in)
+	r := newRegistry()
+	region := &box{MinX: -1, MinY: -1, MaxX: 1, MaxY: 1}
+	ts := &span{Start: 2, End: 5}
+	in := spec{Owner: "o", Terms: []string{"a"}, Region: region, Time: ts}
+	added, err := add(r, in)
 	if err != nil {
 		t.Fatalf("Add: %v", err)
 	}
 	// Mutating what the caller handed in (or got back) must not leak
 	// into the registry.
 	region.MaxX = 99
-	span.End = 99
+	ts.End = 99
 	added.Terms[0] = "zzz"
 	got, _ := r.Get(added.ID)
 	if got.Region.MaxX != 1 || got.Time.End != 5 || got.Terms[0] != "a" {
@@ -87,17 +124,17 @@ func TestRegistryCopiesAreDeep(t *testing.T) {
 }
 
 func TestRegistryRestore(t *testing.T) {
-	r := NewRegistry()
-	if err := r.Restore(Subscription{ID: 7, Terms: []string{"x"}}); err != nil {
+	r := newRegistry()
+	if err := restore(r, spec{ID: 7, Terms: []string{"x"}}); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	if err := r.Restore(Subscription{ID: 7, Terms: []string{"y"}}); err == nil {
+	if err := restore(r, spec{ID: 7, Terms: []string{"y"}}); err == nil {
 		t.Fatalf("duplicate Restore should fail")
 	}
-	if err := r.Restore(Subscription{Terms: []string{"y"}}); err == nil {
+	if err := restore(r, spec{Terms: []string{"y"}}); err == nil {
 		t.Fatalf("zero-ID Restore should fail")
 	}
-	s, err := r.Add(Subscription{Terms: []string{"z"}})
+	s, err := add(r, spec{Terms: []string{"z"}})
 	if err != nil {
 		t.Fatalf("Add: %v", err)
 	}
@@ -107,14 +144,14 @@ func TestRegistryRestore(t *testing.T) {
 }
 
 func TestRegistryConcurrent(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				s, err := r.Add(Subscription{Terms: []string{"hot", "cold"}})
+				s, err := add(r, spec{Terms: []string{"hot", "cold"}})
 				if err != nil {
 					t.Error(err)
 					return
@@ -274,17 +311,17 @@ func TestFormatEvent(t *testing.T) {
 // Remove frees a slot, and Restore is exempt — a persisted set must
 // always load regardless of the runtime limit.
 func TestRegistryLimit(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	r.SetLimit(2)
 	for i := 0; i < 2; i++ {
-		if _, err := r.Add(Subscription{Terms: []string{"quake"}}); err != nil {
+		if _, err := add(r, spec{Terms: []string{"quake"}}); err != nil {
 			t.Fatalf("Add %d: %v", i, err)
 		}
 	}
-	if _, err := r.Add(Subscription{Terms: []string{"quake"}}); !errors.Is(err, ErrRegistryFull) {
+	if _, err := add(r, spec{Terms: []string{"quake"}}); !errors.Is(err, ErrRegistryFull) {
 		t.Fatalf("Add past limit = %v, want ErrRegistryFull", err)
 	}
-	if err := r.Restore(Subscription{ID: 99, Terms: []string{"quake"}}); err != nil {
+	if err := restore(r, spec{ID: 99, Terms: []string{"quake"}}); err != nil {
 		t.Fatalf("Restore at limit: %v", err)
 	}
 	if !r.Remove(1) {
@@ -292,7 +329,7 @@ func TestRegistryLimit(t *testing.T) {
 	}
 	// 2 live after the remove, but the restored one pushed len to 2 again;
 	// limit still enforced against live count.
-	if _, err := r.Add(Subscription{Terms: []string{"quake"}}); !errors.Is(err, ErrRegistryFull) {
+	if _, err := add(r, spec{Terms: []string{"quake"}}); !errors.Is(err, ErrRegistryFull) {
 		t.Fatalf("Add at limit after restore = %v, want ErrRegistryFull", err)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // andes pair (around the origin) at weeks 4-6 and in the japan pair
 // (far corner of the map) at weeks 10-12. Spatiotemporal filters can
 // then isolate either wave.
-func twoBurstCollection(t *testing.T) *Collection {
+func twoBurstCollection(t testing.TB) *Collection {
 	t.Helper()
 	streams := []StreamInfo{
 		{Name: "lima", Location: Point{X: 0, Y: 0}},

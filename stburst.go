@@ -2,7 +2,6 @@ package stburst
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"stburst/internal/burst"
@@ -10,6 +9,7 @@ import (
 	"stburst/internal/corpusio"
 	"stburst/internal/expect"
 	"stburst/internal/geo"
+	"stburst/internal/index"
 	"stburst/internal/stream"
 )
 
@@ -376,37 +376,32 @@ func (c *Collection) TermFrequency(term string, streamIdx, time int) float64 {
 // term with STLocal (§4 of the paper), sorted by descending w-score.
 // A nil opts uses the paper's defaults.
 func (c *Collection) RegionalPatterns(term string, opts *RegionalOptions) []RegionalPattern {
-	id, ok := c.col.Dict().Lookup(NormalizeTerm(term))
-	if !ok {
-		return nil
-	}
-	ws, err := core.MineLocal(c.col.Surface(id), c.col.Points(), opts.coreOptions())
-	if err != nil {
-		panic(fmt.Sprintf("stburst: internal mismatch mining %q: %v", term, err))
-	}
-	return ws
+	return mineTerm[RegionalPattern](c, index.KindRegional, term, &index.MineOptions{Local: opts.coreOptions()})
 }
 
 // CombinatorialPatterns mines the combinatorial spatiotemporal patterns
 // of a term with STComb (§3 of the paper), in descending score order.
 // A nil opts uses the paper's defaults.
 func (c *Collection) CombinatorialPatterns(term string, opts *CombinatorialOptions) []CombinatorialPattern {
-	id, ok := c.col.Dict().Lookup(NormalizeTerm(term))
-	if !ok {
-		return nil
-	}
-	return core.STComb(c.col.Surface(id), opts.coreOptions())
+	return mineTerm[CombinatorialPattern](c, index.KindCombinatorial, term, &index.MineOptions{Comb: opts.coreOptions()})
 }
 
 // TemporalBursts extracts the term's bursty temporal intervals on the
 // merged stream (all streams folded into one), as used by temporal-only
 // burstiness systems.
 func (c *Collection) TemporalBursts(term string) []TemporalInterval {
+	return mineTerm[TemporalInterval](c, index.KindTemporal, term, &index.MineOptions{})
+}
+
+// mineTerm mines one term with the kind table's miner — the one every
+// corpus-wide pass runs — or returns nil for a term the collection has
+// never seen.
+func mineTerm[P any](c *Collection, kind index.PatternKind, term string, o *index.MineOptions) []P {
 	id, ok := c.col.Dict().Lookup(NormalizeTerm(term))
 	if !ok {
 		return nil
 	}
-	return burst.Discrepancy{}.Detect(c.col.MergedSeries(id))
+	return index.MineTerm[P](kind, c.col, id, o)
 }
 
 // RegionalMiner is the streaming STLocal miner for a single term: push

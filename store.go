@@ -81,7 +81,7 @@ type Store struct {
 	// subs holds the registered standing queries (see subscribe.go);
 	// Ingest matches each batch's dirty terms against them after the
 	// refreshed indexes install, and Save persists them in the bundle.
-	subs *sub.Registry
+	subs *sub.Registry[Subscription]
 	// alertSink, when set, receives each Ingest's matched alerts once
 	// writeMu is released (SetAlertSink).
 	alertSink atomic.Pointer[AlertSink]
@@ -96,7 +96,7 @@ type residentSet [index.NumKinds]*PatternIndex
 // Swap or Replace, or mine all kinds in one pass with
 // Collection.MineStore.
 func NewStore(c *Collection) *Store {
-	s := &Store{c: c, shard: ShardInfo{Shards: 1}, subs: sub.NewRegistry()}
+	s := &Store{c: c, shard: ShardInfo{Shards: 1}, subs: sub.NewRegistry(Subscription.clone)}
 	s.indexes.Store(new(residentSet))
 	return s
 }

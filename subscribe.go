@@ -64,6 +64,22 @@ func (s Subscription) Validate() error {
 	return nil
 }
 
+// clone deep-copies the subscription, so the store's registry never
+// aliases caller-held slices or pointers.
+func (s Subscription) clone() Subscription {
+	c := s
+	c.Terms = append([]string(nil), s.Terms...)
+	if s.Region != nil {
+		r := *s.Region
+		c.Region = &r
+	}
+	if s.Time != nil {
+		t := *s.Time
+		c.Time = &t
+	}
+	return c
+}
+
 // Alert reports one standing-query match: an Ingest re-mined one of the
 // subscription's terms and at least one fresh pattern of the given kind
 // satisfied the predicate. Patterns counts how many did; Score and
@@ -134,11 +150,10 @@ func (s *Store) Subscribe(spec Subscription) (Subscription, error) {
 		return Subscription{}, err
 	}
 	spec.Terms = terms
-	added, err := s.subs.Add(toInternalSub(spec))
-	if err != nil {
-		return Subscription{}, err
-	}
-	return fromInternalSub(added), nil
+	return s.subs.Add(terms, func(id uint64) Subscription {
+		spec.ID = id
+		return spec
+	})
 }
 
 // normalizeTerms tokenizes every entry (each token contributes) and
@@ -166,64 +181,14 @@ func (s *Store) normalizeTerms(terms []string) ([]string, error) {
 func (s *Store) Unsubscribe(id uint64) bool { return s.subs.Remove(id) }
 
 // LookupSubscription returns one registered standing query.
-func (s *Store) LookupSubscription(id uint64) (Subscription, bool) {
-	is, ok := s.subs.Get(id)
-	if !ok {
-		return Subscription{}, false
-	}
-	return fromInternalSub(is), true
-}
+func (s *Store) LookupSubscription(id uint64) (Subscription, bool) { return s.subs.Get(id) }
 
 // Subscriptions lists every registered standing query in ascending ID
 // order.
-func (s *Store) Subscriptions() []Subscription {
-	internal := s.subs.List()
-	out := make([]Subscription, len(internal))
-	for i, is := range internal {
-		out[i] = fromInternalSub(is)
-	}
-	return out
-}
+func (s *Store) Subscriptions() []Subscription { return s.subs.List() }
 
 // NumSubscriptions returns the number of registered standing queries.
 func (s *Store) NumSubscriptions() int { return s.subs.Count() }
-
-// toInternalSub converts the public subscription (already validated and
-// normalized) to the registry's internal form.
-func toInternalSub(s Subscription) sub.Subscription {
-	is := sub.Subscription{
-		ID:       s.ID,
-		Owner:    s.Owner,
-		Terms:    s.Terms,
-		Kind:     int(s.Kind),
-		Time:     s.Time, // the registry clones on the way in and out
-		MinScore: s.MinScore,
-		Webhook:  s.Webhook,
-	}
-	if s.Region != nil {
-		r := *s.Region
-		is.Region = &r
-	}
-	return is
-}
-
-// fromInternalSub converts back to the public form.
-func fromInternalSub(is sub.Subscription) Subscription {
-	s := Subscription{
-		ID:       is.ID,
-		Owner:    is.Owner,
-		Terms:    is.Terms,
-		Kind:     Kind(is.Kind),
-		Time:     is.Time,
-		MinScore: is.MinScore,
-		Webhook:  is.Webhook,
-	}
-	if is.Region != nil {
-		r := *is.Region
-		s.Region = &r
-	}
-	return s
-}
 
 // matchDirtyLocked intersects the freshly installed patterns of the
 // dirty terms against the registered standing queries and returns the
@@ -262,7 +227,7 @@ func (s *Store) matchDirtyLocked(dirty []int) []Alert {
 					continue
 				}
 				k := ix.PatternKind()
-				if cand.Kind != int(KindAny) && cand.Kind != int(k) {
+				if cand.Kind != KindAny && cand.Kind != k {
 					continue
 				}
 				// The geometry predicate is the exact retrieval one, so a
@@ -347,7 +312,7 @@ func (s *Store) restoreSubscriptions(blobs [][]byte) error {
 		if err := spec.Validate(); err != nil {
 			return fmt.Errorf("stburst: persisted subscription %d invalid: %w", spec.ID, err)
 		}
-		if err := s.subs.Restore(toInternalSub(spec)); err != nil {
+		if err := s.subs.Restore(spec.ID, spec.Terms, spec); err != nil {
 			return err
 		}
 	}

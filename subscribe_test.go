@@ -3,9 +3,12 @@ package stburst
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -400,7 +403,7 @@ func TestConcurrentIngestSubscriptionCRUD(t *testing.T) {
 func BenchmarkAlertMatch(b *testing.B) {
 	for _, n := range []int{10, 100, 1000} {
 		b.Run(fmt.Sprintf("subs=%d", n), func(b *testing.B) {
-			c := twoBurstCollectionB(b)
+			c := twoBurstCollection(b)
 			s, err := c.MineStore(context.Background(), nil)
 			if err != nil {
 				b.Fatal(err)
@@ -443,39 +446,85 @@ func BenchmarkAlertMatch(b *testing.B) {
 	}
 }
 
-// twoBurstCollectionB is twoBurstCollection for benchmarks.
-func twoBurstCollectionB(b *testing.B) *Collection {
-	b.Helper()
-	streams := []StreamInfo{
-		{Name: "lima", Location: Point{X: 0, Y: 0}},
-		{Name: "quito", Location: Point{X: 2, Y: 1}},
-		{Name: "tokyo", Location: Point{X: 90, Y: 80}},
-		{Name: "osaka", Location: Point{X: 92, Y: 78}},
+// FuzzSubscriptionJSON: arbitrary bytes decode into a Subscription
+// without panic. A spec that validates registers on a small mined store,
+// or is refused because the store is at its limit or because one of its
+// terms tokenizes to nothing. A registered spec is stored with its
+// fields intact and its terms tokenized and deduplicated, its stored form
+// validates, and Save → LoadStore returns the same subscription list.
+func FuzzSubscriptionJSON(f *testing.F) {
+	f.Add([]byte(`{"terms":["earthquake"]}`))  // even length: refused at the limit
+	f.Add([]byte(`{"terms":["earthquake"]} `)) // odd length: registered
+	f.Add([]byte(`{"owner":"ops","terms":["Earthquake rescue","rescue"],"kind":"regional","region":{"min_x":-1,"min_y":-1,"max_x":5,"max_y":5},"time":{"start":4,"end":6},"min_score":0.5,"webhook":"https://example.com/sink"}`))
+	f.Add([]byte(`{"id":7,"terms":["volcano"],"kind":"tb","min_score":-3}`))
+	f.Add([]byte(`{"terms":["!!"],"kind":"stcomb"}`))
+	f.Add([]byte(`{"terms":[],"time":{"start":9,"end":2}}`))
+	c := twoBurstCollection(f)
+	seed, err := c.MineStore(context.Background(), nil)
+	if err != nil {
+		f.Fatal(err)
 	}
-	c := NewCollection(streams, 16)
-	add := func(s, w int, text string) {
-		b.Helper()
-		if _, err := c.AddText(s, w, text); err != nil {
-			b.Fatal(err)
+	if _, err := seed.Subscribe(Subscription{Owner: "seed", Terms: []string{"earthquake"}}); err != nil {
+		f.Fatal(err)
+	}
+	var bundle bytes.Buffer
+	if err := seed.Save(&bundle); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec Subscription
+		if json.Unmarshal(data, &spec) != nil || spec.Validate() != nil {
+			return
 		}
-	}
-	for w := 0; w < 16; w++ {
-		add(0, w, "local politics and weather report")
-		add(1, w, "markets update and weather report")
-		add(2, w, "technology news and weather report")
-		add(3, w, "shipping schedules and weather report")
-	}
-	for w := 4; w <= 6; w++ {
-		for i := 0; i < 4; i++ {
-			add(0, w, "earthquake damage rescue earthquake")
-			add(1, w, "earthquake tremors felt across the border")
+		s, err := LoadStore(bytes.NewReader(bundle.Bytes()), c)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for w := 10; w <= 12; w++ {
-		for i := 0; i < 4; i++ {
-			add(2, w, "earthquake strikes offshore rescue crews deploy")
-			add(3, w, "earthquake aftershocks rattle the coast")
+		// One subscription is resident; a limit of one refuses the spec.
+		s.SetSubscriptionLimit(1 + len(data)%2)
+		got, err := s.Subscribe(spec)
+		if err != nil {
+			blank := false
+			for _, term := range spec.Terms {
+				blank = blank || len(tokenizer.Tokenize(term)) == 0
+			}
+			if !errors.Is(err, ErrSubscriptionLimit) && !blank {
+				t.Fatalf("Subscribe(%+v) = %v", spec, err)
+			}
+			if n := s.NumSubscriptions(); n != 1 {
+				t.Fatalf("refused Subscribe left %d subscriptions, want 1", n)
+			}
+			return
 		}
-	}
-	return c
+		if err := got.Validate(); err != nil {
+			t.Fatalf("stored form %+v does not validate: %v", got, err)
+		}
+		var terms []string
+		for _, term := range spec.Terms {
+			for _, tok := range tokenizer.Tokenize(term) {
+				if !slices.Contains(terms, tok) {
+					terms = append(terms, tok)
+				}
+			}
+		}
+		want := spec
+		want.ID, want.Terms = 2, terms
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("stored %+v, want %+v", got, want)
+		}
+		if looked, ok := s.LookupSubscription(got.ID); !ok || !reflect.DeepEqual(looked, got) {
+			t.Fatalf("LookupSubscription(%d) = %+v, %v; want %+v", got.ID, looked, ok, got)
+		}
+		var buf bytes.Buffer
+		if err := s.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadStore(&buf, c)
+		if err != nil {
+			t.Fatalf("LoadStore after Subscribe(%+v): %v", got, err)
+		}
+		if a, b := s.Subscriptions(), loaded.Subscriptions(); !reflect.DeepEqual(a, b) {
+			t.Fatalf("Subscriptions after Save → LoadStore = %+v, want %+v", b, a)
+		}
+	})
 }

@@ -118,13 +118,6 @@ func OpenWAL(dir string, opts ...WALOption) (*WAL, error) {
 	return &WAL{l: l, pending: pending, prunePath: cfg.prunePath}, nil
 }
 
-// Pending returns the number of scanned batches not yet replayed.
-func (w *WAL) Pending() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.pending)
-}
-
 // LastSeq returns the sequence number of the log's most recent intact
 // frame (0 when the log has never held one).
 func (w *WAL) LastSeq() uint64 {
