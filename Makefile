@@ -8,11 +8,11 @@
 #   make race        # concurrency suite under the race detector
 #   make bench       # the per-package go-test micro-benchmarks
 #   make bench-check # vet + test the bench/ module (the BENCHMARK.json harness)
-#   make fuzz-smoke  # 10 s of native fuzzing at each of fifteen targets: the artifact decoders, TA cursor,
+#   make fuzz-smoke  # 10 s of native fuzzing at each of sixteen targets: the artifact decoders, TA cursor,
 #                    # KindAny merge, WAL segment scan, feed line framing, connector checkpoint load,
-#                    # the two miner kernels, the engine's coverage grid and segment order, the
-#                    # search and documents body decoders, the subscription JSON decoder and the
-#                    # corpus line scanner
+#                    # the ingest socket's framing, the two miner kernels, the engine's coverage grid
+#                    # and segment order, the search and documents body decoders, the subscription
+#                    # JSON decoder and the corpus line scanner
 #   make verify      # tier-1 + race: what CI should run
 #   make bundle      # stgen a corpus (if missing) and stmine all three kinds into $(BUNDLE)
 #   make serve       # stserve the bundle on $(ADDR)
@@ -98,6 +98,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALOpen$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzLineReader$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/connector
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/connector
+	$(GO) test -run '^$$' -fuzz '^FuzzSocketFrames$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/connector
 	$(GO) test -run '^$$' -fuzz '^FuzzMaxRect$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/discrepancy
 	$(GO) test -run '^$$' -fuzz '^FuzzTopCliques$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/interval
 	$(GO) test -run '^$$' -fuzz '^FuzzSearchBody$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/serve

@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"stburst"
-	"stburst/internal/corpusio"
 	"stburst/internal/gen"
 	"stburst/internal/geo"
 	"stburst/internal/serve"
@@ -72,7 +71,7 @@ func mix64(x uint64) uint64 {
 // corpus generator uses: event query terms and episode geography from
 // gen.Events, the background vocabulary's "w%04d" zipf tail, and — for
 // aiming regional hotspot queries — the stream locations corpusio.Load
-// stamps onto every topix corpus, from corpusio.ProjectStreams (topix
+// stamps onto every topix corpus, from gen.ProjectStreams (topix
 // streams are always the full country list, so the projection is
 // reproducible client-side without ever seeing the corpus).
 type workload struct {
@@ -87,7 +86,7 @@ func newWorkload(cfg config) (*workload, error) {
 	for i, c := range gen.Countries {
 		names[i] = c.Name
 	}
-	infos, err := corpusio.ProjectStreams(names)
+	infos, err := gen.ProjectStreams(names)
 	if err != nil {
 		return nil, fmt.Errorf("projecting countries: %w", err)
 	}

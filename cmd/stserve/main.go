@@ -58,7 +58,8 @@
 //	                         reload and ingest advances, for cache-busting
 //	POST /v1/reload          atomically swap in freshly mined indexes from
 //	                         the -snapshot file, without pausing traffic —
-//	                         the cold-path alternative to /v1/documents
+//	                         the cold-path alternative to /v1/documents,
+//	                         refused with 409 once documents were appended
 //	GET  /v1/stats           index size, fingerprint, generation, ingest
 //	                         state, uptime, traffic counters
 //	GET  /v1/healthz         liveness probe
@@ -77,10 +78,11 @@
 // batch: it is appended to the in-memory collection and only the dirty
 // terms are incrementally re-mined, hot-swapping the refreshed indexes
 // under live queries, before the 202 reports the resulting generation.
-// The -snapshot file on disk is not rewritten by ingestion; POST
-// /v1/reload therefore reverts to the snapshot's indexes (the appended
-// documents survive in memory) until the process is restarted or the
-// file is re-mined.
+// The -snapshot file on disk is not rewritten by ingestion, so its
+// patterns do not cover appended documents: POST /v1/reload is for a
+// server that has not appended since boot (WAL replay included), and
+// answers 409, naming the boot and current document counts, once the
+// collection has grown. Restart the server to pick up a re-mined file.
 //
 // -wal-dir arms crash durability for ingestion: every accepted batch is
 // framed, checksummed and (under -fsync always, the default) fsync'd to

@@ -4,11 +4,11 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"time"
 )
@@ -54,15 +54,10 @@ type SocketConfig struct {
 	// framing the declared length is refused before the payload is
 	// read.
 	MaxFrameBytes int
-	// BatchDocs is the per-connection flush threshold (default 64).
+	// BatchDocs caps one connection's batch (default 64). A smaller
+	// batch is flushed as soon as the connection has no further
+	// complete frame buffered.
 	BatchDocs int
-	// FlushInterval bounds how long a partial batch may sit before it
-	// is flushed even though the connection has gone quiet (default
-	// 500ms).
-	FlushInterval time.Duration
-	// DrainTimeout bounds the final flush of buffered documents when
-	// the source is shut down mid-connection (default 5s).
-	DrainTimeout time.Duration
 }
 
 func (c *SocketConfig) defaults() {
@@ -78,12 +73,6 @@ func (c *SocketConfig) defaults() {
 	if c.BatchDocs <= 0 {
 		c.BatchDocs = 64
 	}
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = 500 * time.Millisecond
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 5 * time.Second
-	}
 }
 
 // SocketSource accepts framed JSONL documents over TCP — the `stserve
@@ -91,22 +80,25 @@ func (c *SocketConfig) defaults() {
 // sender fires documents and never waits for an application-level ack,
 // so backpressure is TCP flow control (the reader stops reading while
 // a flush blocks) and delivery across a crash is at-most-once. Each
-// connection batches independently and flushes at BatchDocs, when the
-// batch has sat for FlushInterval, and at disconnect.
+// connection batches by arrival: it flushes at BatchDocs and before
+// every read from the socket, so a batch is whatever the sender got in
+// while the previous one was being ingested, and a lone document
+// reaches the store as soon as the sender pauses — no timer, no
+// disconnect.
 type SocketSource struct {
 	cfg  SocketConfig
 	sink Sink
 	tracker
 
-	mu     sync.Mutex
-	bound  net.Addr        // listener address once Run has bound it
-	notify []chan struct{} // closed once bound becomes non-nil
+	bindOnce sync.Once
+	bound    net.Addr      // the first listener address Run bound
+	ready    chan struct{} // closed once bound is set
 }
 
 // NewSocketSource builds a socket source over sink.
 func NewSocketSource(cfg SocketConfig, sink Sink) *SocketSource {
 	cfg.defaults()
-	s := &SocketSource{cfg: cfg, sink: sink}
+	s := &SocketSource{cfg: cfg, sink: sink, ready: make(chan struct{})}
 	s.lag.Store(-1) // lag is a tailer notion
 	return s
 }
@@ -116,26 +108,14 @@ func (s *SocketSource) Name() string { return "socket:" + s.cfg.Addr }
 // Stats implements Source.
 func (s *SocketSource) Stats() SourceStats { return s.snapshot(s.Name()) }
 
-// WaitBound blocks until the listener is bound or ctx is done, then
-// reports the bound address. Tests use it with ":0" configs.
+// WaitBound blocks until Run has first bound its listener or ctx is
+// done, then reports the bound address. Tests use it with ":0" configs.
 func (s *SocketSource) WaitBound(ctx context.Context) (net.Addr, error) {
-	s.mu.Lock()
-	if s.bound != nil {
-		a := s.bound
-		s.mu.Unlock()
-		return a, nil
-	}
-	ch := make(chan struct{})
-	s.notify = append(s.notify, ch)
-	s.mu.Unlock()
 	select {
 	case <-ctx.Done():
 		return nil, ctx.Err()
-	case <-ch:
-		s.mu.Lock()
-		a := s.bound
-		s.mu.Unlock()
-		return a, nil
+	case <-s.ready:
+		return s.bound, nil
 	}
 }
 
@@ -149,25 +129,15 @@ func (s *SocketSource) Run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	s.bound = ln.Addr()
-	notify := s.notify
-	s.notify = nil
-	s.mu.Unlock()
-	for _, ch := range notify {
-		close(ch)
-	}
+	defer ln.Close()
+	stop := context.AfterFunc(ctx, func() { ln.Close() })
+	defer stop()
+	s.bindOnce.Do(func() {
+		s.bound = ln.Addr()
+		close(s.ready)
+	})
 
 	var wg sync.WaitGroup
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-		case <-done:
-		}
-		ln.Close()
-	}()
 
 	for {
 		conn, err := ln.Accept()
@@ -195,104 +165,74 @@ func (s *SocketSource) Run(ctx context.Context) error {
 	}
 }
 
-// serveConn reads one connection's frames into a batch and flushes at
-// BatchDocs, on a FlushInterval tick, and at end of stream. The batch
-// mutex is held across the sink call on purpose: while a flush blocks
-// on the store, the reader blocks appending, stops reading the socket,
-// and TCP flow control pushes back on the sender. The reader itself
+// serveConn reads one connection's frames through a batcher. The reader
 // never sets mid-stream deadlines — a deadline poke from the shutdown
-// watcher is the only thing that interrupts a blocking read, so a
-// slow sender can never have a half-read frame torn by an idle timer.
+// watcher is the only thing that interrupts a blocking read, so a slow
+// sender can never have a half-read frame torn by a read timeout.
 func (s *SocketSource) serveConn(ctx context.Context, conn net.Conn) {
-	var (
-		batchMu sync.Mutex
-		batch   []Doc
-	)
-	flush := func(fctx context.Context) bool {
-		batchMu.Lock()
-		defer batchMu.Unlock()
-		if len(batch) == 0 {
-			return true
-		}
-		if fctx.Err() != nil {
-			// Shutdown drain: the run context is gone but the batch
-			// holds accepted documents; give the sink a bounded window
-			// to land them before the WAL closes.
-			var cancel context.CancelFunc
-			fctx, cancel = context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
-			defer cancel()
-		}
-		res, err := s.sink.Ingest(fctx, batch)
-		if err != nil {
-			s.fail(fmt.Sprintf("flush of %d document(s) from %s: %v", len(batch), conn.RemoteAddr(), err))
-			return false
-		}
-		s.docs.Add(int64(res.Applied))
-		if res.Rejected > 0 {
-			s.errors.Add(int64(res.Rejected))
-			msg := fmt.Sprintf("%d document(s) rejected by the store", res.Rejected)
-			s.lastErr.Store(&msg)
-		}
-		batch = batch[:0]
-		return true
-	}
-
 	// Shutdown watcher: an expired deadline unblocks the reader
-	// without tearing the connection down, so the drain flush below
-	// still runs.
+	// without tearing the connection down, so the drain flush still
+	// runs.
 	stopWatch := context.AfterFunc(ctx, func() {
 		conn.SetReadDeadline(time.Now())
 	})
 	defer stopWatch()
 
-	// Idle flusher: a quiet connection's partial batch reaches the
-	// store within FlushInterval.
-	connDone := make(chan struct{})
-	defer close(connDone)
-	go func() {
-		tick := time.NewTicker(s.cfg.FlushInterval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-connDone:
-				return
-			case <-ctx.Done():
-				return
-			case <-tick.C:
-				flush(ctx)
-			}
-		}
-	}()
-
-	lr := &lineReader{r: bufio.NewReaderSize(conn, 64<<10), max: s.cfg.MaxFrameBytes}
+	where := "connection from " + conn.RemoteAddr().String()
+	b := &batcher{sink: s.sink, stats: &s.tracker, size: s.cfg.BatchDocs, where: func() string { return where }}
+	cr := &connReader{ctx: ctx, conn: conn, b: b}
+	lr := &lineReader{r: bufio.NewReaderSize(cr, 64<<10), max: s.cfg.MaxFrameBytes}
 	for {
 		frame, err := s.readFrame(lr)
 		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) &&
-				!errors.Is(err, net.ErrClosed) && ctx.Err() == nil {
-				s.fail(fmt.Sprintf("connection from %s: %v", conn.RemoteAddr(), err))
+			if !connEnded(ctx, err) {
+				s.fail(fmt.Sprintf("%s: %v", where, err))
 			}
-			flush(ctx)
+			// A refused frame can follow complete ones read in the
+			// same chunk; they are still delivered.
+			if err := b.flush(ctx); err != nil {
+				s.fail(fmt.Sprintf("%s: %v", where, err))
+			}
 			return
 		}
 		if len(frame) == 0 {
 			continue // blank line or empty frame
 		}
-		var d Doc
-		if err := json.Unmarshal(frame, &d); err != nil {
-			s.fail(fmt.Sprintf("connection from %s: bad document: %v", conn.RemoteAddr(), err))
+		d, ok := b.decode(frame)
+		if !ok {
 			continue
 		}
-		batchMu.Lock()
-		batch = append(batch, d)
-		full := len(batch) >= s.cfg.BatchDocs
-		batchMu.Unlock()
-		if full {
-			if !flush(ctx) {
-				return
-			}
+		if err := b.add(ctx, d); err != nil {
+			s.fail(fmt.Sprintf("%s: %v", where, err))
+			return
 		}
 	}
+}
+
+// connEnded reports whether a read error is the connection ending
+// rather than failing: the peer hung up, or the shutdown watcher's
+// deadline poke fired.
+func connEnded(ctx context.Context, err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) ||
+		ctx.Err() != nil && errors.Is(err, os.ErrDeadlineExceeded)
+}
+
+// connReader is the connection as its frame reader sees it: every read
+// from the socket, the only read that can wait on the sender, first
+// lands the pending batch. Frames already buffered keep filling the
+// batch; once they run out it goes to the store. The flush blocks the
+// reader, so TCP flow control still pushes back on the sender.
+type connReader struct {
+	ctx  context.Context
+	conn net.Conn
+	b    *batcher
+}
+
+func (r *connReader) Read(p []byte) (int, error) {
+	if err := r.b.flush(r.ctx); err != nil {
+		return 0, err
+	}
+	return r.conn.Read(p)
 }
 
 // readFrame reads one document frame per the configured framing. The

@@ -1,12 +1,16 @@
 package connector
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"net"
+	"reflect"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -81,12 +85,13 @@ func TestSocketLineFraming(t *testing.T) {
 
 func TestSocketIdleFlush(t *testing.T) {
 	sink := &memSink{}
-	_, addr, stop := startSocket(t, SocketConfig{BatchDocs: 100, FlushInterval: 20 * time.Millisecond}, sink)
+	_, addr, stop := startSocket(t, SocketConfig{BatchDocs: 100}, sink)
 	defer stop()
 	conn := dial(t, addr)
 	defer conn.Close()
 	sendLine(t, conn, Doc{Stream: "lima", Time: 1})
-	// Far below BatchDocs: only the idle ticker can deliver it.
+	// Far below BatchDocs, and the connection stays open: only the
+	// flush before the next socket read can deliver it.
 	waitFor(t, func() bool { return sink.Docs() == 1 })
 }
 
@@ -200,19 +205,197 @@ func TestSocketConnLimit(t *testing.T) {
 	waitFor(t, func() bool { return sink.Docs() == 1 })
 }
 
+// shutdownSink starts the source's shutdown from inside its first
+// Ingest, after that batch has applied.
+type shutdownSink struct {
+	*memSink
+	once   sync.Once
+	cancel context.CancelFunc
+}
+
+func (k *shutdownSink) Ingest(ctx context.Context, docs []Doc) (SinkResult, error) {
+	res, err := k.memSink.Ingest(ctx, docs)
+	k.once.Do(k.cancel)
+	return res, err
+}
+
+// TestSocketShutdownDrainsBufferedDocs: a document decoded before
+// shutdown but not yet flushed still lands. Three documents arrive in
+// one write with BatchDocs 2; the first batch's sink call starts the
+// shutdown, so the third sits in the batch after the run context is
+// done, and only the drain flush can deliver it.
 func TestSocketShutdownDrainsBufferedDocs(t *testing.T) {
 	sink := &memSink{}
-	_, addr, stop := startSocket(t, SocketConfig{BatchDocs: 100, FlushInterval: time.Hour}, sink)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src := NewSocketSource(SocketConfig{Addr: "127.0.0.1:0", BatchDocs: 2}, &shutdownSink{memSink: sink, cancel: cancel})
+	errc := make(chan error, 1)
+	go func() { errc <- src.Run(ctx) }()
+	bctx, bcancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer bcancel()
+	a, err := src.WaitBound(bctx)
+	if err != nil {
+		t.Fatalf("listener never bound: %v", err)
+	}
+	conn := dial(t, a.String())
+	defer conn.Close()
+	var burst []byte
+	for _, d := range []Doc{{Stream: "lima", Time: 1}, {Stream: "oslo", Time: 2}, {Stream: "lima", Time: 3}} {
+		raw, _ := json.Marshal(d)
+		burst = append(append(burst, raw...), '\n')
+	}
+	if _, err := conn.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("socket Run: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("socket Run did not return after shutdown")
+	}
+	if got := sink.Docs(); got != 3 {
+		t.Fatalf("docs after shutdown drain = %d, want 3", got)
+	}
+}
+
+// TestSocketBurstBatches: a burst written at once is cut at BatchDocs,
+// not into one sink call per document — a partial batch goes only when
+// the buffered frames run out, which a burst does a handful of times.
+func TestSocketBurstBatches(t *testing.T) {
+	const n, batch = 640, 64
+	sink := &memSink{}
+	_, addr, stop := startSocket(t, SocketConfig{BatchDocs: batch}, sink)
+	defer stop()
 	conn := dial(t, addr)
 	defer conn.Close()
-	sendLine(t, conn, Doc{Stream: "lima", Time: 1})
-	sendLine(t, conn, Doc{Stream: "oslo", Time: 2})
-	// Give the reader a moment to buffer both, then shut down: the
-	// drain flush must land them even though no flush trigger fired.
-	waitFor(t, func() bool { return len(sink.applied()) >= 0 })
-	time.Sleep(50 * time.Millisecond)
-	stop()
-	if got := sink.Docs(); got != 2 {
-		t.Fatalf("docs after shutdown drain = %d, want 2", got)
+	var burst []byte
+	for i := range n {
+		raw, _ := json.Marshal(Doc{Stream: "lima", Time: i % 48})
+		burst = append(append(burst, raw...), '\n')
 	}
+	if _, err := conn.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return sink.Docs() == n })
+	sink.mu.Lock()
+	calls := sink.calls
+	sink.mu.Unlock()
+	if want := (n + batch - 1) / batch; calls < want || calls > 2*want {
+		t.Fatalf("%d documents took %d sink calls, want between %d and %d", n, calls, want, 2*want)
+	}
+}
+
+// socketFramesModel cuts data into frames the way the socket framing
+// is specified, without its reader: a line frame is a newline-split
+// piece of at most max bytes with its line ending trimmed, a length
+// frame is a 4-byte big-endian length and that many bytes. The first
+// piece that breaks the limit, and a truncated length frame, end the
+// connection.
+func socketFramesModel(data []byte, framing Framing, max int) [][]byte {
+	var frames [][]byte
+	if framing == FrameLine {
+		for _, piece := range bytes.SplitAfter(data, []byte("\n")) {
+			if len(piece) > max {
+				break
+			}
+			if len(piece) > 0 {
+				frames = append(frames, trimNL(piece))
+			}
+		}
+		return frames
+	}
+	for len(data) >= 4 {
+		n := binary.BigEndian.Uint32(data)
+		data = data[4:]
+		if n > uint32(max) || uint32(len(data)) < n {
+			break
+		}
+		frames = append(frames, data[:n])
+		data = data[n:]
+	}
+	return frames
+}
+
+// FuzzSocketFrames sends arbitrary bytes on one connection under both
+// framings. The frame reader must return exactly the model's frames —
+// so none longer than MaxFrameBytes — and refuse a declared length over
+// the limit having consumed only its 4-byte header, before any of the
+// payload. The same bytes sent through a real connection (net.Pipe into
+// serveConn) must deliver exactly the model frames that decode as
+// documents, in order, without a panic.
+func FuzzSocketFrames(f *testing.F) {
+	lengthFrame := func(payload string) string {
+		var hdr [4]byte
+		binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
+		return string(hdr[:]) + payload
+	}
+	f.Add([]byte(`{"stream":"lima","time":1}`+"\n\n{broken\r\n"+`{"time":2}`), uint16(64), false)
+	f.Add([]byte(strings.Repeat("x", 300)+"\n"+`{"stream":"oslo"}`+"\n"), uint16(40), false)
+	f.Add([]byte(lengthFrame(`{"stream":"lima","time":1}`)+lengthFrame("")+lengthFrame("null")), uint16(64), true)
+	f.Add([]byte(lengthFrame(`{"stream":"lima"}`)+"\xff\xff\xff\xff"+`{"stream":"oslo"}`), uint16(32), true)
+	f.Add([]byte(lengthFrame(`{"stream":"lima"}`)[:7]), uint16(32), true)
+	f.Fuzz(func(t *testing.T, data []byte, limit uint16, lengthFramed bool) {
+		max := 1 + int(limit)%256
+		framing := FrameLine
+		if lengthFramed {
+			framing = FrameLength
+		}
+		want := socketFramesModel(data, framing, max)
+
+		src := NewSocketSource(SocketConfig{Framing: framing, MaxFrameBytes: max}, &memSink{})
+		in := bytes.NewReader(data)
+		lr := &lineReader{r: bufio.NewReaderSize(in, 16), max: max}
+		consumed := func() int { return len(data) - in.Len() - lr.r.Buffered() }
+		var got [][]byte
+		for {
+			at := consumed()
+			frame, err := src.readFrame(lr)
+			if err != nil {
+				if lengthFramed && len(data)-at >= 4 && binary.BigEndian.Uint32(data[at:]) > uint32(max) {
+					if consumed() != at+4 || !strings.Contains(err.Error(), "exceeds limit") {
+						t.Fatalf("declared length over %d at byte %d: err %v after consuming %d bytes, want a refusal after the 4-byte header",
+							max, at, err, consumed()-at)
+					}
+				}
+				break
+			}
+			if len(frame) > max {
+				t.Fatalf("decoded a %d-byte frame past the %d-byte limit", len(frame), max)
+			}
+			got = append(got, bytes.Clone(frame))
+		}
+		if len(got) != len(want) {
+			t.Fatalf("read %d frames, model %d:\n got %q\nwant %q", len(got), len(want), got, want)
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("frame %d = %q, model %q", i, got[i], want[i])
+			}
+		}
+
+		var wantDocs []Doc
+		for _, frame := range want {
+			var d Doc
+			if len(frame) > 0 && json.Unmarshal(frame, &d) == nil {
+				wantDocs = append(wantDocs, d)
+			}
+		}
+		sink := &memSink{}
+		src = NewSocketSource(SocketConfig{Framing: framing, MaxFrameBytes: max, BatchDocs: 3}, sink)
+		client, server := net.Pipe()
+		wrote := make(chan struct{})
+		go func() {
+			defer close(wrote)
+			client.Write(data) // fails once serveConn hangs up early
+			client.Close()
+		}()
+		src.serveConn(context.Background(), server)
+		server.Close()
+		<-wrote
+		if docs := sink.applied(); !reflect.DeepEqual(docs, wantDocs) && len(docs)+len(wantDocs) > 0 {
+			t.Fatalf("connection delivered %+v, want %+v", docs, wantDocs)
+		}
+	})
 }

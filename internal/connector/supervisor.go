@@ -25,16 +25,17 @@ type SourceState struct {
 	Restarts int64  `json:"restarts"`
 }
 
+// healthyAfter is how long a source must run before a failure is
+// treated as fresh rather than consecutive, resetting the backoff to
+// BackoffBase.
+const healthyAfter = time.Minute
+
 // SupervisorConfig tunes restart behavior; the zero value is usable.
 type SupervisorConfig struct {
 	// BackoffBase is the first restart delay (default 500ms); each
 	// consecutive failure doubles it up to BackoffMax (default 30s).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// HealthyAfter is how long a source must run before a failure is
-	// treated as fresh rather than consecutive, resetting the backoff
-	// to BackoffBase (default 60s).
-	HealthyAfter time.Duration
 	// Logf receives restart decisions (default log.Printf).
 	Logf func(format string, args ...any)
 }
@@ -45,9 +46,6 @@ func (c *SupervisorConfig) defaults() {
 	}
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = 30 * time.Second
-	}
-	if c.HealthyAfter <= 0 {
-		c.HealthyAfter = time.Minute
 	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
@@ -134,7 +132,7 @@ func (s *Supervisor) run(ctx context.Context, sv *supervised) {
 			sv.setState(StateStopped)
 			return
 		}
-		if time.Since(started) >= s.cfg.HealthyAfter {
+		if time.Since(started) >= healthyAfter {
 			backoff = s.cfg.BackoffBase
 		}
 		sv.restarts.Add(1)

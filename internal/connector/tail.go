@@ -109,31 +109,21 @@ func (t *TailSource) Run(ctx context.Context) error {
 	defer func() { f.Close() }()
 
 	lr := &lineReader{r: bufio.NewReaderSize(f, 64<<10), max: t.cfg.MaxLineBytes, off: cp.Offset}
-	var (
-		batch    []Doc
-		batchEnd int64 // offset just past the last line in batch
-	)
-
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		res, err := t.sink.Ingest(ctx, batch)
-		if err != nil {
-			return err
-		}
-		t.docs.Add(int64(res.Applied))
-		if res.Rejected > 0 {
-			t.errors.Add(int64(res.Rejected))
-			msg := fmt.Sprintf("%d document(s) rejected by the store", res.Rejected)
-			t.lastErr.Store(&msg)
-		}
-		cp = Checkpoint{Offset: batchEnd, Docs: res.Total}
-		if err := cp.Save(t.cfg.CheckpointPath); err != nil {
-			return err
-		}
-		batch = batch[:0]
-		return nil
+	var batchEnd int64 // offset just past the last line in the batch
+	b := &batcher{
+		sink:  t.sink,
+		stats: &t.tracker,
+		size:  t.cfg.BatchDocs,
+		where: func() string { return fmt.Sprintf("offset %d", lr.start) },
+		flushed: func(res SinkResult) error {
+			cp = Checkpoint{Offset: batchEnd, Docs: res.Total}
+			if err := cp.Save(t.cfg.CheckpointPath); err != nil {
+				return err
+			}
+			// A flush that drained after shutdown began ends the run
+			// here, not after the rest of the backlog.
+			return ctx.Err()
+		},
 	}
 
 	for {
@@ -151,9 +141,8 @@ func (t *TailSource) Run(ctx context.Context) error {
 			if len(line) <= 1 {
 				continue // blank line
 			}
-			var d Doc
-			if err := json.Unmarshal(line, &d); err != nil {
-				t.fail(fmt.Sprintf("offset %d: bad feed line: %v", lr.start, err))
+			d, ok := b.decode(line)
+			if !ok {
 				continue
 			}
 			if skip > 0 {
@@ -168,12 +157,9 @@ func (t *TailSource) Run(ctx context.Context) error {
 				}
 				continue
 			}
-			batch = append(batch, d)
 			batchEnd = lr.off
-			if len(batch) >= t.cfg.BatchDocs {
-				if err := flush(); err != nil {
-					return err
-				}
+			if err := b.add(ctx, d); err != nil {
+				return err
 			}
 		case errOverlong:
 			t.fail(fmt.Sprintf("offset %d: line exceeds %d bytes; skipping to next newline",
@@ -182,7 +168,7 @@ func (t *TailSource) Run(ctx context.Context) error {
 			// Drain what we have before sleeping: end-of-file is the
 			// flush trigger that keeps a drip feed's latency at one
 			// poll interval, not one batch.
-			if err := flush(); err != nil {
+			if err := b.flush(ctx); err != nil {
 				return err
 			}
 			reset, err := t.watch(ctx, f, lr.off)

@@ -9,12 +9,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 
 	"stburst/internal/atomicfile"
 	"stburst/internal/gen"
-	"stburst/internal/geo"
 	"stburst/internal/stream"
 )
 
@@ -52,7 +50,7 @@ func Load(r io.Reader) (*stream.Collection, []int, error) {
 	if h.Kind != "topix" {
 		return nil, nil, fmt.Errorf("corpusio: unsupported corpus kind %q", h.Kind)
 	}
-	infos, err := ProjectStreams(h.Streams)
+	infos, err := gen.ProjectStreams(h.Streams)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -84,32 +82,6 @@ func Load(r io.Reader) (*stream.Collection, []int, error) {
 		labels = append(labels, d.event)
 	}
 	return col, labels, sc.Err()
-}
-
-// ProjectStreams places a header's streams the way Load does: each
-// named country at its coordinates, with map locations projected by MDS
-// over the countries' great-circle distances from a seed-1 RNG. The
-// projection depends on the stream list alone, so a client holding the
-// list reproduces every location Load assigns.
-func ProjectStreams(names []string) ([]stream.Info, error) {
-	infos := make([]stream.Info, len(names))
-	coords := make([]geo.LatLon, len(names))
-	for i, name := range names {
-		ci := gen.CountryIndex(name)
-		if ci < 0 {
-			return nil, fmt.Errorf("corpusio: unknown country %q", name)
-		}
-		coords[i] = gen.Countries[ci].Geo
-		infos[i] = stream.Info{Name: name, Geo: coords[i]}
-	}
-	pts, err := geo.MDS(geo.DistanceMatrix(coords, geo.Haversine), rand.New(rand.NewSource(1)))
-	if err != nil {
-		return nil, err
-	}
-	for i := range infos {
-		infos[i].Location = pts[i]
-	}
-	return infos, nil
 }
 
 // AppendDocs atomically appends document lines to the corpus file at

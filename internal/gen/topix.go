@@ -83,18 +83,22 @@ func NewTopix(cfg TopixConfig) (*Topix, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// Project the 181 countries onto the 2-D plane with MDS over their
-	// pairwise geographic distances, exactly as the paper does (§6.1).
+	// pairwise geographic distances, exactly as the paper does (§6.1),
+	// through ProjectStreams, so the corpus reloaded from its file has
+	// the same locations for every seed. The projection on the
+	// generator's own RNG stays, its points unused: its draws advance
+	// the RNG, and every document generated after it depends on them.
 	coords := make([]geo.LatLon, len(Countries))
+	names := make([]string, len(Countries))
 	for i, c := range Countries {
-		coords[i] = c.Geo
+		coords[i], names[i] = c.Geo, c.Name
 	}
-	pts, err := geo.MDS(geo.DistanceMatrix(coords, geo.Haversine), rng)
-	if err != nil {
+	if _, err := geo.MDS(geo.DistanceMatrix(coords, geo.Haversine), rng); err != nil {
 		return nil, fmt.Errorf("gen: projecting countries: %w", err)
 	}
-	infos := make([]stream.Info, len(Countries))
-	for i, c := range Countries {
-		infos[i] = stream.Info{Name: c.Name, Location: pts[i], Geo: c.Geo}
+	infos, err := ProjectStreams(names)
+	if err != nil {
+		return nil, fmt.Errorf("gen: projecting countries: %w", err)
 	}
 	col := stream.NewCollection(infos, Weeks)
 	col.SetRetainCounts(cfg.RetainCounts)

@@ -93,3 +93,16 @@ func TestTopixTraceFingerprint(t *testing.T) {
 			"if deliberate, update pinnedTopixTrace", f1, pinnedTopixTrace)
 	}
 }
+
+// TestTopixTraceOtherSeedsPinned pins the traces of seeds 2 and 3. The
+// trace covers every document and label but no location, so it checks
+// that NewTopix's projection on its own RNG, whose points ProjectStreams
+// replaces, still advances the RNG the way every generated corpus
+// depends on.
+func TestTopixTraceOtherSeedsPinned(t *testing.T) {
+	for seed, want := range map[int64]uint64{2: 0x8f6af3313493f920, 3: 0x97ef3e54507c3a62} {
+		if got := topixTrace(t, seed); got != want {
+			t.Errorf("seed-%d trace = %#x, pinned %#x — the generator's documents changed", seed, got, want)
+		}
+	}
+}

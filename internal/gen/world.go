@@ -1,6 +1,12 @@
 package gen
 
-import "stburst/internal/geo"
+import (
+	"fmt"
+	"math/rand"
+
+	"stburst/internal/geo"
+	"stburst/internal/stream"
+)
 
 // Country is one news source location of the Topix-like world: the paper's
 // corpus draws articles "from local news sources from 181 different
@@ -205,4 +211,31 @@ func CountryIndex(name string) int {
 		}
 	}
 	return -1
+}
+
+// ProjectStreams places streams named after countries the way every
+// topix corpus places them, generated or loaded from a file: each at its
+// country's coordinates, with map locations projected by MDS over the
+// countries' great-circle distances from a seed-1 RNG, as §6.1 of the
+// paper does. The projection depends on the stream list alone, so a
+// client holding the list reproduces every location.
+func ProjectStreams(names []string) ([]stream.Info, error) {
+	infos := make([]stream.Info, len(names))
+	coords := make([]geo.LatLon, len(names))
+	for i, name := range names {
+		ci := CountryIndex(name)
+		if ci < 0 {
+			return nil, fmt.Errorf("gen: unknown country %q", name)
+		}
+		coords[i] = Countries[ci].Geo
+		infos[i] = stream.Info{Name: name, Geo: coords[i]}
+	}
+	pts, err := geo.MDS(geo.DistanceMatrix(coords, geo.Haversine), rand.New(rand.NewSource(1)))
+	if err != nil {
+		return nil, err
+	}
+	for i := range infos {
+		infos[i].Location = pts[i]
+	}
+	return infos, nil
 }

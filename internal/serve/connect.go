@@ -109,7 +109,6 @@ func (k *IngestSink) Ingest(ctx context.Context, docs []connector.Doc) (connecto
 func (s *Server) EnableConnectors(sup *connector.Supervisor) {
 	s.connectors = sup
 	for i := 0; i < sup.NumSources(); i++ {
-		i := i
 		st := sup.StatAt(i)
 		label := metrics.L("connector", st.Name)
 		s.obs.s.NewGaugeFunc("stserve_connector_docs_total",

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -253,6 +254,111 @@ func TestTailCrashRecoveryChecksumOracle(t *testing.T) {
 			}
 			if err := p2.w.Close(); err != nil {
 				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestSocketIngestOracle: documents sent over the ingest socket leave
+// the store exactly as one direct IngestSink.Ingest of the same
+// documents does — the same corpus checksum and the same fingerprint
+// for every kind — whether they arrive as a burst in one write (cut at
+// BatchDocs) or as a drip of single-line writes on an open connection,
+// each of which must land on its own before the next is sent.
+func TestSocketIngestOracle(t *testing.T) {
+	ctx := context.Background()
+	const nDocs = 12
+	var docs []connector.Doc
+	var lines []string
+	for i := 0; i < nDocs; i++ {
+		stream := []string{"lima", "quito", "tokyo"}[i%3]
+		counts := map[string]int{"flood": 1 + i%2, "rescue": 1, fmt.Sprintf("term%d", i): 1}
+		docs = append(docs, connector.Doc{Stream: stream, Time: i % 12, Counts: counts})
+		lines = append(lines, tailFeedLine(stream, i%12, counts))
+	}
+	mined := func() (*stburst.Collection, *stburst.Store) {
+		c := serveCollection(t)
+		s, err := c.MineStore(ctx, nil)
+		if err != nil {
+			t.Fatalf("MineStore: %v", err)
+		}
+		return c, s
+	}
+	oracleC, oracleS := mined()
+	kinds := []stburst.Kind{stburst.KindRegional, stburst.KindCombinatorial, stburst.KindTemporal}
+	before := make(map[stburst.Kind]string)
+	for _, k := range kinds {
+		before[k] = oracleS.Index(k).Fingerprint()
+	}
+	if _, err := fastSink(oracleC, oracleS).Ingest(ctx, docs); err != nil {
+		t.Fatalf("oracle ingest: %v", err)
+	}
+	for _, k := range kinds {
+		if oracleS.Index(k).Fingerprint() == before[k] {
+			t.Fatalf("the documents leave the %v patterns unchanged; the oracle would prove nothing", k)
+		}
+	}
+
+	for _, mode := range []string{"burst", "drip"} {
+		t.Run(mode, func(t *testing.T) {
+			c, s := mined()
+			src := connector.NewSocketSource(connector.SocketConfig{Addr: "127.0.0.1:0", BatchDocs: 5}, fastSink(c, s))
+			runCtx, cancel := context.WithCancel(ctx)
+			defer cancel()
+			errc := make(chan error, 1)
+			go func() { errc <- src.Run(runCtx) }()
+			bctx, bcancel := context.WithTimeout(ctx, 5*time.Second)
+			defer bcancel()
+			addr, err := src.WaitBound(bctx)
+			if err != nil {
+				t.Fatalf("listener never bound: %v", err)
+			}
+			conn, err := net.Dial("tcp", addr.String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			// The source counts a document once its sink call returned,
+			// so the refreshed indexes are installed by then; the
+			// collection's count moves before that.
+			waitDocs := func(n int64) {
+				t.Helper()
+				deadline := time.Now().Add(10 * time.Second)
+				for src.Stats().Docs < n && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+				if got := src.Stats().Docs; got != n {
+					t.Fatalf("source applied %d docs, want %d", got, n)
+				}
+			}
+			if mode == "burst" {
+				if _, err := conn.Write([]byte(strings.Join(lines, ""))); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				for i, line := range lines {
+					if _, err := conn.Write([]byte(line)); err != nil {
+						t.Fatal(err)
+					}
+					waitDocs(int64(i + 1))
+				}
+			}
+			waitDocs(nDocs)
+			cancel()
+			if err := <-errc; err != nil {
+				t.Fatalf("socket Run: %v", err)
+			}
+
+			if st := src.Stats(); st.Docs != nDocs || st.Errors != 0 {
+				t.Fatalf("source stats = %+v, want %d docs and no errors", st, nDocs)
+			}
+			if c.Checksum() != oracleC.Checksum() {
+				t.Fatal("socket-fed store checksum diverged from the direct-ingest oracle")
+			}
+			for _, k := range kinds {
+				if got, want := s.Index(k).Fingerprint(), oracleS.Index(k).Fingerprint(); got != want {
+					t.Errorf("%v fingerprint = %s, oracle %s", k, got, want)
+				}
 			}
 		})
 	}

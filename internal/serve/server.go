@@ -49,7 +49,8 @@ import (
 //	                         terms under traffic
 //	GET  /v1/generation      the store generation, for cache-busting
 //	POST /v1/reload          atomically reload the snapshot/bundle from disk
-//	                         (the cold-path alternative to /v1/documents)
+//	                         (the cold-path alternative to /v1/documents,
+//	                         refused once documents were appended)
 //	POST /v1/subscriptions   register a standing query (requires
 //	                         -subscriptions); GET lists, GET/{id} fetches,
 //	                         DELETE /{id} removes
@@ -69,12 +70,16 @@ type Server struct {
 	snapshotPath string
 	// reloadMu serializes reloads: the swap itself is atomic, but two
 	// interleaved file reads racing to Replace would make "which file
-	// won" arbitrary. A reload is the cold path — on an ingesting server
-	// it installs whatever the snapshot file holds, superseding any
-	// incremental refreshes since it was written (the appended documents
-	// themselves always survive: they live in the collection, and the
-	// next ingest re-mines from the current corpus).
+	// won" arbitrary.
 	reloadMu sync.Mutex
+	// bootDocs is the collection's document count when New built the
+	// server. A reload is refused once the collection holds more: a
+	// bundle's patterns cover only the documents it was mined from, and
+	// installing them over appended documents would leave those
+	// documents' terms stale for good — a later save stamps the current
+	// generation on them, and a reboot's WAL replay re-mines only
+	// batches newer than the bundle.
+	bootDocs int
 	// fpOnce caches the corpus fingerprint reported by /v1/healthz and
 	// /v1/stats: the shard bundle's recorded checksum when it carries
 	// one, otherwise the collection checksum computed once on first use
@@ -111,7 +116,7 @@ type Server struct {
 // which case POST /v1/reload is rejected. The write surface starts
 // disabled; EnableIngest arms it.
 func New(c *stburst.Collection, store *stburst.Store, snapshotPath string) *Server {
-	s := &Server{c: c, store: store, snapshotPath: snapshotPath, started: time.Now(), mux: http.NewServeMux()}
+	s := &Server{c: c, store: store, snapshotPath: snapshotPath, bootDocs: c.NumDocs(), started: time.Now(), mux: http.NewServeMux()}
 	// The versioned contract.
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
@@ -364,7 +369,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // identity is refused with 409: the store's identity is fixed at boot
 // and is what /v1/healthz advertises, so installing a foreign shard's
 // terms under it would have a gateway route queries to a member that no
-// longer holds them.
+// longer holds them. Reload is for a server that has not appended since
+// boot: once the collection holds more documents than it did then, the
+// reload is refused with 409 too (see bootDocs).
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if s.snapshotPath == "" {
 		WriteError(w, http.StatusConflict, "server was started without -snapshot; nothing to reload")
@@ -399,6 +406,13 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	ixs := fresh.Resident()
 	for _, ix := range ixs {
 		ix.Engine() // warm before the swap: no query pays the build
+	}
+	// Checked last, so an ingest that landed while the file was read
+	// still refuses the swap.
+	if n := s.c.NumDocs(); n > s.bootDocs {
+		WriteError(w, http.StatusConflict, fmt.Sprintf(
+			"reload: the collection holds %d documents but held %d at boot; the bundle's patterns do not cover the appended documents, so restart the server instead", n, s.bootDocs))
+		return
 	}
 	if err := s.store.Replace(ixs...); err != nil {
 		WriteError(w, http.StatusInternalServerError, "reload: "+err.Error())

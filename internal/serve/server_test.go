@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -758,6 +759,41 @@ func TestServerReloadRefusesForeignShard(t *testing.T) {
 	writeShard(0)
 	if code, body := postJSON(t, s, "/v1/reload", ""); code != http.StatusOK || body["reloaded"] != true {
 		t.Errorf("reload of the member's own shard = %d %v, want 200 reloaded", code, body)
+	}
+}
+
+// TestServerReloadRefusedAfterIngest: once a batch has been appended
+// since boot, POST /v1/reload answers 409 naming both document counts
+// and the resident set stays as the ingest left it — a bundle mined
+// before the batch would install patterns that never see its documents.
+func TestServerReloadRefusedAfterIngest(t *testing.T) {
+	c := serveCollection(t)
+	path := filepath.Join(t.TempDir(), "corpus.bundle")
+	store, err := c.MineStore(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	s := New(c, store, path)
+	ing := stburst.NewIngester(store)
+	t.Cleanup(ing.Close)
+	s.EnableIngest(ing)
+	boot := c.NumDocs()
+
+	if code, body := postJSON(t, s, "/v1/documents",
+		`{"documents":[{"stream":"lima","time":7,"text":"earthquake damage survey"}]}`); code != http.StatusAccepted {
+		t.Fatalf("ingest = %d %v", code, body)
+	}
+	_, before := get(t, s, "/v1/indexes")
+	code, body := postJSON(t, s, "/v1/reload", "")
+	msg, _ := body["error"].(string)
+	if code != http.StatusConflict || !strings.Contains(msg, fmt.Sprintf("holds %d documents but held %d", boot+1, boot)) {
+		t.Fatalf("reload after an ingest = %d %v, want 409 naming %d and %d documents", code, body, boot+1, boot)
+	}
+	if _, after := get(t, s, "/v1/indexes"); !reflect.DeepEqual(before, after) {
+		t.Errorf("resident set changed across a refused reload:\n before %v\n after  %v", before, after)
 	}
 }
 

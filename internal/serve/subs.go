@@ -177,6 +177,10 @@ func (s *Server) handleAlertStream(w http.ResponseWriter, r *http.Request) {
 	if err := rc.SetReadDeadline(time.Time{}); err != nil {
 		log.Printf("alert stream: clearing read deadline: %v", err)
 	}
+	// Subscribe before announcing the stream: an alert published after
+	// the client has read the opening line must reach it.
+	events, cancel := s.broker.Subscribe(64)
+	defer cancel()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
@@ -188,9 +192,6 @@ func (s *Server) handleAlertStream(w http.ResponseWriter, r *http.Request) {
 	if err := rc.Flush(); err != nil {
 		return
 	}
-
-	events, cancel := s.broker.Subscribe(64)
-	defer cancel()
 	for {
 		select {
 		case <-r.Context().Done():

@@ -383,6 +383,47 @@ func TestServerAlertSSE(t *testing.T) {
 	}
 }
 
+// flushProbe is a ResponseWriter that runs onFlush at every flush, the
+// moment bytes reach the client. The deadline setters make
+// http.ResponseController's calls succeed on a recorder.
+type flushProbe struct {
+	*httptest.ResponseRecorder
+	onFlush func()
+}
+
+func (f *flushProbe) Flush() {
+	f.onFlush()
+	f.ResponseRecorder.Flush()
+}
+
+func (f *flushProbe) SetReadDeadline(time.Time) error  { return nil }
+func (f *flushProbe) SetWriteDeadline(time.Time) error { return nil }
+
+// TestServerAlertSSESubscribedBeforeConnected: when the opening
+// ": connected" line is flushed to a stream client, the client is
+// already a broker client, so no alert published after the client has
+// read that line can miss it. The check runs inside the flush itself,
+// so it needs no timing.
+func TestServerAlertSSESubscribedBeforeConnected(t *testing.T) {
+	_, _, s := subsServer(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	clients := -1
+	w := &flushProbe{ResponseRecorder: httptest.NewRecorder(), onFlush: func() {
+		if clients < 0 {
+			clients = s.broker.Clients()
+			cancel() // ends the stream
+		}
+	}}
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/alerts/stream", nil).WithContext(ctx))
+	if body := w.Body.String(); !strings.HasPrefix(body, ": connected") {
+		t.Fatalf("stream body %q, want the connected comment first", body)
+	}
+	if clients != 1 {
+		t.Fatalf("broker clients when the connected line was flushed = %d, want 1", clients)
+	}
+}
+
 // TestServerConcurrentIngestCRUDSSE is the race case the issue asks for:
 // ingest batches, subscription CRUD and SSE readers all running at once.
 // Run under -race (the Makefile's race target covers this package) it

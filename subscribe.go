@@ -45,11 +45,18 @@ type Subscription struct {
 // MinScore, a valid Kind — are literally the retrieval rules), then adds
 // the subscription-only constraints: Terms is required (a standing query
 // must name what it watches; free Text is a retrieval convenience, not a
-// predicate), and Webhook, when present, must be an absolute http(s)
-// URL.
+// predicate) and every entry must keep at least one token through the
+// collection's tokenizer, and Webhook, when present, must be an absolute
+// http(s) URL. It is the whole admission rule: a spec that validates is
+// refused by Store.Subscribe only at the subscription limit.
 func (s Subscription) Validate() error {
 	if len(s.Terms) == 0 {
 		return fmt.Errorf("stburst: subscription needs at least one term")
+	}
+	for _, t := range s.Terms {
+		if len(tokenizer.Tokenize(t)) == 0 {
+			return fmt.Errorf("stburst: subscription term %q tokenizes to nothing", t)
+		}
 	}
 	q := Query{Terms: s.Terms, Kind: s.Kind, Region: s.Region, Time: s.Time, MinScore: s.MinScore}
 	if err := q.Validate(); err != nil {
@@ -145,12 +152,8 @@ func (s *Store) Subscribe(spec Subscription) (Subscription, error) {
 	if err := spec.Validate(); err != nil {
 		return Subscription{}, err
 	}
-	terms, err := s.normalizeTerms(spec.Terms)
-	if err != nil {
-		return Subscription{}, err
-	}
-	spec.Terms = terms
-	return s.subs.Add(terms, func(id uint64) Subscription {
+	spec.Terms = normalizeTerms(spec.Terms)
+	return s.subs.Add(spec.Terms, func(id uint64) Subscription {
 		spec.ID = id
 		return spec
 	})
@@ -158,15 +161,11 @@ func (s *Store) Subscribe(spec Subscription) (Subscription, error) {
 
 // normalizeTerms tokenizes every entry (each token contributes) and
 // deduplicates, preserving first-seen order.
-func (s *Store) normalizeTerms(terms []string) ([]string, error) {
+func normalizeTerms(terms []string) []string {
 	var out []string
 	seen := make(map[string]struct{}, len(terms))
 	for _, t := range terms {
-		toks := tokenizer.Tokenize(t)
-		if len(toks) == 0 {
-			return nil, fmt.Errorf("stburst: subscription term %q tokenizes to nothing", t)
-		}
-		for _, tok := range toks {
+		for _, tok := range tokenizer.Tokenize(t) {
 			if _, dup := seen[tok]; dup {
 				continue
 			}
@@ -174,7 +173,7 @@ func (s *Store) normalizeTerms(terms []string) ([]string, error) {
 			out = append(out, tok)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // Unsubscribe removes a standing query, reporting whether it existed.
