@@ -8,6 +8,7 @@
 #   make race        # concurrency suite under the race detector
 #   make bench       # the per-package go-test micro-benchmarks
 #   make bench-check # vet + test the bench/ module (the BENCHMARK.json harness)
+#   make examples-smoke # run every examples/* program and diff its stdout against its golden file
 #   make fuzz-smoke  # 10 s of native fuzzing at each of sixteen targets: the artifact decoders, TA cursor,
 #                    # KindAny merge, WAL segment scan, feed line framing, connector checkpoint load,
 #                    # the ingest socket's framing, the two miner kernels, the engine's coverage grid
@@ -43,7 +44,7 @@ CONN_TMP ?= connsmoke.tmp
 # runs treat as up to date.
 .DELETE_ON_ERROR:
 
-.PHONY: all build vet loc test test-short race bench bench-check fuzz-smoke verify bundle serve load loadtest wal-smoke cluster-smoke alert-smoke connector-smoke
+.PHONY: all build vet loc test test-short race bench bench-check examples-smoke fuzz-smoke verify bundle serve load loadtest wal-smoke cluster-smoke alert-smoke connector-smoke
 
 all: build test
 
@@ -83,6 +84,17 @@ bench: build
 # before the benchmark pipeline does.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Each example prints a fixed walkthrough; its stdout must equal
+# examples/<name>/testdata/stdout.golden. TMPDIR is pinned because the
+# serve example prints the os.TempDir() path of the bundle it writes.
+examples-smoke:
+	@set -e; for d in examples/*/; do \
+		name=$$(basename $$d); \
+		TMPDIR=/tmp $(GO) run ./$$d | diff -u $${d}testdata/stdout.golden - \
+			|| { echo "examples-smoke: $$name stdout differs from its golden file" >&2; exit 1; }; \
+		echo "examples-smoke: $$name ok"; \
+	done
 
 # go test -fuzz takes one target per run. Minimizing every new-coverage
 # input would eat the ten seconds, so it is off; a crasher is still

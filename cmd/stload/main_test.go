@@ -112,12 +112,8 @@ func bootTarget(t *testing.T) (*httptest.Server, *serve.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := c.Mine(context.Background(), stburst.KindRegional, nil)
+	store, err := c.MineStore(context.Background(), nil, stburst.KindRegional)
 	if err != nil {
-		t.Fatal(err)
-	}
-	store := stburst.NewStore(c)
-	if _, err := store.Swap(stburst.KindRegional, ix); err != nil {
 		t.Fatal(err)
 	}
 	handler := serve.New(c, store, "")

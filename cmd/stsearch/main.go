@@ -77,23 +77,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		c.NumDocs(), c.NumStreams(), c.Timeline())
 
 	start := time.Now()
-	var store *stburst.Store
-	if kind == stburst.KindAny {
-		if store, err = c.MineStore(context.Background(), nil); err != nil {
-			fmt.Fprintln(stderr, "stsearch:", err)
-			return 1
-		}
-	} else {
-		ix, err := c.Mine(context.Background(), kind, nil)
-		if err != nil {
-			fmt.Fprintln(stderr, "stsearch:", err)
-			return 1
-		}
-		store = stburst.NewStore(c)
-		if _, err := store.Swap(kind, ix); err != nil {
-			fmt.Fprintln(stderr, "stsearch:", err)
-			return 1
-		}
+	var kinds []stburst.Kind // -kind any mines every kind
+	if kind != stburst.KindAny {
+		kinds = append(kinds, kind)
+	}
+	store, err := c.MineStore(context.Background(), nil, kinds...)
+	if err != nil {
+		fmt.Fprintln(stderr, "stsearch:", err)
+		return 1
 	}
 	fmt.Fprintf(stderr, "%s engine built in %v\n", kind, time.Since(start).Round(time.Millisecond))
 

@@ -251,11 +251,10 @@ func main() {
 			si.Shard, si.Shards, si.Scheme, si.CorpusFingerprint)
 	}
 	start = time.Now()
-	for _, kind := range store.Kinds() {
-		ix := store.Index(kind)
+	for _, ix := range store.Resident() {
 		ix.Engine() // warm the cached search engines before accepting traffic
 		log.Printf("index %s: %d terms, %d patterns, fingerprint %.12s...",
-			kind, ix.NumTerms(), ix.NumPatterns(), ix.Fingerprint())
+			ix.Kind(), ix.NumTerms(), ix.NumPatterns(), ix.Fingerprint())
 	}
 	log.Printf("search engines built in %v", time.Since(start).Round(time.Millisecond))
 
@@ -479,30 +478,20 @@ func loadOrMine(c *stburst.Collection, path, method string, parallel int) (*stbu
 		log.Printf("snapshot %s does not exist; mining corpus", path)
 	}
 
-	start := time.Now()
-	opts := stburst.NewMineOptions(stburst.WithParallelism(parallel))
-	var store *stburst.Store
-	if method == "all" {
-		var err error
-		if store, err = c.MineStore(context.Background(), opts); err != nil {
-			return nil, err
-		}
-		log.Printf("mined all kinds in %v", time.Since(start).Round(time.Millisecond))
-	} else {
+	var kinds []stburst.Kind // none mines every kind
+	if method != "all" {
 		kind, err := stburst.ParseKind(method)
-		if err != nil || kind == stburst.KindAny {
-			return nil, fmt.Errorf("-method must name a concrete kind or \"all\", got %q", method)
-		}
-		ix, err := c.Mine(context.Background(), kind, opts)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("-method: %w", err)
 		}
-		log.Printf("mined %d terms in %v", ix.NumTerms(), time.Since(start).Round(time.Millisecond))
-		store = stburst.NewStore(c)
-		if _, err := store.Swap(kind, ix); err != nil {
-			return nil, err
-		}
+		kinds = append(kinds, kind)
 	}
+	start := time.Now()
+	store, err := c.MineStore(context.Background(), stburst.NewMineOptions(stburst.WithParallelism(parallel)), kinds...)
+	if err != nil {
+		return nil, fmt.Errorf("-method %s: %w", method, err)
+	}
+	log.Printf("mined %v in %v", store.Kinds(), time.Since(start).Round(time.Millisecond))
 	if path != "" {
 		if err := store.SaveFile(path); err != nil {
 			return nil, err

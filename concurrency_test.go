@@ -7,6 +7,7 @@ package stburst
 // assert byte-identical output across worker counts and repeated runs.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -199,7 +200,7 @@ func TestMineAllDeterminism(t *testing.T) {
 // goroutines doing concurrent read/mine/search calls. Run under -race.
 func TestConcurrentCollectionReads(t *testing.T) {
 	c := synthCollection(t, 6, 20, 18)
-	ix := mustMine(c, KindRegional, &MineOptions{Parallelism: 2})
+	s := mustMineStore(t, c, &MineOptions{Parallelism: 2}, KindRegional)
 	terms := c.Terms()
 	goroutines := 16
 	iters := 8
@@ -223,7 +224,9 @@ func TestConcurrentCollectionReads(t *testing.T) {
 				case 3:
 					c.TermFrequency(term, g%c.NumStreams(), i%c.Timeline())
 				case 4:
-					ix.Search(term, 3)
+					if _, err := s.Query(context.Background(), Query{Text: term, K: 3}); err != nil {
+						t.Error(err)
+					}
 				}
 			}
 		}(g)
@@ -261,16 +264,17 @@ func TestConcurrentBatchMines(t *testing.T) {
 func TestSearchAnswersFromIndexWithoutRemining(t *testing.T) {
 	c := synthCollection(t, 6, 20, 18)
 	before := search.TermsMined()
-	ix := mustMine(c, KindRegional, &MineOptions{Parallelism: 2})
+	s := mustMineStore(t, c, &MineOptions{Parallelism: 2}, KindRegional)
+	ix := s.Index(KindRegional)
 	mined := search.TermsMined() - before
 	if mined == 0 {
-		t.Fatal("Mine should mine terms")
+		t.Fatal("MineStore should mine terms")
 	}
 	// First query builds the cached engine; none of the queries re-mine.
 	afterMine := search.TermsMined()
 	for i := 0; i < 25; i++ {
-		ix.Search("topic000 surge", 5)
-		ix.Search("topic003", 3)
+		queryHits(t, s, Query{Text: "topic000 surge", K: 5})
+		queryHits(t, s, Query{Text: "topic003", K: 3})
 	}
 	if got := search.TermsMined(); got != afterMine {
 		t.Fatalf("queries re-mined %d terms", got-afterMine)
@@ -297,21 +301,26 @@ func TestSearchAnswersFromIndexWithoutRemining(t *testing.T) {
 	}
 }
 
-// TestPatternIndexSearchMatchesEngine verifies that the index-backed
-// search path returns exactly what a freshly built engine returns.
+// TestPatternIndexSearchMatchesEngine verifies that the store's search
+// path returns exactly what a freshly built engine returns.
 func TestPatternIndexSearchMatchesEngine(t *testing.T) {
 	c := synthCollection(t, 6, 20, 18)
-	ix := mustMine(c, KindRegional, nil)
+	s := mustMineStore(t, c, nil, KindRegional)
 	eng := mustMine(c, KindRegional, nil).Engine()
-	for _, q := range []string{"topic000", "topic003 surge", "topic006", "absent"} {
-		got := ix.Search(q, 10)
-		want := eng.Search(q, 10)
+	for _, text := range []string{"topic000", "topic003 surge", "topic006", "absent"} {
+		q := Query{Text: text, Kind: KindRegional, K: 10}
+		got := queryHits(t, s, q)
+		page, err := eng.Run(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := page.Hits
 		if len(got) != len(want) {
-			t.Fatalf("query %q: %d vs %d hits", q, len(got), len(want))
+			t.Fatalf("query %q: %d vs %d hits", text, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("query %q hit %d: %+v != %+v", q, i, got[i], want[i])
+				t.Fatalf("query %q hit %d: %+v != %+v", text, i, got[i], want[i])
 			}
 		}
 	}

@@ -32,8 +32,8 @@
 //	// ... add more documents ...
 //
 //	patterns := c.RegionalPatterns("earthquake", nil)
-//	ix, err := c.Mine(ctx, stburst.KindRegional, nil)
-//	hits := ix.Search("earthquake", 10)
+//	store, err := c.MineStore(ctx, nil, stburst.KindRegional)
+//	page, err := store.Query(ctx, stburst.Query{Text: "earthquake", K: 10})
 //
 // # Structured queries
 //
@@ -45,7 +45,7 @@
 // Queries also paginate (K/Offset), threshold (MinScore), and honor
 // context cancellation:
 //
-//	page, err := ix.Query(ctx, stburst.Query{
+//	page, err := store.Query(ctx, stburst.Query{
 //	    Text:   "earthquake rescue",
 //	    Region: &stburst.Rect{MinX: -80, MinY: -20, MaxX: -60, MaxY: 0},
 //	    Time:   &stburst.Timespan{Start: 15, End: 20},
@@ -53,36 +53,31 @@
 //	})
 //	// page.Hits is the filtered ranked page; page.More flags later pages.
 //
-// Engine.Search(query, k) remains as a thin free-text wrapper over the
-// same path.
-//
 // # Corpus-wide batch mining
 //
 // Mining term by term does not scale to whole vocabularies.
-// Collection.Mine fans the corpus out across a bounded worker pool
+// Collection.MineStore fans the corpus out across a bounded worker pool
 // (MineOptions.Parallelism < 1 uses one worker per CPU; any worker count
 // yields bit-identical output), honors context cancellation on the way,
-// and returns a PatternIndex — a cached, query-ready store that answers
-// pattern lookups and repeated searches without ever re-mining:
+// and returns a Store holding one PatternIndex per mined kind — a
+// cached, query-ready index that answers pattern lookups and repeated
+// searches without ever re-mining:
 //
-//	ix, err := c.Mine(ctx, stburst.KindRegional,
-//	    stburst.NewMineOptions(stburst.WithParallelism(0)))
-//	top := ix.RegionalPatterns("earthquake")
-//	hits := ix.Search("earthquake rescue", 10) // engine built once, cached
+//	store, err := c.MineStore(ctx,
+//	    stburst.NewMineOptions(stburst.WithParallelism(0)), stburst.KindRegional)
+//	top := store.Index(stburst.KindRegional).RegionalPatterns("earthquake")
+//	page, err := store.Query(ctx, stburst.Query{Text: "earthquake rescue"}) // engine built once, cached
 //
 // PatternIndex.Patterns lists a term's stored patterns whatever the
 // index's kind, as the kind-independent Pattern.
 //
 // # Bundles: mine once, serve many
 //
-// Mining is the expensive step; queries are cheap. A mined index
-// persists — alone or beside the other kinds — as a bundle whose
-// integrity is guarded by checksums and a canonical SHA-256 fingerprint
-// per kind, so serving processes load in milliseconds instead of
-// re-mining at boot:
+// Mining is the expensive step; queries are cheap. A mined store
+// persists — one kind or several — as a bundle whose integrity is
+// guarded by checksums and a canonical SHA-256 fingerprint per kind, so
+// serving processes load in milliseconds instead of re-mining at boot:
 //
-//	store := stburst.NewStore(c)
-//	store.Swap(stburst.KindRegional, ix)
 //	f, _ := os.Create("patterns.bundle")
 //	store.Save(f) // bundle = patterns + terms + fingerprints
 //	f.Close()
@@ -90,7 +85,7 @@
 //	// ... later, in a serving process over the same corpus:
 //	f, _ = os.Open("patterns.bundle")
 //	loaded, err := stburst.LoadStore(f, c) // verified on load
-//	hits = loaded.Index(stburst.KindRegional).Search("earthquake rescue", 10)
+//	page, err = loaded.Query(ctx, stburst.Query{Text: "earthquake rescue"})
 //
 // LoadCorpus rebuilds a Collection from the JSONL interchange format of
 // cmd/stgen, interning deterministically so bundles round-trip across
@@ -104,8 +99,8 @@
 // side by side: Query.Kind routes a query to one model, and KindAny —
 // the zero Kind, so an absent "kind" in the JSON shape — fans out to
 // every resident index and merges the rankings by score, tagging each
-// Hit with the Kind that scored it. MineStore mines all three kinds in
-// one pass over a single worker pool:
+// Hit with the Kind that scored it. MineStore with no kinds named mines
+// all three in one pass over a single worker pool:
 //
 //	store, err := c.MineStore(ctx, nil) // (term, kind) work list, one pool
 //	page, err := store.Query(ctx, stburst.Query{Text: "earthquake", K: 10})
@@ -117,9 +112,9 @@
 // manifest of per-kind members under one stream checksum — and
 // LoadStore makes them all resident again, every layer verified.
 //
+// A store is mined or loaded whole, and it is read through Store.Query.
 // The resident set lives behind one atomic pointer, so a long-running
-// service hot-swaps freshly mined indexes without pausing queries:
-// Store.Swap(kind, ix) replaces one kind, Store.Replace installs a
+// service reloads without pausing queries: Store.Replace installs a
 // whole new set in a single atomic step, and queries in flight keep the
 // set they resolved.
 //
@@ -147,7 +142,7 @@
 // that every term count fits a posting before anything is logged or
 // applied.
 //
-// Every store mutation (Swap, Replace, Ingest) advances the
+// Every store mutation (Replace, Ingest) advances the
 // monotonically increasing Store.Generation, which bundles persist and
 // LoadStore restores, so clients can cache-bust across restarts. A
 // server's write surface ingests through an Ingester, a sealable door

@@ -53,14 +53,17 @@ func ExampleCollection_CombinatorialPatterns() {
 	// Output: weeks [3,4], streams [0 1]
 }
 
-func ExampleEngine_Search() {
+func ExampleStore_Query() {
 	c := demo()
-	ix, err := c.Mine(context.Background(), stburst.KindRegional, nil)
+	store, err := c.MineStore(context.Background(), nil, stburst.KindRegional)
 	if err != nil {
 		log.Fatal(err)
 	}
-	hits := ix.Engine().Search("storm surge", 2)
-	for _, h := range hits {
+	page, err := store.Query(context.Background(), stburst.Query{Text: "storm surge", K: 2})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, h := range page.Hits {
 		fmt.Printf("%s week %d\n", h.Stream, h.Doc.Time)
 	}
 	// Output:

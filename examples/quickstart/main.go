@@ -52,14 +52,19 @@ func main() {
 		fmt.Printf("  weeks [%d,%d]  score %.2f  streams %v\n", p.Start, p.End, p.Score, p.Streams)
 	}
 
-	// Mine the whole vocabulary once; the index answers every query.
-	ix, err := c.Mine(context.Background(), stburst.KindRegional, nil)
+	// Mine the whole vocabulary once; the store answers every query.
+	ctx := context.Background()
+	store, err := c.MineStore(ctx, nil, stburst.KindRegional)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("== bursty-document search ==")
-	for _, h := range ix.Search("earthquake rescue", 5) {
+	page, err := store.Query(ctx, stburst.Query{Text: "earthquake rescue", K: 5})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, h := range page.Hits {
 		fmt.Printf("  doc %d from %s at week %d (score %.2f)\n",
 			h.Doc.ID, h.Stream, h.Doc.Time, h.Score)
 	}
@@ -67,7 +72,7 @@ func main() {
 	// The same retrieval as a structured query: only documents whose
 	// contributing patterns touch the Andes during weeks 5-7.
 	fmt.Println("== structured query: near the Andes, weeks 5-7 ==")
-	page, err := ix.Query(context.Background(), stburst.Query{
+	page, err = store.Query(ctx, stburst.Query{
 		Text:   "earthquake rescue",
 		K:      5,
 		Region: &stburst.Rect{MinX: -5, MinY: -5, MaxX: 10, MaxY: 10},

@@ -1,5 +1,5 @@
 // Serve walkthrough: the mine-once/serve-many workflow in one process.
-// A collection is mined into a PatternIndex, saved as a bundle file,
+// A collection is mined into a Store, saved as a bundle file,
 // reloaded with integrity verification, and queried — exactly what the
 // stmine -o / stserve pair does across process boundaries (see README.md
 // in this directory for the CLI version).
@@ -41,19 +41,17 @@ func main() {
 	}
 
 	// Mine once: every term, in parallel.
-	mined, err := c.Mine(context.Background(), stburst.KindRegional, nil)
+	ctx := context.Background()
+	store, err := c.MineStore(ctx, nil, stburst.KindRegional)
 	if err != nil {
 		log.Fatal(err)
 	}
+	mined := store.Index(stburst.KindRegional)
 	fmt.Printf("mined: %d terms, %d patterns\n", mined.NumTerms(), mined.NumPatterns())
 	fmt.Printf("fingerprint: %.16s...\n", mined.Fingerprint())
 
 	// Save it as a one-member bundle — this file is what stserve loads
 	// at boot.
-	store := stburst.NewStore(c)
-	if _, err := store.Swap(stburst.KindRegional, mined); err != nil {
-		log.Fatal(err)
-	}
 	path := filepath.Join(os.TempDir(), "serve-example.bundle")
 	if err := store.SaveFile(path); err != nil {
 		log.Fatal(err)
@@ -79,13 +77,17 @@ func main() {
 	loaded := served.Index(stburst.KindRegional)
 	fmt.Printf("loaded fingerprint matches: %v\n", loaded.Fingerprint() == mined.Fingerprint())
 
-	// Serve queries from the loaded index: per-term pattern lookups and
+	// Serve queries from the loaded store: per-term pattern lookups and
 	// TA-backed top-k search, with nothing ever re-mined.
 	for _, p := range loaded.RegionalPatterns("earthquake") {
 		fmt.Printf("pattern: weeks [%d,%d]  w-score %.2f  %d streams\n",
 			p.Start, p.End, p.Score, len(p.Streams))
 	}
-	for i, h := range loaded.Search("earthquake rescue", 3) {
+	page, err := served.Query(ctx, stburst.Query{Text: "earthquake rescue", K: 3})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, h := range page.Hits {
 		fmt.Printf("hit %d: doc %d from %s at week %d (score %.2f)\n",
 			i+1, h.Doc.ID, h.Stream, h.Doc.Time, h.Score)
 	}

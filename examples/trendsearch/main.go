@@ -72,7 +72,11 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, kind := range store.Kinds() {
-		show(kind.String(), store.Index(kind).Search("gadget launch", 4))
+		page, err := store.Query(ctx, stburst.Query{Text: "gadget launch", Kind: kind, K: 4})
+		if err != nil {
+			log.Fatal(err)
+		}
+		show(kind.String(), page.Hits)
 	}
 
 	// A KindAny query fans out to every model and merges the rankings;
@@ -90,7 +94,6 @@ func main() {
 	// the US launch near the west coast at weeks 4-6, the European one
 	// around Berlin/Paris at weeks 14-16.
 	fmt.Println("\n== structured queries: one wave at a time (regional engine) ==")
-	ix := store.Index(stburst.KindRegional)
 	waves := []struct {
 		name   string
 		region stburst.Rect
@@ -100,8 +103,9 @@ func main() {
 		{"EU wave", stburst.Rect{MinX: 70, MinY: 5, MaxX: 90, MaxY: 20}, stburst.Timespan{Start: 14, End: 16}},
 	}
 	for _, wave := range waves {
-		page, err := ix.Query(ctx, stburst.Query{
+		page, err := store.Query(ctx, stburst.Query{
 			Text:   "gadget launch",
+			Kind:   stburst.KindRegional,
 			K:      4,
 			Region: &wave.region,
 			Time:   &wave.time,

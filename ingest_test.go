@@ -115,15 +115,7 @@ func TestAppendDeterministicInterning(t *testing.T) {
 		}
 	}
 	for _, kind := range Kinds() {
-		ixA, err := a.Mine(context.Background(), kind, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ixB, err := b.Mine(context.Background(), kind, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ixA.Fingerprint() != ixB.Fingerprint() {
+		if mustMine(a, kind, nil).Fingerprint() != mustMine(b, kind, nil).Fingerprint() {
 			t.Errorf("kind %v: replayed append mined different fingerprints", kind)
 		}
 	}
@@ -239,14 +231,7 @@ func TestIngestMatchesFullRemineWithOptions(t *testing.T) {
 // refreshes just those kinds.
 func TestIngestPartialResidency(t *testing.T) {
 	c := twoBurstCollection(t)
-	ix, err := c.Mine(context.Background(), KindTemporal, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewStore(c)
-	if _, err := s.Swap(KindTemporal, ix); err != nil {
-		t.Fatal(err)
-	}
+	s := mustMineStore(t, c, nil, KindTemporal)
 	if _, err := s.Ingest(context.Background(), liveBatch()); err != nil {
 		t.Fatalf("Ingest on partial store: %v", err)
 	}
@@ -255,11 +240,7 @@ func TestIngestPartialResidency(t *testing.T) {
 	}
 	oracle := twoBurstCollection(t)
 	applyBatch(t, oracle, liveBatch())
-	want, err := oracle.Mine(context.Background(), KindTemporal, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Index(KindTemporal).Fingerprint() != want.Fingerprint() {
+	if s.Index(KindTemporal).Fingerprint() != mustMine(oracle, KindTemporal, nil).Fingerprint() {
 		t.Error("partial-residency refresh is not exact")
 	}
 }
@@ -268,7 +249,7 @@ func TestIngestPartialResidency(t *testing.T) {
 // the generation — the corpus changed even though no index did.
 func TestIngestEmptyStore(t *testing.T) {
 	c := twoBurstCollection(t)
-	s := NewStore(c)
+	s := newStore(c)
 	before := s.Generation()
 	res, err := s.Ingest(context.Background(), liveBatch())
 	if err != nil {
@@ -292,17 +273,13 @@ func TestStoreGeneration(t *testing.T) {
 	}
 	g0 := s.Generation()
 	if g0 == 0 {
-		t.Error("MineStore left generation 0; its swaps are mutations")
+		t.Error("MineStore left generation 0; each mined kind counts as a mutation")
 	}
-	ix, err := c.Mine(context.Background(), KindRegional, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Swap(KindRegional, ix); err != nil {
+	if err := s.Replace(mustMine(c, KindRegional, nil), s.Index(KindCombinatorial), s.Index(KindTemporal)); err != nil {
 		t.Fatal(err)
 	}
 	if s.Generation() <= g0 {
-		t.Error("Swap did not advance the generation")
+		t.Error("Replace did not advance the generation")
 	}
 	g1 := s.Generation()
 	res, err := s.Ingest(context.Background(), liveBatch())

@@ -150,8 +150,7 @@ func BenchmarkAblationSTLocalPruning(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		hist := m.OpenHistory()
-		open = hist[len(hist)-1]
+		open = m.Open()
 		created = m.CreatedSequences()
 	}
 	b.ReportMetric(float64(open), "open-seqs")

@@ -68,9 +68,8 @@ type STLocal struct {
 	done  []Window
 	now   int
 
-	totalRects  int   // rectangles reported across all snapshots
-	openHistory []int // open sequences after each snapshot (Fig. 6)
-	created     int   // sequences ever created
+	totalRects int // rectangles reported across all snapshots
+	created    int // sequences ever created
 }
 
 // NewSTLocal creates a miner over streams fixed at the given locations.
@@ -145,7 +144,6 @@ func (s *STLocal) Push(observed []float64) error {
 	}
 	s.order = live
 	s.now++
-	s.openHistory = append(s.openHistory, len(s.seqs))
 	return nil
 }
 
@@ -195,13 +193,9 @@ func (s *STLocal) Timestamps() int { return s.now }
 // all snapshots so far.
 func (s *STLocal) TotalRectCount() int { return s.totalRects }
 
-// OpenHistory returns, per processed timestamp, the number of open
-// sequences after that snapshot.
-func (s *STLocal) OpenHistory() []int {
-	out := make([]int, len(s.openHistory))
-	copy(out, s.openHistory)
-	return out
-}
+// Open returns the number of sequences open after the last snapshot;
+// Fig. 6 reads it after every Push.
+func (s *STLocal) Open() int { return len(s.seqs) }
 
 // CreatedSequences returns the number of sequences ever opened, whose
 // worst case is n·|L| (Appendix A).

@@ -134,8 +134,8 @@ func TestSTLocalSequencePruning(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if hist := m.OpenHistory(); hist[len(hist)-1] != 0 {
-		t.Fatalf("%d sequences still open after collapse, want 0", hist[len(hist)-1])
+	if open := m.Open(); open != 0 {
+		t.Fatalf("%d sequences still open after collapse, want 0", open)
 	}
 	ws := m.Windows()
 	if len(ws) == 0 {
@@ -315,11 +315,12 @@ func seg2score(scores []float64, seg [2]int) float64 {
 func TestSTLocalInstrumentation(t *testing.T) {
 	pts := line(3)
 	m := NewSTLocal(pts, STLocalOptions{})
-	if err := m.Push([]float64{1, 1, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Push([]float64{9, 1, 1}); err != nil {
-		t.Fatal(err)
+	var open []int
+	for _, obs := range [][]float64{{1, 1, 1}, {9, 1, 1}} {
+		if err := m.Push(obs); err != nil {
+			t.Fatal(err)
+		}
+		open = append(open, m.Open())
 	}
 	if m.Timestamps() != 2 {
 		t.Fatalf("Timestamps = %d, want 2", m.Timestamps())
@@ -327,9 +328,8 @@ func TestSTLocalInstrumentation(t *testing.T) {
 	if m.TotalRectCount() != 1 {
 		t.Fatalf("TotalRectCount = %d, want 1", m.TotalRectCount())
 	}
-	hist := m.OpenHistory()
-	if len(hist) != 2 || hist[0] != 0 || hist[1] != 1 {
-		t.Fatalf("OpenHistory = %v, want [0 1]", hist)
+	if open[0] != 0 || open[1] != 1 {
+		t.Fatalf("Open after each Push = %v, want [0 1]", open)
 	}
 	if m.CreatedSequences() != 1 {
 		t.Fatalf("CreatedSequences = %d, want 1", m.CreatedSequences())

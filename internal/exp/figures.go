@@ -90,15 +90,17 @@ func Fig6(l *Lab) Fig6Result {
 		m := core.NewSTLocal(points, core.STLocalOptions{})
 		surface := col.Surface(terms[ti])
 		obs := make([]float64, len(points))
-		for i := 0; i < col.Length(); i++ {
+		hist := make([]int, col.Length())
+		for i := range hist {
 			for x := range surface {
 				obs[x] = surface[x][i]
 			}
 			if err := m.Push(obs); err != nil {
 				panic(err)
 			}
+			hist[i] = m.Open()
 		}
-		histories[ti] = m.OpenHistory()
+		histories[ti] = hist
 	})
 	sums := make([]float64, col.Length())
 	for _, hist := range histories {

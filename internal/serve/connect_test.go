@@ -32,7 +32,7 @@ func fastSink(c *stburst.Collection, s *stburst.Store) *IngestSink {
 
 func TestIngestSinkValidatesAndApplies(t *testing.T) {
 	c := serveCollection(t)
-	s := storeOf(t, c, mustMine(c, stburst.KindRegional, nil))
+	s := mineStore(t, c, stburst.KindRegional)
 	sink := fastSink(c, s)
 	base := c.NumDocs()
 
@@ -71,7 +71,7 @@ func TestIngestSinkValidatesAndApplies(t *testing.T) {
 
 func TestIngestSinkCancelledContextAppliesNothing(t *testing.T) {
 	c := serveCollection(t)
-	s := storeOf(t, c, mustMine(c, stburst.KindRegional, nil))
+	s := mineStore(t, c, stburst.KindRegional)
 	sink := fastSink(c, s)
 	base := c.NumDocs()
 	batch := []connector.Doc{{Stream: "lima", Time: 1, Text: "boat race"}}
@@ -101,7 +101,7 @@ func TestIngestSinkCancelledContextAppliesNothing(t *testing.T) {
 // proportional to the count.
 func TestIngestSinkRejectsBadCounts(t *testing.T) {
 	c := serveCollection(t)
-	s := storeOf(t, c, mustMine(c, stburst.KindRegional, nil))
+	s := mineStore(t, c, stburst.KindRegional)
 	sink := fastSink(c, s)
 	base := c.NumDocs()
 
@@ -199,7 +199,7 @@ func TestTailCrashRecoveryChecksumOracle(t *testing.T) {
 
 	// The never-crashed oracle, fed through the same sink code path.
 	oracleC := serveCollection(t)
-	oracleS := storeOf(t, oracleC, mustMine(oracleC, stburst.KindRegional, nil))
+	oracleS := mineStore(t, oracleC, stburst.KindRegional)
 	if _, err := fastSink(oracleC, oracleS).Ingest(context.Background(), docs); err != nil {
 		t.Fatalf("oracle ingest: %v", err)
 	}
@@ -366,7 +366,7 @@ func TestSocketIngestOracle(t *testing.T) {
 
 func TestServerConnectorsStatsAndMetrics(t *testing.T) {
 	c := serveCollection(t)
-	s := storeOf(t, c, mustMine(c, stburst.KindRegional, nil))
+	s := mineStore(t, c, stburst.KindRegional)
 	srv := New(c, s, "")
 
 	// Disabled by default: the stats block says so.

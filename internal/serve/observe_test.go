@@ -125,7 +125,7 @@ func TestMetricsMonotonicity(t *testing.T) {
 // instead of minting a label per attacker-chosen URL.
 func TestMetricsUnmatchedRoute(t *testing.T) {
 	c := serveCollection(t)
-	s := New(c, storeOf(t, c, mustMine(c, stburst.KindRegional, nil)), "")
+	s := New(c, mineStore(t, c, stburst.KindRegional), "")
 	for _, path := range []string{"/nosuchroute", "/admin.php", "/x/y/z"} {
 		req := httptest.NewRequest(http.MethodGet, path, nil)
 		rec := httptest.NewRecorder()
@@ -144,7 +144,7 @@ func TestMetricsUnmatchedRoute(t *testing.T) {
 // /debug/pprof/ — profiling is an operator opt-in on -debug-addr.
 func TestPprofNotOnServingListener(t *testing.T) {
 	c := serveCollection(t)
-	s := New(c, storeOf(t, c, mustMine(c, stburst.KindRegional, nil)), "")
+	s := New(c, mineStore(t, c, stburst.KindRegional), "")
 	for _, path := range []string{
 		"/debug/pprof/", "/debug/pprof/heap", "/debug/pprof/profile",
 		"/debug/pprof/cmdline", "/debug/pprof/symbol", "/debug/pprof/trace",
@@ -162,7 +162,7 @@ func TestPprofNotOnServingListener(t *testing.T) {
 // index and per-profile pages, plus a second /metrics exposition.
 func TestPprofOnDebugHandler(t *testing.T) {
 	c := serveCollection(t)
-	s := New(c, storeOf(t, c, mustMine(c, stburst.KindRegional, nil)), "")
+	s := New(c, mineStore(t, c, stburst.KindRegional), "")
 	dbg := s.DebugHandler()
 
 	req := httptest.NewRequest(http.MethodGet, "/debug/pprof/", nil)

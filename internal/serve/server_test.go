@@ -48,21 +48,12 @@ func serveCollection(t testing.TB) *stburst.Collection {
 	return c
 }
 
-// mustMine is Collection.Mine on a background context; mining an
-// in-memory test corpus cannot fail.
-func mustMine(c *stburst.Collection, kind stburst.Kind, opts *stburst.MineOptions) *stburst.PatternIndex {
-	ix, err := c.Mine(context.Background(), kind, opts)
-	if err != nil {
-		panic(err)
-	}
-	return ix
-}
-
-// storeOf wraps mined indexes into a store over their collection.
-func storeOf(t *testing.T, c *stburst.Collection, ixs ...*stburst.PatternIndex) *stburst.Store {
+// mineStore mines the given kinds (all three when none is named) into a
+// store over the collection.
+func mineStore(t testing.TB, c *stburst.Collection, kinds ...stburst.Kind) *stburst.Store {
 	t.Helper()
-	s := stburst.NewStore(c)
-	if err := s.Replace(ixs...); err != nil {
+	s, err := c.MineStore(context.Background(), nil, kinds...)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -86,7 +77,7 @@ func get(t *testing.T, h http.Handler, url string) (int, map[string]any) {
 
 func TestServerHealthz(t *testing.T) {
 	c := serveCollection(t)
-	s := New(c, storeOf(t, c, mustMine(c, stburst.KindRegional, nil)), "")
+	s := New(c, mineStore(t, c, stburst.KindRegional), "")
 	code, body := get(t, s, "/v1/healthz")
 	if code != http.StatusOK || body["status"] != "ok" {
 		t.Errorf("GET /v1/healthz = %d %v, want 200 ok", code, body)
@@ -95,8 +86,9 @@ func TestServerHealthz(t *testing.T) {
 
 func TestServerStats(t *testing.T) {
 	c := serveCollection(t)
-	ix := mustMine(c, stburst.KindRegional, nil)
-	s := New(c, storeOf(t, c, ix), "")
+	store := mineStore(t, c, stburst.KindRegional)
+	ix := store.Index(stburst.KindRegional)
+	s := New(c, store, "")
 	code, body := get(t, s, "/v1/stats")
 	if code != http.StatusOK {
 		t.Fatalf("GET /v1/stats = %d, want 200", code)
@@ -125,14 +117,10 @@ func TestServerStats(t *testing.T) {
 
 func TestServerPatterns(t *testing.T) {
 	c := serveCollection(t)
-	kinds := map[string]*stburst.PatternIndex{
-		"regional":      mustMine(c, stburst.KindRegional, nil),
-		"combinatorial": mustMine(c, stburst.KindCombinatorial, nil),
-		"temporal":      mustMine(c, stburst.KindTemporal, nil),
-	}
-	for kind, ix := range kinds {
+	for _, k := range stburst.Kinds() {
+		kind := k.String()
 		t.Run(kind, func(t *testing.T) {
-			s := New(c, storeOf(t, c, ix), "")
+			s := New(c, mineStore(t, c, k), "")
 			code, body := get(t, s, "/v1/patterns/earthquake")
 			if code != http.StatusOK {
 				t.Fatalf("GET /v1/patterns/earthquake = %d, want 200", code)
@@ -170,8 +158,16 @@ func TestServerPatterns(t *testing.T) {
 
 func TestServerSearch(t *testing.T) {
 	c := serveCollection(t)
-	ix := mustMine(c, stburst.KindRegional, nil)
-	s := New(c, storeOf(t, c, ix), "")
+	store := mineStore(t, c, stburst.KindRegional)
+	s := New(c, store, "")
+	search := func(text string) []stburst.Hit {
+		t.Helper()
+		page, err := store.Query(context.Background(), stburst.Query{Text: text, K: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return page.Hits
+	}
 
 	code, body := postJSON(t, s, "/v1/search", `{"text":"earthquake","k":5}`)
 	if code != http.StatusOK {
@@ -181,7 +177,7 @@ func TestServerSearch(t *testing.T) {
 	if !ok || len(hits) == 0 {
 		t.Fatalf("search returned no hits: %v", body)
 	}
-	want := ix.Search("earthquake", 5)
+	want := search("earthquake")
 	if len(hits) != len(want) {
 		t.Fatalf("search returned %d hits over HTTP, %d in process", len(hits), len(want))
 	}
@@ -199,14 +195,14 @@ func TestServerSearch(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("POST /v1/search markets = %d %v, want 200", code, body)
 	}
-	if n := int(body["count"].(float64)); n != len(ix.Search("markets", 5)) {
-		t.Errorf("background-term search: %d hits over HTTP, %d in process", n, len(ix.Search("markets", 5)))
+	if n := int(body["count"].(float64)); n != len(search("markets")) {
+		t.Errorf("background-term search: %d hits over HTTP, %d in process", n, len(search("markets")))
 	}
 }
 
 func TestServerSearchValidation(t *testing.T) {
 	c := serveCollection(t)
-	s := New(c, storeOf(t, c, mustMine(c, stburst.KindRegional, nil)), "")
+	s := New(c, mineStore(t, c, stburst.KindRegional), "")
 	for _, q := range []string{`{}`, `{"text":""}`, `{"text":"earthquake","k":-3}`, `{"text":"earthquake","k":"abc"}`} {
 		if code, body := postJSON(t, s, "/v1/search", q); code != http.StatusBadRequest {
 			t.Errorf("POST /v1/search %s = %d %v, want 400", q, code, body)
@@ -218,7 +214,7 @@ func TestServerSearchValidation(t *testing.T) {
 
 func TestServerMethodAndRouteErrors(t *testing.T) {
 	c := serveCollection(t)
-	s := New(c, storeOf(t, c, mustMine(c, stburst.KindRegional, nil)), "")
+	s := New(c, mineStore(t, c, stburst.KindRegional), "")
 
 	req := httptest.NewRequest(http.MethodPost, "/v1/patterns/earthquake", strings.NewReader(""))
 	rec := httptest.NewRecorder()
@@ -245,7 +241,7 @@ func TestServerMethodAndRouteErrors(t *testing.T) {
 
 func TestServerConcurrentReads(t *testing.T) {
 	c := serveCollection(t)
-	s := New(c, storeOf(t, c, mustMine(c, stburst.KindRegional, nil)), "")
+	s := New(c, mineStore(t, c, stburst.KindRegional), "")
 	done := make(chan struct{})
 	for g := 0; g < 8; g++ {
 		go func() {
@@ -285,7 +281,7 @@ func postJSON(t *testing.T, h http.Handler, url, body string) (int, map[string]a
 // route answers under /v1, and its retired unversioned alias is a 404.
 func TestServerV1Aliases(t *testing.T) {
 	c := serveCollection(t)
-	s := New(c, storeOf(t, c, mustMine(c, stburst.KindRegional, nil)), "")
+	s := New(c, mineStore(t, c, stburst.KindRegional), "")
 	for _, path := range []string{"/healthz", "/stats", "/patterns/earthquake"} {
 		if code, body := get(t, s, "/v1"+path); code != http.StatusOK {
 			t.Errorf("GET /v1%s = %d %v, want 200", path, code, body)
@@ -305,8 +301,8 @@ func TestServerV1Aliases(t *testing.T) {
 // the in-process Query produces, for plain and filtered queries.
 func TestServerV1SearchRoundTrip(t *testing.T) {
 	c := serveCollection(t)
-	ix := mustMine(c, stburst.KindRegional, nil)
-	s := New(c, storeOf(t, c, ix), "")
+	store := mineStore(t, c, stburst.KindRegional)
+	s := New(c, store, "")
 	cases := []struct {
 		name string
 		body string
@@ -325,7 +321,7 @@ func TestServerV1SearchRoundTrip(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := ix.Query(context.Background(), tc.q)
+			want, err := store.Query(context.Background(), tc.q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -356,7 +352,7 @@ func TestServerV1SearchRoundTrip(t *testing.T) {
 
 func TestServerV1SearchValidation(t *testing.T) {
 	c := serveCollection(t)
-	s := New(c, storeOf(t, c, mustMine(c, stburst.KindRegional, nil)), "")
+	s := New(c, mineStore(t, c, stburst.KindRegional), "")
 	bodies := []string{
 		`not json`,
 		`{}`,
@@ -389,7 +385,7 @@ func TestServerV1SearchValidation(t *testing.T) {
 // and an all-excluding filter reads as 404.
 func TestServerV1PatternsFiltered(t *testing.T) {
 	c := serveCollection(t)
-	s := New(c, storeOf(t, c, mustMine(c, stburst.KindRegional, nil)), "")
+	s := New(c, mineStore(t, c, stburst.KindRegional), "")
 
 	code, body := get(t, s, "/v1/patterns/earthquake")
 	if code != http.StatusOK {
@@ -453,7 +449,7 @@ func TestWriteJSONEncodeFailure(t *testing.T) {
 // an unbounded body.
 func TestServerV1SearchResourceLimits(t *testing.T) {
 	c := serveCollection(t)
-	s := New(c, storeOf(t, c, mustMine(c, stburst.KindRegional, nil)), "")
+	s := New(c, mineStore(t, c, stburst.KindRegional), "")
 	for _, body := range []string{
 		`{"text":"earthquake","k":500000000}`,
 		`{"text":"earthquake","k":5,"offset":4000000000}`,
@@ -475,7 +471,7 @@ func TestServerV1SearchResourceLimits(t *testing.T) {
 // only an explicit from > to is rejected.
 func TestServerV1PatternsOpenEndedSpan(t *testing.T) {
 	c := serveCollection(t) // timeline 12
-	s := New(c, storeOf(t, c, mustMine(c, stburst.KindRegional, nil)), "")
+	s := New(c, mineStore(t, c, stburst.KindRegional), "")
 	if code, body := get(t, s, "/v1/patterns/earthquake?from=100"); code != http.StatusNotFound {
 		t.Errorf("?from=100 (past the timeline) = %d %v, want 404", code, body)
 	}
@@ -578,7 +574,7 @@ func TestServerMultiKindSearch(t *testing.T) {
 // is 404, not 400 or an empty 200.
 func TestServerSearchKindNotResident(t *testing.T) {
 	c := serveCollection(t)
-	s := New(c, storeOf(t, c, mustMine(c, stburst.KindRegional, nil)), "")
+	s := New(c, mineStore(t, c, stburst.KindRegional), "")
 	code, body := postJSON(t, s, "/v1/search", `{"text":"earthquake","kind":"temporal"}`)
 	if code != http.StatusNotFound {
 		t.Errorf("POST /v1/search kind=temporal on regional-only store = %d %v, want 404", code, body)
@@ -637,8 +633,7 @@ func TestServerReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Boot from a single-kind store, then reload into the full bundle.
-	regional := mustMine(c, stburst.KindRegional, nil)
-	s := New(c, storeOf(t, c, regional), path)
+	s := New(c, mineStore(t, c, stburst.KindRegional), path)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -801,8 +796,7 @@ func TestServerReloadRefusedAfterIngest(t *testing.T) {
 // corrupt file is a 500 that leaves the old resident set serving.
 func TestServerReloadErrors(t *testing.T) {
 	c := serveCollection(t)
-	ix := mustMine(c, stburst.KindRegional, nil)
-	s := New(c, storeOf(t, c, ix), "")
+	s := New(c, mineStore(t, c, stburst.KindRegional), "")
 	if code, body := postJSON(t, s, "/v1/reload", ""); code != http.StatusConflict {
 		t.Errorf("reload without path = %d %v, want 409", code, body)
 	}
@@ -811,7 +805,7 @@ func TestServerReloadErrors(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not a bundle at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s = New(c, storeOf(t, c, ix), path)
+	s = New(c, mineStore(t, c, stburst.KindRegional), path)
 	if code, body := postJSON(t, s, "/v1/reload", ""); code != http.StatusInternalServerError {
 		t.Errorf("reload of corrupt file = %d %v, want 500", code, body)
 	}
@@ -845,7 +839,7 @@ func ingestServer(t *testing.T) (*stburst.Collection, *stburst.Store, *Server) {
 // sealed with 403, and nothing about the store changes.
 func TestServerDocumentsDisabled(t *testing.T) {
 	c := serveCollection(t)
-	s := New(c, storeOf(t, c, mustMine(c, stburst.KindRegional, nil)), "")
+	s := New(c, mineStore(t, c, stburst.KindRegional), "")
 	docs := c.NumDocs()
 	code, body := postJSON(t, s, "/v1/documents",
 		`{"documents":[{"stream":"lima","time":3,"text":"volcano erupts"}]}`)

@@ -65,7 +65,7 @@ func do(t *testing.T, h http.Handler, method, url, body string) (int, map[string
 // standing-query route is sealed with 403 and registers nothing.
 func TestServerSubscriptionsDisabled(t *testing.T) {
 	c := serveCollection(t)
-	store := storeOf(t, c, mustMine(c, stburst.KindRegional, nil))
+	store := mineStore(t, c, stburst.KindRegional)
 	s := New(c, store, "")
 	routes := []struct{ method, url, body string }{
 		{http.MethodPost, "/v1/subscriptions", `{"terms":["earthquake"]}`},
@@ -521,7 +521,7 @@ func TestServerConcurrentIngestCRUDSSE(t *testing.T) {
 // unauthenticated surface must not become a blind-SSRF POST proxy.
 func TestServerRejectsPrivateWebhook(t *testing.T) {
 	c := serveCollection(t)
-	store := storeOf(t, c, mustMine(c, stburst.KindRegional, nil))
+	store := mineStore(t, c, stburst.KindRegional)
 	s := New(c, store, "")
 	s.EnableSubscriptions(sub.DispatcherOptions{Retries: 1, Backoff: time.Millisecond})
 	t.Cleanup(s.CloseSubscriptions)

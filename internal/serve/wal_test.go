@@ -38,7 +38,7 @@ func walServer(t *testing.T) (*Server, *stburst.WAL) {
 // without a log, full depth/sequence stats with one.
 func TestStatsWALSection(t *testing.T) {
 	c := serveCollection(t)
-	bare := New(c, storeOf(t, c, mustMine(c, stburst.KindRegional, nil)), "")
+	bare := New(c, mineStore(t, c, stburst.KindRegional), "")
 	code, body := get(t, bare, "/v1/stats")
 	if code != http.StatusOK {
 		t.Fatalf("GET /v1/stats = %d, want 200", code)
@@ -82,7 +82,7 @@ func TestStatsWALSection(t *testing.T) {
 // zero without a log and tracking the log with one.
 func TestMetricsWALGauges(t *testing.T) {
 	c := serveCollection(t)
-	bare := New(c, storeOf(t, c, mustMine(c, stburst.KindRegional, nil)), "")
+	bare := New(c, mineStore(t, c, stburst.KindRegional), "")
 	m := scrape(t, bare)
 	for _, name := range []string{
 		"stserve_wal_last_seq", "stserve_wal_batches", "stserve_wal_segments",

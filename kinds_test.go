@@ -2,7 +2,6 @@ package stburst
 
 import (
 	"bytes"
-	"context"
 	"math"
 	"testing"
 
@@ -74,10 +73,7 @@ func TestKindTable(t *testing.T) {
 				}
 			}
 
-			ix, err := c.Mine(context.Background(), k, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ix := mustMine(c, k, nil)
 			if ix.PatternKind() != k || ix.NumPatterns() == 0 {
 				t.Fatalf("mined a %v index with %d patterns", ix.PatternKind(), ix.NumPatterns())
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"stburst/internal/index"
@@ -103,7 +104,7 @@ func (k *Kind) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// MineOptions configures Collection.Mine. The zero value (or a nil
+// MineOptions configures Collection.MineStore. The zero value (or a nil
 // pointer) mines with the paper's defaults on one worker per CPU.
 // Build one literally; NewMineOptions(WithParallelism(n)) is the
 // functional shorthand for setting the worker count alone.
@@ -142,73 +143,55 @@ func (o *MineOptions) core() *index.MineOptions {
 	return &index.MineOptions{Local: o.Regional.coreOptions(), Comb: o.Combinatorial.coreOptions()}
 }
 
-// Mine mines patterns of the given kind for every term of the corpus and
-// returns the resulting pattern index. The vocabulary is fanned out
-// across a bounded worker pool; any parallelism yields bit-identical
-// output (each term is mined independently on a private miner). A
-// cancelled context stops dispatching further terms and returns ctx.Err()
-// promptly — mining already in flight finishes its current term first. A
-// nil opts mines with the paper's defaults on one worker per CPU.
-func (c *Collection) Mine(ctx context.Context, kind Kind, opts *MineOptions) (*PatternIndex, error) {
-	if _, ok := kind.patternKind(); !ok {
-		return nil, fmt.Errorf("stburst: Mine needs a concrete pattern kind, got %v (use MineStore to mine every kind)", kind)
-	}
-	ixs, err := c.mine(ctx, []Kind{kind}, opts)
-	if err != nil {
-		return nil, err
-	}
-	return ixs[0], nil
-}
-
-// mine mines the given concrete kinds in one pass over a single shared
-// worker pool and returns one index per kind, in order.
-func (c *Collection) mine(ctx context.Context, kinds []Kind, opts *MineOptions) ([]*PatternIndex, error) {
-	if opts == nil {
-		opts = &MineOptions{}
+// MineStore mines the given concrete pattern kinds — all three when none
+// is named — for every term of the corpus and returns a Store holding one
+// index per kind. The (term, kind) work list is fanned out once across a
+// bounded worker pool; any parallelism yields bit-identical indexes (each
+// term is mined independently on a private miner). KindAny and a kind
+// named twice are errors. A cancelled context stops dispatching further
+// terms and returns ctx.Err() promptly — mining already in flight
+// finishes its current term first. A nil opts mines with the paper's
+// defaults on one worker per CPU.
+func (c *Collection) MineStore(ctx context.Context, opts *MineOptions, kinds ...Kind) (*Store, error) {
+	if len(kinds) == 0 {
+		kinds = Kinds()
 	}
 	empty := make([]*index.PatternSet, len(kinds))
 	for i, k := range kinds {
-		pk, _ := k.patternKind()
+		pk, ok := k.patternKind()
+		if !ok {
+			return nil, fmt.Errorf("stburst: MineStore needs concrete pattern kinds, got %v", k)
+		}
+		if slices.Contains(kinds[:i], k) {
+			return nil, fmt.Errorf("stburst: MineStore: %v named twice", k)
+		}
 		empty[i] = index.EmptySet(pk)
+	}
+	s := newStore(c)
+	// Record the mining options so Store.Ingest re-mines dirty terms
+	// with exactly the parameters the resident indexes were mined with.
+	s.SetMineOptions(opts)
+	if opts == nil {
+		opts = &MineOptions{}
 	}
 	sets, err := search.MineSets(ctx, c.col, c.col.Terms(), empty, opts.core(), opts.Parallelism)
 	if err != nil {
 		return nil, err
 	}
-	ixs := make([]*PatternIndex, len(sets))
-	for i, set := range sets {
-		ixs[i] = &PatternIndex{c: c, set: set}
+	var next residentSet
+	for _, set := range sets {
+		next[set.Kind()] = &PatternIndex{c: c, set: set}
 	}
-	return ixs, nil
-}
-
-// MineStore mines all three pattern kinds in one pass over a single
-// shared worker pool — the vocabulary is fanned out once with a
-// (term, kind) work list instead of three sequential sweeps — and
-// returns a Store holding the three resulting indexes. Parallelism and
-// cancellation semantics match Mine; any worker count yields
-// bit-identical indexes. A nil opts mines with the paper's defaults on
-// one worker per CPU.
-func (c *Collection) MineStore(ctx context.Context, opts *MineOptions) (*Store, error) {
-	ixs, err := c.mine(ctx, Kinds(), opts)
-	if err != nil {
-		return nil, err
-	}
-	s := NewStore(c)
-	// Record the mining options so Store.Ingest re-mines dirty terms
-	// with exactly the parameters the resident indexes were mined with.
-	s.SetMineOptions(opts)
-	for _, ix := range ixs {
-		if _, err := s.Swap(ix.PatternKind(), ix); err != nil {
-			return nil, err
-		}
-	}
+	s.indexes.Store(&next)
+	// A mined store counts one generation per kind it holds, as if each
+	// had been installed in turn; saved bundles carry this number.
+	s.gen.Store(uint64(len(sets)))
 	return s, nil
 }
 
 // PatternIndex is a cached, query-ready store of spatiotemporal patterns
 // mined across the entire corpus vocabulary, keyed by term. It is built
-// once by Collection.Mine (or MineStore) and consulted afterwards by both
+// by Collection.MineStore or LoadStore and consulted afterwards by both
 // the per-term accessors and the search engine, so repeated queries never
 // re-mine the corpus.
 //
@@ -381,10 +364,4 @@ func (ix *PatternIndex) successor(set *index.PatternSet, dirty []int) *PatternIn
 		next.Engine()
 	}
 	return next
-}
-
-// Search retrieves the top-k documents for a free-text query against the
-// stored patterns (Eq. 10/11), building the cached engine on first use.
-func (ix *PatternIndex) Search(query string, k int) []Hit {
-	return ix.Engine().Search(query, k)
 }

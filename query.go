@@ -23,8 +23,8 @@ type Timespan = index.Timespan
 // selects which burstiness model answers: a concrete kind routes the
 // query to that pattern index, and KindAny (the zero value, so an
 // absent kind in JSON) makes Store.Query fan out to every resident
-// index and merge the hits; single-index surfaces (Engine.Run,
-// PatternIndex.Query) accept KindAny and their own kind only. Region and
+// index and merge the hits; Engine.Run, a single index's surface,
+// accepts KindAny and its own kind only. Region and
 // Time restrict the hits to documents with a contributing pattern — a
 // pattern of some query term that overlaps the document — intersecting
 // the rectangle and/or timeframe: regional windows intersect through
@@ -144,8 +144,7 @@ type ResultPage struct {
 // Offset/K pagination until the page is full. The context is checked
 // during the pass, so long queries are cancellable; a cancelled context
 // returns ctx.Err(). A query term absent from every pattern yields an
-// empty page, not an error. Plain Search(query, k) is a thin wrapper over
-// Run.
+// empty page, not an error.
 //
 // An Engine answers for one pattern kind: Query.Kind must be KindAny or
 // the engine's own kind. Asking a single-kind engine for a different
@@ -190,9 +189,3 @@ func (e *Engine) rank(ctx context.Context, q Query) func() (Hit, bool) {
 
 // noHits is the empty ranking.
 func noHits() (Hit, bool) { return Hit{}, false }
-
-// Query executes a structured query against the stored patterns, building
-// the cached engine on first use. See Engine.Run.
-func (ix *PatternIndex) Query(ctx context.Context, q Query) (ResultPage, error) {
-	return ix.Engine().Run(ctx, q)
-}

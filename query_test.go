@@ -87,16 +87,13 @@ func TestQueryValidate(t *testing.T) {
 	}
 }
 
-// mineKinds mines the collection with every pattern kind.
+// mineKinds mines the collection once per pattern kind, each kind on
+// its own one-kind MineStore.
 func mineKinds(t *testing.T, c *Collection) map[Kind]*PatternIndex {
 	t.Helper()
 	out := make(map[Kind]*PatternIndex)
 	for _, kind := range Kinds() {
-		ix, err := c.Mine(context.Background(), kind, nil)
-		if err != nil {
-			t.Fatalf("Mine(%v): %v", kind, err)
-		}
-		out[kind] = ix
+		out[kind] = mustMine(c, kind, nil)
 	}
 	return out
 }
@@ -164,8 +161,10 @@ func TestRunFilteredMatchesBruteForce(t *testing.T) {
 		{"mismatched region+time", &andesRegion, &japanTime},
 	}
 	terms := []string{"earthquake", "rescue"}
-	for kind, ix := range mineKinds(t, c) {
-		base, err := ix.Query(ctx, Query{Text: "earthquake rescue", K: c.NumDocs()})
+	s := fullStore(t, c)
+	for _, ix := range s.Resident() {
+		kind := ix.PatternKind()
+		base, err := s.Query(ctx, Query{Text: "earthquake rescue", Kind: kind, K: c.NumDocs()})
 		if err != nil {
 			t.Fatalf("%v: unfiltered Query: %v", kind, err)
 		}
@@ -173,8 +172,8 @@ func TestRunFilteredMatchesBruteForce(t *testing.T) {
 			t.Fatalf("%v: K=NumDocs still reports more hits", kind)
 		}
 		for _, tc := range queries {
-			got, err := ix.Query(ctx, Query{
-				Text: "earthquake rescue", K: c.NumDocs(),
+			got, err := s.Query(ctx, Query{
+				Text: "earthquake rescue", Kind: kind, K: c.NumDocs(),
 				Region: tc.region, Time: tc.span,
 			})
 			if err != nil {
@@ -198,13 +197,10 @@ func TestRunFilteredMatchesBruteForce(t *testing.T) {
 // timeframe filters isolate the right burst cluster.
 func TestRunFilterSeparatesWaves(t *testing.T) {
 	c := twoBurstCollection(t)
-	ix, err := c.Mine(context.Background(), KindRegional, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustMineStore(t, c, nil, KindRegional)
 	check := func(name string, q Query, wantStreams map[string]bool) {
 		t.Helper()
-		page, err := ix.Query(context.Background(), q)
+		page, err := s.Query(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -227,7 +223,7 @@ func TestRunFilterSeparatesWaves(t *testing.T) {
 		map[string]bool{"tokyo": true, "osaka": true})
 	// A region and a timeframe that belong to different waves share no
 	// contributing pattern.
-	page, err := ix.Query(context.Background(), Query{Text: "earthquake", K: 100, Region: &japanRegion, Time: &andesTime})
+	page, err := s.Query(context.Background(), Query{Text: "earthquake", K: 100, Region: &japanRegion, Time: &andesTime})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,28 +232,23 @@ func TestRunFilterSeparatesWaves(t *testing.T) {
 	}
 }
 
-// TestSearchMatchesRun: the legacy free-text entry point is a thin
-// wrapper over Run and returns identical hits.
+// TestSearchMatchesRun: for a concrete kind Store.Query is a one-ranking
+// merge, so every page — and every refusal — is the kind's Engine.Run's.
 func TestSearchMatchesRun(t *testing.T) {
 	c := twoBurstCollection(t)
-	for kind, ix := range mineKinds(t, c) {
-		e := ix.Engine()
-		for _, q := range []string{"earthquake", "earthquake rescue", "nosuchterm", "", "and"} {
+	s := fullStore(t, c)
+	ctx := context.Background()
+	for _, ix := range s.Resident() {
+		e, kind := ix.Engine(), ix.PatternKind()
+		for _, text := range []string{"earthquake", "earthquake rescue", "nosuchterm", "", "and"} {
 			for _, k := range []int{0, 1, 3, 1000} {
-				legacy := e.Search(q, k)
-				page, err := e.Run(context.Background(), Query{Text: q, K: k})
-				if q == "" || k <= 0 {
-					// Validate rejects these; the wrapper maps them to nil.
-					if legacy != nil {
-						t.Errorf("%v: Search(%q, %d) = %v, want nil", kind, q, k, legacy)
+				for _, offset := range []int{0, 2} {
+					q := Query{Text: text, Kind: kind, K: k, Offset: offset}
+					got, gotErr := s.Query(ctx, q)
+					want, wantErr := e.Run(ctx, q)
+					if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+						t.Errorf("%+v: Store.Query = %+v, %v; Engine.Run = %+v, %v", q, got, gotErr, want, wantErr)
 					}
-					continue
-				}
-				if err != nil {
-					t.Fatalf("%v: Run(%q, %d): %v", kind, q, k, err)
-				}
-				if !reflect.DeepEqual(legacy, page.Hits) {
-					t.Errorf("%v: Search(%q, %d) and Run disagree:\n%v\n%v", kind, q, k, legacy, page.Hits)
 				}
 			}
 		}
@@ -267,16 +258,13 @@ func TestSearchMatchesRun(t *testing.T) {
 // TestRunTermsQuery: pre-split Terms behave like the equivalent Text.
 func TestRunTermsQuery(t *testing.T) {
 	c := twoBurstCollection(t)
-	ix, err := c.Mine(context.Background(), KindRegional, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustMineStore(t, c, nil, KindRegional)
 	ctx := context.Background()
-	text, err := ix.Query(ctx, Query{Text: "earthquake rescue", K: 50})
+	text, err := s.Query(ctx, Query{Text: "earthquake rescue", K: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	terms, err := ix.Query(ctx, Query{Terms: []string{"earthquake", "rescue"}, K: 50})
+	terms, err := s.Query(ctx, Query{Terms: []string{"earthquake", "rescue"}, K: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +272,7 @@ func TestRunTermsQuery(t *testing.T) {
 		t.Errorf("Terms query diverges from Text query:\n%v\n%v", text.Hits, terms.Hits)
 	}
 	// A multi-word entry contributes every token.
-	multi, err := ix.Query(ctx, Query{Terms: []string{"earthquake rescue"}, K: 50})
+	multi, err := s.Query(ctx, Query{Terms: []string{"earthquake rescue"}, K: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +281,7 @@ func TestRunTermsQuery(t *testing.T) {
 	}
 	// Unknown and stopword-only terms match nothing, without error.
 	for _, ts := range [][]string{{"nosuchterm"}, {"and"}, {"earthquake", "nosuchterm"}} {
-		page, err := ix.Query(ctx, Query{Terms: ts, K: 50})
+		page, err := s.Query(ctx, Query{Terms: ts, K: 50})
 		if err != nil {
 			t.Fatalf("Terms %v: %v", ts, err)
 		}
@@ -308,12 +296,9 @@ func TestRunTermsQuery(t *testing.T) {
 // the result set yields an empty page.
 func TestRunPagination(t *testing.T) {
 	c := twoBurstCollection(t)
-	ix, err := c.Mine(context.Background(), KindRegional, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustMineStore(t, c, nil, KindRegional)
 	ctx := context.Background()
-	all, err := ix.Query(ctx, Query{Text: "earthquake", K: c.NumDocs()})
+	all, err := s.Query(ctx, Query{Text: "earthquake", K: c.NumDocs()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +308,7 @@ func TestRunPagination(t *testing.T) {
 	var paged []Hit
 	const k = 3
 	for offset := 0; ; offset += k {
-		page, err := ix.Query(ctx, Query{Text: "earthquake", K: k, Offset: offset})
+		page, err := s.Query(ctx, Query{Text: "earthquake", K: k, Offset: offset})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -340,7 +325,7 @@ func TestRunPagination(t *testing.T) {
 		t.Errorf("concatenated pages diverge from the full list: %d vs %d hits", len(paged), len(all.Hits))
 	}
 	// Offset past the end of the result set.
-	past, err := ix.Query(ctx, Query{Text: "earthquake", K: k, Offset: len(all.Hits) + 10})
+	past, err := s.Query(ctx, Query{Text: "earthquake", K: k, Offset: len(all.Hits) + 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,12 +338,9 @@ func TestRunPagination(t *testing.T) {
 // score empties the page.
 func TestRunMinScore(t *testing.T) {
 	c := twoBurstCollection(t)
-	ix, err := c.Mine(context.Background(), KindRegional, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustMineStore(t, c, nil, KindRegional)
 	ctx := context.Background()
-	all, err := ix.Query(ctx, Query{Text: "earthquake", K: c.NumDocs()})
+	all, err := s.Query(ctx, Query{Text: "earthquake", K: c.NumDocs()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +352,7 @@ func TestRunMinScore(t *testing.T) {
 		t.Skipf("degenerate score distribution: top %v bottom %v", top, bottom)
 	}
 	mid := (top + bottom) / 2
-	page, err := ix.Query(ctx, Query{Text: "earthquake", K: c.NumDocs(), MinScore: mid})
+	page, err := s.Query(ctx, Query{Text: "earthquake", K: c.NumDocs(), MinScore: mid})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +365,7 @@ func TestRunMinScore(t *testing.T) {
 	if !reflect.DeepEqual(page.Hits, want) {
 		t.Errorf("MinScore %v kept %d hits, want %d", mid, len(page.Hits), len(want))
 	}
-	empty, err := ix.Query(ctx, Query{Text: "earthquake", K: 10, MinScore: top + 1})
+	empty, err := s.Query(ctx, Query{Text: "earthquake", K: 10, MinScore: top + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,13 +379,10 @@ func TestRunMinScore(t *testing.T) {
 // excludes everything.
 func TestRunDegenerateRegions(t *testing.T) {
 	c := twoBurstCollection(t)
-	ix, err := c.Mine(context.Background(), KindRegional, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustMineStore(t, c, nil, KindRegional)
 	ctx := context.Background()
 	at := func(x, y float64) *Rect { return &Rect{MinX: x, MinY: y, MaxX: x, MaxY: y} }
-	hit, err := ix.Query(ctx, Query{Text: "earthquake", K: 100, Region: at(0, 0)})
+	hit, err := s.Query(ctx, Query{Text: "earthquake", K: 100, Region: at(0, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +394,7 @@ func TestRunDegenerateRegions(t *testing.T) {
 			t.Errorf("point region at lima returned %s hit", h.Stream)
 		}
 	}
-	miss, err := ix.Query(ctx, Query{Text: "earthquake", K: 100, Region: at(50, 50)})
+	miss, err := s.Query(ctx, Query{Text: "earthquake", K: 100, Region: at(50, 50)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,35 +406,32 @@ func TestRunDegenerateRegions(t *testing.T) {
 // TestRunCancelled: a cancelled context aborts the query with ctx.Err().
 func TestRunCancelled(t *testing.T) {
 	c := twoBurstCollection(t)
-	ix, err := c.Mine(context.Background(), KindRegional, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustMineStore(t, c, nil, KindRegional)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ix.Query(ctx, Query{Text: "earthquake", K: 5}); !errors.Is(err, context.Canceled) {
+	if _, err := s.Query(ctx, Query{Text: "earthquake", K: 5}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Query with cancelled context: err = %v, want context.Canceled", err)
 	}
 }
 
-// TestMineCancelled: a cancelled context makes Mine return promptly with
-// ctx.Err() instead of an index.
+// TestMineCancelled: a cancelled context makes a one-kind MineStore
+// return promptly with ctx.Err() instead of a store.
 func TestMineCancelled(t *testing.T) {
 	c := twoBurstCollection(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, kind := range []Kind{KindRegional, KindCombinatorial, KindTemporal} {
-		ix, err := c.Mine(ctx, kind, nil)
+		s, err := c.MineStore(ctx, nil, kind)
 		if !errors.Is(err, context.Canceled) {
-			t.Errorf("Mine(%v) with cancelled context: err = %v, want context.Canceled", kind, err)
+			t.Errorf("MineStore(%v) with cancelled context: err = %v, want context.Canceled", kind, err)
 		}
-		if ix != nil {
-			t.Errorf("Mine(%v) with cancelled context returned an index", kind)
+		if s != nil {
+			t.Errorf("MineStore(%v) with cancelled context returned a store", kind)
 		}
 	}
 }
 
-// TestMineMatchesBatchMiners: mining one kind reproduces, bit for bit,
+// TestMineMatchesBatchMiners: a one-kind MineStore reproduces, bit for bit,
 // that kind's member of the one-pass all-kinds miner under the same
 // options — for every kind and option style.
 func TestMineMatchesBatchMiners(t *testing.T) {
@@ -473,20 +449,19 @@ func TestMineMatchesBatchMiners(t *testing.T) {
 		{KindTemporal, nil},
 	}
 	for _, tc := range cases {
-		ix, err := c.Mine(ctx, tc.kind, tc.opts)
-		if err != nil {
-			t.Fatalf("Mine(%v): %v", tc.kind, err)
+		one := mustMineStore(t, c, tc.opts, tc.kind)
+		if got := one.Kinds(); len(got) != 1 || got[0] != tc.kind {
+			t.Fatalf("MineStore(%v) resident kinds = %v", tc.kind, got)
 		}
-		store, err := c.MineStore(ctx, tc.opts)
-		if err != nil {
-			t.Fatalf("MineStore: %v", err)
-		}
-		if ix.Fingerprint() != store.Index(tc.kind).Fingerprint() {
-			t.Errorf("Mine(%v, %+v) fingerprint diverges from the all-kinds miner", tc.kind, tc.opts)
+		all := mustMineStore(t, c, tc.opts)
+		if one.Index(tc.kind).Fingerprint() != all.Index(tc.kind).Fingerprint() {
+			t.Errorf("MineStore(%v, %+v) fingerprint diverges from the all-kinds miner", tc.kind, tc.opts)
 		}
 	}
-	if _, err := c.Mine(ctx, Kind(99), nil); err == nil {
-		t.Error("Mine with unknown kind succeeded")
+	for _, bad := range [][]Kind{{Kind(99)}, {KindAny}, {KindTemporal, KindRegional, KindTemporal}} {
+		if _, err := c.MineStore(ctx, nil, bad...); err == nil {
+			t.Errorf("MineStore(%v) succeeded", bad)
+		}
 	}
 }
 
@@ -515,9 +490,9 @@ func TestParseKind(t *testing.T) {
 	if zero != KindAny {
 		t.Error("zero Kind is not KindAny")
 	}
-	// Mine needs a concrete kind.
-	if _, err := twoBurstCollection(t).Mine(context.Background(), KindAny, nil); err == nil {
-		t.Error("Mine accepted KindAny")
+	// MineStore needs concrete kinds.
+	if _, err := twoBurstCollection(t).MineStore(context.Background(), nil, KindAny); err == nil {
+		t.Error("MineStore accepted KindAny")
 	}
 }
 

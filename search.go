@@ -1,8 +1,6 @@
 package stburst
 
 import (
-	"context"
-
 	"stburst/internal/core"
 	"stburst/internal/search"
 )
@@ -19,31 +17,15 @@ type Hit struct {
 	Kind   Kind   // pattern kind that scored the hit
 }
 
-// Engine is a bursty-document search engine (§5 of the paper): it
-// retrieves documents that are both relevant to the query and inside
-// mined spatiotemporal burstiness patterns. Build one with
-// Collection.Mine and PatternIndex.Engine; structured queries — including
-// Region/Time filters, pagination and score thresholds — go through Run,
-// and Search remains the free-text convenience wrapper.
+// Engine is one pattern kind's bursty-document search engine (§5 of the
+// paper): it retrieves documents that are both relevant to the query and
+// inside mined spatiotemporal burstiness patterns. Store.Query is the
+// read path, and routes each query to the resident kinds' engines;
+// PatternIndex.Engine and Run answer for a single kind.
 type Engine struct {
 	c    *Collection
 	eng  *search.Engine
 	kind Kind // the concrete pattern kind the engine serves
-}
-
-// Search retrieves the top-k documents for a free-text query. Documents
-// must overlap a burstiness pattern of every query term (Eq. 10/11). It
-// is a thin wrapper over Run with no spatiotemporal filter; use Run for
-// Region/Time restrictions, pagination and score thresholds.
-func (e *Engine) Search(query string, k int) []Hit {
-	if k <= 0 {
-		return nil
-	}
-	page, err := e.Run(context.Background(), Query{Text: query, K: k})
-	if err != nil || len(page.Hits) == 0 {
-		return nil
-	}
-	return page.Hits
 }
 
 // Best returns the highest-scoring regional pattern of a slice, if any.

@@ -27,8 +27,8 @@ func mineEachKind(tb testing.TB, c *Collection) map[string]*PatternIndex {
 // nothing else.
 func saveOne(tb testing.TB, c *Collection, ix *PatternIndex) []byte {
 	tb.Helper()
-	s := NewStore(c)
-	if _, err := s.Swap(ix.PatternKind(), ix); err != nil {
+	s := newStore(c)
+	if err := s.Replace(ix); err != nil {
 		tb.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -116,22 +116,26 @@ func TestLoadPatternIndexForeignCollection(t *testing.T) {
 // like the index it was saved from, without re-mining anything.
 func TestLoadedIndexServesLikeMined(t *testing.T) {
 	c := synthCollection(t, 8, 40, 12)
-	mined := mustMine(c, KindRegional, nil)
-	loaded, err := loadOne(saveOne(t, c, mined), c)
+	mined := mustMineStore(t, c, nil, KindRegional)
+	var buf bytes.Buffer
+	if err := mined.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadStore(&buf, c)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for _, term := range mined.Terms() {
-		if !equalWindows(mined.RegionalPatterns(term), loaded.RegionalPatterns(term)) {
+	for _, term := range mined.Index(KindRegional).Terms() {
+		if !equalWindows(mined.Index(KindRegional).RegionalPatterns(term), loaded.Index(KindRegional).RegionalPatterns(term)) {
 			t.Fatalf("term %q: loaded patterns differ from mined", term)
 		}
 	}
 
 	queries := []string{"topic000", "topic003 surge", "topic006", "nosuchterm"}
 	for _, q := range queries {
-		want := mined.Search(q, 10)
-		got := loaded.Search(q, 10)
+		want := queryHits(t, mined, Query{Text: q, K: 10})
+		got := queryHits(t, loaded, Query{Text: q, K: 10})
 		if len(got) != len(want) {
 			t.Fatalf("query %q: loaded returned %d hits, mined %d", q, len(got), len(want))
 		}

@@ -5,14 +5,24 @@ import (
 	"testing"
 )
 
-// mustMine is Collection.Mine on a background context; mining an
-// in-memory test corpus cannot fail.
+// mustMine mines one kind into a store on a background context and
+// returns its index; mining an in-memory test corpus cannot fail.
 func mustMine(c *Collection, kind Kind, opts *MineOptions) *PatternIndex {
-	ix, err := c.Mine(context.Background(), kind, opts)
+	s, err := c.MineStore(context.Background(), opts, kind)
 	if err != nil {
 		panic(err)
 	}
-	return ix
+	return s.Index(kind)
+}
+
+// queryHits answers q through Store.Query, failing the test on an error.
+func queryHits(t testing.TB, s *Store, q Query) []Hit {
+	t.Helper()
+	page, err := s.Query(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return page.Hits
 }
 
 // demoCollection: two nearby cities and one far city over 10 weeks, with
@@ -198,8 +208,8 @@ func TestCombinatorialMinerStreaming(t *testing.T) {
 
 func TestRegionalEngineSearch(t *testing.T) {
 	c := demoCollection(t)
-	e := mustMine(c, KindRegional, nil).Engine()
-	hits := e.Search("earthquake", 5)
+	s := mustMineStore(t, c, nil, KindRegional)
+	hits := queryHits(t, s, Query{Text: "earthquake", Kind: KindRegional, K: 5})
 	if len(hits) == 0 {
 		t.Fatal("no hits")
 	}
@@ -216,15 +226,15 @@ func TestRegionalEngineSearch(t *testing.T) {
 			t.Fatalf("hits unsorted: %+v", hits)
 		}
 	}
-	if got := e.Search("absent", 5); got != nil {
+	if got := queryHits(t, s, Query{Text: "absent", Kind: KindRegional, K: 5}); got != nil {
 		t.Fatal("unknown query should yield nil")
 	}
 }
 
 func TestCombinatorialEngineSearch(t *testing.T) {
 	c := demoCollection(t)
-	e := mustMine(c, KindCombinatorial, nil).Engine()
-	hits := e.Search("earthquake", 5)
+	s := mustMineStore(t, c, nil, KindCombinatorial)
+	hits := queryHits(t, s, Query{Text: "earthquake", Kind: KindCombinatorial, K: 5})
 	if len(hits) == 0 {
 		t.Fatal("no hits")
 	}
@@ -237,8 +247,8 @@ func TestCombinatorialEngineSearch(t *testing.T) {
 
 func TestTemporalEngineSearch(t *testing.T) {
 	c := demoCollection(t)
-	e := mustMine(c, KindTemporal, nil).Engine()
-	hits := e.Search("earthquake", 10)
+	s := mustMineStore(t, c, nil, KindTemporal)
+	hits := queryHits(t, s, Query{Text: "earthquake", Kind: KindTemporal, K: 10})
 	if len(hits) == 0 {
 		t.Fatal("no hits")
 	}
@@ -253,8 +263,8 @@ func TestTemporalEngineSearch(t *testing.T) {
 
 func TestMultiTermSearch(t *testing.T) {
 	c := demoCollection(t)
-	e := mustMine(c, KindRegional, nil).Engine()
-	hits := e.Search("earthquake damage", 5)
+	s := mustMineStore(t, c, nil, KindRegional)
+	hits := queryHits(t, s, Query{Text: "earthquake damage", Kind: KindRegional, K: 5})
 	for _, h := range hits {
 		// "damage" appears only in lima's docs.
 		if h.Stream != "lima" {

@@ -33,25 +33,26 @@ var ErrMismatchedPatterns = errors.New("stburst: shipped patterns do not match t
 // one process. Store.Query routes a Query to the index of its Kind, or
 // fans a KindAny query out to every resident index and merges the hits.
 //
-// The resident set lives behind one atomic pointer to an immutable
-// kind-indexed array, so indexes can be hot-swapped (Swap) or the whole
-// set replaced in a single atomic step (Replace) while any number of
-// queries run concurrently: a query observes either the old index or
-// the new one, never a torn mix, and never blocks behind a reload.
+// A store is mined whole (Collection.MineStore) or loaded whole
+// (LoadStore). The resident set lives behind one atomic pointer to an
+// immutable kind-indexed array, so the whole set can be replaced in a
+// single atomic step (Replace) while any number of queries run
+// concurrently: a query observes either the complete old set or the
+// complete new one, never a torn mix, and never blocks behind a reload.
 //
 // A store is also the write path of a live deployment: Ingest appends a
 // batch of freshly arrived documents to the collection and re-mines only
 // the dirty terms, installing the refreshed indexes with the same atomic
-// Replace a reload uses. Every mutation — Swap, Replace, Ingest — bumps
-// the monotonically increasing Generation, the cache-busting token the
+// Replace a reload uses. Every mutation — Replace, Ingest — bumps the
+// monotonically increasing Generation, the cache-busting token the
 // serving layer hands to clients.
 type Store struct {
 	c       *Collection
 	indexes atomic.Pointer[residentSet]
 	gen     atomic.Uint64
-	// writeMu serializes every writer — Swap, Replace, and Ingest end to
-	// end (snapshot → append → re-mine → install) — plus Save's
-	// (resident set, generation) read pair. Without it a Swap or Replace
+	// writeMu serializes every writer — Replace, and Ingest end to end
+	// (snapshot → append → re-mine → install) — plus Save's
+	// (resident set, generation) read pair. Without it a Replace
 	// landing inside an in-flight Ingest's window would be silently
 	// overwritten by indexes derived from the pre-mutation resident set,
 	// and a Save racing an Ingest could stamp one generation onto
@@ -87,15 +88,14 @@ type Store struct {
 	alertSink atomic.Pointer[AlertSink]
 }
 
-// residentSet holds the resident index of each concrete kind, in
-// canonical kind order (slot maps a kind to its position); nil marks a
-// kind that is not resident.
+// residentSet holds the resident index of each concrete kind, indexed
+// by its internal pattern kind (canonical kind order); nil marks a kind
+// that is not resident.
 type residentSet [index.NumKinds]*PatternIndex
 
-// NewStore creates an empty store over the collection. Populate it with
-// Swap or Replace, or mine all kinds in one pass with
-// Collection.MineStore.
-func NewStore(c *Collection) *Store {
+// newStore creates an empty store over the collection, for MineStore and
+// LoadStore to fill.
+func newStore(c *Collection) *Store {
 	s := &Store{c: c, shard: ShardInfo{Shards: 1}, subs: sub.NewRegistry(Subscription.clone)}
 	s.indexes.Store(new(residentSet))
 	return s
@@ -121,7 +121,7 @@ func TermShard(term string, shards int) int { return index.TermShard(term, shard
 func (s *Store) ShardInfo() ShardInfo { return s.shard }
 
 // Generation returns the store's current generation: a monotonically
-// increasing counter bumped by every mutation (Swap, Replace, Ingest),
+// increasing counter bumped by every mutation (Replace, Ingest),
 // persisted in saved bundles and restored by LoadStore. Clients use it
 // to bust caches — two responses observed under the same generation were
 // served from the same resident set over the same corpus.
@@ -131,63 +131,12 @@ func (s *Store) Generation() uint64 { return s.gen.Load() }
 // They must match the options the resident indexes were originally mined
 // with, or the incrementally refreshed indexes would mix two parameter
 // settings; Collection.MineStore records its options automatically, so
-// only stores populated by hand (Swap/Replace/LoadStore) need this. A
-// nil opts restores the paper's defaults.
+// only loaded stores (LoadStore) need this. A nil opts restores the
+// paper's defaults.
 func (s *Store) SetMineOptions(opts *MineOptions) { s.mineOpts.Store(opts) }
 
 // Collection returns the collection the store's indexes are mined from.
 func (s *Store) Collection() *Collection { return s.c }
-
-// slot maps a concrete kind to its array slot.
-func slot(kind Kind) (int, error) {
-	pk, ok := kind.patternKind()
-	if !ok {
-		return 0, fmt.Errorf("stburst: store slots hold concrete pattern kinds, not %v", kind)
-	}
-	return int(pk), nil
-}
-
-// checkResident validates an index against the slot it is headed for:
-// the kind must match the patterns the index actually stores, and the
-// index must be attached to the store's own collection — an index mined
-// from (or loaded against) a different collection would answer queries
-// with foreign document IDs.
-func (s *Store) checkResident(kind Kind, ix *PatternIndex) error {
-	if ix.PatternKind() != kind {
-		return fmt.Errorf("stburst: store slot %v cannot hold a %v index", kind, ix.PatternKind())
-	}
-	if ix.c != s.c {
-		return fmt.Errorf("stburst: %v index is attached to a different collection than the store", kind)
-	}
-	return nil
-}
-
-// Swap atomically installs ix as the resident index of the given
-// concrete kind and returns the index it replaced (nil when the slot
-// was empty). A nil ix removes the kind from the store. In-flight
-// queries keep the index they already resolved; new queries see the
-// replacement immediately. Like Replace, Swap serializes against an
-// in-flight Ingest: it blocks until the ingest's refreshed set is
-// installed, then applies on top — never silently undone by it.
-func (s *Store) Swap(kind Kind, ix *PatternIndex) (*PatternIndex, error) {
-	i, err := slot(kind)
-	if err != nil {
-		return nil, err
-	}
-	if ix != nil {
-		if err := s.checkResident(kind, ix); err != nil {
-			return nil, err
-		}
-	}
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	old := s.indexes.Load()
-	next := *old
-	next[i] = ix
-	s.indexes.Store(&next)
-	s.gen.Add(1)
-	return old[i], nil
-}
 
 // Replace atomically replaces the whole resident set with the given
 // indexes — the reload primitive: a concurrent query sees either the
@@ -211,18 +160,16 @@ func (s *Store) replaceLocked(ixs ...*PatternIndex) error {
 		if ix == nil {
 			return errors.New("stburst: Replace: nil index (omit the kind instead)")
 		}
-		kind := ix.PatternKind()
-		i, err := slot(kind)
-		if err != nil {
-			return err
+		// An index mined from (or loaded against) a different collection
+		// would answer queries with foreign document IDs.
+		if ix.c != s.c {
+			return fmt.Errorf("stburst: %v index is attached to a different collection than the store", ix.PatternKind())
 		}
-		if err := s.checkResident(kind, ix); err != nil {
-			return err
+		k := ix.set.Kind()
+		if next[k] != nil {
+			return fmt.Errorf("stburst: Replace: two %v indexes", ix.PatternKind())
 		}
-		if next[i] != nil {
-			return fmt.Errorf("stburst: Replace: two %v indexes", kind)
-		}
-		next[i] = ix
+		next[k] = ix
 	}
 	s.indexes.Store(&next)
 	s.gen.Add(1)
@@ -232,11 +179,11 @@ func (s *Store) replaceLocked(ixs ...*PatternIndex) error {
 // Index returns the resident index of a concrete kind, or nil when the
 // kind is not resident (or kind is KindAny).
 func (s *Store) Index(kind Kind) *PatternIndex {
-	i, err := slot(kind)
-	if err != nil {
+	pk, ok := kind.patternKind()
+	if !ok {
 		return nil
 	}
-	return s.indexes.Load()[i]
+	return s.indexes.Load()[pk]
 }
 
 // Kinds returns the resident kinds in canonical (regional,
@@ -252,7 +199,7 @@ func (s *Store) Kinds() []Kind {
 // Resident returns the resident indexes in canonical kind order, all
 // taken from one atomic snapshot of the resident set — unlike a
 // Kinds()/Index() loop, the result can never interleave two
-// generations across a concurrent Swap or Replace.
+// generations across a concurrent Replace or Ingest.
 func (s *Store) Resident() []*PatternIndex {
 	var out []*PatternIndex
 	for _, ix := range s.indexes.Load() {
@@ -667,7 +614,7 @@ func (s *Store) refreshLocked(ctx context.Context, resident *residentSet, dirty 
 // store holding one kind saves as a one-member bundle. LoadStore
 // verifies all of it on the way back in and restores the generation and
 // the subscriptions. An empty store cannot be saved. Save serializes against writers
-// (Swap/Replace/Ingest), so the recorded generation always matches the
+// (Replace/Ingest), so the recorded generation always matches the
 // serialized indexes — never one mutation's number on another's data.
 //
 // With a write-ahead log attached, a successful save rotates the log:
@@ -855,7 +802,7 @@ func LoadStore(r io.Reader, c *Collection) (*Store, error) {
 		}
 		ixs[i] = ix
 	}
-	s := NewStore(c)
+	s := newStore(c)
 	s.shard = b.Shard
 	if err := s.Replace(ixs...); err != nil {
 		return nil, fmt.Errorf("stburst: loading store: %w", err)

@@ -23,66 +23,24 @@ func fullStore(t *testing.T, c *Collection) *Store {
 	return s
 }
 
-func TestStoreSwapAndKinds(t *testing.T) {
-	c := twoBurstCollection(t)
-	ixs := mineKinds(t, c)
-	s := NewStore(c)
-	if got := s.Kinds(); len(got) != 0 {
-		t.Fatalf("empty store reports kinds %v", got)
-	}
-
-	prev, err := s.Swap(KindRegional, ixs[KindRegional])
-	if err != nil || prev != nil {
-		t.Fatalf("first Swap = (%v, %v), want (nil, nil)", prev, err)
-	}
-	if got := s.Kinds(); len(got) != 1 || got[0] != KindRegional {
-		t.Fatalf("Kinds after one swap = %v", got)
-	}
-	if s.Index(KindRegional) != ixs[KindRegional] {
-		t.Fatal("Index does not return the swapped-in index")
-	}
-	if s.Index(KindTemporal) != nil || s.Index(KindAny) != nil {
-		t.Fatal("absent kinds must read as nil")
-	}
-
-	// Swapping again returns the previous resident.
-	prev, err = s.Swap(KindRegional, ixs[KindRegional])
-	if err != nil || prev != ixs[KindRegional] {
-		t.Fatalf("re-Swap = (%v, %v), want the previous index", prev, err)
-	}
-
-	// A slot only holds its own kind, never KindAny, never a foreign
-	// collection's index.
-	if _, err := s.Swap(KindTemporal, ixs[KindRegional]); err == nil {
-		t.Error("Swap accepted a regional index into the temporal slot")
-	}
-	if _, err := s.Swap(KindAny, ixs[KindRegional]); err == nil {
-		t.Error("Swap accepted the KindAny slot")
-	}
-	other := twoBurstCollection(t)
-	foreign, err := other.Mine(context.Background(), KindRegional, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Swap(KindRegional, foreign); err == nil {
-		t.Error("Swap accepted an index attached to a different collection")
-	}
-
-	// Swapping nil removes the kind.
-	if _, err := s.Swap(KindRegional, nil); err != nil {
-		t.Fatalf("Swap(nil): %v", err)
-	}
-	if got := s.Kinds(); len(got) != 0 {
-		t.Fatalf("Kinds after removal = %v", got)
-	}
-}
-
 func TestStoreReplace(t *testing.T) {
 	c := twoBurstCollection(t)
 	ixs := mineKinds(t, c)
-	s := NewStore(c)
-	if _, err := s.Swap(KindTemporal, ixs[KindTemporal]); err != nil {
+	s := newStore(c)
+	if got := s.Kinds(); len(got) != 0 {
+		t.Fatalf("empty store reports kinds %v", got)
+	}
+	if err := s.Replace(ixs[KindTemporal]); err != nil {
 		t.Fatal(err)
+	}
+	if got := s.Kinds(); len(got) != 1 || got[0] != KindTemporal {
+		t.Fatalf("Kinds after one Replace = %v", got)
+	}
+	if s.Index(KindTemporal) != ixs[KindTemporal] {
+		t.Fatal("Index does not return the installed index")
+	}
+	if s.Index(KindRegional) != nil || s.Index(KindAny) != nil {
+		t.Fatal("absent kinds must read as nil")
 	}
 	// Replace swaps the whole set: temporal out, regional+combinatorial in.
 	if err := s.Replace(ixs[KindRegional], ixs[KindCombinatorial]); err != nil {
@@ -95,10 +53,13 @@ func TestStoreReplace(t *testing.T) {
 	if s.Index(KindTemporal) != nil {
 		t.Error("Replace kept a kind that was not in the new set")
 	}
-	// Invalid sets leave the store untouched.
+	// Invalid sets leave the store untouched. An index attached to
+	// another collection would answer with foreign document IDs.
+	foreign := mustMine(twoBurstCollection(t), KindTemporal, nil)
 	for name, bad := range map[string][]*PatternIndex{
-		"duplicate kind": {ixs[KindRegional], ixs[KindRegional]},
-		"nil entry":      {ixs[KindRegional], nil},
+		"duplicate kind":     {ixs[KindRegional], ixs[KindRegional]},
+		"nil entry":          {ixs[KindRegional], nil},
+		"foreign collection": {ixs[KindRegional], foreign},
 	} {
 		if err := s.Replace(bad...); err == nil {
 			t.Errorf("Replace accepted %s", name)
@@ -124,7 +85,7 @@ func TestStoreQuerySingleKindParity(t *testing.T) {
 	for _, kind := range Kinds() {
 		for _, q := range queries {
 			q.Kind = kind
-			want, err := s.Index(kind).Query(context.Background(), q)
+			want, err := s.Index(kind).Engine().Run(context.Background(), q)
 			if err != nil {
 				t.Fatalf("index query %v: %v", kind, err)
 			}
@@ -159,7 +120,7 @@ func anyBruteForce(t *testing.T, s *Store, q Query) ResultPage {
 		full.Kind = kind
 		full.K = MaxK
 		full.Offset = 0
-		page, err := s.Index(kind).Query(context.Background(), full)
+		page, err := s.Index(kind).Engine().Run(context.Background(), full)
 		if err != nil {
 			t.Fatalf("brute force %v: %v", kind, err)
 		}
@@ -269,17 +230,11 @@ func TestStoreQueryOffsetPastEnd(t *testing.T) {
 
 func TestStoreQueryNotResident(t *testing.T) {
 	c := twoBurstCollection(t)
-	s := NewStore(c)
+	s := newStore(c)
 	if _, err := s.Query(context.Background(), Query{Text: "earthquake"}); !errors.Is(err, ErrKindNotResident) {
 		t.Errorf("KindAny query on empty store = %v, want ErrKindNotResident", err)
 	}
-	ix, err := c.Mine(context.Background(), KindRegional, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Swap(KindRegional, ix); err != nil {
-		t.Fatal(err)
-	}
+	s = mustMineStore(t, c, nil, KindRegional)
 	if _, err := s.Query(context.Background(), Query{Text: "earthquake", Kind: KindTemporal}); !errors.Is(err, ErrKindNotResident) {
 		t.Errorf("non-resident kind query = %v, want ErrKindNotResident", err)
 	}
@@ -291,23 +246,19 @@ func TestStoreQueryNotResident(t *testing.T) {
 // TestEngineKindMismatch: a single-kind surface rejects queries for a
 // different concrete kind instead of answering with the wrong model.
 func TestEngineKindMismatch(t *testing.T) {
-	c := twoBurstCollection(t)
-	ix, err := c.Mine(context.Background(), KindRegional, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix.Query(context.Background(), Query{Text: "earthquake", Kind: KindTemporal}); err == nil {
+	e := mustMine(twoBurstCollection(t), KindRegional, nil).Engine()
+	if _, err := e.Run(context.Background(), Query{Text: "earthquake", Kind: KindTemporal}); err == nil {
 		t.Error("regional index answered a temporal query")
 	}
 	for _, kind := range []Kind{KindAny, KindRegional} {
-		if _, err := ix.Query(context.Background(), Query{Text: "earthquake", Kind: kind}); err != nil {
+		if _, err := e.Run(context.Background(), Query{Text: "earthquake", Kind: kind}); err != nil {
 			t.Errorf("regional index rejected Kind=%v: %v", kind, err)
 		}
 	}
 }
 
 // TestMineStoreParity: the one-pass three-kind miner produces indexes
-// bit-identical to the per-kind miners, for any worker count.
+// bit-identical to one-kind MineStores, for any worker count.
 func TestMineStoreParity(t *testing.T) {
 	c := twoBurstCollection(t)
 	ixs := mineKinds(t, c)
@@ -321,7 +272,7 @@ func TestMineStoreParity(t *testing.T) {
 		}
 		for _, kind := range Kinds() {
 			if got, want := s.Index(kind).Fingerprint(), ixs[kind].Fingerprint(); got != want {
-				t.Errorf("workers=%d kind %v: MineStore fingerprint %.12s != Mine fingerprint %.12s",
+				t.Errorf("workers=%d kind %v: all-kind MineStore fingerprint %.12s != one-kind %.12s",
 					workers, kind, got, want)
 			}
 		}
@@ -338,10 +289,10 @@ func TestMineStoreCancel(t *testing.T) {
 	}
 }
 
-// TestStoreHotSwapUnderQueries: queries hammer the store while indexes
-// are swapped and the whole set replaced; every page observed must be
-// internally consistent (all hits attributed to resident kinds). Run
-// under -race this is the torn-read detector for the atomic swap.
+// TestStoreHotSwapUnderQueries: queries hammer the store while the whole
+// resident set is replaced; every page observed must be internally
+// consistent (all hits attributed to resident kinds). Run under -race
+// this is the torn-read detector for the atomic install.
 func TestStoreHotSwapUnderQueries(t *testing.T) {
 	c := twoBurstCollection(t)
 	ixs := mineKinds(t, c)
@@ -383,15 +334,9 @@ func TestStoreHotSwapUnderQueries(t *testing.T) {
 		} else {
 			next = ixs[KindRegional]
 		}
-		if _, err := s.Swap(KindRegional, next); err != nil {
-			t.Errorf("swap %d: %v", i, err)
+		if err := s.Replace(next, ixs[KindCombinatorial], ixs[KindTemporal]); err != nil {
+			t.Errorf("replace %d: %v", i, err)
 			break
-		}
-		if i%10 == 0 {
-			if err := s.Replace(next, ixs[KindCombinatorial], ixs[KindTemporal]); err != nil {
-				t.Errorf("replace %d: %v", i, err)
-				break
-			}
 		}
 	}
 	close(stop)
@@ -401,7 +346,7 @@ func TestStoreHotSwapUnderQueries(t *testing.T) {
 // TestConcurrentIngestQueryReplace extends the hot-swap hammer with a
 // live writer: queries and pattern listings run nonstop while one
 // goroutine ingests document batches (append + dirty-term re-mine +
-// atomic Replace) and another swaps and replaces indexes
+// atomic Replace) and another replaces the resident set
 // administratively. Under -race this is the torn-read detector for the
 // whole write path: the copy-on-write collection append, the shared
 // clean-term pattern slices, and the atomic resident-set installs.
@@ -443,26 +388,20 @@ func TestConcurrentIngestQueryReplace(t *testing.T) {
 			}
 		}()
 	}
-	// The administrative writer: swaps one kind back and forth and
-	// occasionally replaces the whole set, racing the ingest writer.
+	// The administrative writer: replaces the whole set over and over,
+	// racing the ingest writer.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; ; i++ {
+		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			if _, err := s.Swap(KindRegional, ixs[KindRegional]); err != nil {
-				t.Errorf("swap during ingest: %v", err)
+			if err := s.Replace(ixs[KindRegional], ixs[KindCombinatorial], ixs[KindTemporal]); err != nil {
+				t.Errorf("replace during ingest: %v", err)
 				return
-			}
-			if i%5 == 0 {
-				if err := s.Replace(ixs[KindRegional], ixs[KindCombinatorial], ixs[KindTemporal]); err != nil {
-					t.Errorf("replace during ingest: %v", err)
-					return
-				}
 			}
 		}
 	}()
@@ -534,7 +473,7 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 func TestStoreSavePartial(t *testing.T) {
 	c := twoBurstCollection(t)
 	ixs := mineKinds(t, c)
-	s := NewStore(c)
+	s := newStore(c)
 	if err := s.Save(&bytes.Buffer{}); err == nil {
 		t.Error("Save accepted an empty store")
 	}
@@ -559,10 +498,7 @@ func TestStoreSavePartial(t *testing.T) {
 // bundle — boots a one-kind store.
 func TestLoadStoreSingleSnapshot(t *testing.T) {
 	c := twoBurstCollection(t)
-	ix, err := c.Mine(context.Background(), KindCombinatorial, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := mustMine(c, KindCombinatorial, nil)
 	s, err := LoadStore(bytes.NewReader(saveOne(t, c, ix)), c)
 	if err != nil {
 		t.Fatalf("LoadStore(one member): %v", err)

@@ -69,7 +69,7 @@ func WithWALPrune(corpusPath string) WALOption {
 //	w, _ := stburst.OpenWAL(dir)          // scan, truncate torn tail
 //	c, _ := stburst.LoadCorpus(f)         // rebuild the corpus
 //	c.ReplayWAL(ctx, w)                   // re-append the logged batches
-//	store, _ := stburst.LoadStore(b, c)   // or MineStore / Swap
+//	store, _ := stburst.LoadStore(b, c)   // or c.MineStore(ctx, opts)
 //	store.AttachWAL(ctx, w)               // re-mine what the bundle
 //	                                      // misses, arm logging
 //

@@ -23,9 +23,9 @@ import (
 // generation. The byte-level torn-tail and corruption sweeps live in
 // internal/wal; here the oracle is a live store that never crashed.
 
-func mustMineStore(t *testing.T, c *Collection, opts *MineOptions) *Store {
+func mustMineStore(t testing.TB, c *Collection, opts *MineOptions, kinds ...Kind) *Store {
 	t.Helper()
-	s, err := c.MineStore(context.Background(), opts)
+	s, err := c.MineStore(context.Background(), opts, kinds...)
 	if err != nil {
 		t.Fatalf("MineStore: %v", err)
 	}
