@@ -9,7 +9,8 @@
 #   make bench       # the per-package go-test micro-benchmarks
 #   make bench-check # vet + test the bench/ module (the BENCHMARK.json harness)
 #   make examples-smoke # run every examples/* program and diff its stdout against its golden file
-#   make fuzz-smoke  # 10 s of native fuzzing at each of sixteen targets: the artifact decoders, TA cursor,
+#   make fuzz-smoke  # fail on a fuzz target the recipe does not list, then
+#                    # 10 s of native fuzzing at each of sixteen targets: the artifact decoders, TA cursor,
 #                    # KindAny merge, WAL segment scan, feed line framing, connector checkpoint load,
 #                    # the ingest socket's framing, the two miner kernels, the engine's coverage grid
 #                    # and segment order, the search and documents body decoders, the subscription
@@ -98,8 +99,14 @@ examples-smoke:
 
 # go test -fuzz takes one target per run. Minimizing every new-coverage
 # input would eat the ten seconds, so it is off; a crasher is still
-# written to the package's testdata/fuzz.
+# written to the package's testdata/fuzz. The recipe first checks that
+# every func Fuzz... in a _test.go outside bench/ has a line here, and
+# names any that does not.
 fuzz-smoke:
+	@missing=; for f in $$(grep -rhoE --include='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build '^func Fuzz[A-Za-z0-9_]*' . | cut -c6-); do \
+		grep -qF -- "-fuzz '^$$f\$$" $(firstword $(MAKEFILE_LIST)) || missing="$$missing $$f"; \
+	done; \
+	test -z "$$missing" || { echo "fuzz-smoke: fuzz target(s) not in the recipe:$$missing" >&2; exit 1; }
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBundle$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/index
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/index
 	$(GO) test -run '^$$' -fuzz '^FuzzCursor$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/index

@@ -162,6 +162,10 @@ func main() {
 	if *corpus == "" {
 		log.Fatal("-corpus is required")
 	}
+	kinds, err := methodKinds(*method)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if *walPruneIvl > 0 {
 		if *walDir == "" {
 			log.Fatal("-wal-prune-interval requires -wal-dir: there is no log to prune")
@@ -227,7 +231,7 @@ func main() {
 		}
 	}
 
-	store, err := loadOrMine(c, *snapshot, *method, *parallel)
+	store, err := loadOrMine(c, *snapshot, kinds, *parallel)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -455,11 +459,24 @@ func listenAndDrain(srv *http.Server) error {
 	}
 }
 
+// methodKinds resolves -method to the kinds loadOrMine mines: the one
+// kind it names, or none — every kind — for "all".
+func methodKinds(method string) ([]stburst.Kind, error) {
+	if method == "all" {
+		return nil, nil
+	}
+	if kind, err := stburst.ParseKind(method); err == nil && kind != stburst.KindAny {
+		return []stburst.Kind{kind}, nil
+	}
+	return nil, fmt.Errorf("-method %q: want stlocal/regional, stcomb/combinatorial, tb/temporal or all", method)
+}
+
 // loadOrMine restores the pattern store from the -snapshot bundle when
-// one exists, and otherwise mines the corpus — all three kinds in one
-// pass for -method all — writing the freshly mined bundle back to the
-// snapshot path (when given) so subsequent boots load instead of mining.
-func loadOrMine(c *stburst.Collection, path, method string, parallel int) (*stburst.Store, error) {
+// one exists, and otherwise mines the given kinds (every kind, in one
+// pass, when none is given) — writing the freshly mined bundle back to
+// the snapshot path (when given) so subsequent boots load instead of
+// mining.
+func loadOrMine(c *stburst.Collection, path string, kinds []stburst.Kind, parallel int) (*stburst.Store, error) {
 	if path != "" {
 		f, err := os.Open(path)
 		switch {
@@ -478,18 +495,10 @@ func loadOrMine(c *stburst.Collection, path, method string, parallel int) (*stbu
 		log.Printf("snapshot %s does not exist; mining corpus", path)
 	}
 
-	var kinds []stburst.Kind // none mines every kind
-	if method != "all" {
-		kind, err := stburst.ParseKind(method)
-		if err != nil {
-			return nil, fmt.Errorf("-method: %w", err)
-		}
-		kinds = append(kinds, kind)
-	}
 	start := time.Now()
 	store, err := c.MineStore(context.Background(), stburst.NewMineOptions(stburst.WithParallelism(parallel)), kinds...)
 	if err != nil {
-		return nil, fmt.Errorf("-method %s: %w", method, err)
+		return nil, fmt.Errorf("mining corpus: %w", err)
 	}
 	log.Printf("mined %v in %v", store.Kinds(), time.Since(start).Round(time.Millisecond))
 	if path != "" {

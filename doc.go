@@ -129,7 +129,9 @@
 // mining depends only on that term's own streams, so the refreshed
 // indexes are bit-identical to a from-scratch MineStore over the
 // appended corpus), warm the engines, and install the refreshed set
-// with the same atomic Replace a reload uses:
+// with the same atomic Replace a reload uses. An Ingest is refused or
+// installed: the context is checked once, before anything applies, and
+// a batch past that check is installed in full before Ingest returns:
 //
 //	res, err := store.Ingest(ctx, []stburst.IncomingDocument{
 //	    {Stream: 0, Time: 18, Text: "aftershocks rattle the coast"},

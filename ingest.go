@@ -14,11 +14,7 @@ var ErrIngesterClosed = errors.New("stburst: ingester is closed")
 // re-mine and one install — applied before Add returns, and Close seals
 // the door so a draining server accepts no further batch. Nothing is
 // buffered: a nil error means the batch is installed, and WAL-durable
-// when a log is attached.
-//
-// An Ingester is safe for concurrent use. After ErrIngestIncomplete the
-// store itself owes the interrupted refresh and repairs it on its next
-// ingest; the Ingester keeps no repair state of its own.
+// when a log is attached. An Ingester is safe for concurrent use.
 type Ingester struct {
 	s *Store
 
@@ -34,10 +30,9 @@ func NewIngester(s *Store) *Ingester {
 }
 
 // Add ingests docs as one batch through Store.Ingest and returns its
-// result. An error that precedes the append (invalid batch, cancelled
-// context) applies nothing, so the caller may retry the batch verbatim;
-// ErrIngestIncomplete means the batch was appended and must not be
-// retried.
+// result. Store.Ingest refuses a batch or installs it: an error (closed
+// door, invalid batch, a context that ended while the batch waited to be
+// admitted) applies nothing, so the caller may retry the batch verbatim.
 func (g *Ingester) Add(ctx context.Context, docs ...IncomingDocument) (IngestResult, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -341,9 +341,8 @@ func TestIngesterBatching(t *testing.T) {
 }
 
 // trippingContext reports healthy for its first n Err() checks and
-// cancelled afterwards — the deterministic way to abort an Ingest after
-// the append (which checks the context once up front) but before the
-// re-mine finishes.
+// cancelled afterwards — the deterministic way to end a context after
+// Ingest's one up-front check, while the re-mine is still to come.
 type trippingContext struct {
 	context.Context
 	calls atomic.Int32
@@ -357,47 +356,59 @@ func (c *trippingContext) Err() error {
 	return nil
 }
 
-// TestIngestIncompleteRepairs: an Ingest aborted after the append
-// reports ErrIngestIncomplete, keeps the documents (they must not be
-// re-submitted), and the next Ingest — even of an empty batch —
-// re-mines the owed dirty terms, converging on the from-scratch oracle.
-func TestIngestIncompleteRepairs(t *testing.T) {
-	live := twoBurstCollection(t)
-	s, err := live.MineStore(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	docsBefore := live.NumDocs()
-	tripping := &trippingContext{Context: context.Background(), after: 1}
-	_, err = s.Ingest(tripping, liveBatch())
-	if !errors.Is(err, ErrIngestIncomplete) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("aborted ingest = %v, want ErrIngestIncomplete wrapping context.Canceled", err)
-	}
-	if live.NumDocs() != docsBefore+3 {
-		t.Fatalf("aborted ingest holds %d docs, want the batch appended (%d)", live.NumDocs(), docsBefore+3)
-	}
-
-	// Repair with an empty batch: the store owes the batch's dirty terms.
-	res, err := s.Ingest(context.Background(), nil)
-	if err != nil {
-		t.Fatalf("repair ingest: %v", err)
-	}
-	if res.DirtyTerms == 0 {
-		t.Fatal("repair ingest re-mined nothing; the stale dirty terms were lost")
-	}
-
+// assertFromScratch checks every kind's fingerprint against a
+// from-scratch MineStore over twoBurstCollection plus docs.
+func assertFromScratch(t *testing.T, s *Store, docs []IncomingDocument) {
+	t.Helper()
 	oracle := twoBurstCollection(t)
-	applyBatch(t, oracle, liveBatch())
-	full, err := oracle.MineStore(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	applyBatch(t, oracle, docs)
+	full := mustMineStore(t, oracle, nil)
 	for _, kind := range Kinds() {
 		if got, want := s.Index(kind).Fingerprint(), full.Index(kind).Fingerprint(); got != want {
-			t.Errorf("kind %v: repaired fingerprint %.12s != from-scratch %.12s", kind, got, want)
+			t.Errorf("kind %v: fingerprint %.12s != from-scratch %.12s", kind, got, want)
 		}
 	}
+}
+
+// assertEmptyIngestIdle checks that an empty batch through ingest
+// re-mines nothing and leaves the generation alone: no refresh is ever
+// owed.
+func assertEmptyIngestIdle(t *testing.T, s *Store, ingest func() (IngestResult, error)) {
+	t.Helper()
+	gen, mined := s.Generation(), search.TermsMined()
+	res, err := ingest()
+	if err != nil {
+		t.Fatalf("empty ingest: %v", err)
+	}
+	if delta := search.TermsMined() - mined; delta != 0 || res.DirtyTerms != 0 {
+		t.Errorf("empty ingest re-mined %d (term, kind) pairs over %d dirty terms, want none", delta, res.DirtyTerms)
+	}
+	if res.Generation != gen || s.Generation() != gen {
+		t.Errorf("empty ingest moved the generation %d -> %d", gen, s.Generation())
+	}
+}
+
+// TestIngestIncompleteRepairs: a context that ends after Ingest's
+// up-front check — past the commit point, before the re-mine — no
+// longer interrupts it: the batch is installed, the store equals the
+// from-scratch oracle at once, and an empty Ingest afterwards has
+// nothing to repair.
+func TestIngestIncompleteRepairs(t *testing.T) {
+	live := twoBurstCollection(t)
+	s := mustMineStore(t, live, nil)
+	docsBefore, gen := live.NumDocs(), s.Generation()
+	tripping := &trippingContext{Context: context.Background(), after: 1}
+	res, err := s.Ingest(tripping, liveBatch())
+	if err != nil {
+		t.Fatalf("tripped ingest = %v, want the batch installed", err)
+	}
+	if res.DirtyTerms == 0 || res.Generation != gen+1 || live.NumDocs() != docsBefore+3 {
+		t.Fatalf("tripped ingest = %+v holding %d docs, want dirty terms, generation %d and %d docs",
+			res, live.NumDocs(), gen+1, docsBefore+3)
+	}
+	assertFromScratch(t, s, liveBatch())
 	assertEnginesFresh(t, s)
+	assertEmptyIngestIdle(t, s, func() (IngestResult, error) { return s.Ingest(context.Background(), nil) })
 }
 
 // assertEnginesFresh checks every resident kind's served engine against
@@ -420,29 +431,23 @@ func assertEnginesFresh(t *testing.T, s *Store) {
 	}
 }
 
-// TestIngesterDropsAppendedBatchOnIncomplete: after ErrIngestIncomplete
-// the batch is already in the collection, and the next Add — even an
-// empty one — repairs the owed refresh without applying it twice.
+// TestIngesterDropsAppendedBatchOnIncomplete: an Add whose context
+// ends past the commit point installs its batch exactly once and
+// reports success, so the caller never re-sends it, and an empty Add
+// afterwards has nothing to repair.
 func TestIngesterDropsAppendedBatchOnIncomplete(t *testing.T) {
 	live := twoBurstCollection(t)
-	s, err := live.MineStore(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustMineStore(t, live, nil)
 	ing := NewIngester(s)
 	defer ing.Close()
 	docsBefore := live.NumDocs()
 	tripping := &trippingContext{Context: context.Background(), after: 1}
-	if _, err := ing.Add(tripping, liveBatch()...); !errors.Is(err, ErrIngestIncomplete) {
-		t.Fatalf("aborted Add = %v, want ErrIngestIncomplete", err)
+	res, err := ing.Add(tripping, liveBatch()...)
+	if err != nil || res.DirtyTerms == 0 {
+		t.Fatalf("tripped Add = %+v, %v, want the batch installed", res, err)
 	}
-	res, err := ing.Add(context.Background())
-	if err != nil {
-		t.Fatalf("repair Add: %v", err)
-	}
-	if res.DirtyTerms == 0 {
-		t.Error("repair Add re-mined nothing; the owed dirty terms were lost")
-	}
+	assertFromScratch(t, s, liveBatch())
+	assertEmptyIngestIdle(t, s, func() (IngestResult, error) { return ing.Add(context.Background()) })
 	if got, want := live.NumDocs(), docsBefore+3; got != want {
 		t.Fatalf("collection holds %d docs, want %d (batch applied exactly once)", got, want)
 	}

@@ -9,7 +9,10 @@ import (
 
 // drainTimeout bounds a flush that starts after the run context is
 // done: the shutdown drain that lands documents a source had already
-// decoded before the sink closes.
+// decoded before the sink closes. It bounds only the wait to be
+// admitted and the sink's retries: a batch the store has admitted runs
+// its re-mine to completion, so a shutdown can also wait out one
+// re-mine (about 0.2 s on the xs ladder corpus, 1.2 s on l).
 const drainTimeout = 5 * time.Second
 
 // batcher is the one decode → batch → Sink.Ingest → count path both
@@ -52,10 +55,11 @@ func (b *batcher) add(ctx context.Context, d Doc) error {
 }
 
 // flush hands the batch to the sink, counts what it applied and
-// rejected, and clears the batch whatever the outcome: a sink that
-// fails has applied nothing, and the source decides whether that is a
-// loss (the socket, at-most-once) or a re-read (the tailer, whose
-// checkpoint has not moved). Once ctx is done the flush runs under a
+// rejected, and clears the batch whatever the outcome: the store
+// refuses a batch or installs it, so a sink that fails has applied
+// nothing, and the source decides whether that is a loss (the socket,
+// at-most-once) or a re-read (the tailer, whose checkpoint has not
+// moved). Once ctx is done the flush runs under a
 // fresh context bounded by drainTimeout instead, so a shutdown lands
 // the documents already decoded rather than dropping them.
 func (b *batcher) flush(ctx context.Context) error {

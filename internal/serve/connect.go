@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"time"
 
 	"stburst"
@@ -25,23 +24,26 @@ import (
 // as one batch, retrying transient store errors with capped backoff
 // until the batch is WAL-durable or ctx is cancelled. The synchronous
 // call is the backpressure path: a source blocked here stops reading
-// its feed. A call that returns an error (its context was cancelled
-// before the batch was logged) applied nothing, and the source's
-// checkpoint never advanced past the batch: the next boot re-reads it.
+// its feed. Store.Ingest refuses a batch or installs it, so a call that
+// returns an error (its context ended before the batch was logged)
+// applied nothing, and the source's checkpoint never advanced past the
+// batch: the next boot re-reads it.
 type IngestSink struct {
 	c     *stburst.Collection
 	store *stburst.Store
-	// RetryBase/RetryMax tune the ingest retry backoff (defaults
-	// 100ms/5s); tests shrink them.
-	RetryBase time.Duration
-	RetryMax  time.Duration
 }
+
+// The ingest retry backoff doubles from retryBase up to retryMax.
+const (
+	retryBase = 100 * time.Millisecond
+	retryMax  = 5 * time.Second
+)
 
 // NewIngestSink builds a sink over a collection and the store mined
 // from it. Any number of sources may share one sink: Store.Ingest
 // serializes them.
 func NewIngestSink(c *stburst.Collection, store *stburst.Store) *IngestSink {
-	return &IngestSink{c: c, store: store, RetryBase: 100 * time.Millisecond, RetryMax: 5 * time.Second}
+	return &IngestSink{c: c, store: store}
 }
 
 // Docs implements connector.Sink: the collection's current document
@@ -77,17 +79,11 @@ func (k *IngestSink) Ingest(ctx context.Context, docs []connector.Doc) (connecto
 		return res, nil
 	}
 	res.Applied = len(valid)
-	for backoff := k.RetryBase; ; backoff = min(2*backoff, k.RetryMax) {
+	for backoff := retryBase; ; backoff = min(2*backoff, retryMax) {
 		ires, err := k.store.Ingest(ctx, valid)
 		switch {
 		case err == nil:
 			res.Total = ires.TotalDocs
-			return res, nil
-		case errors.Is(err, stburst.ErrIngestIncomplete):
-			// The documents WERE appended (and logged); only the index
-			// refresh is owed, and the store repairs it on a later
-			// ingest. For delivery accounting this is success.
-			res.Total = k.c.NumDocs()
 			return res, nil
 		case ctx.Err() != nil:
 			return connector.SinkResult{}, err

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -22,18 +23,10 @@ import (
 // reboot (WAL replay + checkpoint resume) reproduces a never-crashed
 // store checksum-for-checksum.
 
-// fastSink builds an IngestSink with test-speed retry backoff.
-func fastSink(c *stburst.Collection, s *stburst.Store) *IngestSink {
-	k := NewIngestSink(c, s)
-	k.RetryBase = time.Millisecond
-	k.RetryMax = 10 * time.Millisecond
-	return k
-}
-
 func TestIngestSinkValidatesAndApplies(t *testing.T) {
 	c := serveCollection(t)
 	s := mineStore(t, c, stburst.KindRegional)
-	sink := fastSink(c, s)
+	sink := NewIngestSink(c, s)
 	base := c.NumDocs()
 
 	res, err := sink.Ingest(context.Background(), []connector.Doc{
@@ -72,7 +65,7 @@ func TestIngestSinkValidatesAndApplies(t *testing.T) {
 func TestIngestSinkCancelledContextAppliesNothing(t *testing.T) {
 	c := serveCollection(t)
 	s := mineStore(t, c, stburst.KindRegional)
-	sink := fastSink(c, s)
+	sink := NewIngestSink(c, s)
 	base := c.NumDocs()
 	batch := []connector.Doc{{Stream: "lima", Time: 1, Text: "boat race"}}
 
@@ -95,6 +88,39 @@ func TestIngestSinkCancelledContextAppliesNothing(t *testing.T) {
 	}
 }
 
+// TestIngestSinkRetriesUntilContextEnds: a store whose log is closed
+// refuses every Ingest before the append, and the sink keeps retrying
+// with backoff until its context ends, then returns the context's
+// error with nothing applied.
+func TestIngestSinkRetriesUntilContextEnds(t *testing.T) {
+	c := serveCollection(t)
+	s := mineStore(t, c, stburst.KindRegional)
+	w, err := stburst.OpenWAL(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AttachWAL(context.Background(), w); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	base, gen := c.NumDocs(), s.Generation()
+	batch := []connector.Doc{{Stream: "lima", Time: 1, Text: "boat race"}}
+
+	const wait = 350 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), wait)
+	defer cancel()
+	start := time.Now()
+	_, err = NewIngestSink(c, s).Ingest(ctx, batch)
+	if elapsed := time.Since(start); !errors.Is(err, context.DeadlineExceeded) || elapsed < wait {
+		t.Fatalf("Ingest on a closed log = %v after %v, want the context's deadline after retrying for %v", err, elapsed, wait)
+	}
+	if c.NumDocs() != base || s.Generation() != gen {
+		t.Fatalf("refused batches left %d docs at generation %d, want %d at %d", c.NumDocs(), s.Generation(), base, gen)
+	}
+}
+
 // TestIngestSinkRejectsBadCounts: a feed document whose term count is
 // negative or past int32 is rejected and counted, its neighbours in the
 // batch apply — and a huge but valid count costs a posting, not memory
@@ -102,7 +128,7 @@ func TestIngestSinkCancelledContextAppliesNothing(t *testing.T) {
 func TestIngestSinkRejectsBadCounts(t *testing.T) {
 	c := serveCollection(t)
 	s := mineStore(t, c, stburst.KindRegional)
-	sink := fastSink(c, s)
+	sink := NewIngestSink(c, s)
 	base := c.NumDocs()
 
 	var before, after runtime.MemStats
@@ -167,7 +193,7 @@ func bootTailed(t *testing.T, walDir, feed string) *tailedProc {
 	if _, err := s.AttachWAL(ctx, w); err != nil {
 		t.Fatalf("AttachWAL: %v", err)
 	}
-	sink := fastSink(c, s)
+	sink := NewIngestSink(c, s)
 	sup := connector.NewSupervisor(connector.SupervisorConfig{
 		BackoffBase: time.Millisecond,
 		Logf:        func(string, ...any) {},
@@ -200,7 +226,7 @@ func TestTailCrashRecoveryChecksumOracle(t *testing.T) {
 	// The never-crashed oracle, fed through the same sink code path.
 	oracleC := serveCollection(t)
 	oracleS := mineStore(t, oracleC, stburst.KindRegional)
-	if _, err := fastSink(oracleC, oracleS).Ingest(context.Background(), docs); err != nil {
+	if _, err := NewIngestSink(oracleC, oracleS).Ingest(context.Background(), docs); err != nil {
 		t.Fatalf("oracle ingest: %v", err)
 	}
 	oracleSum := oracleC.Checksum()
@@ -290,7 +316,7 @@ func TestSocketIngestOracle(t *testing.T) {
 	for _, k := range kinds {
 		before[k] = oracleS.Index(k).Fingerprint()
 	}
-	if _, err := fastSink(oracleC, oracleS).Ingest(ctx, docs); err != nil {
+	if _, err := NewIngestSink(oracleC, oracleS).Ingest(ctx, docs); err != nil {
 		t.Fatalf("oracle ingest: %v", err)
 	}
 	for _, k := range kinds {
@@ -302,7 +328,7 @@ func TestSocketIngestOracle(t *testing.T) {
 	for _, mode := range []string{"burst", "drip"} {
 		t.Run(mode, func(t *testing.T) {
 			c, s := mined()
-			src := connector.NewSocketSource(connector.SocketConfig{Addr: "127.0.0.1:0", BatchDocs: 5}, fastSink(c, s))
+			src := connector.NewSocketSource(connector.SocketConfig{Addr: "127.0.0.1:0", BatchDocs: 5}, NewIngestSink(c, s))
 			runCtx, cancel := context.WithCancel(ctx)
 			defer cancel()
 			errc := make(chan error, 1)
@@ -382,7 +408,7 @@ func TestServerConnectorsStatsAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	sup := connector.NewSupervisor(connector.SupervisorConfig{Logf: func(string, ...any) {}})
-	src := connector.NewTailSource(connector.TailConfig{Path: feed, Poll: 2 * time.Millisecond}, fastSink(c, s))
+	src := connector.NewTailSource(connector.TailConfig{Path: feed, Poll: 2 * time.Millisecond}, NewIngestSink(c, s))
 	sup.Add(src)
 	srv.EnableConnectors(sup)
 	sup.Start(context.Background())

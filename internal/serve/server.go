@@ -482,9 +482,7 @@ func (s *Server) handleDocuments(w http.ResponseWriter, r *http.Request) {
 	if err := http.NewResponseController(w).SetWriteDeadline(time.Time{}); err != nil {
 		log.Printf("ingest: clearing write deadline: %v", err)
 	}
-	// A client disconnect must not abort an ingest partway through its
-	// re-mine, so the request's context is deliberately not passed on.
-	res, err := s.ing.Add(context.Background(), docs...)
+	res, err := s.ing.Add(r.Context(), docs...)
 	if err != nil {
 		WriteError(w, http.StatusInternalServerError, "ingest: "+err.Error())
 		return

@@ -909,6 +909,23 @@ func TestServerDocumentsIngest(t *testing.T) {
 	}
 }
 
+// TestServerDocumentsCancelledRequest: a POST whose client gave up
+// before the batch was admitted is refused, and nothing is applied.
+func TestServerDocumentsCancelledRequest(t *testing.T) {
+	c, store, s := ingestServer(t)
+	docs0, gen0 := c.NumDocs(), store.Generation()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/documents",
+		strings.NewReader(`{"documents":[{"stream":"lima","time":3,"text":"volcano"}]}`)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	if rec.Code == http.StatusAccepted || c.NumDocs() != docs0 || store.Generation() != gen0 {
+		t.Fatalf("cancelled POST = %d, collection %d → %d docs, generation %d → %d, want a refusal that applied nothing",
+			rec.Code, docs0, c.NumDocs(), gen0, store.Generation())
+	}
+}
+
 // TestServerDocumentsValidation: bad bodies, unknown streams and
 // out-of-range times are 400s and nothing is applied.
 func TestServerDocumentsValidation(t *testing.T) {

@@ -2,7 +2,6 @@ package stburst
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -22,15 +21,15 @@ import (
 // from scratch with MineStore. The invariants:
 //
 //	I1  the collection checksum equals the reference's;
-//	I2  every kind's fingerprint equals the reference's, unless a
-//	    refresh is owed (an Ingest aborted after its append);
+//	I2  every kind's fingerprint equals the reference's, also right
+//	    after an Ingest whose context ended past its commit point;
 //	I3  the served engines are fresh and a fixed query set pages exactly
-//	    like the reference, unless a refresh is owed;
+//	    like the reference;
 //	I4  each ingest's alerts equal the brute-force alerts over the
 //	    reference's patterns, and a reboot restores the subscriptions of
 //	    the last saved bundle;
 //	I5  the generation moves by one per install and not at all per save,
-//	    and a reboot restores it, one past it if a refresh was owed;
+//	    and a reboot restores it;
 //	I6  the log's sequence never falls across reboots, its frames and
 //	    segments follow the model's log, and the corpus file holds the
 //	    reference's documents minus those not yet absorbed;
@@ -78,8 +77,8 @@ var modelOps = []struct {
 }{
 	{"ingest", nil, func(m *modelRun) { m.ingest(m.batch(false), false) }},
 	{"ingest-invalid", nil, (*modelRun).ingestInvalid},
-	{"ingest-aborted", nil, func(m *modelRun) { m.ingest(m.batch(true), true) }},
-	{"repair", nil, func(m *modelRun) { m.ingest(nil, false) }},
+	{"ingest-tripped", nil, func(m *modelRun) { m.ingest(m.batch(true), true) }},
+	{"ingest-empty", nil, func(m *modelRun) { m.ingest(nil, false) }},
 	{"subscribe", nil, func(m *modelRun) {
 		if _, err := m.s.Subscribe(m.subs[m.rng.Intn(len(m.subs))]); err != nil {
 			m.fatalf("Subscribe: %v", err)
@@ -100,12 +99,11 @@ var modelOps = []struct {
 
 // modelBatch is one logged batch as the model sees it.
 type modelBatch struct {
-	docs       []IncomingDocument
-	dirty      []string // its dirty terms, from the reference's Append
-	seq        uint64   // its WAL sequence number
-	preGen     uint64   // the generation it was logged at
-	owedBefore int      // modelRun.owed before it
-	absorbed   bool     // its documents are in the corpus file
+	docs     []IncomingDocument
+	dirty    []string // its dirty terms, from the reference's Append
+	seq      uint64   // its WAL sequence number
+	preGen   uint64   // the generation it was logged at
+	absorbed bool     // its documents are in the corpus file
 }
 
 type modelRun struct {
@@ -136,7 +134,6 @@ type modelRun struct {
 	frameStart int64           // the active segment's size before its last frame
 	lastLogged bool            // the last op appended the active segment's last frame
 	gen        uint64
-	owed       int // trailing batches an aborted Ingest still owes a refresh
 	saved      bool
 	bundleGen  uint64
 	bundleSubs []Subscription
@@ -248,7 +245,7 @@ var modelVocab = []string{"earthquake", "rescue", "tsunami", "news", "report", "
 
 // batch draws one to three documents: stopword-only text, text, or
 // counts. needTerms makes the first one carry a term, so that the batch
-// has a refresh to abort.
+// has a refresh for a tripped context to reach.
 func (m *modelRun) batch(needTerms bool) []IncomingDocument {
 	docs := make([]IncomingDocument, 1+m.rng.Intn(3))
 	for i := range docs {
@@ -282,10 +279,10 @@ func (m *modelRun) reference() *Store {
 	return m.ref
 }
 
-// ingest runs one Ingest of docs (nil is a repair) and checks it
-// against the model; abort trips the context once the batch is
-// appended.
-func (m *modelRun) ingest(docs []IncomingDocument, abort bool) {
+// ingest runs one Ingest of docs (nil is an empty batch) and checks it
+// against the model; trip ends the context after Ingest's up-front
+// check, which must change nothing: the batch still installs in full.
+func (m *modelRun) ingest(docs []IncomingDocument, trip bool) {
 	ctx := context.Background()
 	var b *modelBatch
 	if len(docs) > 0 {
@@ -293,16 +290,12 @@ func (m *modelRun) ingest(docs []IncomingDocument, abort bool) {
 		if err != nil {
 			m.fatalf("reference Append: %v", err)
 		}
-		b = &modelBatch{docs: docs, dirty: res.DirtyTerms, seq: m.seq + 1, preGen: m.gen, owedBefore: m.owed}
+		b = &modelBatch{docs: docs, dirty: res.DirtyTerms, seq: m.seq + 1, preGen: m.gen}
 		_, m.frameStart = m.activeSegment()
 	}
 	dirty := map[string]bool{}
-	owed := append([]*modelBatch(nil), m.batches[len(m.batches)-m.owed:]...)
 	if b != nil {
-		owed = append(owed, b)
-	}
-	for _, ob := range owed {
-		for _, term := range ob.dirty {
+		for _, term := range b.dirty {
 			dirty[term] = true
 		}
 	}
@@ -313,7 +306,7 @@ func (m *modelRun) ingest(docs []IncomingDocument, abort bool) {
 	m.alerts = nil
 	mined := search.TermsMined()
 	var tctx context.Context = ctx
-	if abort {
+	if trip {
 		tctx = &trippingContext{Context: ctx, after: 1}
 	}
 	res, err := m.s.Ingest(tctx, docs)
@@ -324,20 +317,12 @@ func (m *modelRun) ingest(docs []IncomingDocument, abort bool) {
 		m.ref = nil
 		m.lastLogged = true
 	}
-	if abort {
-		if !errors.Is(err, ErrIngestIncomplete) || !errors.Is(err, context.Canceled) {
-			m.fatalf("aborted Ingest = %v, want ErrIngestIncomplete wrapping context.Canceled", err)
-		}
-		m.owed++
-		return
-	}
 	if err != nil {
 		m.fatalf("Ingest: %v", err)
 	}
-	if len(docs) > 0 || len(dirty) > 0 {
+	if len(docs) > 0 {
 		m.gen++
 	}
-	m.owed = 0
 	if res.Generation != m.gen || res.Docs != len(docs) || res.DirtyTerms != len(dirty) || res.TotalDocs != m.refCol.NumDocs() {
 		m.fatalf("Ingest = %+v, want generation %d, %d docs, %d dirty terms, %d total", res, m.gen, len(docs), len(dirty), m.refCol.NumDocs())
 	}
@@ -384,20 +369,17 @@ func (m *modelRun) ingestInvalid() {
 	} else {
 		d.Time = 16
 	}
-	if _, err := m.s.Ingest(context.Background(), docs); err == nil || errors.Is(err, ErrIngestIncomplete) {
-		m.fatalf("invalid Ingest = %v, want a plain error", err)
+	if _, err := m.s.Ingest(context.Background(), docs); err == nil {
+		m.fatalf("invalid Ingest succeeded, want an error")
 	}
 }
 
 // save saves the store (with racing, an Ingest lands while the bundle
 // is written) and applies the save's rotation and pruning to the model's
-// log: frames up to the snapshot's sequence are absorbed unless a
-// refresh is owed, and sealed segments wholly absorbed are deleted.
+// log: frames up to the snapshot's sequence are absorbed, and sealed
+// segments wholly absorbed are deleted.
 func (m *modelRun) save(racing bool) {
 	boundary := m.seq
-	if m.owed > 0 {
-		boundary = 0
-	}
 	gen, subs := m.gen, m.s.Subscriptions()
 	if racing {
 		iw := &ingestDuringWrite{do: func() { m.ingest(m.batch(false), false) }}
@@ -478,21 +460,17 @@ func (m *modelRun) reboot(walDir string) {
 			}
 		}
 	}
-	wantGen := m.gen
-	if m.owed > 0 {
-		wantGen++
-	}
 	mined := search.TermsMined()
 	att, err := s.AttachWAL(ctx, w)
-	if err != nil || att.Batches != want.Batches || att.Docs != want.Docs || att.DirtyTerms != len(dirty) || att.Generation != wantGen {
+	if err != nil || att.Batches != want.Batches || att.Docs != want.Docs || att.DirtyTerms != len(dirty) || att.Generation != m.gen {
 		m.fatalf("AttachWAL = %+v, %v, want %d batches, %d docs, %d dirty terms, generation %d",
-			att, err, want.Batches, want.Docs, len(dirty), wantGen)
+			att, err, want.Batches, want.Docs, len(dirty), m.gen)
 	}
 	if got, want := search.TermsMined()-mined, int64(len(s.Kinds())*len(dirty)); got != want {
 		m.fatalf("AttachWAL mined %d (term, kind) pairs, want %d", got, want)
 	}
 	m.tally.checks["I7"]++
-	m.s, m.w, m.gen, m.owed, m.bootSeq = s, w, wantGen, 0, m.seq
+	m.s, m.w, m.bootSeq = s, w, m.seq
 	s.SetAlertSink(m.sink)
 }
 
@@ -508,7 +486,7 @@ func (m *modelRun) crashMidAppend() {
 	m.batches = m.batches[:len(m.batches)-1]
 	active := m.segs[len(m.segs)-1]
 	m.segs[len(m.segs)-1] = active[:len(active)-1]
-	m.seq, m.gen, m.owed = b.seq-1, b.preGen, b.owedBefore
+	m.seq, m.gen = b.seq-1, b.preGen
 	m.refCol = loadCorpusFile(m.t, m.orig)
 	for _, b := range m.batches {
 		if _, err := m.refCol.Append(context.Background(), b.docs); err != nil {
@@ -572,9 +550,6 @@ func (m *modelRun) check() {
 		m.fatalf("corpus file holds %d docs, want %d", got, want)
 	}
 	m.tally.checks["I6"]++
-	if m.owed > 0 {
-		return
-	}
 	for _, kind := range Kinds() {
 		if m.s.Index(kind).Fingerprint() != ref.Index(kind).Fingerprint() {
 			m.fatalf("kind %v: fingerprint diverged from the reference", kind)

@@ -59,11 +59,6 @@ type Store struct {
 	// another generation's indexes. Readers stay lock-free on the atomic
 	// pointer.
 	writeMu sync.Mutex
-	// staleDirty accumulates (under writeMu) dirty terms whose re-mine
-	// was aborted after their documents were already appended — a
-	// cancelled Ingest must not lose them, so the next Ingest re-mines
-	// them along with its own batch.
-	staleDirty map[int]struct{}
 	// mineOpts are the options Ingest re-mines dirty terms with; they
 	// must match the options the resident indexes were mined with for
 	// the refresh to be exact.
@@ -431,22 +426,6 @@ type IngestResult struct {
 	TotalDocs int
 }
 
-// ErrIngestIncomplete wraps errors from the back half of Ingest: the
-// batch WAS appended to the collection, but the index refresh did not
-// complete (e.g. the context was cancelled mid-re-mine). The documents
-// are never lost — the store remembers their dirty terms and the next
-// Ingest (even of an empty batch) re-mines them — but the resident
-// indexes are stale for those terms until it runs. Callers must not
-// re-submit the same documents after this error.
-//
-// With a write-ahead log attached (AttachWAL), the guarantee is
-// stronger: logged ⇒ replayable. The batch was fsync'd to the WAL
-// before it applied, and an aborted refresh deliberately leaves the
-// WAL entry intact, so even a crash in this half-finished state loses
-// nothing — boot-time replay re-appends the batch and re-mines its
-// dirty terms, healing the refresh the abort skipped.
-var ErrIngestIncomplete = errors.New("stburst: ingest appended documents but the index refresh is incomplete; a later Ingest repairs it")
-
 // Ingest is the live write path: it appends a batch of freshly arrived
 // documents to the collection and incrementally refreshes every resident
 // index — only the dirty terms (those whose frequency surfaces the batch
@@ -468,25 +447,24 @@ var ErrIngestIncomplete = errors.New("stburst: ingest appended documents but the
 //
 // With a write-ahead log attached (AttachWAL), Ingest logs before it
 // applies: the batch is validated, framed and fsync'd to the WAL, and
-// only then appended — so from the moment Ingest can no longer return
-// a plain retryable error, the batch is already on stable storage and
-// a crash anywhere in the rest of the path replays it on boot.
+// only then appended — so a crash anywhere after the log write replays
+// the batch on boot.
 //
-// Failure semantics: an error before the append — cancelled context,
-// invalid batch, or a failed WAL write (the torn frame is rolled back
-// off the log) — leaves the store, collection and log untouched, and
-// the batch may be retried verbatim. An error after the append wraps
-// ErrIngestIncomplete: the documents are already in the collection —
-// never re-submit them — and their dirty terms are remembered and
-// re-mined by the next Ingest, so an aborted refresh can only delay
-// freshness, never corrupt it; the batch's WAL entry is left intact,
-// so a crash before that repair heals on replay. On a store with no
-// resident indexes, Ingest just appends and bumps the generation.
+// Failure semantics: Ingest either refuses the batch or installs it.
+// The context is checked once, before anything applies; an error there
+// — cancelled context, invalid batch, or a failed WAL write (the torn
+// frame is rolled back off the log) — leaves the store, collection and
+// log untouched, and the batch may be retried verbatim. Once the batch
+// is logged and appended, the re-mine and install run to completion
+// whatever the context does afterwards, and Ingest returns nil: the
+// store is then exactly a from-scratch MineStore of its collection. On
+// a store with no resident indexes, Ingest just appends and bumps the
+// generation.
 //
-// After a successful refresh, the dirty terms' freshly installed
-// patterns are matched against the registered standing queries
-// (Subscribe) and any alerts are handed to the alert sink
-// (SetAlertSink) once the write lock is released.
+// After the refresh, the dirty terms' freshly installed patterns are
+// matched against the registered standing queries (Subscribe) and any
+// alerts are handed to the alert sink (SetAlertSink) once the write
+// lock is released.
 func (s *Store) Ingest(ctx context.Context, docs []IncomingDocument) (IngestResult, error) {
 	var alerts []Alert
 	defer func() { s.emitAlerts(alerts) }() // registered first: runs after writeMu unlocks
@@ -517,66 +495,36 @@ func (s *Store) Ingest(ctx context.Context, docs []IncomingDocument) (IngestResu
 		// the logged frame silently — replay would heal it after a restart.
 		return IngestResult{}, err
 	}
-	// Fold in dirty terms a previously aborted refresh left stale; they
-	// are cleared only once an install succeeds.
-	if len(s.staleDirty) > 0 {
-		merged := make(map[int]struct{}, len(s.staleDirty)+len(dirty))
-		for t := range s.staleDirty {
-			merged[t] = struct{}{}
-		}
-		for _, t := range dirty {
-			merged[t] = struct{}{}
-		}
-		dirty = make([]int, 0, len(merged))
-		for t := range merged {
-			dirty = append(dirty, t)
-		}
+	// The commit point: the batch is logged and appended, so the rest
+	// runs to completion however the caller's context ends.
+	res := IngestResult{Docs: len(docs), DirtyTerms: len(dirty), TotalDocs: s.c.NumDocs()}
+	switch {
+	case len(dirty) > 0 && s.refreshLocked(ctx, resident, dirty):
+		alerts = s.matchDirtyLocked(dirty)
+		res.Generation = s.Generation()
+	case len(docs) > 0:
+		// Nothing re-mined: every document tokenized to nothing (the
+		// resident indexes are already exact, and rebuilding and warming
+		// engines for bit-identical content is reload-scale work for
+		// nothing), or no index is resident. The append alone is the
+		// mutation.
+		res.Generation = s.gen.Add(1)
+	default:
+		res.Generation = s.Generation() // a pure no-op call
 	}
-	if len(dirty) == 0 {
-		// Nothing to re-mine (e.g. every document tokenized to nothing,
-		// and no repair owed): the resident indexes are already exact,
-		// so skip the refresh — rebuilding and warming engines for
-		// bit-identical content is reload-scale work for nothing. The
-		// generation still advances when documents were appended (the
-		// corpus changed), but not for a pure no-op call.
-		gen := s.Generation()
-		if len(docs) > 0 {
-			gen = s.gen.Add(1)
-		}
-		return IngestResult{Generation: gen, Docs: len(docs), TotalDocs: s.c.NumDocs()}, nil
-	}
-	rememberStale := func() {
-		if s.staleDirty == nil {
-			s.staleDirty = make(map[int]struct{}, len(dirty))
-		}
-		for _, t := range dirty {
-			s.staleDirty[t] = struct{}{}
-		}
-	}
-	refreshed, err := s.refreshLocked(ctx, resident, dirty)
-	if err != nil {
-		rememberStale()
-		return IngestResult{}, fmt.Errorf("%w: %w", ErrIngestIncomplete, err)
-	}
-	if !refreshed {
-		// Nothing resident to refresh: the append alone is the mutation.
-		s.staleDirty = nil
-		return IngestResult{Generation: s.gen.Add(1), Docs: len(docs), DirtyTerms: len(dirty), TotalDocs: s.c.NumDocs()}, nil
-	}
-	s.staleDirty = nil
-	alerts = s.matchDirtyLocked(dirty)
-	return IngestResult{Generation: s.Generation(), Docs: len(docs), DirtyTerms: len(dirty), TotalDocs: s.c.NumDocs()}, nil
+	return res, nil
 }
 
 // refreshLocked incrementally re-mines the dirty terms against the
 // given resident snapshot and atomically installs the refreshed indexes
-// (bumping the generation); callers hold writeMu. It reports false —
-// with nothing installed and no error — when no index is resident, in
-// which case the caller owns whatever generation bump the mutation
-// deserves. The shared back half of Ingest and AttachWAL's boot-time
-// replay: both must refresh identically for a replayed store to be
-// bit-identical to the pre-crash one.
-func (s *Store) refreshLocked(ctx context.Context, resident *residentSet, dirty []int) (bool, error) {
+// (bumping the generation); callers hold writeMu. The refresh runs past
+// a commit point, so it ignores ctx's cancellation and always completes.
+// It reports false — with nothing installed — when no index is
+// resident, in which case the caller owns whatever generation bump the
+// mutation deserves. The shared back half of Ingest and AttachWAL's
+// boot-time replay: both must refresh identically for a replayed store
+// to be bit-identical to the pre-crash one.
+func (s *Store) refreshLocked(ctx context.Context, resident *residentSet, dirty []int) bool {
 	opts := s.mineOpts.Load()
 	if opts == nil {
 		opts = &MineOptions{}
@@ -590,20 +538,24 @@ func (s *Store) refreshLocked(ctx context.Context, resident *residentSet, dirty 
 		}
 	}
 	if len(prev) == 0 {
-		return false, nil
+		return false
 	}
-	sets, err := search.MineSets(ctx, s.c.col, dirty, prev, opts.core(), opts.Parallelism)
+	sets, err := search.MineSets(context.WithoutCancel(ctx), s.c.col, dirty, prev, opts.core(), opts.Parallelism)
 	if err != nil {
-		return true, err
+		// MineSets fails only on a cancelled context, and this one
+		// cannot be cancelled.
+		panic(fmt.Sprintf("stburst: re-mining past the commit point: %v", err))
 	}
 	fresh := make([]*PatternIndex, len(sets))
 	for i, set := range sets {
 		fresh[i] = prevIx[i].successor(set, dirty)
 	}
 	if err := s.replaceLocked(fresh...); err != nil {
-		return true, err
+		// Each successor keeps its predecessor's kind and collection, so
+		// the set replaceLocked checks is the one it already holds.
+		panic(fmt.Sprintf("stburst: installing a refreshed resident set: %v", err))
 	}
-	return true, nil
+	return true
 }
 
 // Save serializes every resident index into one bundle: a header
@@ -645,7 +597,15 @@ func (s *Store) save(write func(*index.Bundle) error) error {
 		}
 	}
 	b.Generation = s.Generation()
-	l, walBoundary := s.walSnapshotLocked()
+	// The absorption boundary is the log's last frame: every frame up to
+	// it was installed before this snapshot, so the bundle covers it;
+	// frames appended while the bundle is written are not covered and
+	// must survive rotation un-absorbed.
+	l := s.wal.Load()
+	var walBoundary uint64
+	if l != nil {
+		walBoundary = l.Stats().LastSeq
+	}
 	var err error
 	b.Subs, err = s.subscriptionBlobs()
 	s.writeMu.Unlock()
@@ -661,34 +621,14 @@ func (s *Store) save(write func(*index.Bundle) error) error {
 	return s.rotateWAL(l, walBoundary)
 }
 
-// walSnapshotLocked captures, under writeMu, the attached log together
-// with the sequence number of its last appended frame — the absorption
-// boundary of the save in progress. Every frame at or below the
-// boundary was ingested before the save's index snapshot, so the
-// bundle being written covers it; frames appended after the snapshot
-// (Save serializes the bundle outside writeMu, so ingestion continues
-// underneath) are NOT covered and must survive rotation un-absorbed.
-// While a refresh is owed (an Ingest aborted after its append) the
-// bundle lacks that batch's re-mine, and absorbing its frame would let
-// recovery skip it for good, so the boundary is 0: the save rotates but
-// absorbs nothing, and the first save after the repair absorbs it all.
-func (s *Store) walSnapshotLocked() (*wal.Log, uint64) {
-	l := s.wal.Load()
-	if l == nil || len(s.staleDirty) > 0 {
-		return l, 0
-	}
-	return l, l.Stats().LastSeq
-}
-
 // rotateWAL seals the attached log's active segment after a successful
 // save; a rotation failure surfaces (the bundle itself is intact). When
 // the log was opened WithWALPrune, the sealed segments are then
 // absorbed into the corpus file and deleted (absorbWAL) up to the
 // boundary the save's snapshot captured, so the log stays bounded
-// instead of growing forever. l and boundary come from
-// walSnapshotLocked under the same writeMu hold as the index snapshot;
-// a log attached after the snapshot is left alone (its every frame
-// postdates the bundle).
+// instead of growing forever. l and boundary are read under the same
+// writeMu hold as the index snapshot; a log attached after the snapshot
+// is left alone (its every frame postdates the bundle).
 func (s *Store) rotateWAL(l *wal.Log, boundary uint64) error {
 	if l == nil {
 		return nil

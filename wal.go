@@ -242,6 +242,10 @@ type WALStats = wal.Stats
 // (SetMineOptions) when the indexes were mined with non-defaults, or
 // the boot-time re-mine would mix parameter settings.
 //
+// The context is checked once, before anything applies: a cancelled
+// context refuses the attach and leaves the store and log untouched,
+// while an attach past that check runs its re-mine to completion.
+//
 // On a fresh log with nothing pending, AttachWAL may be called without
 // a ReplayWAL (there was nothing to replay).
 func (s *Store) AttachWAL(ctx context.Context, w *WAL) (AttachResult, error) {
@@ -286,9 +290,9 @@ func (s *Store) AttachWAL(ctx context.Context, w *WAL) (AttachResult, error) {
 			dirty = append(dirty, t)
 		}
 		sort.Ints(dirty)
-		if _, err := s.refreshLocked(ctx, s.indexes.Load(), dirty); err != nil {
-			return AttachResult{}, fmt.Errorf("stburst: re-mining wal-replayed terms: %w", err)
-		}
+		// Past the context check above the attach runs to completion, as
+		// an Ingest past its commit point does.
+		s.refreshLocked(ctx, s.indexes.Load(), dirty)
 		res.DirtyTerms = len(dirty)
 	}
 	// Restore the pre-crash generation: every logged batch bumped it by

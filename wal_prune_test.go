@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,7 +20,7 @@ import (
 // bit-identically from corpus + bundle + whatever the log still holds.
 // TestIngestModel draws the same paths at random; the tests here pin
 // hand-picked ones, the refusal to absorb into a foreign corpus, and
-// the regression for a pruning save taken while a refresh is owed.
+// a pruning save right after an ingest whose context ended mid-way.
 
 // writePruneCorpus writes a small topix corpus file mirroring the
 // twoBurstCollection shape: four streams, a 16-week timeline, ambient
@@ -333,10 +332,10 @@ func TestWALPruneRefusesForeignCorpus(t *testing.T) {
 	_ = w1.Close()
 }
 
-// TestWALPruneKeepsOwedRefresh: a pruning save taken while an aborted
-// Ingest still owes its refresh absorbs nothing, so a reboot replays
-// the batch and re-mines its terms instead of skipping it for good; the
-// first save with nothing owed absorbs it.
+// TestWALPruneKeepsOwedRefresh: an ingest whose context ends past the
+// commit point owes no refresh, so the pruning save right after it
+// absorbs its batch into the corpus file, and a reboot from corpus and
+// bundle alone equals both the live store and a from-scratch mine.
 func TestWALPruneKeepsOwedRefresh(t *testing.T) {
 	ctx := context.Background()
 	corpus := writePruneCorpus(t)
@@ -345,31 +344,33 @@ func TestWALPruneKeepsOwedRefresh(t *testing.T) {
 
 	s1 := mustMineStore(t, loadCorpusFile(t, corpus), nil)
 	mustAttachWAL(t, s1, mustOpenWAL(t, walDir, WithWALPrune(corpus)))
-	if _, err := s1.Ingest(&trippingContext{Context: ctx, after: 1}, liveBatch()); !errors.Is(err, ErrIngestIncomplete) {
-		t.Fatalf("tripped Ingest = %v, want ErrIngestIncomplete", err)
+	before := countDocLines(t, corpus)
+	if _, err := s1.Ingest(&trippingContext{Context: ctx, after: 1}, liveBatch()); err != nil {
+		t.Fatalf("tripped Ingest = %v, want the batch installed", err)
 	}
 	if err := s1.SaveFile(bundle); err != nil {
 		t.Fatalf("SaveFile: %v", err)
 	}
-	// Crash, then reboot from corpus + bundle + log.
+	if st, _ := s1.WALStats(); st.Batches != 0 {
+		t.Fatalf("WALStats after the save = %+v, want the batch absorbed", st)
+	}
+	if got, want := countDocLines(t, corpus), before+len(liveBatch()); got != want {
+		t.Fatalf("corpus file holds %d docs after the save, want %d", got, want)
+	}
+	// Crash, then reboot from corpus + bundle + the emptied log.
 	c2 := loadCorpusFile(t, corpus)
 	w2 := mustOpenWAL(t, walDir, WithWALPrune(corpus))
 	defer w2.Close()
-	if rep, err := c2.ReplayWAL(ctx, w2); err != nil || rep.Batches != 1 {
-		t.Fatalf("ReplayWAL = %+v, %v, want the unrefreshed batch replayed", rep, err)
+	if rep, err := c2.ReplayWAL(ctx, w2); err != nil || rep != (ReplayResult{}) {
+		t.Fatalf("ReplayWAL = %+v, %v, want nothing left to replay", rep, err)
 	}
 	s2 := loadBundleStore(t, bundle, c2)
 	mustAttachWAL(t, s2, w2)
+	assertState(t, "rebooted store", s2, captureState(s1))
 	want := mustMineStore(t, c2, nil)
 	for _, kind := range Kinds() {
 		if s2.Index(kind).Fingerprint() != want.Index(kind).Fingerprint() {
 			t.Errorf("kind %v: rebooted fingerprint differs from a from-scratch mine", kind)
 		}
-	}
-	if err := s2.SaveFile(bundle); err != nil {
-		t.Fatalf("SaveFile after reboot: %v", err)
-	}
-	if st, _ := s2.WALStats(); st.Batches != 0 {
-		t.Fatalf("WALStats after a save with nothing owed = %+v, want the batch absorbed", st)
 	}
 }
