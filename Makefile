@@ -3,7 +3,7 @@
 #
 #   make             # build + vet + full tests (tier-1)
 #   make vet         # go vet, and fail on files gofmt would change
-#   make loc         # non-test code lines (the number ROADMAP aim 2 tracks)
+#   make loc         # non-test code lines (the number ROADMAP aim 2 tracks) and settable options
 #   make test-short  # seconds-fast subset (heavy corpus reproductions skipped)
 #   make race        # concurrency suite under the race detector
 #   make bench       # the per-package go-test micro-benchmarks
@@ -59,9 +59,21 @@ vet:
 
 # Lines of Go that are neither blank nor a comment, outside tests and the
 # benchmark module: the count every simplification PR reports the same way.
+# The second line counts the settable values the simplicity review tallies,
+# over the same files: the exported fields of every *Config and *Options
+# struct, plus the flag definitions (flag.X or a FlagSet's fs.X) under cmd/.
+FLAG_DEF = (flag|fs)\.(Bool|BoolFunc|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64|Var|BoolVar|DurationVar|Float64Var|IntVar|Int64Var|StringVar|UintVar|Uint64Var)\(
 loc:
 	@find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*' -not -name '*_test.go' \
 		| xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l
+	@find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*' -not -name '*_test.go' \
+		| xargs awk 'FNR == 1 { st = 0 } \
+			/^type [A-Za-z0-9_]*(Config|Options) struct \{/ { st = 1; next } \
+			st && /^}/ { st = 0; next } \
+			st && /^\t[A-Z]/ { line = substr($$0, 2); n++; \
+				while (match(line, /^[A-Za-z0-9_]+, */)) { line = substr(line, RLENGTH + 1); n++ } } \
+			FILENAME ~ /^\.\/cmd\// { n += gsub(/$(FLAG_DEF)/, "&") } \
+			END { print n + 0, "options" }'
 
 test: build vet
 	$(GO) test ./...

@@ -80,9 +80,10 @@
 // under live queries, before the 202 reports the resulting generation.
 // The -snapshot file on disk is not rewritten by ingestion, so its
 // patterns do not cover appended documents: POST /v1/reload is for a
-// server that has not appended since boot (WAL replay included), and
-// answers 409, naming the boot and current document counts, once the
-// collection has grown. Restart the server to pick up a re-mined file.
+// collection that holds only its corpus load, and answers 409, naming
+// the corpus-load and current document counts, once any document was
+// appended or replayed from the WAL. Restart the server to pick up a
+// re-mined file.
 //
 // -wal-dir arms crash durability for ingestion: every accepted batch is
 // framed, checksummed and (under -fsync always, the default) fsync'd to
@@ -100,12 +101,12 @@
 // -tail follows a growing JSONL feed file (the stgen -follow format:
 // an optional header line, then one document per line), resuming after
 // a restart from an fsync'd checkpoint next to the feed so no document
-// is lost or applied twice; -listen-ingest accepts line- or
-// length-framed JSONL documents over TCP (-listen-framing picks the
-// framing). Both deliver straight into the same Store.Ingest → WAL →
-// dirty-term re-mine path POST /v1/documents ingests through, are
-// supervised with capped exponential backoff, and report per-connector
-// counters on /metrics and a connectors block on /v1/stats. On shutdown
+// is lost or applied twice; -listen-ingest accepts newline-delimited
+// JSON documents over TCP, one per line. Both deliver straight into the
+// same Store.Ingest → WAL → dirty-term re-mine path POST /v1/documents
+// ingests through, are supervised with capped exponential backoff, and
+// report per-connector counters on /metrics and a connectors block on
+// /v1/stats. On shutdown
 // the socket source drains its buffered batches before the WAL closes;
 // a tailed batch cut off mid-ingest is simply re-read on the next boot.
 //
@@ -153,8 +154,7 @@ func main() {
 		walPruneIvl   = flag.Duration("wal-prune-interval", 0, "re-save the -snapshot bundle this often and absorb sealed WAL segments into the -corpus file after each save, so the log stays bounded (requires -wal-dir and -snapshot)")
 		tailPath      = flag.String("tail", "", "follow this JSONL feed file, ingesting appended documents as they arrive (resumes from a checkpoint)")
 		tailCkpt      = flag.String("tail-checkpoint", "", "tailer checkpoint file (default: <tail path>.checkpoint)")
-		listenIngest  = flag.String("listen-ingest", "", "accept framed JSONL documents over TCP on this address and ingest them")
-		listenFraming = flag.String("listen-framing", "line", "ingest socket framing: line (newline-delimited) or len (4-byte big-endian length prefix)")
+		listenIngest  = flag.String("listen-ingest", "", "accept newline-delimited JSON documents over TCP on this address and ingest them")
 	)
 	flag.Parse()
 	log.SetPrefix("stserve: ")
@@ -172,13 +172,6 @@ func main() {
 		}
 		if *snapshot == "" {
 			log.Fatal("-wal-prune-interval requires -snapshot: there is nowhere to save the bundle")
-		}
-	}
-	var socketFraming connector.Framing
-	if *listenIngest != "" {
-		var err error
-		if socketFraming, err = connector.ParseFraming(*listenFraming); err != nil {
-			log.Fatal(err)
 		}
 	}
 	connectorsEnabled := *tailPath != "" || *listenIngest != ""
@@ -299,7 +292,7 @@ func main() {
 	// already durable.
 	var sup *connector.Supervisor
 	if connectorsEnabled {
-		sup = connector.NewSupervisor(connector.SupervisorConfig{Logf: log.Printf})
+		sup = connector.NewSupervisor()
 		sink := serve.NewIngestSink(c, store)
 		if *tailPath != "" {
 			cfg := connector.TailConfig{Path: *tailPath, CheckpointPath: *tailCkpt}
@@ -312,10 +305,8 @@ func main() {
 			log.Printf("connector: tailing %s (checkpoint %s)", *tailPath, ckpt)
 		}
 		if *listenIngest != "" {
-			cfg := connector.SocketConfig{Addr: *listenIngest, Framing: socketFraming}
-			src := connector.NewSocketSource(cfg, sink)
-			sup.Add(src)
-			log.Printf("connector: ingest socket on %s (%s framing)", *listenIngest, socketFraming)
+			sup.Add(connector.NewSocketSource(connector.SocketConfig{Addr: *listenIngest}, sink))
+			log.Printf("connector: ingest socket on %s", *listenIngest)
 		}
 		handler.EnableConnectors(sup)
 		if *walDir == "" {

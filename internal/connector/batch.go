@@ -15,17 +15,23 @@ import (
 // re-mine (about 0.2 s on the xs ladder corpus, 1.2 s on l).
 const drainTimeout = 5 * time.Second
 
+// batchDocs caps one flush in both sources. A batch is otherwise
+// whatever arrived while the previous one was being ingested, so the
+// cap only matters under a backlog, where it bounds how many documents
+// one Store.Ingest logs and re-mines at once and how many a crash
+// before the acknowledgement leaves to be re-read or lost.
+const batchDocs = 64
+
 // batcher is the one decode → batch → Sink.Ingest → count path both
 // sources share. A source hands it frames; it decodes each into a Doc
-// (counting and skipping a bad one) and flushes at size documents. The
+// (counting and skipping a bad one) and flushes at batchDocs documents. The
 // source flushes the rest when its feed runs dry — the tailer at
 // end-of-file, the socket before any read that could wait — so a batch
 // holds whatever arrived while the previous one was being ingested,
-// never more than size, and no timer decides when it goes.
+// never more than batchDocs, and no timer decides when it goes.
 type batcher struct {
 	sink  Sink
 	stats *tracker
-	size  int
 	// where names the feed position for a bad frame's error message.
 	where func() string
 	// flushed, when set, runs after every durable flush: the tailer
@@ -45,10 +51,11 @@ func (b *batcher) decode(frame []byte) (Doc, bool) {
 	return d, true
 }
 
-// add appends d to the batch and flushes once it holds size documents.
+// add appends d to the batch and flushes once it holds batchDocs
+// documents.
 func (b *batcher) add(ctx context.Context, d Doc) error {
 	b.docs = append(b.docs, d)
-	if len(b.docs) < b.size {
+	if len(b.docs) < batchDocs {
 		return nil
 	}
 	return b.flush(ctx)

@@ -1,10 +1,16 @@
 // Package connector pulls documents from external feeds into the
 // WAL-backed ingest path. It is the subsystem behind `stserve -tail`
 // and `stserve -listen-ingest`: each feed is a Source that parses its
-// transport (a growing JSONL file, a framed TCP socket) into Doc
-// values and hands batches to a Sink, and a Supervisor keeps the
-// sources running, restarting a failed one with capped exponential
-// backoff.
+// transport (a growing JSONL file, a TCP socket carrying one JSON
+// document per line) into Doc values and hands batches to a Sink, and a
+// Supervisor keeps the sources running, restarting a failed one with
+// capped exponential backoff.
+//
+// A source is configured only by where it reads: a feed path and its
+// checkpoint, or a listen address. Batch size, line limit, poll
+// interval, connection cap and restart backoff are package constants
+// (batchDocs, maxLineBytes, pollInterval, maxConns, backoffBase and
+// backoffMax), each documented with the reason for its value.
 //
 // The package knows nothing about stores, WALs or mining. The Sink —
 // implemented by the serve layer on top of Store.Ingest — owns

@@ -1,9 +1,13 @@
 package connector
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"log"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,18 +18,22 @@ import (
 // serve layer's store-backed sink closely enough for resume
 // arithmetic. base simulates documents that existed before the source
 // started (the snapshot corpus). rejectStream drops matching docs as
-// validation rejects. failN makes the next N Ingest calls return
-// errFlush without applying, exercising source error paths.
+// validation rejects. cut, when positive, crashes the sink at its
+// cut'th applied document in the two ways a crash can land around a
+// flush: a call that starts with cut documents applied fails without
+// applying, and a call whose batch spans the cut applies it and then
+// fails — durable but never acknowledged, so the source cannot
+// checkpoint it.
 type memSink struct {
 	mu           sync.Mutex
 	base         int
 	docs         []Doc
 	rejectStream string
-	failN        int
+	cut          int
 	calls        int
 }
 
-var errFlush = errors.New("sink flush failed")
+var errCrash = errors.New("sink crashed")
 
 func (m *memSink) Ingest(ctx context.Context, docs []Doc) (SinkResult, error) {
 	if err := ctx.Err(); err != nil {
@@ -34,9 +42,8 @@ func (m *memSink) Ingest(ctx context.Context, docs []Doc) (SinkResult, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.calls++
-	if m.failN > 0 {
-		m.failN--
-		return SinkResult{}, errFlush
+	if m.cut > 0 && len(m.docs) >= m.cut {
+		return SinkResult{}, errCrash
 	}
 	var res SinkResult
 	for _, d := range docs {
@@ -46,6 +53,9 @@ func (m *memSink) Ingest(ctx context.Context, docs []Doc) (SinkResult, error) {
 		}
 		m.docs = append(m.docs, d)
 		res.Applied++
+	}
+	if m.cut > 0 && len(m.docs) > m.cut {
+		return SinkResult{}, errCrash
 	}
 	res.Total = m.base + len(m.docs)
 	return res, nil
@@ -177,13 +187,16 @@ func (f *flappySource) Run(ctx context.Context) error {
 	return ctx.Err()
 }
 
+// TestSupervisorRestartsWithBackoff: a source that fails three times is
+// restarted after backoffBase, then twice that, then four times that,
+// and its fourth run keeps running. The waits are read from the restart
+// log lines.
 func TestSupervisorRestartsWithBackoff(t *testing.T) {
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
 	src := &flappySource{name: "flappy", failures: 3, ran: make(chan struct{}, 8)}
-	sup := NewSupervisor(SupervisorConfig{
-		BackoffBase: time.Millisecond,
-		BackoffMax:  4 * time.Millisecond,
-		Logf:        func(string, ...any) {},
-	})
+	sup := NewSupervisor()
 	sup.Add(src)
 	if got := sup.StatAt(0).State; got != StateIdle {
 		t.Fatalf("pre-start state = %q, want %q", got, StateIdle)
@@ -206,11 +219,16 @@ func TestSupervisorRestartsWithBackoff(t *testing.T) {
 	if got := sup.StatAt(0).State; got != StateStopped {
 		t.Fatalf("post-stop state = %q, want %q", got, StateStopped)
 	}
+	for _, wait := range []time.Duration{backoffBase, 2 * backoffBase, 4 * backoffBase} {
+		if line := fmt.Sprintf("connector flappy: synthetic failure; restarting in %s\n", wait); !strings.Contains(logged.String(), line) {
+			t.Errorf("restart log %q lacks %q", logged.String(), line)
+		}
+	}
 }
 
 func TestSupervisorCleanExitStopsSupervision(t *testing.T) {
 	src := &flappySource{name: "oneshot", failures: 0, ran: make(chan struct{}, 2)}
-	sup := NewSupervisor(SupervisorConfig{Logf: func(string, ...any) {}})
+	sup := NewSupervisor()
 	sup.Add(src)
 	ctx, cancel := context.WithCancel(context.Background())
 	sup.Start(ctx)

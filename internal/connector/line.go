@@ -6,6 +6,13 @@ import (
 	"io"
 )
 
+// maxLineBytes bounds one feed line, terminator included, in both
+// sources: a tailed line past it is counted and skipped through its
+// newline, and a socket line past it closes the connection. A news
+// document is a few KiB; 1 MiB leaves room for any real one while one
+// corrupt or hostile record costs at most that much memory.
+const maxLineBytes = 1 << 20
+
 // errOverlong reports a line longer than the reader's limit.
 var errOverlong = errors.New("line exceeds the size limit")
 

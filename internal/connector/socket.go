@@ -3,7 +3,6 @@ package connector
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -13,74 +12,27 @@ import (
 	"time"
 )
 
-// Framing selects how documents are delimited on a socket connection.
-type Framing string
-
-const (
-	// FrameLine is newline-delimited JSON: one document per line, the
-	// same shape the tail feed uses. The default.
-	FrameLine Framing = "line"
-	// FrameLength is length-prefixed JSON: a 4-byte big-endian payload
-	// length followed by that many bytes of one JSON document.
-	FrameLength Framing = "len"
-)
-
-// ParseFraming validates an operator-supplied framing name.
-func ParseFraming(s string) (Framing, error) {
-	switch Framing(s) {
-	case FrameLine, FrameLength:
-		return Framing(s), nil
-	case "":
-		return FrameLine, nil
-	default:
-		return "", fmt.Errorf("unknown framing %q (want %q or %q)", s, FrameLine, FrameLength)
-	}
-}
+// The socket's bounds. maxConns caps concurrent client connections: one
+// over it is closed at once and counted as an error, so a flood of
+// idle peers cannot pin a goroutine and a 64 KiB read buffer each
+// without limit. One frame is one line of at most maxLineBytes, the
+// tailer's limit; an overlong line closes its connection, because a
+// stream that broke its framing cannot be trusted to resynchronize.
+const maxConns = 64
 
 // SocketConfig configures a socket source.
 type SocketConfig struct {
 	// Addr is the TCP listen address, e.g. "127.0.0.1:9400". Port 0
 	// picks a free port; WaitBound reports the bound address.
 	Addr string
-	// Framing is line- or length-framed JSONL (default FrameLine).
-	Framing Framing
-	// MaxConns bounds concurrent client connections (default 64); a
-	// connection over the limit is closed immediately and counted as
-	// an error.
-	MaxConns int
-	// MaxFrameBytes bounds one document frame (default 1MiB). An
-	// overlong frame closes the connection — in line framing the
-	// stream can no longer be trusted to resynchronize, and in length
-	// framing the declared length is refused before the payload is
-	// read.
-	MaxFrameBytes int
-	// BatchDocs caps one connection's batch (default 64). A smaller
-	// batch is flushed as soon as the connection has no further
-	// complete frame buffered.
-	BatchDocs int
 }
 
-func (c *SocketConfig) defaults() {
-	if c.Framing == "" {
-		c.Framing = FrameLine
-	}
-	if c.MaxConns <= 0 {
-		c.MaxConns = 64
-	}
-	if c.MaxFrameBytes <= 0 {
-		c.MaxFrameBytes = 1 << 20
-	}
-	if c.BatchDocs <= 0 {
-		c.BatchDocs = 64
-	}
-}
-
-// SocketSource accepts framed JSONL documents over TCP — the `stserve
-// -listen-ingest` connector, modeled on a ZMQ-style subscriber: the
+// SocketSource accepts newline-delimited JSON documents over TCP — the
+// `stserve -listen-ingest` connector, modeled on a ZMQ-style subscriber: the
 // sender fires documents and never waits for an application-level ack,
 // so backpressure is TCP flow control (the reader stops reading while
 // a flush blocks) and delivery across a crash is at-most-once. Each
-// connection batches by arrival: it flushes at BatchDocs and before
+// connection batches by arrival: it flushes at batchDocs and before
 // every read from the socket, so a batch is whatever the sender got in
 // while the previous one was being ingested, and a lone document
 // reaches the store as soon as the sender pauses — no timer, no
@@ -97,7 +49,6 @@ type SocketSource struct {
 
 // NewSocketSource builds a socket source over sink.
 func NewSocketSource(cfg SocketConfig, sink Sink) *SocketSource {
-	cfg.defaults()
 	s := &SocketSource{cfg: cfg, sink: sink, ready: make(chan struct{})}
 	s.lag.Store(-1) // lag is a tailer notion
 	return s
@@ -148,9 +99,9 @@ func (s *SocketSource) Run(ctx context.Context) error {
 			}
 			return err
 		}
-		if s.conns.Load() >= int64(s.cfg.MaxConns) {
+		if s.conns.Load() >= maxConns {
 			s.fail(fmt.Sprintf("connection from %s refused: %d connections already open",
-				conn.RemoteAddr(), s.cfg.MaxConns))
+				conn.RemoteAddr(), maxConns))
 			conn.Close()
 			continue
 		}
@@ -165,7 +116,7 @@ func (s *SocketSource) Run(ctx context.Context) error {
 	}
 }
 
-// serveConn reads one connection's frames through a batcher. The reader
+// serveConn reads one connection's lines through a batcher. The reader
 // never sets mid-stream deadlines — a deadline poke from the shutdown
 // watcher is the only thing that interrupts a blocking read, so a slow
 // sender can never have a half-read frame torn by a read timeout.
@@ -179,11 +130,11 @@ func (s *SocketSource) serveConn(ctx context.Context, conn net.Conn) {
 	defer stopWatch()
 
 	where := "connection from " + conn.RemoteAddr().String()
-	b := &batcher{sink: s.sink, stats: &s.tracker, size: s.cfg.BatchDocs, where: func() string { return where }}
+	b := &batcher{sink: s.sink, stats: &s.tracker, where: func() string { return where }}
 	cr := &connReader{ctx: ctx, conn: conn, b: b}
-	lr := &lineReader{r: bufio.NewReaderSize(cr, 64<<10), max: s.cfg.MaxFrameBytes}
+	lr := &lineReader{r: bufio.NewReaderSize(cr, 64<<10), max: maxLineBytes}
 	for {
-		frame, err := s.readFrame(lr)
+		frame, err := readFrame(lr)
 		if err != nil {
 			if !connEnded(ctx, err) {
 				s.fail(fmt.Sprintf("%s: %v", where, err))
@@ -196,7 +147,7 @@ func (s *SocketSource) serveConn(ctx context.Context, conn net.Conn) {
 			return
 		}
 		if len(frame) == 0 {
-			continue // blank line or empty frame
+			continue // blank line
 		}
 		d, ok := b.decode(frame)
 		if !ok {
@@ -235,37 +186,19 @@ func (r *connReader) Read(p []byte) (int, error) {
 	return r.conn.Read(p)
 }
 
-// readFrame reads one document frame per the configured framing. The
-// returned slice is only valid until the next call.
-func (s *SocketSource) readFrame(lr *lineReader) ([]byte, error) {
-	switch s.cfg.Framing {
-	case FrameLength:
-		var hdr [4]byte
-		if _, err := io.ReadFull(lr.r, hdr[:]); err != nil {
-			return nil, err
-		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n == 0 {
-			return nil, nil
-		}
-		if n > uint32(s.cfg.MaxFrameBytes) {
-			return nil, fmt.Errorf("frame of %d bytes exceeds limit %d", n, s.cfg.MaxFrameBytes)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(lr.r, buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
-	default: // FrameLine
-		line, err := lr.next()
-		switch {
-		case err == io.EOF && len(lr.line) > 0:
-			line, lr.line, err = lr.line, nil, nil // final unterminated line
-		case err == errOverlong:
-			err = fmt.Errorf("line exceeds limit %d", s.cfg.MaxFrameBytes)
-		}
-		return trimNL(line), err
+// readFrame reads one document frame: a line with its terminator
+// trimmed, or the final unterminated line once the peer hangs up. A
+// line past lr.max ends the connection. The returned slice is only
+// valid until the next call.
+func readFrame(lr *lineReader) ([]byte, error) {
+	line, err := lr.next()
+	switch {
+	case err == io.EOF && len(lr.line) > 0:
+		line, lr.line, err = lr.line, nil, nil // final unterminated line
+	case err == errOverlong:
+		err = fmt.Errorf("line exceeds limit %d", lr.max)
 	}
+	return trimNL(line), err
 }
 
 func trimNL(b []byte) []byte {

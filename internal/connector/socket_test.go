@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"net"
 	"reflect"
@@ -17,10 +16,9 @@ import (
 
 // startSocket runs a SocketSource on a free port and returns its
 // address plus a stop func that cancels and waits for Run.
-func startSocket(t *testing.T, cfg SocketConfig, sink Sink) (src *SocketSource, addr string, stop func()) {
+func startSocket(t *testing.T, sink Sink) (src *SocketSource, addr string, stop func()) {
 	t.Helper()
-	cfg.Addr = "127.0.0.1:0"
-	src = NewSocketSource(cfg, sink)
+	src = NewSocketSource(SocketConfig{Addr: "127.0.0.1:0"}, sink)
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() { errc <- src.Run(ctx) }()
@@ -62,13 +60,13 @@ func sendLine(t *testing.T, conn net.Conn, d Doc) {
 
 func TestSocketLineFraming(t *testing.T) {
 	sink := &memSink{}
-	_, addr, stop := startSocket(t, SocketConfig{BatchDocs: 2}, sink)
+	_, addr, stop := startSocket(t, sink)
 	defer stop()
 
 	conn := dial(t, addr)
 	sendLine(t, conn, Doc{Stream: "lima", Time: 1, Tokens: []string{"quake"}})
 	sendLine(t, conn, Doc{Stream: "oslo", Time: 2, Tokens: []string{"fire"}})
-	waitFor(t, func() bool { return sink.Docs() == 2 }) // batch-size flush
+	waitFor(t, func() bool { return sink.Docs() == 2 })
 
 	// A final unterminated line lands via the disconnect flush.
 	raw, _ := json.Marshal(Doc{Stream: "lima", Time: 3})
@@ -85,66 +83,56 @@ func TestSocketLineFraming(t *testing.T) {
 
 func TestSocketIdleFlush(t *testing.T) {
 	sink := &memSink{}
-	_, addr, stop := startSocket(t, SocketConfig{BatchDocs: 100}, sink)
+	_, addr, stop := startSocket(t, sink)
 	defer stop()
 	conn := dial(t, addr)
 	defer conn.Close()
 	sendLine(t, conn, Doc{Stream: "lima", Time: 1})
-	// Far below BatchDocs, and the connection stays open: only the
+	// Far below batchDocs, and the connection stays open: only the
 	// flush before the next socket read can deliver it.
 	waitFor(t, func() bool { return sink.Docs() == 1 })
 }
 
-func TestSocketLengthFraming(t *testing.T) {
-	sink := &memSink{}
-	_, addr, stop := startSocket(t, SocketConfig{Framing: FrameLength, BatchDocs: 1}, sink)
-	defer stop()
-	conn := dial(t, addr)
-	defer conn.Close()
-
-	for i, d := range []Doc{{Stream: "lima", Time: 4}, {Stream: "oslo", Time: 5}} {
-		raw, _ := json.Marshal(d)
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(raw)))
-		if _, err := conn.Write(append(hdr[:], raw...)); err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-	}
-	waitFor(t, func() bool { return sink.Docs() == 2 })
-	if docs := sink.applied(); docs[1].Time != 5 {
-		t.Fatalf("applied docs = %+v", docs)
-	}
-}
-
+// TestSocketOversizeFrameClosesConnection: a complete line past
+// maxLineBytes closes its connection with one error counted. The
+// document before it is still delivered; the one after it is not, since
+// a stream that broke its framing is not read any further.
 func TestSocketOversizeFrameClosesConnection(t *testing.T) {
 	sink := &memSink{}
-	src, addr, stop := startSocket(t, SocketConfig{Framing: FrameLength, MaxFrameBytes: 64}, sink)
+	src, addr, stop := startSocket(t, sink)
 	defer stop()
 	conn := dial(t, addr)
 	defer conn.Close()
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], 1<<30) // absurd declared length
-	if _, err := conn.Write(hdr[:]); err != nil {
-		t.Fatal(err)
+	var payload []byte
+	for _, d := range []Doc{
+		{Stream: "lima", Time: 1},
+		{Stream: "lima", Time: 2, Text: strings.Repeat("x", maxLineBytes)},
+		{Stream: "oslo", Time: 3},
+	} {
+		raw, _ := json.Marshal(d)
+		payload = append(append(payload, raw...), '\n')
 	}
+	go conn.Write(payload) // fails once the server hangs up; that is the point
 	waitFor(t, func() bool { return src.Stats().Errors >= 1 })
-	// The server must have closed its side without reading a payload.
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	buf := make([]byte, 1)
-	if _, err := conn.Read(buf); err == nil {
-		t.Fatal("connection still open after oversize frame")
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("connection still open after an overlong line")
+	}
+	waitFor(t, func() bool { return src.Stats().Conns == 0 })
+	if st, docs := src.Stats(), sink.applied(); st.Errors != 1 || len(docs) != 1 || docs[0].Time != 1 {
+		t.Fatalf("stats = %+v with docs %+v, want one error and only the document before the overlong line", st, docs)
 	}
 }
 
 // TestSocketUnterminatedLineIsBounded: a peer that streams bytes and
 // never sends a newline must cost the listener at most one frame of
 // memory — the connection is closed and one error counted as soon as
-// the line passes MaxFrameBytes, not once the peer relents.
+// the line passes maxLineBytes, not once the peer relents.
 func TestSocketUnterminatedLineIsBounded(t *testing.T) {
 	sink := &memSink{}
-	src, addr, stop := startSocket(t, SocketConfig{}, sink)
+	src, addr, stop := startSocket(t, sink)
 	defer stop()
-	const limit = 1 << 20 // the default MaxFrameBytes
+	const limit = maxLineBytes
 	payload := bytes.Repeat([]byte{'x'}, 8*limit)
 
 	var before, after runtime.MemStats
@@ -168,7 +156,7 @@ func TestSocketUnterminatedLineIsBounded(t *testing.T) {
 
 func TestSocketBadDocCountedGoodDocsFlow(t *testing.T) {
 	sink := &memSink{}
-	src, addr, stop := startSocket(t, SocketConfig{BatchDocs: 1}, sink)
+	src, addr, stop := startSocket(t, sink)
 	defer stop()
 	conn := dial(t, addr)
 	defer conn.Close()
@@ -182,13 +170,19 @@ func TestSocketBadDocCountedGoodDocsFlow(t *testing.T) {
 	}
 }
 
+// TestSocketConnLimit: with maxConns connections open, the next one is
+// closed at once and counted, and the open ones keep working.
 func TestSocketConnLimit(t *testing.T) {
 	sink := &memSink{}
-	src, addr, stop := startSocket(t, SocketConfig{MaxConns: 1}, sink)
+	src, addr, stop := startSocket(t, sink)
 	defer stop()
-	keep := dial(t, addr)
-	defer keep.Close()
-	waitFor(t, func() bool { return src.Stats().Conns == 1 })
+	open := make([]net.Conn, maxConns)
+	for i := range open {
+		open[i] = dial(t, addr)
+		defer open[i].Close()
+	}
+	waitFor(t, func() bool { return src.Stats().Conns == maxConns })
+	keep := open[maxConns-1]
 
 	over := dial(t, addr)
 	defer over.Close()
@@ -220,15 +214,15 @@ func (k *shutdownSink) Ingest(ctx context.Context, docs []Doc) (SinkResult, erro
 }
 
 // TestSocketShutdownDrainsBufferedDocs: a document decoded before
-// shutdown but not yet flushed still lands. Three documents arrive in
-// one write with BatchDocs 2; the first batch's sink call starts the
-// shutdown, so the third sits in the batch after the run context is
-// done, and only the drain flush can deliver it.
+// shutdown but not yet flushed still lands. batchDocs+1 documents arrive
+// in one write; the full batch's sink call starts the shutdown, so the
+// last sits in the batch after the run context is done, and only the
+// drain flush can deliver it.
 func TestSocketShutdownDrainsBufferedDocs(t *testing.T) {
 	sink := &memSink{}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	src := NewSocketSource(SocketConfig{Addr: "127.0.0.1:0", BatchDocs: 2}, &shutdownSink{memSink: sink, cancel: cancel})
+	src := NewSocketSource(SocketConfig{Addr: "127.0.0.1:0"}, &shutdownSink{memSink: sink, cancel: cancel})
 	errc := make(chan error, 1)
 	go func() { errc <- src.Run(ctx) }()
 	bctx, bcancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -240,8 +234,8 @@ func TestSocketShutdownDrainsBufferedDocs(t *testing.T) {
 	conn := dial(t, a.String())
 	defer conn.Close()
 	var burst []byte
-	for _, d := range []Doc{{Stream: "lima", Time: 1}, {Stream: "oslo", Time: 2}, {Stream: "lima", Time: 3}} {
-		raw, _ := json.Marshal(d)
+	for i := range batchDocs + 1 {
+		raw, _ := json.Marshal(Doc{Stream: "lima", Time: i})
 		burst = append(append(burst, raw...), '\n')
 	}
 	if _, err := conn.Write(burst); err != nil {
@@ -255,18 +249,18 @@ func TestSocketShutdownDrainsBufferedDocs(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("socket Run did not return after shutdown")
 	}
-	if got := sink.Docs(); got != 3 {
-		t.Fatalf("docs after shutdown drain = %d, want 3", got)
+	if got := sink.Docs(); got != batchDocs+1 {
+		t.Fatalf("docs after shutdown drain = %d, want %d", got, batchDocs+1)
 	}
 }
 
-// TestSocketBurstBatches: a burst written at once is cut at BatchDocs,
+// TestSocketBurstBatches: a burst written at once is cut at batchDocs,
 // not into one sink call per document — a partial batch goes only when
 // the buffered frames run out, which a burst does a handful of times.
 func TestSocketBurstBatches(t *testing.T) {
-	const n, batch = 640, 64
+	const n, batch = 10 * batchDocs, batchDocs
 	sink := &memSink{}
-	_, addr, stop := startSocket(t, SocketConfig{BatchDocs: batch}, sink)
+	_, addr, stop := startSocket(t, sink)
 	defer stop()
 	conn := dial(t, addr)
 	defer conn.Close()
@@ -288,77 +282,42 @@ func TestSocketBurstBatches(t *testing.T) {
 }
 
 // socketFramesModel cuts data into frames the way the socket framing
-// is specified, without its reader: a line frame is a newline-split
-// piece of at most max bytes with its line ending trimmed, a length
-// frame is a 4-byte big-endian length and that many bytes. The first
-// piece that breaks the limit, and a truncated length frame, end the
-// connection.
-func socketFramesModel(data []byte, framing Framing, max int) [][]byte {
+// is specified, without its reader: a frame is a newline-split piece of
+// at most max bytes with its line ending trimmed. The first piece that
+// breaks the limit ends the connection.
+func socketFramesModel(data []byte, max int) [][]byte {
 	var frames [][]byte
-	if framing == FrameLine {
-		for _, piece := range bytes.SplitAfter(data, []byte("\n")) {
-			if len(piece) > max {
-				break
-			}
-			if len(piece) > 0 {
-				frames = append(frames, trimNL(piece))
-			}
-		}
-		return frames
-	}
-	for len(data) >= 4 {
-		n := binary.BigEndian.Uint32(data)
-		data = data[4:]
-		if n > uint32(max) || uint32(len(data)) < n {
+	for _, piece := range bytes.SplitAfter(data, []byte("\n")) {
+		if len(piece) > max {
 			break
 		}
-		frames = append(frames, data[:n])
-		data = data[n:]
+		if len(piece) > 0 {
+			frames = append(frames, trimNL(piece))
+		}
 	}
 	return frames
 }
 
-// FuzzSocketFrames sends arbitrary bytes on one connection under both
-// framings. The frame reader must return exactly the model's frames —
-// so none longer than MaxFrameBytes — and refuse a declared length over
-// the limit having consumed only its 4-byte header, before any of the
-// payload. The same bytes sent through a real connection (net.Pipe into
-// serveConn) must deliver exactly the model frames that decode as
-// documents, in order, without a panic.
+// FuzzSocketFrames sends arbitrary bytes on one connection. The frame
+// reader, at a fuzzed line limit, must return exactly the model's
+// frames — so none longer than the limit. The same bytes sent through a
+// real connection (net.Pipe into serveConn, at maxLineBytes) must
+// deliver exactly the model frames that decode as documents, in order,
+// without a panic.
 func FuzzSocketFrames(f *testing.F) {
-	lengthFrame := func(payload string) string {
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-		return string(hdr[:]) + payload
-	}
-	f.Add([]byte(`{"stream":"lima","time":1}`+"\n\n{broken\r\n"+`{"time":2}`), uint16(64), false)
-	f.Add([]byte(strings.Repeat("x", 300)+"\n"+`{"stream":"oslo"}`+"\n"), uint16(40), false)
-	f.Add([]byte(lengthFrame(`{"stream":"lima","time":1}`)+lengthFrame("")+lengthFrame("null")), uint16(64), true)
-	f.Add([]byte(lengthFrame(`{"stream":"lima"}`)+"\xff\xff\xff\xff"+`{"stream":"oslo"}`), uint16(32), true)
-	f.Add([]byte(lengthFrame(`{"stream":"lima"}`)[:7]), uint16(32), true)
-	f.Fuzz(func(t *testing.T, data []byte, limit uint16, lengthFramed bool) {
+	f.Add([]byte(`{"stream":"lima","time":1}`+"\n\n{broken\r\n"+`{"time":2}`), uint16(64))
+	f.Add([]byte(strings.Repeat("x", 300)+"\n"+`{"stream":"oslo"}`+"\n"), uint16(40))
+	f.Add([]byte(`{"stream":"lima"}`+"\r\n"+`null`+"\n"+`{"stream":"oslo","time":3}`), uint16(17))
+	f.Add([]byte(`{"stream":"lima","time":1}`+"\n"+strings.Repeat("y", 70)), uint16(32))
+	f.Add([]byte("\n\n\r\n"+`{"stream":"oslo","counts":{"fire":2}}`+"\n"), uint16(255))
+	f.Fuzz(func(t *testing.T, data []byte, limit uint16) {
 		max := 1 + int(limit)%256
-		framing := FrameLine
-		if lengthFramed {
-			framing = FrameLength
-		}
-		want := socketFramesModel(data, framing, max)
-
-		src := NewSocketSource(SocketConfig{Framing: framing, MaxFrameBytes: max}, &memSink{})
-		in := bytes.NewReader(data)
-		lr := &lineReader{r: bufio.NewReaderSize(in, 16), max: max}
-		consumed := func() int { return len(data) - in.Len() - lr.r.Buffered() }
+		want := socketFramesModel(data, max)
+		lr := &lineReader{r: bufio.NewReaderSize(bytes.NewReader(data), 16), max: max}
 		var got [][]byte
 		for {
-			at := consumed()
-			frame, err := src.readFrame(lr)
+			frame, err := readFrame(lr)
 			if err != nil {
-				if lengthFramed && len(data)-at >= 4 && binary.BigEndian.Uint32(data[at:]) > uint32(max) {
-					if consumed() != at+4 || !strings.Contains(err.Error(), "exceeds limit") {
-						t.Fatalf("declared length over %d at byte %d: err %v after consuming %d bytes, want a refusal after the 4-byte header",
-							max, at, err, consumed()-at)
-					}
-				}
 				break
 			}
 			if len(frame) > max {
@@ -376,14 +335,14 @@ func FuzzSocketFrames(f *testing.F) {
 		}
 
 		var wantDocs []Doc
-		for _, frame := range want {
+		for _, frame := range socketFramesModel(data, maxLineBytes) {
 			var d Doc
 			if len(frame) > 0 && json.Unmarshal(frame, &d) == nil {
 				wantDocs = append(wantDocs, d)
 			}
 		}
 		sink := &memSink{}
-		src = NewSocketSource(SocketConfig{Framing: framing, MaxFrameBytes: max, BatchDocs: 3}, sink)
+		src := NewSocketSource(SocketConfig{}, sink)
 		client, server := net.Pipe()
 		wrote := make(chan struct{})
 		go func() {

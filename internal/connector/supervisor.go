@@ -25,41 +25,27 @@ type SourceState struct {
 	Restarts int64  `json:"restarts"`
 }
 
-// healthyAfter is how long a source must run before a failure is
-// treated as fresh rather than consecutive, resetting the backoff to
-// BackoffBase.
-const healthyAfter = time.Minute
-
-// SupervisorConfig tunes restart behavior; the zero value is usable.
-type SupervisorConfig struct {
-	// BackoffBase is the first restart delay (default 500ms); each
-	// consecutive failure doubles it up to BackoffMax (default 30s).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// Logf receives restart decisions (default log.Printf).
-	Logf func(format string, args ...any)
-}
-
-func (c *SupervisorConfig) defaults() {
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 500 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 30 * time.Second
-	}
-	if c.Logf == nil {
-		c.Logf = log.Printf
-	}
-}
+// Restart backoff: the first restart of a failed source waits
+// backoffBase, and each consecutive failure doubles the wait up to
+// backoffMax. A source that ran for healthyAfter before failing is
+// treated as freshly failed and starts again from backoffBase. The base
+// outlasts a listening port's brief unavailability after a fast
+// restart; the cap keeps a feed that stays broken from spinning while
+// still retrying twice a minute.
+const (
+	backoffBase  = 500 * time.Millisecond
+	backoffMax   = 30 * time.Second
+	healthyAfter = time.Minute
+)
 
 // Supervisor owns a set of sources: it runs each in its own goroutine,
 // restarts one that fails with capped exponential backoff, and folds
 // their stats into one snapshot for /v1/stats and the metrics
 // registry. Add every source before Start; Stop cancels and waits for
 // every source to drain, which is the graceful-shutdown hook the
-// server calls before closing the ingesters and the WAL.
+// server calls before closing the ingesters and the WAL. Restart
+// decisions are logged through log.Printf.
 type Supervisor struct {
-	cfg     SupervisorConfig
 	srcs    []*supervised
 	cancel  context.CancelFunc
 	wg      sync.WaitGroup
@@ -75,10 +61,7 @@ type supervised struct {
 func (sv *supervised) setState(s string) { sv.state.Store(&s) }
 
 // NewSupervisor builds an empty supervisor.
-func NewSupervisor(cfg SupervisorConfig) *Supervisor {
-	cfg.defaults()
-	return &Supervisor{cfg: cfg}
-}
+func NewSupervisor() *Supervisor { return &Supervisor{} }
 
 // Add registers a source. Must be called before Start.
 func (s *Supervisor) Add(src Source) {
@@ -123,7 +106,7 @@ func (s *Supervisor) Stop() {
 // supervisor is stopping.
 func (s *Supervisor) run(ctx context.Context, sv *supervised) {
 	defer s.wg.Done()
-	backoff := s.cfg.BackoffBase
+	backoff := backoffBase
 	for {
 		sv.setState(StateRunning)
 		started := time.Now()
@@ -133,10 +116,10 @@ func (s *Supervisor) run(ctx context.Context, sv *supervised) {
 			return
 		}
 		if time.Since(started) >= healthyAfter {
-			backoff = s.cfg.BackoffBase
+			backoff = backoffBase
 		}
 		sv.restarts.Add(1)
-		s.cfg.Logf("connector %s: %v; restarting in %s", sv.src.Name(), err, backoff)
+		log.Printf("connector %s: %v; restarting in %s", sv.src.Name(), err, backoff)
 		sv.setState(StateBackoff)
 		select {
 		case <-ctx.Done():
@@ -144,9 +127,7 @@ func (s *Supervisor) run(ctx context.Context, sv *supervised) {
 			return
 		case <-time.After(backoff):
 		}
-		if backoff *= 2; backoff > s.cfg.BackoffMax {
-			backoff = s.cfg.BackoffMax
-		}
+		backoff = min(2*backoff, backoffMax)
 	}
 }
 

@@ -12,6 +12,12 @@ import (
 	"stburst/internal/corpusio"
 )
 
+// pollInterval is how long the tailer sleeps at end-of-file before
+// re-checking the feed for growth, truncation or rotation, and between
+// checks for a feed file that does not exist yet. It is the latency
+// floor of a drip feed; each poll costs one stat call.
+const pollInterval = 250 * time.Millisecond
+
 // TailConfig configures a tailing-file source.
 type TailConfig struct {
 	// Path is the JSONL feed file to follow. It may not exist yet;
@@ -20,32 +26,6 @@ type TailConfig struct {
 	// CheckpointPath is where resume state is persisted. Defaults to
 	// Path + ".checkpoint".
 	CheckpointPath string
-	// BatchDocs is how many documents accumulate before a flush
-	// (default 64). Reaching end-of-file also flushes, so a slow feed
-	// is never starved waiting for a full batch.
-	BatchDocs int
-	// Poll is how long the tailer sleeps at end-of-file before
-	// re-checking for growth, truncation or rotation (default 250ms).
-	Poll time.Duration
-	// MaxLineBytes bounds a single feed line (default 1MiB). An
-	// overlong line is counted as an error and skipped through the
-	// next newline, so one corrupt record cannot buffer unboundedly.
-	MaxLineBytes int
-}
-
-func (c *TailConfig) defaults() {
-	if c.CheckpointPath == "" {
-		c.CheckpointPath = c.Path + ".checkpoint"
-	}
-	if c.BatchDocs <= 0 {
-		c.BatchDocs = 64
-	}
-	if c.Poll <= 0 {
-		c.Poll = 250 * time.Millisecond
-	}
-	if c.MaxLineBytes <= 0 {
-		c.MaxLineBytes = 1 << 20
-	}
 }
 
 // TailSource follows a growing JSONL corpus file — the `stserve -tail`
@@ -62,7 +42,9 @@ type TailSource struct {
 
 // NewTailSource builds a tailer over sink. Run does all the work.
 func NewTailSource(cfg TailConfig, sink Sink) *TailSource {
-	cfg.defaults()
+	if cfg.CheckpointPath == "" {
+		cfg.CheckpointPath = cfg.Path + ".checkpoint"
+	}
 	t := &TailSource{cfg: cfg, sink: sink}
 	t.conns.Store(-1) // not a socket
 	return t
@@ -76,7 +58,7 @@ func (t *TailSource) Stats() SourceStats { return t.snapshot(t.Name()) }
 // Run tails the feed until ctx is cancelled. The loop is: read full
 // lines, skip the header and any documents the resume arithmetic says
 // are already applied, batch the rest, flush through the sink at
-// BatchDocs or end-of-file, checkpoint after every flush. At
+// batchDocs or end-of-file, checkpoint after every flush. At
 // end-of-file it watches for growth, truncation (size shrank below the
 // read position) and rotation (a new inode under the same name);
 // either reset restarts the file from offset zero with a fresh
@@ -108,12 +90,11 @@ func (t *TailSource) Run(ctx context.Context) error {
 	}
 	defer func() { f.Close() }()
 
-	lr := &lineReader{r: bufio.NewReaderSize(f, 64<<10), max: t.cfg.MaxLineBytes, off: cp.Offset}
+	lr := &lineReader{r: bufio.NewReaderSize(f, 64<<10), max: maxLineBytes, off: cp.Offset}
 	var batchEnd int64 // offset just past the last line in the batch
 	b := &batcher{
 		sink:  t.sink,
 		stats: &t.tracker,
-		size:  t.cfg.BatchDocs,
 		where: func() string { return fmt.Sprintf("offset %d", lr.start) },
 		flushed: func(res SinkResult) error {
 			cp = Checkpoint{Offset: batchEnd, Docs: res.Total}
@@ -163,7 +144,7 @@ func (t *TailSource) Run(ctx context.Context) error {
 			}
 		case errOverlong:
 			t.fail(fmt.Sprintf("offset %d: line exceeds %d bytes; skipping to next newline",
-				lr.start, t.cfg.MaxLineBytes))
+				lr.start, maxLineBytes))
 		case io.EOF:
 			// Drain what we have before sleeping: end-of-file is the
 			// flush trigger that keeps a drip feed's latency at one
@@ -236,7 +217,7 @@ func (t *TailSource) open(ctx context.Context, cp *Checkpoint, skip *int) (*os.F
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
-		case <-time.After(t.cfg.Poll):
+		case <-time.After(pollInterval):
 		}
 	}
 }
@@ -250,7 +231,7 @@ func (t *TailSource) watch(ctx context.Context, f *os.File, offset int64) (reset
 	select {
 	case <-ctx.Done():
 		return false, ctx.Err()
-	case <-time.After(t.cfg.Poll):
+	case <-time.After(pollInterval):
 	}
 	st, err := os.Stat(t.cfg.Path)
 	if err != nil {

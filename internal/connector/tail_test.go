@@ -1,8 +1,10 @@
 package connector
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -22,9 +24,9 @@ const feedHeaderLine = `{"kind":"topix","streams":["lima","oslo"],"timeline":52}
 // is called (waits for Run to return) — cancellation mid-stream is the
 // in-test stand-in for a crash, since nothing after the last durable
 // flush survives in either case.
-func startTail(t *testing.T, cfg TailConfig, sink Sink) (src *TailSource, stop func() error) {
+func startTail(t *testing.T, path string, sink Sink) (src *TailSource, stop func() error) {
 	t.Helper()
-	src = NewTailSource(cfg, sink)
+	src = NewTailSource(TailConfig{Path: path}, sink)
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() { errc <- src.Run(ctx) }()
@@ -38,10 +40,6 @@ func startTail(t *testing.T, cfg TailConfig, sink Sink) (src *TailSource, stop f
 			return nil
 		}
 	}
-}
-
-func fastCfg(path string) TailConfig {
-	return TailConfig{Path: path, BatchDocs: 4, Poll: 5 * time.Millisecond}
 }
 
 func appendFile(t *testing.T, path, body string) {
@@ -62,7 +60,7 @@ func TestTailFollowsGrowingFile(t *testing.T) {
 	path := t.TempDir() + "/feed.jsonl"
 	appendFile(t, path, feedHeaderLine+feedLine("lima", 0, 0))
 	sink := &memSink{base: 10}
-	src, stop := startTail(t, fastCfg(path), sink)
+	src, stop := startTail(t, path, sink)
 
 	waitFor(t, func() bool { return sink.Docs() == 11 })
 	// Grow the file after the tailer reached EOF, including a torn
@@ -72,7 +70,7 @@ func TestTailFollowsGrowingFile(t *testing.T) {
 	half := feedLine("lima", 2, 1)
 	appendFile(t, path, half[:len(half)/2])
 	waitFor(t, func() bool { return sink.Docs() == 12 })
-	time.Sleep(30 * time.Millisecond) // several polls with the torn line pending
+	time.Sleep(2 * pollInterval) // polls with the torn line pending
 	if got := sink.Docs(); got != 12 {
 		t.Fatalf("torn line was ingested early: docs=%d", got)
 	}
@@ -92,31 +90,33 @@ func TestTailFollowsGrowingFile(t *testing.T) {
 }
 
 func TestTailResumeNoLossNoDup(t *testing.T) {
-	// The core crash-recovery property, checked at every possible cut
-	// point: kill the tailer after k flushed docs, restart it, and the
-	// sink must end with every feed doc exactly once, in order.
-	const nDocs = 10
-	var body string
-	body += feedHeaderLine
+	// The core crash-recovery property over three batchDocs flushes: the
+	// first incarnation's sink crashes at document `cut` — inside a
+	// flush, leaving it durable but unacknowledged and so not
+	// checkpointed, or at a flush boundary, right after a checkpoint —
+	// and a second incarnation resumes from the checkpoint. The sink
+	// must end with every feed doc exactly once, in order.
+	const nDocs = 2*batchDocs + batchDocs/2
+	body := feedHeaderLine
 	for i := 0; i < nDocs; i++ {
 		body += feedLine("lima", i, 0)
 	}
-	for cut := 1; cut <= nDocs; cut++ {
+	for _, cut := range []int{1, batchDocs - 1, batchDocs, batchDocs + 1, 2 * batchDocs, nDocs - 1} {
 		path := fmt.Sprintf("%s/feed-%d.jsonl", t.TempDir(), cut)
 		appendFile(t, path, body)
-		sink := &memSink{base: 3}
-		cfg := fastCfg(path)
-		cfg.BatchDocs = 1 // flush per doc so the cut lands between flushes
-
-		_, stop := startTail(t, cfg, sink)
-		waitFor(t, func() bool { return sink.Docs() >= 3+cut })
-		stop() // crash
+		sink := &memSink{base: 3, cut: cut}
+		if err := NewTailSource(TailConfig{Path: path}, sink).Run(context.Background()); !errors.Is(err, errCrash) {
+			t.Fatalf("cut=%d: first incarnation returned %v, want the crash", cut, err)
+		}
+		if got, want := sink.Docs(), 3+(cut+batchDocs-1)/batchDocs*batchDocs; got != min(want, 3+nDocs) {
+			t.Fatalf("cut=%d: %d docs applied before the crash, want the flushes up to and including the cut", cut, got-3)
+		}
 
 		// Second incarnation finishes the feed.
-		_, stop2 := startTail(t, cfg, sink)
+		sink.cut = 0
+		_, stop := startTail(t, path, sink)
 		waitFor(t, func() bool { return sink.Docs() == 3+nDocs })
-		time.Sleep(20 * time.Millisecond) // would catch late duplicates
-		stop2()
+		stop()
 
 		docs := sink.applied()
 		if len(docs) != nDocs {
@@ -137,9 +137,8 @@ func TestTailResumeAfterCrashBeforeFirstCheckpointFlush(t *testing.T) {
 	path := t.TempDir() + "/feed.jsonl"
 	appendFile(t, path, feedHeaderLine+feedLine("lima", 0, 0)+feedLine("oslo", 1, 0))
 	sink := &memSink{base: 5}
-	cfg := fastCfg(path)
 
-	_, stop := startTail(t, cfg, sink)
+	_, stop := startTail(t, path, sink)
 	waitFor(t, func() bool { return sink.Docs() == 7 })
 	stop()
 	// Roll the checkpoint back to what Run wrote at startup — as if
@@ -149,7 +148,7 @@ func TestTailResumeAfterCrashBeforeFirstCheckpointFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, stop2 := startTail(t, cfg, sink)
+	_, stop2 := startTail(t, path, sink)
 	appendFile(t, path, feedLine("lima", 2, 0))
 	waitFor(t, func() bool { return sink.Docs() == 8 })
 	time.Sleep(20 * time.Millisecond)
@@ -163,7 +162,7 @@ func TestTailTruncationRestartsFromZero(t *testing.T) {
 	path := t.TempDir() + "/feed.jsonl"
 	appendFile(t, path, feedHeaderLine+feedLine("lima", 0, 0)+feedLine("lima", 1, 0))
 	sink := &memSink{}
-	src, stop := startTail(t, fastCfg(path), sink)
+	src, stop := startTail(t, path, sink)
 	waitFor(t, func() bool { return sink.Docs() == 2 })
 
 	// Truncate and rewrite shorter: the tailer must notice, reset, and
@@ -189,7 +188,7 @@ func TestTailRotationFollowsNewFile(t *testing.T) {
 	path := dir + "/feed.jsonl"
 	appendFile(t, path, feedHeaderLine+feedLine("lima", 0, 0))
 	sink := &memSink{}
-	_, stop := startTail(t, fastCfg(path), sink)
+	_, stop := startTail(t, path, sink)
 	waitFor(t, func() bool { return sink.Docs() == 1 })
 
 	// Rotate: move the old file away, write a fresh one (same size or
@@ -209,7 +208,7 @@ func TestTailRotationFollowsNewFile(t *testing.T) {
 func TestTailWaitsForMissingFile(t *testing.T) {
 	path := t.TempDir() + "/late.jsonl"
 	sink := &memSink{}
-	_, stop := startTail(t, fastCfg(path), sink)
+	_, stop := startTail(t, path, sink)
 	time.Sleep(20 * time.Millisecond)
 	appendFile(t, path, feedHeaderLine+feedLine("lima", 0, 0))
 	waitFor(t, func() bool { return sink.Docs() == 1 })
@@ -220,7 +219,7 @@ func TestTailSkipsBadLinesAndCountsThem(t *testing.T) {
 	path := t.TempDir() + "/feed.jsonl"
 	appendFile(t, path, feedHeaderLine+"{this is not json}\n"+feedLine("lima", 0, 0))
 	sink := &memSink{}
-	src, stop := startTail(t, fastCfg(path), sink)
+	src, stop := startTail(t, path, sink)
 	waitFor(t, func() bool { return sink.Docs() == 1 })
 	stop()
 	st := src.Stats()
@@ -231,15 +230,10 @@ func TestTailSkipsBadLinesAndCountsThem(t *testing.T) {
 
 func TestTailOverlongLineResyncs(t *testing.T) {
 	path := t.TempDir() + "/feed.jsonl"
-	long := make([]byte, 4096)
-	for i := range long {
-		long[i] = 'x'
-	}
+	long := bytes.Repeat([]byte{'x'}, 2*maxLineBytes)
 	appendFile(t, path, feedHeaderLine+string(long)+"\n"+feedLine("lima", 0, 0))
 	sink := &memSink{}
-	cfg := fastCfg(path)
-	cfg.MaxLineBytes = 1024
-	src, stop := startTail(t, cfg, sink)
+	src, stop := startTail(t, path, sink)
 	waitFor(t, func() bool { return sink.Docs() == 1 })
 	stop()
 	if src.Stats().Errors == 0 {
@@ -247,19 +241,17 @@ func TestTailOverlongLineResyncs(t *testing.T) {
 	}
 }
 
-// TestTailOverlongCompleteLineIsSkipped: MaxLineBytes holds for a line
+// TestTailOverlongCompleteLineIsSkipped: maxLineBytes holds for a line
 // whose newline is already in the file, not only for one the writer has
 // not finished — a well-formed but overlong document is skipped, the
 // line after it is ingested, and the checkpoint lands past both.
 func TestTailOverlongCompleteLineIsSkipped(t *testing.T) {
 	path := t.TempDir() + "/feed.jsonl"
-	long, _ := json.Marshal(Doc{Stream: "lima", Time: 1, Text: strings.Repeat("flood ", 500)})
+	long, _ := json.Marshal(Doc{Stream: "lima", Time: 1, Text: strings.Repeat("flood ", maxLineBytes/6)})
 	body := feedHeaderLine + feedLine("lima", 0, 0) + string(long) + "\n" + feedLine("oslo", 2, 0)
 	appendFile(t, path, body)
 	sink := &memSink{}
-	cfg := fastCfg(path)
-	cfg.MaxLineBytes = 1024
-	src, stop := startTail(t, cfg, sink)
+	src, stop := startTail(t, path, sink)
 	waitFor(t, func() bool { return sink.Docs() == 2 })
 	time.Sleep(20 * time.Millisecond) // would catch the overlong document landing late
 	stop()
@@ -283,7 +275,7 @@ func TestTailRejectedDocsAdvanceCheckpoint(t *testing.T) {
 	path := t.TempDir() + "/feed.jsonl"
 	appendFile(t, path, feedHeaderLine+feedLine("nowhere", 0, 0)+feedLine("lima", 1, 0))
 	sink := &memSink{rejectStream: "nowhere"}
-	src, stop := startTail(t, fastCfg(path), sink)
+	src, stop := startTail(t, path, sink)
 	waitFor(t, func() bool { return sink.Docs() == 1 })
 	stop()
 	if st := src.Stats(); st.Errors != 1 {
@@ -295,7 +287,7 @@ func TestTailRejectedDocsAdvanceCheckpoint(t *testing.T) {
 	// restart never revisits it — and the applied doc must not
 	// duplicate.
 	sink2 := &memSink{rejectStream: "nowhere", base: sink.Docs()}
-	_, stop2 := startTail(t, fastCfg(path), sink2)
+	_, stop2 := startTail(t, path, sink2)
 	appendFile(t, path, feedLine("oslo", 2, 0))
 	waitFor(t, func() bool {
 		for _, d := range sink2.applied() {
@@ -318,7 +310,7 @@ func TestTailCorruptCheckpointRefusesToRun(t *testing.T) {
 	path := t.TempDir() + "/feed.jsonl"
 	appendFile(t, path, feedHeaderLine)
 	writeFile(t, path+".checkpoint", "garbage")
-	src := NewTailSource(fastCfg(path), &memSink{})
+	src := NewTailSource(TailConfig{Path: path}, &memSink{})
 	if err := src.Run(context.Background()); err == nil {
 		t.Fatal("Run succeeded over a corrupt checkpoint")
 	}

@@ -9,7 +9,9 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -163,19 +165,61 @@ func tailFeedLine(stream string, tm int, counts map[string]int) string {
 	return string(raw) + "\n"
 }
 
-// bootTailed assembles one "process incarnation" of a WAL-backed,
-// tail-connected store: fresh collection, WAL replay, mine, attach,
-// sink, supervised tailer. It returns the pieces
-// a test needs to observe and to crash (cancel + abandon).
-type tailedProc struct {
-	c    *stburst.Collection
-	s    *stburst.Store
-	w    *stburst.WAL
-	sink *IngestSink
-	sup  *connector.Supervisor
+// feedDocs is the feed the tail and socket oracles send: feedLen
+// documents that each intern a term of their own.
+func feedDocs() (docs []connector.Doc, lines []string) {
+	for i := 0; i < feedLen; i++ {
+		stream := []string{"lima", "quito", "tokyo"}[i%3]
+		counts := map[string]int{"flood": 1 + i%2, "rescue": 1, fmt.Sprintf("term%d", i): 1}
+		docs = append(docs, connector.Doc{Stream: stream, Time: i % 12, Counts: counts})
+		lines = append(lines, tailFeedLine(stream, i%12, counts))
+	}
+	return docs, lines
 }
 
-func bootTailed(t *testing.T, walDir, feed string) *tailedProc {
+// feedLen is two and a half connector batches: a whole feed read at
+// once is flushed as 64, 64 and 32 documents.
+const feedLen = 160
+
+// crashSink stands in for a process killed at feed document cut: a
+// flush that starts at or past the cut never reaches the store, and a
+// flush that spans it is logged and applied but never acknowledged, so
+// the tailer cannot checkpoint it. Either way the sink then hangs, as
+// a dead process would, until the supervisor is stopped; crashed is
+// closed as it hangs.
+type crashSink struct {
+	*IngestSink
+	cut, fed int
+	crashed  chan struct{}
+}
+
+func (k *crashSink) Ingest(ctx context.Context, docs []connector.Doc) (connector.SinkResult, error) {
+	if k.fed < k.cut {
+		res, err := k.IngestSink.Ingest(ctx, docs)
+		if k.fed += len(docs); err != nil || k.fed <= k.cut {
+			return res, err
+		}
+	}
+	close(k.crashed)
+	<-ctx.Done()
+	return connector.SinkResult{}, ctx.Err()
+}
+
+// bootTailed assembles one "process incarnation" of a WAL-backed,
+// tail-connected store: fresh collection, WAL replay, mine, attach,
+// sink, supervised tailer. A positive cut makes the incarnation crash
+// at that feed document (see crashSink). It returns the pieces a test
+// needs to observe and to crash (cancel + abandon).
+type tailedProc struct {
+	c       *stburst.Collection
+	s       *stburst.Store
+	w       *stburst.WAL
+	sink    *IngestSink
+	sup     *connector.Supervisor
+	crashed chan struct{}
+}
+
+func bootTailed(t *testing.T, walDir, feed string, cut int) *tailedProc {
 	t.Helper()
 	ctx := context.Background()
 	c := serveCollection(t)
@@ -193,35 +237,25 @@ func bootTailed(t *testing.T, walDir, feed string) *tailedProc {
 	if _, err := s.AttachWAL(ctx, w); err != nil {
 		t.Fatalf("AttachWAL: %v", err)
 	}
-	sink := NewIngestSink(c, s)
-	sup := connector.NewSupervisor(connector.SupervisorConfig{
-		BackoffBase: time.Millisecond,
-		Logf:        func(string, ...any) {},
-	})
-	sup.Add(connector.NewTailSource(connector.TailConfig{
-		Path:      feed,
-		BatchDocs: 3,
-		Poll:      2 * time.Millisecond,
-	}, sink))
-	sup.Start(ctx)
-	return &tailedProc{c: c, s: s, w: w, sink: sink, sup: sup}
+	p := &tailedProc{c: c, s: s, w: w, sink: NewIngestSink(c, s), sup: connector.NewSupervisor(), crashed: make(chan struct{})}
+	var sink connector.Sink = p.sink
+	if cut > 0 {
+		sink = &crashSink{IngestSink: p.sink, cut: cut, crashed: p.crashed}
+	}
+	p.sup.Add(connector.NewTailSource(connector.TailConfig{Path: feed}, sink))
+	p.sup.Start(ctx)
+	return p
 }
 
 func TestTailCrashRecoveryChecksumOracle(t *testing.T) {
 	// The acceptance property: kill -9 during active tailing, reboot,
 	// and the recovered store holds every feed document exactly once —
 	// asserted by checksum equality against a store that ingested the
-	// same feed without ever crashing. Swept over several cut points
-	// so the crash lands before, between and after checkpoint writes.
-	const nDocs = 12
-	var lines []string
-	var docs []connector.Doc
-	for i := 0; i < nDocs; i++ {
-		stream := []string{"lima", "quito", "tokyo"}[i%3]
-		counts := map[string]int{"flood": 1 + i%2, "rescue": 1, fmt.Sprintf("term%d", i): 1}
-		lines = append(lines, tailFeedLine(stream, i%12, counts))
-		docs = append(docs, connector.Doc{Stream: stream, Time: i % 12, Counts: counts})
-	}
+	// same feed without ever crashing. cut=k crashes at feed document
+	// 16k, so the sweep lands inside the first 64-document flush (logged,
+	// not checkpointed), at its end (checkpointed, the next flush never
+	// logged) and inside the last flush.
+	docs, lines := feedDocs()
 
 	// The never-crashed oracle, fed through the same sink code path.
 	oracleC := serveCollection(t)
@@ -245,26 +279,23 @@ func TestTailCrashRecoveryChecksumOracle(t *testing.T) {
 			}
 			base := serveCollection(t).NumDocs()
 
-			// First incarnation: tail until at least `cut` docs are
-			// durable, then crash — cancel the supervisor and abandon
-			// everything un-closed. The WAL is never cleanly shut, exactly
-			// like kill -9: only what was fsync'd (WAL frames, checkpoint
-			// renames) survives.
-			p1 := bootTailed(t, walDir, feed)
-			deadline := time.Now().Add(10 * time.Second)
-			for p1.sink.Docs() < base+cut && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
+			// First incarnation: tail until the sink crashes, then stop
+			// the supervisor and abandon everything un-closed. The WAL is
+			// never cleanly shut, exactly like kill -9: only what was
+			// fsync'd (WAL frames, checkpoint renames) survives.
+			p1 := bootTailed(t, walDir, feed, 16*cut)
+			select {
+			case <-p1.crashed:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("first incarnation never reached document %d (%d applied)", 16*cut, p1.sink.Docs()-base)
 			}
-			if p1.sink.Docs() < base+cut {
-				t.Fatalf("first incarnation never reached %d docs", base+cut)
-			}
-			p1.sup.Stop() // cancel + join; an un-ingested batch dies with the process
+			p1.sup.Stop()
 
 			// Reboot: replay the WAL into a fresh collection, attach,
 			// and resume the tailer from its checkpoint.
-			p2 := bootTailed(t, walDir, feed)
-			deadline = time.Now().Add(10 * time.Second)
-			for p2.sink.Docs() < base+nDocs && time.Now().Before(deadline) {
+			p2 := bootTailed(t, walDir, feed, 0)
+			deadline := time.Now().Add(10 * time.Second)
+			for p2.sink.Docs() < base+feedLen && time.Now().Before(deadline) {
 				time.Sleep(time.Millisecond)
 			}
 			// A moment for a would-be duplicate flush to land before the
@@ -285,23 +316,30 @@ func TestTailCrashRecoveryChecksumOracle(t *testing.T) {
 	}
 }
 
+// batchSink records the size of every batch a source hands the store.
+type batchSink struct {
+	*IngestSink
+	mu    sync.Mutex
+	sizes []int
+}
+
+func (k *batchSink) Ingest(ctx context.Context, docs []connector.Doc) (connector.SinkResult, error) {
+	k.mu.Lock()
+	k.sizes = append(k.sizes, len(docs))
+	k.mu.Unlock()
+	return k.IngestSink.Ingest(ctx, docs)
+}
+
 // TestSocketIngestOracle: documents sent over the ingest socket leave
 // the store exactly as one direct IngestSink.Ingest of the same
 // documents does — the same corpus checksum and the same fingerprint
-// for every kind — whether they arrive as a burst in one write (cut at
-// BatchDocs) or as a drip of single-line writes on an open connection,
-// each of which must land on its own before the next is sent.
+// for every kind — whether they arrive as a burst in one write (cut
+// into 64-document batches) or as a drip of single-line writes on an
+// open connection, each of which must land on its own before the next
+// is sent.
 func TestSocketIngestOracle(t *testing.T) {
 	ctx := context.Background()
-	const nDocs = 12
-	var docs []connector.Doc
-	var lines []string
-	for i := 0; i < nDocs; i++ {
-		stream := []string{"lima", "quito", "tokyo"}[i%3]
-		counts := map[string]int{"flood": 1 + i%2, "rescue": 1, fmt.Sprintf("term%d", i): 1}
-		docs = append(docs, connector.Doc{Stream: stream, Time: i % 12, Counts: counts})
-		lines = append(lines, tailFeedLine(stream, i%12, counts))
-	}
+	docs, lines := feedDocs()
 	mined := func() (*stburst.Collection, *stburst.Store) {
 		c := serveCollection(t)
 		s, err := c.MineStore(ctx, nil)
@@ -328,7 +366,8 @@ func TestSocketIngestOracle(t *testing.T) {
 	for _, mode := range []string{"burst", "drip"} {
 		t.Run(mode, func(t *testing.T) {
 			c, s := mined()
-			src := connector.NewSocketSource(connector.SocketConfig{Addr: "127.0.0.1:0", BatchDocs: 5}, NewIngestSink(c, s))
+			sink := &batchSink{IngestSink: NewIngestSink(c, s)}
+			src := connector.NewSocketSource(connector.SocketConfig{Addr: "127.0.0.1:0"}, sink)
 			runCtx, cancel := context.WithCancel(ctx)
 			defer cancel()
 			errc := make(chan error, 1)
@@ -369,14 +408,19 @@ func TestSocketIngestOracle(t *testing.T) {
 					waitDocs(int64(i + 1))
 				}
 			}
-			waitDocs(nDocs)
+			waitDocs(feedLen)
 			cancel()
 			if err := <-errc; err != nil {
 				t.Fatalf("socket Run: %v", err)
 			}
 
-			if st := src.Stats(); st.Docs != nDocs || st.Errors != 0 {
-				t.Fatalf("source stats = %+v, want %d docs and no errors", st, nDocs)
+			if st := src.Stats(); st.Docs != feedLen || st.Errors != 0 {
+				t.Fatalf("source stats = %+v, want %d docs and no errors", st, feedLen)
+			}
+			if mode == "burst" {
+				if most := slices.Max(sink.sizes); most != 64 {
+					t.Errorf("the burst went to the store in batches of %v, want them cut at 64 documents", sink.sizes)
+				}
 			}
 			if c.Checksum() != oracleC.Checksum() {
 				t.Fatal("socket-fed store checksum diverged from the direct-ingest oracle")
@@ -407,8 +451,8 @@ func TestServerConnectorsStatsAndMetrics(t *testing.T) {
 	if err := os.WriteFile(feed, []byte(tailFeedLine("lima", 1, map[string]int{"storm": 2})), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sup := connector.NewSupervisor(connector.SupervisorConfig{Logf: func(string, ...any) {}})
-	src := connector.NewTailSource(connector.TailConfig{Path: feed, Poll: 2 * time.Millisecond}, NewIngestSink(c, s))
+	sup := connector.NewSupervisor()
+	src := connector.NewTailSource(connector.TailConfig{Path: feed}, NewIngestSink(c, s))
 	sup.Add(src)
 	srv.EnableConnectors(sup)
 	sup.Start(context.Background())

@@ -72,14 +72,6 @@ type Server struct {
 	// interleaved file reads racing to Replace would make "which file
 	// won" arbitrary.
 	reloadMu sync.Mutex
-	// bootDocs is the collection's document count when New built the
-	// server. A reload is refused once the collection holds more: a
-	// bundle's patterns cover only the documents it was mined from, and
-	// installing them over appended documents would leave those
-	// documents' terms stale for good — a later save stamps the current
-	// generation on them, and a reboot's WAL replay re-mines only
-	// batches newer than the bundle.
-	bootDocs int
 	// fpOnce caches the corpus fingerprint reported by /v1/healthz and
 	// /v1/stats: the shard bundle's recorded checksum when it carries
 	// one, otherwise the collection checksum computed once on first use
@@ -116,7 +108,7 @@ type Server struct {
 // which case POST /v1/reload is rejected. The write surface starts
 // disabled; EnableIngest arms it.
 func New(c *stburst.Collection, store *stburst.Store, snapshotPath string) *Server {
-	s := &Server{c: c, store: store, snapshotPath: snapshotPath, bootDocs: c.NumDocs(), started: time.Now(), mux: http.NewServeMux()}
+	s := &Server{c: c, store: store, snapshotPath: snapshotPath, started: time.Now(), mux: http.NewServeMux()}
 	// The versioned contract.
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
@@ -369,9 +361,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // identity is refused with 409: the store's identity is fixed at boot
 // and is what /v1/healthz advertises, so installing a foreign shard's
 // terms under it would have a gateway route queries to a member that no
-// longer holds them. Reload is for a server that has not appended since
-// boot: once the collection holds more documents than it did then, the
-// reload is refused with 409 too (see bootDocs).
+// longer holds them. Reload is for a collection that holds only its
+// corpus load: once any document has been appended since (live, or
+// replayed from the WAL at boot), Store.Replace refuses the bundle,
+// whose patterns do not cover those documents, and the reload answers
+// 409 too.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if s.snapshotPath == "" {
 		WriteError(w, http.StatusConflict, "server was started without -snapshot; nothing to reload")
@@ -407,14 +401,11 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	for _, ix := range ixs {
 		ix.Engine() // warm before the swap: no query pays the build
 	}
-	// Checked last, so an ingest that landed while the file was read
-	// still refuses the swap.
-	if n := s.c.NumDocs(); n > s.bootDocs {
-		WriteError(w, http.StatusConflict, fmt.Sprintf(
-			"reload: the collection holds %d documents but held %d at boot; the bundle's patterns do not cover the appended documents, so restart the server instead", n, s.bootDocs))
+	switch err := s.store.Replace(ixs...); {
+	case errors.Is(err, stburst.ErrCollectionAppended):
+		WriteError(w, http.StatusConflict, "reload: "+err.Error()+"; restart the server instead")
 		return
-	}
-	if err := s.store.Replace(ixs...); err != nil {
+	case err != nil:
 		WriteError(w, http.StatusInternalServerError, "reload: "+err.Error())
 		return
 	}
@@ -483,7 +474,13 @@ func (s *Server) handleDocuments(w http.ResponseWriter, r *http.Request) {
 		log.Printf("ingest: clearing write deadline: %v", err)
 	}
 	res, err := s.ing.Add(r.Context(), docs...)
-	if err != nil {
+	switch {
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		// The client gave up before the batch was admitted, so nothing
+		// applied and there is no one left to answer.
+		log.Printf("ingest cancelled: %v", err)
+		return
+	case err != nil:
 		WriteError(w, http.StatusInternalServerError, "ingest: "+err.Error())
 		return
 	}

@@ -910,10 +910,12 @@ func TestServerDocumentsIngest(t *testing.T) {
 }
 
 // TestServerDocumentsCancelledRequest: a POST whose client gave up
-// before the batch was admitted is refused, and nothing is applied.
+// before the batch was admitted applies nothing and gets no answer, and
+// it counts as neither a server error nor an ingest.
 func TestServerDocumentsCancelledRequest(t *testing.T) {
 	c, store, s := ingestServer(t)
 	docs0, gen0 := c.NumDocs(), store.Generation()
+	before := scrape(t, s)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	req := httptest.NewRequest(http.MethodPost, "/v1/documents",
@@ -923,6 +925,17 @@ func TestServerDocumentsCancelledRequest(t *testing.T) {
 	if rec.Code == http.StatusAccepted || c.NumDocs() != docs0 || store.Generation() != gen0 {
 		t.Fatalf("cancelled POST = %d, collection %d → %d docs, generation %d → %d, want a refusal that applied nothing",
 			rec.Code, docs0, c.NumDocs(), gen0, store.Generation())
+	}
+	// The client gave up, so the server did not fail: no 5xx is counted
+	// against the route, and no document is counted as ingested.
+	after := scrape(t, s)
+	for _, key := range []string{series("POST /v1/documents", "5xx"), "stserve_ingested_docs_total"} {
+		if after[key] != before[key] {
+			t.Errorf("%s moved %v → %v across a cancelled POST", key, before[key], after[key])
+		}
+	}
+	if _, body := get(t, s, "/v1/stats"); body["ingested_docs"] != float64(0) {
+		t.Errorf("stats ingested_docs = %v after a cancelled POST, want 0", body["ingested_docs"])
 	}
 }
 

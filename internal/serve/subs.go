@@ -25,9 +25,9 @@ import (
 // EnableSubscriptions arms the standing-query surface: the CRUD routes
 // and the SSE feed start answering, a webhook dispatcher and an SSE
 // broker are started, and the store's alert sink is pointed at them.
-// Call before serving traffic, like EnableIngest. opts tunes the
-// dispatcher (tests shrink its retries); its OnDelivery hook is
-// replaced with the delivery-latency histogram.
+// Call before serving traffic, like EnableIngest. opts carries the
+// webhook target policy (AllowPrivate); its OnDelivery hook is replaced
+// with the delivery-latency histogram.
 func (s *Server) EnableSubscriptions(opts sub.DispatcherOptions) {
 	s.allowPrivateHooks = opts.AllowPrivate
 	s.broker = sub.NewBroker()

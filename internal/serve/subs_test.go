@@ -18,8 +18,8 @@ import (
 )
 
 // subsServer boots an ingest-enabled server with the standing-query
-// surface armed, mirroring `stserve -ingest -subscriptions`. Dispatcher
-// retries are shrunk so a dead webhook fails in milliseconds.
+// surface armed, mirroring `stserve -ingest -subscriptions
+// -webhook-allow-private`.
 func subsServer(t *testing.T) (*stburst.Collection, *stburst.Store, *Server) {
 	t.Helper()
 	c := serveCollection(t)
@@ -32,7 +32,7 @@ func subsServer(t *testing.T) (*stburst.Collection, *stburst.Store, *Server) {
 	s.EnableIngest(ing)
 	// AllowPrivate: every test sink is an httptest server on loopback,
 	// which the default webhook policy would refuse.
-	s.EnableSubscriptions(sub.DispatcherOptions{Retries: 1, Backoff: time.Millisecond, Timeout: 2 * time.Second, AllowPrivate: true})
+	s.EnableSubscriptions(sub.DispatcherOptions{AllowPrivate: true})
 	t.Cleanup(func() {
 		ing.Close()
 		s.CloseSubscriptions()
@@ -523,7 +523,7 @@ func TestServerRejectsPrivateWebhook(t *testing.T) {
 	c := serveCollection(t)
 	store := mineStore(t, c, stburst.KindRegional)
 	s := New(c, store, "")
-	s.EnableSubscriptions(sub.DispatcherOptions{Retries: 1, Backoff: time.Millisecond})
+	s.EnableSubscriptions(sub.DispatcherOptions{})
 	t.Cleanup(s.CloseSubscriptions)
 
 	for _, hook := range []string{

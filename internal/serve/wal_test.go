@@ -2,7 +2,11 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"stburst"
@@ -111,5 +115,85 @@ func TestMetricsWALGauges(t *testing.T) {
 	}
 	if m["stserve_wal_syncs_total"] < 1 {
 		t.Errorf("stserve_wal_syncs_total = %v, want >= 1", m["stserve_wal_syncs_total"])
+	}
+}
+
+// TestServerReloadRefusedAfterWALReplay: a server whose boot replayed a
+// logged batch refuses POST /v1/reload with 409 even though nothing was
+// appended after it was built — the bundle on disk predates the batch,
+// and installing it would undo AttachWAL's re-mine. Its patterns stay
+// those of a from-scratch mine of the recovered collection.
+func TestServerReloadRefusedAfterWALReplay(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	bundle := filepath.Join(dir, "corpus.bundle")
+	walDir := filepath.Join(dir, "wal")
+
+	// Before the crash: save the bundle, then log a batch that changes
+	// every kind's patterns.
+	pre := mineStore(t, serveCollection(t))
+	if err := pre.SaveFile(bundle); err != nil {
+		t.Fatal(err)
+	}
+	w, err := stburst.OpenWAL(walDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pre.AttachWAL(ctx, w); err != nil {
+		t.Fatal(err)
+	}
+	var batch []stburst.IncomingDocument
+	for x := 0; x < 3; x++ {
+		for tm := 9; tm <= 10; tm++ {
+			batch = append(batch, stburst.IncomingDocument{Stream: x, Time: tm, Text: "tsunami warning tsunami sirens"})
+		}
+	}
+	if _, err := pre.Ingest(ctx, batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Boot as stserve does: corpus, WAL replay, bundle, attach, server.
+	c := serveCollection(t)
+	loaded := c.NumDocs()
+	if w, err = stburst.OpenWAL(walDir); err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if _, err := c.ReplayWAL(ctx, w); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(bundle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := stburst.LoadStore(f, c)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := make(map[stburst.Kind]string)
+	for _, ix := range store.Resident() {
+		saved[ix.PatternKind()] = ix.Fingerprint()
+	}
+	if _, err := store.AttachWAL(ctx, w); err != nil {
+		t.Fatal(err)
+	}
+	s := New(c, store, bundle)
+
+	code, body := postJSON(t, s, "/v1/reload", "")
+	if msg, _ := body["error"].(string); code != http.StatusConflict || !strings.Contains(msg, fmt.Sprintf("held %d", loaded)) {
+		t.Errorf("reload after a WAL replay = %d %v, want 409 naming the corpus load's %d documents", code, body, loaded)
+	}
+	fresh := mineStore(t, c)
+	for _, ix := range fresh.Resident() {
+		if ix.Fingerprint() == saved[ix.PatternKind()] {
+			t.Fatalf("the logged batch leaves the %v patterns unchanged; the test would prove nothing", ix.Kind())
+		}
+		if got := store.Index(ix.PatternKind()).Fingerprint(); got != ix.Fingerprint() {
+			t.Errorf("%v fingerprint after the reload = %.12s, a from-scratch mine gives %.12s", ix.Kind(), got, ix.Fingerprint())
+		}
 	}
 }

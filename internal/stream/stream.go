@@ -122,6 +122,7 @@ type Collection struct {
 	retainCounts bool
 	mu           sync.Mutex // serializes writers: load-phase adds and Append batches
 	st           atomic.Pointer[state]
+	appended     atomic.Int64 // documents published by Append
 }
 
 // NewCollection creates an empty collection over the given streams and
@@ -446,8 +447,14 @@ func (c *Collection) Append(docs []AppendDoc) (firstID int, dirty []int, err err
 	}
 	sort.Ints(dirty)
 	c.st.Store(next)
+	c.appended.Add(int64(len(docs)))
 	return firstID, dirty, nil
 }
+
+// Appended returns how many documents arrived through Append, after
+// the initial load: live batches and batches replayed from a
+// write-ahead log alike.
+func (c *Collection) Appended() int { return int(c.appended.Load()) }
 
 // Checksum returns a hex SHA-256 digest over the collection's entire
 // logical content — every document (in ID order), every posting list

@@ -38,27 +38,23 @@ type DispatcherStats struct {
 	DroppedAlerts  uint64
 }
 
-// DispatcherOptions tune the webhook dispatcher; the zero value picks
-// the documented defaults.
+// The dispatcher's delivery policy. workers POSTs run at once and
+// queueLen batches wait behind them; past that the newest batch is
+// dropped rather than stalling ingest. A batch is attempted retries
+// times, sleeping backoff after the first failure and doubling it per
+// retry, and every POST, dial included, is bounded by timeout, so a dead
+// sink holds a worker for at most three timeouts plus 300 ms of sleep.
+const (
+	workers  = 4
+	queueLen = 256
+	retries  = 3
+	backoff  = 100 * time.Millisecond
+	timeout  = 5 * time.Second
+)
+
+// DispatcherOptions configure the webhook dispatcher; the zero value is
+// the production policy.
 type DispatcherOptions struct {
-	// Workers is the number of concurrent delivery goroutines
-	// (default 4).
-	Workers int
-	// QueueLen bounds the pending-batch queue; a full queue drops the
-	// newest batch rather than stalling ingest (default 256).
-	QueueLen int
-	// Retries is the number of attempts per batch (default 3).
-	Retries int
-	// Backoff is the sleep after the first failed attempt, doubled per
-	// retry (default 100ms).
-	Backoff time.Duration
-	// Timeout bounds each POST (default 5s).
-	Timeout time.Duration
-	// Client overrides the HTTP client (tests); nil uses a client with
-	// the configured Timeout whose dialer enforces the webhook target
-	// policy (see AllowPrivate). A non-nil Client bypasses that policy —
-	// the caller owns transport security.
-	Client *http.Client
 	// AllowPrivate permits deliveries to loopback, private (RFC
 	// 1918/4193) and link-local addresses. Off by default: the
 	// subscription surface is unauthenticated, and a webhook aimed at
@@ -101,36 +97,18 @@ type queued struct {
 
 // NewDispatcher starts the delivery workers.
 func NewDispatcher(opts DispatcherOptions) *Dispatcher {
-	if opts.Workers <= 0 {
-		opts.Workers = 4
+	d := &Dispatcher{opts: opts, client: &http.Client{Timeout: timeout}}
+	if !opts.AllowPrivate {
+		// Enforce the webhook target policy post-resolution: the
+		// Control hook sees the literal IP being dialed, so a DNS
+		// name resolving to a private range is refused even though
+		// registration-time validation could only see the name.
+		dialer := &net.Dialer{Timeout: timeout, Control: guardDial}
+		d.client.Transport = &http.Transport{DialContext: dialer.DialContext}
 	}
-	if opts.QueueLen <= 0 {
-		opts.QueueLen = 256
-	}
-	if opts.Retries <= 0 {
-		opts.Retries = 3
-	}
-	if opts.Backoff <= 0 {
-		opts.Backoff = 100 * time.Millisecond
-	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = 5 * time.Second
-	}
-	d := &Dispatcher{opts: opts, client: opts.Client}
-	if d.client == nil {
-		d.client = &http.Client{Timeout: opts.Timeout}
-		if !opts.AllowPrivate {
-			// Enforce the webhook target policy post-resolution: the
-			// Control hook sees the literal IP being dialed, so a DNS
-			// name resolving to a private range is refused even though
-			// registration-time validation could only see the name.
-			dialer := &net.Dialer{Timeout: opts.Timeout, Control: guardDial}
-			d.client.Transport = &http.Transport{DialContext: dialer.DialContext}
-		}
-	}
-	d.queue = make(chan queued, opts.QueueLen)
-	d.wg.Add(opts.Workers)
-	for i := 0; i < opts.Workers; i++ {
+	d.queue = make(chan queued, queueLen)
+	d.wg.Add(workers)
+	for range workers {
 		go d.worker()
 	}
 	return d
@@ -198,15 +176,15 @@ func (d *Dispatcher) worker() {
 	}
 }
 
-// deliver attempts the POST up to Retries times with doubling backoff.
+// deliver attempts the POST up to retries times with doubling backoff.
 // Any 2xx is success; everything else (including transport errors)
 // retries until attempts run out.
 func (d *Dispatcher) deliver(b Batch) bool {
-	backoff := d.opts.Backoff
-	for attempt := 0; attempt < d.opts.Retries; attempt++ {
+	wait := backoff
+	for attempt := range retries {
 		if attempt > 0 {
-			time.Sleep(backoff)
-			backoff *= 2
+			time.Sleep(wait)
+			wait *= 2
 		}
 		if d.post(b) {
 			return true
@@ -216,7 +194,7 @@ func (d *Dispatcher) deliver(b Batch) bool {
 }
 
 func (d *Dispatcher) post(b Batch) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), d.opts.Timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.URL, bytes.NewReader(b.Body))
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestCheckWebhookHost(t *testing.T) {
@@ -54,7 +53,7 @@ func TestDispatcherBlocksPrivateDial(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	d := NewDispatcher(DispatcherOptions{Workers: 1, Retries: 1, Backoff: time.Millisecond})
+	d := NewDispatcher(DispatcherOptions{})
 	d.Enqueue(Batch{SubscriptionID: 1, URL: srv.URL, Alerts: 1, Body: []byte(`{}`)})
 	d.Close()
 

@@ -3,7 +3,10 @@
 // term→subscription index (so post-ingest matching costs O(dirty
 // terms), never O(subscriptions)), and the delivery layer — a webhook
 // dispatcher with bounded retry and an SSE broker — that turns matches
-// into pushed alerts.
+// into pushed alerts. The dispatcher's worker count, queue length,
+// retries, backoff and timeout are constants (see deliver.go); the one
+// deployment choice it takes is whether webhooks may target private
+// addresses.
 //
 // The package deliberately knows nothing about pattern mining or about
 // what a predicate contains: the store's ingest path owns the matching

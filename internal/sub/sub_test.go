@@ -182,7 +182,7 @@ func TestDispatcherDeliversAndRetries(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	d := NewDispatcher(DispatcherOptions{Workers: 1, Retries: 3, Backoff: time.Millisecond, AllowPrivate: true})
+	d := NewDispatcher(DispatcherOptions{AllowPrivate: true})
 	d.Enqueue(Batch{SubscriptionID: 1, URL: srv.URL, Alerts: 3, Body: []byte(`{"a":1}`)})
 	d.Close()
 
@@ -196,43 +196,65 @@ func TestDispatcherDeliversAndRetries(t *testing.T) {
 }
 
 func TestDispatcherDropsAfterRetriesExhausted(t *testing.T) {
+	var hits atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
 		w.WriteHeader(http.StatusBadGateway)
 	}))
 	defer srv.Close()
 
-	d := NewDispatcher(DispatcherOptions{Workers: 1, Retries: 2, Backoff: time.Millisecond, AllowPrivate: true})
+	d := NewDispatcher(DispatcherOptions{AllowPrivate: true})
 	d.Enqueue(Batch{SubscriptionID: 1, URL: srv.URL, Alerts: 2, Body: []byte(`{}`)})
 	d.Close()
 
+	if got := hits.Load(); got != retries {
+		t.Fatalf("sink hit %d times, want %d attempts", got, retries)
+	}
 	st := d.Stats()
 	if st.DroppedBatches != 1 || st.DroppedAlerts != 2 || st.DeliveredBatches != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
+// TestDispatcherQueueOverflowDrops: with every worker held by a sink
+// that does not answer, queueLen more batches wait and the next one is
+// dropped at once.
 func TestDispatcherQueueOverflowDrops(t *testing.T) {
 	block := make(chan struct{})
+	var inflight atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		inflight.Add(1)
 		<-block
 	}))
 	defer srv.Close()
 
-	d := NewDispatcher(DispatcherOptions{Workers: 1, QueueLen: 1, Retries: 1, Timeout: 5 * time.Second, AllowPrivate: true})
-	// First batch occupies the worker, second fills the queue, third
-	// must be dropped without blocking.
-	for i := 0; i < 3; i++ {
-		d.Enqueue(Batch{SubscriptionID: 1, URL: srv.URL, Alerts: 1, Body: []byte(`{}`)})
+	d := NewDispatcher(DispatcherOptions{AllowPrivate: true})
+	enqueue := func(n int) {
+		for range n {
+			d.Enqueue(Batch{SubscriptionID: 1, URL: srv.URL, Alerts: 1, Body: []byte(`{}`)})
+		}
 	}
+	enqueue(workers)
 	deadline := time.Now().Add(2 * time.Second)
-	for d.Stats().DroppedBatches == 0 && time.Now().Before(deadline) {
+	for inflight.Load() < workers && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if st := d.Stats(); st.DroppedBatches == 0 {
-		t.Fatalf("expected an overflow drop, stats = %+v", st)
+	if got := inflight.Load(); got != workers {
+		t.Fatalf("%d deliveries in flight, want all %d workers busy", got, workers)
+	}
+	enqueue(queueLen)
+	if st := d.Stats(); st.DroppedBatches != 0 {
+		t.Fatalf("dropped with the queue not yet full: %+v", st)
+	}
+	enqueue(1)
+	if st := d.Stats(); st.DroppedBatches != 1 || st.DroppedAlerts != 1 {
+		t.Fatalf("stats = %+v, want the batch past the full queue dropped", st)
 	}
 	close(block)
 	d.Close()
+	if st := d.Stats(); st.DeliveredBatches != workers+queueLen {
+		t.Fatalf("stats after drain = %+v, want %d delivered", st, workers+queueLen)
+	}
 }
 
 // TestDispatcherEnqueueCloseRace: Enqueue racing Close must never panic
@@ -244,7 +266,7 @@ func TestDispatcherEnqueueCloseRace(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	d := NewDispatcher(DispatcherOptions{Workers: 2, Retries: 1, Backoff: time.Millisecond, AllowPrivate: true})
+	d := NewDispatcher(DispatcherOptions{AllowPrivate: true})
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	for i := 0; i < 8; i++ {

@@ -27,6 +27,11 @@ var ErrKindNotResident = errors.New("stburst: pattern kind not resident in store
 // another corpus, than the store's. The HTTP layer maps it to 503.
 var ErrMismatchedPatterns = errors.New("stburst: shipped patterns do not match the store's generation or corpus")
 
+// ErrCollectionAppended is returned (wrapped) by Store.Replace once the
+// store's collection holds documents appended after its corpus load. The
+// HTTP layer maps it to 409.
+var ErrCollectionAppended = errors.New("stburst: the collection has grown since its corpus load")
+
 // Store holds up to one query-ready PatternIndex per concrete pattern
 // kind over a single shared Collection — the paper's three burstiness
 // models (regional, combinatorial, temporal) served side by side from
@@ -138,13 +143,25 @@ func (s *Store) Collection() *Collection { return s.c }
 // complete old set or the complete new set, never one kind from each.
 // Kinds absent from ixs become non-resident. Two indexes of the same
 // kind, a foreign-collection index, or a nil entry is an error, and on
-// any error the store is left untouched. Replace and Ingest serialize
-// against each other: a Replace issued during an in-flight Ingest
-// blocks until the ingest's refreshed set is installed, then supersedes
-// it — never the silent reverse.
+// any error the store is left untouched.
+//
+// Replace is for a collection that holds only its corpus load: once any
+// document has been appended — by Ingest, or by a write-ahead log
+// replayed at boot — it refuses with ErrCollectionAppended, because
+// indexes from outside the store (a reloaded bundle) cover only the
+// documents they were mined from, and installing them would leave the
+// appended documents' terms stale for good: a later save would stamp
+// the current generation on them. The check runs under the write lock
+// Ingest holds end to end, so a Replace either installs before an
+// Ingest appends or refuses after it.
 func (s *Store) Replace(ixs ...*PatternIndex) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
+	if a := s.c.col.Appended(); a > 0 {
+		n := s.c.NumDocs()
+		return fmt.Errorf("%w: it holds %d documents but held %d at its corpus load, and the replacing indexes do not cover the appended ones",
+			ErrCollectionAppended, n, n-a)
+	}
 	return s.replaceLocked(ixs...)
 }
 
@@ -744,10 +761,13 @@ func LoadStore(r io.Reader, c *Collection) (*Store, error) {
 	}
 	s := newStore(c)
 	s.shard = b.Shard
-	if err := s.Replace(ixs...); err != nil {
+	// The members install directly, as MineStore's do: the collection may
+	// already hold replayed write-ahead-log batches, which AttachWAL
+	// re-mines next. No other goroutine sees the store yet.
+	if err := s.replaceLocked(ixs...); err != nil {
 		return nil, fmt.Errorf("stburst: loading store: %w", err)
 	}
-	// Resume the saved store's generation sequence; the Replace above
+	// Resume the saved store's generation sequence; the install above
 	// only counts as a mutation within this process.
 	s.gen.Store(b.Generation)
 	// Re-register the persisted standing queries under their saved IDs.

@@ -346,8 +346,9 @@ func TestStoreHotSwapUnderQueries(t *testing.T) {
 // TestConcurrentIngestQueryReplace extends the hot-swap hammer with a
 // live writer: queries and pattern listings run nonstop while one
 // goroutine ingests document batches (append + dirty-term re-mine +
-// atomic Replace) and another replaces the resident set
-// administratively. Under -race this is the torn-read detector for the
+// atomic install) and another replaces the resident set
+// administratively, which succeeds until the first batch is appended
+// and is refused with ErrCollectionAppended from then on. Under -race this is the torn-read detector for the
 // whole write path: the copy-on-write collection append, the shared
 // clean-term pattern slices, and the atomic resident-set installs.
 func TestConcurrentIngestQueryReplace(t *testing.T) {
@@ -393,14 +394,22 @@ func TestConcurrentIngestQueryReplace(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		refused := false
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			if err := s.Replace(ixs[KindRegional], ixs[KindCombinatorial], ixs[KindTemporal]); err != nil {
+			err := s.Replace(ixs[KindRegional], ixs[KindCombinatorial], ixs[KindTemporal])
+			switch {
+			case errors.Is(err, ErrCollectionAppended):
+				refused = true
+			case err != nil:
 				t.Errorf("replace during ingest: %v", err)
+				return
+			case refused:
+				t.Error("a Replace installed after an earlier one was refused for appended documents")
 				return
 			}
 		}
@@ -425,6 +434,35 @@ func TestConcurrentIngestQueryReplace(t *testing.T) {
 
 	if got := c.NumDocs(); got != twoBurstCollection(t).NumDocs()+24 {
 		t.Errorf("collection holds %d docs after 12 ingests of 2", got)
+	}
+}
+
+// TestStoreReplaceRefusedAfterIngest: once Ingest has appended a batch,
+// Replace refuses with ErrCollectionAppended and leaves the generation
+// and every fingerprint as the ingest left them.
+func TestStoreReplaceRefusedAfterIngest(t *testing.T) {
+	c := twoBurstCollection(t)
+	s := fullStore(t, c)
+	stale := mineKinds(t, c)
+	if _, err := s.Ingest(context.Background(), liveBatch()); err != nil {
+		t.Fatal(err)
+	}
+	gen := s.Generation()
+	fps := make(map[Kind]string)
+	for _, k := range Kinds() {
+		fps[k] = s.Index(k).Fingerprint()
+	}
+	err := s.Replace(stale[KindRegional], stale[KindCombinatorial], stale[KindTemporal])
+	if !errors.Is(err, ErrCollectionAppended) {
+		t.Fatalf("Replace after an ingest = %v, want ErrCollectionAppended", err)
+	}
+	if s.Generation() != gen {
+		t.Errorf("refused Replace moved the generation %d → %d", gen, s.Generation())
+	}
+	for _, k := range Kinds() {
+		if got := s.Index(k).Fingerprint(); got != fps[k] {
+			t.Errorf("%v fingerprint changed across a refused Replace", k)
+		}
 	}
 }
 
