@@ -260,7 +260,7 @@ func main() {
 		// Every write path (HTTP ingest, streaming connectors, WAL
 		// attach) re-mines dirty terms; give it the same worker budget
 		// mining used — stores loaded from a snapshot have no recorded
-		// options, so set them explicitly either way.
+		// worker count, so set it explicitly either way.
 		store.SetMineOptions(stburst.NewMineOptions(stburst.WithParallelism(*parallel)))
 	}
 	var ing *stburst.Ingester
@@ -298,11 +298,7 @@ func main() {
 			cfg := connector.TailConfig{Path: *tailPath, CheckpointPath: *tailCkpt}
 			src := connector.NewTailSource(cfg, sink)
 			sup.Add(src)
-			ckpt := *tailCkpt
-			if ckpt == "" {
-				ckpt = *tailPath + ".checkpoint"
-			}
-			log.Printf("connector: tailing %s (checkpoint %s)", *tailPath, ckpt)
+			log.Printf("connector: tailing %s (checkpoint %s)", *tailPath, src.CheckpointPath())
 		}
 		if *listenIngest != "" {
 			sup.Add(connector.NewSocketSource(connector.SocketConfig{Addr: *listenIngest}, sink))
@@ -314,7 +310,7 @@ func main() {
 		}
 	}
 
-	// Recovery phase 2: with the indexes resident and the mine options
+	// Recovery phase 2: with the indexes resident and the worker count
 	// recorded, re-mine whatever the snapshot had not absorbed, restore
 	// the pre-crash generation and arm logging for live ingestion.
 	if wal != nil {

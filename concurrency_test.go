@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"stburst/internal/index"
 	"stburst/internal/search"
 )
 
@@ -132,6 +133,9 @@ func TestMineAllRegionalMatchesSequentialLoop(t *testing.T) {
 	}
 }
 
+// TestMineAllCombinatorialMatchesSequentialLoop: the corpus-wide miner
+// agrees with the per-term one under every option style the per-term
+// API takes.
 func TestMineAllCombinatorialMatchesSequentialLoop(t *testing.T) {
 	c := synthCollection(t, 8, 24, 30)
 	for _, opts := range []*CombinatorialOptions{
@@ -139,7 +143,7 @@ func TestMineAllCombinatorialMatchesSequentialLoop(t *testing.T) {
 		{MaxPatterns: 2},
 		{Detector: DetectorKleinberg},
 	} {
-		ix := mustMine(c, KindCombinatorial, &MineOptions{Combinatorial: opts, Parallelism: 3})
+		ix := mineWith(t, c, KindCombinatorial, &index.MineOptions{Comb: opts.coreOptions()}, 3)
 		for _, term := range c.Terms() {
 			want := c.CombinatorialPatterns(term, opts)
 			got := ix.CombinatorialPatterns(term)

@@ -121,15 +121,16 @@
 // # Live ingestion
 //
 // The paper's corpus is a continuously arriving stream, so a mined
-// store is not the end of the story: Collection.Append publishes
-// freshly arrived documents atomically under any number of concurrent
-// readers and reports the dirty terms — the ones whose patterns went
-// stale — and Store.Ingest builds the whole write path from it: append
-// the batch, re-mine only the dirty terms per resident kind (per-term
-// mining depends only on that term's own streams, so the refreshed
-// indexes are bit-identical to a from-scratch MineStore over the
-// appended corpus), warm the engines, and install the refreshed set
-// with the same atomic Replace a reload uses. An Ingest is refused or
+// store is not the end of the story. After the load, documents arrive
+// only through Store.Ingest, which is the whole write path: publish the
+// batch atomically under any number of concurrent readers, re-mine only
+// the dirty terms — the ones whose patterns went stale — per resident
+// kind, warm the engines, and install the refreshed set with the same
+// atomic Replace a reload uses. A store always mines with the paper's
+// defaults (MineOptions sets only the worker count), and per-term
+// mining depends only on that term's own streams, so at every
+// generation the resident indexes are bit-identical to a from-scratch
+// MineStore over the collection as it stands. An Ingest is refused or
 // installed: the context is checked once, before anything applies, and
 // a batch past that check is installed in full before Ingest returns:
 //

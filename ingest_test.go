@@ -23,23 +23,38 @@ func liveBatch() []IncomingDocument {
 	}
 }
 
-// applyBatch replays the same documents through the plain Append path —
-// the "from scratch" side of the incremental-vs-full oracle.
-func applyBatch(t *testing.T, c *Collection, docs []IncomingDocument) *AppendResult {
-	t.Helper()
-	res, err := c.Append(context.Background(), docs)
+// appendBatch appends docs the way Store.Ingest and ReplayWAL do, at the
+// stream layer, and returns the first new document's ID and the dirty
+// terms, in interned-ID order.
+func appendBatch(c *Collection, docs []IncomingDocument) (int, []string, error) {
+	first, dirty, err := c.col.Append(c.prepareBatch(docs))
 	if err != nil {
-		t.Fatalf("Append: %v", err)
+		return 0, nil, err
 	}
-	return res
+	terms := make([]string, len(dirty))
+	for i, id := range dirty {
+		terms[i] = c.col.Dict().Term(id)
+	}
+	return first, terms, nil
+}
+
+// applyBatch appends the same documents without mining anything — the
+// "from scratch" side of the incremental-vs-full oracle.
+func applyBatch(t *testing.T, c *Collection, docs []IncomingDocument) (int, []string) {
+	t.Helper()
+	first, dirty, err := appendBatch(c, docs)
+	if err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	return first, dirty
 }
 
 func TestAppendBasics(t *testing.T) {
 	c := twoBurstCollection(t)
 	before := c.NumDocs()
-	res := applyBatch(t, c, liveBatch())
-	if res.FirstID != before || res.Docs != 3 {
-		t.Fatalf("AppendResult = %+v, want FirstID %d, Docs 3", res, before)
+	first, dirtyTerms := applyBatch(t, c, liveBatch())
+	if first != before {
+		t.Fatalf("first appended ID = %d, want %d", first, before)
 	}
 	if c.NumDocs() != before+3 {
 		t.Fatalf("NumDocs = %d, want %d", c.NumDocs(), before+3)
@@ -47,7 +62,7 @@ func TestAppendBasics(t *testing.T) {
 	// Dirty terms are the batch's distinct normalized tokens ("ash",
 	// "volcano", ... — stopwords removed), each reported once.
 	dirty := map[string]bool{}
-	for _, term := range res.DirtyTerms {
+	for _, term := range dirtyTerms {
 		if dirty[term] {
 			t.Errorf("dirty term %q reported twice", term)
 		}
@@ -55,23 +70,27 @@ func TestAppendBasics(t *testing.T) {
 	}
 	for _, want := range []string{"earthquake", "volcano", "rescue", "ash"} {
 		if !dirty[want] {
-			t.Errorf("dirty terms %v missing %q", res.DirtyTerms, want)
+			t.Errorf("dirty terms %v missing %q", dirtyTerms, want)
 		}
 	}
 	if dirty["continue"] == false && dirty["aftershocks"] == false {
-		t.Errorf("dirty terms %v miss the batch's vocabulary", res.DirtyTerms)
+		t.Errorf("dirty terms %v miss the batch's vocabulary", dirtyTerms)
 	}
 	// The appended frequencies are visible through every read path.
 	if got := c.TermFrequency("volcano", 3, 13); got != 2 {
 		t.Errorf("TermFrequency(volcano, 3, 13) = %v, want 2", got)
 	}
-	if d := c.Doc(res.FirstID); d.Stream != 2 || d.Time != 13 {
+	if d := c.Doc(first); d.Stream != 2 || d.Time != 13 {
 		t.Errorf("appended doc = %+v, want stream 2 time 13", d)
 	}
 }
 
+// TestAppendValidationAtomic: Store.Ingest, the one door for documents
+// after the load, rejects a batch with any out-of-range document whole,
+// and refuses every batch under a cancelled context.
 func TestAppendValidationAtomic(t *testing.T) {
 	c := twoBurstCollection(t)
+	s := newStore(c)
 	before := c.NumDocs()
 	bad := [][]IncomingDocument{
 		{{Stream: 0, Time: 3, Text: "fine"}, {Stream: 99, Time: 3, Text: "bad stream"}},
@@ -80,17 +99,17 @@ func TestAppendValidationAtomic(t *testing.T) {
 		{{Stream: 0, Time: -1, Text: "bad time"}},
 	}
 	for _, docs := range bad {
-		if _, err := c.Append(context.Background(), docs); err == nil {
-			t.Errorf("Append accepted %+v", docs)
+		if _, err := s.Ingest(context.Background(), docs); err == nil {
+			t.Errorf("Ingest accepted %+v", docs)
 		}
 	}
 	if c.NumDocs() != before {
-		t.Fatalf("failed appends published documents: %d docs, want %d", c.NumDocs(), before)
+		t.Fatalf("failed ingests published documents: %d docs, want %d", c.NumDocs(), before)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.Append(ctx, liveBatch()); !errors.Is(err, context.Canceled) {
-		t.Errorf("Append with cancelled ctx = %v, want context.Canceled", err)
+	if _, err := s.Ingest(ctx, liveBatch()); !errors.Is(err, context.Canceled) {
+		t.Errorf("Ingest with cancelled ctx = %v, want context.Canceled", err)
 	}
 }
 
@@ -199,31 +218,6 @@ func TestIngestIncrementalOracle(t *testing.T) {
 	}
 	if len(page.Hits) == 0 {
 		t.Error("ingested term retrieves nothing after the incremental refresh")
-	}
-}
-
-// TestIngestMatchesFullRemineWithOptions: Ingest re-mines with the
-// recorded (non-default) options, staying exact against the oracle.
-func TestIngestMatchesFullRemineWithOptions(t *testing.T) {
-	opts := &MineOptions{Regional: &RegionalOptions{Baseline: BaselineEWMA}}
-	live := twoBurstCollection(t)
-	s, err := live.MineStore(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Ingest(context.Background(), liveBatch()); err != nil {
-		t.Fatal(err)
-	}
-	oracle := twoBurstCollection(t)
-	applyBatch(t, oracle, liveBatch())
-	full, err := oracle.MineStore(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kind := range Kinds() {
-		if got, want := s.Index(kind).Fingerprint(), full.Index(kind).Fingerprint(); got != want {
-			t.Errorf("kind %v: incremental (EWMA opts) fingerprint %.12s != from-scratch %.12s", kind, got, want)
-		}
 	}
 }
 

@@ -52,6 +52,10 @@ func NewTailSource(cfg TailConfig, sink Sink) *TailSource {
 
 func (t *TailSource) Name() string { return "tail:" + t.cfg.Path }
 
+// CheckpointPath returns where the tailer persists its resume state:
+// TailConfig.CheckpointPath, or its default.
+func (t *TailSource) CheckpointPath() string { return t.cfg.CheckpointPath }
+
 // Stats implements Source.
 func (t *TailSource) Stats() SourceStats { return t.snapshot(t.Name()) }
 

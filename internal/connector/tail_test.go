@@ -315,3 +315,12 @@ func TestTailCorruptCheckpointRefusesToRun(t *testing.T) {
 		t.Fatal("Run succeeded over a corrupt checkpoint")
 	}
 }
+
+func TestTailCheckpointPathDefault(t *testing.T) {
+	if got := NewTailSource(TailConfig{Path: "feed.jsonl"}, &memSink{}).CheckpointPath(); got != "feed.jsonl.checkpoint" {
+		t.Errorf("default checkpoint path = %q, want feed.jsonl.checkpoint", got)
+	}
+	if got := NewTailSource(TailConfig{Path: "feed.jsonl", CheckpointPath: "ck"}, &memSink{}).CheckpointPath(); got != "ck" {
+		t.Errorf("configured checkpoint path = %q, want ck", got)
+	}
+}

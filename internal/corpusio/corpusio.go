@@ -71,7 +71,7 @@ func Load(r io.Reader) (*stream.Collection, []int, error) {
 			return nil, nil, fmt.Errorf("corpusio: document from %w", err)
 		}
 		// AddTermCounts interns each document's terms in sorted order, as
-		// Collection.Append does for post-load batches: snapshot
+		// stream.Collection.Append does for post-load batches: snapshot
 		// portability (plus stable cross-process index fingerprints)
 		// needs every load of a corpus to assign identical dictionary
 		// IDs, and a corpus replayed as load-then-append must assign the

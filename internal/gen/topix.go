@@ -33,17 +33,17 @@ type TopixConfig struct {
 	// RetainCounts keeps per-document term counts in the collection
 	// (needed when exporting the corpus); off by default to save memory.
 	RetainCounts bool
-	// AmbientEventTermRate is the probability that a background article
-	// mentions an event term ("earthquake", "piracy", ... appear in
-	// unrelated contexts too). Terms of global events are mentioned far
-	// more often than names of local figures. This ambient usage plays
-	// two roles from the paper's real corpus: it puts a small negative
-	// drag (observed < expected) on every stream outside an event's
-	// region, which keeps STLocal rectangles tight, and it gives the
-	// temporal-only TB engine its false positives on localized queries
-	// (Table 3). Defaults to 0.10.
-	AmbientEventTermRate float64
 }
+
+// ambientEventTermRate is the probability that a background article
+// mentions an event term ("earthquake", "piracy", ... appear in
+// unrelated contexts too). Terms of global events are mentioned far
+// more often than names of local figures. This ambient usage plays two
+// roles from the paper's real corpus: it puts a small negative drag
+// (observed < expected) on every stream outside an event's region,
+// which keeps STLocal rectangles tight, and it gives the temporal-only
+// TB engine its false positives on localized queries (Table 3).
+const ambientEventTermRate = 0.06
 
 func (c TopixConfig) withDefaults() TopixConfig {
 	if c.WeeklyArticles == 0 {
@@ -54,9 +54,6 @@ func (c TopixConfig) withDefaults() TopixConfig {
 	}
 	if c.TokensPerArticle == 0 {
 		c.TokensPerArticle = 30
-	}
-	if c.AmbientEventTermRate == 0 {
-		c.AmbientEventTermRate = 0.06
 	}
 	return c
 }
@@ -156,7 +153,7 @@ func NewTopix(cfg TopixConfig) (*Topix, error) {
 		for j := 0; j < n; j++ {
 			counts[background[zipf.Uint64()]]++
 		}
-		if rng.Float64() < cfg.AmbientEventTermRate {
+		if rng.Float64() < ambientEventTermRate {
 			counts[sampleEventTerm()] += 1 + poisson(rng, 0.5)
 		}
 		return counts

@@ -145,8 +145,8 @@ func normalize(v []float64) {
 }
 
 // DistanceMatrix builds the symmetric pairwise-distance matrix of the
-// given geographic coordinates under the provided metric (Haversine or
-// Vincenty).
+// given geographic coordinates under the provided metric (Haversine,
+// say).
 func DistanceMatrix(coords []LatLon, metric func(a, b LatLon) float64) [][]float64 {
 	n := len(coords)
 	m := make([][]float64, n)

@@ -20,7 +20,7 @@
 // through a post-filter and a score floor. A ranking is a plain pull
 // function, and Page pages any ranking — a cursor's, or a merge of
 // several — into an [offset, offset+k) window. TopK is the first k hits of a Cursor;
-// TopKNaive is the exhaustive testing oracle.
+// the package's tests hold TopKNaive, its exhaustive oracle.
 //
 // # Pattern store
 //

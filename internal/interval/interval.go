@@ -57,21 +57,6 @@ func CommonSegment(set []Interval) (start, end int, ok bool) {
 	return start, end, start <= end
 }
 
-// PairwiseIntersect reports whether every pair of intervals in the set
-// intersects. By Lemma 1 of the paper (the Helly property in one
-// dimension), this holds iff the whole set has a non-empty common segment;
-// both predicates are exposed so the equivalence can be verified.
-func PairwiseIntersect(set []Interval) bool {
-	for i := range set {
-		for j := i + 1; j < len(set); j++ {
-			if !Intersects(set[i], set[j]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Clique is a set of mutually intersecting intervals: a combinatorial
 // spatiotemporal pattern before stream metadata is attached. Start and End
 // delimit the common segment of all members and Weight is the sum of the
@@ -83,32 +68,14 @@ type Clique struct {
 	Weight  float64
 }
 
-// MaxWeightClique returns the maximum-weight clique of the intersection
-// graph of the given intervals, in O(n log n) time, and reports whether any
-// clique exists (false only for an empty input). The clique is realized as
-// the set of intervals covering the best stab point; among equal-weight
-// stab points the earliest is chosen, so the result is deterministic.
-// It is the first round of TopCliques, taken whatever its weight.
-//
-// Interval weights must be positive (temporal burstiness scores always
-// are): with positive weights the heaviest clique is exactly the full set
-// of intervals covering the heaviest stab point, which is what the sweep
-// computes.
-func MaxWeightClique(intervals []Interval) (Clique, bool) {
-	if len(intervals) == 0 {
-		return Clique{}, false
-	}
-	return newSweep(intervals).round(), true
-}
-
 // TopCliques iteratively extracts the maximum-weight clique, each time
 // removing the intervals of the reported clique, exactly as §3 of the
 // paper obtains multiple non-overlapping combinatorial patterns.
 // Extraction stops after k cliques (k <= 0 means no limit), when no
 // intervals remain, or when the best remaining clique has non-positive
-// weight. Each round is MaxWeightClique over the remaining intervals, but
-// the sweep events are sorted once, so the whole extraction costs
-// O(n log n + k·n) rather than a sort per round.
+// weight. Each round sweeps the remaining intervals for their
+// maximum-weight clique, but the sweep events are sorted once, so the
+// whole extraction costs O(n log n + k·n) rather than a sort per round.
 func TopCliques(intervals []Interval, k int) []Clique {
 	if len(intervals) == 0 {
 		return nil
@@ -197,38 +164,4 @@ func (s *sweep) round() Clique {
 	s.events = kept
 	start, end, _ := CommonSegment(members)
 	return Clique{Members: members, Start: start, End: end, Weight: best}
-}
-
-// MaxWeightCliqueBrute solves the maximum-weight clique problem by
-// exhaustive subset enumeration. It exists as a testing oracle for
-// MaxWeightClique and must only be used with small inputs.
-func MaxWeightCliqueBrute(intervals []Interval) (Clique, bool) {
-	n := len(intervals)
-	if n == 0 {
-		return Clique{}, false
-	}
-	if n > 20 {
-		panic("interval: MaxWeightCliqueBrute input too large")
-	}
-	var best Clique
-	found := false
-	for mask := 1; mask < 1<<n; mask++ {
-		var set []Interval
-		var w float64
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				set = append(set, intervals[i])
-				w += intervals[i].Weight
-			}
-		}
-		if !PairwiseIntersect(set) {
-			continue
-		}
-		if !found || w > best.Weight {
-			start, end, _ := CommonSegment(set)
-			best = Clique{Members: set, Start: start, End: end, Weight: w}
-			found = true
-		}
-	}
-	return best, found
 }

@@ -25,9 +25,9 @@ func TermsMined() int64 { return termsMined.Load() }
 // every pattern set in prev — each with its own kind's miner — and
 // returns the refreshed sets in the same order. Mining the whole
 // vocabulary from scratch is the call with col.Terms() and one
-// index.EmptySet per wanted kind; an incremental refresh after a
-// Collection.Append is the call with the dirty terms and the resident
-// sets, and because a term's patterns depend only on its own frequency
+// index.EmptySet per wanted kind; an incremental refresh after an
+// append is the call with the dirty terms and the resident sets, and
+// because a term's patterns depend only on its own frequency
 // surface the two agree bit for bit (the oracle tests assert fingerprint
 // equality).
 //

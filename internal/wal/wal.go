@@ -87,9 +87,9 @@ const (
 	segPrefix = "wal-"
 	segSuffix = ".stwal"
 
-	// DefaultSegmentBytes is the rotation threshold when Options leaves
-	// SegmentBytes zero.
-	DefaultSegmentBytes = 64 << 20
+	// defaultSegmentBytes is the rotation threshold when Options leaves
+	// segmentBytes zero.
+	defaultSegmentBytes = 64 << 20
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -110,10 +110,11 @@ const (
 type Options struct {
 	// Sync is the fsync policy (default SyncAlways).
 	Sync SyncPolicy
-	// SegmentBytes rotates the active segment once it would exceed this
-	// size (default DefaultSegmentBytes). A single oversized frame still
+	// segmentBytes rotates the active segment once it would exceed this
+	// size (default defaultSegmentBytes). A single oversized frame still
 	// goes through — segments bound typical file size, not frame size.
-	SegmentBytes int64
+	// Only the rotation tests lower it.
+	segmentBytes int64
 	// Injector, when non-nil, routes the active segment's writes and
 	// fsyncs through a fault injector — test use only.
 	Injector *Injector
@@ -186,8 +187,8 @@ type Log struct {
 // have applied. Mid-log corruption or a sequence gap is a hard error
 // (see the package comment for the classification).
 func Open(dir string, opts Options) (*Log, []Batch, error) {
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = DefaultSegmentBytes
+	if opts.segmentBytes <= 0 {
+		opts.segmentBytes = defaultSegmentBytes
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
@@ -311,7 +312,7 @@ func (l *Log) Append(preGen, baseDocs uint64, docs []stream.AppendDoc) (uint64, 
 	binary.LittleEndian.PutUint32(frame[8:12], crc32.Checksum(frame[0:8], castagnoli))
 	copy(frame[frameLen:], payload)
 
-	if l.frames > 0 && l.activeSize+int64(len(frame)) > l.opts.SegmentBytes {
+	if l.frames > 0 && l.activeSize+int64(len(frame)) > l.opts.segmentBytes {
 		if err := l.rotateLocked(); err != nil {
 			return 0, err
 		}

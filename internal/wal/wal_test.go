@@ -438,7 +438,7 @@ func TestBadMagicAndVersion(t *testing.T) {
 func TestRotationAndMultiSegmentRecovery(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny threshold: every batch lands in its own segment.
-	bounds, batches := fillLog(t, dir, Options{SegmentBytes: 1}, 5)
+	bounds, batches := fillLog(t, dir, Options{segmentBytes: 1}, 5)
 	_ = bounds
 	segs, err := listSegments(dir)
 	if err != nil {
@@ -447,7 +447,7 @@ func TestRotationAndMultiSegmentRecovery(t *testing.T) {
 	if len(segs) != 5 {
 		t.Fatalf("expected 5 segments, found %v", segs)
 	}
-	l, pending, err := Open(dir, Options{SegmentBytes: 1})
+	l, pending, err := Open(dir, Options{segmentBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +470,7 @@ func TestRotationAndMultiSegmentRecovery(t *testing.T) {
 // applies only to the last segment, the only one a crash can tear.
 func TestSealedSegmentCorruptionIsHard(t *testing.T) {
 	dir := t.TempDir()
-	fillLog(t, dir, Options{SegmentBytes: 1}, 3)
+	fillLog(t, dir, Options{segmentBytes: 1}, 3)
 	segs, _ := listSegments(dir)
 	if len(segs) != 3 {
 		t.Fatalf("expected 3 segments, found %v", segs)

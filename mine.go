@@ -104,20 +104,15 @@ func (k *Kind) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// MineOptions configures Collection.MineStore. The zero value (or a nil
-// pointer) mines with the paper's defaults on one worker per CPU.
-// Build one literally; NewMineOptions(WithParallelism(n)) is the
-// functional shorthand for setting the worker count alone.
+// MineOptions configures Collection.MineStore. A store always mines with
+// the paper's defaults, so its one setting is the worker count; the zero
+// value (or a nil pointer) runs one worker per CPU. Build one literally,
+// or with NewMineOptions(WithParallelism(n)).
 type MineOptions struct {
 	// Parallelism is the mining worker count: < 1 means one worker per
 	// CPU, 1 reproduces the sequential loop exactly, and every value
 	// yields bit-identical output.
 	Parallelism int
-	// Regional tunes KindRegional mining; nil uses the paper's defaults.
-	Regional *RegionalOptions
-	// Combinatorial tunes KindCombinatorial mining; nil uses the paper's
-	// defaults.
-	Combinatorial *CombinatorialOptions
 }
 
 // MineOption mutates a MineOptions functional-style.
@@ -138,11 +133,6 @@ func WithParallelism(n int) MineOption {
 	return func(mo *MineOptions) { mo.Parallelism = n }
 }
 
-// core translates the options into the per-kind miners' own.
-func (o *MineOptions) core() *index.MineOptions {
-	return &index.MineOptions{Local: o.Regional.coreOptions(), Comb: o.Combinatorial.coreOptions()}
-}
-
 // MineStore mines the given concrete pattern kinds — all three when none
 // is named — for every term of the corpus and returns a Store holding one
 // index per kind. The (term, kind) work list is fanned out once across a
@@ -150,8 +140,9 @@ func (o *MineOptions) core() *index.MineOptions {
 // term is mined independently on a private miner). KindAny and a kind
 // named twice are errors. A cancelled context stops dispatching further
 // terms and returns ctx.Err() promptly — mining already in flight
-// finishes its current term first. A nil opts mines with the paper's
-// defaults on one worker per CPU.
+// finishes its current term first. Every kind mines with the paper's
+// defaults, as Store.Ingest and AttachWAL re-mine; a nil opts runs one
+// worker per CPU.
 func (c *Collection) MineStore(ctx context.Context, opts *MineOptions, kinds ...Kind) (*Store, error) {
 	if len(kinds) == 0 {
 		kinds = Kinds()
@@ -168,13 +159,8 @@ func (c *Collection) MineStore(ctx context.Context, opts *MineOptions, kinds ...
 		empty[i] = index.EmptySet(pk)
 	}
 	s := newStore(c)
-	// Record the mining options so Store.Ingest re-mines dirty terms
-	// with exactly the parameters the resident indexes were mined with.
 	s.SetMineOptions(opts)
-	if opts == nil {
-		opts = &MineOptions{}
-	}
-	sets, err := search.MineSets(ctx, c.col, c.col.Terms(), empty, opts.core(), opts.Parallelism)
+	sets, err := search.MineSets(ctx, c.col, c.col.Terms(), empty, &index.MineOptions{}, s.workers())
 	if err != nil {
 		return nil, err
 	}

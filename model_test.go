@@ -100,7 +100,7 @@ var modelOps = []struct {
 // modelBatch is one logged batch as the model sees it.
 type modelBatch struct {
 	docs     []IncomingDocument
-	dirty    []string // its dirty terms, from the reference's Append
+	dirty    []string // its dirty terms, from the reference's append
 	seq      uint64   // its WAL sequence number
 	preGen   uint64   // the generation it was logged at
 	absorbed bool     // its documents are in the corpus file
@@ -113,7 +113,6 @@ type modelRun struct {
 	tally *modelTally
 	trail []string
 
-	opts    *MineOptions
 	walOpts []WALOption
 	subs    []Subscription
 	queries []Query
@@ -147,13 +146,10 @@ func runModel(t *testing.T, seed int64, steps int, tally *modelTally) {
 	if rng.Intn(2) == 0 {
 		m.walOpts = []WALOption{WithWALPrune(m.corpus)}
 	}
-	if rng.Intn(2) == 0 {
-		m.opts = &MineOptions{Regional: &RegionalOptions{Baseline: BaselineEWMA, BaselineParam: 0.5}}
-	}
 	m.refCol = loadCorpusFile(t, m.orig)
 	m.subs = modelSubs(m.refCol)
 	m.queries = modelQueries(*m.subs[1].Region)
-	m.s = mustMineStore(t, loadCorpusFile(t, m.corpus), m.opts)
+	m.s = mustMineStore(t, loadCorpusFile(t, m.corpus), nil)
 	m.w = mustOpenWAL(t, m.walDir, m.walOpts...)
 	if att := mustAttachWAL(t, m.s, m.w); att.Batches != 0 || att.DirtyTerms != 0 {
 		t.Fatalf("seed %d: attaching a fresh log = %+v, want nothing replayed", seed, att)
@@ -274,7 +270,7 @@ func (m *modelRun) batch(needTerms bool) []IncomingDocument {
 // the batches changed.
 func (m *modelRun) reference() *Store {
 	if m.ref == nil {
-		m.ref = mustMineStore(m.t, m.refCol, m.opts)
+		m.ref = mustMineStore(m.t, m.refCol, nil)
 	}
 	return m.ref
 }
@@ -286,11 +282,11 @@ func (m *modelRun) ingest(docs []IncomingDocument, trip bool) {
 	ctx := context.Background()
 	var b *modelBatch
 	if len(docs) > 0 {
-		res, err := m.refCol.Append(ctx, docs)
+		_, dirty, err := appendBatch(m.refCol, docs)
 		if err != nil {
-			m.fatalf("reference Append: %v", err)
+			m.fatalf("reference append: %v", err)
 		}
-		b = &modelBatch{docs: docs, dirty: res.DirtyTerms, seq: m.seq + 1, preGen: m.gen}
+		b = &modelBatch{docs: docs, dirty: dirty, seq: m.seq + 1, preGen: m.gen}
 		_, m.frameStart = m.activeSegment()
 	}
 	dirty := map[string]bool{}
@@ -441,13 +437,12 @@ func (m *modelRun) reboot(walDir string) {
 	var s *Store
 	if m.saved {
 		s = loadBundleStore(m.t, m.bundle, c)
-		s.SetMineOptions(m.opts)
 		if subs := s.Subscriptions(); s.Generation() != m.bundleGen || len(subs) != len(m.bundleSubs) ||
 			len(subs) > 0 && !reflect.DeepEqual(subs, m.bundleSubs) {
 			m.fatalf("bundle loaded generation %d and %+v, saved %d and %+v", s.Generation(), subs, m.bundleGen, m.bundleSubs)
 		}
 	} else {
-		s = mustMineStore(m.t, c, m.opts)
+		s = mustMineStore(m.t, c, nil)
 	}
 	m.tally.checks["I4"]++
 	dirty := map[string]bool{}
@@ -489,8 +484,8 @@ func (m *modelRun) crashMidAppend() {
 	m.seq, m.gen = b.seq-1, b.preGen
 	m.refCol = loadCorpusFile(m.t, m.orig)
 	for _, b := range m.batches {
-		if _, err := m.refCol.Append(context.Background(), b.docs); err != nil {
-			m.fatalf("reference Append: %v", err)
+		if _, _, err := appendBatch(m.refCol, b.docs); err != nil {
+			m.fatalf("reference append: %v", err)
 		}
 	}
 	m.ref = nil

@@ -433,7 +433,7 @@ func TestMineCancelled(t *testing.T) {
 
 // TestMineMatchesBatchMiners: a one-kind MineStore reproduces, bit for bit,
 // that kind's member of the one-pass all-kinds miner under the same
-// options — for every kind and option style.
+// options — for every kind, with and without a worker count.
 func TestMineMatchesBatchMiners(t *testing.T) {
 	c := twoBurstCollection(t)
 	ctx := context.Background()
@@ -443,9 +443,7 @@ func TestMineMatchesBatchMiners(t *testing.T) {
 	}{
 		{KindRegional, nil},
 		{KindRegional, NewMineOptions(WithParallelism(1))},
-		{KindRegional, &MineOptions{Regional: &RegionalOptions{Baseline: BaselineEWMA}}},
 		{KindCombinatorial, nil},
-		{KindCombinatorial, &MineOptions{Combinatorial: &CombinatorialOptions{MaxPatterns: 2}}},
 		{KindTemporal, nil},
 	}
 	for _, tc := range cases {

@@ -1,7 +1,6 @@
 package stburst
 
 import (
-	"context"
 	"io"
 
 	"stburst/internal/burst"
@@ -155,10 +154,11 @@ func (o *CombinatorialOptions) coreOptions() core.STCombOptions {
 // single goroutine first; after that, every read and mining method
 // (RegionalPatterns, CombinatorialPatterns, TemporalBursts,
 // TermFrequency, the batch miners, engine construction and search) is
-// safe to call from any number of goroutines concurrently, and Append
-// may publish further documents while those reads run: each read sees
-// one atomic snapshot of the collection, either wholly before or wholly
-// after any append batch.
+// safe to call from any number of goroutines concurrently. After the
+// load, documents arrive only through a Store's Ingest (or ReplayWAL at
+// boot), which publishes each batch while those reads run: each read
+// sees one atomic snapshot of the collection, either wholly before or
+// wholly after any batch.
 type Collection struct {
 	col *stream.Collection
 }
@@ -207,8 +207,8 @@ func LoadCorpusLabeled(r io.Reader) (*Collection, []int, error) {
 }
 
 // IncomingDocument is one document arriving after the initial corpus
-// load — the unit of the live ingestion path (Collection.Append,
-// Store.Ingest, the Ingester, and stserve's POST /v1/documents).
+// load — the unit of the live ingestion path (Store.Ingest, the
+// Ingester, and stserve's POST /v1/documents).
 type IncomingDocument struct {
 	// Stream is the index of the originating stream.
 	Stream int
@@ -239,7 +239,7 @@ func (c *Collection) Resolve(stream string, time int) (int, error) {
 	return c.col.Resolve(stream, time)
 }
 
-// Check reports the error Append or Store.Ingest would reject the
+// Check reports the error Store.Ingest would reject the
 // document with — an out-of-range stream, timestamp or term count —
 // or nil. A door that must drop a bad document rather than fail its
 // whole batch (the connectors' sink) asks per document.
@@ -247,56 +247,8 @@ func (c *Collection) Check(d IncomingDocument) error {
 	return c.col.CheckBatch(c.prepareBatch([]IncomingDocument{d}))
 }
 
-// AppendResult reports one applied Collection.Append batch.
-type AppendResult struct {
-	// FirstID is the document ID assigned to the first document of the
-	// batch; IDs are dense and consecutive from there.
-	FirstID int
-	// Docs is the number of documents appended.
-	Docs int
-	// DirtyTerms lists every distinct term whose frequency surface the
-	// batch changed — including terms the batch introduced — sorted by
-	// interned ID (i.e. first-seen order). These are exactly the terms
-	// whose patterns must be re-mined for an index over the collection
-	// to be exact again; Store.Ingest does so automatically.
-	DirtyTerms []string
-}
-
-// Append publishes a batch of documents arriving after the initial load,
-// atomically and safely under any number of concurrent readers,
-// searches and miners: a concurrent reader observes the collection
-// either wholly before or wholly after the batch, never a torn mix.
-// Batches are all-or-nothing — any out-of-range stream, timestamp or
-// term count rejects the whole batch with nothing published. Existing
-// interned term IDs never move (the frozen prefix), and each document's
-// new terms are interned in sorted order, so replaying the same appends
-// always assigns identical IDs and previously mined indexes and
-// snapshots stay attached; only the returned dirty terms go stale.
-// Concurrent Append calls serialize. The context is checked once up
-// front: batches apply quickly and atomically, so there is no
-// mid-batch cancellation point.
-//
-// Append alone leaves mined indexes describing the pre-append corpus;
-// use Store.Ingest (or an Ingester) to append and incrementally
-// re-mine in one step.
-func (c *Collection) Append(ctx context.Context, docs []IncomingDocument) (*AppendResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	first, dirty, err := c.col.Append(c.prepareBatch(docs))
-	if err != nil {
-		return nil, err
-	}
-	dict := c.col.Dict()
-	terms := make([]string, len(dirty))
-	for i, id := range dirty {
-		terms[i] = dict.Term(id)
-	}
-	return &AppendResult{FirstID: first, Docs: len(docs), DirtyTerms: terms}, nil
-}
-
 // prepareBatch turns a batch into the stream layer's append shape — the
-// form the write-ahead log frames and Collection.Append interns, so
+// form the write-ahead log frames and the collection interns, so
 // logging and applying agree byte for byte on what the batch contains.
 // Counts pass through untouched; Tokens, or else the tokenized Text, are
 // counted.

@@ -3,6 +3,9 @@ package stburst
 import (
 	"context"
 	"testing"
+
+	"stburst/internal/index"
+	"stburst/internal/search"
 )
 
 // mustMine mines one kind into a store on a background context and
@@ -13,6 +16,18 @@ func mustMine(c *Collection, kind Kind, opts *MineOptions) *PatternIndex {
 		panic(err)
 	}
 	return s.Index(kind)
+}
+
+// mineWith mines one kind over the whole vocabulary with miner options
+// a store never takes — the per-term API's options, mined corpus-wide.
+func mineWith(t *testing.T, c *Collection, kind Kind, o *index.MineOptions, workers int) *PatternIndex {
+	t.Helper()
+	pk, _ := kind.patternKind()
+	sets, err := search.MineSets(context.Background(), c.col, c.col.Terms(), []*index.PatternSet{index.EmptySet(pk)}, o, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &PatternIndex{c: c, set: sets[0]}
 }
 
 // queryHits answers q through Store.Query, failing the test on an error.

@@ -64,10 +64,9 @@ type Store struct {
 	// another generation's indexes. Readers stay lock-free on the atomic
 	// pointer.
 	writeMu sync.Mutex
-	// mineOpts are the options Ingest re-mines dirty terms with; they
-	// must match the options the resident indexes were mined with for
-	// the refresh to be exact.
-	mineOpts atomic.Pointer[MineOptions]
+	// parallelism is the worker count Ingest and AttachWAL re-mine
+	// dirty terms with (SetMineOptions).
+	parallelism atomic.Int64
 	// wal, when non-nil, is the attached write-ahead log (AttachWAL):
 	// Ingest fsyncs every batch to it before applying. Behind an atomic
 	// pointer so WALStats never blocks behind an in-flight ingest.
@@ -127,13 +126,20 @@ func (s *Store) ShardInfo() ShardInfo { return s.shard }
 // served from the same resident set over the same corpus.
 func (s *Store) Generation() uint64 { return s.gen.Load() }
 
-// SetMineOptions records the options Ingest re-mines dirty terms with.
-// They must match the options the resident indexes were originally mined
-// with, or the incrementally refreshed indexes would mix two parameter
-// settings; Collection.MineStore records its options automatically, so
-// only loaded stores (LoadStore) need this. A nil opts restores the
-// paper's defaults.
-func (s *Store) SetMineOptions(opts *MineOptions) { s.mineOpts.Store(opts) }
+// SetMineOptions sets the worker count Ingest and AttachWAL re-mine
+// dirty terms with; a nil opts restores one worker per CPU.
+// Collection.MineStore records its own options, so only loaded stores
+// (LoadStore) need this.
+func (s *Store) SetMineOptions(opts *MineOptions) {
+	var n int
+	if opts != nil {
+		n = opts.Parallelism
+	}
+	s.parallelism.Store(int64(n))
+}
+
+// workers returns the re-mine worker count SetMineOptions recorded.
+func (s *Store) workers() int { return int(s.parallelism.Load()) }
 
 // Collection returns the collection the store's indexes are mined from.
 func (s *Store) Collection() *Collection { return s.c }
@@ -457,10 +463,8 @@ type IngestResult struct {
 // appended collection (the per-term miners and posting lists are
 // independent, and the oracle tests assert equality for every kind).
 //
-// Re-mining uses the options recorded by Collection.MineStore or
-// SetMineOptions — they must match the resident indexes' original mining
-// options for the refresh to be exact. Ingest calls serialize, and
-// Replace serializes against an in-flight Ingest (see Replace).
+// Ingest calls serialize, and Replace serializes against an in-flight
+// Ingest (see Replace).
 //
 // With a write-ahead log attached (AttachWAL), Ingest logs before it
 // applies: the batch is validated, framed and fsync'd to the WAL, and
@@ -542,10 +546,6 @@ func (s *Store) Ingest(ctx context.Context, docs []IncomingDocument) (IngestResu
 // boot-time replay: both must refresh identically for a replayed store
 // to be bit-identical to the pre-crash one.
 func (s *Store) refreshLocked(ctx context.Context, resident *residentSet, dirty []int) bool {
-	opts := s.mineOpts.Load()
-	if opts == nil {
-		opts = &MineOptions{}
-	}
 	var prev []*index.PatternSet
 	var prevIx []*PatternIndex
 	for _, ix := range resident {
@@ -557,7 +557,7 @@ func (s *Store) refreshLocked(ctx context.Context, resident *residentSet, dirty 
 	if len(prev) == 0 {
 		return false
 	}
-	sets, err := search.MineSets(context.WithoutCancel(ctx), s.c.col, dirty, prev, opts.core(), opts.Parallelism)
+	sets, err := search.MineSets(context.WithoutCancel(ctx), s.c.col, dirty, prev, &index.MineOptions{}, s.workers())
 	if err != nil {
 		// MineSets fails only on a cancelled context, and this one
 		// cannot be cancelled.

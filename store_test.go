@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"stburst/internal/index"
 	"stburst/internal/search"
 )
 
@@ -296,9 +297,10 @@ func TestMineStoreCancel(t *testing.T) {
 func TestStoreHotSwapUnderQueries(t *testing.T) {
 	c := twoBurstCollection(t)
 	ixs := mineKinds(t, c)
-	// A second generation of indexes to swap against (different options,
+	// A second generation of indexes to swap against (an EWMA baseline,
 	// same collection).
-	reg2 := mustMine(c, KindRegional, &MineOptions{Regional: &RegionalOptions{Baseline: BaselineEWMA}})
+	ewma := &RegionalOptions{Baseline: BaselineEWMA}
+	reg2 := mineWith(t, c, KindRegional, &index.MineOptions{Local: ewma.coreOptions()}, 0)
 	s := fullStore(t, c)
 
 	var wg sync.WaitGroup

@@ -157,7 +157,7 @@ type ReplayResult struct {
 }
 
 // ReplayWAL re-appends every batch the log holds, in sequence order,
-// through the same deterministic Append path live ingestion uses — so
+// through the same deterministic append Store.Ingest uses — so
 // the replayed collection is bit-identical (Checksum-equal) to the
 // pre-crash one. It must run after the corpus is loaded and BEFORE
 // indexes are loaded or mined: logged batches may intern vocabulary
@@ -238,9 +238,7 @@ type WALStats = wal.Stats
 // batches were already mined into it), restores the pre-crash
 // generation, and attaches the log so every subsequent Ingest logs
 // before it applies. Call it after ReplayWAL and after the store's
-// indexes are loaded or mined; set the store's mine options first
-// (SetMineOptions) when the indexes were mined with non-defaults, or
-// the boot-time re-mine would mix parameter settings.
+// indexes are loaded or mined.
 //
 // The context is checked once, before anything applies: a cancelled
 // context refuses the attach and leaves the store and log untouched,

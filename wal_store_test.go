@@ -275,7 +275,7 @@ func TestWALHealsIncompleteIngest(t *testing.T) {
 
 // TestWALCrashRecoverySweep is the randomized crash-recovery property
 // test: a seeded schedule of ingest batches over all three pattern
-// kinds with non-default EWMA regional options, then a kill at every
+// kinds, then a kill at every
 // frame boundary and at sampled mid-frame offsets of the log. For each
 // cut the rebooted store must equal the synchronous oracle that stopped
 // after exactly the batches the truncated log still holds.
@@ -284,7 +284,6 @@ func TestWALCrashRecoverySweep(t *testing.T) {
 		t.Skip("crash-recovery sweep is slow; skipped with -short")
 	}
 	ctx := context.Background()
-	opts := &MineOptions{Regional: &RegionalOptions{Baseline: BaselineEWMA, BaselineParam: 0.5}}
 	rng := rand.New(rand.NewSource(7))
 	vocab := []string{"quake", "flood", "storm", "sirens", "levee", "ashfall"}
 	schedule := make([][]IncomingDocument, 4)
@@ -309,7 +308,7 @@ func TestWALCrashRecoverySweep(t *testing.T) {
 	// boundary corresponds to — the oracle for every cut point.
 	dir := t.TempDir()
 	c1 := twoBurstCollection(t)
-	s1 := mustMineStore(t, c1, opts)
+	s1 := mustMineStore(t, c1, nil)
 	w1 := mustOpenWAL(t, dir)
 	mustAttachWAL(t, s1, w1)
 	boundaries := []int64{mustWALBytes(t, s1)} // segment header only
@@ -385,7 +384,7 @@ func TestWALCrashRecoverySweep(t *testing.T) {
 		if rep.Batches != j {
 			t.Fatalf("cut %d: replayed %d batches, want %d", cut, rep.Batches, j)
 		}
-		s2 := mustMineStore(t, c2, opts)
+		s2 := mustMineStore(t, c2, nil)
 		if _, err := s2.AttachWAL(ctx, w2); err != nil {
 			t.Fatalf("cut %d: AttachWAL: %v", cut, err)
 		}
