@@ -10,11 +10,11 @@
 #   make bench-check # vet + test the bench/ module (the BENCHMARK.json harness)
 #   make examples-smoke # run every examples/* program and diff its stdout against its golden file
 #   make fuzz-smoke  # fail on a fuzz target the recipe does not list, then
-#                    # 10 s of native fuzzing at each of sixteen targets: the artifact decoders, TA cursor,
+#                    # 10 s of native fuzzing at each of seventeen targets: the artifact decoders, TA cursor,
 #                    # KindAny merge, WAL segment scan, feed line framing, connector checkpoint load,
 #                    # the ingest socket's framing, the two miner kernels, the engine's coverage grid
-#                    # and segment order, the search and documents body decoders, the subscription
-#                    # JSON decoder and the corpus line scanner
+#                    # and segment order, the search and documents body decoders, the appended read
+#                    # bodies, the subscription JSON decoder and the corpus line scanner
 #   make verify      # tier-1 + race: what CI should run
 #   make bundle      # stgen a corpus (if missing) and stmine all three kinds into $(BUNDLE)
 #   make serve       # stserve the bundle on $(ADDR)
@@ -139,6 +139,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTopCliques$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/interval
 	$(GO) test -run '^$$' -fuzz '^FuzzSearchBody$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzDocumentsBody$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzReadBodies$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzCorpusLine$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/corpusio
 
 verify: test race

@@ -127,9 +127,18 @@ func bootGateway(t *testing.T, col *stburst.Collection, stores []*stburst.Store)
 
 // searchResp is the slice of the search response the oracle compares.
 type searchResp struct {
-	Count int               `json:"count"`
-	More  bool              `json:"more"`
-	Hits  []serve.SearchHit `json:"hits"`
+	Count int         `json:"count"`
+	More  bool        `json:"more"`
+	Hits  []searchHit `json:"hits"`
+}
+
+// searchHit is one hit of a search response.
+type searchHit struct {
+	Doc    int     `json:"doc"`
+	Kind   string  `json:"kind"`
+	Stream string  `json:"stream"`
+	Time   int     `json:"time"`
+	Score  float64 `json:"score"`
 }
 
 func doSearch(t *testing.T, h http.Handler, q stburst.Query) (int, searchResp) {
@@ -161,9 +170,9 @@ func oracleSearch(t *testing.T, store *stburst.Store, q stburst.Query) (int, sea
 	case err != nil:
 		return http.StatusBadRequest, searchResp{}
 	}
-	sr := searchResp{Count: len(page.Hits), More: page.More, Hits: make([]serve.SearchHit, len(page.Hits))}
+	sr := searchResp{Count: len(page.Hits), More: page.More, Hits: make([]searchHit, len(page.Hits))}
 	for i, h := range page.Hits {
-		sr.Hits[i] = serve.SearchHit{Doc: h.Doc.ID, Kind: h.Kind.String(), Stream: h.Stream, Time: h.Doc.Time, Score: h.Score}
+		sr.Hits[i] = searchHit{Doc: h.Doc.ID, Kind: h.Kind.String(), Stream: h.Stream, Time: h.Doc.Time, Score: h.Score}
 	}
 	return http.StatusOK, sr
 }

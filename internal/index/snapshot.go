@@ -317,7 +317,9 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 // surface later as index-out-of-range panics on the serving path. It also
 // checks what the overlap tests and Coverage assume of a pattern and
 // every miner guarantees: a finite score (the best covering score is
-// then the same in any visiting order), member Streams strictly
+// then the same in any visiting order), finite rectangle coordinates (a
+// NaN corner makes every region overlap test false) and interval weights
+// (neither has a JSON form for the pattern listing), member Streams strictly
 // ascending (ContainsStream binary-searches them) and member Intervals
 // sorted by (Stream, Start) (OverlapsMember searches them by stream).
 func (s *PatternSet) Validate(numStreams, timeline int) error {
@@ -338,8 +340,13 @@ func (s *PatternSet) Validate(numStreams, timeline int) error {
 			if err := checkTime(v.Start, v.End); err != nil {
 				return err
 			}
-			if math.IsNaN(v.Score) || math.IsInf(v.Score, 0) {
+			if !finite(v.Score) {
 				return fmt.Errorf("index: pattern score %v is not finite", v.Score)
+			}
+			// A NaN corner defeats the region overlap test, and no
+			// non-finite value has a JSON form for the pattern listing.
+			if r := v.Rect; !finite(r.MinX) || !finite(r.MinY) || !finite(r.MaxX) || !finite(r.MaxY) {
+				return fmt.Errorf("index: pattern rect %+v has a coordinate that is not finite", r)
 			}
 			for i, x := range v.Streams {
 				if err := checkStream(x); err != nil {
@@ -356,6 +363,9 @@ func (s *PatternSet) Validate(numStreams, timeline int) error {
 				if err := checkTime(iv.Start, iv.End); err != nil {
 					return err
 				}
+				if !finite(iv.Weight) {
+					return fmt.Errorf("index: pattern interval weight %v is not finite", iv.Weight)
+				}
 				if i > 0 {
 					prev := v.Intervals[i-1]
 					if iv.Stream < prev.Stream || (iv.Stream == prev.Stream && iv.Start < prev.Start) {
@@ -367,6 +377,9 @@ func (s *PatternSet) Validate(numStreams, timeline int) error {
 	}
 	return nil
 }
+
+// finite reports whether f is neither NaN nor infinite.
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // Remap re-interns the snapshot's patterns into another dictionary:
 // every stored term string is resolved through lookup (normally

@@ -379,3 +379,25 @@ func TestSnapshotRemapPermutation(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateRejectsNonFiniteGeometry: a NaN rectangle corner makes
+// every region overlap test false, and neither a non-finite corner nor a
+// non-finite interval weight has a JSON form; a loaded set holds neither,
+// and the refusal names which.
+func TestValidateRejectsNonFiniteGeometry(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for corner := 0; corner < 4; corner++ {
+			r := geo.Rect{MaxX: 1, MaxY: 1}
+			*[]*float64{&r.MinX, &r.MinY, &r.MaxX, &r.MaxY}[corner] = bad
+			set := NewWindowSet(map[int][]core.Window{0: {{Rect: r, Streams: []int{0}, Start: 1, End: 2, Score: 1}}})
+			if err := set.Validate(3, 5); err == nil || !strings.Contains(err.Error(), "rect") {
+				t.Errorf("Validate of rect %+v = %v, want an error naming the rect", r, err)
+			}
+		}
+		set := NewCombSet(map[int][]core.CombPattern{0: {{Streams: []int{0, 1}, Start: 1, End: 2, Score: 1,
+			Intervals: []interval.Interval{{Stream: 0, Start: 1, End: 2, Weight: 1}, {Stream: 1, Start: 1, End: 2, Weight: bad}}}}})
+		if err := set.Validate(3, 5); err == nil || !strings.Contains(err.Error(), "weight") {
+			t.Errorf("Validate of interval weight %v = %v, want an error naming the weight", bad, err)
+		}
+	}
+}

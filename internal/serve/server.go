@@ -100,15 +100,18 @@ type Server struct {
 	// -tail / -listen-ingest flags gate it). Lifecycle stays with the
 	// caller; the server only reads its stats.
 	connectors *connector.Supervisor
-	mux        *http.ServeMux
-	obs        *observer
+	// streams holds every stream name JSON-quoted, indexed by stream:
+	// the pattern listing copies them instead of quoting per pattern.
+	streams []string
+	mux     *http.ServeMux
+	obs     *observer
 }
 
 // New wires the endpoint handlers. snapshotPath may be empty, in
 // which case POST /v1/reload is rejected. The write surface starts
 // disabled; EnableIngest arms it.
 func New(c *stburst.Collection, store *stburst.Store, snapshotPath string) *Server {
-	s := &Server{c: c, store: store, snapshotPath: snapshotPath, started: time.Now(), mux: http.NewServeMux()}
+	s := &Server{c: c, store: store, snapshotPath: snapshotPath, started: time.Now(), streams: quoteStreams(c), mux: http.NewServeMux()}
 	// The versioned contract.
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
@@ -144,30 +147,45 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.obs.http.Serve(s.mux, w, r)
 }
 
-// WriteJSON answers status with v as the indented JSON body every /v1
-// route of stserve and stgate speaks. It encodes into a buffer before
-// touching the ResponseWriter, so an encoding failure still produces a
-// clean 500 (no header has been written yet) instead of a truncated 200
-// body. Encode and write errors are logged — a failed write after the
-// header means the client is gone, and the only remaining duty is to
-// record it, never to write again.
+// WriteJSON answers status with v as the indented JSON body of the cold
+// /v1 routes of stserve and stgate: errors, stats, health, indexes,
+// reloads, ingest acks, subscriptions and the gateway's admin routes. The
+// two hot read bodies, the pattern listing and the search page, are
+// appended byte for byte as this would write them (see body.go), because
+// encoding/json's reflection and second indent pass dominated their cost.
+// It encodes into a buffer before touching the ResponseWriter, so an
+// encoding failure still produces a clean 500 (no header has been written
+// yet) instead of a truncated 200 body. Encode and write errors are
+// logged — a failed write after the header means the client is gone, and
+// the only remaining duty is to record it, never to write again.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
 		log.Printf("encoding %T response: %v", v, err)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		if _, err := fmt.Fprintln(w, `{"error":"internal: response encoding failed"}`); err != nil {
-			log.Printf("writing encoding-failure response: %v", err)
-		}
+		writeEncodingFailure(w)
 		return
 	}
+	writeBody(w, status, buf.Bytes())
+}
+
+// writeBody answers status with a complete JSON body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if _, err := buf.WriteTo(w); err != nil {
+	if _, err := w.Write(body); err != nil {
 		log.Printf("writing response: %v", err)
+	}
+}
+
+// writeEncodingFailure answers the 500 a body that could not be encoded
+// gets in place of the body.
+func writeEncodingFailure(w http.ResponseWriter) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusInternalServerError)
+	if _, err := fmt.Fprintln(w, `{"error":"internal: response encoding failed"}`); err != nil {
+		log.Printf("writing encoding-failure response: %v", err)
 	}
 }
 
@@ -495,40 +513,6 @@ func (s *Server) handleDocuments(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// streamNames resolves stream indices to their names for human-readable
-// responses.
-func (s *Server) streamNames(streams []int) []string {
-	out := make([]string, len(streams))
-	for i, x := range streams {
-		out[i] = s.c.Stream(x).Name
-	}
-	return out
-}
-
-type rectJSON struct {
-	MinX float64 `json:"min_x"`
-	MinY float64 `json:"min_y"`
-	MaxX float64 `json:"max_x"`
-	MaxY float64 `json:"max_y"`
-}
-
-type intervalJSON struct {
-	Stream string  `json:"stream"`
-	Start  int     `json:"start"`
-	End    int     `json:"end"`
-	Weight float64 `json:"weight"`
-}
-
-type patternJSON struct {
-	Kind      string         `json:"kind"`
-	Start     int            `json:"start"`
-	End       int            `json:"end"`
-	Score     float64        `json:"score"`
-	Rect      *rectJSON      `json:"rect,omitempty"`
-	Streams   []string       `json:"streams,omitempty"`
-	Intervals []intervalJSON `json:"intervals,omitempty"`
-}
-
 // parseSpan parses the ?from=&to= pair into a timespan. Either bound may
 // be omitted; the other defaults to the start or end of the timeline. A
 // one-sided bound beyond the timeline is a valid (empty) range, not an
@@ -568,40 +552,17 @@ func (s *Server) parseSpan(from, to string) (*stburst.Timespan, error) {
 	return span, nil
 }
 
-// patternsOf assembles the JSON form of one index's stored patterns of a
-// term that intersect the given region/timespan (nil filters match
-// everything). PatternIndex.Patterns decides intersection exactly as the
-// search engine's post-filter does, so the /v1 routes can never disagree
-// about what "intersects" means.
-func (s *Server) patternsOf(ix *stburst.PatternIndex, term string, region *stburst.Rect, span *stburst.Timespan) []patternJSON {
-	var patterns []patternJSON
-	for _, p := range ix.Patterns(term, region, span) {
-		pj := patternJSON{
-			Kind: p.Kind.String(), Start: p.Start, End: p.End, Score: p.Score,
-			Streams: s.streamNames(p.Streams),
-		}
-		if p.Rect != nil {
-			pj.Rect = &rectJSON{MinX: p.Rect.MinX, MinY: p.Rect.MinY, MaxX: p.Rect.MaxX, MaxY: p.Rect.MaxY}
-		}
-		for _, iv := range p.Intervals {
-			pj.Intervals = append(pj.Intervals, intervalJSON{
-				Stream: s.c.Stream(iv.Stream).Name,
-				Start:  iv.Start, End: iv.End, Weight: iv.Weight,
-			})
-		}
-		patterns = append(patterns, pj)
-	}
-	return patterns
-}
-
 // handlePatterns serves GET /v1/patterns/{term}?kind=&region=&from=&to=.
 // An absent kind defaults to the sole resident kind when the store holds
 // one index and to "any" — every resident kind, patterns concatenated in
-// canonical kind order — otherwise.
+// canonical kind order — otherwise. PatternIndex.Patterns decides
+// intersection exactly as the search engine's post-filter does, so the
+// /v1 routes can never disagree about what "intersects" means.
 func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 	term := r.PathValue("term")
+	params := r.URL.Query()
 	kind := stburst.KindAny
-	if raw := r.URL.Query().Get("kind"); raw != "" {
+	if raw := params.Get("kind"); raw != "" {
 		var err error
 		if kind, err = stburst.ParseKind(raw); err != nil {
 			WriteError(w, http.StatusBadRequest, err.Error())
@@ -609,7 +570,7 @@ func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var region *stburst.Rect
-	if raw := r.URL.Query().Get("region"); raw != "" {
+	if raw := params.Get("region"); raw != "" {
 		rect, err := geo.ParseRect(raw)
 		if err != nil {
 			WriteError(w, http.StatusBadRequest, err.Error())
@@ -617,7 +578,7 @@ func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 		}
 		region = &rect
 	}
-	span, err := s.parseSpan(r.URL.Query().Get("from"), r.URL.Query().Get("to"))
+	span, err := s.parseSpan(params.Get("from"), params.Get("to"))
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, err.Error())
 		return
@@ -641,58 +602,32 @@ func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 	if kind == stburst.KindAny && len(resident) == 1 {
 		effective = resident[0].PatternKind()
 	}
-	var patterns []patternJSON
+	groups := make([][]stburst.Pattern, 0, len(resident))
 	for _, ix := range resident {
-		patterns = append(patterns, s.patternsOf(ix, term, region, span)...)
+		if ps := ix.Patterns(term, region, span); len(ps) > 0 {
+			groups = append(groups, ps)
+		}
 	}
-	if len(patterns) == 0 {
+	if len(groups) == 0 {
 		WriteError(w, http.StatusNotFound, "no patterns for term "+strconv.Quote(term))
 		return
 	}
-	WriteJSON(w, http.StatusOK, map[string]any{
-		"term":     term,
-		"kind":     effective.String(),
-		"patterns": patterns,
-	})
+	s.writePatterns(w, term, effective, groups)
 }
 
-// SearchHit is one hit of a search response.
-type SearchHit struct {
-	Doc    int     `json:"doc"`
-	Kind   string  `json:"kind"`
-	Stream string  `json:"stream"`
-	Time   int     `json:"time"`
-	Score  float64 `json:"score"`
-}
-
-// SearchResponse is the POST /v1/search body, which a cluster gateway
-// relays verbatim from the member that answered. Fields are declared in
-// the alphabetical key order the body has always had.
-type SearchResponse struct {
-	// Count is the size of *this page*; with offset paging the full
-	// result-set size is unknown (the TA never enumerates it), and More
-	// flags whether later pages exist.
-	Count  int           `json:"count"`
-	Hits   []SearchHit   `json:"hits"`
-	More   bool          `json:"more"`
-	Query  stburst.Query `json:"query"`
-	TookMS float64       `json:"took_ms"`
+// writePatterns answers a listing of term's patterns, group by group.
+func (s *Server) writePatterns(w http.ResponseWriter, term string, kind stburst.Kind, groups [][]stburst.Pattern) {
+	j := newBody()
+	j.appendPatterns(s.streams, term, kind.String(), groups)
+	j.finish(w, "patterns")
 }
 
 // writeSearch answers a search with one page of the ranking, timed from
 // start.
 func writeSearch(w http.ResponseWriter, q stburst.Query, page stburst.ResultPage, start time.Time) {
-	hits := make([]SearchHit, len(page.Hits))
-	for i, h := range page.Hits {
-		hits[i] = SearchHit{Doc: h.Doc.ID, Kind: h.Kind.String(), Stream: h.Stream, Time: h.Doc.Time, Score: h.Score}
-	}
-	WriteJSON(w, http.StatusOK, SearchResponse{
-		Count:  len(hits),
-		Hits:   hits,
-		More:   page.More,
-		Query:  q,
-		TookMS: float64(time.Since(start).Microseconds()) / 1000,
-	})
+	j := newBody()
+	j.appendSearch(q, page, float64(time.Since(start).Microseconds())/1000)
+	j.finish(w, "search")
 }
 
 // SearchRequest is the POST /v1/search body: the stburst.Query JSON

@@ -13,6 +13,7 @@ import (
 	"stburst/internal/core"
 	"stburst/internal/geo"
 	"stburst/internal/index"
+	"stburst/internal/interval"
 )
 
 // searchWith posts a query with shipped bundles and returns the status
@@ -173,4 +174,37 @@ func FuzzSearchBody(f *testing.F) {
 		}
 		check(t, spliced)
 	})
+}
+
+// TestNonFiniteGeometryRefused: a bundle whose regional rectangle or
+// combinatorial interval weight is not finite is refused wherever a
+// bundle enters — at load, and shipped with a search (400) — and never
+// reaches the pattern listing, which could not encode it.
+func TestNonFiniteGeometryRefused(t *testing.T) {
+	c, store, srv := multiKindServer(t, "")
+	gen := store.Generation()
+	bundle := func(set *index.PatternSet) []byte {
+		var b bytes.Buffer
+		if err := index.WriteBundleSharded(&b, []*index.PatternSet{set}, func(int) string { return "earthquake" }, gen, index.ShardInfo{Shards: 1}); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		rect := index.NewWindowSet(map[int][]core.Window{0: {{Rect: geo.Rect{MinX: bad, MaxX: 3, MaxY: 2}, Streams: []int{0, 1}, Start: 5, End: 7, Score: 1}}})
+		weight := index.NewCombSet(map[int][]core.CombPattern{0: {{Streams: []int{0, 1}, Start: 5, End: 7, Score: 1,
+			Intervals: []interval.Interval{{Stream: 0, Start: 5, End: 7, Weight: bad}, {Stream: 1, Start: 5, End: 7, Weight: 1}}}}})
+		for name, tc := range map[string]struct {
+			set    *index.PatternSet
+			reason string
+		}{"rect": {rect, "rect"}, "weight": {weight, "weight"}} {
+			b := bundle(tc.set)
+			if _, err := stburst.LoadStore(bytes.NewReader(b), c); err == nil || !strings.Contains(err.Error(), "not finite") || !strings.Contains(err.Error(), tc.reason) {
+				t.Errorf("LoadStore of a %s %v bundle: %v, want an error naming the non-finite %s", name, bad, err, tc.reason)
+			}
+			if code, body := searchWith(t, srv, "earthquake", b); code != http.StatusBadRequest || !strings.Contains(body, "not finite") {
+				t.Errorf("search shipping a %s %v bundle = %d %s, want 400 naming it", name, bad, code, body)
+			}
+		}
+	}
 }
