@@ -252,6 +252,9 @@ wal-smoke:
 # errors), a 3-shard topology header in the report, and gateway /metrics
 # per-route totals equal to the report's sent counts — the same
 # accounting loop the single-node smoke closes, now across the fan-out.
+# Each member's term bundle route is checked on its own first, the
+# term's owner among them: ?kind=regional ships one member, shorter than
+# the all-kind bundle, and a kind ParseKind refuses is a 400.
 cluster-smoke:
 	$(GO) build -o bin/stgen ./cmd/stgen
 	$(GO) build -o bin/stmine ./cmd/stmine
@@ -274,6 +277,17 @@ cluster-smoke:
 			curl -sf http://127.0.0.1:$$port/v1/healthz > /dev/null 2>&1 && { ok=1; break; }; sleep 0.3; \
 		done; \
 		test $$ok = 1 || { echo "cluster-smoke: member on $$port never became healthy" >&2; exit 1; }; \
+	done; \
+	for port in 8096 8097 8098; do \
+		bundle=http://127.0.0.1:$$port/v1/patterns/earthquake/bundle; \
+		code=$$(curl -s -o $(CLUSTER_TMP)/all.bundle -w '%{http_code}' $$bundle); \
+		test "$$code" = 200 || { echo "cluster-smoke: $$bundle answered $$code" >&2; exit 1; }; \
+		code=$$(curl -s -o $(CLUSTER_TMP)/regional.bundle -w '%{http_code}' "$$bundle?kind=regional"); \
+		all=$$(wc -c < $(CLUSTER_TMP)/all.bundle); one=$$(wc -c < $(CLUSTER_TMP)/regional.bundle); \
+		test "$$code" = 200 && test $$one -gt 0 && test $$one -lt $$all || \
+			{ echo "cluster-smoke: $$bundle?kind=regional answered $$code with $$one bytes, want 200 and fewer than the all-kind $$all" >&2; exit 1; }; \
+		code=$$(curl -s -o /dev/null -w '%{http_code}' "$$bundle?kind=nope"); \
+		test "$$code" = 400 || { echo "cluster-smoke: $$bundle?kind=nope answered $$code, want 400" >&2; exit 1; }; \
 	done; \
 	./bin/stgate -addr $(CLUSTER_GATE) -shard http://127.0.0.1:8096 \
 		-shard http://127.0.0.1:8097 -shard http://127.0.0.1:8098 & pids="$$pids $$!"; \

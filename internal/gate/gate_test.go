@@ -22,12 +22,12 @@ import (
 // over a background hum, so all three miners produce patterns and
 // multi-term conjunctive queries return hits. Streams 0-1 and 2-3 sit
 // in two distant city pairs for Region filtering.
-func gateCollection(t *testing.T) *stburst.Collection { return repeatedGateCollection(t, 1) }
+func gateCollection(t testing.TB) *stburst.Collection { return repeatedGateCollection(t, 1) }
 
 // repeatedGateCollection is gateCollection with every document added
 // copies times: each term's frequency surface scales by copies, which
 // leaves its patterns' shape alone and multiplies its posting list.
-func repeatedGateCollection(t *testing.T, copies int) *stburst.Collection {
+func repeatedGateCollection(t testing.TB, copies int) *stburst.Collection {
 	t.Helper()
 	col := stburst.NewCollection([]stburst.StreamInfo{
 		{Name: "lima", Location: stburst.Point{X: 0, Y: 0}},
@@ -70,7 +70,7 @@ func repeatedGateCollection(t *testing.T, copies int) *stburst.Collection {
 // shardStores splits a mined store into n shard stores through the real
 // bundle pipeline: Save -> SplitSets -> WriteBundleSharded -> LoadStore,
 // exactly what stmine -shards and a booting stserve do.
-func shardStores(t *testing.T, col *stburst.Collection, store *stburst.Store, n int) []*stburst.Store {
+func shardStores(t testing.TB, col *stburst.Collection, store *stburst.Store, n int) []*stburst.Store {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := store.Save(&buf); err != nil {

@@ -19,10 +19,11 @@ import (
 // corpus and that term's own patterns (Eq. 10/11). So the gateway picks
 // a home member — the owner of the first query token, or shard 0 when no
 // token survives tokenization — fetches each distinct foreign term's
-// patterns from its owner as a bundle (owners in parallel, each owner's
-// terms in turn), and forwards the query with those bundles to the home
-// member, whose store joins them to its own for this one query
-// (stburst.Store.QueryWith) and answers through the ordinary query path.
+// patterns of the query's kind (every kind for "any") from its owner as
+// a bundle (owners in parallel, each owner's terms in turn), and
+// forwards the query with those bundles to the home member, whose store
+// joins them to its own for this one query (stburst.Store.QueryWith)
+// and answers through the ordinary query path.
 // The answer is relayed verbatim. A query whose terms all live on the
 // home shard ships nothing: a plain forward.
 //
@@ -66,7 +67,9 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// One goroutine per owning member, fetching its terms in turn, so a
-	// long query cannot open a connection per term.
+	// long query cannot open a connection per term. Each fetch names the
+	// query's kind: the home member ranks that kind alone.
+	kind := "kind=" + q.Kind.String()
 	bundles := make([][]byte, len(foreign))
 	errs := make([]error, len(foreign))
 	var wg sync.WaitGroup
@@ -76,7 +79,7 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			owner := v.owners[shard]
 			for _, i := range terms {
-				status, body, err := g.do(r.Context(), owner, http.MethodGet, "/v1/patterns/"+url.PathEscape(foreign[i])+"/bundle", "", nil)
+				status, body, err := g.do(r.Context(), owner, http.MethodGet, "/v1/patterns/"+url.PathEscape(foreign[i])+"/bundle", kind, nil)
 				switch {
 				case err != nil:
 					errs[i] = fmt.Errorf("shard %d (%s): %v", shard, owner.url, err)

@@ -18,12 +18,13 @@ import (
 
 // memberTraffic is a gateway's upstream transport that hands each request
 // to the addressed member's handler in-process, counting requests by
-// route and the bytes both ways. before, when set, runs ahead of each
-// request's dispatch.
+// route, bundle fetches by their ?kind=, and the bytes both ways. before,
+// when set, runs ahead of each request's dispatch.
 type memberTraffic struct {
 	members map[string]http.Handler // by URL host
 	mu      sync.Mutex
 	reqs    map[string]int
+	kinds   map[string]int
 	bytes   int
 	before  func(route, host string)
 }
@@ -59,6 +60,9 @@ func (m *memberTraffic) RoundTrip(req *http.Request) (*http.Response, error) {
 	h.ServeHTTP(rec, in)
 	m.mu.Lock()
 	m.reqs[route(req)]++
+	if route(req) == "GET bundle" {
+		m.kinds[req.URL.Query().Get("kind")]++
+	}
 	m.bytes += len(body) + rec.Body.Len()
 	m.mu.Unlock()
 	return rec.Result(), nil
@@ -69,14 +73,16 @@ func (m *memberTraffic) reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.reqs = map[string]int{}
+	m.kinds = map[string]int{}
 	m.bytes = 0
 }
 
 // bootCounted serves shard i's store as member host "shardI" behind a
 // polled gateway whose upstream traffic the returned transport counts.
-func bootCounted(t *testing.T, col *stburst.Collection, stores []*stburst.Store) (*Gateway, *memberTraffic) {
+func bootCounted(t testing.TB, col *stburst.Collection, stores []*stburst.Store) (*Gateway, *memberTraffic) {
 	t.Helper()
-	traffic := &memberTraffic{members: map[string]http.Handler{}, reqs: map[string]int{}}
+	traffic := &memberTraffic{members: map[string]http.Handler{}}
+	traffic.reset()
 	var urls []string
 	for i, st := range stores {
 		host := fmt.Sprintf("shard%d", i)
@@ -96,7 +102,7 @@ func bootCounted(t *testing.T, col *stburst.Collection, stores []*stburst.Store)
 // term, every term another shard owns, then the first of those again —
 // the home term chosen to leave the most foreign terms. It also returns
 // the distinct foreign terms.
-func crossShardText(t *testing.T, shards int) (string, []string) {
+func crossShardText(t testing.TB, shards int) (string, []string) {
 	t.Helper()
 	terms := []string{"earthquake", "rescue", "damage", "tremors"}
 	var text string

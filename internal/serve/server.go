@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"net/url"
 	"os"
 	"strconv"
 	"sync"
@@ -41,8 +42,9 @@ import (
 //	                         combinatorial | temporal | any)
 //	GET  /v1/patterns/{term} stored patterns, filterable by ?kind=&region=&from=&to=
 //	GET  /v1/patterns/{term}/bundle
-//	                         the term's patterns of every resident kind as
-//	                         a bundle, for a cluster gateway to ship
+//	                         the term's patterns of ?kind= (every resident
+//	                         kind when absent or "any") as a bundle, for a
+//	                         cluster gateway to ship
 //	GET  /v1/indexes         the resident kinds with their sizes and fingerprints
 //	POST /v1/documents       live batch ingest (requires -ingest): append
 //	                         documents and incrementally re-mine the dirty
@@ -561,13 +563,9 @@ func (s *Server) parseSpan(from, to string) (*stburst.Timespan, error) {
 func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 	term := r.PathValue("term")
 	params := r.URL.Query()
-	kind := stburst.KindAny
-	if raw := params.Get("kind"); raw != "" {
-		var err error
-		if kind, err = stburst.ParseKind(raw); err != nil {
-			WriteError(w, http.StatusBadRequest, err.Error())
-			return
-		}
+	kind, ok := kindParam(w, params)
+	if !ok {
+		return
 	}
 	var region *stburst.Rect
 	if raw := params.Get("region"); raw != "" {
@@ -613,6 +611,21 @@ func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writePatterns(w, term, effective, groups)
+}
+
+// kindParam parses the ?kind= of a /v1/patterns route, KindAny when
+// absent, answering 400 with ParseKind's message when it names no kind.
+func kindParam(w http.ResponseWriter, params url.Values) (stburst.Kind, bool) {
+	raw := params.Get("kind")
+	if raw == "" {
+		return stburst.KindAny, true
+	}
+	kind, err := stburst.ParseKind(raw)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, err.Error())
+		return 0, false
+	}
+	return kind, true
 }
 
 // writePatterns answers a listing of term's patterns, group by group.
@@ -674,12 +687,18 @@ func (s *Server) handleSearchV1(w http.ResponseWriter, r *http.Request) {
 	writeSearch(w, req.Query, page, start)
 }
 
-// handleTermBundle answers GET /v1/patterns/{term}/bundle with
-// Store.SaveTerm's bundle: 200 for every term, an empty member for a kind
-// holding none of its patterns; 404 only when no kind is resident.
+// handleTermBundle answers GET /v1/patterns/{term}/bundle?kind= with
+// Store.SaveTerm's bundle of that kind — every resident kind when kind is
+// absent or "any": 200 for every term, an empty member for a kind
+// holding none of its patterns; 400 for a kind ParseKind refuses; 404
+// only when no kind is resident.
 func (s *Server) handleTermBundle(w http.ResponseWriter, r *http.Request) {
+	kind, ok := kindParam(w, r.URL.Query())
+	if !ok {
+		return
+	}
 	var buf bytes.Buffer
-	if err := s.store.SaveTerm(&buf, r.PathValue("term")); err != nil {
+	if err := s.store.SaveTerm(&buf, r.PathValue("term"), kind); err != nil {
 		WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}

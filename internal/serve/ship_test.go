@@ -208,3 +208,62 @@ func TestNonFiniteGeometryRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestTermBundleKind: GET /v1/patterns/{term}/bundle takes the listing
+// route's ?kind=. A concrete kind ships that kind's member alone, byte
+// for byte the member the all-kind bundle holds; an absent kind and
+// "any" ship the all-kind bundle Store.SaveTerm writes by default; a
+// kind ParseKind refuses is a 400 with its message.
+func TestTermBundleKind(t *testing.T) {
+	_, store, srv := multiKindServer(t, "")
+	fetch := func(query string) (int, []byte) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/patterns/earthquake/bundle"+query, nil))
+		return rec.Code, rec.Body.Bytes()
+	}
+	var all bytes.Buffer
+	if err := store.SaveTerm(&all, "earthquake"); err != nil {
+		t.Fatal(err)
+	}
+	for _, query := range []string{"", "?kind=any"} {
+		if code, body := fetch(query); code != http.StatusOK || !bytes.Equal(body, all.Bytes()) {
+			t.Errorf("bundle%s = %d, %d bytes; want 200 and the %d-byte all-kind bundle", query, code, len(body), all.Len())
+		}
+	}
+	whole, err := index.ReadStore(bytes.NewReader(all.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(whole.Snaps) != 3 {
+		t.Fatalf("the all-kind bundle holds %d members, want 3", len(whole.Snaps))
+	}
+	for i, kind := range stburst.Kinds() {
+		code, body := fetch("?kind=" + kind.String())
+		if code != http.StatusOK {
+			t.Fatalf("bundle?kind=%v = %d", kind, code)
+		}
+		if len(body) >= all.Len() {
+			t.Errorf("bundle?kind=%v is %d bytes, not below the all-kind bundle's %d", kind, len(body), all.Len())
+		}
+		one, err := index.ReadStore(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("bundle?kind=%v: %v", kind, err)
+		}
+		if len(one.Snaps) != 1 || one.Snaps[0].Set.Kind().String() != kind.String() {
+			t.Fatalf("bundle?kind=%v holds %d members, want one of that kind", kind, len(one.Snaps))
+		}
+		if got, want := one.Snaps[0].Set.Fingerprint(), whole.Snaps[i].Set.Fingerprint(); got != want {
+			t.Errorf("bundle?kind=%v member fingerprint %s, the all-kind bundle's %s", kind, got, want)
+		}
+		if one.Generation != whole.Generation || one.Shard != whole.Shard {
+			t.Errorf("bundle?kind=%v stamped %d %+v, the all-kind bundle %d %+v", kind, one.Generation, one.Shard, whole.Generation, whole.Shard)
+		}
+	}
+	_, want := stburst.ParseKind("nope")
+	code, body := fetch("?kind=nope")
+	var refusal struct{ Error string }
+	if err := json.Unmarshal(body, &refusal); code != http.StatusBadRequest || err != nil || refusal.Error != want.Error() {
+		t.Errorf("bundle?kind=nope = %d %s, want 400 with %q", code, body, want)
+	}
+}

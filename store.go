@@ -249,20 +249,22 @@ func (s *Store) Query(ctx context.Context, q Query) (ResultPage, error) {
 
 // QueryWith is Query over the resident set joined, for this query only,
 // by shipped patterns: each bundle, as SaveTerm writes it on the member
-// that owns a term, brings that term's patterns of every kind. One member
-// of a sharded cluster thereby answers any query exactly as an unsharded
-// store would: every member holds the full corpus, and a term's
-// per-document scores depend only on the corpus and the term's own
-// patterns (Eq. 10/11).
+// that owns a term, brings that term's patterns of the query's kind, or
+// of every kind. One member of a sharded cluster thereby answers any
+// query exactly as an unsharded store would: every member holds the full
+// corpus, and a term's per-document scores depend only on the corpus and
+// the term's own patterns (Eq. 10/11).
 //
-// A bundle is decoded and checked as LoadStore checks one; a bundle that
-// does not decode, or whose patterns do not fit the collection, is an
-// error. One written at another generation, or from another corpus, than
-// the store's is ErrMismatchedPatterns, wrapped: answering from it would
-// mix two states of the cluster. Only the query's own terms are taken
-// from a bundle. The resident set is never modified: the shipped terms'
-// posting lists are built into request-local engines that share every
-// resident term's list, as an ingest's refresh does.
+// A bundle is decoded and checked as LoadStore checks one, every member
+// of it; a bundle that does not decode, or whose patterns do not fit the
+// collection, is an error. One written at another generation, or from
+// another corpus, than the store's is ErrMismatchedPatterns, wrapped:
+// answering from it would mix two states of the cluster. Only the
+// query's own terms, of the kinds it ranks, are taken from a bundle: a
+// single-kind query shipped every kind builds that kind alone. The
+// resident set is never modified: the shipped terms' posting lists are
+// built into request-local engines that share every resident term's
+// list, as an ingest's refresh does.
 func (s *Store) QueryWith(ctx context.Context, q Query, bundles ...[]byte) (ResultPage, error) {
 	if err := q.Validate(); err != nil {
 		return ResultPage{}, err
@@ -291,7 +293,7 @@ func (s *Store) QueryWith(ctx context.Context, q Query, bundles ...[]byte) (Resu
 }
 
 // shipped returns the resident set joined by the query terms' patterns
-// the bundles hold (see QueryWith).
+// the bundles hold, for the kinds q ranks (see QueryWith).
 func (s *Store) shipped(q Query, bundles [][]byte) (*residentSet, error) {
 	resident, gen := s.residentAt()
 	var want []int // the query's terms the collection knows
@@ -320,6 +322,9 @@ func (s *Store) shipped(q Query, bundles [][]byte) (*residentSet, error) {
 				return nil, fmt.Errorf("stburst: shipped bundle %d %v member: %w", i, kindOf(snap.Set.Kind()), err)
 			}
 			k := ix.set.Kind()
+			if q.Kind != KindAny && kindOf(k) != q.Kind {
+				continue // checked above, never ranked
+			}
 			if add[k] == nil {
 				add[k] = index.EmptySet(k)
 			}
@@ -351,29 +356,38 @@ func (s *Store) residentAt() (*residentSet, uint64) {
 	return s.indexes.Load(), s.Generation()
 }
 
-// SaveTerm writes one term's patterns of every resident kind as a bundle
-// stamped with the store's generation and shard identity: what a cluster
-// member ships to the member answering a query over the term (see
-// QueryWith). term is a dictionary term, as Query.Tokens returns it. A
-// kind holding no patterns of the term, and every kind for a term the
-// collection has never seen, writes an empty member. An empty store
-// cannot be saved.
-func (s *Store) SaveTerm(w io.Writer, term string) error {
+// SaveTerm writes one term's patterns as a bundle stamped with the
+// store's generation and shard identity: what a cluster member ships to
+// the member answering a query over the term (see QueryWith). term is a
+// dictionary term, as Query.Tokens returns it. kinds selects the members,
+// written in canonical kind order: none, or KindAny, writes every
+// resident kind, the bundle a query of any kind can use; a concrete kind
+// writes that kind's member, all a query of that kind ranks. A concrete
+// kind the store does not hold writes an empty member of that kind, so a
+// query of it answered from the bundle is ErrKindNotResident, as on an
+// unsharded store. A kind holding no patterns of the term, and every
+// kind for a term the collection has never seen, writes an empty member.
+// An empty store cannot be saved.
+func (s *Store) SaveTerm(w io.Writer, term string, kinds ...Kind) error {
 	resident, gen := s.residentAt()
+	if *resident == (residentSet{}) {
+		return errors.New("stburst: cannot save an empty store")
+	}
+	all := len(kinds) == 0 || slices.Contains(kinds, KindAny)
 	id, known := s.c.col.Dict().Lookup(term)
 	b := &index.Bundle{Generation: gen, Shard: s.shard}
-	for _, ix := range resident {
-		if ix == nil {
+	for pk, ix := range resident {
+		if !(all && ix != nil) && !slices.Contains(kinds, kindOf(index.PatternKind(pk))) {
 			continue
 		}
-		one := index.EmptySet(ix.set.Kind())
-		if known {
+		one := index.EmptySet(index.PatternKind(pk))
+		if ix != nil && known {
 			one = one.With(ix.set, []int{id})
 		}
 		b.Sets = append(b.Sets, one)
 	}
 	if len(b.Sets) == 0 {
-		return errors.New("stburst: cannot save an empty store")
+		return fmt.Errorf("stburst: SaveTerm: no pattern kind among %v", kinds)
 	}
 	return b.Write(w, s.c.col.Dict().Term)
 }

@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"stburst/internal/core"
 	"stburst/internal/index"
 	"stburst/internal/search"
 )
@@ -531,6 +533,75 @@ func TestStoreSavePartial(t *testing.T) {
 	want := []Kind{KindCombinatorial, KindTemporal}
 	if got := loaded.Kinds(); len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("loaded kinds = %v, want %v", got, want)
+	}
+}
+
+// TestQueryWithShippedKind: a single-kind query over a term the store
+// lacks answers the same page from the owner's all-kind bundle as from
+// its one-member bundle of that kind, and both are the owner's own
+// page. A member of a kind the query does not rank is still checked.
+func TestQueryWithShippedKind(t *testing.T) {
+	c := twoBurstCollection(t)
+	full := fullStore(t, c)
+	id, ok := c.col.Dict().Lookup("earthquake")
+	if !ok {
+		t.Fatal("the corpus lacks earthquake")
+	}
+	// owner holds every term, home every term but earthquake, both at
+	// one generation.
+	owner, home := newStore(c), newStore(c)
+	var rest []*PatternIndex
+	for _, ix := range full.Resident() {
+		keep := slices.DeleteFunc(slices.Clone(ix.set.Terms()), func(t int) bool { return t == id })
+		rest = append(rest, &PatternIndex{c: c, set: index.EmptySet(ix.set.Kind()).With(ix.set, keep)})
+	}
+	if err := owner.Replace(full.Resident()...); err != nil {
+		t.Fatal(err)
+	}
+	if err := home.Replace(rest...); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var all bytes.Buffer
+	if err := owner.SaveTerm(&all, "earthquake"); err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range Kinds() {
+		var one bytes.Buffer
+		if err := owner.SaveTerm(&one, "earthquake", kind); err != nil {
+			t.Fatal(err)
+		}
+		if one.Len() >= all.Len() {
+			t.Errorf("%v: the one-member bundle is %d bytes, the all-kind one %d", kind, one.Len(), all.Len())
+		}
+		q := Query{Text: "earthquake", Kind: kind, K: MaxK}
+		want, err := owner.Query(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Hits) == 0 {
+			t.Fatalf("%v: the owner finds no hits; the query does not exercise the join", kind)
+		}
+		if without, err := home.Query(ctx, q); err != nil || len(without.Hits) != 0 {
+			t.Fatalf("%v: the home store answers %d hits (%v) without the bundle", kind, len(without.Hits), err)
+		}
+		for name, b := range map[string][]byte{"all-kind": all.Bytes(), "one-member": one.Bytes()} {
+			got, err := home.QueryWith(ctx, q, b)
+			if err != nil {
+				t.Fatalf("%v with the %s bundle: %v", kind, name, err)
+			}
+			if !slices.Equal(got.Hits, want.Hits) || got.More != want.More {
+				t.Errorf("%v with the %s bundle: %d hits, the owner's page %d", kind, name, len(got.Hits), len(want.Hits))
+			}
+		}
+	}
+	misfit := index.NewCombSet(map[int][]core.CombPattern{id: {{Streams: []int{0, 9}, Start: 4, End: 6, Score: 1}}})
+	var b bytes.Buffer
+	if err := index.WriteBundleSharded(&b, []*index.PatternSet{misfit}, c.col.Dict().Term, home.Generation(), index.ShardInfo{Shards: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := home.QueryWith(ctx, Query{Text: "earthquake", Kind: KindRegional}, b.Bytes()); err == nil || !strings.Contains(err.Error(), "does not fit") {
+		t.Errorf("a regional query shipped a combinatorial member naming stream 9 of 4: %v, want it refused", err)
 	}
 }
 
