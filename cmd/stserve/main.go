@@ -32,9 +32,10 @@
 //	                         none), filterable by ?kind= and
 //	                         ?region=minX,minY,maxX,maxY and ?from=&to=
 //	GET  /v1/patterns/{term}/bundle
-//	                         the term's patterns of every resident kind
-//	                         as a bundle, which stgate ships to the member
-//	                         answering a search over the term
+//	                         the term's patterns of ?kind= (every resident
+//	                         kind when absent or any) as a bundle, which
+//	                         stgate fetches with a search's kind and ships
+//	                         to the member answering it
 //	GET  /v1/indexes         the resident kinds with sizes and fingerprints
 //	POST /v1/documents       live batch ingest (requires -ingest): the body
 //	                         is {"documents": [{"stream": "Japan", "time":
