@@ -86,10 +86,19 @@ test: build vet
 test-short: build
 	$(GO) test -short ./...
 
+# The output is teed into a temp file too: a failed run ends by
+# reprinting every failure line, so a truncated CI log still names the
+# failing test. The exit status is the failed command's.
+RACE_FAILURES = ^[[:space:]]*--- FAIL|^FAIL|WARNING: DATA RACE|^panic:
 race: build
-	$(GO) test -race -short ./...
-	$(GO) test -race -run 'TestMineAll|TestConcurrent|TestSearchAnswers|TestPatternIndex|TestLoaded|TestIngest|TestAppend|TestWAL' .
-	$(GO) test -race ./internal/serve/ ./internal/metrics/ ./internal/wal/ ./internal/gate/ ./internal/sub/ ./internal/connector/
+	@log=$$(mktemp) && trap 'rm -f "$$log" "$$log.rc"' EXIT && \
+	{ $(GO) test -race -short ./... && \
+	  $(GO) test -race -run 'TestMineAll|TestConcurrent|TestSearchAnswers|TestPatternIndex|TestLoaded|TestIngest|TestAppend|TestWAL' . && \
+	  $(GO) test -race ./internal/serve/ ./internal/metrics/ ./internal/wal/ ./internal/gate/ ./internal/sub/ ./internal/connector/; \
+	  echo $$? > "$$log.rc"; } 2>&1 | tee "$$log"; \
+	rc=$$(cat "$$log.rc"); test "$$rc" = 0 || { \
+		echo "race: the run failed; its failure lines:" >&2; \
+		grep -E '$(RACE_FAILURES)' "$$log" >&2; exit "$$rc"; }
 
 # The micro-benchmarks that sit beside their packages; end-to-end numbers
 # come from bench/ (sh bench/run.sh), the one benchmark system.

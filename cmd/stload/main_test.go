@@ -106,7 +106,7 @@ func TestWorkloadPointsMatchLoad(t *testing.T) {
 	}
 }
 
-func bootTarget(t *testing.T) (*httptest.Server, *serve.Server) {
+func bootTarget(t *testing.T) *httptest.Server {
 	t.Helper()
 	c, err := stburst.LoadCorpus(bytes.NewReader(corpusJSONL(t)))
 	if err != nil {
@@ -126,7 +126,7 @@ func bootTarget(t *testing.T) (*httptest.Server, *serve.Server) {
 	})
 	ts := httptest.NewServer(handler)
 	t.Cleanup(ts.Close)
-	return ts, handler
+	return ts
 }
 
 func runLoad(t *testing.T, args ...string) (int, string, string) {
@@ -196,7 +196,7 @@ func TestReportDeterminism(t *testing.T) {
 	var canons []string
 	var reps []report
 	for i := 0; i < 2; i++ {
-		ts, _ := bootTarget(t)
+		ts := bootTarget(t)
 		code, stdout, stderr := runLoad(t,
 			"-target", ts.URL, "-requests", "150", "-seed", "1", "-concurrency", "4", "-vocab", "300")
 		if code != 0 {
@@ -217,7 +217,7 @@ func TestReportDeterminism(t *testing.T) {
 		t.Errorf("transport errors on loopback: %d", reps[0].Outcome.TransportErrors)
 	}
 
-	ts, _ := bootTarget(t)
+	ts := bootTarget(t)
 	code, stdout, stderr := runLoad(t,
 		"-target", ts.URL, "-requests", "150", "-seed", "2", "-concurrency", "4", "-vocab", "300")
 	if code != 0 {
@@ -236,7 +236,7 @@ func TestReportRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("round trip boots and mines a corpus; skipped under -short")
 	}
-	ts, _ := bootTarget(t)
+	ts := bootTarget(t)
 	code, stdout, stderr := runLoad(t,
 		"-target", ts.URL, "-requests", "60", "-seed", "3", "-concurrency", "2", "-vocab", "300")
 	if code != 0 {
@@ -265,7 +265,7 @@ func TestSmokeMixedLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mixed-load smoke re-mines dirty terms on every ingest; skipped under -short")
 	}
-	ts, handler := bootTarget(t)
+	ts := bootTarget(t)
 	code, stdout, stderr := runLoad(t,
 		"-target", ts.URL, "-requests", "300", "-seed", "1", "-concurrency", "8",
 		"-write-fraction", "0.15", "-subscribe-fraction", "0.1", "-vocab", "300")
@@ -315,26 +315,22 @@ func TestSmokeMixedLoad(t *testing.T) {
 	// Cross-check against the server's own accounting. The topology
 	// probe stload runs before the load is one extra stats request the
 	// server counted but the report's workload (rightly) does not.
-	scraped := scrapeCounters(t, ts.URL)
+	metrics := scrapeMetrics(t, ts.URL)
+	scraped := requestCounts(t, metrics)
 	scraped[routeStats]--
 	for route, sent := range rep.Workload.OpsByRoute {
 		if got := scraped[route]; got != sent {
 			t.Errorf("server /metrics counts %d requests on %q, report sent %d", got, route, sent)
 		}
 	}
-	var reg bytes.Buffer
-	if err := handler.Registry().WriteText(&reg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(reg.String(), "stserve_ingested_docs_total "+strconv.Itoa(rep.Workload.DocsSent)) {
+	if !strings.Contains(metrics, "stserve_ingested_docs_total "+strconv.Itoa(rep.Workload.DocsSent)) {
 		t.Errorf("server ingested-docs gauge disagrees with %d docs sent:\n%s",
-			rep.Workload.DocsSent, grepLine(reg.String(), "stserve_ingested_docs_total"))
+			rep.Workload.DocsSent, grepLine(metrics, "stserve_ingested_docs_total"))
 	}
 }
 
-// scrapeCounters sums the server's stserve_http_requests_total series
-// by route across status classes.
-func scrapeCounters(t *testing.T, target string) map[string]int {
+// scrapeMetrics returns the server's GET /metrics exposition.
+func scrapeMetrics(t *testing.T, target string) string {
 	t.Helper()
 	resp, err := http.Get(target + "/metrics")
 	if err != nil {
@@ -345,8 +341,15 @@ func scrapeCounters(t *testing.T, target string) map[string]int {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return string(raw)
+}
+
+// requestCounts sums the stserve_http_requests_total series of a
+// /metrics exposition by route across status classes.
+func requestCounts(t *testing.T, metrics string) map[string]int {
+	t.Helper()
 	out := make(map[string]int)
-	for _, line := range strings.Split(string(raw), "\n") {
+	for _, line := range strings.Split(metrics, "\n") {
 		if !strings.HasPrefix(line, `stserve_http_requests_total{route="`) {
 			continue
 		}

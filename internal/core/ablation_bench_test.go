@@ -117,7 +117,7 @@ func BenchmarkAblationSTCombOnlinePerUpdate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := NewOnlineSTComb(len(surface), nil)
+		m := NewOnlineSTCombOpts(len(surface), OnlineSTCombOptions{})
 		for t := 0; t < 48; t++ {
 			for x := range surface {
 				obs[x] = surface[x][t]

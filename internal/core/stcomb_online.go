@@ -50,12 +50,6 @@ type OnlineSTCombOptions struct {
 	MaxPatterns int
 }
 
-// NewOnlineSTComb creates an online combinatorial miner over n streams.
-// baseline nil uses the running-mean default.
-func NewOnlineSTComb(n int, baseline expect.Factory) *OnlineSTComb {
-	return NewOnlineSTCombOpts(n, OnlineSTCombOptions{Baseline: baseline})
-}
-
 // NewOnlineSTCombOpts creates an online combinatorial miner over n
 // streams with the given options.
 func NewOnlineSTCombOpts(n int, opts OnlineSTCombOptions) *OnlineSTComb {

@@ -169,7 +169,7 @@ func TestCombPatternOverlaps(t *testing.T) {
 func TestOnlineSTCombMatchesBatchIntervals(t *testing.T) {
 	// With a constant-zero baseline the online residuals equal the raw
 	// frequencies, so per-stream maximal intervals are deterministic.
-	o := NewOnlineSTComb(2, nil)
+	o := NewOnlineSTCombOpts(2, OnlineSTCombOptions{})
 	series := [][]float64{
 		{1, 1, 9, 9, 1, 1},
 		{1, 1, 1, 9, 9, 1},
@@ -197,7 +197,7 @@ func TestOnlineSTCombMatchesBatchIntervals(t *testing.T) {
 }
 
 func TestOnlineSTCombPushValidation(t *testing.T) {
-	o := NewOnlineSTComb(3, nil)
+	o := NewOnlineSTCombOpts(3, OnlineSTCombOptions{})
 	if err := o.Push([]float64{1, 2}); err == nil {
 		t.Fatal("short snapshot should error")
 	}

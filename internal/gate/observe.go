@@ -80,6 +80,3 @@ func (o *observer) fanout(path string) *metrics.Histogram { return o.fanouts[pat
 
 // upstream returns one member's upstream instruments.
 func (o *observer) upstream(url string) *upstreamInstruments { return o.members[url] }
-
-// Registry exposes the gateway's metrics registry for in-process tests.
-func (g *Gateway) Registry() *metrics.Registry { return g.obs.s }

@@ -94,7 +94,7 @@ type Bundle struct {
 // Write serializes the bundle: the header with its shard and
 // subscriptions blocks, a manifest, then each of Sets as a member stream
 // stamped with Generation, then a stream checksum over the whole file;
-// term resolves interned IDs to strings as in WriteSnapshot. Shard is
+// term resolves interned IDs to strings (normally Dictionary.Term). Shard is
 // validated; a corpus fingerprint, when present, must be a hex SHA-256 as
 // produced by Collection.Checksum.
 func (b *Bundle) Write(w io.Writer, term func(id int) string) error {

@@ -267,11 +267,8 @@ func TestBundleRejectsRetiredVersions(t *testing.T) {
 			t.Errorf("version %d header: got %v, want an unsupported-version error", version, err)
 		}
 	}
-	var bare bytes.Buffer
-	if err := WriteSnapshot(&bare, regionalSet(), snapshotTerm); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadStore(&bare); err == nil || !strings.Contains(err.Error(), "not a pattern-index bundle") {
+	bare := encodeSnapshot(regionalSet(), snapshotTerm, 0)
+	if _, err := ReadStore(bytes.NewReader(bare)); err == nil || !strings.Contains(err.Error(), "not a pattern-index bundle") {
 		t.Errorf("bare member stream: got %v, want a not-a-bundle error", err)
 	}
 }
@@ -340,23 +337,20 @@ func TestGoldenV4Bundle(t *testing.T) {
 
 // TestOneMemberBundleWrapsSnapshotBytes: a single-kind artifact is a
 // one-member bundle — at generation 0, exactly the 72-byte degenerate
-// header, one 44-byte manifest entry, WriteSnapshot's bytes untouched,
-// and the 32-byte checksum.
+// header, one 44-byte manifest entry, the member encoder's bytes
+// untouched, and the 32-byte checksum.
 func TestOneMemberBundleWrapsSnapshotBytes(t *testing.T) {
 	for name, set := range allKindSets() {
-		var member bytes.Buffer
-		if err := WriteSnapshot(&member, set, snapshotTerm); err != nil {
-			t.Fatal(err)
-		}
+		member := encodeSnapshot(set, snapshotTerm, 0)
 		full := bundleBytes(t, &Bundle{Sets: []*PatternSet{set}, Shard: ShardInfo{Shards: 1}})
-		if want := 72 + 44 + member.Len() + sha256.Size; len(full) != want {
+		if want := 72 + 44 + len(member) + sha256.Size; len(full) != want {
 			t.Fatalf("%s: one-member bundle is %d bytes, want %d", name, len(full), want)
 		}
 		if manifestOffset(full) != 72 {
 			t.Errorf("%s: manifest starts at %d, want 72", name, manifestOffset(full))
 		}
-		if !bytes.Equal(full[72+44:len(full)-sha256.Size], member.Bytes()) {
-			t.Errorf("%s: the member bytes are not WriteSnapshot's", name)
+		if !bytes.Equal(full[72+44:len(full)-sha256.Size], member) {
+			t.Errorf("%s: the member bytes are not the member encoder's", name)
 		}
 	}
 }

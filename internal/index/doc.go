@@ -44,10 +44,11 @@
 // pattern kind behind a header carrying the store generation, the shard
 // identity and the persisted subscriptions, a manifest of the members'
 // kinds and fingerprints, and a stream checksum over the whole file.
-// WriteSnapshot and ReadSnapshot are the member codec: a PatternSet with
-// its term strings, guarded by two digests — a stream checksum over every
-// encoded byte, and the canonical fingerprint proving the decoded
-// patterns are bit-identical to the mined set. Snapshot.Remap re-interns
+// Bundle.Write and ReadStore are its codec; each member is a PatternSet
+// with its term strings, guarded by two digests — a stream checksum over
+// every encoded byte, and the canonical fingerprint proving the decoded
+// patterns are bit-identical to the mined set. No file is a bare member
+// stream: the member codec is unexported. Snapshot.Remap re-interns
 // the patterns into a serving collection's dictionary, completing the
 // mine-once/serve-many pipeline (stmine -all -o → stserve). The byte
 // layout is specified in DESIGN.md.

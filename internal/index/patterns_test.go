@@ -1,7 +1,6 @@
 package index
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 
@@ -104,22 +103,14 @@ func TestFingerprintStableAndSensitive(t *testing.T) {
 func TestFingerprintConcurrentFirstUse(t *testing.T) {
 	fresh := map[string]func() *PatternSet{
 		"decoded": func() *PatternSet {
-			var buf bytes.Buffer
-			if err := WriteSnapshot(&buf, combSet(), snapshotTerm); err != nil {
-				t.Fatal(err)
-			}
-			snap, err := ReadSnapshot(&buf)
+			snap, err := decodeSnapshot(encodeSnapshot(combSet(), snapshotTerm, 0))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return snap.Set
 		},
 		"remapped": func() *PatternSet {
-			var buf bytes.Buffer
-			if err := WriteSnapshot(&buf, regionalSet(), snapshotTerm); err != nil {
-				t.Fatal(err)
-			}
-			snap, err := ReadSnapshot(&buf)
+			snap, err := decodeSnapshot(encodeSnapshot(regionalSet(), snapshotTerm, 0))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -34,7 +34,7 @@ import (
 // The checksum catches any corruption of the encoded stream (including
 // the term strings, which the canonical fingerprint does not cover); the
 // fingerprint proves the decoded patterns are bit-identical to the mined
-// set. Both must verify and no bytes may follow the footer; ReadSnapshot
+// set. Both must verify and no bytes may follow the footer; decodeSnapshot
 // rejects anything else. See DESIGN.md for the full specification.
 
 // snapshotMagic identifies a member stream.
@@ -54,22 +54,6 @@ const maxSnapshotTermLen = 1 << 20
 type Snapshot struct {
 	Set   *PatternSet
 	Terms []string
-}
-
-// WriteSnapshot serializes a PatternSet to w as a member stream at
-// generation 0, resolving each interned term ID to its string through
-// term (normally Dictionary.Term). The trailing canonical SHA-256
-// fingerprint lets ReadSnapshot verify the round trip bit for bit.
-func WriteSnapshot(w io.Writer, s *PatternSet, term func(id int) string) error {
-	return writeSnapshot(w, s, term, 0)
-}
-
-// writeSnapshot writes one member stamped with generation gen.
-func writeSnapshot(w io.Writer, s *PatternSet, term func(id int) string, gen uint64) error {
-	if _, err := w.Write(encodeSnapshot(s, term, gen)); err != nil {
-		return fmt.Errorf("index: writing snapshot: %w", err)
-	}
-	return nil
 }
 
 // encodeSnapshot is the member encoder: it builds the member in memory,
@@ -232,20 +216,12 @@ func (k *Kind) decode(d *decoder) View {
 	return v
 }
 
-// ReadSnapshot decodes a member stream written by WriteSnapshot and verifies
-// its integrity: the magic, version and kind must be valid, the decoded
-// pattern content must reproduce the stored canonical SHA-256 fingerprint
-// exactly, and no trailing bytes may follow the footer. Truncated or
-// corrupted input yields an error, never a silently damaged index.
-func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("index: reading snapshot: %w", err)
-	}
-	return decodeSnapshot(data)
-}
-
-// decodeSnapshot is ReadSnapshot on a member's bytes.
+// decodeSnapshot is the member decoder. It verifies the member's
+// integrity: the magic, version and kind must be valid, the decoded
+// pattern content must reproduce the stored canonical SHA-256
+// fingerprint exactly, and no trailing bytes may follow the footer.
+// Truncated or corrupted input yields an error, never a silently damaged
+// index. ReadStore decodes every member of a bundle through it.
 func decodeSnapshot(data []byte) (*Snapshot, error) {
 	d := &decoder{p: data}
 	if magic := d.bytes(len(snapshotMagic)); d.err == nil && string(magic) != snapshotMagic {

@@ -2,13 +2,10 @@ package index
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"strings"
 	"testing"
-	"testing/iotest"
 
 	"stburst/internal/burst"
 	"stburst/internal/core"
@@ -86,13 +83,10 @@ func allKindSets() map[string]*PatternSet {
 func TestSnapshotRoundTrip(t *testing.T) {
 	for name, set := range allKindSets() {
 		t.Run(name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := WriteSnapshot(&buf, set, snapshotTerm); err != nil {
-				t.Fatalf("WriteSnapshot: %v", err)
-			}
-			snap, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+			full := encodeSnapshot(set, snapshotTerm, 0)
+			snap, err := decodeSnapshot(full)
 			if err != nil {
-				t.Fatalf("ReadSnapshot: %v", err)
+				t.Fatalf("decodeSnapshot: %v", err)
 			}
 			if got, want := snap.Set.Fingerprint(), set.Fingerprint(); got != want {
 				t.Errorf("decoded fingerprint %s, want %s", got, want)
@@ -124,13 +118,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotRejectsTruncation(t *testing.T) {
 	for name, set := range allKindSets() {
 		t.Run(name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := WriteSnapshot(&buf, set, snapshotTerm); err != nil {
-				t.Fatal(err)
-			}
-			full := buf.Bytes()
+			full := encodeSnapshot(set, snapshotTerm, 0)
 			for n := 0; n < len(full); n++ {
-				if _, err := ReadSnapshot(bytes.NewReader(full[:n])); err == nil {
+				if _, err := decodeSnapshot(full[:n]); err == nil {
 					t.Fatalf("truncation to %d of %d bytes loaded without error", n, len(full))
 				}
 			}
@@ -146,15 +136,11 @@ func TestSnapshotRejectsTruncation(t *testing.T) {
 func TestSnapshotRejectsCorruption(t *testing.T) {
 	for name, set := range allKindSets() {
 		t.Run(name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := WriteSnapshot(&buf, set, snapshotTerm); err != nil {
-				t.Fatal(err)
-			}
-			full := buf.Bytes()
+			full := encodeSnapshot(set, snapshotTerm, 0)
 			for i := range full {
 				corrupt := bytes.Clone(full)
 				corrupt[i] ^= 0xff
-				if _, err := ReadSnapshot(bytes.NewReader(corrupt)); err == nil {
+				if _, err := decodeSnapshot(corrupt); err == nil {
 					t.Fatalf("flipping byte %d of %d loaded without error", i, len(full))
 				}
 			}
@@ -165,64 +151,42 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 // TestSnapshotRejectsTrailingData checks extra bytes after the footer are
 // rejected.
 func TestSnapshotRejectsTrailingData(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, temporalSet(), snapshotTerm); err != nil {
-		t.Fatal(err)
-	}
-	buf.WriteByte(0)
-	if _, err := ReadSnapshot(bytes.NewReader(buf.Bytes())); err == nil {
+	full := encodeSnapshot(temporalSet(), snapshotTerm, 0)
+	if _, err := decodeSnapshot(append(full, 0)); err == nil {
 		t.Fatal("snapshot with trailing garbage loaded without error")
-	}
-}
-
-// TestSnapshotReportsReadError checks that a reader failing after the
-// whole member is reported as that failure, not as trailing data.
-func TestSnapshotReportsReadError(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, temporalSet(), snapshotTerm); err != nil {
-		t.Fatal(err)
-	}
-	errRead := errors.New("device gone")
-	_, err := ReadSnapshot(io.MultiReader(&buf, iotest.ErrReader(errRead)))
-	if !errors.Is(err, errRead) {
-		t.Fatalf("ReadSnapshot error = %v, want the reader's %v", err, errRead)
 	}
 }
 
 // TestSnapshotRejectsHeaderDamage covers the explicit header checks: bad
 // magic, unsupported version, unknown kind.
 func TestSnapshotRejectsHeaderDamage(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, temporalSet(), snapshotTerm); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := encodeSnapshot(temporalSet(), snapshotTerm, 0)
 
 	badMagic := bytes.Clone(full)
 	badMagic[0] = 'X'
-	if _, err := ReadSnapshot(bytes.NewReader(badMagic)); err == nil || !strings.Contains(err.Error(), "magic") {
+	if _, err := decodeSnapshot(badMagic); err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Errorf("bad magic: got %v, want magic error", err)
 	}
 
 	badVersion := bytes.Clone(full)
 	badVersion[8] = 99
-	if _, err := ReadSnapshot(bytes.NewReader(badVersion)); err == nil || !strings.Contains(err.Error(), "version") {
+	if _, err := decodeSnapshot(badVersion); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("bad version: got %v, want version error", err)
 	}
 
 	badKind := bytes.Clone(full)
 	badKind[12] = 42
-	if _, err := ReadSnapshot(bytes.NewReader(badKind)); err == nil || !strings.Contains(err.Error(), "kind") {
+	if _, err := decodeSnapshot(badKind); err == nil || !strings.Contains(err.Error(), "kind") {
 		t.Errorf("bad kind: got %v, want kind error", err)
 	}
 }
 
 // TestSnapshotRejectsEmptyInput checks the degenerate streams.
 func TestSnapshotRejectsEmptyInput(t *testing.T) {
-	if _, err := ReadSnapshot(bytes.NewReader(nil)); err == nil {
+	if _, err := decodeSnapshot(nil); err == nil {
 		t.Error("empty input loaded without error")
 	}
-	if _, err := ReadSnapshot(strings.NewReader("not a snapshot at all")); err == nil {
+	if _, err := decodeSnapshot([]byte("not a snapshot at all")); err == nil {
 		t.Error("junk input loaded without error")
 	}
 }
@@ -230,11 +194,8 @@ func TestSnapshotRejectsEmptyInput(t *testing.T) {
 // TestSnapshotEmptySet round-trips an index with no patterns at all.
 func TestSnapshotEmptySet(t *testing.T) {
 	set := NewTemporalSet(map[int][]burst.Interval{})
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, set, snapshotTerm); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	full := encodeSnapshot(set, snapshotTerm, 0)
+	snap, err := decodeSnapshot(full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,11 +210,8 @@ func TestSnapshotEmptySet(t *testing.T) {
 // TestSnapshotRemapUnknownTerm checks that a dictionary missing a stored
 // term rejects the snapshot instead of silently dropping patterns.
 func TestSnapshotRemapUnknownTerm(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, regionalSet(), snapshotTerm); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	full := encodeSnapshot(regionalSet(), snapshotTerm, 0)
+	snap, err := decodeSnapshot(full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,11 +308,8 @@ func TestValidateRejectsUnsortedIntervals(t *testing.T) {
 // checks patterns land under the right terms.
 func TestSnapshotRemapPermutation(t *testing.T) {
 	set := regionalSet()
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, set, snapshotTerm); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	full := encodeSnapshot(set, snapshotTerm, 0)
+	snap, err := decodeSnapshot(full)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,9 +111,9 @@ func TestIngestSinkRetriesUntilContextEnds(t *testing.T) {
 	batch := []connector.Doc{{Stream: "lima", Time: 1, Text: "boat race"}}
 
 	const wait = 350 * time.Millisecond
+	start := time.Now() // before the deadline is set, so elapsed >= wait
 	ctx, cancel := context.WithTimeout(context.Background(), wait)
 	defer cancel()
-	start := time.Now()
 	_, err = NewIngestSink(c, s).Ingest(ctx, batch)
 	if elapsed := time.Since(start); !errors.Is(err, context.DeadlineExceeded) || elapsed < wait {
 		t.Fatalf("Ingest on a closed log = %v after %v, want the context's deadline after retrying for %v", err, elapsed, wait)

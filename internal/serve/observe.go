@@ -121,10 +121,6 @@ func newObserver(srv *Server) *observer {
 	return o
 }
 
-// Registry exposes the server's metrics registry — the load generator's
-// in-process smoke test and the stserve debug listener both read it.
-func (s *Server) Registry() *metrics.Registry { return s.obs.s }
-
 // DebugHandler returns the handler stserve binds to -debug-addr: pprof
 // under /debug/pprof/ plus a second /metrics exposition. Profiling is
 // deliberately kept off the serving listener — a heap or CPU profile

@@ -300,20 +300,13 @@ func (s *Server) handleGeneration(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	// One snapshot of the resident set for the whole response: a reload
-	// landing mid-handler must not leave the legacy top-level fields
-	// describing a different index generation than the indexes array.
-	ixs := s.indexes()
 	si := s.store.ShardInfo()
 	stats := map[string]any{
-		"indexes":    ixs,
+		"indexes":    s.indexes(),
 		"docs":       s.c.NumDocs(),
 		"streams":    s.c.NumStreams(),
 		"timeline":   s.c.Timeline(),
 		"generation": s.store.Generation(),
-		// The corpus fingerprint lives inside the shard object: the legacy
-		// top-level "fingerprint" below is the first resident index's
-		// pattern fingerprint and must keep meaning exactly that.
 		"shard": map[string]any{
 			"shard":       si.Shard,
 			"shards":      si.Shards,
@@ -361,14 +354,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	} else {
 		stats["wal"] = map[string]any{"enabled": false}
-	}
-	// Legacy top-level fields describe the first resident index, which
-	// on a pre-store single-kind deployment is exactly the old payload.
-	if len(ixs) > 0 {
-		stats["kind"] = ixs[0].Kind
-		stats["terms"] = ixs[0].Terms
-		stats["patterns"] = ixs[0].Patterns
-		stats["fingerprint"] = ixs[0].Fingerprint
 	}
 	WriteJSON(w, http.StatusOK, stats)
 }

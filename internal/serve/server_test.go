@@ -93,15 +93,6 @@ func TestServerStats(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("GET /v1/stats = %d, want 200", code)
 	}
-	if body["kind"] != "regional" {
-		t.Errorf("stats kind %v, want regional", body["kind"])
-	}
-	if body["fingerprint"] != ix.Fingerprint() {
-		t.Errorf("stats fingerprint %v, want %s", body["fingerprint"], ix.Fingerprint())
-	}
-	if int(body["terms"].(float64)) != ix.NumTerms() {
-		t.Errorf("stats terms %v, want %d", body["terms"], ix.NumTerms())
-	}
 	if int(body["docs"].(float64)) != c.NumDocs() {
 		t.Errorf("stats docs %v, want %d", body["docs"], c.NumDocs())
 	}
@@ -112,6 +103,22 @@ func TestServerStats(t *testing.T) {
 	indexes, ok := body["indexes"].([]any)
 	if !ok || len(indexes) != 1 {
 		t.Fatalf("stats indexes %v, want one entry", body["indexes"])
+	}
+	entry := indexes[0].(map[string]any)
+	if entry["kind"] != "regional" {
+		t.Errorf("stats index kind %v, want regional", entry["kind"])
+	}
+	if entry["fingerprint"] != ix.Fingerprint() {
+		t.Errorf("stats index fingerprint %v, want %s", entry["fingerprint"], ix.Fingerprint())
+	}
+	if int(entry["terms"].(float64)) != ix.NumTerms() {
+		t.Errorf("stats index terms %v, want %d", entry["terms"], ix.NumTerms())
+	}
+	// The index fields live only in the indexes array.
+	for _, key := range []string{"kind", "terms", "patterns", "fingerprint"} {
+		if v, ok := body[key]; ok {
+			t.Errorf("stats carries a top-level %q (%v)", key, v)
+		}
 	}
 }
 

@@ -478,11 +478,7 @@ func (c *Collection) Checksum() string {
 		w(uint64(d.Stream))
 		w(uint64(d.Time))
 	}
-	terms := make([]int, 0, len(st.postings))
-	for t := range st.postings {
-		terms = append(terms, t)
-	}
-	sort.Ints(terms)
+	terms := st.terms()
 	w(uint64(len(terms)))
 	for _, t := range terms {
 		name := st.dict.Term(t)
@@ -500,14 +496,17 @@ func (c *Collection) Checksum() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Terms returns the IDs of all terms that occur in the collection, in
-// unspecified order.
-func (c *Collection) Terms() []int {
-	st := c.st.Load()
+// Terms returns the IDs of all terms that occur in the collection in
+// ascending order, which is the order the terms were first seen.
+func (c *Collection) Terms() []int { return c.st.Load().terms() }
+
+// terms returns the IDs of st's terms in ascending order.
+func (st *state) terms() []int {
 	out := make([]int, 0, len(st.postings))
 	for t := range st.postings {
 		out = append(out, t)
 	}
+	slices.Sort(out)
 	return out
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // Injector is a failpoint-style fault injector the test suite threads
-// through a Log (Options.Injector) to exercise every failure mode of
+// through a Log (Options.injector) to exercise every failure mode of
 // the append path without touching the filesystem layer itself: writes
 // that fail partway through a frame, short writes, fsyncs that fail
 // before or after reaching the disk, and fsyncs that silently do

@@ -115,9 +115,14 @@ type Options struct {
 	// goes through — segments bound typical file size, not frame size.
 	// Only the rotation tests lower it.
 	segmentBytes int64
-	// Injector, when non-nil, routes the active segment's writes and
-	// fsyncs through a fault injector — test use only.
-	Injector *Injector
+	// injector, when non-nil, routes the active segment's writes and
+	// fsyncs through the tests' fault injector (inject_test.go): no test
+	// can make fsync fail on a real file. Only the package's tests set
+	// it, as they lower segmentBytes.
+	injector interface {
+		write(f *os.File, p []byte) (int, error)
+		sync(f *os.File) error
+	}
 }
 
 // Batch is one logged ingest batch.
@@ -525,7 +530,7 @@ func (l *Log) Close() error {
 }
 
 func (l *Log) fwrite(p []byte) (int, error) {
-	if in := l.opts.Injector; in != nil {
+	if in := l.opts.injector; in != nil {
 		return in.write(l.f, p)
 	}
 	return l.f.Write(p)
@@ -533,7 +538,7 @@ func (l *Log) fwrite(p []byte) (int, error) {
 
 func (l *Log) fsync() error {
 	var err error
-	if in := l.opts.Injector; in != nil {
+	if in := l.opts.injector; in != nil {
 		err = in.sync(l.f)
 	} else {
 		err = l.f.Sync()

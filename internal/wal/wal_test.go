@@ -665,7 +665,7 @@ func TestInjectorWriteFaults(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			inj := &Injector{}
-			l, _, err := Open(dir, Options{Injector: inj})
+			l, _, err := Open(dir, Options{injector: inj})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -713,7 +713,7 @@ func TestInjectorSyncFaults(t *testing.T) {
 	} {
 		dir := t.TempDir()
 		inj := &Injector{}
-		l, _, err := Open(dir, Options{Injector: inj})
+		l, _, err := Open(dir, Options{injector: inj})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -745,7 +745,7 @@ func TestInjectorSyncFaults(t *testing.T) {
 func TestDroppedSyncCrash(t *testing.T) {
 	dir := t.TempDir()
 	inj := &Injector{}
-	l, _, err := Open(dir, Options{Injector: inj})
+	l, _, err := Open(dir, Options{injector: inj})
 	if err != nil {
 		t.Fatal(err)
 	}

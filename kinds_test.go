@@ -78,17 +78,19 @@ func TestKindTable(t *testing.T) {
 				t.Fatalf("mined a %v index with %d patterns", ix.PatternKind(), ix.NumPatterns())
 			}
 
-			// An empty and a mined set survive snapshot -> Remap unchanged.
+			// An empty and a mined set survive a one-member bundle ->
+			// Remap unchanged.
 			for _, set := range []*index.PatternSet{index.EmptySet(pk), ix.set} {
 				var buf bytes.Buffer
-				if err := index.WriteSnapshot(&buf, set, dict.Term); err != nil {
+				b := index.Bundle{Sets: []*index.PatternSet{set}, Shard: index.ShardInfo{Shards: 1}}
+				if err := b.Write(&buf, dict.Term); err != nil {
 					t.Fatal(err)
 				}
-				snap, err := index.ReadSnapshot(&buf)
+				read, err := index.ReadStore(&buf)
 				if err != nil {
 					t.Fatalf("reading back %d patterns: %v", set.NumPatterns(), err)
 				}
-				got, err := snap.Remap(dict.Lookup)
+				got, err := read.Snaps[0].Remap(dict.Lookup)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -304,7 +304,9 @@ func (c *Collection) Doc(id int) Document {
 	return Document{ID: d.ID, Stream: d.Stream, Time: d.Time}
 }
 
-// Terms returns every distinct term in the collection.
+// Terms returns every distinct term in the collection, in the order
+// the terms were first seen (ascending interned ID), so the same corpus
+// lists its vocabulary the same way in every process.
 func (c *Collection) Terms() []string {
 	ids := c.col.Terms()
 	out := make([]string, len(ids))

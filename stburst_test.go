@@ -2,6 +2,8 @@ package stburst
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 
 	"stburst/internal/index"
@@ -93,6 +95,31 @@ func TestCollectionBasics(t *testing.T) {
 	}
 	if len(c.Terms()) == 0 {
 		t.Fatal("no terms")
+	}
+}
+
+// TestTermsFirstSeenOrder: Terms lists the vocabulary in the order its
+// terms were first seen (ascending interned ID), so two loads of the
+// same corpus bytes list it identically.
+func TestTermsFirstSeenOrder(t *testing.T) {
+	lines := []string{`{"kind":"topix","streams":["Peru","Japan"],"timeline":4}`}
+	var want []string
+	for i := range 64 {
+		term := fmt.Sprintf("w%02d", 63-i) // first seen in descending string order
+		want = append(want, term)
+		lines = append(lines, fmt.Sprintf(`{"stream":"Peru","time":%d,"counts":{%q:1}}`, i%4, term))
+	}
+	for load := range 2 {
+		c := loadLines(t, lines)
+		got := c.Terms()
+		if !slices.Equal(got, want) {
+			t.Fatalf("load %d: Terms() = %v, want first-seen order %v", load, got, want)
+		}
+		for i, term := range got {
+			if id, ok := c.col.Dict().Lookup(term); !ok || id != i {
+				t.Fatalf("load %d: term %q has ID %d, want %d", load, term, id, i)
+			}
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package stburst
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -405,54 +404,54 @@ func mustWALBytes(t *testing.T, s *Store) int64 {
 	return st.Bytes
 }
 
-// TestWALIngestFaultInjection drives Store.Ingest through injected WAL
-// failures: a write that dies mid-frame and an fsync that fails must
-// both surface as plain retryable errors — store, collection and log
-// untouched, frame rolled back — and the verbatim retry must succeed.
-// A reboot afterwards sees exactly the acknowledged batches.
+// TestWALIngestFaultInjection drives Store.Ingest through failing WAL
+// appends: with the attached log closed under the store, Append fails
+// as any write error does, and Ingest must return the log's error with
+// store, collection and log untouched. A fresh log opened on the same
+// directory then takes the verbatim retry, and a reboot afterwards sees
+// exactly the acknowledged batches. (The torn-frame and failed-fsync
+// cases run against the log itself in internal/wal.)
 func TestWALIngestFaultInjection(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	errBoom := errors.New("boom")
 
 	c1 := twoBurstCollection(t)
 	s1 := mustMineStore(t, c1, nil)
-	inj := &wal.Injector{}
-	l, pending, err := wal.Open(dir, wal.Options{Injector: inj})
-	if err != nil {
-		t.Fatalf("wal.Open: %v", err)
-	}
-	if len(pending) != 0 {
-		t.Fatalf("fresh log scanned %d batches", len(pending))
-	}
-	w := &WAL{l: l, pending: pending}
+	w := mustOpenWAL(t, dir)
 	mustAttachWAL(t, s1, w)
-	clean := captureState(s1)
 
-	// Write fault mid-frame: the error must be the injected one —
-	// nothing was applied, the batch may retry.
-	inj.FailWritesAfter(20, errBoom)
-	_, err = s1.Ingest(ctx, liveBatch())
-	if !errors.Is(err, errBoom) {
-		t.Fatalf("Ingest under write fault = %v, want errBoom", err)
-	}
-	assertState(t, "store after failed WAL write", s1, clean)
-	if st, _ := s1.WALStats(); st.Batches != 0 || st.LastSeq != 0 {
-		t.Fatalf("torn frame not rolled back: WALStats = %+v", st)
-	}
+	for i, batch := range [][]IncomingDocument{liveBatch(), secondBatch()} {
+		clean := captureState(s1)
+		cleanWAL, _ := s1.WALStats()
+		l := s1.wal.Load()
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, logErr := l.Append(s1.Generation(), uint64(c1.NumDocs()), nil)
+		if logErr == nil {
+			t.Fatal("a closed log accepted an append")
+		}
+		_, err := s1.Ingest(ctx, batch)
+		if err == nil || err.Error() != logErr.Error() {
+			t.Fatalf("batch %d: Ingest on a failing log = %v, want the log's %v", i, err, logErr)
+		}
+		assertState(t, fmt.Sprintf("batch %d: store after failed WAL append", i), s1, clean)
+		if st, _ := s1.WALStats(); st != cleanWAL {
+			t.Fatalf("batch %d: failed append changed the log: WALStats = %+v, want %+v", i, st, cleanWAL)
+		}
 
-	// Verbatim retry succeeds once the fault clears.
-	inj.Clear()
-	mustIngest(t, s1, liveBatch())
-
-	// Sync fault: acknowledged durability is impossible, so the ingest
-	// must fail retryably too.
-	inj.FailBeforeSync(errBoom)
-	if _, err := s1.Ingest(ctx, secondBatch()); !errors.Is(err, errBoom) {
-		t.Fatalf("Ingest under sync fault = %v, want errBoom", err)
+		// Verbatim retry on a working log of the same directory.
+		fresh, pending, err := wal.Open(dir, wal.Options{})
+		if err != nil {
+			t.Fatalf("batch %d: wal.Open: %v", i, err)
+		}
+		if len(pending) != i {
+			t.Fatalf("batch %d: reopened log holds %d batches, want the %d acknowledged", i, len(pending), i)
+		}
+		s1.wal.Store(fresh)
+		w.l = fresh
+		mustIngest(t, s1, batch)
 	}
-	inj.Clear()
-	mustIngest(t, s1, secondBatch())
 	want := captureState(s1)
 	// Crash.
 
@@ -460,15 +459,16 @@ func TestWALIngestFaultInjection(t *testing.T) {
 	w2 := mustOpenWAL(t, dir)
 	rep, err := c2.ReplayWAL(ctx, w2)
 	if err != nil {
-		t.Fatalf("ReplayWAL after injected faults: %v", err)
+		t.Fatalf("ReplayWAL after failed appends: %v", err)
 	}
 	if rep.Batches != 2 {
 		t.Fatalf("replayed %d batches, want the 2 acknowledged ones", rep.Batches)
 	}
 	s2 := mustMineStore(t, c2, nil)
 	mustAttachWAL(t, s2, w2)
-	assertState(t, "recovery after injected faults", s2, want)
+	assertState(t, "recovery after failed appends", s2, want)
 	_ = w2.Close()
+	_ = w.Close()
 }
 
 // TestWALReplayRejectsForeignCorpus: a frame's recorded base document
